@@ -126,20 +126,16 @@ func BenchmarkCC8Nodes(b *testing.B) {
 	}
 }
 
-// Push-combine microbenchmark: the flat combiner against the seed's
-// map-based exchange. DenseDivisor=1 keeps SSSP in push mode on every
-// non-empty frontier, so the run is dominated by the combining path under
-// comparison; -benchmem shows the allocation gap.
-func BenchmarkPushCombineFlat(b *testing.B) { benchPushCombine(b, false) }
-func BenchmarkPushCombineMap(b *testing.B)  { benchPushCombine(b, true) }
-
-func benchPushCombine(b *testing.B, mapPush bool) {
+// Push-combine microbenchmark. DenseDivisor=1 keeps SSSP in push mode on
+// every non-empty frontier, so the run is dominated by the flat combiner;
+// -benchmem shows its allocations.
+func BenchmarkPushCombine(b *testing.B) {
 	g := gen.RMAT(1<<14, 1<<17, gen.DefaultRMAT, 64, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{
-			Nodes: 2, Threads: 2, Stealing: true, MapPush: mapPush, DenseDivisor: 1,
+			Nodes: 2, Threads: 2, Stealing: true, DenseDivisor: 1,
 		})
 		if err != nil {
 			b.Fatal(err)

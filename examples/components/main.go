@@ -1,7 +1,7 @@
 // Components: connected components on a clustered graph, executed over a
 // genuinely distributed transport — every worker runs the SLFE engine
-// against a real TCP mesh on localhost, exactly as a multi-machine
-// deployment would (each rank could be its own process/host).
+// against a real TCP mesh on localhost, with the framing, sockets and bytes
+// a multi-machine deployment would see.
 //
 //	go run ./examples/components
 package main
@@ -9,16 +9,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
-	"sync"
 	"time"
 
 	"slfe/internal/apps"
+	"slfe/internal/cluster"
 	"slfe/internal/comm"
-	"slfe/internal/core"
 	"slfe/internal/gen"
-	"slfe/internal/partition"
-	"slfe/internal/rrg"
 )
 
 const nodes = 4
@@ -28,84 +24,22 @@ func main() {
 	g := apps.Symmetrize(gen.Clustered(30_000, 3, 0, 11))
 	fmt.Printf("graph: %v\n", g)
 
-	part, err := partition.NewChunked(g, nodes)
+	start := time.Now()
+	transports, err := comm.LoopbackTCP(nodes, 10*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
-	guidance := rrg.Generate(g, rrg.DefaultRoots(g), nil)
-	prog := apps.CC(g)
-
-	// Reserve one loopback address per rank.
-	addrs := make([]string, nodes)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
-		l.Close()
+	// ExecuteOver runs one engine per transport and closes the mesh once
+	// every rank has finished.
+	res, err := cluster.ExecuteOver(g, apps.CC(g), cluster.Options{RR: true, Stealing: true}, transports)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	results := make([]*core.Result[float64], nodes)
-	errs := make([]error, nodes)
-	transports := make([]comm.Transport, nodes)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for rank := 0; rank < nodes; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			// Each worker dials the full TCP mesh: real framing, real
-			// sockets, real bytes.
-			tr, err := comm.DialTCP(rank, nodes, addrs, 10*time.Second)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			transports[rank] = tr
-			eng, err := core.New[float64](core.Config{
-				Graph:    g,
-				Comm:     comm.NewComm(tr),
-				Part:     part,
-				RR:       true,
-				Guidance: guidance,
-				Stealing: true,
-			})
-			if err != nil {
-				errs[rank] = err
-				comm.Abort(tr)
-				return
-			}
-			defer eng.Close()
-			res, err := eng.Run(prog)
-			results[rank] = res
-			errs[rank] = err
-			if err != nil {
-				comm.Abort(tr)
-				return
-			}
-			st := tr.Stats()
-			fmt.Printf("rank %d: done, sent %d messages / %d bytes over TCP\n",
-				rank, st.MessagesSent, st.BytesSent)
-		}(rank)
-	}
-	wg.Wait()
-	// Close only after every rank finished: an early Close can reset
-	// connections carrying a slower peer's final reduce results.
-	for _, tr := range transports {
-		if tr != nil {
-			tr.Close()
-		}
-	}
-	for rank, err := range errs {
-		if err != nil {
-			log.Fatalf("rank %d: %v", rank, err)
-		}
-	}
+	fmt.Printf("sent %d messages / %d bytes over TCP\n", res.Comm.MessagesSent, res.Comm.BytesSent)
 
 	// Count components from rank 0's (synchronised) labels.
 	labels := map[float64]int{}
-	for _, l := range results[0].Values {
+	for _, l := range res.Result.Values {
 		labels[l]++
 	}
 	fmt.Printf("found %d weakly connected components in %v over %d TCP workers\n",

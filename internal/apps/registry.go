@@ -97,17 +97,7 @@ func (r progRunner[V]) Execute(g graph.View, opt cluster.Options) (*Outcome, err
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{
-		Values:     res.Result.Float64s(),
-		Parents:    parentsOf(res.Result.Values),
-		Iterations: res.Result.Iterations,
-		Run:        res.Result.Metrics,
-		PerWorker:  res.PerWorker,
-		Elapsed:    res.Elapsed,
-		Preprocess: res.PreprocessTime,
-		Comm:       res.Comm,
-		Recovery:   res.Recovery,
-	}, nil
+	return outcomeFrom(res), nil
 }
 
 // parentsOf extracts the predecessor tree from composite dist32 values

@@ -19,73 +19,49 @@ var hotpathApps = []string{"SSSP", "BFS", "CC", "WP", "PR", "TR", "SpMV", "NumPa
 
 // Hotpath profiles the zero-allocation superstep hot path: every app runs
 // single-node (so the process-global allocation counters are attributable)
-// with per-superstep runtime.ReadMemStats deltas, once with the flat push
-// combiner and pooled wire buffers and once with the seed's map-based
-// combining, asserting the results stay bit-identical. Steady state is the
-// median of the last half of the supersteps — after the warm-up supersteps
-// that grow the engine-owned pools. A second section measures the codec
-// layer alone: pooled AppendEncodeBest against allocating EncodeBest. With
-// a trace exporter configured, the per-superstep alloc series is written as
-// one TSV per app plus a summary and the codec comparison.
+// with per-superstep runtime.ReadMemStats deltas over the flat push
+// combiner and pooled wire buffers. Steady state is the median of the last
+// half of the supersteps — after the warm-up supersteps that grow the
+// engine-owned pools. A second section measures the codec layer alone:
+// pooled AppendEncodeBest against allocating EncodeBest. With a trace
+// exporter configured, the per-superstep alloc series is written as one TSV
+// per app plus a summary and the codec comparison.
 func Hotpath(c Config) error {
 	c.defaults()
 	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Hotpath: steady-state heap allocations per superstep (median of last half; single node)")
-	fmt.Fprintln(tw, "app\tgraph\titers\tflat-allocs/step\tflat-B/step\tmap-allocs/step\tmap-B/step\tidentical")
+	fmt.Fprintln(tw, "app\tgraph\titers\tallocs/step\tB/step")
 	var summary [][]string
 	for _, app := range hotpathApps {
-		runs := map[bool]*cluster.RunResult[float64]{}
-		for _, mapPush := range []bool{false, true} {
-			res, err := c.RunSLFE(app, "PK", 1, true, func(o *cluster.Options) {
-				o.MeasureAllocs = true
-				o.MapPush = mapPush
-				o.Codec = compress.Adaptive{}
-			})
-			if err != nil {
-				return fmt.Errorf("hotpath %s (mapPush=%v): %w", app, mapPush, err)
-			}
-			runs[mapPush] = res
+		res, err := c.RunSLFE(app, "PK", 1, true, func(o *cluster.Options) {
+			o.MeasureAllocs = true
+			o.Codec = compress.Adaptive{}
+		})
+		if err != nil {
+			return fmt.Errorf("hotpath %s: %w", app, err)
 		}
-		flat, mapped := runs[false], runs[true]
-		identical := sameBits(flat.Result.Values, mapped.Result.Values)
-		if !identical {
-			return fmt.Errorf("hotpath %s: flat combining diverged from the map-based oracle", app)
-		}
-		fa, fb := steadyState(flat.Result.Metrics.Iters)
-		ma, mb := steadyState(mapped.Result.Metrics.Iters)
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%v\n",
-			app, "PK", flat.Result.Iterations, fa, fb, ma, mb, identical)
+		iters := res.Result.Metrics.Iters
+		allocs, bytes := steadyState(iters)
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\n", app, "PK", res.Result.Iterations, allocs, bytes)
 		summary = append(summary, []string{
 			app,
-			fmt.Sprintf("%d", flat.Result.Iterations),
-			fmt.Sprintf("%d", fa), fmt.Sprintf("%d", fb),
-			fmt.Sprintf("%d", ma), fmt.Sprintf("%d", mb),
-			fmt.Sprintf("%v", identical),
+			fmt.Sprintf("%d", res.Result.Iterations),
+			fmt.Sprintf("%d", allocs), fmt.Sprintf("%d", bytes),
 		})
 		var rows [][]string
-		fi, mi := flat.Result.Metrics.Iters, mapped.Result.Metrics.Iters
-		steps := len(fi)
-		if len(mi) < steps {
-			steps = len(mi)
-		}
-		for i := 0; i < steps; i++ {
+		for _, it := range iters {
 			rows = append(rows, []string{
-				fmt.Sprintf("%d", fi[i].Iter),
-				fi[i].Mode.String(),
-				fmt.Sprintf("%d", fi[i].HeapAllocs),
-				fmt.Sprintf("%d", fi[i].HeapBytes),
-				fmt.Sprintf("%d", mi[i].HeapAllocs),
-				fmt.Sprintf("%d", mi[i].HeapBytes),
+				fmt.Sprintf("%d", it.Iter),
+				it.Mode.String(),
+				fmt.Sprintf("%d", it.HeapAllocs),
+				fmt.Sprintf("%d", it.HeapBytes),
 			})
 		}
-		err := c.Trace.Table("hotpath-"+app,
-			[]string{"iter", "mode", "allocs_flat", "bytes_flat", "allocs_map", "bytes_map"}, rows)
-		if err != nil {
+		if err := c.Trace.Table("hotpath-"+app, []string{"iter", "mode", "allocs", "bytes"}, rows); err != nil {
 			return err
 		}
 	}
-	err := c.Trace.Table("hotpath-summary",
-		[]string{"app", "iters", "allocs_flat", "bytes_flat", "allocs_map", "bytes_map", "identical"}, summary)
+	err := c.Trace.Table("hotpath-summary", []string{"app", "iters", "allocs", "bytes"}, summary)
 	if err != nil {
 		return err
 	}

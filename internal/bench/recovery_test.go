@@ -10,13 +10,12 @@ import (
 	"slfe/internal/comm"
 )
 
-// TestRecoveryWithinBound is the CI regression guard for the recovery path:
-// detection must land within a small multiple of the configured DeadAfter
-// and the recovery turnaround (shard scan, merge, membership shrink) must
-// stay well under a second at test scale. The bounds are deliberately
-// generous — they trip on structural regressions (detection waiting on a
-// stuck collective, recovery rescanning per shard), never on CI jitter.
-func TestRecoveryWithinBound(t *testing.T) {
+// recoverOnce kills rank 2 of a 3-rank SSSP run mid-way and returns the
+// recovery report after checking what no machine can change: exactly one
+// recovery epoch and values bit-identical to the undisturbed run. deadAfter
+// is the failure detector's silence threshold.
+func recoverOnce(t *testing.T, deadAfter time.Duration) *cluster.RecoveryReport {
+	t.Helper()
 	c := Config{Scale: 4000, Nodes: 3, Threads: 1, PRIters: 8}
 	c.defaults()
 	g, err := c.Graph("PK")
@@ -35,7 +34,6 @@ func TestRecoveryWithinBound(t *testing.T) {
 
 	f := comm.NewFaults()
 	f.KillAfterSends(2, base.Comm.MessagesSent/2)
-	const deadAfter = 400 * time.Millisecond
 	fopt := opt
 	fopt.FT = &cluster.FTOptions{
 		HeartbeatInterval: 5 * time.Millisecond,
@@ -57,18 +55,18 @@ func TestRecoveryWithinBound(t *testing.T) {
 	if rep == nil || rep.Epochs != 2 {
 		t.Fatalf("recovery report = %+v, want one recovery epoch", rep)
 	}
-	// Detection = silence threshold + at most a few probe/monitor periods.
-	if maxDetect := 4 * deadAfter; rep.DetectTime <= 0 || rep.DetectTime > maxDetect {
-		t.Errorf("time-to-detect = %v, want (0, %v]", rep.DetectTime, maxDetect)
-	}
-	if maxRecover := 2 * time.Second; rep.RecoverTime <= 0 || rep.RecoverTime > maxRecover {
-		t.Errorf("time-to-recover = %v, want (0, %v]", rep.RecoverTime, maxRecover)
-	}
 	for i := range base.Result.Values {
 		if got.Result.Values[i] != base.Result.Values[i] {
 			t.Fatalf("vertex %d: recovered %v != undisturbed %v", i, got.Result.Values[i], base.Result.Values[i])
 		}
 	}
+	return rep
+}
+
+// TestRecoveryBitIdentical is the machine-independent half of the recovery
+// guard; its latency bounds are TestRecoveryWithinBound (perf_test.go).
+func TestRecoveryBitIdentical(t *testing.T) {
+	recoverOnce(t, 400*time.Millisecond)
 }
 
 // TestRecoveryExperimentRuns smoke-tests the full experiment table at tiny
@@ -85,54 +83,4 @@ func TestRecoveryExperimentRuns(t *testing.T) {
 			t.Fatalf("experiment output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// TestRejoinThroughputRecovers is the CI guard for elastic re-expansion:
-// after a killed rank rejoins, the grown epoch's superstep throughput must
-// recover to at least 90% of an undisturbed run over the same TCP mesh and
-// checkpoint cadence. PageRank is the probe — its per-superstep cost is
-// stable, so the ratio isolates membership effects from frontier shape.
-// Timing-sensitive, so the guard passes if any of three attempts meets the
-// bar; a structural regression (rejoined epoch stuck shrunk,
-// redistribution on the superstep path) fails all three.
-func TestRejoinThroughputRecovers(t *testing.T) {
-	c := Config{Scale: 1000, Nodes: 3, Threads: 1, PRIters: 24}
-	c.defaults()
-	g, err := c.Graph("PK")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const attempts = 3
-	var lastRatio float64
-	for attempt := 0; attempt < attempts; attempt++ {
-		p, err := c.Program("PR", g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := cluster.Execute(g, p, cluster.Options{Nodes: 3, Threads: 1, Stealing: true, RR: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, grown, err := rejoinRun(c, "PR", g, 3, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Degraded || len(rep.Rejoined) == 0 {
-			t.Logf("attempt %d: rejoin degraded (rejoined=%v); retrying", attempt, rep.Rejoined)
-			continue
-		}
-		if rep.FinalMembers != 3 {
-			t.Fatalf("final members = %d, want full size 3", rep.FinalMembers)
-		}
-		baseSteps, err := tcpBaseline(c, "PR", g, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastRatio = ratioOf(grown, baseSteps)
-		if lastRatio >= 0.9 {
-			return
-		}
-		t.Logf("attempt %d: grown/base throughput = %.3f (< 0.9); retrying", attempt, lastRatio)
-	}
-	t.Fatalf("rejoined throughput never reached 90%% of undisturbed across %d attempts (last ratio %.3f)", attempts, lastRatio)
 }

@@ -1,51 +1,9 @@
 package bench
 
 import (
-	"io"
 	"testing"
 	"time"
 )
-
-// TestServeCachedBeatsUncached is the CI guard on the serving layer's core
-// promise: with mutation traffic throttled enough that snapshots live
-// across many lookups, the version-pinned cache must make the cacheable
-// /topk path faster at p99 than re-ranking every request. The mutator
-// cadence (40ms between batches) keeps the hit rate high so the cached
-// number measures hit latency, not invalidation churn.
-func TestServeCachedBeatsUncached(t *testing.T) {
-	c := Config{Scale: 400, Threads: 2, Out: io.Discard}
-	phase := func(name string, capacity int) *serveResult {
-		t.Helper()
-		res, err := runServePhase(&c, servePhase{
-			Name: name, CacheCapacity: capacity,
-			Requests: 1200, Readers: 2,
-			MutateEvery: 40 * time.Millisecond, BatchSize: 4,
-		})
-		if err != nil {
-			t.Fatalf("%s phase: %v", name, err)
-		}
-		return res
-	}
-	uncached := phase("uncached", -1)
-	cached := phase("cached", 4096)
-
-	if uncached.Hits != 0 {
-		t.Fatalf("uncached phase recorded %d cache hits", uncached.Hits)
-	}
-	// Well below this the cached p99 would measure invalidation churn, not
-	// hit latency. (~0.5 is structural here: random /route targets are
-	// mostly-unique keys and always miss; the fixed /topk key mostly hits.)
-	if hr := cached.hitRate(); hr < 0.4 {
-		t.Fatalf("cached phase hit rate %.2f too low to measure hit latency (batches=%d)", hr, cached.Batches)
-	}
-	up99 := serveQuantile(uncached.TopK, 0.99)
-	cp99 := serveQuantile(cached.TopK, 0.99)
-	if cp99 >= up99 {
-		t.Errorf("cached /topk p99 %v not better than uncached %v (hit rate %.2f, %d/%d batches)",
-			cp99, up99, cached.hitRate(), cached.Batches, uncached.Batches)
-	}
-	t.Logf("topk p99: uncached %v, cached %v (hit rate %.2f)", up99, cp99, cached.hitRate())
-}
 
 // TestServeQuantile pins the nearest-rank quantile helper.
 func TestServeQuantile(t *testing.T) {

@@ -6,12 +6,12 @@
 // resumes from the latest complete checkpoint instead of iteration 0 —
 // the standard Pregel-style fault-tolerance scheme.
 //
-// Shards are domain-tagged (format version 2): values are stored as the
-// value domain's wire words at the domain's width, and the domain name is
-// part of the frame, so a shard written by one property domain can never
-// silently resume as another (the bits would be meaningless). Version-1
-// shards — the pre-domain format with untagged float64 values — are
-// rejected with an actionable error.
+// Shards are domain-tagged: values are stored as the value domain's wire
+// words at the domain's width, and the domain name is part of the frame, so
+// a shard written by one property domain can never silently resume as
+// another (the bits would be meaningless). Only the current format version
+// is read; shards of the two older formats are rejected with an actionable
+// error.
 package ckpt
 
 import (
@@ -58,8 +58,7 @@ type State struct {
 	Rank uint32
 	// Bounds are the partition boundaries of the epoch that wrote the shard
 	// (nodes+1 entries; format v3). Recovery groups shards by identical
-	// bounds and folds dead ranks' ranges using them. Nil on shards read
-	// from the v2 format.
+	// bounds and folds dead ranks' ranges using them.
 	Bounds []uint32
 	// Values is the (globally synchronised) property array as the
 	// domain's wire words.
@@ -78,8 +77,7 @@ const magic = "SLCK"
 // version is the current shard format: 2 introduced domain-tagged,
 // width-aware value arrays; 3 added the writing rank and the epoch's
 // partition bounds, which the replication/recovery path needs to merge
-// shards from a dead epoch. Version-2 shards still load (rank 0, nil
-// bounds).
+// shards from a dead epoch.
 const version = 3
 
 // width normalises the shard's word width (0 from a zero-value State means
@@ -186,12 +184,12 @@ func ReadState(r io.Reader) (*State, error) {
 	if string(d.bytes(4)) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	var ver uint16
 	switch v := d.u16(); v {
-	case version, 2:
-		ver = v
+	case version:
 	case 1:
 		return nil, ErrUntagged
+	case 2:
+		return nil, errors.New("ckpt: checkpoint shard uses format version 2 (no writing rank or partition bounds), which this build no longer reads; delete the checkpoint directory and re-run")
 	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
@@ -205,10 +203,8 @@ func ReadState(r io.Reader) (*State, error) {
 		return nil, fmt.Errorf("%w: value width %d", ErrCorrupt, s.Width)
 	}
 	width := int(s.Width)
-	if ver >= 3 {
-		s.Rank = d.u32()
-		s.Bounds = d.u32s()
-	}
+	s.Rank = d.u32()
+	s.Bounds = d.u32s()
 	s.Values = d.words(width)
 	s.StableCnt = d.u32s()
 	s.StableVal = d.words(width)

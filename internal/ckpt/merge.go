@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Merge folds one epoch's shards into a single global restore state. The
@@ -53,7 +54,7 @@ func Merge(shards []*State) (*State, error) {
 			s.Domain != ref.Domain || s.Width != ref.Width {
 			return nil, fmt.Errorf("ckpt: shard from rank %d disagrees with rank %d on checkpoint identity", s.Rank, ref.Rank)
 		}
-		if !equalBounds(s.Bounds, ref.Bounds) {
+		if !slices.Equal(s.Bounds, ref.Bounds) {
 			return nil, fmt.Errorf("ckpt: shard from rank %d has different bounds", s.Rank)
 		}
 		r := int(s.Rank)
@@ -112,16 +113,4 @@ func Merge(shards []*State) (*State, error) {
 		}
 	}
 	return out, nil
-}
-
-func equalBounds(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,10 +30,10 @@ func TestStateV3RankBoundsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadStateAcceptsV2 pins backward compatibility: a hand-built v2
-// frame (no rank/bounds fields) must still load, with zero Rank and nil
-// Bounds.
-func TestReadStateAcceptsV2(t *testing.T) {
+// TestReadStateRejectsV2 pins the retired format's exit: a hand-built v2
+// frame (no rank/bounds fields, valid CRC) must be refused with an error
+// that says what to do, not parsed and not reported as corruption.
+func TestReadStateRejectsV2(t *testing.T) {
 	s := sampleState()
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -46,16 +47,17 @@ func TestReadStateAcceptsV2(t *testing.T) {
 	body[4] = 2 // version u16 low byte, little-endian
 	cut := 4 + 2 + 4 + len(s.Program) + 1 + 4 + 4 + len(s.Domain) + 1
 	body = append(body[:cut], body[cut+4+8:]...)
-	framed := appendCRC(body)
-	got, err := ReadState(bytes.NewReader(framed))
-	if err != nil {
-		t.Fatalf("v2 frame rejected: %v", err)
+	_, err := ReadState(bytes.NewReader(appendCRC(body)))
+	if err == nil {
+		t.Fatal("v2 frame accepted")
 	}
-	if got.Rank != 0 || got.Bounds != nil {
-		t.Errorf("v2 frame yielded Rank=%d Bounds=%v, want zero values", got.Rank, got.Bounds)
+	if errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v2 frame reported as corruption: %v", err)
 	}
-	if got.Program != s.Program || len(got.Values) != len(s.Values) {
-		t.Errorf("v2 payload mangled: %+v", got)
+	for _, want := range []string{"version 2", "delete the checkpoint directory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("v2 rejection %q is not actionable: missing %q", err, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -18,7 +19,6 @@ import (
 	"slfe/internal/metrics"
 	"slfe/internal/partition"
 	"slfe/internal/rrg"
-	"slfe/internal/ws"
 )
 
 // Options configures a cluster execution.
@@ -49,9 +49,6 @@ type Options struct {
 	// SparseDivisor tunes the adaptive density threshold; see
 	// core.Config.SparseDivisor.
 	SparseDivisor int64
-	// MapPush selects the seed's map-based push combining instead of the
-	// flat combiner; see core.Config.MapPush.
-	MapPush bool
 	// SerialSync disables the overlapped superstep pipeline and runs
 	// delta-sync strictly after the compute barrier; see
 	// core.Config.SerialSync.
@@ -70,22 +67,46 @@ type Options struct {
 	Ckpt *ckpt.Manager
 	// FT enables rank-failure tolerance: heartbeat failure detection,
 	// buddy-replicated checkpoints and automatic recovery onto the
-	// surviving ranks. Execute routes to the recovery driver when set (see
-	// ExecuteFT); sessions and caller-provided transports cannot host it.
-	// Incompatible with Ckpt (the driver owns one private checkpoint
-	// manager per rank) and with Rebalance.
+	// surviving ranks, as an epoch loop around the session run (recover.go).
+	// Only Execute can host it — the loop owns each epoch's transport group,
+	// so ExecuteOver and ExecuteSession reject it. Incompatible with Ckpt
+	// (the loop owns one private checkpoint manager per rank) and with
+	// Rebalance.
 	FT *FTOptions
+}
 
-	// Recovery-epoch plumbing, set only by the FT driver when it re-enters
-	// run for each membership epoch.
-	perRankCkpt []*ckpt.Manager // private checkpoint manager per rank
-	restore     *ckpt.State     // pre-merged restore state for every rank
-	// restorePerRank overrides restore for individual ranks: a rejoined
-	// rank resumes from the state shipped over its rejoin connection, not
-	// from the driver's in-memory merge.
-	restorePerRank []*ckpt.State
-	bounds         []uint32       // explicit partition boundaries
-	progress       func(iter int) // per-superstep progress hook
+// validate rejects option combinations that cannot run, before any
+// transport, pool or goroutine exists. ownsTransports is true only for
+// Execute, the one entry point whose transport group FT may replace per
+// epoch. Every entry point calls it first, so a given mistake reads the
+// same wherever it is made.
+func (o *Options) validate(ownsTransports bool) error {
+	if o.Rebalance && o.Ckpt != nil {
+		return errors.New("cluster: Options.Ckpt and Options.Rebalance are mutually exclusive: owned ranges are not part of a checkpoint shard")
+	}
+	if o.Rebalance && o.Sync != core.SyncDense {
+		return errors.New("cluster: Options.Sync (sparse or adaptive) and Options.Rebalance are mutually exclusive: per-vertex destination sets assume stable ownership; use SyncDense")
+	}
+	ft := o.FT
+	if ft == nil {
+		return nil
+	}
+	if o.Ckpt != nil {
+		return errors.New("cluster: Options.FT and Options.Ckpt are mutually exclusive: recovery owns one private checkpoint manager per rank; leave Ckpt nil")
+	}
+	if o.Rebalance {
+		return errors.New("cluster: Options.FT and Options.Rebalance are mutually exclusive: recovery needs a static partition per epoch")
+	}
+	if ft.Rejoin && !ft.TCPLoopback {
+		return errors.New("cluster: Options.FT.Rejoin requires Options.FT.TCPLoopback: a restarted rank redials a real mesh")
+	}
+	if ft.CkptDir == "" {
+		return errors.New("cluster: Options.FT.CkptDir is required")
+	}
+	if !ownsTransports {
+		return errors.New("cluster: Options.FT cannot run on a session or on caller-provided transports (ExecuteSession, ExecuteOver): recovery replaces the transport group every epoch; use Execute")
+	}
+	return nil
 }
 
 // RunResult is the outcome of a cluster execution over property type V.
@@ -109,57 +130,65 @@ type RunResult[V comparable] struct {
 }
 
 // Execute partitions g, optionally generates RR guidance, and runs the
-// program on an in-process cluster.
+// program on an in-process cluster: open a session of opt.Nodes ranks, run,
+// close. With opt.FT the run is wrapped in the recovery epoch loop.
 func Execute[V comparable](g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
+	if err := opt.validate(true); err != nil {
+		return nil, err
+	}
 	if opt.FT != nil {
-		return ExecuteFT(g, p, opt)
+		return executeFT(g, p, opt)
 	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 1
-	}
-	transports, err := comm.NewLocalGroup(opt.Nodes)
+	s, err := NewSession(opt.Nodes, opt.Threads, opt.Stealing)
 	if err != nil {
 		return nil, err
 	}
-	return ExecuteOver(g, p, opt, transports)
+	defer s.Close()
+	return runSession(s, g, p, opt, nil)
 }
 
 // ExecuteOver runs the program over caller-provided transports, one per
-// rank — e.g. a loopback TCP mesh from comm.LoopbackTCP — with the same
-// orchestration as Execute (opt.Nodes is taken from the transport count).
-// The transports are closed when every rank has finished, never earlier: a
-// premature close can reset connections still carrying a slower peer's
-// final collective results.
+// rank — e.g. a loopback TCP mesh from comm.LoopbackTCP — as a session
+// opened over them for this one run (opt.Nodes is taken from the transport
+// count). The transports are closed when every rank has finished, never
+// earlier: a premature close can reset connections still carrying a slower
+// peer's final collective results.
 func ExecuteOver[V comparable](g graph.View, p *core.Program[V], opt Options, transports []comm.Transport) (*RunResult[V], error) {
-	defer func() {
+	if err := opt.validate(false); err != nil {
 		for _, t := range transports {
 			t.Close()
 		}
-	}()
-	return run(g, p, opt, transports, nil, nil)
+		return nil, err
+	}
+	s, err := NewSessionOver(transports, opt.Threads, opt.Stealing)
+	if err != nil {
+		return nil, err // no transports: nothing to close
+	}
+	defer s.Close()
+	return runSession(s, g, p, opt, nil)
 }
 
-// run is the shared execution body of ExecuteOver and ExecuteSession:
-// partition, optional guidance generation, one engine goroutine per rank.
-// comms/scheds, when non-nil, supply persistent per-rank communicators and
-// scheduler pools (session mode); when nil each run builds fresh ones and
-// the engines own their pools.
-func run[V comparable](g graph.View, p *core.Program[V], opt Options, transports []comm.Transport, comms []*comm.Comm, scheds []*ws.Scheduler) (*RunResult[V], error) {
-	opt.Nodes = len(transports)
-	if opt.Nodes == 0 {
-		return nil, fmt.Errorf("cluster: no transports")
-	}
-	if opt.FT != nil {
-		return nil, fmt.Errorf("cluster: FT recovery runs only through Execute (the driver owns the transport group); sessions and caller-provided transports cannot host it")
-	}
+// epochPlan is what the recovery epoch loop dictates to one epoch's session
+// run, per epoch rank where it differs by rank; a plain run has none.
+type epochPlan struct {
+	ckpt     []*ckpt.Manager // each rank's private checkpoint manager
+	restore  []*ckpt.State   // each rank's restore state (nil entry: cold start)
+	bounds   []uint32        // partition boundaries folded from the failed epoch (nil: chunk g)
+	progress func(iter int)  // per-superstep hook, called by every rank
+}
+
+// runSession is the one execution body: partition, optional guidance
+// generation, one engine goroutine per session rank over the session's
+// resident communicators and scheduler pools. The caller serialises runs
+// on s.
+func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt Options, plan *epochPlan) (*RunResult[V], error) {
+	nodes := s.Nodes()
 	var part *partition.Chunked
 	var err error
-	if opt.bounds != nil {
-		// A recovery epoch installs the shrunk ownership map derived from
-		// the dead epoch's checkpoint bounds instead of re-chunking.
-		part, err = partition.FromBounds(opt.bounds)
+	if plan != nil && plan.bounds != nil {
+		part, err = partition.FromBounds(plan.bounds)
 	} else {
-		part, err = partition.NewChunked(g, opt.Nodes)
+		part, err = partition.NewChunked(g, nodes)
 	}
 	if err != nil {
 		return nil, err
@@ -168,96 +197,71 @@ func run[V comparable](g graph.View, p *core.Program[V], opt Options, transports
 	out := &RunResult[V]{}
 	var guidance *rrg.Guidance
 	if opt.RR {
-		if opt.Guidance != nil {
-			guidance = opt.Guidance
-		} else {
+		guidance = opt.Guidance
+		if guidance == nil {
 			roots := opt.GuidanceRoots
 			if roots == nil {
 				// Min/max programs propagate from their own roots, so the
 				// guidance must describe exactly that propagation; arith
 				// programs have no roots and use the reusable default set.
-				if len(p.Roots) > 0 {
-					roots = p.Roots
-				} else {
+				roots = p.Roots
+				if len(roots) == 0 {
 					roots = rrg.DefaultRoots(g)
 				}
 			}
-			if scheds != nil {
-				guidance = rrg.Generate(g, roots, scheds[0])
-			} else {
-				sched := ws.New(opt.Threads, opt.Stealing)
-				guidance = rrg.Generate(g, roots, sched)
-				sched.Close()
-			}
+			guidance = rrg.Generate(g, roots, s.scheds[0])
 			out.PreprocessTime = guidance.GenTime
 		}
 		out.Guidance = guidance
 	}
 
-	results := make([]*core.Result[V], opt.Nodes)
-	errs := make([]error, opt.Nodes)
+	results := make([]*core.Result[V], nodes)
+	errs := make([]error, nodes)
 	// Transport counters are cumulative over the transport's lifetime;
-	// session runs reuse transports, so report this run's delta.
-	before := make([]comm.Stats, opt.Nodes)
-	for i, t := range transports {
+	// resident sessions reuse transports, so report this run's delta.
+	before := make([]comm.Stats, nodes)
+	for i, t := range s.transports {
 		before[i] = t.Stats()
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for rank := 0; rank < opt.Nodes; rank++ {
+	for rank := 0; rank < nodes; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			cm := comm.NewComm(transports[rank])
-			if comms != nil {
-				cm = comms[rank]
-			}
-			var sched *ws.Scheduler
-			if scheds != nil {
-				sched = scheds[rank]
-			}
-			ck := opt.Ckpt
-			if opt.perRankCkpt != nil {
-				ck = opt.perRankCkpt[rank]
-			}
-			restore := opt.restore
-			if opt.restorePerRank != nil && opt.restorePerRank[rank] != nil {
-				restore = opt.restorePerRank[rank]
-			}
-			eng, err := core.New[V](core.Config{
+			cfg := core.Config{
 				Graph:            g,
-				Comm:             cm,
+				Comm:             s.comms[rank],
 				Part:             part,
 				RR:               opt.RR,
 				Guidance:         guidance,
-				Threads:          opt.Threads,
-				Stealing:         opt.Stealing,
-				Sched:            sched,
+				Sched:            s.scheds[rank],
 				DenseDivisor:     opt.DenseDivisor,
 				TrackLastChange:  opt.TrackLastChange,
 				Codec:            opt.Codec,
 				Sync:             opt.Sync,
 				SparseDivisor:    opt.SparseDivisor,
-				MapPush:          opt.MapPush,
 				SerialSync:       opt.SerialSync,
 				MeasureAllocs:    opt.MeasureAllocs,
 				Rebalance:        opt.Rebalance,
 				RebalanceEvery:   opt.RebalanceEvery,
 				RebalanceDamping: opt.RebalanceDamping,
-				Ckpt:             ck,
-				Restore:          restore,
-				Progress:         opt.progress,
-			})
+				Ckpt:             opt.Ckpt,
+			}
+			if plan != nil {
+				cfg.Ckpt, cfg.Restore, cfg.Progress = plan.ckpt[rank], plan.restore[rank], plan.progress
+			}
+			eng, err := core.New[V](cfg)
 			if err != nil {
 				errs[rank] = err
-				comm.Abort(transports[rank])
+				comm.Abort(s.transports[rank])
 				return
 			}
 			defer eng.Close()
 			results[rank], errs[rank] = eng.Run(p)
 			if errs[rank] != nil {
 				// Unblock peers waiting on this rank's collectives.
-				comm.Abort(transports[rank])
+				comm.Abort(s.transports[rank])
 			}
 		}(rank)
 	}
@@ -269,14 +273,14 @@ func run[V comparable](g graph.View, p *core.Program[V], opt Options, transports
 		}
 	}
 	out.Result = results[0]
-	out.PerWorker = make([]*metrics.Run, opt.Nodes)
+	out.PerWorker = make([]*metrics.Run, nodes)
 	for rank, r := range results {
 		out.PerWorker[rank] = r.Metrics
 	}
-	for i, t := range transports {
-		s := t.Stats()
-		out.Comm.MessagesSent += s.MessagesSent - before[i].MessagesSent
-		out.Comm.BytesSent += s.BytesSent - before[i].BytesSent
+	for i, t := range s.transports {
+		st := t.Stats()
+		out.Comm.MessagesSent += st.MessagesSent - before[i].MessagesSent
+		out.Comm.BytesSent += st.BytesSent - before[i].BytesSent
 	}
 	return out, nil
 }

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"slfe/internal/ckpt"
+	"slfe/internal/comm"
 	"slfe/internal/compress"
 	"slfe/internal/core"
 	"slfe/internal/gen"
@@ -26,51 +30,152 @@ func ssspProgram() *core.Program[float64] {
 	}
 }
 
-// TestOptionsCombinations drives the engine-feature options end to end
-// through Execute and checks they all yield the reference result.
+// entryPoints are the three ways to start a run; each takes the options
+// and a cluster size and owns whatever it opens.
+var entryPoints = []struct {
+	name string
+	run  func(t *testing.T, g graph.View, opt Options, nodes int) (*RunResult[float64], error)
+}{
+	{"Execute", func(_ *testing.T, g graph.View, opt Options, nodes int) (*RunResult[float64], error) {
+		opt.Nodes = nodes
+		return Execute(g, ssspProgram(), opt)
+	}},
+	{"ExecuteOver", func(t *testing.T, g graph.View, opt Options, nodes int) (*RunResult[float64], error) {
+		ts, err := comm.NewLocalGroup(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ExecuteOver(g, ssspProgram(), opt, ts)
+		// ExecuteOver owns the transports whatever the outcome.
+		if serr := ts[0].Send(0, 1, nil); !errors.Is(serr, comm.ErrClosed) {
+			t.Errorf("ExecuteOver left its transports open (send after return: %v)", serr)
+		}
+		return res, err
+	}},
+	{"ExecuteSession", func(t *testing.T, g graph.View, opt Options, nodes int) (*RunResult[float64], error) {
+		s, err := NewSession(nodes, opt.Threads, opt.Stealing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, err := ExecuteSession(s, g, ssspProgram(), opt)
+		if err != nil && !s.Healthy() {
+			t.Errorf("a rejected run poisoned the session: %v", err)
+		}
+		return res, err
+	}},
+}
+
+// TestOptionsCombinations drives every allowed engine-feature combination
+// through all three entry points and checks each lands bit-identical on the
+// plain run: they are one execution path, opened three ways.
 func TestOptionsCombinations(t *testing.T) {
+	const nodes = 4
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 16, 31)
-	base, err := Execute(g, ssspProgram(), Options{Nodes: 4})
+	base, err := Execute(g, ssspProgram(), Options{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Options are built per run so every checkpointing run gets its own
+	// directory.
 	cases := []struct {
 		name string
-		opt  Options
+		opt  func() Options
 	}{
-		{"codec", Options{Nodes: 4, Codec: compress.VarintXOR{}}},
-		{"rebalance", Options{Nodes: 4, Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1}},
-		{"rr+codec", Options{Nodes: 4, RR: true, Codec: compress.VarintXOR{}}},
-		{"rr+rebalance", Options{Nodes: 4, RR: true, Rebalance: true, RebalanceEvery: 2}},
-		{"ckpt", Options{Nodes: 4, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}}},
-		{"everything-compatible", Options{Nodes: 4, RR: true, Stealing: true, Threads: 2,
-			Codec: compress.VarintXOR{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3}}},
+		{"plain", func() Options { return Options{} }},
+		{"codec", func() Options { return Options{Codec: compress.VarintXOR{}} }},
+		{"rebalance", func() Options { return Options{Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1} }},
+		{"rr+codec", func() Options { return Options{RR: true, Codec: compress.VarintXOR{}} }},
+		{"rr+rebalance", func() Options { return Options{RR: true, Rebalance: true, RebalanceEvery: 2} }},
+		{"rr+sparse-sync", func() Options { return Options{RR: true, Sync: core.SyncAdaptive, Codec: compress.Adaptive{}} }},
+		{"ckpt", func() Options { return Options{Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}} }},
+		{"everything-compatible", func() Options {
+			return Options{RR: true, Stealing: true, Threads: 2, Sync: core.SyncSparse,
+				Codec: compress.VarintXOR{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3}}
+		}},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			res, err := Execute(g, ssspProgram(), c.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range base.Result.Values {
-				if res.Result.Values[v] != base.Result.Values[v] {
-					t.Fatalf("vertex %d: %v, want %v", v, res.Result.Values[v], base.Result.Values[v])
+		for _, ep := range entryPoints {
+			t.Run(c.name+"/"+ep.name, func(t *testing.T) {
+				res, err := ep.run(t, g, c.opt(), nodes)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				for v := range base.Result.Values {
+					if res.Result.Values[v] != base.Result.Values[v] {
+						t.Fatalf("vertex %d: %v, want %v", v, res.Result.Values[v], base.Result.Values[v])
+					}
+				}
+			})
+		}
 	}
 }
 
-// TestCkptRebalanceRejectedThroughExecute surfaces the engine's
-// incompatibility check at the cluster API.
-func TestCkptRebalanceRejectedThroughExecute(t *testing.T) {
+// TestExclusionsRejectedUpFront is the documented exclusion list as a
+// table: every pair that cannot run is refused by every entry point that
+// could be asked for it, with one error — the same text wherever the
+// mistake is made — that names both options, before a run starts (a
+// rejected ExecuteSession leaves its session healthy; see entryPoints).
+func TestExclusionsRejectedUpFront(t *testing.T) {
 	g := gen.Path(32)
-	_, err := Execute(g, ssspProgram(), Options{
-		Nodes: 2, Rebalance: true,
-		Ckpt: &ckpt.Manager{Dir: t.TempDir()},
-	})
-	if err == nil {
-		t.Fatal("ckpt+rebalance accepted through Execute")
+	ft := func(mod func(*FTOptions)) *FTOptions {
+		f := &FTOptions{CkptDir: t.TempDir(), HeartbeatInterval: 5 * time.Millisecond}
+		if mod != nil {
+			mod(f)
+		}
+		return f
+	}
+	cases := []struct {
+		name  string
+		opt   Options
+		names []string // what the error must name
+		// executeRuns marks the one exclusion that is about the entry point
+		// itself: Execute hosts FT, the other two must refuse it.
+		executeRuns bool
+	}{
+		{"ft+ckpt", Options{FT: ft(nil), Ckpt: &ckpt.Manager{Dir: t.TempDir()}},
+			[]string{"Options.FT", "Options.Ckpt"}, false},
+		{"ft+rebalance", Options{FT: ft(nil), Rebalance: true},
+			[]string{"Options.FT", "Options.Rebalance"}, false},
+		{"ft-needs-execute", Options{FT: ft(nil)},
+			[]string{"Options.FT", "ExecuteSession", "ExecuteOver"}, true},
+		{"ckpt+rebalance", Options{Ckpt: &ckpt.Manager{Dir: t.TempDir()}, Rebalance: true},
+			[]string{"Options.Ckpt", "Options.Rebalance"}, false},
+		{"sparse-sync+rebalance", Options{Sync: core.SyncSparse, Rebalance: true},
+			[]string{"Options.Sync", "Options.Rebalance"}, false},
+		{"adaptive-sync+rebalance", Options{Sync: core.SyncAdaptive, Rebalance: true},
+			[]string{"Options.Sync", "Options.Rebalance"}, false},
+		{"rejoin-without-tcp", Options{FT: ft(func(f *FTOptions) { f.Rejoin = true })},
+			[]string{"Options.FT.Rejoin", "Options.FT.TCPLoopback"}, false},
+		{"ft-without-ckptdir", Options{FT: &FTOptions{}},
+			[]string{"Options.FT.CkptDir"}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var first string
+			for _, ep := range entryPoints {
+				_, err := ep.run(t, g, c.opt, 2)
+				if c.executeRuns && ep.name == "Execute" {
+					if err != nil {
+						t.Fatalf("Execute must host it: %v", err)
+					}
+					continue
+				}
+				if err == nil {
+					t.Fatalf("%s accepted the combination", ep.name)
+				}
+				for _, name := range c.names {
+					if !strings.Contains(err.Error(), name) {
+						t.Errorf("%s: error %q does not name %s", ep.name, err, name)
+					}
+				}
+				if first == "" {
+					first = err.Error()
+				} else if err.Error() != first {
+					t.Errorf("%s: error %q differs from the other entry points' %q", ep.name, err, first)
+				}
+			}
+		})
 	}
 }
 

@@ -1,11 +1,14 @@
 // Rank-failure recovery: heartbeat detection, buddy-replicated checkpoint
-// fetch, membership shrink, and deterministic re-execution. The driver runs
-// the program in membership epochs. Epoch 0 is the full group; when a death
-// is detected mid-run the survivors abort the in-flight superstep at a
-// collective boundary, agree post-mortem on who died, fold the dead ranks'
-// vertex ranges onto the survivors, merge the newest complete checkpoint —
-// fetching dead ranks' shards from their ring buddies' replicas, never from
-// the dead ranks' own storage — and resume as a smaller epoch.
+// fetch, membership shrink, and deterministic re-execution. It is an epoch
+// loop around the ordinary session run: every membership epoch opens a
+// session over that epoch's transports and runs the program on it, handing
+// the epoch's checkpoint managers, restore states and bounds over in an
+// epochPlan. Epoch 0 is the full group; when a death is detected mid-run
+// the survivors abort the in-flight superstep at a collective boundary,
+// agree post-mortem on who died, fold the dead ranks' vertex ranges onto
+// the survivors, merge the newest complete checkpoint — fetching dead
+// ranks' shards from their ring buddies' replicas, never from the dead
+// ranks' own storage — and resume as a smaller epoch.
 //
 // Recovered results are bit-identical to an undisturbed run because (a) the
 // merged checkpoint is the exact global state at the checkpointed superstep
@@ -18,9 +21,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -141,25 +144,10 @@ type EpochStat struct {
 	Elapsed time.Duration
 }
 
-// ExecuteFT is Execute with rank-failure tolerance; Execute routes here
-// when Options.FT is set. The returned result carries a RecoveryReport.
-func ExecuteFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
+// executeFT is Execute with rank-failure tolerance (Options.FT, already
+// validated). The returned result carries a RecoveryReport.
+func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
 	ft := opt.FT
-	if ft == nil {
-		return nil, errors.New("cluster: ExecuteFT requires Options.FT")
-	}
-	if ft.CkptDir == "" {
-		return nil, errors.New("cluster: Options.FT.CkptDir is required")
-	}
-	if opt.Ckpt != nil {
-		return nil, errors.New("cluster: FT mode owns its checkpoint managers; leave Options.Ckpt nil")
-	}
-	if opt.Rebalance {
-		return nil, errors.New("cluster: FT mode needs a static partition per epoch; disable Rebalance")
-	}
-	if ft.Rejoin && !ft.TCPLoopback {
-		return nil, errors.New("cluster: FT rejoin redials a real mesh; it requires TCPLoopback")
-	}
 	if opt.Nodes <= 0 {
 		opt.Nodes = 1
 	}
@@ -267,6 +255,10 @@ func ExecuteFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		if epoch == 0 && ft.Faults != nil {
 			transports = ft.Faults.Wrap(transports)
 		}
+		sess, err := NewSessionOver(transports, opt.Threads, opt.Stealing)
+		if err != nil {
+			return nil, err
+		}
 
 		// One failure detector per rank. The first dead verdict anywhere
 		// aborts the whole group: a BSP superstep cannot proceed without
@@ -291,19 +283,25 @@ func ExecuteFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		// cost (supersteps to replay) can be reported.
 		var crashIter atomic.Int64
 		crashIter.Store(-1)
-		ropt := opt
-		ropt.FT = nil
-		ropt.Nodes = k
-		ropt.perRankCkpt = pickManagers(managers, members)
-		ropt.restore = restore
-		ropt.restorePerRank = restorePerRank
-		ropt.bounds = bounds
-		ropt.progress = func(iter int) {
-			for {
-				cur := crashIter.Load()
-				if int64(iter) <= cur || crashIter.CompareAndSwap(cur, int64(iter)) {
-					return
+		plan := &epochPlan{
+			ckpt:    pickManagers(managers, members),
+			restore: make([]*ckpt.State, k),
+			bounds:  bounds,
+			progress: func(iter int) {
+				for {
+					cur := crashIter.Load()
+					if int64(iter) <= cur || crashIter.CompareAndSwap(cur, int64(iter)) {
+						return
+					}
 				}
+			},
+		}
+		// A rejoined rank resumes from the state shipped over its rejoin
+		// connection, everyone else from the in-memory merge.
+		for i := range plan.restore {
+			plan.restore[i] = restore
+			if restorePerRank != nil && restorePerRank[i] != nil {
+				plan.restore[i] = restorePerRank[i]
 			}
 		}
 
@@ -313,13 +311,11 @@ func ExecuteFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		if restore != nil {
 			resumeBase = int(restore.Iter)
 		}
-		res, runErr := run(g, p, ropt, transports, nil, nil)
+		res, runErr := runSession(sess, g, p, opt, plan)
 		for _, h := range hbs {
 			h.Stop()
 		}
-		for _, t := range transports {
-			t.Close()
-		}
+		sess.Close()
 		executed := int(crashIter.Load()) - resumeBase
 		if executed < 0 {
 			executed = 0
@@ -783,7 +779,7 @@ func bestCheckpoint(managers []*ckpt.Manager, members []int, program string, k i
 	for iter, slots := range byIter {
 		complete := true
 		for _, sl := range slots {
-			if sl.state == nil || !sameBounds(sl.state.Bounds, slots[0].state.Bounds) {
+			if sl.state == nil || !slices.Equal(sl.state.Bounds, slots[0].state.Bounds) {
 				complete = false
 				break
 			}
@@ -803,16 +799,4 @@ func bestCheckpoint(managers []*ckpt.Manager, members []int, program string, k i
 		fromReplica = fromReplica || sl.replica
 	}
 	return shards, fromReplica
-}
-
-func sameBounds(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -217,16 +217,3 @@ func TestFTCleanRunNoFalseDetection(t *testing.T) {
 		t.Fatal("clean FT run's values differ from a plain run")
 	}
 }
-
-func TestFTOptionValidation(t *testing.T) {
-	g := gen.RMAT(256, 1024, gen.DefaultRMAT, 8, 4)
-	if _, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{Nodes: 2, FT: &cluster.FTOptions{}}); err == nil {
-		t.Error("missing CkptDir: want error")
-	}
-	if _, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{
-		Nodes: 2, Rebalance: true,
-		FT: &cluster.FTOptions{CkptDir: t.TempDir()},
-	}); err == nil {
-		t.Error("FT with Rebalance: want error")
-	}
-}

@@ -153,19 +153,3 @@ func TestFTTCPRejoinWindowMiss(t *testing.T) {
 		t.Errorf("no degradation verdict logged; got %q", logs.lines)
 	}
 }
-
-// TestFTRejoinRequiresTCP pins the option contract: rejoin without a real
-// mesh is a configuration error, not a silent no-op.
-func TestFTRejoinRequiresTCP(t *testing.T) {
-	g := ftGraph()
-	_, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{Nodes: 2, FT: &cluster.FTOptions{
-		CkptDir: t.TempDir(),
-		Rejoin:  true,
-	}})
-	if err == nil {
-		t.Fatal("Rejoin without TCPLoopback: want error")
-	}
-	if !strings.Contains(err.Error(), "TCPLoopback") {
-		t.Fatalf("error %q does not name the missing option", err)
-	}
-}

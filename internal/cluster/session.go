@@ -12,12 +12,13 @@ import (
 	"slfe/internal/ws"
 )
 
-// Session is a re-entrant execution context for a resident process: the
-// transports, per-rank communicators and per-rank scheduler pools stay open
-// across runs, so repeated ExecuteSession calls pay none of the
-// per-invocation setup Execute does (fresh transport group, fresh worker
-// pool spawn per engine). This is what lets slfe-serve re-execute programs
-// after every mutation batch without owning the whole process per run.
+// Session hosts every engine run: a transport group with one communicator
+// and one scheduler pool per rank. Execute and ExecuteOver open one for a
+// single run; a resident process keeps one open, so repeated ExecuteSession
+// calls pay none of the per-invocation setup (fresh transport group, fresh
+// worker pool spawn per rank). This is what lets slfe-serve re-execute
+// programs after every mutation batch without owning the whole process per
+// run.
 //
 // Runs on one session are serialised: the communicators' collective
 // sequence numbers and the scheduler pools are single-flight state. A
@@ -29,8 +30,6 @@ type Session struct {
 	transports []comm.Transport
 	comms      []*comm.Comm
 	scheds     []*ws.Scheduler
-	threads    int
-	stealing   bool
 	// closed / poisoned are atomics so Healthy never waits on mu — a run in
 	// flight holds mu for its whole duration, and liveness probes must not
 	// queue behind it.
@@ -62,8 +61,6 @@ func NewSessionOver(transports []comm.Transport, threads int, stealing bool) (*S
 		transports: transports,
 		comms:      make([]*comm.Comm, len(transports)),
 		scheds:     make([]*ws.Scheduler, len(transports)),
-		threads:    threads,
-		stealing:   stealing,
 	}
 	for i, t := range transports {
 		s.comms[i] = comm.NewComm(t)
@@ -107,6 +104,9 @@ func (s *Session) Close() error {
 // communicators and scheduler pools. Nodes/Threads/Stealing in opt are
 // overridden by the session's fixed topology.
 func ExecuteSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
+	if err := opt.validate(false); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -115,9 +115,7 @@ func ExecuteSession[V comparable](s *Session, g graph.View, p *core.Program[V], 
 	if s.poisoned.Load() {
 		return nil, errors.New("cluster: session was poisoned by an earlier failed run; close it and build a fresh one")
 	}
-	opt.Threads = s.threads
-	opt.Stealing = s.stealing
-	res, err := run(g, p, opt, s.transports, s.comms, s.scheds)
+	res, err := runSession(s, g, p, opt, nil)
 	if err != nil {
 		// A failing rank aborts the whole transport group to unblock its
 		// peers, which leaves the group unusable for further runs.

@@ -1,7 +1,7 @@
 // Reconnectable TCP mesh with elastic membership. A MeshNode is one rank's
 // long-lived network identity: a persistent listener plus the handshake
-// logic that admits peers into membership epochs. Unlike DialTCP — which
-// forms one mesh and dies with it — a MeshNode survives across epochs: the
+// logic that admits peers into membership epochs. DialTCP uses a node for
+// one epoch and drops it; the recovery driver keeps it across epochs: the
 // surviving ranks of a failure form a new (shrunk) mesh with a higher
 // epoch number, and a restarted rank can announce itself (Rejoin) and be
 // admitted back at the next epoch boundary. Stale-epoch connections are
@@ -279,12 +279,17 @@ func (n *MeshNode) parkRejoin(peer int, conn net.Conn) {
 // Join forms the mesh for one membership epoch: members lists the epoch's
 // original rank ids (this node's id must be among them) and the node's
 // epoch rank is its index in that list. Epochs must strictly increase per
-// node. Like DialTCP, lower epoch ranks are dialled and higher ones
-// accepted; diallers whose peers have not entered the epoch yet retry with
-// backoff until the timeout. The returned transport is resilient: a peer
-// connection dying mid-run clears that peer only, leaving the group
-// verdict to the failure detector.
+// node. Lower epoch ranks are dialled and higher ones accepted; diallers
+// whose peers have not entered the epoch yet retry until the timeout. The
+// returned transport is resilient: a peer connection dying mid-run clears
+// that peer only, leaving the group verdict to the failure detector.
 func (n *MeshNode) Join(epoch uint32, members []int, timeout time.Duration) (Transport, error) {
+	return n.join(epoch, members, timeout, true)
+}
+
+// join is Join with the transport's failure discipline as a parameter
+// (see tcpTransport): DialTCP and LoopbackTCP form strict meshes.
+func (n *MeshNode) join(epoch uint32, members []int, timeout time.Duration, resilient bool) (Transport, error) {
 	rankOf := make(map[int]int, len(members))
 	for i, id := range members {
 		if id < 0 || id >= len(n.addrs) {
@@ -318,7 +323,7 @@ func (n *MeshNode) Join(epoch uint32, members []int, timeout time.Duration) (Tra
 	n.pending = p
 	n.mu.Unlock()
 
-	t := newTCPTransport(me, size, true)
+	t := newTCPTransport(me, size, resilient)
 	deadline := time.Now().Add(timeout)
 	var mu sync.Mutex
 	var firstErr error
@@ -357,47 +362,34 @@ func (n *MeshNode) Join(epoch uint32, members []int, timeout time.Duration) (Tra
 
 	// Dial every lower epoch rank, retrying while it has not entered the
 	// epoch yet (hsRetry) and failing fast when the mesh has moved past us
-	// (hsStale).
+	// (hsStale). Mesh formation sits inside timed runs and a peer's Join is
+	// usually microseconds behind the first dial, so the retry delay starts
+	// well under a millisecond and backs off to the steady pace.
 	for r := 0; r < me; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			addr := n.addrs[members[r]]
+			delay := meshRetryMin
 			for {
 				if time.Now().After(deadline) {
 					fail(fmt.Errorf("comm: epoch %d: dial member %d (%s): deadline exceeded", epoch, members[r], addr))
 					return
 				}
-				d := net.Dialer{Deadline: deadline}
-				conn, err := d.Dial("tcp", addr)
-				if err != nil {
-					time.Sleep(10 * time.Millisecond)
-					continue
-				}
-				if err := writeHello(conn, kindMesh, epoch, n.id, deadline); err != nil {
-					conn.Close()
-					time.Sleep(10 * time.Millisecond)
-					continue
-				}
-				status, err := readStatus(conn, deadline)
-				if err != nil {
-					conn.Close()
-					time.Sleep(10 * time.Millisecond)
-					continue
-				}
+				status, conn := dialEpoch(addr, epoch, n.id, deadline)
 				switch status {
 				case hsOK:
 					t.peers[r] = conn
 					return
 				case hsRetry:
-					conn.Close()
-					time.Sleep(10 * time.Millisecond)
+					time.Sleep(delay)
+					if delay *= 2; delay > meshRetryMax {
+						delay = meshRetryMax
+					}
 				case hsStale:
-					conn.Close()
 					fail(fmt.Errorf("comm: epoch %d is stale at member %d", epoch, members[r]))
 					return
 				default:
-					conn.Close()
 					fail(fmt.Errorf("comm: member %d rejected epoch %d handshake", members[r], epoch))
 					return
 				}
@@ -430,6 +422,38 @@ func (n *MeshNode) Join(epoch uint32, members []int, timeout time.Duration) (Tra
 	}
 	t.startReaders()
 	return t, nil
+}
+
+// meshRetryMin / meshRetryMax bound the redial backoff of a Join whose peer
+// is not ready yet.
+const (
+	meshRetryMin = 250 * time.Microsecond
+	meshRetryMax = 10 * time.Millisecond
+)
+
+// dialEpoch makes one mesh-formation attempt against addr and returns the
+// acceptor's status, with the live connection on hsOK. A peer that is down
+// or cut the handshake short reads as hsRetry.
+func dialEpoch(addr string, epoch uint32, id int, deadline time.Time) (byte, net.Conn) {
+	d := net.Dialer{Deadline: deadline}
+	conn, err := d.Dial("tcp", addr)
+	if err != nil {
+		return hsRetry, nil
+	}
+	if err := writeHello(conn, kindMesh, epoch, id, deadline); err != nil {
+		conn.Close()
+		return hsRetry, nil
+	}
+	status, err := readStatus(conn, deadline)
+	if err != nil {
+		conn.Close()
+		return hsRetry, nil
+	}
+	if status != hsOK {
+		conn.Close()
+		return status, nil
+	}
+	return hsOK, conn
 }
 
 // RejoinRequest is a restarted rank's parked announcement. Exactly one of

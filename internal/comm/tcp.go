@@ -49,14 +49,14 @@ const handshakeTimeout = 2 * time.Second
 // every pair of ranks shares one connection (dialled by the lower rank).
 //
 // Two failure disciplines share the implementation. A strict transport
-// (DialTCP) treats any peer connection error as whole-group death: the
-// inbox closes and every pending operation returns ErrClosed — the right
-// model for run-to-completion jobs where membership never changes. A
-// resilient transport (MeshNode.Join) treats a peer connection error as
-// that peer's death only: the peer slot is cleared, later sends to it are
-// silently dropped (frames to a powered-off host vanish), and the
-// transport stays alive so the failure detector — not the socket layer —
-// decides when the group is broken.
+// (DialTCP, LoopbackTCP) treats any peer connection error as whole-group
+// death: the inbox closes and every pending operation returns ErrClosed —
+// the right model for run-to-completion jobs where membership never
+// changes. A resilient transport (MeshNode.Join) treats a peer connection
+// error as that peer's death only: the peer slot is cleared, later sends
+// to it are silently dropped (frames to a powered-off host vanish), and
+// the transport stays alive so the failure detector — not the socket
+// layer — decides when the group is broken.
 type tcpTransport struct {
 	rank      int
 	size      int
@@ -130,7 +130,9 @@ func readStatus(conn net.Conn, deadline time.Time) (byte, error) {
 
 // DialTCP connects rank into a full mesh of size ranks; addrs lists every
 // rank's listen address (host:port). It blocks until the mesh is complete
-// or the timeout elapses. All ranks must call DialTCP concurrently.
+// or the timeout elapses. All ranks must call DialTCP concurrently. The
+// mesh is a one-epoch MeshNode join with the strict failure discipline:
+// the node (and its listener) lives only until the mesh has formed.
 func DialTCP(rank, size int, addrs []string, timeout time.Duration) (Transport, error) {
 	if size <= 0 || rank < 0 || rank >= size {
 		return nil, fmt.Errorf("comm: invalid rank %d of %d", rank, size)
@@ -138,133 +140,21 @@ func DialTCP(rank, size int, addrs []string, timeout time.Duration) (Transport, 
 	if len(addrs) != size {
 		return nil, fmt.Errorf("comm: need %d addresses, got %d", size, len(addrs))
 	}
-	if size == 1 {
-		return newTCPTransport(rank, size, false), nil
-	}
-	ln, err := net.Listen("tcp", addrs[rank])
+	n, err := ListenMesh(rank, addrs)
 	if err != nil {
-		return nil, fmt.Errorf("comm: listen %s: %w", addrs[rank], err)
+		return nil, err
 	}
-	return DialTCPOn(rank, size, addrs, ln, timeout)
+	defer n.Close()
+	return n.join(0, allMembers(size), timeout, false)
 }
 
-// DialTCPOn is DialTCP over a live listener the caller already holds for
-// addrs[rank]. Handing the listener in — instead of closing a probe
-// listener and re-listening — removes the port-claim gap in which another
-// process could steal the port. DialTCPOn takes ownership of ln and closes
-// it once mesh formation finishes (successfully or not).
-func DialTCPOn(rank, size int, addrs []string, ln net.Listener, timeout time.Duration) (Transport, error) {
-	if size <= 0 || rank < 0 || rank >= size {
-		ln.Close()
-		return nil, fmt.Errorf("comm: invalid rank %d of %d", rank, size)
+// allMembers is the member list of a full mesh: original ids 0..size-1.
+func allMembers(size int) []int {
+	members := make([]int, size)
+	for i := range members {
+		members[i] = i
 	}
-	if len(addrs) != size {
-		ln.Close()
-		return nil, fmt.Errorf("comm: need %d addresses, got %d", size, len(addrs))
-	}
-	t := newTCPTransport(rank, size, false)
-	if size == 1 {
-		ln.Close()
-		return t, nil
-	}
-	defer ln.Close()
-	deadline := time.Now().Add(timeout)
-
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-
-	// Rank i dials every rank j < i, so rank j accepts size-1-j connections.
-	expect := size - 1 - rank
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < expect; i++ {
-			if tl, ok := ln.(*net.TCPListener); ok {
-				tl.SetDeadline(deadline)
-			}
-			conn, err := ln.Accept()
-			if err != nil {
-				fail(fmt.Errorf("comm: accept: %w", err))
-				return
-			}
-			kind, epoch, peer, err := readHello(conn, deadline)
-			if err != nil {
-				conn.Close()
-				fail(fmt.Errorf("comm: handshake read: %w", err))
-				return
-			}
-			if kind != kindMesh || epoch != 0 || peer <= rank || peer >= size {
-				writeStatus(conn, hsReject)
-				conn.Close()
-				fail(fmt.Errorf("comm: unexpected peer rank %d", peer))
-				return
-			}
-			if err := writeStatus(conn, hsOK); err != nil {
-				conn.Close()
-				fail(fmt.Errorf("comm: handshake reply: %w", err))
-				return
-			}
-			mu.Lock()
-			t.peers[peer] = conn
-			mu.Unlock()
-		}
-	}()
-
-	// Dial every lower rank.
-	for peer := 0; peer < rank; peer++ {
-		wg.Add(1)
-		go func(peer int) {
-			defer wg.Done()
-			var conn net.Conn
-			var err error
-			for {
-				d := net.Dialer{Deadline: deadline}
-				conn, err = d.Dial("tcp", addrs[peer])
-				if err == nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					fail(fmt.Errorf("comm: dial rank %d (%s): %w", peer, addrs[peer], err))
-					return
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			if err := writeHello(conn, kindMesh, 0, rank, deadline); err != nil {
-				conn.Close()
-				fail(fmt.Errorf("comm: handshake write: %w", err))
-				return
-			}
-			status, err := readStatus(conn, deadline)
-			if err != nil {
-				conn.Close()
-				fail(fmt.Errorf("comm: handshake status: %w", err))
-				return
-			}
-			if status != hsOK {
-				conn.Close()
-				fail(fmt.Errorf("comm: rank %d refused handshake (status %d)", peer, status))
-				return
-			}
-			mu.Lock()
-			t.peers[peer] = conn
-			mu.Unlock()
-		}(peer)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		t.Close()
-		return nil, firstErr
-	}
-	t.startReaders()
-	return t, nil
+	return members
 }
 
 // startReaders launches one reader goroutine per connected peer.
@@ -453,34 +343,28 @@ func (t *tcpTransport) Abort() {
 // LoopbackTCP dials a full TCP mesh of size ranks on 127.0.0.1 — the
 // loopback counterpart of NewLocalGroup, used by benchmarks and tests that
 // want real sockets (serialisation, kernel buffering, write syscalls) on
-// one machine. Each rank's listener is opened on :0 first and handed live
-// to DialTCPOn, so the port is owned continuously from allocation to mesh
-// formation — no reserve/release gap for another process to steal.
+// one machine. Like DialTCP it is a one-epoch strict join; the nodes'
+// listeners are bound on :0 once and held until the mesh has formed, so
+// there is no reserve/release gap for another process to steal a port.
 func LoopbackTCP(size int, timeout time.Duration) ([]Transport, error) {
-	if size <= 0 {
-		return nil, errors.New("comm: group size must be positive")
+	nodes, _, err := NewLoopbackMeshNodes(size)
+	if err != nil {
+		return nil, err
 	}
-	lns := make([]net.Listener, size)
-	addrs := make([]string, size)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:i] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("comm: listen loopback: %w", err)
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
+	}()
+	members := allMembers(size)
 	ts := make([]Transport, size)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
-	for rank := 0; rank < size; rank++ {
+	for rank := range nodes {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ts[rank], errs[rank] = DialTCPOn(rank, size, addrs, lns[rank], timeout)
+			ts[rank], errs[rank] = nodes[rank].join(0, members, timeout, false)
 		}(rank)
 	}
 	wg.Wait()

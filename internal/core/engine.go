@@ -90,13 +90,6 @@ type Config struct {
 	// goroutine-safe.
 	Progress func(iter int)
 
-	// MapPush selects the seed's map-based push-proposal combining instead
-	// of the default flat combiner. The two produce bit-identical results;
-	// the map path allocates its working set every push superstep and
-	// exists as the flat path's differential oracle and as the baseline of
-	// the `hotpath` bench experiment.
-	MapPush bool
-
 	// SerialSync disables the overlapped superstep pipeline: delta-sync
 	// then runs strictly after the compute barrier (encode, exchange,
 	// decode on the critical path), the pre-overlap behaviour. By default
@@ -104,8 +97,7 @@ type Config struct {
 	// frames while compute is still running (overlap.go); the two paths
 	// produce bit-identical results, and the serial one is kept as the
 	// overlapped path's differential oracle and the baseline of the
-	// `overlap` bench experiment, mirroring MapPush. All workers must
-	// agree.
+	// `overlap` bench experiment. All workers must agree.
 	SerialSync bool
 
 	// MeasureAllocs records per-superstep heap allocation deltas

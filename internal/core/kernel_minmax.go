@@ -38,8 +38,7 @@ type minmaxKernel[V comparable] struct {
 	// compute/commit.
 	pullMode   bool
 	globalDebt int64
-	ruler      uint32                 // current iteration, read by pullBody
-	props      []map[graph.VertexID]V // Config.MapPush thread-local proposals
+	ruler      uint32 // current iteration, read by pullBody
 
 	comps, updates, suppressed, catchups []int64 // per-thread counters
 
@@ -302,15 +301,10 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	}
 }
 
-// computePush is source-side push with sender-side combining. The default
-// flat path appends into engine-owned per-thread per-rank buffers
-// (push.go); Config.MapPush keeps the seed's thread-local proposal maps.
+// computePush is source-side push with sender-side combining: proposals
+// are appended into engine-owned per-thread per-rank buffers (push.go).
 func (k *minmaxKernel[V]) computePush() {
 	e := k.e
-	if e.cfg.MapPush {
-		k.computePushMap()
-		return
-	}
 	e.pushInit(k.p)
 	wsStats := e.sched.Run(uint32(e.lo), uint32(e.hi), k.pushBody)
 	k.st.run.Steals += wsStats.Steals
@@ -354,33 +348,6 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 	k.comps[th] += comps
 }
 
-// computePushMap is the seed's map-based push compute (Config.MapPush).
-func (k *minmaxKernel[V]) computePushMap() {
-	e, p, st := k.e, k.p, k.st
-	k.props = make([]map[graph.VertexID]V, e.sched.Threads())
-	for i := range k.props {
-		k.props[i] = make(map[graph.VertexID]V)
-	}
-	wsStats := e.sched.Run(uint32(e.lo), uint32(e.hi), func(clo, chi uint32, th int) {
-		pm := k.props[th]
-		for v := clo; v < chi; v++ {
-			if !k.front.Get(int(v)) {
-				continue
-			}
-			vid := graph.VertexID(v)
-			outs, ows := e.curs[th].OutNeighbors(vid), e.curs[th].OutWeights(vid)
-			for i, u := range outs {
-				cand := k.relax(vid, st.values[vid], ows[i])
-				k.comps[th]++
-				if prev, ok := pm[u]; !ok || p.Better(cand, prev) {
-					pm[u] = cand
-				}
-			}
-		}
-	})
-	st.run.Steals += wsStats.Steals
-}
-
 // commitPullChunk applies one chunk's staged improvements to the owned
 // range; each committed value change is one "update" (the Table 2 metric).
 func (k *minmaxKernel[V]) commitPullChunk(clo, chi uint32, th int) {
@@ -395,11 +362,6 @@ func (k *minmaxKernel[V]) commit(_ int, stat *metrics.IterStat) error {
 	e := k.e
 	if k.pullMode {
 		e.sched.Run(uint32(e.lo), uint32(e.hi), k.commitBody)
-	} else if e.cfg.MapPush {
-		if err := e.exchangeProposalsMap(k.p, k.st, k.props, k.changed, &k.updates[0]); err != nil {
-			return err
-		}
-		k.props = nil
 	} else if err := e.exchangePushFlat(&k.updates[0]); err != nil {
 		return err
 	}

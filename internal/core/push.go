@@ -3,20 +3,15 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
-	"slfe/internal/bitset"
 	"slfe/internal/compress"
 	"slfe/internal/graph"
 )
 
-// This file implements the push-mode proposal exchange. The default path is
-// the flat combiner: engine-owned, superstep-reusable append buffers and
-// dense per-owner scatter arrays that replace the seed's per-superstep
-// map[VertexID]Value allocations, keeping the steady-state push superstep
-// allocation-free. The seed's map-based path is retained behind
-// Config.MapPush as the differential oracle and the baseline of the
-// `hotpath` bench experiment.
+// This file implements the push-mode proposal exchange as a flat combiner:
+// engine-owned, superstep-reusable append buffers and dense per-owner
+// scatter arrays, which keep the steady-state push superstep
+// allocation-free.
 //
 // Flat combining, per superstep:
 //
@@ -28,8 +23,8 @@ import (
 //     threads' pairs for rank r are folded into a dense per-owner value
 //     array indexed by (id - lo_r), guarded by a `seen` bitset with a
 //     second-level `blocks` bitmap (one bit per seen-word). The fold is the
-//     same Better-merge the map path performed, made order-insensitive by
-//     the aggregation's total order.
+//     program's Better-merge, made order-insensitive by the aggregation's
+//     total order.
 //  3. emit: ids are produced in ascending order without sorting — a dense
 //     batch scans every seen-word, a sparse one walks only the touched
 //     blocks (the sort-free bucketed merge), chosen by the batch's own
@@ -243,73 +238,6 @@ func (e *Engine[V]) applyPushDelta(id uint32, bits uint64) error {
 		st.values[id] = val
 		e.changed.Set(int(id))
 		ps.updates++
-	}
-	return nil
-}
-
-// exchangeProposalsMap is the seed's map-based push exchange, kept behind
-// Config.MapPush as the flat path's differential oracle and hotpath
-// baseline: thread-local proposal maps are split by destination owner, then
-// one task per destination rank merges, sorts and encodes its wire blob.
-func (e *Engine[V]) exchangeProposalsMap(p *Program[V], st *state[V], props []map[graph.VertexID]V, changed *bitset.Atomic, updates *int64) error {
-	size := e.comm.Size()
-	split := make([][]map[graph.VertexID]V, len(props))
-	e.sched.Tasks(len(props), func(th int) {
-		byOwner := make([]map[graph.VertexID]V, size)
-		for dst, val := range props[th] {
-			o := e.owner(dst)
-			m := byOwner[o]
-			if m == nil {
-				m = make(map[graph.VertexID]V)
-				byOwner[o] = m
-			}
-			m[dst] = val
-		}
-		split[th] = byOwner
-	})
-	blobs := make([][]byte, size)
-	e.sched.Tasks(size, func(r int) {
-		merged := make(map[graph.VertexID]V)
-		for th := range split {
-			for id, val := range split[th][r] {
-				if prev, ok := merged[id]; !ok || p.Better(val, prev) {
-					merged[id] = val
-				}
-			}
-		}
-		// Sort ids so the codec sees ascending order (VarintXOR needs it)
-		// and the wire format is deterministic.
-		ids := make([]graph.VertexID, 0, len(merged))
-		for id := range merged {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		vals := make([]uint64, len(ids))
-		for i, id := range ids {
-			vals[i] = e.dom.Bits(merged[id])
-		}
-		blobs[r] = e.codec.Encode(ids, vals)
-	})
-	got, err := e.comm.AllToAll(blobs)
-	if err != nil {
-		return err
-	}
-	for _, blob := range got {
-		err := e.codec.Decode(blob, func(id graph.VertexID, bits uint64) error {
-			if id < e.lo || id >= e.hi {
-				return fmt.Errorf("core: proposal for non-owned vertex %d", id)
-			}
-			val := e.dom.FromBits(bits)
-			if p.Better(val, st.values[id]) {
-				st.values[id] = val
-				changed.Set(int(id))
-				*updates++
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

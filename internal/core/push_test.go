@@ -7,17 +7,58 @@ import (
 	"slfe/internal/compress"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
+	"slfe/internal/metrics"
 	"slfe/internal/partition"
 )
 
-// The flat push combiner must be bit-identical to the seed's map-based
-// exchange on every thread count and codec, for both aggregation orders
-// (min-Better SSSP-style and max-Better widest-path-style). Run under
-// -race this also asserts the per-thread append buffers are never shared
-// across threads (concurrent appends into aliased slices would be
-// flagged). DenseDivisor=1 forces push mode whenever the frontier is
-// non-empty, maximising coverage of the flat path.
-func TestFlatPushMatchesMapPush(t *testing.T) {
+// serialMinMax is the independent reference for the push/pull matrix: a
+// single-threaded synchronous (BSP) fixed point over the program's hooks.
+// Every frontier vertex relaxes each out-edge once per superstep (one
+// computation) and every vertex that improved commits once (one update) —
+// the accounting both engine modes must reproduce.
+func serialMinMax(g *graph.Graph, p *Program[float64]) (vals []Value, comps, updates int64) {
+	n := g.NumVertices()
+	vals = make([]Value, n)
+	for v := range vals {
+		vals[v] = p.InitValue(g, graph.VertexID(v))
+	}
+	frontier := append([]graph.VertexID(nil), p.Roots...)
+	for len(frontier) > 0 {
+		best := map[graph.VertexID]Value{}
+		for _, v := range frontier {
+			ws := g.OutWeights(v)
+			for i, u := range g.OutNeighbors(v) {
+				comps++
+				cand := p.Relax(vals[v], ws[i])
+				if cur, ok := best[u]; !ok || p.Better(cand, cur) {
+					best[u] = cand
+				}
+			}
+		}
+		frontier = frontier[:0]
+		for u, cand := range best {
+			if p.Better(cand, vals[u]) {
+				vals[u] = cand
+				updates++
+				frontier = append(frontier, u)
+			}
+		}
+	}
+	return vals, comps, updates
+}
+
+// Forced-push (DenseDivisor=1: push whenever the frontier is non-empty) and
+// forced-pull supersteps must both land bit-identical on the serial
+// reference, on every thread count and codec, for both aggregation orders
+// (min-Better SSSP-style and max-Better widest-path-style) — and account
+// the same work: one computation per (frontier vertex, out-edge) in either
+// mode. Pull commits each improved vertex once per superstep, so its
+// updates equal the reference's; push applies one proposal blob per source
+// rank, so a vertex improved by two ranks in one superstep counts twice —
+// never fewer than the reference, and independent of threads and codec.
+// Run under -race this also asserts the per-thread append buffers are never
+// shared across threads.
+func TestPushMatchesPullAndSerialReference(t *testing.T) {
 	const nodes = 3
 	g := gen.RMAT(768, 6144, gen.DefaultRMAT, 8, 29)
 	maxProg := &Program[float64]{
@@ -33,32 +74,55 @@ func TestFlatPushMatchesMapPush(t *testing.T) {
 		Relax:  func(srcVal Value, w float32) Value { return math.Min(srcVal, float64(w)) },
 		Better: func(a, b Value) bool { return a > b },
 	}
+	totals := func(rs []*Result[float64]) (comps, updates int64) {
+		for _, r := range rs {
+			comps += r.Metrics.Computations()
+			updates += r.Metrics.Updates()
+		}
+		return comps, updates
+	}
 	for _, prog := range []*Program[float64]{testProgram(), maxProg} {
+		want, wantComps, wantUpdates := serialMinMax(g, prog)
+		pushUpdates := int64(-1)
 		for _, threads := range []int{1, 4} {
 			for _, codec := range []compress.Codec{nil, compress.Adaptive{}} {
-				mutate := func(mapPush bool) func(int, *Config) {
-					return func(_ int, cfg *Config) {
-						cfg.DenseDivisor = 1
+				run := func(denseDivisor int64, mode metrics.Mode) []*Result[float64] {
+					rs := runClusterAll(t, g, prog, nodes, func(_ int, cfg *Config) {
+						cfg.DenseDivisor = denseDivisor
 						cfg.Threads = threads
 						cfg.Stealing = true
 						cfg.Codec = codec
-						cfg.MapPush = mapPush
+					})
+					for rank, r := range rs {
+						if !sameValues(r.Values, want) {
+							t.Fatalf("%s threads=%d codec=%v %v: rank %d differs from the serial reference",
+								prog.Name, threads, codec, mode, rank)
+						}
+						for _, it := range r.Metrics.Iters {
+							if it.Mode != mode {
+								t.Fatalf("%s threads=%d codec=%v: superstep %d ran %v, want forced %v",
+									prog.Name, threads, codec, it.Iter, it.Mode, mode)
+							}
+						}
 					}
+					return rs
 				}
-				flat := runClusterAll(t, g, prog, nodes, mutate(false))
-				mapped := runClusterAll(t, g, prog, nodes, mutate(true))
-				for rank := range flat {
-					if !sameValues(flat[rank].Values, mapped[rank].Values) {
-						t.Fatalf("threads=%d codec=%v: flat push differs from map push on rank %d",
-							threads, codec, rank)
-					}
+				pc, pu := totals(run(1, metrics.Push))
+				lc, lu := totals(run(math.MaxInt64, metrics.Pull))
+				if pc != wantComps || lc != wantComps {
+					t.Fatalf("%s threads=%d codec=%v: push counted %d computations, pull %d, reference %d",
+						prog.Name, threads, codec, pc, lc, wantComps)
 				}
-				// Same updates/computations accounting, not just same values.
-				if fu, mu := flat[0].Metrics.Updates(), mapped[0].Metrics.Updates(); fu != mu {
-					t.Fatalf("threads=%d codec=%v: flat counted %d updates, map %d", threads, codec, fu, mu)
+				if lu != wantUpdates {
+					t.Fatalf("%s threads=%d codec=%v: pull counted %d updates, reference %d",
+						prog.Name, threads, codec, lu, wantUpdates)
 				}
-				if fc, mc := flat[0].Metrics.Computations(), mapped[0].Metrics.Computations(); fc != mc {
-					t.Fatalf("threads=%d codec=%v: flat counted %d computations, map %d", threads, codec, fc, mc)
+				if pushUpdates < 0 {
+					pushUpdates = pu
+				}
+				if pu < wantUpdates || pu != pushUpdates {
+					t.Fatalf("%s threads=%d codec=%v: push counted %d updates, reference %d, first cell %d",
+						prog.Name, threads, codec, pu, wantUpdates, pushUpdates)
 				}
 			}
 		}

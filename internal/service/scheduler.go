@@ -33,7 +33,7 @@ func (s *Service) reexecuteAll(ctx context.Context, cur *Snapshot, g2, sym2 *gra
 		wg.Add(1)
 		go func(id string, p *Program) {
 			defer wg.Done()
-			np, err := s.reexecuteOne(ctx, p, g2, sym2, symAdds, adds, full)
+			np, err := s.reexecuteOne(ctx, p, cur, g2, sym2, symAdds, adds, full)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -59,11 +59,11 @@ func (s *Service) reexecuteAll(ctx context.Context, cur *Snapshot, g2, sym2 *gra
 // exactly its duration; Release heals the session if the run poisoned it.
 // The acquire is context-bound: a cancelled request stops queueing instead
 // of waiting on a session a wedged run may never release.
-func (s *Service) reexecuteOne(ctx context.Context, p *Program, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
+func (s *Service) reexecuteOne(ctx context.Context, p *Program, cur *Snapshot, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
 	sess, err := s.pool.AcquireCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer s.pool.Release(sess)
-	return s.reexecute(sess, p, g2, sym2, symAdds, adds, full)
+	return s.reexecute(sess, p, cur, g2, sym2, symAdds, adds, full)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,9 +82,10 @@ type Program struct {
 	Warm bool
 
 	runner apps.Incremental
-	// roots is the guidance root set pinned at registration: the default
-	// root heuristic drifts as edges arrive, and guidance can only be
-	// updated incrementally over a fixed root set.
+	// roots is the guidance root set the maintained guidance was generated
+	// from. Guidance can only be updated incrementally over a fixed root
+	// set, so it stays pinned across batches until one invalidates it (see
+	// freshRoots).
 	roots    []graph.VertexID
 	guidance *rrg.Guidance
 	resume   *apps.Resume
@@ -408,24 +410,24 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 	return next, nil
 }
 
-// reexecute moves one program to the mutated graph on the given session.
-func (s *Service) reexecute(sess *cluster.Session, p *Program, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
-	execG, execAdds := g2, adds
+// reexecute moves one program from cur to the mutated graph on the given
+// session.
+func (s *Service) reexecute(sess *cluster.Session, p *Program, cur *Snapshot, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
+	prevG, execG, execAdds := cur.Graph, g2, adds
 	if p.NeedsSym {
-		execG, execAdds = sym2, symAdds
+		prevG, execG, execAdds = cur.Sym, sym2, symAdds
 	}
 	np := &Program{
 		Key: p.Key, Domain: p.Domain, NeedsSym: p.NeedsSym,
 		runner: p.runner, roots: p.roots,
 	}
 	opt := s.runOptions()
-	opt.GuidanceRoots = p.roots
 	if full {
 		// Deletions can grow distances: incremental guidance maintenance
 		// and monotone warm-starts both lose their correctness argument,
 		// so regenerate and re-run cold.
 		np.guidance = s.generate(execG, p.roots)
-		opt.Guidance = np.guidance
+		opt.Guidance, opt.GuidanceRoots = np.guidance, np.roots
 		out, resume, err := p.runner.ExecuteIn(sess, execG, opt)
 		if err != nil {
 			return nil, err
@@ -434,18 +436,43 @@ func (s *Service) reexecute(sess *cluster.Session, p *Program, g2, sym2 *graph.G
 		return np, nil
 	}
 	if p.guidance != nil {
-		// Clone before Update: the prior snapshot's guidance is published
-		// state and must stay frozen.
-		np.guidance = p.guidance.Clone()
-		if _, err := np.guidance.Update(execG, execAdds); err != nil {
-			return nil, err
+		if roots := freshRoots(p, prevG, execG, execAdds); roots != nil {
+			np.roots = roots
+			np.guidance = s.generate(execG, roots)
+		} else {
+			// Clone before Update: the prior snapshot's guidance is
+			// published state and must stay frozen.
+			np.guidance = p.guidance.Clone()
+			if _, err := np.guidance.Update(execG, execAdds); err != nil {
+				return nil, err
+			}
 		}
-		opt.Guidance = np.guidance
 	}
+	opt.Guidance, opt.GuidanceRoots = np.guidance, np.roots
 	out, resume, err := p.resume.ExecuteWarm(sess, execG, execAdds, opt)
 	if err != nil {
 		return nil, err
 	}
 	np.Outcome, np.resume, np.Warm = out, resume, true
 	return np, nil
+}
+
+// freshRoots returns p's guidance roots re-derived on execG when the batch
+// invalidated the pinned set, and nil while the pinned set stands. The
+// default root set holds every source vertex because propagation can never
+// reach one; a pinned source that gains its first in-edge is reachable from
+// then on, and keeping it a level-0 root would tell its out-neighbours
+// their inputs settle earlier than they do (PageRank's "finish early" then
+// freezes them on stale values). Programs with explicit roots re-derive the
+// same set and are unaffected.
+func freshRoots(p *Program, prevG, execG *graph.Graph, adds []graph.Edge) []graph.VertexID {
+	for _, e := range adds {
+		if int(e.Dst) < prevG.NumVertices() && prevG.InDegree(e.Dst) == 0 && slices.Contains(p.roots, e.Dst) {
+			if roots := p.runner.GuidanceRoots(execG); !slices.Equal(roots, p.roots) {
+				return slices.Clone(roots)
+			}
+			return nil
+		}
+	}
+	return nil
 }

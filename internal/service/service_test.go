@@ -322,3 +322,65 @@ func TestApplyRejectsBadBatchAndStaysServing(t *testing.T) {
 		t.Fatal("unknown program accepted")
 	}
 }
+
+// A guidance root set pinned at registration goes stale when a batch gives
+// one of its source vertices (in-degree 0, hence a default root) its first
+// in-edge: the vertex stays a level-0 root in the maintained guidance, its
+// out-neighbours' LastIter stays too small, and PageRank's "finish early"
+// freezes them before the new in-flow has propagated. The service must
+// re-derive the root set then; served ranks stay within the repo's PageRank
+// tolerance of the serial reference on the independently rebuilt graph.
+func TestSourceRootGainingInEdgeKeepsPageRankRight(t *testing.T) {
+	const (
+		iters   = 20
+		batches = 30
+		perB    = 64
+	)
+	for seed := int64(1); seed <= 6; seed++ {
+		g0 := gen.RMAT(1<<10, 1<<14, gen.DefaultRMAT, 8, seed)
+		n := g0.NumVertices()
+		svc, err := service.New(g0, service.Config{Nodes: 1, Threads: 1, Sessions: 1, RR: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Register("pr", "f64", 0, iters); err != nil {
+			t.Fatal(err)
+		}
+		allEdges := g0.Edges(nil)
+		rng := rand.New(rand.NewSource(seed))
+		cur := g0
+		for batchNo := 0; batchNo < batches; batchNo++ {
+			// Aim every insertion at a vertex nothing points to yet; once the
+			// graph has none left, at any vertex.
+			var sources []graph.VertexID
+			for v := 0; v < n; v++ {
+				if cur.InDegree(graph.VertexID(v)) == 0 {
+					sources = append(sources, graph.VertexID(v))
+				}
+			}
+			b := &service.Batch{}
+			for i := 0; i < perB; i++ {
+				dst := graph.VertexID(rng.Intn(n))
+				if len(sources) > 0 {
+					dst = sources[rng.Intn(len(sources))]
+				}
+				b.Adds = append(b.Adds, graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: dst, Weight: 1})
+			}
+			snap, err := svc.Apply(b)
+			if err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, batchNo, err)
+			}
+			cur = snap.Graph
+			allEdges = append(allEdges, b.Adds...)
+			coldG := graph.MustBuild(n, allEdges)
+			want := apps.RefPageRank(coldG, iters)
+			got := apps.PageRankScores(coldG, snap.Programs[service.ProgramID("pr", "f64")].Outcome.Values)
+			for v := range want {
+				if math.Abs(got[v]-want[v]) > 1e-4*(1+math.Abs(want[v])) {
+					t.Fatalf("seed %d batch %d: vertex %d serves rank %g, reference %g", seed, batchNo, v, got[v], want[v])
+				}
+			}
+		}
+		svc.Close()
+	}
+}
