@@ -39,9 +39,10 @@ func SSSPIn[V core.Float](root graph.VertexID) *core.Program[V] {
 			}
 			return V(Inf)
 		},
-		Roots:  []graph.VertexID{root},
-		Relax:  func(src V, w float32) V { return src + V(w) },
-		Better: func(a, b V) bool { return a < b },
+		Roots:     []graph.VertexID{root},
+		Relax:     func(src V, w float32) V { return src + V(w) },
+		Better:    func(a, b V) bool { return a < b },
+		RelaxSpan: minPlusSpan[V],
 	}
 }
 
@@ -56,6 +57,7 @@ func BFSIn[V core.Float](root graph.VertexID) *core.Program[V] {
 	p := SSSPIn[V](root)
 	p.Name = "BFS"
 	p.Relax = func(src V, _ float32) V { return src + 1 }
+	p.RelaxSpan = minHopSpan[V]
 	return p
 }
 
@@ -86,7 +88,8 @@ func BFSU32(root graph.VertexID) *core.Program[uint32] {
 			}
 			return src + 1
 		},
-		Better: func(a, b uint32) bool { return a < b },
+		Better:    func(a, b uint32) bool { return a < b },
+		RelaxSpan: minHopU32Span,
 	}
 }
 
@@ -107,9 +110,10 @@ func CCIn[V core.Float](g graph.View) *core.Program[V] {
 		InitValue: func(_ graph.View, v graph.VertexID) V {
 			return V(v)
 		},
-		Roots:  roots,
-		Relax:  func(src V, _ float32) V { return src },
-		Better: func(a, b V) bool { return a < b },
+		Roots:     roots,
+		Relax:     func(src V, _ float32) V { return src },
+		Better:    func(a, b V) bool { return a < b },
+		RelaxSpan: minLabelSpan[V],
 	}
 }
 
@@ -135,9 +139,10 @@ func CCU32(g graph.View) *core.Program[uint32] {
 		InitValue: func(_ graph.View, v graph.VertexID) uint32 {
 			return uint32(v)
 		},
-		Roots:  roots,
-		Relax:  func(src uint32, _ float32) uint32 { return src },
-		Better: func(a, b uint32) bool { return a < b },
+		Roots:     roots,
+		Relax:     func(src uint32, _ float32) uint32 { return src },
+		Better:    func(a, b uint32) bool { return a < b },
+		RelaxSpan: minLabelSpan[uint32],
 	}
 }
 
@@ -160,7 +165,8 @@ func WPIn[V core.Float](root graph.VertexID) *core.Program[V] {
 			}
 			return src
 		},
-		Better: func(a, b V) bool { return a > b },
+		Better:    func(a, b V) bool { return a > b },
+		RelaxSpan: maxMinSpan[V],
 	}
 }
 
@@ -210,6 +216,7 @@ func PageRankIn[V core.Float](iters int) *core.Program[V] {
 		Gather: func(acc V, src V, _ float32) V {
 			return acc + src
 		},
+		GatherSpan: core.SumSpan[V],
 		Apply: func(g graph.View, v graph.VertexID, acc, _ V) V {
 			rank := V(0.15) + V(0.85)*acc
 			if d := g.OutDegree(v); d > 0 {
@@ -267,6 +274,7 @@ func TunkRankIn[V core.Float](iters int) *core.Program[V] {
 		Gather: func(acc V, src V, _ float32) V {
 			return acc + src
 		},
+		GatherSpan: core.SumSpan[V],
 		Apply: func(g graph.View, v graph.VertexID, acc, _ V) V {
 			contrib := 1 + V(TunkRankP)*acc
 			if d := g.OutDegree(v); d > 0 {
@@ -320,6 +328,7 @@ func NumPathsIn[V core.Float](root graph.VertexID, iters int) *core.Program[V] {
 		Gather: func(acc V, src V, _ float32) V {
 			return acc + src
 		},
+		GatherSpan: core.SumSpan[V],
 		Apply: func(_ graph.View, v graph.VertexID, acc, _ V) V {
 			if v == root {
 				return 1
@@ -357,6 +366,7 @@ func NumPathsU32(root graph.VertexID, iters int) *core.Program[uint32] {
 		Gather: func(acc uint32, src uint32, _ float32) uint32 {
 			return acc + src
 		},
+		GatherSpan: core.SumSpan[uint32],
 		Apply: func(_ graph.View, v graph.VertexID, acc, _ uint32) uint32 {
 			if v == root {
 				return 1
@@ -380,6 +390,7 @@ func SpMVIn[V core.Float](iters int) *core.Program[V] {
 		Gather: func(acc V, src V, w float32) V {
 			return acc + src*V(w)
 		},
+		GatherSpan: weightedSumSpan[V],
 		Apply: func(_ graph.View, _ graph.VertexID, acc, _ V) V {
 			return acc
 		},
@@ -459,6 +470,7 @@ func HeatSimulation(hot []graph.VertexID, iters int) *core.Program[float64] {
 		Gather: func(acc float64, src float64, _ float32) float64 {
 			return acc + src
 		},
+		GatherSpan: core.SumSpan[float64],
 		Apply: func(g graph.View, v graph.VertexID, acc, prev float64) float64 {
 			if hotSet[v] {
 				return prev // heat sources stay clamped

@@ -11,6 +11,7 @@ package bench
 import (
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -156,4 +157,43 @@ func TestStorageOpenSpeed(t *testing.T) {
 	if openT*10 > parseT {
 		t.Errorf("mmap open (%v) is not 10x faster than binary parse (%v)", openT, parseT)
 	}
+}
+
+// TestTwoThreadsBeatOne is the guard on intra-node scaling: the all-vertex
+// pull kernel shares nothing per edge between threads (chunk-local counters
+// folded into padded per-thread slots, a parallel commit), so PageRank on
+// the PK proxy with two threads must take at most 0.85x the one-thread
+// engine time, median of five interleaved runs each. A per-edge write to a
+// shared cache line puts the ratio back above 1. Timing-sensitive, so the
+// guard passes if any of three attempts meets the bar; a structural
+// regression fails all three.
+func TestTwoThreadsBeatOne(t *testing.T) {
+	if min(runtime.NumCPU(), runtime.GOMAXPROCS(0)) < 2 {
+		t.Skip("needs two CPUs")
+	}
+	c := Config{Scale: 40, PRIters: 20, Out: io.Discard} // one Config: the proxy is generated once
+	const attempts, runs = 3, 5
+	var ratio float64
+	for attempt := 0; attempt < attempts; attempt++ {
+		var times [2][]time.Duration // [threads-1]
+		for i := 0; i < runs; i++ {
+			for th := 1; th <= 2; th++ {
+				c.Threads = th
+				res, err := c.RunSLFE("PR", "PK", 1, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				times[th-1] = append(times[th-1], res.Result.Metrics.Total)
+			}
+		}
+		slices.Sort(times[0])
+		slices.Sort(times[1])
+		one, two := times[0][runs/2], times[1][runs/2]
+		ratio = two.Seconds() / one.Seconds()
+		t.Logf("attempt %d: PR on PK: 1 thread %v, 2 threads %v (%.2fx)", attempt, one, two, ratio)
+		if ratio <= 0.85 {
+			return
+		}
+	}
+	t.Errorf("2 threads never took <= 0.85x the 1-thread time across %d attempts (last ratio %.2f)", attempts, ratio)
 }

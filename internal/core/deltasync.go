@@ -292,10 +292,25 @@ func (e *Engine[V]) collectChunk(clo, chi uint32, _ int) {
 
 // syncOwned distributes this worker's changed owned vertices and applies
 // every received delta to values and the next frontier, picking the
-// exchange strategy per superstep. Returns the global number of changed
-// vertices (under pure dense sync, the decoded count — identical by
-// construction).
-func (e *Engine[V]) syncOwned(st *state[V], changed *bitset.Atomic, frontier *bitset.Atomic, iter int, stat *metrics.IterStat) (int64, error) {
+// exchange strategy per superstep.
+func (e *Engine[V]) syncOwned(st *state[V], changed *bitset.Atomic, frontier *bitset.Atomic, iter int, stat *metrics.IterStat) error {
+	if e.comm.Size() == 1 {
+		// One rank owns every vertex and commit already applied every
+		// value: there is no peer to encode for, so the changed set itself
+		// is the delta batch.
+		sparse := e.cfg.Sync == SyncSparse
+		local := e.noteOwnedChanged(st, changed, frontier, iter, sparse)
+		if e.sparseSync() {
+			e.lastGlobalChanged = local
+		}
+		if sparse {
+			st.run.SparseSyncs++
+			stat.SyncSparse = true
+		} else {
+			st.run.DenseSyncs++
+		}
+		return nil
+	}
 	bytes0 := e.comm.T.Stats().BytesSent
 	ids, vals := e.collectOwnedChanged(st, changed)
 	sparse := false
@@ -306,7 +321,7 @@ func (e *Engine[V]) syncOwned(st *state[V], changed *bitset.Atomic, frontier *bi
 		// strategy choice below is identical cluster-wide.
 		g, err := e.comm.AllReduceI64(int64(len(ids)), comm.OpSum)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		global = g
 		e.lastGlobalChanged = g
@@ -314,41 +329,69 @@ func (e *Engine[V]) syncOwned(st *state[V], changed *bitset.Atomic, frontier *bi
 		case SyncSparse:
 			sparse = true
 		case SyncAdaptive:
-			sparse = e.comm.Size() > 1 && global*e.cfg.SparseDivisor < int64(e.g.NumVertices())
+			sparse = global*e.cfg.SparseDivisor < int64(e.g.NumVertices())
 		}
 	}
-	var total int64
 	var err error
 	if sparse {
-		total, err = e.syncSparse(st, frontier, iter, ids, vals, global)
+		err = e.syncSparse(st, frontier, iter, ids, vals, global)
 		st.run.SparseSyncs++
 		stat.SyncSparse = true
 	} else {
-		total, err = e.syncDense(st, frontier, iter, ids, vals)
+		err = e.syncDense(st, frontier, iter, ids, vals)
 		st.run.DenseSyncs++
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	stat.SyncBytes += e.comm.T.Stats().BytesSent - bytes0
-	return total, nil
+	return nil
+}
+
+// noteOwnedChanged is the local half of a delta-sync: every changed owned
+// vertex (its value is already committed) joins the next frontier, records
+// its last-change iteration and updates the sparse-dirty set — marked when
+// this superstep distributes sparsely (stale on uninterested ranks until
+// the termination flush), cleared when a dense broadcast supersedes any
+// earlier sparse-only distribution. Returns the number of such vertices.
+func (e *Engine[V]) noteOwnedChanged(st *state[V], changed, frontier *bitset.Atomic, iter int, sparse bool) int64 {
+	if frontier == nil && st.lastChange == nil && e.dirty == nil {
+		return int64(changed.CountRange(int(e.lo), int(e.hi)))
+	}
+	var local int64
+	it := changed.IterIn(int(e.lo), int(e.hi))
+	for i := it.Next(); i >= 0; i = it.Next() {
+		local++
+		if frontier != nil {
+			frontier.Set(i)
+		}
+		st.markChanged(graph.VertexID(i), iter)
+		if e.dirty != nil {
+			if sparse {
+				e.dirty.Set(i)
+			} else {
+				e.dirty.Clear(i)
+			}
+		}
+	}
+	return local
 }
 
 // syncDense broadcasts the batch to every rank (the original AllGather
 // path) with parallel segmented encoding into pooled wire buffers and a
 // pre-created decode callback, so a steady-state dense sync allocates
 // nothing beyond what the transport itself copies.
-func (e *Engine[V]) syncDense(st *state[V], frontier *bitset.Atomic, iter int, ids []graph.VertexID, vals []uint64) (int64, error) {
+func (e *Engine[V]) syncDense(st *state[V], frontier *bitset.Atomic, iter int, ids []graph.VertexID, vals []uint64) error {
 	blob := e.frameEncodePooled(ids, vals, st.picks())
 	blobs, err := e.comm.AllGather(blob)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	e.decFrontier, e.decIter, e.decTotal = frontier, iter, 0
+	e.decFrontier, e.decIter = frontier, iter
 	for rank, b := range blobs {
 		e.decRank = rank
 		if err := frameDecode(e.codec, b, e.denseDecode); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	e.decFrontier = nil
@@ -359,7 +402,7 @@ func (e *Engine[V]) syncDense(st *state[V], frontier *bitset.Atomic, iter int, i
 			e.dirty.Clear(int(id))
 		}
 	}
-	return e.decTotal, nil
+	return nil
 }
 
 // applyDenseDelta is the pre-created decode callback of syncDense.
@@ -374,7 +417,6 @@ func (e *Engine[V]) applyDenseDelta(id uint32, bits uint64) error {
 		e.decFrontier.Set(int(id))
 	}
 	e.curState.markChanged(graph.VertexID(id), e.decIter)
-	e.decTotal++
 	return nil
 }
 
@@ -385,7 +427,7 @@ func (e *Engine[V]) applyDenseDelta(id uint32, bits uint64) error {
 // exchanged point-to-point; the global changed count was already agreed by
 // the caller's AllReduce, so termination and mode switches stay in
 // lockstep even though no rank holds the full frontier.
-func (e *Engine[V]) syncSparse(st *state[V], frontier *bitset.Atomic, iter int, ids []graph.VertexID, vals []uint64, global int64) (int64, error) {
+func (e *Engine[V]) syncSparse(st *state[V], frontier *bitset.Atomic, iter int, ids []graph.VertexID, vals []uint64, global int64) error {
 	for _, id := range ids {
 		if frontier != nil {
 			frontier.Set(int(id))
@@ -394,8 +436,8 @@ func (e *Engine[V]) syncSparse(st *state[V], frontier *bitset.Atomic, iter int, 
 		e.dirty.Set(int(id))
 	}
 	size := e.comm.Size()
-	if size == 1 || global == 0 {
-		return global, nil
+	if global == 0 {
+		return nil
 	}
 	me := e.comm.Rank()
 	type batch struct {
@@ -431,7 +473,7 @@ func (e *Engine[V]) syncSparse(st *state[V], frontier *bitset.Atomic, iter int, 
 	}
 	got, err := e.comm.SparseExchange(blobs)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	n := e.g.NumVertices()
 	for from, blob := range got {
@@ -453,10 +495,10 @@ func (e *Engine[V]) syncSparse(st *state[V], frontier *bitset.Atomic, iter int, 
 			return nil
 		})
 		if err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return global, nil
+	return nil
 }
 
 // flushSparse restores the full-replication invariant the dense path keeps

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -290,5 +291,68 @@ func TestSparseSingleRank(t *testing.T) {
 	ref := runClusterAll(t, g, prog, 1, nil)
 	if !sameValues(solo[0].Values, ref[0].Values) {
 		t.Fatal("single-rank sparse run differs from dense")
+	}
+}
+
+// A one-rank run derives its frontier, last-change marks and update counts
+// straight from the changed set instead of encoding a delta batch to itself.
+// Whatever the configured strategy, it must agree with the same program on
+// two in-process ranks (values, LastChange, supersteps, per-superstep
+// updates) and, for min/max, with the serial BSP reference.
+func TestOneRankSyncMatchesTwoRanksAndSerial(t *testing.T) {
+	g := gen.RMAT(768, 6144, gen.DefaultRMAT, 8, 29)
+	updatesPerStep := func(rs []*Result[float64]) []int64 {
+		runs := make([]*metrics.Run, len(rs))
+		for i, r := range rs {
+			runs[i] = r.Metrics
+		}
+		var out []int64
+		for _, it := range metrics.Merge(runs).Iters {
+			out = append(out, it.Updates)
+		}
+		return out
+	}
+	for _, prog := range []*Program[float64]{testProgram(), testArith()} {
+		for _, forcePull := range []bool{false, true} {
+			cfgFor := func(strat SyncStrategy) func(int, *Config) {
+				return func(_ int, cfg *Config) {
+					cfg.TrackLastChange = true
+					cfg.Threads = 2
+					cfg.Sync = strat
+					if forcePull {
+						cfg.DenseDivisor = math.MaxInt64
+					}
+				}
+			}
+			two := runClusterAll(t, g, prog, 2, cfgFor(SyncDense))
+			for _, strat := range []SyncStrategy{SyncDense, SyncSparse, SyncAdaptive} {
+				one := runClusterAll(t, g, prog, 1, cfgFor(strat))[0]
+				if !sameValues(one.Values, two[0].Values) {
+					t.Fatalf("%s %v forcePull=%v: one-rank values differ from two ranks", prog.Name, strat, forcePull)
+				}
+				if !slices.Equal(one.LastChange, two[0].LastChange) {
+					t.Fatalf("%s %v forcePull=%v: one-rank LastChange differs from two ranks", prog.Name, strat, forcePull)
+				}
+				if one.Iterations != two[0].Iterations {
+					t.Fatalf("%s %v forcePull=%v: %d supersteps on one rank, %d on two", prog.Name, strat, forcePull, one.Iterations, two[0].Iterations)
+				}
+				// A push superstep counts one update per proposing rank, so
+				// only pull supersteps are comparable across rank counts.
+				if prog.Agg == Arith || forcePull {
+					if got, want := updatesPerStep([]*Result[float64]{one}), updatesPerStep(two); !slices.Equal(got, want) {
+						t.Fatalf("%s %v: per-superstep updates %v on one rank, %v on two", prog.Name, strat, got, want)
+					}
+				}
+				if prog.Agg == MinMax {
+					want, _, wantUpdates := serialMinMax(g, prog)
+					if !sameValues(one.Values, want) {
+						t.Fatalf("%s %v forcePull=%v: one-rank values differ from the serial reference", prog.Name, strat, forcePull)
+					}
+					if forcePull && one.Metrics.Updates() != wantUpdates {
+						t.Fatalf("%s %v: %d updates, serial reference %d", prog.Name, strat, one.Metrics.Updates(), wantUpdates)
+					}
+				}
+			}
+		}
 	}
 }

@@ -195,7 +195,6 @@ type Engine[V comparable] struct {
 	decFrontier *bitset.Atomic
 	decIter     int
 	decRank     int
-	decTotal    int64
 }
 
 // collectState is the reusable working set of collectOwnedChanged: one

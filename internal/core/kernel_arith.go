@@ -26,27 +26,28 @@ type arithKernel[V comparable] struct {
 	slack     uint32
 	maxIters  int
 
-	comps, suppressed []int64 // per-thread counters
-	maxLocalDelta     float64
-	ecCount           int64
+	// gather is the program's resolved per-vertex gather hook.
+	gather   func(acc V, vals []V, ins []graph.VertexID, ws []float32) V
+	counters []threadCounters
+	ecCount  int64
 
-	// Pre-created compute body, so dispatching a superstep allocates
+	// Pre-created phase bodies, so dispatching a superstep allocates
 	// nothing.
 	gatherBody func(clo, chi uint32, thread int)
+	commitBody func(clo, chi uint32, thread int)
 }
 
 func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], changed *bitset.Atomic) *arithKernel[V] {
 	n := e.g.NumVertices()
-	threads := e.sched.Threads()
 	k := &arithKernel[V]{
 		e: e, p: p, st: st,
-		changed:    changed,
-		stableCnt:  make([]uint32, n),
-		stableVal:  make([]V, n),
-		scratch:    make([]V, n),
-		maxIters:   p.maxItersOrDefault(),
-		comps:      make([]int64, threads),
-		suppressed: make([]int64, threads),
+		changed:   changed,
+		stableCnt: make([]uint32, n),
+		stableVal: make([]V, n),
+		scratch:   make([]V, n),
+		maxIters:  p.maxItersOrDefault(),
+		gather:    p.gatherSpan(),
+		counters:  make([]threadCounters, e.sched.Threads()),
 	}
 	copy(k.stableVal, st.values)
 	// A vertex is early-converged once its stability streak strictly
@@ -61,6 +62,7 @@ func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], cha
 		k.slack = uint32(p.ECSlack)
 	}
 	k.gatherBody = k.computeChunk
+	k.commitBody = k.commitChunk
 	return k
 }
 
@@ -96,10 +98,7 @@ func (k *arithKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, err
 	stat.Iter = *iter
 	stat.Mode = metrics.Pull
 	stat.ActiveVerts = int64(k.e.g.NumVertices())
-	for t := range k.comps {
-		k.comps[t], k.suppressed[t] = 0, 0
-	}
-	k.maxLocalDelta = 0
+	clear(k.counters)
 	return false, nil
 }
 
@@ -117,6 +116,8 @@ func (k *arithKernel[V]) compute(_ int, _ *metrics.IterStat) error {
 // scratch (BSP-pure).
 func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
+	cur := e.curs[th]
+	var comps, suppressed int64
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
 		// Algorithm 5 line 15: compute only while the stability
@@ -126,30 +127,31 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 		// vertex computes at least once before freezing (vertices
 		// with no reachable in-neighbours have LastIter 0).
 		if e.cfg.RR && k.ecFrozen(vid) {
-			k.suppressed[th]++
+			suppressed++
 			continue
 		}
-		acc := p.GatherInit
-		ins, ws := e.curs[th].InNeighbors(vid), e.curs[th].InWeights(vid)
-		for i, u := range ins {
-			acc = p.Gather(acc, st.values[u], ws[i])
-			k.comps[th]++
-		}
+		ins := cur.InNeighbors(vid)
+		comps += int64(len(ins))
+		acc := k.gather(p.GatherInit, st.values, ins, cur.InWeights(vid))
 		k.scratch[v] = p.Apply(e.g, vid, acc, st.values[vid])
 		// Mark the change at compute time (the same |Δ| > 0 test commit
 		// applies), so the overlapped pipeline can emit this chunk's deltas
-		// before the commit barrier. Commit's own Set is then idempotent.
+		// before the commit barrier.
 		if e.dom.Delta(st.values[v], k.scratch[v]) > 0 {
 			k.changed.Set(int(v))
 		}
 	}
+	c := &k.counters[th]
+	c.comps += comps
+	c.suppressed += suppressed
 }
 
-// commit is vertexUpdate (Algorithm 5 lines 13-18): stability bookkeeping
-// and committing new values, single-threaded over the owned range.
-func (k *arithKernel[V]) commit(_ int, stat *metrics.IterStat) error {
+// commitChunk is vertexUpdate (Algorithm 5 lines 13-18) for one chunk of
+// the owned range: stability bookkeeping and committing new values.
+func (k *arithKernel[V]) commitChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
-	for v := e.lo; v < e.hi; v++ {
+	var maxDelta float64
+	for v := clo; v < chi; v++ {
 		if e.cfg.RR && k.ecFrozen(graph.VertexID(v)) {
 			continue
 		}
@@ -161,17 +163,23 @@ func (k *arithKernel[V]) commit(_ int, stat *metrics.IterStat) error {
 			k.stableVal[v] = newVal
 		}
 		if d := e.dom.Delta(st.values[v], newVal); d > 0 {
-			if d > k.maxLocalDelta {
-				k.maxLocalDelta = d
+			if d > maxDelta {
+				maxDelta = d
 			}
 			st.values[v] = newVal
-			k.changed.Set(int(v))
 		}
 	}
-	for t := range k.comps {
-		stat.Computations += k.comps[t]
-		stat.Suppressed += k.suppressed[t]
+	if c := &k.counters[th]; maxDelta > c.maxDelta {
+		c.maxDelta = maxDelta
 	}
+}
+
+// commit runs commitChunk over the owned range on the scheduler and folds
+// the superstep's per-thread counts.
+func (k *arithKernel[V]) commit(_ int, stat *metrics.IterStat) error {
+	e := k.e
+	e.sched.Run(uint32(e.lo), uint32(e.hi), k.commitBody)
+	foldCounters(k.counters, stat)
 	stat.Updates = int64(k.changed.CountRange(int(e.lo), int(e.hi)))
 	return nil
 }
@@ -179,7 +187,11 @@ func (k *arithKernel[V]) commit(_ int, stat *metrics.IterStat) error {
 func (k *arithKernel[V]) stepEnd(_ int, stat *metrics.IterStat) (bool, error) {
 	e, p := k.e, k.p
 	// Global termination checks.
-	maxDelta, err := e.comm.AllReduceF64(k.maxLocalDelta, comm.OpMax)
+	var maxLocalDelta float64
+	for t := range k.counters {
+		maxLocalDelta = max(maxLocalDelta, k.counters[t].maxDelta)
+	}
+	maxDelta, err := e.comm.AllReduceF64(maxLocalDelta, comm.OpMax)
 	if err != nil {
 		return false, err
 	}

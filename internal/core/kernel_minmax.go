@@ -22,8 +22,10 @@ type minmaxKernel[V comparable] struct {
 	p  *Program[V]
 	st *state[V]
 
-	// relax is the program's resolved relaxation hook (edge-aware).
-	relax func(src graph.VertexID, srcVal V, w float32) V
+	// relax is the program's resolved per-edge relaxation hook (push) and
+	// relaxSpan its resolved per-vertex one (pull).
+	relax     func(src graph.VertexID, srcVal V, w float32) V
+	relaxSpan func(best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64)
 
 	front   *bitset.Atomic
 	changed *bitset.Atomic
@@ -40,7 +42,7 @@ type minmaxKernel[V comparable] struct {
 	globalDebt int64
 	ruler      uint32 // current iteration, read by pullBody
 
-	comps, updates, suppressed, catchups []int64 // per-thread counters
+	counters []threadCounters
 
 	// Pre-created phase bodies (no per-superstep closures).
 	pullBody   func(clo, chi uint32, thread int)
@@ -53,17 +55,14 @@ type minmaxKernel[V comparable] struct {
 
 func newMinMaxKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], changed *bitset.Atomic) *minmaxKernel[V] {
 	n := e.g.NumVertices()
-	threads := e.sched.Threads()
 	k := &minmaxKernel[V]{
 		e: e, p: p, st: st,
-		relax:      p.relax(),
-		front:      bitset.NewAtomic(n),
-		changed:    changed,
-		scratch:    make([]V, n),
-		comps:      make([]int64, threads),
-		updates:    make([]int64, threads),
-		suppressed: make([]int64, threads),
-		catchups:   make([]int64, threads),
+		relax:     p.relax(),
+		relaxSpan: p.relaxSpan(),
+		front:     bitset.NewAtomic(n),
+		changed:   changed,
+		scratch:   make([]V, n),
+		counters:  make([]threadCounters, e.sched.Threads()),
 	}
 	if e.cfg.RR {
 		k.caughtUp = bitset.NewAtomic(n)
@@ -192,9 +191,7 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, er
 	} else {
 		stat.Mode = metrics.Push
 	}
-	for t := range k.comps {
-		k.comps[t], k.updates[t], k.suppressed[t], k.catchups[t] = 0, 0, 0, 0
-	}
+	clear(k.counters)
 	return false, nil
 }
 
@@ -228,77 +225,57 @@ func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 // one chunk of the owned range; commit applies them.
 func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
+	cur := e.curs[th]
 	ruler := k.ruler
+	var comps, suppressed, catchups int64
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
-		ins, iws := e.curs[th].InNeighbors(vid), e.curs[th].InWeights(vid)
+		// Baseline dense pull, Gemini's signal/slot accounting: relax
+		// exactly the in-edges whose source is active this round (the
+		// per-edge activity test is cheap bitmap bookkeeping; the
+		// relaxations are the heavyweight computations of §2.2). The total
+		// is therefore one relaxation per (update, out-edge) event
+		// regardless of scheduling, and "start late" reduces it by
+		// suppressing a vertex's events outright — all but the one
+		// catch-up scan below, which alone pays the full in-degree.
+		active := k.front
 		if e.cfg.RR && !k.caughtUp.Get(int(v)) {
-			// Algorithm 2, pullEdge_singleRuler: an O(1) Ruler
-			// test delays the vertex until iteration
-			// RRG[v].lastIter. The saving is the relaxations the
-			// baseline would perform below. Debt — the obligation
-			// to re-collect all inputs later — is only incurred
-			// when an update was actually available (an active
-			// in-neighbour existed) while suppressed; the
-			// activity probe is bitmap bookkeeping, not a §2.2
-			// computation.
+			// Algorithm 2, pullEdge_singleRuler: an O(1) Ruler test delays
+			// the vertex until iteration RRG[v].lastIter. The saving is the
+			// relaxations the baseline would perform. Debt — the obligation
+			// to re-collect all inputs later — is only incurred when an
+			// update was actually available (an active in-neighbour
+			// existed) while suppressed; the activity probe is bitmap
+			// bookkeeping, not a §2.2 computation.
 			if ruler < e.cfg.Guidance.LastIter[v] {
-				k.suppressed[th]++
-				if !k.debt.Get(int(v)) && hasActiveIn(k.front, ins) {
+				suppressed++
+				if !k.debt.Get(int(v)) && hasActiveIn(k.front, cur.InNeighbors(vid)) {
 					k.debt.Set(int(v))
 				}
 				continue
 			}
 			k.caughtUp.Set(int(v))
 			if k.debt.Get(int(v)) {
-				// First eligible pull after suppression:
-				// pullFunc over every in-edge regardless of
-				// source activity (§3.2: "requires vx to
-				// collect the inputs from all of them"), which
-				// repays the updates suppression skipped.
-				best := st.values[vid]
-				for i, u := range ins {
-					k.comps[th]++
-					cand := k.relax(u, st.values[u], iws[i])
-					if p.Better(cand, best) {
-						best = cand
-					}
-				}
-				k.catchups[th]++
+				// First eligible pull after suppression: pullFunc over
+				// every in-edge regardless of source activity (§3.2:
+				// "requires vx to collect the inputs from all of them"),
+				// which repays the updates suppression skipped.
+				active = nil
+				catchups++
 				k.debt.Clear(int(v))
-				if p.Better(best, st.values[vid]) {
-					k.scratch[v] = best
-					k.changed.Set(int(v))
-				}
-				continue
-			}
-			// Never suppressed: baseline path below.
-		}
-		// Baseline dense pull, Gemini's signal/slot accounting:
-		// relax exactly the in-edges whose source is active this
-		// round (the per-edge activity test is cheap bitmap
-		// bookkeeping; the relaxations are the heavyweight
-		// computations of §2.2). The total is therefore one
-		// relaxation per (update, out-edge) event regardless of
-		// scheduling, and "start late" reduces it by suppressing
-		// a vertex's events outright — all but the one catch-up
-		// scan above, which alone pays the full in-degree.
-		best := st.values[vid]
-		for i, u := range ins {
-			if !k.front.Get(int(u)) {
-				continue
-			}
-			k.comps[th]++
-			cand := k.relax(u, st.values[u], iws[i])
-			if p.Better(cand, best) {
-				best = cand
 			}
 		}
+		best, relaxed := k.relaxSpan(st.values[vid], st.values, cur.InNeighbors(vid), cur.InWeights(vid), active)
+		comps += relaxed
 		if p.Better(best, st.values[vid]) {
 			k.scratch[v] = best
 			k.changed.Set(int(v))
 		}
 	}
+	c := &k.counters[th]
+	c.comps += comps
+	c.suppressed += suppressed
+	c.catchups += catchups
 }
 
 // computePush is source-side push with sender-side combining: proposals
@@ -345,32 +322,29 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 			}
 		}
 	}
-	k.comps[th] += comps
+	k.counters[th].comps += comps
 }
 
 // commitPullChunk applies one chunk's staged improvements to the owned
 // range; each committed value change is one "update" (the Table 2 metric).
 func (k *minmaxKernel[V]) commitPullChunk(clo, chi uint32, th int) {
+	var updates int64
 	it := k.changed.IterIn(int(clo), int(chi))
 	for v := it.Next(); v >= 0; v = it.Next() {
 		k.st.values[v] = k.scratch[v]
-		k.updates[th]++
+		updates++
 	}
+	k.counters[th].updates += updates
 }
 
 func (k *minmaxKernel[V]) commit(_ int, stat *metrics.IterStat) error {
 	e := k.e
 	if k.pullMode {
 		e.sched.Run(uint32(e.lo), uint32(e.hi), k.commitBody)
-	} else if err := e.exchangePushFlat(&k.updates[0]); err != nil {
+	} else if err := e.exchangePushFlat(&k.counters[0].updates); err != nil {
 		return err
 	}
-	for t := range k.comps {
-		stat.Computations += k.comps[t]
-		stat.Updates += k.updates[t]
-		stat.Suppressed += k.suppressed[t]
-		stat.CatchUps += k.catchups[t]
-	}
+	foldCounters(k.counters, stat)
 	return nil
 }
 

@@ -302,29 +302,7 @@ func (e *Engine[V]) syncStreamed(st *state[V], changed *bitset.Atomic, frontier 
 		s.staged = nil
 		s.ex = nil
 	}()
-	// Own deltas: the serial dense path decodes the rank's own blob through
-	// the same callback as remote ones; here the changed set is walked
-	// directly — same vertices, same values (commit just applied them).
-	var local int64
-	it := changed.IterIn(int(e.lo), int(e.hi))
-	for i := it.Next(); i >= 0; i = it.Next() {
-		local++
-		if frontier != nil {
-			frontier.Set(i)
-		}
-		st.markChanged(graph.VertexID(i), iter)
-		if e.dirty != nil {
-			if s.sparse {
-				// Distributed only to interested ranks: stale elsewhere until
-				// the termination flush.
-				e.dirty.Set(i)
-			} else {
-				// A dense broadcast delivers the latest value everywhere,
-				// superseding any earlier sparse-only distribution.
-				e.dirty.Clear(i)
-			}
-		}
-	}
+	local := e.noteOwnedChanged(st, changed, frontier, iter, s.sparse)
 	e.decFrontier, e.decIter = frontier, iter
 	err := s.ex.Finish(s.applyBody)
 	e.decFrontier = nil

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"slfe/internal/bitset"
 	"slfe/internal/graph"
 )
 
@@ -81,6 +82,16 @@ type Program[V comparable] struct {
 	// (SSSP/CC: a < b; WidestPath: a > b). It must be a strict total-order
 	// test so push combining is order-insensitive.
 	Better func(a, b V) bool
+	// RelaxSpan is the optional span form of Relax/RelaxE + Better, called
+	// once per destination vertex by the pull kernel: starting from best,
+	// fold every in-edge (ins[i], ws[i]) whose source is in active — every
+	// in-edge when active is nil — and return the winner plus the number of
+	// edges relaxed. vals is the whole value array, indexed by vertex id. It
+	// must visit edges left to right and decide exactly as the per-edge
+	// hooks would (a candidate replaces best only when Better(cand, best)),
+	// so results and counts are bit-identical to the lifted per-edge path a
+	// program without it runs on.
+	RelaxSpan func(best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64)
 
 	// --- Arith hooks ---
 
@@ -88,6 +99,11 @@ type Program[V comparable] struct {
 	GatherInit V
 	// Gather folds one in-edge into the accumulator (PR: acc + srcVal).
 	Gather func(acc V, srcVal V, w float32) V
+	// GatherSpan is the optional span form of Gather, called once per vertex
+	// by the arith kernel: fold every in-edge (ins[i], ws[i]) into acc, left
+	// to right through the one accumulator — the order Gather would be
+	// called in — so results are bit-identical to the lifted per-edge path.
+	GatherSpan func(acc V, vals []V, ins []graph.VertexID, ws []float32) V
 	// Apply is the vertexUpdate vOp: combines the accumulator and the
 	// vertex's previous property into its next property
 	// (PR: (0.15+0.85*acc)/outdeg, ignoring prev).
@@ -175,6 +191,50 @@ func (p *Program[V]) relax() func(src graph.VertexID, srcVal V, w float32) V {
 	}
 	rx := p.Relax
 	return func(_ graph.VertexID, srcVal V, w float32) V { return rx(srcVal, w) }
+}
+
+// relaxSpan resolves the pull kernel's per-vertex hook: the program's
+// RelaxSpan, else its per-edge hooks lifted into one. Called once per run.
+func (p *Program[V]) relaxSpan() func(best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64) {
+	if p.RelaxSpan != nil {
+		return p.RelaxSpan
+	}
+	relax, better := p.relax(), p.Better
+	return func(best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64) {
+		var relaxed int64
+		for i, u := range ins {
+			if active != nil && !active.Get(int(u)) {
+				continue
+			}
+			relaxed++
+			if cand := relax(u, vals[u], ws[i]); better(cand, best) {
+				best = cand
+			}
+		}
+		return best, relaxed
+	}
+}
+
+// gatherSpan resolves the arith kernel's per-vertex hook the same way.
+func (p *Program[V]) gatherSpan() func(acc V, vals []V, ins []graph.VertexID, ws []float32) V {
+	if p.GatherSpan != nil {
+		return p.GatherSpan
+	}
+	gather := p.Gather
+	return func(acc V, vals []V, ins []graph.VertexID, ws []float32) V {
+		for i, u := range ins {
+			acc = gather(acc, vals[u], ws[i])
+		}
+		return acc
+	}
+}
+
+// SumSpan is the GatherSpan of an unweighted sum (Gather: acc + srcVal).
+func SumSpan[V Float | ~uint32](acc V, vals []V, ins []graph.VertexID, _ []float32) V {
+	for _, u := range ins {
+		acc += vals[u]
+	}
+	return acc
 }
 
 // maxItersOrDefault returns the iteration bound.

@@ -61,6 +61,26 @@ type kernel[V comparable] interface {
 	finish(res *Result[V])
 }
 
+// threadCounters is one thread's share of a superstep's work counts. Chunk
+// bodies tally into locals and fold them in once per chunk; the padding to
+// a full cache line keeps one thread's fold from invalidating its
+// neighbour's line.
+type threadCounters struct {
+	comps, updates, suppressed, catchups int64
+	maxDelta                             float64 // arith commit: largest |Δ| the thread applied
+	_                                    [24]byte
+}
+
+// foldCounters adds every thread's counts to stat.
+func foldCounters(cs []threadCounters, stat *metrics.IterStat) {
+	for i := range cs {
+		stat.Computations += cs[i].comps
+		stat.Updates += cs[i].updates
+		stat.Suppressed += cs[i].suppressed
+		stat.CatchUps += cs[i].catchups
+	}
+}
+
 // runSupersteps is the unified superstep pipeline: one iteration loop
 // serving both aggregation modes. Each superstep runs
 //
@@ -145,7 +165,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 			if err := e.syncStreamed(st, changed, f, iter, &stat); err != nil {
 				return nil, err
 			}
-		} else if _, err := e.syncOwned(st, changed, f, iter, &stat); err != nil {
+		} else if err := e.syncOwned(st, changed, f, iter, &stat); err != nil {
 			return nil, err
 		}
 		syncDur := time.Since(syncStart)

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"slfe/internal/bitset"
 	"slfe/internal/ckpt"
+	"slfe/internal/comm"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
 	"slfe/internal/partition"
@@ -189,5 +192,50 @@ func TestParallelFrontierHelpersMatchSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Neighbouring threads fold their chunk counts into adjacent threadCounters
+// once per chunk; the element stride must be a whole number of cache lines
+// or those folds false-share (machine-independent, no timing).
+func TestThreadCountersStride(t *testing.T) {
+	cs := make([]threadCounters, 2)
+	stride := uintptr(unsafe.Pointer(&cs[1])) - uintptr(unsafe.Pointer(&cs[0]))
+	if stride == 0 || stride%64 != 0 {
+		t.Fatalf("threadCounters stride is %d bytes, want a multiple of 64", stride)
+	}
+}
+
+// BenchmarkPullKernelThreads runs the all-vertex pull kernel (20 PageRank
+// supersteps through the span-sum hook) at 1, 2 and 4 threads on one rank:
+// ns/op should fall as threads are added, up to the core count.
+func BenchmarkPullKernelThreads(b *testing.B) {
+	g := gen.RMAT(1<<14, 1<<18, gen.DefaultRMAT, 16, 5)
+	part, err := partition.NewChunked(g, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := testArith()
+	p.MaxIters = 20
+	p.GatherSpan = SumSpan[float64]
+	for _, threads := range []int{1, 2, 4} {
+		b.Run(fmt.Sprint(threads), func(b *testing.B) {
+			ts, err := comm.NewLocalGroup(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ts[0].Close()
+			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(ts[0]), Part: part, Threads: threads, Stealing: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			for b.Loop() {
+				if _, err := eng.Run(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(20*g.NumEdges())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+		})
 	}
 }

@@ -84,8 +84,8 @@ type Program struct {
 	runner apps.Incremental
 	// roots is the guidance root set the maintained guidance was generated
 	// from. Guidance can only be updated incrementally over a fixed root
-	// set, so it stays pinned across batches until one invalidates it (see
-	// freshRoots).
+	// set, so it stays pinned across insert-only batches until one
+	// invalidates it (see freshRoots); a deletion batch re-derives it.
 	roots    []graph.VertexID
 	guidance *rrg.Guidance
 	resume   *apps.Resume
@@ -425,8 +425,11 @@ func (s *Service) reexecute(sess *cluster.Session, p *Program, cur *Snapshot, g2
 	if full {
 		// Deletions can grow distances: incremental guidance maintenance
 		// and monotone warm-starts both lose their correctness argument,
-		// so regenerate and re-run cold.
-		np.guidance = s.generate(execG, p.roots)
+		// so regenerate and re-run cold — from roots re-derived on execG,
+		// since the batch may also have given a pinned source its first
+		// in-edge (freshRoots) or stripped a vertex of its last one.
+		np.roots = slices.Clone(p.runner.GuidanceRoots(execG))
+		np.guidance = s.generate(execG, np.roots)
 		opt.Guidance, opt.GuidanceRoots = np.guidance, np.roots
 		out, resume, err := p.runner.ExecuteIn(sess, execG, opt)
 		if err != nil {

@@ -52,11 +52,13 @@ func (s Stats) MaxSkew() float64 {
 	return float64(max) * float64(len(s.ChunksPerThread)) / float64(sum)
 }
 
-// span is one thread's chunk assignment [next, end).
+// span is one thread's chunk assignment [next, end), padded to a full
+// cache line so a thief's fetch-and-add on one cursor never invalidates
+// its neighbour's.
 type span struct {
 	next atomic.Int64
 	end  int64
-	_    [40]byte // avoid false sharing between spans
+	_    [48]byte
 }
 
 // paddedI64 keeps per-thread accumulators on separate cache lines.

@@ -6,7 +6,27 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// cacheLine is the false-sharing granularity the per-thread padding targets.
+const cacheLine = 64
+
+// Neighbouring threads' chunk cursors and reduction accumulators must sit on
+// separate cache lines: the element stride of both per-thread arrays is a
+// whole number of lines (machine-independent, no timing).
+func TestPerThreadStateStride(t *testing.T) {
+	spans, acc := make([]span, 2), make([]paddedI64, 2)
+	strides := map[string]uintptr{
+		"span":      uintptr(unsafe.Pointer(&spans[1])) - uintptr(unsafe.Pointer(&spans[0])),
+		"paddedI64": uintptr(unsafe.Pointer(&acc[1])) - uintptr(unsafe.Pointer(&acc[0])),
+	}
+	for name, stride := range strides {
+		if stride == 0 || stride%cacheLine != 0 {
+			t.Errorf("%s stride is %d bytes, want a multiple of %d", name, stride, cacheLine)
+		}
+	}
+}
 
 func TestCoversEveryVertexOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 7} {
