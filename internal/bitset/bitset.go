@@ -180,6 +180,39 @@ func (b *Atomic) Set(i int) {
 	}
 }
 
+// WordAcc batches one goroutine's Sets on an Atomic bitset: bits gather in a
+// local mask and are published with one atomic OR per 64-bit word — when a
+// Set moves to another word, and on Flush — instead of one CAS per bit. A
+// chunk scan that sets ascending bits therefore pays one atomic per word it
+// changes; words shared with a neighbouring chunk are still merged
+// atomically. Nothing is visible to readers before the publish, so Flush
+// before signalling completion.
+type WordAcc struct {
+	b    *Atomic
+	wi   int
+	mask uint64
+}
+
+// Acc returns an empty accumulator over b.
+func (b *Atomic) Acc() WordAcc { return WordAcc{b: b} }
+
+// Set records bit i.
+func (a *WordAcc) Set(i int) {
+	if wi := i / wordBits; wi != a.wi {
+		a.Flush()
+		a.wi = wi
+	}
+	a.mask |= 1 << (uint(i) % wordBits)
+}
+
+// Flush publishes the recorded bits.
+func (a *WordAcc) Flush() {
+	if a.mask != 0 {
+		a.b.words[a.wi].Or(a.mask)
+		a.mask = 0
+	}
+}
+
 // TestAndSet atomically sets bit i and reports whether it was previously
 // clear (i.e. whether this call changed it).
 func (b *Atomic) TestAndSet(i int) bool {

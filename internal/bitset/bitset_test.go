@@ -452,3 +452,70 @@ func TestIterDoesNotAllocate(t *testing.T) {
 	}
 	_ = sum
 }
+
+// TestWordAccChunks: chunk scans whose edges fall inside 64-bit words, run
+// from several goroutines, publish exactly the bits a per-bit Set would —
+// none lost where two chunks share a word, none visible before the publish.
+func TestWordAccChunks(t *testing.T) {
+	const n, chunk, workers = 1000, 100, 4 // 100 is not a multiple of 64
+	want := func(i int) bool { return i%3 == 0 || i%64 == 63 }
+	b := NewAtomic(n)
+
+	acc := b.Acc()
+	acc.Set(5)
+	if b.Any() {
+		t.Fatal("a recorded bit is visible before the accumulator leaves its word")
+	}
+	acc.Set(70) // moves to word 1: publishes word 0
+	if !b.Get(5) || b.Get(70) {
+		t.Fatalf("after moving words: bit 5 = %v (want true), bit 70 = %v (want false)", b.Get(5), b.Get(70))
+	}
+	acc.Flush()
+	acc.Flush() // idempotent
+	if !b.Get(70) || b.Count() != 2 {
+		t.Fatalf("after Flush: bit 70 = %v, Count = %d (want true, 2)", b.Get(70), b.Count())
+	}
+	b.Reset()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for lo := w * chunk; lo < n; lo += workers * chunk {
+				acc := b.Acc()
+				for i := lo; i < min(lo+chunk, n); i++ {
+					if want(i) {
+						acc.Set(i)
+					}
+				}
+				acc.Flush()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if b.Get(i) != want(i) {
+			t.Fatalf("bit %d = %v, want %v", i, b.Get(i), want(i))
+		}
+	}
+}
+
+// TestWordAccOneWord: 64 goroutines each publish one bit of the same word.
+func TestWordAccOneWord(t *testing.T) {
+	b := NewAtomic(200)
+	var wg sync.WaitGroup
+	for i := 64; i < 128; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			acc := b.Acc()
+			acc.Set(i)
+			acc.Flush()
+		}(i)
+	}
+	wg.Wait()
+	if got := b.CountRange(64, 128); got != 64 || b.Count() != 64 {
+		t.Fatalf("concurrent publishes to one word lost bits: %d of 64 set, %d in total", got, b.Count())
+	}
+}

@@ -118,6 +118,7 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
 	cur := e.curs[th]
 	var comps, suppressed int64
+	changed := k.changed.Acc()
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
 		// Algorithm 5 line 15: compute only while the stability
@@ -136,11 +137,13 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 		k.scratch[v] = p.Apply(e.g, vid, acc, st.values[vid])
 		// Mark the change at compute time (the same |Δ| > 0 test commit
 		// applies), so the overlapped pipeline can emit this chunk's deltas
-		// before the commit barrier.
+		// before the commit barrier; the bits are published one word at a
+		// time, the last before this body returns.
 		if e.dom.Delta(st.values[v], k.scratch[v]) > 0 {
-			k.changed.Set(int(v))
+			changed.Set(int(v))
 		}
 	}
+	changed.Flush()
 	c := &k.counters[th]
 	c.comps += comps
 	c.suppressed += suppressed

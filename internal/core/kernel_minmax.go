@@ -228,6 +228,7 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	cur := e.curs[th]
 	ruler := k.ruler
 	var comps, suppressed, catchups int64
+	changed := k.changed.Acc()
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
 		// Baseline dense pull, Gemini's signal/slot accounting: relax
@@ -269,9 +270,10 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 		comps += relaxed
 		if p.Better(best, st.values[vid]) {
 			k.scratch[v] = best
-			k.changed.Set(int(v))
+			changed.Set(int(v))
 		}
 	}
+	changed.Flush() // before returning: the overlapped pipeline reads the bits at chunk completion
 	c := &k.counters[th]
 	c.comps += comps
 	c.suppressed += suppressed

@@ -91,21 +91,25 @@ func Generate(g graph.View, roots []graph.VertexID, sched *ws.Scheduler) *Guidan
 		}
 	}
 
-	// Phase 1: parallel BFS levels ("fill_source" + propagation loop).
-	for iter := uint32(1); frontier.Any(); iter++ {
-		sched.Run(0, uint32(n), func(lo, hi uint32, th int) {
-			for v := lo; v < hi; v++ {
-				if !frontier.Get(int(v)) {
-					continue
-				}
-				for _, u := range curs[th].OutNeighbors(v) {
-					if visited.TestAndSet(int(u)) {
-						gd.Level[u] = iter
-						next.Set(int(u))
-					}
+	// Phase 1: parallel BFS levels ("fill_source" + propagation loop). The
+	// chunk body is created once and reads the level's frontier/next/iter
+	// through the enclosing variables; it walks the frontier's set bits, so
+	// a level costs its frontier, not |V| bit tests.
+	iter := uint32(1)
+	expand := func(lo, hi uint32, th int) {
+		cur := curs[th]
+		it := frontier.IterIn(int(lo), int(hi))
+		for v := it.Next(); v >= 0; v = it.Next() {
+			for _, u := range cur.OutNeighbors(graph.VertexID(v)) {
+				if visited.TestAndSet(int(u)) {
+					gd.Level[u] = iter
+					next.Set(int(u))
 				}
 			}
-		})
+		}
+	}
+	for ; frontier.Any(); iter++ {
+		sched.Run(0, uint32(n), expand)
 		frontier, next = next, frontier
 		next.Reset()
 	}

@@ -3,11 +3,15 @@ package rrg
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"slfe/internal/gen"
 	"slfe/internal/graph"
+	"slfe/internal/store"
+	"slfe/internal/ws"
 )
 
 // figure1Graph is the worked example from Figure 1 of the paper.
@@ -208,6 +212,58 @@ func TestQuickMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenerateMatchesSerialDefinition pins the frontier-walking parallel
+// BFS to the serial definition — every field of the guidance, not just the
+// two arrays — on a skewed and a high-diameter input, over the heap CSR and
+// the mmap'd and out-of-core .slfc views, with 1 and 4 threads.
+func TestGenerateMatchesSerialDefinition(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"rmat": gen.RMAT(3000, 24000, gen.DefaultRMAT, 16, 5),
+		"grid": gen.Grid(40, 55, 8, 7),
+	} {
+		path := filepath.Join(t.TempDir(), name+".slfc")
+		if err := store.Write(path, g); err != nil {
+			t.Fatal(err)
+		}
+		mm, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mm.Close()
+		ooc, err := store.OpenBudget(path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ooc.Close()
+
+		for rootsName, roots := range map[string][]graph.VertexID{
+			"default": DefaultRoots(g),
+			"single":  {graph.VertexID(g.NumVertices() / 2)},
+		} {
+			wantLevel, wantLast := referenceGuidance(g, roots)
+			var wantRounds uint32
+			for _, l := range wantLevel {
+				if l != Unreached {
+					wantRounds = max(wantRounds, l)
+				}
+			}
+			wantMax := slices.Max(wantLast)
+			for viewName, v := range map[string]graph.View{"heap": g, "mmap": mm, "ooc": ooc} {
+				for _, threads := range []int{1, 4} {
+					sched := ws.New(threads, true)
+					gd := Generate(v, roots, sched)
+					sched.Close()
+					if !slices.Equal(gd.Level, wantLevel) || !slices.Equal(gd.LastIter, wantLast) ||
+						gd.Rounds != wantRounds || gd.MaxLastIter != wantMax {
+						t.Errorf("%s/%s/%s/%d threads: guidance differs from the serial definition (rounds %d want %d, max last-iter %d want %d)",
+							name, rootsName, viewName, threads, gd.Rounds, wantRounds, gd.MaxLastIter, wantMax)
+					}
+				}
+			}
+		}
 	}
 }
 

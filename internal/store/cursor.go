@@ -3,28 +3,49 @@ package store
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"slfe/internal/graph"
 )
 
-// Cursor decodes adjacency blocks into its own reusable scratch, caching
-// the most recent block per direction. The engine's chunk size (256
-// vertices) spans four 64-vertex blocks, so sequential chunk scans decode
-// each block exactly once; steady state performs zero allocations.
-// Cursors are single-goroutine; take one per thread via (*Graph).Cursor.
+// Cursor decodes adjacency blocks into its own reusable scratch and charges
+// a block only for what its reader asks of it.
+//
+// Cached per direction: the neighbour ids of the most recent block, that
+// block's vertex→edge ranges, and — separately — the weights of the most
+// recent block whose weights were requested. Lazy: a weight block is decoded
+// (and, out of core, pread) on the first {In,Out}Weights call that lands in
+// it, so ids-only readers (rrg.Generate, activity probes, frontier
+// statistics) never touch the weight section; const-1 weights are served
+// from one ones slice per cursor and decode nothing.
+//
+// The engine's chunk size (256 vertices) spans four 64-vertex blocks, so a
+// sequential chunk scan decodes each block exactly once; steady state
+// performs zero allocations. Returned slices alias cursor scratch and are
+// valid until the next call for that direction. Cursors are
+// single-goroutine; take one per thread via (*Graph).Cursor.
 type Cursor struct {
 	g       *Graph
 	out, in dirCur
+	ones    []float32 // const-1 weights, all 1.0, grown to the widest list served
+
+	// Decode counters, read by the package's contract tests.
+	idBlocks, wBlocks int64
 }
 
 type dirCur struct {
-	block int64 // decoded block index, -1 when empty
-	base  int64 // edge offset of the block's first edge
-	cnt   int64 // edges decoded in the block
-	ids   []graph.VertexID
-	ws    []float32
-	buf   []byte // pread scratch for adjacency bytes (reader mode)
-	wb    []byte // pread scratch for weight bytes (reader mode)
+	block  int64 // block whose ids are decoded, -1 when empty
+	wblock int64 // block whose weights are decoded, -1 when empty
+	start  int64 // first vertex of block
+	// rel[i] is the scratch offset of vertex start+i's first edge, clamped
+	// monotone into [0,len(ids)] so corrupt indexes degrade to empty/garbage
+	// adjacency rather than a panic (Open/Validate report corruption; the
+	// cursor only has to stay memory-safe).
+	rel []int
+	ids []graph.VertexID // the block's decoded neighbour ids
+	ws  []float32        // weights parallel to ids when wblock == block
+	buf []byte           // pread scratch for adjacency bytes (reader mode)
+	wb  []byte           // pread scratch for weight bytes (reader mode)
 }
 
 // Cursor returns an independent adjacency reader (graph.View).
@@ -33,11 +54,11 @@ func (g *Graph) Cursor() graph.Cursor { return g.newCursor() }
 func (g *Graph) newCursor() *Cursor {
 	c := &Cursor{g: g}
 	c.out.block, c.in.block = -1, -1
+	c.out.wblock, c.in.wblock = -1, -1
 	return c
 }
 
-// OutNeighbors returns v's out-neighbours; the slice aliases cursor
-// scratch and is valid until the next out-adjacency call on this cursor.
+// OutNeighbors returns v's out-neighbours.
 func (c *Cursor) OutNeighbors(v graph.VertexID) []graph.VertexID {
 	lo, hi := c.span(&c.g.out, &c.out, v)
 	return c.out.ids[lo:hi]
@@ -45,8 +66,7 @@ func (c *Cursor) OutNeighbors(v graph.VertexID) []graph.VertexID {
 
 // OutWeights returns the weights parallel to OutNeighbors.
 func (c *Cursor) OutWeights(v graph.VertexID) []float32 {
-	lo, hi := c.span(&c.g.out, &c.out, v)
-	return c.out.ws[lo:hi]
+	return c.weights(&c.g.out, &c.out, v)
 }
 
 // InNeighbors returns v's in-neighbours (CSC direction).
@@ -57,136 +77,162 @@ func (c *Cursor) InNeighbors(v graph.VertexID) []graph.VertexID {
 
 // InWeights returns the weights parallel to InNeighbors.
 func (c *Cursor) InWeights(v graph.VertexID) []float32 {
-	lo, hi := c.span(&c.g.in, &c.in, v)
-	return c.in.ws[lo:hi]
+	return c.weights(&c.g.in, &c.in, v)
 }
 
-// span ensures v's block is decoded and returns v's scratch-relative edge
-// range, clamped so corrupt indexes degrade to empty/garbage adjacency
-// rather than a panic (Open/Validate report corruption; the cursor only
-// has to stay memory-safe).
-func (c *Cursor) span(d *dirRef, dc *dirCur, v graph.VertexID) (int64, int64) {
+// span ensures v's id block is decoded and returns v's scratch-relative
+// edge range.
+func (c *Cursor) span(d *dirRef, dc *dirCur, v graph.VertexID) (int, int) {
 	g := c.g
 	if int(v) >= g.n {
 		return 0, 0
 	}
-	b := int64(v) >> g.shift
-	if dc.block != b {
+	if b := int64(v) >> g.shift; dc.block != b {
 		c.load(d, dc, b)
 	}
-	lo := g.edgeOff(d, int64(v)) - dc.base
-	hi := g.edgeOff(d, int64(v)+1) - dc.base
-	if lo < 0 {
-		lo = 0
-	} else if lo > dc.cnt {
-		lo = dc.cnt
-	}
-	if hi < 0 {
-		hi = 0
-	} else if hi > dc.cnt {
-		hi = dc.cnt
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
+	i := int64(v) - dc.start
+	return dc.rel[i], dc.rel[i+1]
 }
 
-// load decodes block b of direction d into dc's scratch.
-func (c *Cursor) load(d *dirRef, dc *dirCur, b int64) {
-	g := c.g
-	start := b << g.shift
-	end := start + int64(1)<<g.shift
-	if end > int64(g.n) {
-		end = int64(g.n)
+// weights returns the weights parallel to v's ids, decoding the weight block
+// of v's id block unless it is the one already held.
+func (c *Cursor) weights(d *dirRef, dc *dirCur, v graph.VertexID) []float32 {
+	lo, hi := c.span(d, dc, v)
+	if d.wmode == WConst1 {
+		if hi-lo > len(c.ones) {
+			c.ones = make([]float32, max(hi-lo, 2*len(c.ones)))
+			for i := range c.ones {
+				c.ones[i] = 1
+			}
+		}
+		return c.ones[:hi-lo]
 	}
-	e0, e1 := g.edgeOff(d, start), g.edgeOff(d, end)
-	cnt := e1 - e0
-	if cnt < 0 {
-		cnt = 0
+	if dc.wblock != dc.block {
+		c.loadWeights(d, dc)
 	}
+	return dc.ws[lo:hi]
+}
 
-	o0, o1 := g.blockOff(d, b), g.blockOff(d, b+1)
-	var raw []byte
+// blockBytes returns bytes [o0,o1) of a section: a sub-slice of the mapping,
+// or a pread at file offset pos+o0 into *scratch in reader mode (empty, with
+// the error, on a failed read).
+func (g *Graph) blockBytes(sec []byte, pos, o0, o1 int64, scratch *[]byte) ([]byte, error) {
 	if g.data != nil {
-		raw = d.adj[o0:o1]
-	} else {
-		dc.buf = growBytes(dc.buf, o1-o0)
-		raw = dc.buf[:o1-o0]
-		if _, err := g.r.ReadAt(raw, d.adjPos+o0); err != nil {
-			raw = raw[:0]
+		return sec[o0:o1], nil
+	}
+	*scratch = grow(*scratch, int(o1-o0))
+	if _, err := g.r.ReadAt(*scratch, pos+o0); err != nil {
+		return nil, err
+	}
+	return *scratch, nil
+}
+
+// relOffsets fills rel with the edge offsets of vertices [start,
+// start+len(rel)) relative to the first, resolving the index representation
+// once per block instead of once per lookup.
+func (g *Graph) relOffsets(d *dirRef, start int64, rel []int) {
+	switch {
+	case d.off != nil && g.wide:
+		raw := d.off[8*start:]
+		e0 := int64(binary.LittleEndian.Uint64(raw))
+		for i := range rel {
+			rel[i] = int(int64(binary.LittleEndian.Uint64(raw[8*i:])) - e0)
+		}
+	case d.off != nil:
+		raw := d.off[4*start:]
+		e0 := int64(binary.LittleEndian.Uint32(raw))
+		for i := range rel {
+			rel[i] = int(int64(binary.LittleEndian.Uint32(raw[4*i:])) - e0)
+		}
+	case d.off64 != nil:
+		off := d.off64[start:]
+		for i := range rel {
+			rel[i] = int(int64(off[i]) - int64(off[0]))
+		}
+	default:
+		off := d.off32[start:]
+		for i := range rel {
+			rel[i] = int(int64(off[i]) - int64(off[0]))
 		}
 	}
+}
+
+// load decodes the neighbour ids of block b of direction d into dc's
+// scratch. Weights are not touched (see weights).
+func (c *Cursor) load(d *dirRef, dc *dirCur, b int64) {
+	g := c.g
+	c.idBlocks++
+	start := b << g.shift
+	nv := int(min(start+int64(1)<<g.shift, int64(g.n)) - start)
+	// A failed read decodes as an empty block.
+	raw, _ := g.blockBytes(d.adj, d.adjPos, g.blockOff(d, b), g.blockOff(d, b+1), &dc.buf)
+
+	dc.rel = grow(dc.rel, nv+1)
+	rel := dc.rel
+	g.relOffsets(d, start, rel)
 	// Every edge costs at least one varint byte, so a block claiming more
 	// edges than it has bytes is corrupt; clamping here bounds scratch by
 	// the (already size-checked) section length.
-	if cnt > int64(len(raw)) {
-		cnt = int64(len(raw))
+	cnt := min(max(rel[nv], 0), len(raw))
+	prev := 0
+	for i, r := range rel {
+		prev = max(prev, min(r, cnt))
+		rel[i] = prev
 	}
-	dc.block, dc.base, dc.cnt = b, e0, cnt
-	dc.ids = growIDs(dc.ids, cnt)
-	dc.ws = growF32(dc.ws, cnt)
-	ids := dc.ids[:cnt]
+	dc.block, dc.start = b, start
+	dc.ids = grow(dc.ids, cnt)
+	ids := dc.ids
 
+	n := uint64(g.n)
 	pos := 0
-	idx := int64(0)
-decode:
-	for v := start; v < end && idx < cnt; v++ {
-		deg := g.edgeOff(d, v+1) - g.edgeOff(d, v)
-		var prev uint64
-		for j := int64(0); j < deg; j++ {
-			x, k := binary.Uvarint(raw[pos:])
-			if k <= 0 {
-				break decode
+	for i := 0; i < nv; i++ {
+		dst := ids[rel[i]:rel[i+1]]
+		id := uint64(0) // first value is absolute, the rest are gaps
+		for j := range dst {
+			var x uint64
+			k := 0
+			if pos+4 <= len(raw) {
+				// Branch-light fast path: one 4-byte load holds any value
+				// below 2^28 (MaxVertices is 2^27). The lowest clear
+				// continuation bit ends the value: its position gives the
+				// length k, the bytes above it are masked off, and the
+				// 7-bit groups that remain are packed.
+				w := binary.LittleEndian.Uint32(raw[pos:])
+				if stop := ^w & 0x80808080; stop != 0 {
+					k = (bits.TrailingZeros32(stop) + 1) >> 3
+					w &= stop ^ (stop - 1)
+					x = uint64(w&0x7f | w&0x7f00>>1 | w&0x7f0000>>2 | w&0x7f000000>>3)
+				}
+			}
+			if k == 0 {
+				// Block tail, values of five bytes and more, corrupt input.
+				if x, k = binary.Uvarint(raw[pos:]); k <= 0 {
+					clear(ids[rel[i]+j:])
+					return
+				}
 			}
 			pos += k
-			if j == 0 {
-				prev = x
+			id += x
+			if id >= n {
+				dst[j] = 0 // corrupt gap: stay in-range, Validate() reports it
 			} else {
-				prev += x
+				dst[j] = graph.VertexID(id)
 			}
-			id := prev
-			if id >= uint64(g.n) {
-				id = 0 // corrupt gap: stay in-range, Validate() reports it
-			}
-			if idx >= cnt {
-				break decode
-			}
-			ids[idx] = graph.VertexID(id)
-			idx++
 		}
 	}
-	for ; idx < cnt; idx++ {
-		ids[idx] = 0
-	}
-
-	c.loadWeights(d, dc, b, e0, cnt)
 }
 
-func (c *Cursor) loadWeights(d *dirRef, dc *dirCur, b, e0, cnt int64) {
+// loadWeights decodes the weights of dc's current id block.
+func (c *Cursor) loadWeights(d *dirRef, dc *dirCur) {
 	g := c.g
-	ws := dc.ws[:cnt]
-	switch d.wmode {
-	case WConst1:
-		for i := range ws {
-			ws[i] = 1
-		}
-	case WRaw:
-		o0 := 4 * e0
-		o1 := o0 + 4*cnt
-		if o1 > d.wLen {
-			o1 = d.wLen
-		}
-		var raw []byte
-		if g.data != nil {
-			raw = d.w[o0:o1]
-		} else {
-			dc.wb = growBytes(dc.wb, o1-o0)
-			raw = dc.wb[:o1-o0]
-			if _, err := g.r.ReadAt(raw, d.wPos+o0); err != nil {
-				raw = raw[:0]
-			}
-		}
+	c.wBlocks++
+	dc.wblock = dc.block
+	dc.ws = grow(dc.ws, len(dc.ids))
+	ws := dc.ws
+	// As in load, a failed read leaves raw empty: every weight reads as 1.
+	if d.wmode == WRaw {
+		o0 := 4 * min(max(g.edgeOff(d, dc.start), 0), g.m) // a corrupt index must not slice past the section
+		raw, _ := g.blockBytes(d.w, d.wPos, o0, min(o0+4*int64(len(ws)), d.wLen), &dc.wb)
 		for i := range ws {
 			if 4*i+4 <= len(raw) {
 				ws[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
@@ -194,48 +240,38 @@ func (c *Cursor) loadWeights(d *dirRef, dc *dirCur, b, e0, cnt int64) {
 				ws[i] = 1
 			}
 		}
-	case WVarint:
-		o0, o1 := g.wBlockOff(d, b), g.wBlockOff(d, b+1)
-		var raw []byte
-		if g.data != nil {
-			raw = d.w[o0:o1]
-		} else {
-			dc.wb = growBytes(dc.wb, o1-o0)
-			raw = dc.wb[:o1-o0]
-			if _, err := g.r.ReadAt(raw, d.wPos+o0); err != nil {
-				raw = raw[:0]
-			}
+		return
+	}
+	raw, _ := g.blockBytes(d.w, d.wPos, g.wBlockOff(d, dc.block), g.wBlockOff(d, dc.block+1), &dc.wb)
+	if len(raw) == len(ws) {
+		// One byte per edge: unless a byte carries a continuation bit,
+		// every weight is a single-byte varint and the bytes are the values.
+		var or byte
+		for i, b := range raw {
+			or |= b
+			ws[i] = float32(b)
 		}
-		pos := 0
-		for i := range ws {
-			x, k := binary.Uvarint(raw[pos:])
-			if k <= 0 || x > (1<<32)-1 {
-				ws[i] = 1
-				continue
-			}
-			pos += k
-			ws[i] = float32(uint32(x))
+		if or < 0x80 {
+			return
 		}
 	}
-}
-
-func growBytes(b []byte, n int64) []byte {
-	if int64(cap(b)) < n {
-		return make([]byte, n)
+	pos := 0
+	for i := range ws {
+		x, k := binary.Uvarint(raw[pos:])
+		if k <= 0 || x > (1<<32)-1 {
+			ws[i] = 1
+			continue
+		}
+		pos += k
+		ws[i] = float32(uint32(x))
 	}
-	return b[:n]
 }
 
-func growIDs(b []graph.VertexID, n int64) []graph.VertexID {
-	if int64(cap(b)) < n {
-		return make([]graph.VertexID, n)
-	}
-	return b[:n]
-}
-
-func growF32(b []float32, n int64) []float32 {
-	if int64(cap(b)) < n {
-		return make([]float32, n)
+// grow returns b resized to n elements, reallocating only when its capacity
+// is too small; the contents are unspecified.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
 	}
 	return b[:n]
 }
@@ -276,15 +312,9 @@ func (g *Graph) validateDir(name string, d *dirRef) error {
 			end = int64(g.n)
 		}
 		o0, o1 := g.blockOff(d, b), g.blockOff(d, b+1)
-		var raw []byte
-		if g.data != nil {
-			raw = d.adj[o0:o1]
-		} else {
-			buf = growBytes(buf, o1-o0)
-			raw = buf[:o1-o0]
-			if _, err := g.r.ReadAt(raw, d.adjPos+o0); err != nil {
-				return badf("%s block %d: read: %v", name, b, err)
-			}
+		raw, err := g.blockBytes(d.adj, d.adjPos, o0, o1, &buf)
+		if err != nil {
+			return badf("%s block %d: read: %v", name, b, err)
 		}
 		pos := 0
 		edges := int64(0)
@@ -313,15 +343,9 @@ func (g *Graph) validateDir(name string, d *dirRef) error {
 		}
 		if d.wmode == WVarint {
 			w0, w1 := g.wBlockOff(d, b), g.wBlockOff(d, b+1)
-			var wraw []byte
-			if g.data != nil {
-				wraw = d.w[w0:w1]
-			} else {
-				wb = growBytes(wb, w1-w0)
-				wraw = wb[:w1-w0]
-				if _, err := g.r.ReadAt(wraw, d.wPos+w0); err != nil {
-					return badf("%s weight block %d: read: %v", name, b, err)
-				}
+			wraw, err := g.blockBytes(d.w, d.wPos, w0, w1, &wb)
+			if err != nil {
+				return badf("%s weight block %d: read: %v", name, b, err)
 			}
 			pos := 0
 			for e := int64(0); e < edges; e++ {

@@ -1,0 +1,333 @@
+package store
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"slfe/internal/gen"
+	"slfe/internal/graph"
+	"slfe/internal/rrg"
+	"slfe/internal/ws"
+)
+
+// weightModeGraphs covers every weight encoding, the varint one twice: all
+// weights in one byte (the byte→float32 path) and some in two (the varint
+// path). 300 vertices are five 64-vertex blocks, the last one short.
+func weightModeGraphs() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
+		"const1":  gen.RMAT(300, 2500, gen.DefaultRMAT, 1, 7),
+		"varint1": gen.RMAT(300, 2500, gen.DefaultRMAT, 64, 11),
+		"varint2": gen.RMAT(300, 2500, gen.DefaultRMAT, 300, 12),
+		"rawf32":  fracWeights(gen.RMAT(300, 2500, gen.DefaultRMAT, 64, 13)),
+	}
+}
+
+// read is one cursor call: a direction, ids or weights, a vertex.
+type read struct {
+	in, weights bool
+	v           int
+}
+
+// checkRead performs r on cur and compares the result with the heap graph's.
+func checkRead(t *testing.T, want *graph.Graph, cur graph.Cursor, r read) {
+	t.Helper()
+	id := graph.VertexID(r.v)
+	ok := false
+	switch {
+	case r.in && r.weights:
+		ok = sameBits(cur.InWeights(id), want.InWeights(id))
+	case r.in:
+		ok = slices.Equal(cur.InNeighbors(id), want.InNeighbors(id))
+	case r.weights:
+		ok = sameBits(cur.OutWeights(id), want.OutWeights(id))
+	default:
+		ok = slices.Equal(cur.OutNeighbors(id), want.OutNeighbors(id))
+	}
+	if !ok {
+		t.Fatalf("read %+v differs from the heap graph", r)
+	}
+}
+
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// TestCursorAnyInterleaving: whatever order ids and weights of the two
+// directions are asked in, every call returns the heap graph's slice.
+func TestCursorAnyInterleaving(t *testing.T) {
+	const (
+		in, out = true, false
+		w, ids  = true, false
+	)
+	scripts := map[string][]read{
+		"weights before ids": {
+			{in, w, 5}, {in, ids, 5}, {out, w, 70}, {out, ids, 70}, {in, w, 299}, {in, ids, 299},
+		},
+		"ids of v, weights of v' in the same block": {
+			{in, ids, 3}, {in, w, 7}, {in, ids, 7}, {in, w, 3}, {out, ids, 130}, {out, w, 190}, {out, w, 130},
+		},
+		"re-reading a vertex after a different block": {
+			{in, ids, 5}, {in, w, 5}, {in, ids, 200}, {in, ids, 5}, {in, w, 5}, {in, w, 200},
+			{out, w, 64}, {out, ids, 0}, {out, w, 64}, {out, ids, 64},
+		},
+		"weights of one block around ids of another": {
+			{in, w, 5}, {in, ids, 100}, {in, w, 6}, {in, w, 100}, {in, ids, 6},
+		},
+	}
+	var alternating []read
+	for v := 56; v < 72; v++ { // straddles the block 0/1 boundary
+		alternating = append(alternating, read{in, ids, v}, read{out, w, v}, read{in, w, v}, read{out, ids, v})
+	}
+	scripts["in/out alternation across a block boundary"] = alternating
+	rng := rand.New(rand.NewSource(1))
+	var random []read
+	for i := 0; i < 20000; i++ {
+		random = append(random, read{rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(300)})
+	}
+	scripts["random"] = random
+
+	for mode, heap := range weightModeGraphs() {
+		for access, sg := range viewModes(t, heap) {
+			for name, script := range scripts {
+				t.Run(mode+"/"+access+"/"+name, func(t *testing.T) {
+					cur := sg.Cursor()
+					for _, r := range script {
+						checkRead(t, heap, cur, r)
+					}
+				})
+			}
+			// A slice stays valid until the next call for its direction:
+			// calls for the other direction leave it alone.
+			cur := sg.Cursor()
+			ins, iws := cur.InNeighbors(17), cur.InWeights(17)
+			for v := 0; v < 300; v++ {
+				cur.OutNeighbors(graph.VertexID(v))
+				cur.OutWeights(graph.VertexID(v))
+			}
+			if !slices.Equal(ins, heap.InNeighbors(17)) || !sameBits(iws, heap.InWeights(17)) {
+				t.Fatalf("%s/%s: in-slices changed under out-direction calls", mode, access)
+			}
+		}
+	}
+}
+
+// cursorSpy hands out the graph's cursors and remembers them, so a test can
+// read the decode counters of cursors a callee took.
+type cursorSpy struct {
+	*Graph
+	taken []*Cursor
+}
+
+func (s *cursorSpy) Cursor() graph.Cursor {
+	c := s.newCursor()
+	s.taken = append(s.taken, c)
+	return c
+}
+
+// TestCursorDecodesOnlyWhatIsRead: a sequential scan decodes every id block
+// exactly once; readers that never ask for weights — an ids-only walk,
+// rrg.Generate — decode no weight block; a reader that does pays one weight
+// block per id block, and none at all when every weight is 1.
+func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
+	for mode, heap := range weightModeGraphs() {
+		for access, sg := range viewModes(t, heap) {
+			nb := sg.numBlocks()
+			scan := func(weights bool) *Cursor {
+				cur := sg.newCursor()
+				for v := 0; v < sg.NumVertices(); v++ {
+					id := graph.VertexID(v)
+					cur.InNeighbors(id)
+					cur.OutNeighbors(id)
+					if weights {
+						cur.InWeights(id)
+						cur.OutWeights(id)
+					}
+				}
+				return cur
+			}
+			if c := scan(false); c.idBlocks != 2*nb || c.wBlocks != 0 {
+				t.Errorf("%s/%s: ids-only walk decoded %d id and %d weight blocks, want %d and 0", mode, access, c.idBlocks, c.wBlocks, 2*nb)
+			}
+			wantW := 2 * nb
+			if mode == "const1" {
+				wantW = 0
+			}
+			if c := scan(true); c.idBlocks != 2*nb || c.wBlocks != wantW {
+				t.Errorf("%s/%s: ids+weights walk decoded %d id and %d weight blocks, want %d and %d", mode, access, c.idBlocks, c.wBlocks, 2*nb, wantW)
+			}
+
+			spy := &cursorSpy{Graph: sg}
+			sched := ws.New(2, true)
+			rrg.Generate(spy, rrg.DefaultRoots(spy), sched)
+			sched.Close()
+			var idBlocks, wBlocks int64
+			for _, c := range spy.taken {
+				idBlocks += c.idBlocks
+				wBlocks += c.wBlocks
+			}
+			if len(spy.taken) == 0 || idBlocks == 0 || wBlocks != 0 {
+				t.Errorf("%s/%s: rrg.Generate took %d cursors and decoded %d id and %d weight blocks, want some, some and 0", mode, access, len(spy.taken), idBlocks, wBlocks)
+			}
+		}
+	}
+}
+
+// referenceBlock decodes block b of one direction the plain way — one
+// binary.Uvarint per value, bounded by the block's bytes — with the cursor's
+// documented degradations on corrupt content: a value that does not decode
+// zero-fills the rest of the block's ids, an id ≥ n reads as 0, a weight that
+// does not decode (or exceeds u32) reads as 1.
+func referenceBlock(g *Graph, d *dirRef, b int64) (ids []graph.VertexID, ws []float32) {
+	start := b << g.shift
+	end := min(start+int64(1)<<g.shift, int64(g.n))
+	cnt := g.edgeOff(d, end) - g.edgeOff(d, start)
+	raw := d.adj[g.blockOff(d, b):g.blockOff(d, b+1)]
+	ids = make([]graph.VertexID, cnt)
+	pos, idx := 0, 0
+decode:
+	for v := start; v < end; v++ {
+		var id uint64
+		for j := g.edgeOff(d, v); j < g.edgeOff(d, v+1); j++ {
+			x, k := binary.Uvarint(raw[pos:])
+			if k <= 0 {
+				break decode
+			}
+			pos += k
+			id += x
+			if id < uint64(g.n) {
+				ids[idx] = graph.VertexID(id)
+			}
+			idx++
+		}
+	}
+	if d.wmode != WVarint {
+		return ids, nil
+	}
+	ws = make([]float32, cnt)
+	wraw := d.w[g.wBlockOff(d, b):g.wBlockOff(d, b+1)]
+	pos = 0
+	for i := range ws {
+		x, k := binary.Uvarint(wraw[pos:])
+		if k <= 0 || x > math.MaxUint32 {
+			ws[i] = 1
+			continue
+		}
+		pos += k
+		ws[i] = float32(uint32(x))
+	}
+	return ids, ws
+}
+
+// TestCorruptContentMatchesReferenceDecode: on images whose index is intact
+// but whose adjacency or weight bytes are damaged, the cursor's fast paths
+// return exactly what the plain per-value decode returns — in particular a
+// value cut off by the end of its block is never completed from the next
+// block's bytes, and blocks the damage did not touch still decode to the
+// original graph.
+func TestCorruptContentMatchesReferenceDecode(t *testing.T) {
+	heap := gen.RMAT(300, 2500, gen.DefaultRMAT, 64, 11)
+	base := imageOf(t, heap)
+	clean, err := OpenBytes(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outAdj, inAdj, outW := secStart(base, secOutAdj), secStart(base, secInAdj), secStart(base, secOutW)
+	adjLen := int64(binary.LittleEndian.Uint64(base[32+8*secOutAdj:]))
+	wLen := int64(binary.LittleEndian.Uint64(base[32+8*secOutW:]))
+
+	cases := map[string]func(img []byte){
+		"untouched": func([]byte) {},
+		"value cut off by the last byte of block 0": func(img []byte) { img[outAdj+clean.blockOff(&clean.out, 1)-1] |= 0x80 },
+		"value cut off two bytes before the block end": func(img []byte) {
+			o := outAdj + clean.blockOff(&clean.out, 2)
+			img[o-3], img[o-2], img[o-1] = 0x81, 0x82, 0x83
+		},
+		"value cut off by the end of the section":   func(img []byte) { img[outAdj+adjLen-1] |= 0x80 },
+		"in-direction value cut off by a block end": func(img []byte) { img[inAdj+clean.blockOff(&clean.in, 3)-1] |= 0x80 },
+		"five-byte gap far beyond n": func(img []byte) {
+			copy(img[outAdj+clean.blockOff(&clean.out, 1):], []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+		},
+		"four-byte gap beyond n": func(img []byte) { copy(img[outAdj+clean.blockOff(&clean.out, 1):], []byte{0xff, 0xff, 0xff, 0x7f}) },
+		"ten continuation bytes": func(img []byte) {
+			copy(img[outAdj+7:], []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
+		},
+		"one weight byte with a continuation bit":       func(img []byte) { img[outW+3] |= 0x80 },
+		"last weight byte of a block with continuation": func(img []byte) { img[outW+clean.wBlockOff(&clean.out, 1)-1] |= 0x80 },
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		sec, length := outAdj, adjLen
+		if i%4 == 3 {
+			sec, length = outW, wLen
+		}
+		at, val := sec+rng.Int63n(length), byte(rng.Intn(256))
+		cases["random byte "+string(rune('A'+i))] = func(img []byte) { img[at] = val }
+	}
+
+	for name, mutate := range cases {
+		img := slices.Clone(base)
+		mutate(img)
+		g, err := OpenBytes(img)
+		if err != nil {
+			t.Fatalf("%s: content damage must pass open: %v", name, err)
+		}
+		// Weights first on odd vertices, ids first on even ones.
+		cur := g.Cursor()
+		for _, dir := range []struct {
+			name    string
+			d, was  *dirRef // in the damaged image, in the clean one
+			ids     func(graph.VertexID) []graph.VertexID
+			weights func(graph.VertexID) []float32
+			heapIDs func(graph.VertexID) []graph.VertexID
+		}{
+			{"out", &g.out, &clean.out, cur.OutNeighbors, cur.OutWeights, heap.OutNeighbors},
+			{"in", &g.in, &clean.in, cur.InNeighbors, cur.InWeights, heap.InNeighbors},
+		} {
+			for b := int64(0); b < g.numBlocks(); b++ {
+				wantIDs, wantWs := referenceBlock(g, dir.d, b)
+				cleanIDs, _ := referenceBlock(clean, dir.was, b)
+				damaged := !slices.Equal(wantIDs, cleanIDs)
+				base := g.edgeOff(dir.d, b<<g.shift)
+				for v := b << g.shift; v < min((b+1)<<g.shift, int64(g.n)); v++ {
+					id := graph.VertexID(v)
+					var gotIDs []graph.VertexID
+					var gotWs []float32
+					if v%2 == 1 {
+						gotWs, gotIDs = dir.weights(id), dir.ids(id)
+					} else {
+						gotIDs, gotWs = dir.ids(id), dir.weights(id)
+					}
+					lo, hi := g.edgeOff(dir.d, v)-base, g.edgeOff(dir.d, v+1)-base
+					if !slices.Equal(gotIDs, wantIDs[lo:hi]) {
+						t.Fatalf("%s: %s ids of vertex %d: got %v, reference decode %v", name, dir.name, v, gotIDs, wantIDs[lo:hi])
+					}
+					if wantWs != nil && !sameBits(gotWs, wantWs[lo:hi]) {
+						t.Fatalf("%s: %s weights of vertex %d: got %v, reference decode %v", name, dir.name, v, gotWs, wantWs[lo:hi])
+					}
+					if !damaged && !slices.Equal(gotIDs, dir.heapIDs(id)) {
+						t.Fatalf("%s: %s ids of vertex %d in an undamaged block differ from the graph", name, dir.name, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCorruptBlockStartOffsetRawWeights: raw-f32 weights are located through
+// the edge-offset index, so a block whose first offset points past the edge
+// count must read clamped weights, not slice outside the weight section.
+func TestCorruptBlockStartOffsetRawWeights(t *testing.T) {
+	img := imageOf(t, fracWeights(gen.RMAT(300, 2500, gen.DefaultRMAT, 64, 13)))
+	binary.LittleEndian.PutUint32(img[secStart(img, secOutOff)+4*128:], math.MaxUint32)
+	g, err := OpenBytes(img)
+	if err != nil {
+		t.Fatalf("interior index damage must pass open: %v", err)
+	}
+	if g.Validate() == nil {
+		t.Fatal("Validate accepted a non-monotone index")
+	}
+	walkAll(t, g)
+}
