@@ -255,8 +255,8 @@ func main() {
 		len(run.Iters), run.Computations(), run.Updates(), run.Suppressed())
 	if *verbose {
 		for _, s := range run.Iters {
-			fmt.Printf("  iter=%-3d mode=%-4s active=%-8d comps=%-10d updates=%-8d suppressed=%d\n",
-				s.Iter, s.Mode, s.ActiveVerts, s.Computations, s.Updates, s.Suppressed)
+			fmt.Printf("  iter=%-3d mode=%-4s active=%-8d comps=%-10d updates=%-8d suppressed=%-8d catchups=%d\n",
+				s.Iter, s.Mode, s.ActiveVerts, s.Computations, s.Updates, s.Suppressed, s.CatchUps)
 		}
 	}
 	printSample(appKey, g, values)

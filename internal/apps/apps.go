@@ -68,9 +68,9 @@ func BFS(root graph.VertexID) *core.Program[float64] { return BFSIn[float64](roo
 func BFSF32(root graph.VertexID) *core.Program[float32] { return BFSIn[float32](root) }
 
 // BFSU32 assigns BFS levels as exact uint32 integers (core.U32Unreached is
-// the "not reached" sentinel). The relaxation saturates so a catch-up scan
-// pulling an unreached in-neighbour cannot wrap the sentinel around to a
-// winning level.
+// the "not reached" sentinel). The relaxation saturates so a pull, which
+// relaxes every in-edge including those of unreached in-neighbours, cannot
+// wrap the sentinel around to a winning level.
 func BFSU32(root graph.VertexID) *core.Program[uint32] {
 	return &core.Program[uint32]{
 		Name: "BFS",
@@ -435,11 +435,10 @@ func SSSPTree(root graph.VertexID) *core.Program[core.DistParent] {
 			}
 			if math.IsInf(float64(a.Dist), 1) {
 				// All unreached values are equivalent: without this guard a
-				// full-in-edge relaxation sweep (the RR catch-up scan, a
-				// rebalance acquisition) would hand unreached vertices
-				// arbitrary — even mutually cyclic — parents through the
-				// parent tie-break, breaking the "unreached means NoParent"
-				// invariant.
+				// pull round, which relaxes every in-edge, would hand
+				// unreached vertices arbitrary — even mutually cyclic —
+				// parents through the parent tie-break, breaking the
+				// "unreached means NoParent" invariant.
 				return false
 			}
 			return a.Parent < b.Parent

@@ -36,6 +36,12 @@ func runDigest(values []float64, iters []metrics.IterStat) (vals, counts uint64)
 // TestPinnedChecksums pins PR, SSSP and CC on a fixed seeded graph to the
 // values and per-superstep counts the per-edge kernels of PR 14 produced:
 // the span kernels must reproduce them bit for bit on every thread count.
+// SSSP's count pin was re-captured in PR 18 (values unchanged): the scalar
+// "start late" rule repays the first pull's 2552 suppressed vertices with
+// one closing pull at max(LastIter) = 5 where the per-vertex debt bits
+// spread it over rulers 2-5 — 8 supersteps and 71818 counted computations
+// for 10 and 62265 (was 0x21706043d373c3c3, 10). PR's and CC's pins are
+// PR 14's.
 func TestPinnedChecksums(t *testing.T) {
 	g := gen.RMAT(4096, 32768, gen.DefaultRMAT, 16, 7)
 	pinned := []struct {
@@ -44,7 +50,7 @@ func TestPinnedChecksums(t *testing.T) {
 		supersteps   int
 	}{
 		{"pr", 0x4ee4783e3645ceb1, 0xb9f824b48a015e1, 12},
-		{"sssp", 0x79fa0dd10d767a1a, 0x21706043d373c3c3, 10},
+		{"sssp", 0x79fa0dd10d767a1a, 0x6ebd7e2e9f0f7f15, 8},
 		{"cc", 0x2ce44c811d587e, 0x9fc8be2661975ab5, 5},
 	}
 	for _, pin := range pinned {
@@ -121,9 +127,12 @@ func withoutSpans(t *testing.T, r Runnable, g graph.View) (Runnable, bool) {
 
 // TestSpanHooksMatchLifted is the differential oracle of the span fast
 // path: every registered (application, domain), at 1, 2 and 4 threads, over
-// the heap graph and the mmap'd .slfc, gives bit-identical values and
-// identical per-superstep Computations/Updates/Suppressed/CatchUps whether
-// the kernels call the program's span hook or its per-edge hooks lifted.
+// the heap graph and the mmap'd .slfc, with RR on and off, gives
+// bit-identical values and identical per-superstep
+// Computations/Updates/Suppressed/CatchUps whether the kernels call the
+// program's span hook or its per-edge hooks lifted. Both forms fold every
+// in-edge of a computing vertex; what a pull round counts is the kernel's
+// business (frontier bits over the same list), not the hook's.
 func TestSpanHooksMatchLifted(t *testing.T) {
 	heap := gen.RMAT(1500, 12000, gen.DefaultRMAT, 8, 31)
 	open := func(g *graph.Graph, name string) graph.View {
@@ -161,20 +170,22 @@ func TestSpanHooksMatchLifted(t *testing.T) {
 				continue // already on the lifted path: nothing to compare
 			}
 			for _, threads := range []int{1, 2, 4} {
-				opt := cluster.Options{Nodes: 1, Threads: threads, Stealing: true, RR: true}
-				a, err := fast.Execute(g, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := slow.Execute(g, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				av, ac := runDigest(a.Values, a.Run.Iters)
-				bv, bc := runDigest(b.Values, b.Run.Iters)
-				if av != bv || ac != bc || a.Iterations != b.Iterations {
-					t.Errorf("%s/%s %s threads=%d: span hook and lifted per-edge path diverge (values %#x vs %#x, counts %#x vs %#x, supersteps %d vs %d)",
-						entry.Key, entry.Domain, mode, threads, av, bv, ac, bc, a.Iterations, b.Iterations)
+				for _, rr := range []bool{true, false} {
+					opt := cluster.Options{Nodes: 1, Threads: threads, Stealing: true, RR: rr}
+					a, err := fast.Execute(g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := slow.Execute(g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					av, ac := runDigest(a.Values, a.Run.Iters)
+					bv, bc := runDigest(b.Values, b.Run.Iters)
+					if av != bv || ac != bc || a.Iterations != b.Iterations {
+						t.Errorf("%s/%s %s threads=%d rr=%v: span hook and lifted per-edge path diverge (values %#x vs %#x, counts %#x vs %#x, supersteps %d vs %d)",
+							entry.Key, entry.Domain, mode, threads, rr, av, bv, ac, bc, a.Iterations, b.Iterations)
+					}
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"slfe/internal/bitset"
 	"slfe/internal/core"
 	"slfe/internal/graph"
 )
@@ -12,50 +11,29 @@ import (
 // indirect call per vertex instead of two per edge. TestSpanHooksMatchLifted
 // pins every one bit-identical to the per-edge path.
 
-// inactive reports whether a pull scan restricted to active skips source u
-// (a nil set restricts nothing: the "start late" catch-up scan).
-func inactive(active *bitset.Atomic, u graph.VertexID) bool {
-	return active != nil && !active.Get(int(u))
-}
-
 // minPlusSpan is SSSPIn's span: min over dist[src]+w.
-func minPlusSpan[V core.Float](best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64) {
-	var relaxed int64
+func minPlusSpan[V core.Float](best V, vals []V, ins []graph.VertexID, ws []float32) V {
 	for i, u := range ins {
-		if inactive(active, u) {
-			continue
-		}
-		relaxed++
 		if cand := vals[u] + V(ws[i]); cand < best {
 			best = cand
 		}
 	}
-	return best, relaxed
+	return best
 }
 
 // minHopSpan is BFSIn's span: min over level[src]+1.
-func minHopSpan[V core.Float](best V, vals []V, ins []graph.VertexID, _ []float32, active *bitset.Atomic) (V, int64) {
-	var relaxed int64
+func minHopSpan[V core.Float](best V, vals []V, ins []graph.VertexID, _ []float32) V {
 	for _, u := range ins {
-		if inactive(active, u) {
-			continue
-		}
-		relaxed++
 		if cand := vals[u] + 1; cand < best {
 			best = cand
 		}
 	}
-	return best, relaxed
+	return best
 }
 
 // minHopU32Span is BFSU32's span, saturating like its Relax.
-func minHopU32Span(best uint32, vals []uint32, ins []graph.VertexID, _ []float32, active *bitset.Atomic) (uint32, int64) {
-	var relaxed int64
+func minHopU32Span(best uint32, vals []uint32, ins []graph.VertexID, _ []float32) uint32 {
 	for _, u := range ins {
-		if inactive(active, u) {
-			continue
-		}
-		relaxed++
 		cand := vals[u]
 		if cand >= core.U32Unreached-1 {
 			cand = core.U32Unreached
@@ -66,32 +44,22 @@ func minHopU32Span(best uint32, vals []uint32, ins []graph.VertexID, _ []float32
 			best = cand
 		}
 	}
-	return best, relaxed
+	return best
 }
 
 // minLabelSpan is the CC programs' span: min over label[src].
-func minLabelSpan[V core.Float | ~uint32](best V, vals []V, ins []graph.VertexID, _ []float32, active *bitset.Atomic) (V, int64) {
-	var relaxed int64
+func minLabelSpan[V core.Float | ~uint32](best V, vals []V, ins []graph.VertexID, _ []float32) V {
 	for _, u := range ins {
-		if inactive(active, u) {
-			continue
-		}
-		relaxed++
 		if cand := vals[u]; cand < best {
 			best = cand
 		}
 	}
-	return best, relaxed
+	return best
 }
 
 // maxMinSpan is WPIn's span: max over min(width[src], w).
-func maxMinSpan[V core.Float](best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64) {
-	var relaxed int64
+func maxMinSpan[V core.Float](best V, vals []V, ins []graph.VertexID, ws []float32) V {
 	for i, u := range ins {
-		if inactive(active, u) {
-			continue
-		}
-		relaxed++
 		cand := vals[u]
 		if mw := V(ws[i]); mw < cand {
 			cand = mw
@@ -100,7 +68,7 @@ func maxMinSpan[V core.Float](best V, vals []V, ins []graph.VertexID, ws []float
 			best = cand
 		}
 	}
-	return best, relaxed
+	return best
 }
 
 // weightedSumSpan is SpMVIn's span: sum over x[src]*w.

@@ -67,8 +67,12 @@ type State struct {
 	// (StableVal as wire words like Values).
 	StableCnt []uint32
 	StableVal []uint64
-	// Sets holds the min/max loop's bitsets as sorted set-index lists
-	// (keys: "frontier", "caughtup", "debt").
+	// Sets holds the run's bitsets as sorted set-index lists. Live keys:
+	// "frontier" (min/max: the next superstep's active vertices) and
+	// "sparsedirty" (either kernel under sparse or adaptive delta-sync: owned
+	// vertices whose latest value not every rank has seen). Readers ignore
+	// keys they do not know, e.g. the "caughtup"/"debt" lists shards carried
+	// before "start late" became a scalar Ruler test.
 	Sets map[string][]uint32
 }
 

@@ -20,8 +20,8 @@ func sampleState() *State {
 		StableCnt: []uint32{0, 3},
 		StableVal: []uint64{math.Float64bits(0.25)},
 		Sets: map[string][]uint32{
-			"frontier": {1, 3},
-			"debt":     {},
+			"frontier":    {1, 3},
+			"sparsedirty": {},
 		},
 	}
 }

@@ -17,8 +17,8 @@ import (
 // vertex's owner, because under sparse delta-sync only the owner's copy is
 // authoritative. The bit sets are unioned: every owner holds its own
 // changed-frontier bits, so the frontier union is exactly the global
-// changed set, while caughtup/debt/sparsedirty are owned-range state and
-// are restricted to each shard's range before the union.
+// changed set, while every other set (sparsedirty) is owned-range state
+// and is restricted to each shard's range before the union.
 func Merge(shards []*State) (*State, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("ckpt: merge of no shards")

@@ -28,10 +28,10 @@ func mergeShard(r uint32) *State {
 func TestMergeTakesOwnerValuesAndUnionsSets(t *testing.T) {
 	a, b := mergeShard(0), mergeShard(1)
 	// Frontier bits are global knowledge (each owner holds its own changed
-	// bits); caughtup is owned-range state, so rank 0's stale bit about
+	// bits); sparsedirty is owned-range state, so rank 0's stale bit about
 	// vertex 3 (owned by rank 1) must be discarded.
-	a.Sets = map[string][]uint32{"frontier": {0, 3}, "caughtup": {1, 3}}
-	b.Sets = map[string][]uint32{"frontier": {2}, "caughtup": {2}}
+	a.Sets = map[string][]uint32{"frontier": {0, 3}, "sparsedirty": {1, 3}}
+	b.Sets = map[string][]uint32{"frontier": {2}, "sparsedirty": {2}}
 	got, err := Merge([]*State{b, a}) // order must not matter
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +45,8 @@ func TestMergeTakesOwnerValuesAndUnionsSets(t *testing.T) {
 	if f := got.Sets["frontier"]; len(f) != 3 || f[0] != 0 || f[1] != 2 || f[2] != 3 {
 		t.Errorf("frontier = %v, want [0 2 3]", f)
 	}
-	if c := got.Sets["caughtup"]; len(c) != 2 || c[0] != 1 || c[1] != 2 {
-		t.Errorf("caughtup = %v, want [1 2] (rank 0's bit about vertex 3 dropped)", c)
+	if c := got.Sets["sparsedirty"]; len(c) != 2 || c[0] != 1 || c[1] != 2 {
+		t.Errorf("sparsedirty = %v, want [1 2] (rank 0's bit about vertex 3 dropped)", c)
 	}
 	if got.Rank != 0 || got.Bounds != nil {
 		t.Errorf("merged state should be epoch-agnostic, got Rank=%d Bounds=%v", got.Rank, got.Bounds)

@@ -22,6 +22,7 @@ import (
 	"slfe/internal/core"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
+	"slfe/internal/rrg"
 )
 
 func ftGraph() *graph.Graph {
@@ -166,13 +167,30 @@ func TestFTPartitionArithF64(t *testing.T) {
 }
 
 // TestFTKillSparseAdaptive exercises recovery while the adaptive sparse
-// sync path is live, so the merged checkpoint must carry the caught-up /
-// debt / sparse-dirty bookkeeping across the membership change.
+// sync path is live, so the merged checkpoint must carry the sparse-dirty
+// bookkeeping across the membership change, and the resumed "start late"
+// run — whose shards no longer say who was suppressed — must repay
+// everything with its closing pull.
 func TestFTKillSparseAdaptive(t *testing.T) {
 	g := ftGraph()
 	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
 		cluster.Options{Nodes: 3, RR: true, Sync: core.SyncAdaptive}, killMidRun(2), []int{2})
 	requireWarmRestore(t, rep)
+}
+
+// TestFTKillBeforeClosingPull kills a rank after the first pull round has
+// suppressed its late starters and before any pull has reached
+// max(LastIter): the new epoch restores a frontier-only shard, treats every
+// vertex as owed and must still finish bit-identical.
+func TestFTKillBeforeClosingPull(t *testing.T) {
+	g := ftGraph()
+	maxLastIter := int(rrg.Generate(g, []graph.VertexID{0}, nil).MaxLastIter)
+	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
+		cluster.Options{Nodes: 3, RR: true}, killMidRun(2), []int{2})
+	requireWarmRestore(t, rep)
+	if rep.ResumeIter < 1 || rep.ResumeIter >= maxLastIter {
+		t.Skipf("resumed from superstep %d, outside the window [1, %d) this test is about; adjust the kill point", rep.ResumeIter, maxLastIter)
+	}
 }
 
 // TestFTKillBeforeFirstCheckpoint kills a rank before any checkpoint

@@ -422,7 +422,7 @@ func (e *Engine[V]) applyDenseDelta(id uint32, bits uint64) error {
 
 // syncSparse routes each changed vertex only to the ranks owning one of
 // its out-neighbours — exactly the ranks that read its value (pull-mode
-// relaxation, catch-up scans, arith gathers) or probe its frontier bit.
+// relaxation, arith gathers) or count its frontier bit.
 // Per-destination batches are encoded in parallel on the scheduler and
 // exchanged point-to-point; the global changed count was already agreed by
 // the caller's AllReduce, so termination and mode switches stay in

@@ -369,10 +369,10 @@ func (e *Engine[V]) rankRange(r int) (lo, hi graph.VertexID) {
 
 // maybeRebalance closes one iteration of the measurement window and, at
 // window boundaries, re-splits the ownership ranges from the AllGathered
-// per-worker compute times. onAcquire is invoked for every vertex the
-// worker newly acquired, before the boundaries take effect, so loop-
-// specific state (e.g. "start late" catch-up debt) can be made safe.
-func (e *Engine[V]) maybeRebalance(st *state[V], iterTime time.Duration, onAcquire func(v graph.VertexID)) error {
+// per-worker compute times. Neither kernel keeps per-owner state a moving
+// vertex would have to carry: "start late" is a function of the Ruler and
+// the guidance alone, and a "finish early" streak simply restarts.
+func (e *Engine[V]) maybeRebalance(st *state[V], iterTime time.Duration) error {
 	if e.reb == nil {
 		return nil
 	}
@@ -398,18 +398,9 @@ func (e *Engine[V]) maybeRebalance(st *state[V], iterTime time.Duration, onAcqui
 	if err != nil {
 		return err
 	}
-	oldLo, oldHi := e.lo, e.hi
-	newLo, newHi := next.Range(e.comm.Rank())
-	if newLo != oldLo || newHi != oldHi {
+	if lo, hi := next.Range(e.comm.Rank()); lo != e.lo || hi != e.hi {
 		st.run.Rebalances++
-		if onAcquire != nil {
-			for v := newLo; v < newHi; v++ {
-				if v < oldLo || v >= oldHi {
-					onAcquire(graph.VertexID(v))
-				}
-			}
-		}
-		e.lo, e.hi = newLo, newHi
+		e.lo, e.hi = lo, hi
 	}
 	e.reb.ranges = next
 	e.reb.window = 0
@@ -478,17 +469,6 @@ func (st *state[V]) markChanged(v graph.VertexID, iter int) {
 	if st.lastChange != nil {
 		st.lastChange[v] = int32(iter)
 	}
-}
-
-// hasActiveIn reports whether any of the given in-neighbours is active
-// (short-circuiting bitmap probe).
-func hasActiveIn(frontier *bitset.Atomic, ins []graph.VertexID) bool {
-	for _, u := range ins {
-		if frontier.Get(int(u)) {
-			return true
-		}
-	}
-	return false
 }
 
 // frontierOutEdges sums the out-degrees of the frontier (the push/pull

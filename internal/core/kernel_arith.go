@@ -154,13 +154,20 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 func (k *arithKernel[V]) commitChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
 	var maxDelta float64
+	var frozen int64 // early-converged vertices of the chunk after this commit
 	for v := clo; v < chi; v++ {
 		if e.cfg.RR && k.ecFrozen(graph.VertexID(v)) {
+			frozen++
 			continue
 		}
 		newVal := k.scratch[v]
 		if p.stable(e.dom, newVal, k.stableVal[v]) {
 			k.stableCnt[v]++
+			// Only a lengthened streak can freeze a vertex (a reset one is
+			// at 0 < LastIter+slack).
+			if e.cfg.RR && k.ecFrozen(graph.VertexID(v)) {
+				frozen++
+			}
 		} else {
 			k.stableCnt[v] = 0
 			k.stableVal[v] = newVal
@@ -172,9 +179,9 @@ func (k *arithKernel[V]) commitChunk(clo, chi uint32, th int) {
 			st.values[v] = newVal
 		}
 	}
-	if c := &k.counters[th]; maxDelta > c.maxDelta {
-		c.maxDelta = maxDelta
-	}
+	c := &k.counters[th]
+	c.frozen += frozen
+	c.maxDelta = max(c.maxDelta, maxDelta)
 }
 
 // commit runs commitChunk over the owned range on the scheduler and folds
@@ -191,20 +198,14 @@ func (k *arithKernel[V]) stepEnd(_ int, stat *metrics.IterStat) (bool, error) {
 	e, p := k.e, k.p
 	// Global termination checks.
 	var maxLocalDelta float64
+	var localEC int64
 	for t := range k.counters {
 		maxLocalDelta = max(maxLocalDelta, k.counters[t].maxDelta)
+		localEC += k.counters[t].frozen
 	}
 	maxDelta, err := e.comm.AllReduceF64(maxLocalDelta, comm.OpMax)
 	if err != nil {
 		return false, err
-	}
-	var localEC int64
-	if e.cfg.RR {
-		for v := e.lo; v < e.hi; v++ {
-			if k.ecFrozen(graph.VertexID(v)) {
-				localEC++
-			}
-		}
 	}
 	k.ecCount, err = e.comm.AllReduceI64(localEC, comm.OpSum)
 	if err != nil {
@@ -219,10 +220,5 @@ func (k *arithKernel[V]) stepEnd(_ int, stat *metrics.IterStat) (bool, error) {
 	}
 	return false, nil
 }
-
-// onAcquire is a no-op: acquired vertices start with a zeroed local
-// stability streak, so they simply recompute until they stabilise again —
-// no transfer of stableCnt is needed for correctness.
-func (k *arithKernel[V]) onAcquire(graph.VertexID) {}
 
 func (k *arithKernel[V]) finish(res *Result[V]) { res.ECCount = k.ecCount }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 
 	"slfe/internal/bitset"
@@ -25,22 +24,28 @@ type minmaxKernel[V comparable] struct {
 	// relax is the program's resolved per-edge relaxation hook (push) and
 	// relaxSpan its resolved per-vertex one (pull).
 	relax     func(src graph.VertexID, srcVal V, w float32) V
-	relaxSpan func(best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64)
+	relaxSpan func(best V, vals []V, ins []graph.VertexID, ws []float32) V
 
 	front   *bitset.Atomic
 	changed *bitset.Atomic
-	// caughtUp marks owned vertices that performed their full catch-up
-	// scan; debt marks owned vertices suppressed at least once and not yet
-	// caught up.
-	caughtUp *bitset.Atomic
-	debt     *bitset.Atomic
-	scratch  []V
+	scratch []V
+
+	// "Start late" state (Algorithm 2, single Ruler). lastIter is the
+	// guidance array (nil with RR off) and maxLastIter its maximum, taken
+	// here so soundness never hangs on a caller-filled field. A pull round
+	// at ruler r suppresses exactly {v : lastIter[v] > r}, so what is still
+	// owed a full pull is the scalar owedAbove: MaxInt64 before the first
+	// pull round (nobody), r after a pull round at r, -1 after a checkpoint
+	// restore (everybody). Every rank derives the same value without
+	// communication.
+	lastIter    []uint32
+	maxLastIter uint32
+	owedAbove   int64
 
 	// Per-superstep mode decision, made in stepBegin and consumed by
 	// compute/commit.
-	pullMode   bool
-	globalDebt int64
-	ruler      uint32 // current iteration, read by pullBody
+	pullMode bool
+	ruler    int64 // current iteration, read by pullBody
 
 	counters []threadCounters
 
@@ -50,7 +55,7 @@ type minmaxKernel[V comparable] struct {
 	commitBody func(clo, chi uint32, thread int)
 
 	// Reused checkpoint-shard listings (valid until the next tick).
-	snapFrontier, snapCaught, snapDebt []uint32
+	snapFrontier []uint32
 }
 
 func newMinMaxKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], changed *bitset.Atomic) *minmaxKernel[V] {
@@ -63,10 +68,13 @@ func newMinMaxKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], ch
 		changed:   changed,
 		scratch:   make([]V, n),
 		counters:  make([]threadCounters, e.sched.Threads()),
+		owedAbove: math.MaxInt64,
 	}
 	if e.cfg.RR {
-		k.caughtUp = bitset.NewAtomic(n)
-		k.debt = bitset.NewAtomic(n)
+		k.lastIter = e.cfg.Guidance.LastIter
+		for _, li := range k.lastIter {
+			k.maxLastIter = max(k.maxLastIter, li)
+		}
 	}
 	for _, r := range p.Roots {
 		if int(r) < n {
@@ -84,31 +92,22 @@ func (k *minmaxKernel[V]) kind() ckpt.Kind          { return ckpt.MinMax }
 func (k *minmaxKernel[V]) superstepCap() int        { return 4*k.e.g.NumVertices() + 16 }
 func (k *minmaxKernel[V]) frontier() *bitset.Atomic { return k.front }
 
+// restore rebuilds the frontier. Which vertices earlier pull rounds
+// suppressed is not part of a shard: everything is treated as owed, and the
+// first superstep after the resume is one closing pull at maxLastIter that
+// re-collects every in-edge (a parent-written shard's "caughtup"/"debt"
+// keys are ignored).
 func (k *minmaxKernel[V]) restore(snap *ckpt.State) error {
 	k.front.Reset()
-	if err := restoreBits(k.front, snap.Sets["frontier"]); err != nil {
-		return err
+	if k.lastIter != nil {
+		k.owedAbove = -1
 	}
-	if k.e.cfg.RR {
-		if err := restoreBits(k.caughtUp, snap.Sets["caughtup"]); err != nil {
-			return err
-		}
-		if err := restoreBits(k.debt, snap.Sets["debt"]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return restoreBits(k.front, snap.Sets["frontier"])
 }
 
 func (k *minmaxKernel[V]) snapshot(snap *ckpt.State) {
 	k.snapFrontier = k.e.collectBitsInto(k.snapFrontier[:0], k.front)
 	snap.Sets = map[string][]uint32{"frontier": k.snapFrontier}
-	if k.e.cfg.RR {
-		k.snapCaught = k.e.collectBitsInto(k.snapCaught[:0], k.caughtUp)
-		k.snapDebt = k.e.collectBitsInto(k.snapDebt[:0], k.debt)
-		snap.Sets["caughtup"] = k.snapCaught
-		snap.Sets["debt"] = k.snapDebt
-	}
 }
 
 func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, error) {
@@ -131,58 +130,33 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, er
 		}
 	}
 
-	// globalDebt counts vertices that were suppressed while an update was
-	// available and have not caught up yet.
-	var globalDebt int64
-	if e.cfg.RR {
-		localDebt := int64(k.debt.CountRange(int(e.lo), int(e.hi)))
-		var err error
-		globalDebt, err = e.comm.AllReduceI64(localDebt, comm.OpSum)
+	// "Start late" debt: the latest pull round ran at ruler owedAbove and
+	// skipped every vertex whose LastIter lies beyond it; each of them
+	// relaxes all its in-edges at its first pull with ruler >= LastIter,
+	// which repays whatever it missed. Push delivers only along the
+	// frontier's out-edges and would lose those offers for good, so it is
+	// entered only once a pull round has reached maxLastIter (Algorithm 3's
+	// correctness rule, as one comparison instead of a reactivate-all).
+	debt := k.owedAbove < int64(k.maxLastIter)
+	if active == 0 && !debt {
+		return true, nil // no active work and nothing owed: done
+	}
+	if debt && (active == 0 || k.owedAbove < 0) && int(k.maxLastIter) > *iter {
+		// Nothing is in flight, or a resumed run cannot tell who is owed:
+		// jump the Ruler to maxLastIter, so one closing pull starts every
+		// vertex still waiting (moving the Ruler forward is always sound —
+		// the guidance only ever delays a vertex).
+		*iter = int(k.maxLastIter)
+	}
+	k.pullMode = debt
+	if !debt {
+		// The push/pull switch (Gemini's heuristic).
+		outEdges, err := e.frontierOutEdgesGlobal(k.front)
 		if err != nil {
 			return false, err
 		}
+		k.pullMode = outEdges > e.g.NumEdges()/e.cfg.DenseDivisor
 	}
-
-	if active == 0 && globalDebt == 0 {
-		return true, nil // no active work and no debt anywhere: done
-	}
-	if active == 0 {
-		// "Start late" still owes catch-up scans but no updates are in
-		// flight: advance the Ruler straight to the earliest pending
-		// LastIter so the schedule continues without idle rounds.
-		pending := int64(math.MaxInt64)
-		for v := e.lo; v < e.hi; v++ {
-			if k.debt.Get(int(v)) {
-				if li := int64(e.cfg.Guidance.LastIter[v]); li < pending {
-					pending = li
-				}
-			}
-		}
-		global, err := e.comm.AllReduceI64(pending, comm.OpMin)
-		if err != nil {
-			return false, err
-		}
-		if int(global) > *iter {
-			*iter = int(global)
-		}
-	}
-
-	// The push/pull switch (Gemini's heuristic), with one refinement:
-	// while "start late" debt is outstanding the engine stays in pull
-	// mode, where catch-up scans repay the debt progressively as the
-	// Ruler passes each vertex's LastIter. This realises Algorithm 3's
-	// correctness rule (updates suppressed in pull must be re-delivered
-	// before push) without its reactivate-all |E|-relaxation spike —
-	// under per-edge activity accounting the extra pull rounds cost
-	// only bitmap bookkeeping, whereas each reactivation re-relaxes
-	// every edge and, with suppression re-accruing debt, can ping-pong.
-	outEdges, err := e.frontierOutEdgesGlobal(k.front)
-	if err != nil {
-		return false, err
-	}
-	k.pullMode = active == 0 || globalDebt > 0 ||
-		outEdges > e.g.NumEdges()/e.cfg.DenseDivisor
-	k.globalDebt = globalDebt
 
 	stat.Iter = *iter
 	stat.ActiveVerts = active
@@ -205,69 +179,59 @@ func (k *minmaxKernel[V]) stagedCompute() ([]V, bool) {
 }
 
 func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
-	if k.pullMode {
-		k.ruler = uint32(iter)
-		wsStats := k.e.computeOwned(k.pullBody)
-		k.st.run.Steals += wsStats.Steals
+	if !k.pullMode {
+		k.computePush()
 		return nil
 	}
-	// Push is only entered with zero outstanding debt (see the mode
-	// switch above), so Algorithm 3's reactivate-all re-delivery is
-	// never needed; the assertion documents the invariant.
-	if k.e.cfg.RR && k.globalDebt != 0 {
-		return errors.New("core: internal: push entered with outstanding catch-up debt")
+	k.ruler = int64(iter)
+	wsStats := k.e.computeOwned(k.pullBody)
+	k.st.run.Steals += wsStats.Steals
+	if k.lastIter != nil {
+		k.owedAbove = k.ruler
 	}
-	k.computePush()
 	return nil
 }
 
 // computePullChunk stages improvements in scratch (BSP-pure, race-free) for
 // one chunk of the owned range; commit applies them.
+//
+// A computing vertex relaxes every in-edge, whatever its source did last
+// round. That is sound for min/max: the aggregation is idempotent and
+// values only improve, so a source that did not change has nothing to
+// offer beyond what the destination already folded in — the result is bit
+// for bit the one a frontier-filtered scan produces, without a
+// data-dependent branch per edge. The frontier only counts: Computations
+// keeps Gemini's signal/slot accounting, one per in-edge whose source is
+// active (the relaxations of §2.2), counted branch-free over the same list.
 func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
-	e, p, st := k.e, k.p, k.st
-	cur := e.curs[th]
-	ruler := k.ruler
+	p, st := k.p, k.st
+	cur := k.e.curs[th]
+	lastIter, ruler, owedAbove := k.lastIter, k.ruler, k.owedAbove
 	var comps, suppressed, catchups int64
 	changed := k.changed.Acc()
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
-		// Baseline dense pull, Gemini's signal/slot accounting: relax
-		// exactly the in-edges whose source is active this round (the
-		// per-edge activity test is cheap bitmap bookkeeping; the
-		// relaxations are the heavyweight computations of §2.2). The total
-		// is therefore one relaxation per (update, out-edge) event
-		// regardless of scheduling, and "start late" reduces it by
-		// suppressing a vertex's events outright — all but the one
-		// catch-up scan below, which alone pays the full in-degree.
-		active := k.front
-		if e.cfg.RR && !k.caughtUp.Get(int(v)) {
+		owed := false
+		if lastIter != nil {
 			// Algorithm 2, pullEdge_singleRuler: an O(1) Ruler test delays
-			// the vertex until iteration RRG[v].lastIter. The saving is the
-			// relaxations the baseline would perform. Debt — the obligation
-			// to re-collect all inputs later — is only incurred when an
-			// update was actually available (an active in-neighbour
-			// existed) while suppressed; the activity probe is bitmap
-			// bookkeeping, not a §2.2 computation.
-			if ruler < e.cfg.Guidance.LastIter[v] {
+			// the vertex until iteration RRG[v].lastIter. Its first pull
+			// after a round that suppressed it collects the inputs of all
+			// in-edges (§3.2) and is charged as such: one catch-up.
+			li := int64(lastIter[v])
+			if ruler < li {
 				suppressed++
-				if !k.debt.Get(int(v)) && hasActiveIn(k.front, cur.InNeighbors(vid)) {
-					k.debt.Set(int(v))
-				}
 				continue
 			}
-			k.caughtUp.Set(int(v))
-			if k.debt.Get(int(v)) {
-				// First eligible pull after suppression: pullFunc over
-				// every in-edge regardless of source activity (§3.2:
-				// "requires vx to collect the inputs from all of them"),
-				// which repays the updates suppression skipped.
-				active = nil
-				catchups++
-				k.debt.Clear(int(v))
-			}
+			owed = li > owedAbove
 		}
-		best, relaxed := k.relaxSpan(st.values[vid], st.values, cur.InNeighbors(vid), cur.InWeights(vid), active)
-		comps += relaxed
+		ins := cur.InNeighbors(vid)
+		if owed {
+			catchups++
+			comps += int64(len(ins))
+		} else {
+			comps += k.front.CountIn(ins)
+		}
+		best := k.relaxSpan(st.values[vid], st.values, ins, cur.InWeights(vid))
 		if p.Better(best, st.values[vid]) {
 			k.scratch[v] = best
 			changed.Set(int(v))
@@ -352,16 +316,6 @@ func (k *minmaxKernel[V]) commit(_ int, stat *metrics.IterStat) error {
 
 func (k *minmaxKernel[V]) stepEnd(int, *metrics.IterStat) (bool, error) {
 	return false, nil // termination is decided in stepBegin
-}
-
-// onAcquire conservatively marks a rebalance-acquired vertex as debt: it
-// may carry unknown "start late" suppression history from its previous
-// owner, and the catch-up scan re-pulls every in-edge, repairing any
-// update that owner suppressed.
-func (k *minmaxKernel[V]) onAcquire(v graph.VertexID) {
-	if k.e.cfg.RR && !k.caughtUp.Get(int(v)) {
-		k.debt.Set(int(v))
-	}
 }
 
 func (k *minmaxKernel[V]) finish(*Result[V]) {}

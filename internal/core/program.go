@@ -3,8 +3,15 @@
 // path applies redundancy-reduction guidance — "start late" scheduling for
 // min/max aggregations (Algorithm 2, single Ruler), "finish early"
 // early-convergence detection for arithmetic aggregations (Algorithm 5,
-// per-vertex RulerS) — with the pull-to-push reactivation rule of
-// Algorithm 3 preserving correctness.
+// per-vertex RulerS).
+//
+// The min/max pull contract is the paper's pullEdge_singleRuler: a vertex
+// computes once Ruler >= LastIter[v] and then relaxes all its in-edges, so
+// a late starter repays what it skipped by construction. A pull round at
+// ruler r leaves exactly {v : LastIter[v] > r} owed, which makes
+// Algorithm 3's correctness rule (nothing suppressed may be lost to push)
+// one scalar test — push only after a pull round has reached
+// max(LastIter) — instead of per-vertex debt tracking or a reactivate-all.
 //
 // Applications are expressed as a declarative Program: the engine owns the
 // edgeProc traversal (Table 3's APIs) and calls the program's relaxation /
@@ -21,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"slfe/internal/bitset"
 	"slfe/internal/graph"
 )
 
@@ -83,15 +89,18 @@ type Program[V comparable] struct {
 	// test so push combining is order-insensitive.
 	Better func(a, b V) bool
 	// RelaxSpan is the optional span form of Relax/RelaxE + Better, called
-	// once per destination vertex by the pull kernel: starting from best,
-	// fold every in-edge (ins[i], ws[i]) whose source is in active — every
-	// in-edge when active is nil — and return the winner plus the number of
-	// edges relaxed. vals is the whole value array, indexed by vertex id. It
-	// must visit edges left to right and decide exactly as the per-edge
-	// hooks would (a candidate replaces best only when Better(cand, best)),
-	// so results and counts are bit-identical to the lifted per-edge path a
-	// program without it runs on.
-	RelaxSpan func(best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64)
+	// once per computing vertex by the pull kernel: starting from best (the
+	// vertex's current value), fold every in-edge (ins[i], ws[i]) and return
+	// the winner. vals is the whole value array, indexed by vertex id. A
+	// pull relaxes all in-edges, not just those whose source changed last
+	// round: the aggregation is idempotent and values only improve, so an
+	// unchanged source cannot beat what it already offered, and the loop
+	// needs no per-edge activity branch (the kernel counts active in-edges
+	// itself). The hook must visit edges left to right and decide exactly as
+	// the per-edge hooks would (a candidate replaces best only when
+	// Better(cand, best)), so results are bit-identical to the lifted
+	// per-edge path a program without it runs on.
+	RelaxSpan func(best V, vals []V, ins []graph.VertexID, ws []float32) V
 
 	// --- Arith hooks ---
 
@@ -195,23 +204,18 @@ func (p *Program[V]) relax() func(src graph.VertexID, srcVal V, w float32) V {
 
 // relaxSpan resolves the pull kernel's per-vertex hook: the program's
 // RelaxSpan, else its per-edge hooks lifted into one. Called once per run.
-func (p *Program[V]) relaxSpan() func(best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64) {
+func (p *Program[V]) relaxSpan() func(best V, vals []V, ins []graph.VertexID, ws []float32) V {
 	if p.RelaxSpan != nil {
 		return p.RelaxSpan
 	}
 	relax, better := p.relax(), p.Better
-	return func(best V, vals []V, ins []graph.VertexID, ws []float32, active *bitset.Atomic) (V, int64) {
-		var relaxed int64
+	return func(best V, vals []V, ins []graph.VertexID, ws []float32) V {
 		for i, u := range ins {
-			if active != nil && !active.Get(int(u)) {
-				continue
-			}
-			relaxed++
 			if cand := relax(u, vals[u], ws[i]); better(cand, best) {
 				best = cand
 			}
 		}
-		return best, relaxed
+		return best
 	}
 }
 

@@ -1,0 +1,200 @@
+// Tests of the min/max pull contract: every pull relaxes all in-edges, the
+// frontier only counts, and "start late" is one Ruler comparison whose
+// soundness does not depend on where the guidance came from.
+package core_test
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"slfe/internal/apps"
+	"slfe/internal/cluster"
+	"slfe/internal/comm"
+	"slfe/internal/core"
+	"slfe/internal/gen"
+	"slfe/internal/graph"
+	"slfe/internal/metrics"
+	"slfe/internal/partition"
+	"slfe/internal/rrg"
+)
+
+// TestStartLateSoundForArbitraryGuidance runs SSSP and CC under LastIter
+// arrays no Generate produced — all-zero, all-equal, random, and random with
+// a maximum far beyond the run length — forcing all-pull, all-push and the
+// default switch, on 1 and 2 ranks, under every delta-sync strategy. Values
+// must equal the RR-off run bit for bit, and once a pull round has run no
+// push superstep may start before a pull round has reached max(LastIter):
+// the vertices a pull suppressed are owed offers a push would never deliver.
+func TestStartLateSoundForArbitraryGuidance(t *testing.T) {
+	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 8, 29)
+	sym := apps.Symmetrize(g)
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(5))
+	fill := func(f func(v int) uint32) []uint32 {
+		li := make([]uint32, n)
+		for v := range li {
+			li[v] = f(v)
+		}
+		return li
+	}
+	guidances := map[string][]uint32{
+		"zero":   fill(func(int) uint32 { return 0 }),
+		"equal":  fill(func(int) uint32 { return 3 }),
+		"random": fill(func(int) uint32 { return uint32(rng.Intn(9)) }),
+		"far": fill(func(v int) uint32 {
+			if v%97 == 0 {
+				return 1 << 20 // no run gets near it: only the Ruler jump does
+			}
+			return uint32(rng.Intn(5))
+		}),
+	}
+	divisors := map[string]int64{"pull": 1 << 40, "push": 1, "default": 0}
+	progs := map[string]struct {
+		g *graph.Graph
+		p *core.Program[float64]
+	}{
+		"sssp": {g, apps.SSSP(0)},
+		"cc":   {sym, apps.CC(sym)},
+	}
+	for pname, pr := range progs {
+		want, err := cluster.Execute(pr.g, pr.p, cluster.Options{Nodes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gname, lastIter := range guidances {
+			gd := &rrg.Guidance{LastIter: lastIter, Level: make([]uint32, n)} // MaxLastIter left zero on purpose
+			var maxLI int
+			for _, li := range lastIter {
+				maxLI = max(maxLI, int(li))
+			}
+			for dname, dd := range divisors {
+				for _, nodes := range []int{1, 2} {
+					for _, sync := range []core.SyncStrategy{core.SyncDense, core.SyncSparse, core.SyncAdaptive} {
+						label := fmt.Sprintf("%s/%s/%s/nodes=%d/%v", pname, gname, dname, nodes, sync)
+						got, err := cluster.Execute(pr.g, pr.p, cluster.Options{
+							Nodes: nodes, Threads: 2, RR: true, Guidance: gd, DenseDivisor: dd, Sync: sync,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !bitIdentical(got.Result.Values, want.Result.Values) {
+							t.Fatalf("%s: values differ from the RR-off run", label)
+						}
+						lastPull := -1
+						for _, s := range got.Result.Metrics.Iters {
+							if s.Mode == metrics.Pull {
+								lastPull = s.Iter
+							} else if lastPull >= 0 && lastPull < maxLI {
+								t.Fatalf("%s: push at iteration %d while the last pull ran at ruler %d < max(LastIter) %d",
+									label, s.Iter, lastPull, maxLI)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// step is one superstep's mode and counted work.
+type step struct {
+	mode           metrics.Mode
+	comps, updates int64
+}
+
+// TestRROffSuperstepCountsPinned pins the RR-off mode sequence and the
+// per-superstep Computations/Updates of four min/max programs to the numbers
+// the frontier-filtered pull of PR 16 produced: relaxing every in-edge must
+// change neither what a pull round computes nor what it counts (one
+// computation per in-edge whose source is active).
+func TestRROffSuperstepCountsPinned(t *testing.T) {
+	g := gen.RMAT(2048, 16384, gen.DefaultRMAT, 16, 91)
+	sym := apps.Symmetrize(g)
+	const pull, push = metrics.Pull, metrics.Push
+	for _, pin := range []struct {
+		name string
+		run  func() ([]metrics.IterStat, error)
+		want []step
+	}{
+		{"sssp", func() ([]metrics.IterStat, error) { return rrOffIters(g, apps.SSSP(0)) },
+			[]step{{push, 783, 392}, {pull, 11372, 1062}, {pull, 9655, 583}, {pull, 3164, 132}, {push, 354, 9}, {push, 18, 1}, {push, 0, 0}}},
+		{"bfs/u32", func() ([]metrics.IterStat, error) { return rrOffIters(g, apps.BFSU32(0)) },
+			[]step{{push, 783, 392}, {pull, 11372, 855}, {pull, 3784, 75}, {push, 100, 2}, {push, 1, 0}}},
+		{"cc", func() ([]metrics.IterStat, error) { return rrOffIters(sym, apps.CC(sym)) },
+			[]step{{pull, 32768, 1477}, {pull, 31101, 1002}, {pull, 5349, 50}, {push, 55, 2}, {push, 2, 0}}},
+		{"wp", func() ([]metrics.IterStat, error) { return rrOffIters(g, apps.WP(0)) },
+			[]step{{push, 783, 392}, {pull, 11372, 1096}, {pull, 11505, 582}, {pull, 4850, 121}, {pull, 1096, 21}, {push, 201, 4}, {push, 21, 1}, {push, 3, 0}}},
+	} {
+		iters, err := pin.run()
+		if err != nil {
+			t.Fatalf("%s: %v", pin.name, err)
+		}
+		got := make([]step, len(iters))
+		for i, s := range iters {
+			got[i] = step{s.Mode, s.Computations, s.Updates}
+		}
+		if !slices.Equal(got, pin.want) {
+			t.Errorf("%s: per-superstep {mode comps updates}\n got  %v\n want %v", pin.name, got, pin.want)
+		}
+	}
+}
+
+func rrOffIters[V comparable](g graph.View, p *core.Program[V]) ([]metrics.IterStat, error) {
+	res, err := cluster.Execute(g, p, cluster.Options{Nodes: 1, Threads: 2, Stealing: true})
+	if err != nil {
+		return nil, err
+	}
+	return res.Result.Metrics.Iters, nil
+}
+
+// BenchmarkMinMaxPull runs SSSP with every superstep forced into pull mode
+// (guidance generated outside the timed loop) and reports the rate at which
+// pull rounds scan in-edges: a round scans the whole in-list of every vertex
+// it computes, whatever the frontier, so Medges/s is the cost of the
+// all-in-edge scan itself and rr vs norr shows what suppression skips.
+func BenchmarkMinMaxPull(b *testing.B) {
+	g := gen.RMAT(1<<14, 1<<18, gen.DefaultRMAT, 16, 5)
+	part, err := partition.NewChunked(g, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := apps.SSSP(0)
+	gd := rrg.Generate(g, p.Roots, nil)
+	for _, rr := range []bool{true, false} {
+		name := map[bool]string{true: "rr", false: "norr"}[rr]
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
+				ts, err := comm.NewLocalGroup(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer ts[0].Close()
+				eng, err := core.New[float64](core.Config{Graph: g, Comm: comm.NewComm(ts[0]), Part: part,
+					Threads: threads, Stealing: true, RR: rr, Guidance: gd, DenseDivisor: 1 << 40})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer eng.Close()
+				var res *core.Result[float64]
+				for b.Loop() {
+					if res, err = eng.Run(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// Every run scans the same edges: each pull round, the
+				// in-lists of the vertices its Ruler lets compute.
+				var scanned int64
+				for _, s := range res.Metrics.Iters {
+					for v := range g.NumVertices() {
+						if !rr || int(gd.LastIter[v]) <= s.Iter {
+							scanned += g.InDegree(graph.VertexID(v))
+						}
+					}
+				}
+				b.ReportMetric(float64(scanned)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+			})
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"slfe/internal/bitset"
 	"slfe/internal/ckpt"
-	"slfe/internal/graph"
 	"slfe/internal/metrics"
 )
 
@@ -54,9 +53,6 @@ type kernel[V comparable] interface {
 	// stepEnd runs post-sync global coordination (e.g. convergence
 	// reductions). done ends the run after checkpoint/rebalance ticks.
 	stepEnd(iter int, stat *metrics.IterStat) (done bool, err error)
-	// onAcquire makes a vertex just acquired by dynamic rebalancing safe
-	// for this kernel.
-	onAcquire(v graph.VertexID)
 	// finish fills kernel-specific result fields.
 	finish(res *Result[V])
 }
@@ -67,8 +63,9 @@ type kernel[V comparable] interface {
 // neighbour's line.
 type threadCounters struct {
 	comps, updates, suppressed, catchups int64
+	frozen                               int64   // arith commit: early-converged vertices seen
 	maxDelta                             float64 // arith commit: largest |Δ| the thread applied
-	_                                    [24]byte
+	_                                    [16]byte
 }
 
 // foldCounters adds every thread's counts to stat.
@@ -185,7 +182,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 
 		if e.reb != nil {
 			rebStart := time.Now()
-			if err := e.maybeRebalance(st, stat.Time, k.onAcquire); err != nil {
+			if err := e.maybeRebalance(st, stat.Time); err != nil {
 				return nil, err
 			}
 			st.run.RebalanceTime += time.Since(rebStart)

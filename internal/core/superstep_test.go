@@ -32,8 +32,8 @@ func TestCkptRebalanceIncompatibilityError(t *testing.T) {
 }
 
 // Checkpoint-resume through the unified driver, both kernels, with RR on
-// (so the min/max shards carry the caughtup/debt sets) and multiple
-// threads with stealing (so the parallel collectBits path feeds the
+// (so the resumed min/max run has to repay what it cannot know it owes)
+// and multiple threads with stealing (so the parallel collectBits path feeds the
 // shards). A first run writes checkpoints every superstep; a second run
 // resumes from the last complete one and must reproduce the values in
 // fewer supersteps.

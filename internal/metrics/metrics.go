@@ -139,9 +139,10 @@ func Merge(runs []*Run) *Run {
 	for _, r := range runs {
 		for i, s := range r.Iters {
 			for len(out.Iters) <= i {
-				out.Iters = append(out.Iters, IterStat{Iter: len(out.Iters)})
+				out.Iters = append(out.Iters, IterStat{})
 			}
 			o := &out.Iters[i]
+			o.Iter = s.Iter // the Ruler: workers agree, and it can jump past the index
 			o.Mode = s.Mode
 			o.Computations += s.Computations
 			o.Updates += s.Updates

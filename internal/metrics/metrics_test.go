@@ -29,7 +29,7 @@ func TestModeString(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a := &Run{}
 	a.Add(IterStat{Iter: 0, Mode: Pull, Computations: 5, ActiveVerts: 10, Time: time.Millisecond})
-	a.Add(IterStat{Iter: 1, Mode: Push, Computations: 2, ActiveVerts: 3, Time: time.Millisecond})
+	a.Add(IterStat{Iter: 7, Mode: Push, Computations: 2, ActiveVerts: 3, Time: time.Millisecond})
 	b := &Run{}
 	b.Add(IterStat{Iter: 0, Mode: Pull, Computations: 7, ActiveVerts: 10, Time: 3 * time.Millisecond})
 
@@ -45,6 +45,10 @@ func TestMerge(t *testing.T) {
 	}
 	if m.Iters[1].Computations != 2 {
 		t.Fatalf("iter1 comps = %d", m.Iters[1].Computations)
+	}
+	// Iter is the workers' Ruler, which can jump past the superstep index.
+	if m.Iters[0].Iter != 0 || m.Iters[1].Iter != 7 {
+		t.Fatalf("merged iters numbered %d, %d, want the workers' 0, 7", m.Iters[0].Iter, m.Iters[1].Iter)
 	}
 }
 

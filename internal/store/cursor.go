@@ -15,9 +15,9 @@ import (
 // block's vertex→edge ranges, and — separately — the weights of the most
 // recent block whose weights were requested. Lazy: a weight block is decoded
 // (and, out of core, pread) on the first {In,Out}Weights call that lands in
-// it, so ids-only readers (rrg.Generate, activity probes, frontier
-// statistics) never touch the weight section; const-1 weights are served
-// from one ones slice per cursor and decode nothing.
+// it, so ids-only readers (rrg.Generate, frontier statistics) never touch
+// the weight section; const-1 weights are served from one ones slice per
+// cursor and decode nothing.
 //
 // The engine's chunk size (256 vertices) spans four 64-vertex blocks, so a
 // sequential chunk scan decodes each block exactly once; steady state
