@@ -59,7 +59,7 @@ func BenchmarkFigure8PreprocessOverhead(b *testing.B)  { runExperiment(b, "fig8"
 func BenchmarkFigure9ComputationsPerIter(b *testing.B) { runExperiment(b, "fig9") }
 func BenchmarkFigure10Balance(b *testing.B)            { runExperiment(b, "fig10") }
 
-// Ablations beyond the paper's own artefacts (see DESIGN.md §3).
+// Ablations beyond the paper's own artefacts.
 
 func BenchmarkAblationDenseThreshold(b *testing.B) { runExperiment(b, "ablation-dense") }
 func BenchmarkAblationPartition(b *testing.B)      { runExperiment(b, "ablation-partition") }
@@ -70,9 +70,6 @@ func BenchmarkAblationReorder(b *testing.B)        { runExperiment(b, "ablation-
 func BenchmarkAblationAsync(b *testing.B)          { runExperiment(b, "ablation-async") }
 func BenchmarkAnalyticsApps(b *testing.B)          { runExperiment(b, "analytics") }
 func BenchmarkAblationIncrementalRRG(b *testing.B) { runExperiment(b, "ablation-incremental") }
-func BenchmarkPipelineBreakdown(b *testing.B)      { runExperiment(b, "pipeline") }
-func BenchmarkDeltaSyncStrategies(b *testing.B)    { runExperiment(b, "deltasync") }
-func BenchmarkHotpathAllocations(b *testing.B)     { runExperiment(b, "hotpath") }
 
 // Micro-benchmarks of the pieces the experiments compose.
 

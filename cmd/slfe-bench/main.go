@@ -5,8 +5,7 @@
 //	slfe-bench -exp table5 -scale 1000 -nodes 8
 //	slfe-bench -exp all
 //
-// Each experiment prints an aligned text table; see EXPERIMENTS.md for the
-// paper-vs-measured record.
+// Each experiment prints an aligned text table.
 package main
 
 import (
@@ -17,16 +16,14 @@ import (
 	"strings"
 
 	"slfe/internal/bench"
-	"slfe/internal/trace"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (all | "+names()+")")
-	scale := flag.Int("scale", 1000, "dataset down-scale factor (100 = DESIGN.md default size)")
+	scale := flag.Int("scale", 1000, "dataset down-scale factor (bigger = smaller graph)")
 	nodes := flag.Int("nodes", 8, "simulated cluster size")
 	threads := flag.Int("threads", 1, "threads per node")
 	prIters := flag.Int("pr-iters", 30, "PageRank/TunkRank iterations")
-	out := flag.String("out", "", "directory for raw TSV series exports (empty: disabled)")
 	flag.Parse()
 
 	if *nodes < 1 || *threads < 0 || *scale < 1 || *prIters < 1 {
@@ -43,16 +40,6 @@ func main() {
 		PRIters: *prIters,
 		Out:     os.Stdout,
 	}
-	var exporter *trace.Exporter
-	if *out != "" {
-		exporter = &trace.Exporter{Dir: *out}
-		cfg.Trace = exporter
-	}
-	defer func() {
-		if exporter != nil {
-			fmt.Fprintf(os.Stderr, "slfe-bench: wrote %d TSV series to %s\n", len(exporter.Files()), *out)
-		}
-	}()
 	if *exp == "all" {
 		if err := bench.All(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "slfe-bench:", err)

@@ -18,6 +18,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"slfe/internal/apps"
 	"slfe/internal/baseline/async"
@@ -187,6 +188,11 @@ func main() {
 		if syncB > 0 {
 			fmt.Printf("overlap: streamed %dB of %dB sync traffic during compute (ratio %.2f)\n",
 				streamed, syncB, float64(streamed)/float64(syncB))
+		}
+		if *verbose { // slowest worker per phase; commit is inside compute
+			us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+			fmt.Printf("phases: frontier=%v compute=%v commit=%v sync=%v steals=%d\n",
+				us(run.FrontierTime), us(run.ComputeTime), us(run.CommitTime), us(run.SyncTime), run.Steals)
 		}
 	case "powergraph", "powerlyra":
 		prog, runG := baselineProgram(appKey, g, graph.VertexID(*root), *iters, *domain)

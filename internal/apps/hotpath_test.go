@@ -1,15 +1,52 @@
-package bench
+package apps
 
 import (
-	"io"
+	"sort"
 	"testing"
 
-	"slfe/internal/apps"
 	"slfe/internal/cluster"
 	"slfe/internal/compress"
+	"slfe/internal/core"
+	"slfe/internal/gen"
 	"slfe/internal/graph"
 	"slfe/internal/metrics"
 )
+
+// pkProxy materialises the PK dataset proxy at the given down-scale factor.
+func pkProxy(t *testing.T, scale int) *graph.Graph {
+	t.Helper()
+	d, err := gen.ByName("PK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Proxy(scale)
+}
+
+// steadyState returns the median per-superstep allocation count and bytes
+// over the last half of the run (the supersteps after pool warm-up).
+func steadyState(iters []metrics.IterStat) (allocs, bytes int64) {
+	if len(iters) == 0 {
+		return 0, 0
+	}
+	tail := iters[len(iters)/2:]
+	as := make([]int64, len(tail))
+	bs := make([]int64, len(tail))
+	for i, s := range tail {
+		as[i], bs[i] = s.HeapAllocs, s.HeapBytes
+	}
+	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
+	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
+	return as[len(as)/2], bs[len(bs)/2]
+}
+
+// domWidth resolves a domain name's wire width via the authoritative core
+// mapping (the guards only name built-in domains).
+func domWidth(domain string) int {
+	if w, ok := core.WidthOf(domain); ok {
+		return w
+	}
+	return 8
+}
 
 // TestSteadyStateAllocBudget is the CI regression guard for the
 // zero-allocation superstep hot path: a steady-state superstep (median of
@@ -24,34 +61,34 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	const (
 		allocBudget = 256       // objects per steady-state superstep
 		byteBudget  = 256 << 10 // bytes per steady-state superstep
+		iters       = 20
 	)
-	c := Config{Scale: 4000, Nodes: 1, Threads: 2, PRIters: 20, Out: io.Discard}
+	g := pkProxy(t, 4000)
 	cases := []struct {
 		name  string
-		app   string
+		prog  *core.Program[float64]
 		nodes int
 		opts  func(*cluster.Options)
 	}{
 		// Pull path: all-vertex arith kernel, 20 steady supersteps.
-		{"PR", "PR", 1, nil},
+		{"PR", PageRank(iters), 1, nil},
 		// Push path: DenseDivisor=1 keeps the frontier kernel in push mode.
-		{"SSSP-push", "SSSP", 1, func(o *cluster.Options) { o.DenseDivisor = 1 }},
+		{"SSSP-push", SSSP(0), 1, func(o *cluster.Options) { o.DenseDivisor = 1 }},
 		// Overlapped pipeline: two in-process workers stream delta-sync
 		// during compute. The counters are process-global, so this measures
 		// the whole two-worker cluster — including the transport's
 		// per-message payload copies, which are inherent to delivery, not a
 		// hot-path regression; the budget stays the same deliberately
 		// generous bound.
-		{"PR-overlapped", "PR", 2, nil},
+		{"PR-overlapped", PageRank(iters), 2, nil},
 	}
 	for _, tc := range cases {
-		res, err := c.RunSLFE(tc.app, "PK", tc.nodes, true, func(o *cluster.Options) {
-			o.MeasureAllocs = true
-			o.Codec = compress.Adaptive{}
-			if tc.opts != nil {
-				tc.opts(o)
-			}
-		})
+		opt := cluster.Options{Nodes: tc.nodes, Threads: 2, Stealing: true, RR: true,
+			MeasureAllocs: true, Codec: compress.Adaptive{}}
+		if tc.opts != nil {
+			tc.opts(&opt)
+		}
+		res, err := cluster.Execute(g, tc.prog, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -77,6 +114,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	// The narrow value domains run the same generic hot path; the
 	// genericization must not have reintroduced per-superstep allocations
 	// through boxing, closure captures or fresh conversion buffers.
+	sym := Symmetrize(g)
 	domainCases := []struct {
 		name, app, domain string
 	}{
@@ -87,21 +125,15 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		{"SSSPTree-dist32", "sssp", "dist32"},
 	}
 	for _, tc := range domainCases {
-		entry, ok := apps.LookupRunnable(tc.app, tc.domain)
+		entry, ok := LookupRunnable(tc.app, tc.domain)
 		if !ok {
 			t.Fatalf("%s: no registry entry", tc.name)
 		}
-		g, err := c.Graph("PK")
-		if err != nil {
-			t.Fatal(err)
-		}
+		view := g
 		if entry.NeedsSym {
-			g, err = c.Graph("PK:sym")
-			if err != nil {
-				t.Fatal(err)
-			}
+			view = sym
 		}
-		out, err := entry.Build(graph.VertexID(0), c.PRIters).Execute(g, cluster.Options{
+		out, err := entry.Build(graph.VertexID(0), iters).Execute(view, cluster.Options{
 			Nodes: 1, Threads: 2, Stealing: true, RR: true,
 			MeasureAllocs: true, Codec: compress.Adaptive{W: domWidth(tc.domain)},
 		})

@@ -15,8 +15,8 @@ import (
 	"slfe/internal/rrg"
 )
 
-// This file holds ablation studies for the design choices DESIGN.md calls
-// out, beyond the paper's own figures.
+// This file holds ablation studies of the reproduction's own design
+// choices, beyond the paper's own figures.
 
 // AblationDense sweeps the push/pull switch threshold (|E|/divisor; the
 // paper and Gemini use 20) to show the dual-mode engine's sensitivity on

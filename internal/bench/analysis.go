@@ -10,7 +10,6 @@ import (
 	"slfe/internal/core"
 	"slfe/internal/graph"
 	"slfe/internal/metrics"
-	"slfe/internal/trace"
 )
 
 // helpers shared by scale.go
@@ -47,15 +46,6 @@ func Figure9(c Config) error {
 			}
 			b := mergeComputationsPerIter(base.PerWorker)
 			r := mergeComputationsPerIter(rr.PerWorker)
-			// Export the full per-iteration traces for re-plotting.
-			if err := c.Trace.Table(fmt.Sprintf("fig9-%s-%s-worr", app, name),
-				trace.RunHeader, trace.RunRows(metrics.Merge(base.PerWorker))); err != nil {
-				return err
-			}
-			if err := c.Trace.Table(fmt.Sprintf("fig9-%s-%s-rr", app, name),
-				trace.RunHeader, trace.RunRows(metrics.Merge(rr.PerWorker))); err != nil {
-				return err
-			}
 			rows := len(b)
 			if len(r) > rows {
 				rows = len(r)

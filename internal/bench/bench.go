@@ -3,10 +3,9 @@
 // table to the configured writer; cmd/slfe-bench exposes them behind
 // -exp flags and bench_test.go wraps them in testing.B benchmarks.
 //
-// The seven real-world graphs are replaced by the deterministic proxies of
-// internal/gen (see DESIGN.md for the substitution argument); -scale
-// controls the down-scale factor (100 reproduces the DESIGN.md defaults,
-// 1000 runs in seconds).
+// The seven real-world graphs are replaced by the deterministic R-MAT
+// proxies of internal/gen, matched in average degree; -scale controls the
+// down-scale factor (1000 runs in seconds).
 package bench
 
 import (
@@ -21,7 +20,6 @@ import (
 	"slfe/internal/graph"
 	"slfe/internal/metrics"
 	"slfe/internal/rrg"
-	"slfe/internal/trace"
 )
 
 // Config configures an experiment run.
@@ -36,9 +34,6 @@ type Config struct {
 	PRIters int
 	// Out receives the table (required).
 	Out io.Writer
-	// Trace, when non-nil with a directory set, additionally exports the
-	// raw per-iteration series as TSV files for re-plotting.
-	Trace *trace.Exporter
 
 	cache map[string]*graph.Graph
 }

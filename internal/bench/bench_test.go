@@ -2,11 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
-
-	"slfe/internal/trace"
 )
 
 // tinyConfig keeps experiment smoke tests fast.
@@ -105,32 +102,5 @@ func TestPerIterSeconds(t *testing.T) {
 	}
 	if got := perIterSeconds("SSSP", 1e9, 10); got != 1.0 {
 		t.Fatalf("SSSP total = %v", got)
-	}
-}
-
-func TestTraceExportWritesSeries(t *testing.T) {
-	var buf bytes.Buffer
-	c := tinyConfig(&buf)
-	dir := t.TempDir()
-	c.Trace = &trace.Exporter{Dir: dir}
-	if err := Figure9(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := Figure2(c); err != nil {
-		t.Fatal(err)
-	}
-	files := c.Trace.Files()
-	// Figure 9 exports 2 traces per (3 apps x 2 graphs) plus Figure 2's one.
-	if len(files) != 13 {
-		t.Fatalf("exported %d files, want 13: %v", len(files), files)
-	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bytes.Split(data, []byte("\n"))) < 2 {
-			t.Fatalf("%s has no data rows", f)
-		}
 	}
 }

@@ -28,8 +28,7 @@ func Table1(c Config) error {
 
 // Table2 reproduces Table 2: SSSP value updates per (reached) vertex on the
 // PowerLyra proxy and the Gemini proxy (SLFE with RR off). The paper
-// reports 6.75-12.4 (PowerLyra) and 4.51-9.91 (Gemini); per-edge Bellman-
-// Ford update counting is defined in EXPERIMENTS.md.
+// reports 6.75-12.4 (PowerLyra) and 4.51-9.91 (Gemini).
 func Table2(c Config) error {
 	c.defaults()
 	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)
@@ -101,7 +100,6 @@ func Figure2(c Config) error {
 	fmt.Fprintln(tw, "Figure 2: % of early-converged vertices in PageRank")
 	fmt.Fprintln(tw, "graph\tEC%@90%\titers")
 	var sum float64
-	var exportRows [][]string
 	order := []string{"OK", "LJ", "WK", "DI", "PK", "ST", "FS"}
 	for _, name := range order {
 		res, err := c.RunSLFE("PR", name, c.Nodes, true)
@@ -125,11 +123,7 @@ func Figure2(c Config) error {
 		}
 		pct := 100 * float64(ec) / float64(g.NumVertices())
 		sum += pct
-		exportRows = append(exportRows, []string{name, fmt.Sprintf("%.2f", pct), fmt.Sprintf("%d", res.Result.Iterations)})
 		fmt.Fprintf(tw, "%s\t%.1f\t%d\n", name, pct, res.Result.Iterations)
-	}
-	if err := c.Trace.Table("fig2-ec-vertices", []string{"graph", "ec_pct", "iters"}, exportRows); err != nil {
-		return err
 	}
 	fmt.Fprintf(tw, "Avg\t%.1f\t\n", sum/float64(len(order)))
 	return tw.Flush()
@@ -219,8 +213,8 @@ func Table5(c Config) error {
 
 // Figure5 reproduces Figure 5: SLFE's runtime improvement over the Gemini
 // proxy (SLFE with RR disabled) per application and graph. The paper
-// reports 34-47% on its cluster; EXPERIMENTS.md discusses how the margin
-// compresses at proxy scale.
+// reports 34-47% on its cluster; README's "Where start late pays and where
+// it does not" records what RR buys on this engine.
 func Figure5(c Config) error {
 	c.defaults()
 	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)
@@ -303,20 +297,12 @@ var Experiments = map[string]func(Config) error{
 	"ablation-async":       AblationAsync,
 	"ablation-incremental": AblationIncremental,
 	"analytics":            Analytics,
-	"pipeline":             Pipeline,
-	"deltasync":            DeltaSync,
-	"hotpath":              Hotpath,
-	"overlap":              Overlap,
-	"valuewidth":           ValueWidth,
-	"serve":                Serve,
-	"recovery":             Recovery,
-	"storage":              Storage,
 }
 
 // All runs every experiment in a stable order.
 func All(c Config) error {
 	order := []string{"table1", "table4", "table2", "fig2", "fig4", "table5", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"ablation-dense", "ablation-partition", "ablation-guidance", "ablation-codec", "ablation-rebalance", "ablation-reorder", "ablation-async", "ablation-incremental", "analytics", "pipeline", "deltasync", "hotpath", "overlap", "valuewidth", "serve", "recovery", "storage"}
+		"ablation-dense", "ablation-partition", "ablation-guidance", "ablation-codec", "ablation-rebalance", "ablation-reorder", "ablation-async", "ablation-incremental", "analytics"}
 	for _, name := range order {
 		if err := Experiments[name](c); err != nil {
 			return fmt.Errorf("bench: %s: %w", name, err)

@@ -15,7 +15,7 @@ import (
 // and Ligra proxies at full thread count as the single-machine comparison
 // points. Runtimes are normalised to the 1-thread SLFE run, as in the
 // paper's log-scale plots. On a single-core host the thread sweep shows
-// scheduling overhead rather than speedup; see EXPERIMENTS.md.
+// scheduling overhead rather than speedup.
 func Figure6(c Config) error {
 	c.defaults()
 	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)

@@ -235,3 +235,59 @@ func TestFTCleanRunNoFalseDetection(t *testing.T) {
 		t.Fatal("clean FT run's values differ from a plain run")
 	}
 }
+
+// pkProxy materialises the PK dataset proxy at the given down-scale factor.
+func pkProxy(t *testing.T, scale int) *graph.Graph {
+	t.Helper()
+	d, err := gen.ByName("PK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Proxy(scale)
+}
+
+// recoverOnce kills rank 2 of a 3-rank SSSP run mid-way and returns the
+// recovery report after checking what no machine can change: exactly one
+// recovery epoch and values bit-identical to the undisturbed run. deadAfter
+// is the failure detector's silence threshold.
+func recoverOnce(t *testing.T, deadAfter time.Duration) *cluster.RecoveryReport {
+	t.Helper()
+	g := pkProxy(t, 4000)
+	opt := cluster.Options{Nodes: 3, Threads: 1}
+	base, err := cluster.Execute(g, apps.SSSP(0), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f := comm.NewFaults()
+	f.KillAfterSends(2, base.Comm.MessagesSent/2)
+	fopt := opt
+	fopt.FT = &cluster.FTOptions{
+		HeartbeatInterval: 5 * time.Millisecond,
+		SuspectAfter:      150 * time.Millisecond,
+		DeadAfter:         deadAfter,
+		CkptDir:           t.TempDir(),
+		CkptEvery:         2,
+		Faults:            f,
+	}
+	got, err := cluster.Execute(g, apps.SSSP(0), fopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := got.Recovery
+	if rep == nil || rep.Epochs != 2 {
+		t.Fatalf("recovery report = %+v, want one recovery epoch", rep)
+	}
+	for i := range base.Result.Values {
+		if got.Result.Values[i] != base.Result.Values[i] {
+			t.Fatalf("vertex %d: recovered %v != undisturbed %v", i, got.Result.Values[i], base.Result.Values[i])
+		}
+	}
+	return rep
+}
+
+// TestRecoveryBitIdentical is the machine-independent half of the recovery
+// guard; its latency bounds are TestRecoveryWithinBound (perf_test.go).
+func TestRecoveryBitIdentical(t *testing.T) {
+	recoverOnce(t, 400*time.Millisecond)
+}

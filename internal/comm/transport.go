@@ -107,9 +107,9 @@ type delayedMsg struct {
 
 // WithLatency wraps a transport so every delivery arrives one-way latency
 // d after its Send — an emulated-RTT harness for communication
-// experiments (the overlap benchmark uses it to model rack-scale links on
-// a loopback mesh). Close stops the forwarders; messages still in flight
-// at close time are dropped, like frames on a cut wire.
+// experiments (e.g. modelling rack-scale links on a loopback mesh). Close
+// stops the forwarders; messages still in flight at close time are
+// dropped, like frames on a cut wire.
 func WithLatency(t Transport, d time.Duration) Transport {
 	if d <= 0 {
 		return t

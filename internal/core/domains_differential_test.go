@@ -172,7 +172,7 @@ func TestDifferentialValueDomains(t *testing.T) {
 	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 8, 13)
 	sym := apps.Symmetrize(g)
 	// NumPaths and SpMV iteration bounds keep counts inside uint32 and
-	// magnitudes inside float32 (see the valuewidth experiment).
+	// magnitudes inside float32.
 	cases := []struct {
 		name string
 		g    *graph.Graph

@@ -96,15 +96,15 @@ type Config struct {
 	// pull-style supersteps of multi-worker runs stream their delta-sync
 	// frames while compute is still running (overlap.go); the two paths
 	// produce bit-identical results, and the serial one is kept as the
-	// overlapped path's differential oracle and the baseline of the
-	// `overlap` bench experiment. All workers must agree.
+	// overlapped path's differential oracle (slfe-run -serial-sync). All
+	// workers must agree.
 	SerialSync bool
 
 	// MeasureAllocs records per-superstep heap allocation deltas
 	// (runtime.ReadMemStats) into the iteration metrics. The counters are
 	// process-global, so the numbers are only attributable when a single
-	// worker runs in the process (the hotpath experiment's Nodes=1 mode);
-	// with in-process clusters they measure the whole cluster.
+	// worker runs in the process (Nodes=1, as apps.TestSteadyStateAllocBudget
+	// runs it); with in-process clusters they measure the whole cluster.
 	MeasureAllocs bool
 
 	// Rebalance enables dynamic inter-node boundary adjustment (the §5

@@ -108,7 +108,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		iter = int(snap.Iter) + 1
 	}
 
-	// Per-superstep heap-allocation deltas (the hotpath experiment's
+	// Per-superstep heap-allocation deltas (the alloc-budget guards'
 	// instrument). The window covers stepBegin through stepEnd — the
 	// steady-state path — and excludes checkpoint/rebalance ticks.
 	var mem runtime.MemStats

@@ -49,7 +49,7 @@ type IterStat struct {
 	// this superstep (stepBegin through stepEnd), recorded only under
 	// core.Config.MeasureAllocs. The runtime counters are process-global,
 	// so the numbers are per-worker only when one worker runs per process
-	// (the hotpath experiment's single-node mode).
+	// (a single-node run, as the alloc-budget guards use).
 	HeapAllocs int64
 	HeapBytes  int64
 	Time       time.Duration

@@ -1,27 +1,36 @@
-package bench
+package store_test
 
 import (
-	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"slfe/internal/apps"
 	"slfe/internal/cluster"
 	"slfe/internal/compress"
+	"slfe/internal/gen"
+	"slfe/internal/graph"
 	"slfe/internal/loader"
+	"slfe/internal/metrics"
 	"slfe/internal/store"
 )
+
+// pkProxy materialises the PK dataset proxy at the given down-scale factor.
+func pkProxy(t *testing.T, scale int) *graph.Graph {
+	t.Helper()
+	d, err := gen.ByName("PK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Proxy(scale)
+}
 
 // storageFiles writes the PK proxy once as the raw binary edge file and
 // once as SLFC and returns both paths with the edge count.
 func storageFiles(t *testing.T) (rawPath, cmpPath string, edges int64) {
 	t.Helper()
-	c := Config{Scale: 1000, Out: io.Discard}
-	g, err := c.Graph("PK")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := pkProxy(t, 1000)
 	dir := t.TempDir()
 	rawPath = filepath.Join(dir, "pk.slfg")
 	cmpPath = filepath.Join(dir, "pk.slfc")
@@ -32,6 +41,30 @@ func storageFiles(t *testing.T) (rawPath, cmpPath string, edges int64) {
 		t.Fatal(err)
 	}
 	return rawPath, cmpPath, g.NumEdges()
+}
+
+func bytesPerEdge(size, m int64) float64 {
+	if m == 0 {
+		return 0
+	}
+	return float64(size) / float64(m)
+}
+
+// steadyState returns the median per-superstep allocation count and bytes
+// over the last half of the run (the supersteps after pool warm-up).
+func steadyState(iters []metrics.IterStat) (allocs, bytes int64) {
+	if len(iters) == 0 {
+		return 0, 0
+	}
+	tail := iters[len(iters)/2:]
+	as := make([]int64, len(tail))
+	bs := make([]int64, len(tail))
+	for i, s := range tail {
+		as[i], bs[i] = s.HeapAllocs, s.HeapBytes
+	}
+	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
+	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
+	return as[len(as)/2], bs[len(bs)/2]
 }
 
 // TestStorageGuards is the CI regression guard for the compressed storage
@@ -58,10 +91,11 @@ func TestStorageGuards(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocBudgetStore extends the zero-allocation guard to the
-// disk-backed paths: a steady-state superstep over the mmap'd SLFC view and
-// over the out-of-core reader must stay inside the same budget as the heap
-// CSR — per-cursor block scratch is allocated on first touch and reused
+// TestSteadyStateAllocBudgetStore extends the zero-allocation guard
+// (apps.TestSteadyStateAllocBudget) to the disk-backed paths: a
+// steady-state superstep over the mmap'd SLFC view and over the
+// out-of-core reader must stay inside the same budget as the heap CSR —
+// per-cursor block scratch is allocated on first touch and reused
 // thereafter.
 func TestSteadyStateAllocBudgetStore(t *testing.T) {
 	if raceEnabled {
@@ -71,13 +105,8 @@ func TestSteadyStateAllocBudgetStore(t *testing.T) {
 		allocBudget = 256
 		byteBudget  = 256 << 10
 	)
-	c := Config{Scale: 4000, Nodes: 1, Threads: 2, PRIters: 20, Out: io.Discard}
-	g, err := c.Graph("PK")
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "pk.slfc")
-	if err := store.Write(path, g); err != nil {
+	if err := store.Write(path, pkProxy(t, 4000)); err != nil {
 		t.Fatal(err)
 	}
 	entry, ok := apps.LookupRunnable("pr", "f64")
@@ -89,7 +118,7 @@ func TestSteadyStateAllocBudgetStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out, err := entry.Build(0, c.PRIters).Execute(sg, cluster.Options{
+		out, err := entry.Build(0, 20).Execute(sg, cluster.Options{
 			Nodes: 1, Threads: 2, Stealing: true, RR: true,
 			MeasureAllocs: true, Codec: compress.Adaptive{},
 		})

@@ -1,6 +1,6 @@
 //go:build !race
 
-package bench
+package store_test
 
 // raceEnabled reports whether the race detector instruments this build
 // (instrumentation perturbs allocation counts, so the alloc-budget guard

@@ -1,6 +1,6 @@
 //go:build race
 
-package bench
+package store_test
 
 // raceEnabled reports whether the race detector instruments this build.
 const raceEnabled = true
