@@ -22,7 +22,7 @@ import (
 func main() {
 	in := flag.String("i", "", "input path (required unless -check)")
 	out := flag.String("o", "", "output path (required unless -check; .slfg = binary, .slfc = compressed CSR)")
-	check := flag.String("check", "", "deep-validate an .slfc file (every block, every varint) and exit")
+	check := flag.String("check", "", "deep-validate an .slfc file (every block, every id) and exit")
 	flag.Parse()
 	if *check != "" {
 		g, err := store.Open(*check)

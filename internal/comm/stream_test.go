@@ -314,61 +314,3 @@ func TestStreamExchangeApplyErrorAborts(t *testing.T) {
 		t.Fatalf("Finish error = %v, want the injected apply failure", err)
 	}
 }
-
-// TestWithLatencyDelaysDeliveryInOrder checks the emulated-RTT wrapper:
-// delivery happens no earlier than the one-way latency, Send returns
-// immediately (pipelined, not serialised), order is preserved, and the
-// collectives still work through it.
-func TestWithLatencyDelaysDeliveryInOrder(t *testing.T) {
-	inner, err := NewLocalGroup(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const d = 20 * time.Millisecond
-	ts := []Transport{WithLatency(inner[0], d), WithLatency(inner[1], d)}
-	defer ts[0].Close()
-	defer ts[1].Close()
-	start := time.Now()
-	for i := 0; i < 5; i++ {
-		if err := ts[0].Send(1, TypeUser, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sendTime := time.Since(start); sendTime > d/2 {
-		t.Fatalf("sends blocked for %v; latency must apply to delivery, not Send", sendTime)
-	}
-	for i := 0; i < 5; i++ {
-		m, err := ts[1].Recv(TypeUser)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Payload[0] != byte(i) {
-			t.Fatalf("message %d delivered out of order (got %d)", i, m.Payload[0])
-		}
-		if i == 0 {
-			if early := time.Since(start); early < d {
-				t.Fatalf("first delivery after %v, want >= %v", early, d)
-			}
-		}
-	}
-	// Messages are pipelined: 5 deliveries cost ~one latency, not five.
-	if total := time.Since(start); total > 4*d {
-		t.Fatalf("5 pipelined deliveries took %v; latency is serialising", total)
-	}
-	// A collective still works through the wrapper.
-	res := make(chan int64, 2)
-	for rank := 0; rank < 2; rank++ {
-		go func(rank int) {
-			v, err := NewComm(ts[rank]).AllReduceI64(int64(rank+1), OpSum)
-			if err != nil {
-				v = -1
-			}
-			res <- v
-		}(rank)
-	}
-	for i := 0; i < 2; i++ {
-		if v := <-res; v != 3 {
-			t.Fatalf("AllReduce through latency wrapper = %d, want 3", v)
-		}
-	}
-}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Message is one delivered payload.
@@ -68,7 +67,6 @@ type Transport interface {
 	Stats() Stats
 }
 
-// Stats counts traffic through a transport.
 // Aborter is implemented by transports that can tear down the whole group
 // on unrecoverable local failure, unblocking peers that would otherwise
 // wait forever for this rank's messages. Close only shuts down the local
@@ -85,114 +83,7 @@ func Abort(t Transport) {
 	}
 }
 
-// latencyTransport models network propagation delay for experiments: every
-// payload is delivered one fixed one-way latency after Send, but Send
-// itself returns immediately — like a real pipe, any number of messages
-// can be in flight. One forwarder goroutine per destination preserves the
-// per-(sender, type) FIFO order the Transport contract requires.
-type latencyTransport struct {
-	Transport
-	d      time.Duration
-	queues []chan delayedMsg
-	done   chan struct{}
-	closed atomic.Bool
-	wg     sync.WaitGroup
-}
-
-type delayedMsg struct {
-	typ     uint16
-	payload []byte
-	due     time.Time
-}
-
-// WithLatency wraps a transport so every delivery arrives one-way latency
-// d after its Send — an emulated-RTT harness for communication
-// experiments (e.g. modelling rack-scale links on a loopback mesh). Close
-// stops the forwarders; messages still in flight at close time are
-// dropped, like frames on a cut wire.
-func WithLatency(t Transport, d time.Duration) Transport {
-	if d <= 0 {
-		return t
-	}
-	lt := &latencyTransport{
-		Transport: t,
-		d:         d,
-		queues:    make([]chan delayedMsg, t.Size()),
-		done:      make(chan struct{}),
-	}
-	for i := range lt.queues {
-		q := make(chan delayedMsg, 4096)
-		lt.queues[i] = q
-		lt.wg.Add(1)
-		go lt.forward(i, q)
-	}
-	return lt
-}
-
-func (t *latencyTransport) forward(to int, q chan delayedMsg) {
-	defer t.wg.Done()
-	for {
-		select {
-		case <-t.done:
-			return
-		case m := <-q:
-			if wait := time.Until(m.due); wait > 0 {
-				time.Sleep(wait)
-			}
-			if t.closed.Load() {
-				return
-			}
-			if t.Transport.Send(to, m.typ, m.payload) != nil {
-				return // endpoint gone; forward nothing further to this peer
-			}
-		}
-	}
-}
-
-func (t *latencyTransport) Send(to int, typ uint16, payload []byte) error {
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	if to < 0 || to >= t.Size() {
-		return fmt.Errorf("comm: send to invalid rank %d (size %d)", to, t.Size())
-	}
-	// Copy: the sender reuses its buffers the moment Send returns, but the
-	// payload only hits the inner transport when the latency elapses.
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	select {
-	case t.queues[to] <- delayedMsg{typ: typ, payload: p, due: time.Now().Add(t.d)}:
-		return nil
-	case <-t.done:
-		return ErrClosed
-	}
-}
-
-// stop shuts the forwarders down exactly once (dropping in-flight
-// messages), whether reached through Close or Abort — either entry must
-// release the goroutines, or they leak with their queues pinned.
-func (t *latencyTransport) stop() {
-	if t.closed.CompareAndSwap(false, true) {
-		close(t.done)
-		t.wg.Wait()
-	}
-}
-
-// Close stops the forwarders and closes the wrapped transport. Idempotent
-// and safe to race Sends and Abort, like every Transport Close.
-func (t *latencyTransport) Close() error {
-	t.stop()
-	return t.Transport.Close()
-}
-
-// Abort implements Aborter: the wrapped transport is torn down first so a
-// forwarder blocked in its Send returns an error, then the forwarders are
-// stopped.
-func (t *latencyTransport) Abort() {
-	Abort(t.Transport)
-	t.stop()
-}
-
+// Stats counts traffic through a transport.
 type Stats struct {
 	MessagesSent int64
 	BytesSent    int64

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"math"
-	"math/bits"
 
 	"slfe/internal/graph"
 )
@@ -170,7 +169,7 @@ func (c *Cursor) load(d *dirRef, dc *dirCur, b int64) {
 	dc.rel = grow(dc.rel, nv+1)
 	rel := dc.rel
 	g.relOffsets(d, start, rel)
-	// Every edge costs at least one varint byte, so a block claiming more
+	// Every edge costs at least one data byte, so a block claiming more
 	// edges than it has bytes is corrupt; clamping here bounds scratch by
 	// the (already size-checked) section length.
 	cnt := min(max(rel[nv], 0), len(raw))
@@ -182,44 +181,24 @@ func (c *Cursor) load(d *dirRef, dc *dirCur, b int64) {
 	dc.block, dc.start = b, start
 	dc.ids = grow(dc.ids, cnt)
 	ids := dc.ids
+	k, _ := decodeBlock(ids, raw)
 
+	// Each list's first value is absolute, the rest are gaps. A sum ≥ n is
+	// corrupt and reads as 0; so does every value after a truncation
+	// (Validate reports both).
 	n := uint64(g.n)
-	pos := 0
 	for i := 0; i < nv; i++ {
 		dst := ids[rel[i]:rel[i+1]]
-		id := uint64(0) // first value is absolute, the rest are gaps
-		for j := range dst {
-			var x uint64
-			k := 0
-			if pos+4 <= len(raw) {
-				// Branch-light fast path: one 4-byte load holds any value
-				// below 2^28 (MaxVertices is 2^27). The lowest clear
-				// continuation bit ends the value: its position gives the
-				// length k, the bytes above it are masked off, and the
-				// 7-bit groups that remain are packed.
-				w := binary.LittleEndian.Uint32(raw[pos:])
-				if stop := ^w & 0x80808080; stop != 0 {
-					k = (bits.TrailingZeros32(stop) + 1) >> 3
-					w &= stop ^ (stop - 1)
-					x = uint64(w&0x7f | w&0x7f00>>1 | w&0x7f0000>>2 | w&0x7f000000>>3)
-				}
-			}
-			if k == 0 {
-				// Block tail, values of five bytes and more, corrupt input.
-				if x, k = binary.Uvarint(raw[pos:]); k <= 0 {
-					clear(ids[rel[i]+j:])
-					return
-				}
-			}
-			pos += k
-			id += x
+		id := uint64(0)
+		for j, x := range dst {
+			id += uint64(x)
+			dst[j] = uint32(id)
 			if id >= n {
-				dst[j] = 0 // corrupt gap: stay in-range, Validate() reports it
-			} else {
-				dst[j] = graph.VertexID(id)
+				dst[j] = 0
 			}
 		}
 	}
+	clear(ids[k:])
 }
 
 // loadWeights decodes the weights of dc's current id block.
@@ -278,8 +257,9 @@ func grow[T any](b []T, n int) []T {
 
 // Validate decodes every block of both directions and re-checks the whole
 // offset index, returning an ErrBadFormat-wrapped error on the first
-// defect: non-monotone edge offsets, varint decode running past its block,
-// or neighbour ids out of range. Open only checks
+// defect: non-monotone edge offsets, a control region or data that overruns
+// its block, control codes that do not cover the block exactly (or unused
+// codes that are not zero), or neighbour ids out of range. Open only checks
 // structure (O(nBlocks)); Validate is the deep O(m) check used by the
 // fuzzer, corruption tests and `slfe-convert -check`.
 func (g *Graph) Validate() error {
@@ -305,6 +285,7 @@ func (g *Graph) Validate() error {
 func (g *Graph) validateDir(name string, d *dirRef) error {
 	nb := g.numBlocks()
 	var buf, wb []byte
+	var ids []uint32
 	for b := int64(0); b < nb; b++ {
 		start := b << g.shift
 		end := start + int64(1)<<g.shift
@@ -316,30 +297,30 @@ func (g *Graph) validateDir(name string, d *dirRef) error {
 		if err != nil {
 			return badf("%s block %d: read: %v", name, b, err)
 		}
-		pos := 0
-		edges := int64(0)
-		for v := start; v < end; v++ {
-			deg := g.edgeOff(d, v+1) - g.edgeOff(d, v)
-			var prev uint64
-			for j := int64(0); j < deg; j++ {
-				x, k := binary.Uvarint(raw[pos:])
-				if k <= 0 {
-					return badf("%s block %d: varint truncated at vertex %d edge %d", name, b, v, j)
-				}
-				pos += k
-				if j == 0 {
-					prev = x
-				} else {
-					prev += x
-				}
-				if prev >= uint64(g.n) {
-					return badf("%s block %d: vertex %d has neighbour %d out of range [0,%d)", name, b, v, prev, g.n)
-				}
-				edges++
-			}
+		edges := g.edgeOff(d, end) - g.edgeOff(d, start)
+		if nc := (edges + 3) / 4; nc > int64(len(raw)) {
+			return badf("%s block %d: %d control bytes for %d edges overrun the %d-byte block", name, b, nc, edges, len(raw))
 		}
-		if int64(pos) != o1-o0 {
-			return badf("%s block %d: %d trailing bytes after %d edges", name, b, o1-o0-int64(pos), edges)
+		ids = grow(ids, int(edges))
+		k, used := decodeBlock(ids, raw)
+		if k < len(ids) {
+			return badf("%s block %d: data truncated at edge %d of %d", name, b, k, edges)
+		}
+		if used != len(raw) {
+			return badf("%s block %d: control codes cover %d of %d bytes", name, b, used, len(raw))
+		}
+		if r := edges % 4; r != 0 && raw[edges/4]>>(2*r) != 0 {
+			return badf("%s block %d: nonzero codes after the last of %d edges", name, b, edges)
+		}
+		base := g.edgeOff(d, start)
+		for v := start; v < end; v++ {
+			var id uint64
+			for _, x := range ids[g.edgeOff(d, v)-base : g.edgeOff(d, v+1)-base] {
+				id += uint64(x)
+				if id >= uint64(g.n) {
+					return badf("%s block %d: vertex %d has neighbour %d out of range [0,%d)", name, b, v, id, g.n)
+				}
+			}
 		}
 		if d.wmode == WVarint {
 			w0, w1 := g.wBlockOff(d, b), g.wBlockOff(d, b+1)

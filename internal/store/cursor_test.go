@@ -175,32 +175,27 @@ func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 	}
 }
 
-// referenceBlock decodes block b of one direction the plain way — one
-// binary.Uvarint per value, bounded by the block's bytes — with the cursor's
-// documented degradations on corrupt content: a value that does not decode
+// referenceBlock decodes block b of one direction the plain way — refDecode,
+// then each vertex's running sum — with the cursor's documented degradations
+// on corrupt content: a block holds at most one edge per byte (the rest of
+// the index's edges read as empty lists), a value that does not decode
 // zero-fills the rest of the block's ids, an id ≥ n reads as 0, a weight that
 // does not decode (or exceeds u32) reads as 1.
 func referenceBlock(g *Graph, d *dirRef, b int64) (ids []graph.VertexID, ws []float32) {
 	start := b << g.shift
 	end := min(start+int64(1)<<g.shift, int64(g.n))
-	cnt := g.edgeOff(d, end) - g.edgeOff(d, start)
 	raw := d.adj[g.blockOff(d, b):g.blockOff(d, b+1)]
+	base := g.edgeOff(d, start)
+	cnt := min(g.edgeOff(d, end)-base, int64(len(raw)))
+	vals, _ := refDecode(raw, int(cnt))
 	ids = make([]graph.VertexID, cnt)
-	pos, idx := 0, 0
-decode:
 	for v := start; v < end; v++ {
 		var id uint64
-		for j := g.edgeOff(d, v); j < g.edgeOff(d, v+1); j++ {
-			x, k := binary.Uvarint(raw[pos:])
-			if k <= 0 {
-				break decode
-			}
-			pos += k
-			id += x
+		for j := min(g.edgeOff(d, v)-base, cnt); j < min(g.edgeOff(d, v+1)-base, int64(len(vals))); j++ {
+			id += uint64(vals[j])
 			if id < uint64(g.n) {
-				ids[idx] = graph.VertexID(id)
+				ids[j] = graph.VertexID(id)
 			}
-			idx++
 		}
 	}
 	if d.wmode != WVarint {
@@ -208,7 +203,7 @@ decode:
 	}
 	ws = make([]float32, cnt)
 	wraw := d.w[g.wBlockOff(d, b):g.wBlockOff(d, b+1)]
-	pos = 0
+	pos := 0
 	for i := range ws {
 		x, k := binary.Uvarint(wraw[pos:])
 		if k <= 0 || x > math.MaxUint32 {
@@ -234,25 +229,28 @@ func TestCorruptContentMatchesReferenceDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outAdj, inAdj, outW := secStart(base, secOutAdj), secStart(base, secInAdj), secStart(base, secOutW)
+	outAdj, outW := secStart(base, secOutAdj), secStart(base, secOutW)
 	adjLen := int64(binary.LittleEndian.Uint64(base[32+8*secOutAdj:]))
 	wLen := int64(binary.LittleEndian.Uint64(base[32+8*secOutW:]))
 
 	cases := map[string]func(img []byte){
 		"untouched": func([]byte) {},
-		"value cut off by the last byte of block 0": func(img []byte) { img[outAdj+clean.blockOff(&clean.out, 1)-1] |= 0x80 },
-		"value cut off two bytes before the block end": func(img []byte) {
-			o := outAdj + clean.blockOff(&clean.out, 2)
-			img[o-3], img[o-2], img[o-1] = 0x81, 0x82, 0x83
+		"control region cut by the block end": func(img []byte) {
+			// Block 1 keeps one byte, fewer than its control bytes.
+			blk := secStart(img, secOutBlk)
+			binary.LittleEndian.PutUint64(img[blk+16:], uint64(clean.blockOff(&clean.out, 1)+1))
 		},
-		"value cut off by the end of the section":   func(img []byte) { img[outAdj+adjLen-1] |= 0x80 },
-		"in-direction value cut off by a block end": func(img []byte) { img[inAdj+clean.blockOff(&clean.in, 3)-1] |= 0x80 },
-		"five-byte gap far beyond n": func(img []byte) {
-			copy(img[outAdj+clean.blockOff(&clean.out, 1):], []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+		"4-byte codes in the last group of block 0": func(img []byte) { fourByteLastGroup(blockOf(img, false, 0)) },
+		"4-byte codes in the last in-block":         func(img []byte) { fourByteLastGroup(blockOf(img, true, lastBlock(img))) },
+		"data cut off by the end of the section":    func(img []byte) { fourByteLastGroup(blockOf(img, false, lastBlock(img))) },
+		"nonzero unused codes": func(img []byte) {
+			raw, cnt, _ := findOutBlock(t, img, oddCount)
+			raw[cnt/4] |= 0xff << (2 * (cnt % 4))
 		},
-		"four-byte gap beyond n": func(img []byte) { copy(img[outAdj+clean.blockOff(&clean.out, 1):], []byte{0xff, 0xff, 0xff, 0x7f}) },
-		"ten continuation bytes": func(img []byte) {
-			copy(img[outAdj+7:], []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
+		"gap beyond n": func(img []byte) {
+			raw, cnt, i := findOutBlock(t, img, wideValue)
+			at, l := blockValue(raw, cnt, i)
+			raw[at+l-1] = 0xff // now ≥ 0xff00; n is 300
 		},
 		"one weight byte with a continuation bit":       func(img []byte) { img[outW+3] |= 0x80 },
 		"last weight byte of a block with continuation": func(img []byte) { img[outW+clean.wBlockOff(&clean.out, 1)-1] |= 0x80 },
@@ -300,7 +298,8 @@ func TestCorruptContentMatchesReferenceDecode(t *testing.T) {
 					} else {
 						gotIDs, gotWs = dir.ids(id), dir.weights(id)
 					}
-					lo, hi := g.edgeOff(dir.d, v)-base, g.edgeOff(dir.d, v+1)-base
+					cnt := int64(len(wantIDs))
+					lo, hi := min(g.edgeOff(dir.d, v)-base, cnt), min(g.edgeOff(dir.d, v+1)-base, cnt)
 					if !slices.Equal(gotIDs, wantIDs[lo:hi]) {
 						t.Fatalf("%s: %s ids of vertex %d: got %v, reference decode %v", name, dir.name, v, gotIDs, wantIDs[lo:hi])
 					}

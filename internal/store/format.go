@@ -9,7 +9,7 @@
 //
 //	offset  size  field
 //	0       4     magic "SLFC"
-//	4       4     u32 version (currently 1)
+//	4       4     u32 version (currently 2)
 //	8       8     u64 vertex count n
 //	16      8     u64 edge count m
 //	24      4     u32 flags (bit 0: edge-offset entries are u64, not u32)
@@ -24,8 +24,10 @@
 //
 //	edge-offset index   (n+1) cumulative edge counts, u32 (u64 if flagged)
 //	block-offset table  (nBlocks+1) u64 byte offsets into adjacency data
-//	adjacency data      per block: per vertex, uvarint(first id) then
-//	                    uvarint gaps (ids ascending; 0 gaps allowed)
+//	adjacency data      per block of cnt edges: ceil(cnt/4) control bytes,
+//	                    then the data bytes (see block.go); the values
+//	                    are, per vertex, the first id then the gaps
+//	                    (ids ascending; 0 gaps allowed)
 //	weight block table  (nBlocks+1) u64, present only for mode 1
 //	weight data         mode 1: uvarint u32 per edge; mode 2: raw f32 LE
 //
@@ -47,8 +49,9 @@ import (
 // Magic identifies an SLFC file (first four bytes).
 const Magic = "SLFC"
 
-// Version is the current format version.
-const Version = 1
+// Version is the current format version. Version 1 (uvarint adjacency) is
+// no longer read.
+const Version = 2
 
 const (
 	headerSize  = 112
@@ -107,7 +110,7 @@ type dirRef struct {
 	// Mapped mode.
 	off []byte // edge-offset index (u32 or u64 entries)
 	blk []byte // adjacency block-offset table (u64 entries)
-	adj []byte // adjacency varint data
+	adj []byte // adjacency blocks
 	wbk []byte // weight block-offset table (WVarint only)
 	w   []byte // weight data
 
@@ -257,7 +260,10 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 	if string(hdr[0:4]) != Magic {
 		return nil, badf("bad magic %q (want %q)", hdr[0:4], Magic)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != Version {
+	switch v := binary.LittleEndian.Uint32(hdr[4:]); {
+	case v == 1:
+		return nil, badf("version 1 files are no longer read: re-convert the graph from its .slfg or edge list with slfe-convert")
+	case v != Version:
 		return nil, badf("unsupported version %d (want %d)", v, Version)
 	}
 	n64 := binary.LittleEndian.Uint64(hdr[8:])
@@ -359,7 +365,7 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 			}
 		}
 	}
-	// A varint edge is at least one byte, so m bounds every adjacency
+	// An edge is at least one data byte, so m bounds every adjacency
 	// section — this caps per-block decode scratch before any content
 	// is trusted.
 	if uint64(lens[secOutAdj]) < m64 || uint64(lens[secInAdj]) < m64 {

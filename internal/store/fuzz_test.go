@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"slfe/internal/gen"
@@ -109,6 +110,69 @@ func secStart(img []byte, idx int) int64 {
 	return align8(pos)
 }
 
+// blockOf returns block b of one direction of a narrow-offset image: its
+// bytes, aliasing img, and its edge count from the index.
+func blockOf(img []byte, in bool, b int64) (raw []byte, cnt int) {
+	sec := 0
+	if in {
+		sec = secInOff - secOutOff
+	}
+	off, blk, adj := secStart(img, secOutOff+sec), secStart(img, secOutBlk+sec), secStart(img, secOutAdj+sec)
+	n, shift := int64(binary.LittleEndian.Uint64(img[8:])), img[28]
+	edge := func(v int64) int { return int(binary.LittleEndian.Uint32(img[off+4*min(v, n):])) }
+	at := func(b int64) int64 { return adj + int64(binary.LittleEndian.Uint64(img[blk+8*b:])) }
+	return img[at(b):at(b+1)], edge((b+1)<<shift) - edge(b<<shift)
+}
+
+// lastBlock is the index of an image's last block.
+func lastBlock(img []byte) int64 {
+	return (int64(binary.LittleEndian.Uint64(img[8:])) - 1) >> img[28]
+}
+
+// blockValue locates value i of a block of cnt values: the offset of its
+// first data byte and its length.
+func blockValue(raw []byte, cnt, i int) (at, l int) {
+	at = (cnt + 3) / 4
+	for j := 0; j < i; j++ {
+		at += int(raw[j/4]>>(2*(j%4))&3) + 1
+	}
+	return at, int(raw[i/4]>>(2*(i%4))&3) + 1
+}
+
+// fourByteLastGroup makes a block's last control byte claim four data bytes
+// for every value it covers, so the data overruns the block end.
+func fourByteLastGroup(raw []byte, cnt int) {
+	mask := byte(0xff)
+	if r := cnt % 4; r != 0 {
+		mask = 1<<(2*r) - 1
+	}
+	raw[(cnt-1)/4] |= mask
+}
+
+// findOutBlock returns the first out-block value that matches — its block,
+// the block's count and its index — and fails the test when none does.
+func findOutBlock(t *testing.T, img []byte, match func(raw []byte, cnt, i int) bool) (raw []byte, cnt, i int) {
+	t.Helper()
+	for b := int64(0); b <= lastBlock(img); b++ {
+		raw, cnt := blockOf(img, false, b)
+		for i := 0; i < cnt; i++ {
+			if match(raw, cnt, i) {
+				return raw, cnt, i
+			}
+		}
+	}
+	t.Fatal("no out-block matches")
+	return nil, 0, 0
+}
+
+// wideValue finds an out-block value of two bytes or more: setting its top
+// byte makes it at least 0xff00.
+func wideValue(raw []byte, cnt, i int) bool { _, l := blockValue(raw, cnt, i); return l > 1 }
+
+// oddCount finds an out-block whose count is not a multiple of 4, so its last
+// control byte has unused codes.
+func oddCount(_ []byte, cnt, _ int) bool { return cnt%4 != 0 }
+
 // TestCorruptionRejected drives targeted defects through the decoder. Each
 // mutation must surface as an ErrBadFormat-wrapped error — at open for
 // structural damage, at Validate for content damage — and must never panic
@@ -127,12 +191,22 @@ func TestCorruptionRejected(t *testing.T) {
 		// lateOK: the defect is content-level, allowed to pass open and
 		// be caught by Validate instead.
 		lateOK bool
+		// want: substrings the error must contain.
+		want []string
 	}{
 		{name: "empty file", mut: func(img []byte) []byte { return nil }},
 		{name: "truncated header", mut: func(img []byte) []byte { return img[:headerSize-1] }},
 		{name: "truncated tail", mut: func(img []byte) []byte { return img[:len(img)-5] }},
 		{name: "bad magic", mut: func(img []byte) []byte { img[0] ^= 0xff; return img }},
 		{name: "bad version", mut: func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[4:], 0)
+			return img
+		}},
+		{name: "v1 header", want: []string{"version 1", "slfe-convert"}, mut: func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[4:], 1)
+			return img
+		}},
+		{name: "future version", want: []string{"unsupported version 3"}, mut: func(img []byte) []byte {
 			binary.LittleEndian.PutUint32(img[4:], Version+1)
 			return img
 		}},
@@ -194,7 +268,7 @@ func TestCorruptionRejected(t *testing.T) {
 		{name: "adjacency garbage", lateOK: true, mut: func(img []byte) []byte {
 			adj := secStart(img, secOutAdj)
 			for i := int64(0); i < 64; i++ {
-				img[adj+i] = 0xff // unterminated varints, huge deltas
+				img[adj+i] = 0xff // 4-byte codes, huge values
 			}
 			return img
 		}},
@@ -205,27 +279,46 @@ func TestCorruptionRejected(t *testing.T) {
 			}
 			return img
 		}},
-		// The cursor's fast paths (4-byte id loads, byte weights) at their
-		// edges; TestCorruptContentMatchesReferenceDecode pins the decoded
-		// values, these rows that Validate objects and the walk stays in range.
+		// Values cut off at the edges of the id decoder's fast path and of the
+		// byte-weight path; a "varint" is one variable-length value.
+		// TestCorruptContentMatchesReferenceDecode pins the decoded values,
+		// these rows that Validate objects and the walk stays in range.
 		{name: "varint cut off by the last byte of a block", lateOK: true, mut: func(img []byte) []byte {
-			second := binary.LittleEndian.Uint64(img[secStart(img, secOutBlk)+8:])
-			img[secStart(img, secOutAdj)+int64(second)-1] |= 0x80
+			fourByteLastGroup(blockOf(img, false, 0))
 			return img
 		}},
 		{name: "varint cut off two bytes before a block end", lateOK: true, mut: func(img []byte) []byte {
-			second := binary.LittleEndian.Uint64(img[secStart(img, secOutBlk)+8:])
-			end := secStart(img, secOutAdj) + int64(second)
-			img[end-3], img[end-2], img[end-1] = 0x81, 0x82, 0x83
+			// Block 0 ends two bytes early; block 1 starts with them.
+			blk := secStart(img, secOutBlk)
+			binary.LittleEndian.PutUint64(img[blk+8:], binary.LittleEndian.Uint64(img[blk+8:])-2)
 			return img
 		}},
 		{name: "varint cut off by the end of the adjacency section", lateOK: true, mut: func(img []byte) []byte {
-			adjLen := binary.LittleEndian.Uint64(img[32+8*secOutAdj:])
-			img[secStart(img, secOutAdj)+int64(adjLen)-1] |= 0x80
+			fourByteLastGroup(blockOf(img, false, lastBlock(img)))
 			return img
 		}},
 		{name: "five-byte gap", lateOK: true, mut: func(img []byte) []byte {
-			copy(img[secStart(img, secOutAdj):], []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+			// Values stop at four bytes; the nearest defect is a wide gap
+			// pushed far beyond n.
+			raw, cnt, i := findOutBlock(t, img, wideValue)
+			at, l := blockValue(raw, cnt, i)
+			raw[at+l-1] = 0xff
+			return img
+		}},
+		{name: "control region overruns the block", lateOK: true, mut: func(img []byte) []byte {
+			// Block 0 keeps one byte, fewer than its control bytes.
+			blk := secStart(img, secOutBlk)
+			binary.LittleEndian.PutUint64(img[blk+8:], 1)
+			return img
+		}},
+		{name: "control codes short of the block", lateOK: true, mut: func(img []byte) []byte {
+			raw, _, i := findOutBlock(t, img, wideValue)
+			raw[i/4] -= 1 << (2 * (i % 4)) // one byte shorter: the block has one left over
+			return img
+		}},
+		{name: "nonzero unused control codes", lateOK: true, mut: func(img []byte) []byte {
+			raw, cnt, _ := findOutBlock(t, img, oddCount)
+			raw[cnt/4] |= 0xff << (2 * (cnt % 4))
 			return img
 		}},
 		{name: "byte-per-edge weight block with a continuation bit", lateOK: true, mut: func(img []byte) []byte {
@@ -240,6 +333,11 @@ func TestCorruptionRejected(t *testing.T) {
 			if err != nil {
 				if !errors.Is(err, ErrBadFormat) {
 					t.Fatalf("open error does not wrap ErrBadFormat: %v", err)
+				}
+				for _, w := range tc.want {
+					if !strings.Contains(err.Error(), w) {
+						t.Fatalf("open error %q does not mention %q", err, w)
+					}
 				}
 				return
 			}

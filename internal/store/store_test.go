@@ -56,6 +56,7 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 		"floats":      fracWeights(gen.RMAT(300, 2500, gen.DefaultRMAT, 64, 13)), // raw f32
 		"grid":        gen.Grid(20, 25, 8, 3),
 		"singleblock": gen.Uniform(50, 600, 4, 5),
+		"hub":         gen.Star(70_002), // one block of 70,001 out-edges
 	}
 }
 

@@ -54,7 +54,8 @@ func (s *sectionWriter) writeZeros(n int64) error {
 
 // dirEnc streams one direction's adjacency (and weights, diverted to a
 // temp file so they land in their own later section) as emit is called
-// once per vertex in ascending order.
+// once per vertex in ascending order. A block's ids are buffered until the
+// block ends, because its control bytes precede its data.
 type dirEnc struct {
 	sw     *sectionWriter
 	n      int
@@ -68,6 +69,17 @@ type dirEnc struct {
 	wblk   []uint64
 	wtmp   *bufio.Writer
 	tmp    [binary.MaxVarintLen64]byte
+	vals   []uint32 // the current block's values
+	enc    []byte   // the current block's encoding
+}
+
+// flush writes the buffered block.
+func (e *dirEnc) flush() error {
+	e.enc = appendBlock(e.enc[:0], e.vals)
+	e.vals = e.vals[:0]
+	e.adjLen += int64(len(e.enc))
+	_, err := e.sw.Write(e.enc)
+	return err
 }
 
 func (e *dirEnc) emit(ids []graph.VertexID, ws []float32) error {
@@ -77,6 +89,9 @@ func (e *dirEnc) emit(ids []graph.VertexID, ws []float32) error {
 	}
 	e.v++
 	if v&(1<<e.shift-1) == 0 {
+		if err := e.flush(); err != nil {
+			return err
+		}
 		e.blk = append(e.blk, uint64(e.adjLen))
 		if e.wmode == WVarint {
 			e.wblk = append(e.wblk, uint64(e.wLen))
@@ -97,11 +112,7 @@ func (e *dirEnc) emit(ids []graph.VertexID, ws []float32) error {
 			}
 			gap = uint64(id) - prev
 		}
-		k := binary.PutUvarint(e.tmp[:], gap)
-		if _, err := e.sw.Write(e.tmp[:k]); err != nil {
-			return err
-		}
-		e.adjLen += int64(k)
+		e.vals = append(e.vals, uint32(gap))
 		prev = uint64(id)
 	}
 	switch e.wmode {
@@ -216,6 +227,9 @@ func writeFile(f *os.File, n int, m int64, wmode byte,
 		}
 		if enc.v != n {
 			return fmt.Errorf("store: direction %d emitted %d of %d vertices", dir, enc.v, n)
+		}
+		if err := enc.flush(); err != nil {
+			return err
 		}
 		enc.blk = append(enc.blk, uint64(enc.adjLen))
 		blkTab[dir] = enc.blk
