@@ -16,10 +16,10 @@ import (
 // registered runnable in this package implements it.
 type Incremental interface {
 	Runnable
-	// GuidanceRoots returns the root set redundancy-reduction guidance
-	// must describe for this program on g — the same choice
-	// cluster.ExecuteOver makes (program roots for min/max, the reusable
-	// default set for arith).
+	// GuidanceRoots returns the root set a resident service maintains this
+	// program's redundancy-reduction guidance for on g: program roots for
+	// min/max, the reusable default set for arith. (A plain cluster run
+	// shares the graph's default-root guidance instead; see rrg.Shared.)
 	GuidanceRoots(g *graph.Graph) []graph.VertexID
 	// ExecuteIn runs the program cold on a resident session and returns
 	// the outcome plus resumable warm-start state.

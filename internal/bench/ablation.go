@@ -324,18 +324,16 @@ func AblationGuidanceReuse(c Config) error {
 	if err != nil {
 		return err
 	}
-	gd := rrg.Generate(g, rrg.DefaultRoots(g), nil)
+	gd, _ := rrg.Shared(g, nil)
 	fmt.Fprintf(tw, "RRG generation (once)\t%.5fs\trounds=%d maxLastIter=%d\n",
 		gd.GenTime.Seconds(), gd.Rounds, gd.MaxLastIter)
 	fmt.Fprintln(tw, "app\tseconds (guidance reused)")
 	for _, app := range []string{"SSSP", "WP", "PR", "TR"} {
-		res, err := c.RunSLFE(app, "FS", c.Nodes, true, func(o *cluster.Options) {
-			o.Guidance = gd
-		})
+		res, err := c.RunSLFE(app, "FS", c.Nodes, true)
 		if err != nil {
 			return err
 		}
-		if res.PreprocessTime != 0 {
+		if res.Guidance != gd || res.PreprocessTime != 0 {
 			return fmt.Errorf("bench: guidance was regenerated despite reuse")
 		}
 		fmt.Fprintf(tw, "%s\t%.4f\n", app, res.Elapsed.Seconds())

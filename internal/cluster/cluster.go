@@ -31,10 +31,12 @@ type Options struct {
 	Stealing bool
 	// RR enables redundancy reduction.
 	RR bool
-	// GuidanceRoots seeds preprocessing (nil: rrg.DefaultRoots ∪ program
-	// roots).
+	// GuidanceRoots, when non-nil, generates a private guidance from these
+	// roots for this run (nil: the graph's shared rrg.DefaultRoots guidance,
+	// see rrg.Shared).
 	GuidanceRoots []graph.VertexID
-	// Guidance reuses a previously generated guidance (skips preprocessing).
+	// Guidance reuses a previously generated guidance (skips preprocessing;
+	// takes precedence over GuidanceRoots).
 	Guidance *rrg.Guidance
 	// TrackLastChange records per-vertex last-update iterations.
 	TrackLastChange bool
@@ -116,9 +118,13 @@ type RunResult[V comparable] struct {
 	Result *core.Result[V]
 	// PerWorker holds each worker's metrics.
 	PerWorker []*metrics.Run
-	// Guidance is the RRG used (nil when RR is off).
+	// Guidance is the RRG used (nil when RR is off). Unless it came from
+	// Options.GuidanceRoots it is shared with other runs over the same
+	// graph: Clone it before Update.
 	Guidance *rrg.Guidance
-	// PreprocessTime is the RRG generation cost (zero if reused or RR off).
+	// PreprocessTime is the RRG generation cost this run paid: zero when RR
+	// is off, when Options.Guidance was given, and when the graph's shared
+	// slot already held the guidance (Guidance.GenTime keeps its cost).
 	PreprocessTime time.Duration
 	// Comm aggregates message/byte counts over all workers.
 	Comm comm.Stats
@@ -195,24 +201,19 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 	}
 
 	out := &RunResult[V]{}
-	var guidance *rrg.Guidance
 	if opt.RR {
-		guidance = opt.Guidance
-		if guidance == nil {
-			roots := opt.GuidanceRoots
-			if roots == nil {
-				// Min/max programs propagate from their own roots, so the
-				// guidance must describe exactly that propagation; arith
-				// programs have no roots and use the reusable default set.
-				roots = p.Roots
-				if len(roots) == 0 {
-					roots = rrg.DefaultRoots(g)
-				}
-			}
-			guidance = rrg.Generate(g, roots, s.scheds[0])
-			out.PreprocessTime = guidance.GenTime
+		fresh := false
+		switch {
+		case opt.Guidance != nil:
+			out.Guidance = opt.Guidance
+		case opt.GuidanceRoots != nil:
+			out.Guidance, fresh = rrg.Generate(g, opt.GuidanceRoots, s.scheds[0]), true
+		default:
+			out.Guidance, fresh = rrg.Shared(g, s.scheds[0])
 		}
-		out.Guidance = guidance
+		if fresh {
+			out.PreprocessTime = out.Guidance.GenTime
+		}
 	}
 
 	results := make([]*core.Result[V], nodes)
@@ -234,7 +235,7 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				Comm:             s.comms[rank],
 				Part:             part,
 				RR:               opt.RR,
-				Guidance:         guidance,
+				Guidance:         out.Guidance,
 				Sched:            s.scheds[rank],
 				DenseDivisor:     opt.DenseDivisor,
 				TrackLastChange:  opt.TrackLastChange,

@@ -40,7 +40,12 @@ type Graph struct {
 	InOff []int64
 	InSrc []VertexID
 	InW   []float32
+
+	derived Derived
 }
+
+// Derived returns g's once-slot for a value computed from its topology.
+func (g *Graph) Derived() *Derived { return &g.derived }
 
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return int(g.n) }

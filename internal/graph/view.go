@@ -1,5 +1,26 @@
 package graph
 
+import "sync"
+
+// Derived is a once-slot for one value computed from a graph's topology —
+// the default-root redundancy-reduction guidance (rrg.Shared) — so every
+// program run over the same graph object shares one computation. A View
+// that holds a slot (*Graph and store.Graph expose theirs through a
+// Derived() method) must never change its topology: mutation builds a new
+// graph with an empty slot (WithEdges, WithoutEdges, Reverse). A Derived
+// must not be copied after first use.
+type Derived struct {
+	once sync.Once
+	v    any
+}
+
+// Get returns the slot's value, calling build to fill it on first use.
+// Concurrent callers wait for that one build and all receive its result.
+func (d *Derived) Get(build func() any) any {
+	d.once.Do(func() { d.v = build() })
+	return d.v
+}
+
 // View is the narrow graph-access interface the engine stack runs over.
 // Two implementations exist: the heap-resident CSR+CSC *Graph and the
 // mmap'd compressed on-disk store.Graph, so the same superstep engine,

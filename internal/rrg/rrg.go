@@ -16,7 +16,10 @@
 //
 // which is what Generate computes, with a parallel frontier BFS followed by
 // a parallel in-edge sweep. The guidance depends only on topology, so it is
-// reusable across applications on the same graph (§3.2).
+// reusable across applications on the same graph (§3.2): Shared generates
+// it from DefaultRoots once per graph object and hands that one guidance to
+// every later run. Start late is sound under any LastIter, so min/max
+// programs share it too; per-root guidance bought no measurable precision.
 package rrg
 
 import (
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"slfe/internal/bitset"
@@ -160,6 +164,19 @@ func DefaultRoots(g graph.View) []graph.VertexID {
 	return roots
 }
 
+// Shared returns Generate(g, DefaultRoots(g), sched) from g's graph.Derived
+// slot, generating it exactly once per graph object even under concurrent
+// callers; fresh reports whether this call generated it. A View without a
+// slot gets a fresh guidance every call. The result is shared: Clone it
+// before Update.
+func Shared(g graph.View, sched *ws.Scheduler) (gd *Guidance, fresh bool) {
+	build := func() any { fresh = true; return Generate(g, DefaultRoots(g), sched) }
+	if s, ok := g.(interface{ Derived() *graph.Derived }); ok {
+		return s.Derived().Get(build).(*Guidance), fresh
+	}
+	return build().(*Guidance), fresh
+}
+
 // Reached reports whether v was reached during preprocessing.
 func (gd *Guidance) Reached(v graph.VertexID) bool { return gd.Level[v] != Unreached }
 
@@ -174,43 +191,33 @@ func (gd *Guidance) Clone() *Guidance {
 	return &cp
 }
 
-const guidanceMagic = "SLRR"
+const (
+	guidanceMagic = "SLRR"
+	// ioChunk bounds the array entries WriteTo and ReadGuidance move per call.
+	ioChunk = 1 << 14
+)
 
 // WriteTo serialises the guidance (magic, u32 n, u32 rounds, then LastIter
 // and Level arrays), enabling the §4.4 amortisation of preprocessing across
 // the ~8.7 jobs Facebook runs per graph.
 func (gd *Guidance) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	buf := make([]byte, 4+4+4)
-	copy(buf, guidanceMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(gd.LastIter)))
-	binary.LittleEndian.PutUint32(buf[8:], gd.Rounds)
-	k, err := w.Write(buf)
-	total += int64(k)
-	if err != nil {
-		return total, err
-	}
-	arr := make([]byte, 4)
-	for _, x := range gd.LastIter {
-		binary.LittleEndian.PutUint32(arr, x)
-		k, err = w.Write(arr)
-		total += int64(k)
-		if err != nil {
-			return total, err
+	buf := binary.LittleEndian.AppendUint32([]byte(guidanceMagic), uint32(len(gd.LastIter)))
+	k, err := w.Write(binary.LittleEndian.AppendUint32(buf, gd.Rounds))
+	total := int64(k)
+	for _, arr := range [][]uint32{gd.LastIter, gd.Level} {
+		for lo := 0; lo < len(arr) && err == nil; lo += ioChunk {
+			// Append fails only on types it cannot encode; []uint32 is not one.
+			buf, _ = binary.Append(buf[:0], binary.LittleEndian, arr[lo:min(lo+ioChunk, len(arr))])
+			k, err = w.Write(buf)
+			total += int64(k)
 		}
 	}
-	for _, x := range gd.Level {
-		binary.LittleEndian.PutUint32(arr, x)
-		k, err = w.Write(arr)
-		total += int64(k)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return total, err
 }
 
-// ReadGuidance deserialises a guidance written by WriteTo.
+// ReadGuidance deserialises a guidance written by WriteTo. The arrays grow
+// with the bytes actually read, so a header claiming more vertices than the
+// body holds fails at the end of the body instead of allocating the claim.
 func ReadGuidance(r io.Reader) (*Guidance, error) {
 	hdr := make([]byte, 12)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -219,27 +226,19 @@ func ReadGuidance(r io.Reader) (*Guidance, error) {
 	if string(hdr[:4]) != guidanceMagic {
 		return nil, errors.New("rrg: bad magic")
 	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	gd := &Guidance{
-		LastIter: make([]uint32, n),
-		Level:    make([]uint32, n),
-		Rounds:   binary.LittleEndian.Uint32(hdr[8:]),
-	}
-	arr := make([]byte, 4)
-	for i := range gd.LastIter {
-		if _, err := io.ReadFull(r, arr); err != nil {
-			return nil, fmt.Errorf("rrg: truncated LastIter at %d: %w", i, err)
-		}
-		gd.LastIter[i] = binary.LittleEndian.Uint32(arr)
-		if gd.LastIter[i] > gd.MaxLastIter {
-			gd.MaxLastIter = gd.LastIter[i]
+	n := int(binary.LittleEndian.Uint32(hdr[4:]))
+	gd := &Guidance{Rounds: binary.LittleEndian.Uint32(hdr[8:])}
+	for i, arr := range []*[]uint32{&gd.LastIter, &gd.Level} {
+		for len(*arr) < n {
+			k := min(n-len(*arr), ioChunk)
+			*arr = slices.Grow(*arr, k)[:len(*arr)+k]
+			if err := binary.Read(r, binary.LittleEndian, (*arr)[len(*arr)-k:]); err != nil {
+				return nil, fmt.Errorf("rrg: truncated %s at entry %d of %d: %w", [2]string{"LastIter", "Level"}[i], len(*arr)-k, n, err)
+			}
 		}
 	}
-	for i := range gd.Level {
-		if _, err := io.ReadFull(r, arr); err != nil {
-			return nil, fmt.Errorf("rrg: truncated Level at %d: %w", i, err)
-		}
-		gd.Level[i] = binary.LittleEndian.Uint32(arr)
+	for _, l := range gd.LastIter {
+		gd.MaxLastIter = max(gd.MaxLastIter, l)
 	}
 	return gd, nil
 }

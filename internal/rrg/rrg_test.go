@@ -141,16 +141,94 @@ func TestSerialiseCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	if _, err := ReadGuidance(bytes.NewReader(full[:7])); err == nil {
-		t.Error("truncated header accepted")
+	patch := func(off int, b ...byte) []byte {
+		out := slices.Clone(full)
+		copy(out[off:], b)
+		return out
 	}
-	if _, err := ReadGuidance(bytes.NewReader(full[:15])); err == nil {
-		t.Error("truncated body accepted")
+	for name, data := range map[string][]byte{
+		"truncated header":  full[:7],
+		"truncated body":    full[:15],
+		"truncated Level":   full[:len(full)-1],
+		"bad magic":         patch(0, 'x'),
+		"n one too many":    patch(4, 6),
+		"huge header alone": patch(4, 0xff, 0xff, 0xff, 0xff)[:12],
+		"huge header":       patch(4, 0xff, 0xff, 0xff, 0xff),
+	} {
+		// The huge headers claim 2^32-1 vertices: a reader that trusted
+		// them would allocate 32 GiB before reading the body.
+		if _, err := ReadGuidance(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	bad := append([]byte{}, full...)
-	bad[0] = 'x'
-	if _, err := ReadGuidance(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
+}
+
+// FuzzReadGuidance: generated guidance round-trips through WriteTo and
+// ReadGuidance, and arbitrary bytes never panic the reader; whatever it
+// accepts re-serialises to exactly the bytes it consumed.
+func FuzzReadGuidance(f *testing.F) {
+	var buf bytes.Buffer
+	if _, err := Generate(figure1Graph(), []graph.VertexID{0}, nil).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("SLRR\xff\xff\xff\xff\x00\x00\x00\x00"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The bytes as edges (pairs of endpoints) over 16 vertices.
+		edges := make([]graph.Edge, 0, len(data)/2)
+		for i := 0; i+1 < len(data); i += 2 {
+			edges = append(edges, graph.Edge{Src: uint32(data[i] % 16), Dst: uint32(data[i+1] % 16), Weight: 1})
+		}
+		g := graph.MustBuild(16, edges)
+		gd := Generate(g, DefaultRoots(g), nil)
+		var out bytes.Buffer
+		if _, err := gd.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadGuidance(&out)
+		if err != nil {
+			t.Fatalf("generated guidance does not read back: %v", err)
+		}
+		if !slices.Equal(got.LastIter, gd.LastIter) || !slices.Equal(got.Level, gd.Level) ||
+			got.Rounds != gd.Rounds || got.MaxLastIter != gd.MaxLastIter {
+			t.Fatal("generated guidance does not round-trip")
+		}
+
+		r := bytes.NewReader(data)
+		gd, err = ReadGuidance(r)
+		if err != nil {
+			return
+		}
+		out.Reset()
+		if _, err := gd.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-serialised %d bytes differ from the %d consumed", out.Len(), len(consumed))
+		}
+	})
+}
+
+// unslotted hides a graph's Derived slot.
+type unslotted struct{ graph.View }
+
+func TestShared(t *testing.T) {
+	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 4, 9)
+	first, fresh := Shared(g, nil)
+	if !fresh {
+		t.Fatal("first Shared call on a new graph did not generate")
+	}
+	if want := Generate(g, DefaultRoots(g), nil); !slices.Equal(first.LastIter, want.LastIter) || !slices.Equal(first.Level, want.Level) {
+		t.Fatal("shared guidance differs from the default-root guidance")
+	}
+	if again, fresh := Shared(g, nil); again != first || fresh {
+		t.Fatal("second Shared call on the same graph generated again")
+	}
+	a, freshA := Shared(unslotted{g}, nil)
+	b, freshB := Shared(unslotted{g}, nil)
+	if a == b || !freshA || !freshB || a == first {
+		t.Fatal("a view without a slot must generate afresh on every call")
 	}
 }
 

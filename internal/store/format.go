@@ -148,7 +148,12 @@ type Graph struct {
 	out, in dirRef
 
 	def *Cursor // serves the View's own adjacency methods
+
+	derived graph.Derived
 }
+
+// Derived returns g's once-slot for a value computed from its topology.
+func (g *Graph) Derived() *graph.Derived { return &g.derived }
 
 var (
 	_ graph.View   = (*Graph)(nil)
