@@ -2,9 +2,10 @@
 // accounts carry known labels (confirmed fraudsters and verified users, as
 // log-odds priors); mean-field BP diffuses the evidence over transaction
 // edges until every account holds a fraud belief. The run demonstrates the
-// guidance-root rule for evidence-driven arithmetic programs: the RR
-// guidance is rooted at the labelled accounts, so "finish early" freezes a
-// region only after all evidence that can reach it has arrived.
+// guidance-root rule for evidence-driven arithmetic programs: the labelled
+// accounts are the program's Roots, so the RR guidance is rooted there and
+// "finish early" freezes a region only after all evidence that can reach it
+// has arrived.
 //
 //	go run ./examples/fraud
 package main
@@ -56,10 +57,10 @@ func main() {
 	// aggregate evidence without saturating every belief.
 	const coupling = 0.02
 	const iters = 40
+	bp := apps.BeliefPropagation(prior, coupling, iters)
+	bp.Roots = evidence
 	for _, rr := range []bool{false, true} {
-		res, err := cluster.Execute(g,
-			apps.BeliefPropagation(prior, coupling, iters),
-			cluster.Options{Nodes: 4, RR: rr, Stealing: true, GuidanceRoots: evidence})
+		res, err := cluster.Execute(g, bp, cluster.Options{Nodes: 4, RR: rr, Stealing: true})
 		if err != nil {
 			log.Fatal(err)
 		}

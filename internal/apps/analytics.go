@@ -40,12 +40,12 @@ const BeliefCoupling = 0.3
 // an arithmetic-aggregation program, and "finish early" bypasses vertices
 // whose beliefs have stabilised.
 //
-// When running with redundancy reduction, pass the evidence vertices (the
-// support of prior) as cluster.Options.GuidanceRoots: unlike PageRank,
-// where every vertex is informative from iteration 0, BP's information
-// originates only at evidence vertices, so lastIter must measure
-// propagation depth from them — otherwise a vertex that is transiently
-// stable before evidence arrives would be frozen too early.
+// Set the returned program's Roots to the evidence vertices (the support of
+// prior): unlike PageRank, where every vertex is informative from iteration
+// 0, BP's information originates only at evidence vertices, so a
+// redundancy-reduction run must measure lastIter from them — otherwise a
+// vertex that is transiently stable before evidence arrives would be
+// frozen too early.
 func BeliefPropagation(prior func(g graph.View, v graph.VertexID) core.Value, coupling float64, iters int) *core.Program[float64] {
 	if prior == nil {
 		prior = func(_ graph.View, _ graph.VertexID) core.Value { return 0 }

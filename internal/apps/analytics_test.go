@@ -321,13 +321,13 @@ func TestBeliefPropagationMatchesReference(t *testing.T) {
 	}
 	const iters = 20
 	want := RefBeliefPropagation(g, prior, BeliefCoupling, iters)
-	// Evidence vertices are the information sources: RR guidance must be
-	// rooted there so lastIter reflects when evidence can last arrive (see
-	// the BeliefPropagation doc comment).
-	var evidence []graph.VertexID
+	// Evidence vertices are the information sources, hence the program's
+	// Roots: RR guidance is rooted there so lastIter reflects when evidence
+	// can last arrive (see the BeliefPropagation doc comment).
+	bp := BeliefPropagation(prior, BeliefCoupling, iters)
 	for v := 0; v < g.NumVertices(); v++ {
 		if v%17 == 0 || v%23 == 0 {
-			evidence = append(evidence, graph.VertexID(v))
+			bp.Roots = append(bp.Roots, graph.VertexID(v))
 		}
 	}
 	for _, rr := range []bool{false, true} {
@@ -341,8 +341,7 @@ func TestBeliefPropagationMatchesReference(t *testing.T) {
 			tol = 5e-3
 		}
 		for _, nodes := range []int{1, 3} {
-			res, err := cluster.Execute(g, BeliefPropagation(prior, BeliefCoupling, iters),
-				cluster.Options{Nodes: nodes, RR: rr, GuidanceRoots: evidence})
+			res, err := cluster.Execute(g, bp, cluster.Options{Nodes: nodes, RR: rr})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -313,7 +313,7 @@ func TunkRankScores(g graph.View, contribs []float64) []float64 {
 }
 
 // NumPathsIn counts distinct paths from root (meaningful on DAGs; bounded
-// by iters elsewhere).
+// by iters elsewhere). Counts originate at root, so it is the program's Roots.
 func NumPathsIn[V core.Float](root graph.VertexID, iters int) *core.Program[V] {
 	return &core.Program[V]{
 		Name: "NumPaths",
@@ -324,6 +324,7 @@ func NumPathsIn[V core.Float](root graph.VertexID, iters int) *core.Program[V] {
 			}
 			return 0
 		},
+		Roots:      []graph.VertexID{root},
 		GatherInit: 0,
 		Gather: func(acc V, src V, _ float32) V {
 			return acc + src
@@ -362,6 +363,7 @@ func NumPathsU32(root graph.VertexID, iters int) *core.Program[uint32] {
 			}
 			return 0
 		},
+		Roots:      []graph.VertexID{root},
 		GatherInit: 0,
 		Gather: func(acc uint32, src uint32, _ float32) uint32 {
 			return acc + src
@@ -450,7 +452,8 @@ func SSSPTree(root graph.VertexID) *core.Program[core.DistParent] {
 const HeatAlpha = 0.2
 
 // HeatSimulation diffuses heat: h'(v) = (1-alpha)*h(v) + alpha*mean of
-// in-neighbour heat. Sources (hot vertices) are set via init temperatures.
+// in-neighbour heat. Sources (hot vertices) are set via init temperatures
+// and are the program's Roots: heat spreads only from them.
 func HeatSimulation(hot []graph.VertexID, iters int) *core.Program[float64] {
 	hotSet := make(map[graph.VertexID]bool, len(hot))
 	for _, v := range hot {
@@ -465,6 +468,7 @@ func HeatSimulation(hot []graph.VertexID, iters int) *core.Program[float64] {
 			}
 			return 0
 		},
+		Roots:      hot,
 		GatherInit: 0,
 		Gather: func(acc float64, src float64, _ float32) float64 {
 			return acc + src

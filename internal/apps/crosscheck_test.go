@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"slfe/internal/cluster"
+	"slfe/internal/core"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
@@ -62,6 +63,77 @@ func TestEngineDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRootedArithMatchesRROff: "finish early" freezes a vertex once its
+// value has been stable for LastIter rounds, so LastIter must be measured
+// from where the program's information starts. For every registered arith
+// program, on R-MAT inputs and whatever its root, RR-on must stay within
+// 1e-4·(1+|RR-off|) of RR-off at every vertex. Programs informative
+// everywhere from iteration 0 (pr, tr, spmv) must run on the graph's shared
+// default-root guidance; the rooted ones (numpaths, heat, bp) get guidance
+// from their Roots.
+func TestRootedArithMatchesRROff(t *testing.T) {
+	const iters = 30
+	defaultRooted := map[string]bool{"pr": true, "tr": true, "spmv": true}
+	guidanceOf := func(g graph.View, r Runnable) *rrg.Guidance {
+		opt := cluster.Options{Nodes: 1, RR: true}
+		var gd *rrg.Guidance
+		var err error
+		switch x := r.(type) {
+		case progRunner[float64]:
+			gd, err = runGuidance(g, x.p, opt)
+		case progRunner[float32]:
+			gd, err = runGuidance(g, x.p, opt)
+		default:
+			t.Fatalf("unknown runnable type %T", r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gd
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		g := gen.RMAT(1<<12, 1<<15, gen.DefaultRMAT, 4, seed)
+		shared, _ := rrg.Shared(g, nil)
+		for _, entry := range Runnables() {
+			if entry.Agg != core.Arith {
+				continue
+			}
+			for _, root := range []graph.VertexID{5, 2000} {
+				r := entry.Build(root, iters)
+				var out [2]*Outcome
+				for i, rr := range []bool{false, true} {
+					var err error
+					if out[i], err = r.Execute(g, cluster.Options{Nodes: 1, Threads: 2, Stealing: true, RR: rr}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				wrong := 0
+				for v, off := range out[0].Values {
+					if math.Abs(out[1].Values[v]-off) > 1e-4*(1+math.Abs(off)) {
+						wrong++
+					}
+				}
+				if wrong > 0 {
+					t.Errorf("%s/%s seed %d root %d: %d of %d vertices differ between RR on and off",
+						entry.Key, entry.Domain, seed, root, wrong, len(out[0].Values))
+				}
+				if defaultRooted[entry.Key] && guidanceOf(g, r) != shared {
+					t.Errorf("%s/%s: RR run did not use the graph's shared guidance", entry.Key, entry.Domain)
+				}
+			}
+		}
+	}
+}
+
+// runGuidance runs p with opt and returns the guidance the run used.
+func runGuidance[V comparable](g graph.View, p *core.Program[V], opt cluster.Options) (*rrg.Guidance, error) {
+	res, err := cluster.Execute(g, p, opt)
+	if err != nil {
+		return nil, err
+	}
+	return res.Guidance, nil
 }
 
 // TestHeatConservesClamp: the clamped sources never change and no vertex

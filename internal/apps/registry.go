@@ -83,6 +83,9 @@ type Runnable interface {
 	ProgramName() string
 	// Execute runs the program on an in-process cluster.
 	Execute(g graph.View, opt cluster.Options) (*Outcome, error)
+	// ExecuteIn runs the program cold on a resident session and returns
+	// the outcome plus resumable warm-start state.
+	ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster.Options) (*Outcome, *Resume, error)
 }
 
 // AsRunnable wraps a typed program as a Runnable.
@@ -226,7 +229,9 @@ func init() {
 			}
 			return 0
 		}
-		return AsRunnable(BeliefPropagation(prior, BeliefCoupling, it))
+		p := BeliefPropagation(prior, BeliefCoupling, it)
+		p.Roots = []graph.VertexID{r}
+		return AsRunnable(p)
 	})
 }
 

@@ -105,6 +105,10 @@ func (r liftedCC[V]) Execute(g graph.View, opt cluster.Options) (*Outcome, error
 	return AsRunnable(lifted(r.build(g))).Execute(g, opt)
 }
 
+func (r liftedCC[V]) ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster.Options) (*Outcome, *Resume, error) {
+	return AsRunnable(lifted(r.build(g))).ExecuteIn(s, g, opt)
+}
+
 // stripProg puts p on the lifted per-edge path and reports whether it
 // carried a span hook to strip.
 func stripProg[V comparable](p *core.Program[V]) (Runnable, bool) {

@@ -7,24 +7,7 @@ import (
 	"slfe/internal/core"
 	"slfe/internal/graph"
 	"slfe/internal/metrics"
-	"slfe/internal/rrg"
 )
-
-// Incremental is the capability a resident service needs from a runnable:
-// execution over a long-lived cluster session, the guidance root set to
-// maintain, and warm-start re-execution after edge insertions. Every
-// registered runnable in this package implements it.
-type Incremental interface {
-	Runnable
-	// GuidanceRoots returns the root set a resident service maintains this
-	// program's redundancy-reduction guidance for on g: program roots for
-	// min/max, the reusable default set for arith. (A plain cluster run
-	// shares the graph's default-root guidance instead; see rrg.Shared.)
-	GuidanceRoots(g *graph.Graph) []graph.VertexID
-	// ExecuteIn runs the program cold on a resident session and returns
-	// the outcome plus resumable warm-start state.
-	ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster.Options) (*Outcome, *Resume, error)
-}
 
 // Resume is the opaque warm-start state of a prior execution: the typed
 // prior values live behind a closure so heterogeneous domains share one
@@ -45,8 +28,8 @@ type Resume struct {
 //     levels are root-relative and do not describe a warm frontier.
 //   - Arith programs (fixed-iteration-count semantics: a warm start would
 //     change the answer) re-run cold, which still profits from the
-//     session's resident pools and the incrementally-updated guidance in
-//     opt.Guidance.
+//     session's resident pools and, unless the program declares Roots,
+//     from the guidance rrg.Carry moved into g's shared slot.
 func (r *Resume) ExecuteWarm(s *cluster.Session, g *graph.Graph, added []graph.Edge, opt cluster.Options) (*Outcome, *Resume, error) {
 	return r.warm(s, g, added, opt)
 }
@@ -150,23 +133,13 @@ func warmMinMax[V comparable](s *cluster.Session, g *graph.Graph, build func(*gr
 		return p.InitValue(gg, v)
 	}
 	warm.Roots = roots
-	// "Start late" guidance is defined by BFS levels from the program's
-	// roots; the warm frontier is the mutation's sources, so the levels do
-	// not describe this wave — run it unguided (the maintained guidance
-	// still serves full re-runs and arith re-executions).
+	// "Start late" levels are measured from the graph's roots; the warm
+	// frontier is the mutation's sources, so the levels do not describe
+	// this wave — run it unguided (the graph's shared guidance still serves
+	// full re-runs and arith re-executions).
 	opt.RR = false
 	opt.Guidance = nil
-	opt.GuidanceRoots = nil
 	return executeCold(s, g, build, &warm, opt)
-}
-
-// GuidanceRoots for a fixed program: its own roots (min/max), else the
-// reusable default set.
-func (r progRunner[V]) GuidanceRoots(g *graph.Graph) []graph.VertexID {
-	if len(r.p.Roots) > 0 {
-		return r.p.Roots
-	}
-	return rrg.DefaultRoots(g)
 }
 
 func (r progRunner[V]) ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster.Options) (*Outcome, *Resume, error) {
@@ -176,17 +149,9 @@ func (r progRunner[V]) ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster
 
 // CC builds its program from the (symmetrised) execution graph, so its
 // runners rebuild per graph version.
-func (ccRunner[V]) GuidanceRoots(g *graph.Graph) []graph.VertexID {
-	return CCIn[V](g).Roots
-}
-
 func (ccRunner[V]) ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster.Options) (*Outcome, *Resume, error) {
 	build := func(gg *graph.Graph) *core.Program[V] { return CCIn[V](gg) }
 	return executeCold(s, g, build, build(g), opt)
-}
-
-func (ccU32Runner) GuidanceRoots(g *graph.Graph) []graph.VertexID {
-	return CCU32(g).Roots
 }
 
 func (ccU32Runner) ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster.Options) (*Outcome, *Resume, error) {

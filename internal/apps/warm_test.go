@@ -36,12 +36,8 @@ func TestWarmMatchesColdSSSP(t *testing.T) {
 	}
 	defer s.Close()
 
-	inc, ok := apps.AsRunnable(apps.SSSP(0)).(apps.Incremental)
-	if !ok {
-		t.Fatal("progRunner does not implement Incremental")
-	}
 	opt := cluster.Options{RR: true}
-	_, resume, err := inc.ExecuteIn(s, g, opt)
+	_, resume, err := apps.AsRunnable(apps.SSSP(0)).ExecuteIn(s, g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +75,7 @@ func TestWarmMatchesColdSSSP(t *testing.T) {
 }
 
 // Arith programs re-run cold on ExecuteWarm (fixed-iteration semantics) and
-// must match a fresh Execute with the same pinned guidance roots.
+// must match a fresh Execute over the same graph's shared guidance.
 func TestWarmArithRerunsCold(t *testing.T) {
 	g := gen.Uniform(300, 1200, 4, 21)
 	s, err := cluster.NewSession(2, 2, true)
@@ -88,13 +84,8 @@ func TestWarmArithRerunsCold(t *testing.T) {
 	}
 	defer s.Close()
 
-	inc := apps.AsRunnable(apps.PageRank(10)).(apps.Incremental)
-	roots := inc.GuidanceRoots(g)
-	if len(roots) == 0 {
-		t.Fatal("no guidance roots for PageRank")
-	}
-	opt := cluster.Options{RR: true, GuidanceRoots: roots}
-	_, resume, err := inc.ExecuteIn(s, g, opt)
+	opt := cluster.Options{RR: true}
+	_, resume, err := apps.AsRunnable(apps.PageRank(10)).ExecuteIn(s, g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +99,7 @@ func TestWarmArithRerunsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := cluster.Execute(g2, apps.PageRank(10), cluster.Options{Nodes: 2, Threads: 2, Stealing: true, RR: true, GuidanceRoots: roots})
+	cold, err := cluster.Execute(g2, apps.PageRank(10), cluster.Options{Nodes: 2, Threads: 2, Stealing: true, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +121,7 @@ func TestWarmVertexGrowthWithoutEdges(t *testing.T) {
 	}
 	defer s.Close()
 
-	inc := apps.AsRunnable(apps.SSSP(0)).(apps.Incremental)
-	base, resume, err := inc.ExecuteIn(s, g, cluster.Options{})
+	base, resume, err := apps.AsRunnable(apps.SSSP(0)).ExecuteIn(s, g, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +160,7 @@ func TestWarmRejectsShrunkGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	inc := apps.AsRunnable(apps.SSSP(0)).(apps.Incremental)
-	_, resume, err := inc.ExecuteIn(s, g, cluster.Options{})
+	_, resume, err := apps.AsRunnable(apps.SSSP(0)).ExecuteIn(s, g, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +170,7 @@ func TestWarmRejectsShrunkGraph(t *testing.T) {
 }
 
 // The CC runners (program built from the symmetrised execution graph) must
-// implement Incremental too, and their warm runs must match cold CC.
+// warm-start too, and their warm runs must match cold CC.
 func TestWarmMatchesColdCC(t *testing.T) {
 	raw := gen.Uniform(250, 700, 4, 13)
 	g := apps.Symmetrize(raw)
@@ -195,11 +184,7 @@ func TestWarmMatchesColdCC(t *testing.T) {
 	if !ok {
 		t.Fatal("cc:u32 not registered")
 	}
-	inc, ok := entry.Build(0, 0).(apps.Incremental)
-	if !ok {
-		t.Fatal("ccU32Runner does not implement Incremental")
-	}
-	_, resume, err := inc.ExecuteIn(s, g, cluster.Options{RR: true})
+	_, resume, err := entry.Build(0, 0).ExecuteIn(s, g, cluster.Options{RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}

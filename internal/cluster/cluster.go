@@ -31,12 +31,8 @@ type Options struct {
 	Stealing bool
 	// RR enables redundancy reduction.
 	RR bool
-	// GuidanceRoots, when non-nil, generates a private guidance from these
-	// roots for this run (nil: the graph's shared rrg.DefaultRoots guidance,
-	// see rrg.Shared).
-	GuidanceRoots []graph.VertexID
-	// Guidance reuses a previously generated guidance (skips preprocessing;
-	// takes precedence over GuidanceRoots).
+	// Guidance, when non-nil, is the guidance this run uses, skipping
+	// preprocessing. Nil lets runSession choose by its one rule.
 	Guidance *rrg.Guidance
 	// TrackLastChange records per-vertex last-update iterations.
 	TrackLastChange bool
@@ -118,13 +114,14 @@ type RunResult[V comparable] struct {
 	Result *core.Result[V]
 	// PerWorker holds each worker's metrics.
 	PerWorker []*metrics.Run
-	// Guidance is the RRG used (nil when RR is off). Unless it came from
-	// Options.GuidanceRoots it is shared with other runs over the same
+	// Guidance is the RRG used (nil when RR is off). Except for an arith
+	// program with Roots it may be shared with other runs over the same
 	// graph: Clone it before Update.
 	Guidance *rrg.Guidance
 	// PreprocessTime is the RRG generation cost this run paid: zero when RR
 	// is off, when Options.Guidance was given, and when the graph's shared
-	// slot already held the guidance (Guidance.GenTime keeps its cost).
+	// slot already held the guidance (generated by an earlier run or carried
+	// by rrg.Carry; Guidance.GenTime keeps its cost).
 	PreprocessTime time.Duration
 	// Comm aggregates message/byte counts over all workers.
 	Comm comm.Stats
@@ -183,10 +180,17 @@ type epochPlan struct {
 	progress func(iter int)  // per-superstep hook, called by every rank
 }
 
-// runSession is the one execution body: partition, optional guidance
-// generation, one engine goroutine per session rank over the session's
-// resident communicators and scheduler pools. The caller serialises runs
-// on s.
+// runSession is the one execution body: partition, guidance, one engine
+// goroutine per session rank over the session's resident communicators and
+// scheduler pools. The caller serialises runs on s.
+//
+// It is also the one place guidance is chosen, by one rule: opt.Guidance
+// when handed in; else, for an arith program that declares Roots, guidance
+// generated from those roots — its information originates only there, so
+// finish early needs levels measured from them; else the graph's shared
+// default-root guidance (rrg.Shared). Start late is sound under any
+// guidance, and PageRank-like programs are informative everywhere from
+// iteration 0, which the default roots describe.
 func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt Options, plan *epochPlan) (*RunResult[V], error) {
 	nodes := s.Nodes()
 	var part *partition.Chunked
@@ -206,8 +210,8 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 		switch {
 		case opt.Guidance != nil:
 			out.Guidance = opt.Guidance
-		case opt.GuidanceRoots != nil:
-			out.Guidance, fresh = rrg.Generate(g, opt.GuidanceRoots, s.scheds[0]), true
+		case p.Agg == core.Arith && len(p.Roots) > 0:
+			out.Guidance, fresh = rrg.Generate(g, p.Roots, s.scheds[0]), true
 		default:
 			out.Guidance, fresh = rrg.Shared(g, s.scheds[0])
 		}

@@ -59,15 +59,17 @@ func TestExecuteReusesGuidance(t *testing.T) {
 	}
 }
 
+// A program's Roots override the default guidance roots: on a path,
+// NumPaths from vertex 10 leaves 0..9 unreached and its guidance propagates
+// for 39 rounds, not 49.
 func TestExecuteGuidanceRootsOverride(t *testing.T) {
 	g := gen.Path(50)
-	res, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{Nodes: 1, RR: true,
-		GuidanceRoots: []uint32{0}})
+	res, err := cluster.Execute(g, apps.NumPaths(10, 60), cluster.Options{Nodes: 1, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Guidance.Rounds != 49 {
-		t.Fatalf("guidance rounds = %d, want 49", res.Guidance.Rounds)
+	if res.Guidance.Rounds != 39 || res.Guidance.Reached(9) {
+		t.Fatalf("guidance rounds = %d (vertex 9 reached: %v), want 39 from root 10", res.Guidance.Rounds, res.Guidance.Reached(9))
 	}
 }
 
@@ -112,7 +114,7 @@ func TestSPMDCollectives(t *testing.T) {
 }
 
 func TestGuidanceRootsForArith(t *testing.T) {
-	// Arith programs have no roots: guidance must come from DefaultRoots.
+	// Arith programs without Roots get the DefaultRoots guidance.
 	g := gen.RMAT(256, 2048, gen.DefaultRMAT, 1, 6)
 	res, err := cluster.Execute(g, apps.PageRank(10), cluster.Options{Nodes: 2, RR: true})
 	if err != nil {

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -32,8 +33,8 @@ func runGuidance[V comparable](t *testing.T, g graph.View, p *core.Program[V], o
 // TestGuidanceSharedPerGraph pins one default-root guidance per graph
 // object: arith and min/max programs over the same heap or mmap'd graph all
 // get the guidance the first RR run generated, and only that run pays for
-// it. Explicit GuidanceRoots still generate a private guidance, RR-off runs
-// get none, and concurrent first runs generate once.
+// it. An arith program with Roots still generates a private guidance from
+// them, RR-off runs get none, and concurrent first runs generate once.
 func TestGuidanceSharedPerGraph(t *testing.T) {
 	heap := gen.RMAT(2048, 16384, gen.DefaultRMAT, 8, 3)
 	path := filepath.Join(t.TempDir(), "g.slfc")
@@ -62,10 +63,9 @@ func TestGuidanceSharedPerGraph(t *testing.T) {
 				t.Errorf("%s run %d: guidance %p (first run's %p), paid preprocessing %v", name, i, r.gd, runs[0].gd, r.preprocess)
 			}
 		}
-		own := opt
-		own.GuidanceRoots = []graph.VertexID{7}
-		if r := runGuidance(t, g, apps.SSSP(7), own); r.gd == runs[0].gd || !r.preprocess {
-			t.Errorf("%s: explicit GuidanceRoots reused the shared guidance or paid nothing", name)
+		rooted := rrg.Generate(g, []graph.VertexID{7}, nil)
+		if r := runGuidance(t, g, apps.NumPaths(7, 5), opt); r.gd == runs[0].gd || !r.preprocess || !slices.Equal(r.gd.LastIter, rooted.LastIter) {
+			t.Errorf("%s: rooted arith program reused the shared guidance, paid nothing or is not rooted at 7", name)
 		}
 		off := opt
 		off.RR = false

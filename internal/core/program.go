@@ -72,7 +72,12 @@ type Program[V comparable] struct {
 	// elsewhere in SSSP). Must be deterministic: every worker calls it.
 	InitValue func(g graph.View, v graph.VertexID) V
 
-	// Roots are the initially active vertices (MinMax programs).
+	// Roots are where the program's information starts. A MinMax program
+	// needs them: they are its initially active vertices. An Arith program
+	// iterates over every vertex regardless; it declares Roots only when
+	// its values originate at those vertices alone (NumPaths' source, heat
+	// sources, BP evidence), and a redundancy-reduction run then measures
+	// "finish early" levels from them instead of from the default roots.
 	Roots []graph.VertexID
 
 	// --- MinMax hooks ---

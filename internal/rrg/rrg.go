@@ -18,8 +18,12 @@
 // a parallel in-edge sweep. The guidance depends only on topology, so it is
 // reusable across applications on the same graph (§3.2): Shared generates
 // it from DefaultRoots once per graph object and hands that one guidance to
-// every later run. Start late is sound under any LastIter, so min/max
+// every later run, and Carry moves it across an insertion batch to the next
+// graph version. Start late is sound under any LastIter, so min/max
 // programs share it too; per-root guidance bought no measurable precision.
+// The one exception is an arithmetic program whose information starts at
+// its own roots (NumPaths, HeatSimulation, evidence-rooted BP): finish early
+// needs levels measured from those roots, so its run generates them.
 package rrg
 
 import (
@@ -148,7 +152,8 @@ func Generate(g graph.View, roots []graph.VertexID, sched *ws.Scheduler) *Guidan
 
 // DefaultRoots returns the canonical reusable root set for a graph: vertex
 // 0 plus every vertex with no incoming edges (sources can never be reached
-// by propagation, so they must seed it).
+// by propagation, so they must seed it). keepsDefaultRoots is the same rule
+// applied to an insertion batch.
 func DefaultRoots(g graph.View) []graph.VertexID {
 	roots := []graph.VertexID{}
 	n := g.NumVertices()
@@ -177,13 +182,52 @@ func Shared(g graph.View, sched *ws.Scheduler) (gd *Guidance, fresh bool) {
 	return build().(*Guidance), fresh
 }
 
+// Carry moves the shared guidance across an insertion batch: next must be
+// prev plus the added edges, possibly with appended vertices. When both
+// graphs have the same default root set, next's slot is seeded with
+// Shared(prev) cloned and Updated — a relaxation wave instead of a fresh
+// BFS. Otherwise Update's fixed-root premise fails (a source that gains an
+// in-edge stops being a root; an appended source becomes one), so next's
+// slot stays empty and the first Shared call on next generates.
+func Carry(prev, next *graph.Graph, added []graph.Edge, sched *ws.Scheduler) {
+	if !keepsDefaultRoots(prev, next, added) {
+		return
+	}
+	gd, _ := Shared(prev, sched)
+	gd = gd.Clone()
+	if _, err := gd.Update(next, added); err != nil {
+		return // next is not prev plus added: let Shared generate
+	}
+	next.Derived().Get(func() any { return gd })
+}
+
+// keepsDefaultRoots reports whether DefaultRoots(next) equals
+// DefaultRoots(prev) when next is prev plus added: no added edge lands on a
+// vertex other than 0 that had no in-edge in prev, and no appended vertex is
+// a root of next (vertex 0 of a previously empty graph, or a vertex with no
+// in-edge).
+func keepsDefaultRoots(prev, next *graph.Graph, added []graph.Edge) bool {
+	n := prev.NumVertices()
+	for _, e := range added {
+		if e.Dst != 0 && int(e.Dst) < n && prev.InDegree(e.Dst) == 0 {
+			return false
+		}
+	}
+	for v := n; v < next.NumVertices(); v++ {
+		if v == 0 || next.InDegree(graph.VertexID(v)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Reached reports whether v was reached during preprocessing.
 func (gd *Guidance) Reached(v graph.VertexID) bool { return gd.Level[v] != Unreached }
 
 // Clone returns a deep copy sharing no storage with gd. Update mutates the
-// guidance in place, so a resident service clones the current snapshot's
-// guidance before applying a mutation batch — readers pinned to the old
-// snapshot keep an unchanging view.
+// guidance in place, so Carry clones the previous graph's shared guidance
+// before updating it — runs still pinned to the old graph keep an unchanging
+// view.
 func (gd *Guidance) Clone() *Guidance {
 	cp := *gd
 	cp.LastIter = append([]uint32(nil), gd.LastIter...)

@@ -2,6 +2,7 @@ package rrg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,6 +239,84 @@ func TestUpdateChainedBatches(t *testing.T) {
 		want := Generate(g, roots, nil)
 		assertGuidanceEqual(t, gd, want, "chained")
 	}
+}
+
+// checkCarry carries prev's shared guidance to next = prev + added (grown to
+// n vertices) and requires next's shared guidance to equal a cold
+// default-root generation field for field, generated afresh exactly when
+// the default root set changed, with prev's own guidance left untouched.
+func checkCarry(t *testing.T, prev *graph.Graph, added []graph.Edge, n int, label string) (carried bool) {
+	t.Helper()
+	next := addEdges(prev, added, n)
+	Carry(prev, next, added, nil)
+	got, fresh := Shared(next, nil)
+	assertGuidanceEqual(t, got, Generate(next, DefaultRoots(next), nil), label)
+	if changed := !slices.Equal(DefaultRoots(prev), DefaultRoots(next)); fresh != changed {
+		t.Fatalf("%s: root set changed %v but Shared(next) fresh %v", label, changed, fresh)
+	}
+	before, _ := Shared(prev, nil)
+	assertGuidanceEqual(t, before, Generate(prev, DefaultRoots(prev), nil), label+": prev")
+	return !fresh
+}
+
+func TestCarry(t *testing.T) {
+	// Roots {0, 4, 5}: 4 is isolated, 5 a source feeding 3 and 6.
+	base := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 5, Dst: 3}, {Src: 5, Dst: 6}}
+	for _, row := range []struct {
+		name      string
+		added     []graph.Edge
+		grow      int
+		emptyPrev bool
+		carried   bool
+	}{
+		{name: "interior insert", added: []graph.Edge{{Src: 1, Dst: 3}}, carried: true},
+		{name: "vertex 0 gains an in-edge", added: []graph.Edge{{Src: 3, Dst: 0}}, carried: true},
+		{name: "source gains its first in-edge", added: []graph.Edge{{Src: 2, Dst: 5}}},
+		{name: "self-loop on a source", added: []graph.Edge{{Src: 5, Dst: 5}}},
+		{name: "appended vertex with an in-edge", added: []graph.Edge{{Src: 6, Dst: 7}}, grow: 1, carried: true},
+		{name: "appended vertex without an in-edge", added: []graph.Edge{{Src: 7, Dst: 2}}, grow: 1},
+		{name: "duplicate edges", added: []graph.Edge{{Src: 1, Dst: 3}, {Src: 1, Dst: 3}, {Src: 0, Dst: 1}}, carried: true},
+		{name: "prev with an empty slot", added: []graph.Edge{{Src: 1, Dst: 3}}, emptyPrev: true, carried: true},
+	} {
+		prev := graph.MustBuild(7, base)
+		if !row.emptyPrev {
+			Shared(prev, nil)
+		}
+		if carried := checkCarry(t, prev, row.added, 7+row.grow, row.name); carried != row.carried {
+			t.Errorf("%s: carried %v, want %v", row.name, carried, row.carried)
+		}
+	}
+}
+
+// FuzzCarry reads a base graph over 16 vertices, a vertex growth and an
+// insertion batch from the bytes: data[0] holds the growth (low two bits)
+// and whether prev's slot starts filled (bit 2), data[1] how many of the
+// following endpoint pairs are base edges; the rest are the batch.
+func FuzzCarry(f *testing.F) {
+	f.Add([]byte{4, 3, 0, 1, 1, 2, 2, 3, 1, 3})
+	f.Add([]byte{6, 2, 0, 1, 1, 2, 2, 16, 16, 17})
+	f.Add([]byte{5, 1, 3, 4, 5, 3, 4, 4})
+	f.Add([]byte{0, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const n = 16
+		if len(data) < 2 {
+			return
+		}
+		grow := int(data[0] & 3)
+		var base, added []graph.Edge
+		for i := 2; i+1 < len(data); i += 2 {
+			if (i-2)/2 < int(data[1]) {
+				base = append(base, graph.Edge{Src: uint32(data[i] % n), Dst: uint32(data[i+1] % n), Weight: 1})
+			} else {
+				added = append(added, graph.Edge{Src: uint32(int(data[i]) % (n + grow)), Dst: uint32(int(data[i+1]) % (n + grow)), Weight: 1})
+			}
+		}
+		prev := graph.MustBuild(n, base)
+		if data[0]&4 != 0 {
+			Shared(prev, nil)
+		}
+		checkCarry(t, prev, added, n+grow, "fuzz")
+	})
 }
 
 func BenchmarkUpdateVsRegenerate(b *testing.B) {

@@ -14,8 +14,10 @@ import (
 // in-flight program, with the pool's size as the concurrency bound
 // (Acquire blocks once every session is running a program).
 //
-// Concurrency is free of cross-program state: each program owns its runner,
-// resume values and guidance clone; the mutated graphs are immutable; and a
+// Concurrency is free of cross-program state: each program owns its runner
+// and resume values; the mutated graphs are immutable, and so is the one
+// guidance each graph's shared slot holds (filled once even under
+// concurrent first runs, and identical whichever run fills it); and a
 // session executes exactly one program at a time. Results are therefore
 // bit-identical to the serial pre-pool path — regression-proved by
 // TestConcurrentMatchesSerial — and the batch's wall-clock cost drops from
@@ -33,7 +35,7 @@ func (s *Service) reexecuteAll(ctx context.Context, cur *Snapshot, g2, sym2 *gra
 		wg.Add(1)
 		go func(id string, p *Program) {
 			defer wg.Done()
-			np, err := s.reexecuteOne(ctx, p, cur, g2, sym2, symAdds, adds, full)
+			np, err := s.reexecuteOne(ctx, p, g2, sym2, symAdds, adds, full)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -59,11 +61,11 @@ func (s *Service) reexecuteAll(ctx context.Context, cur *Snapshot, g2, sym2 *gra
 // exactly its duration; Release heals the session if the run poisoned it.
 // The acquire is context-bound: a cancelled request stops queueing instead
 // of waiting on a session a wedged run may never release.
-func (s *Service) reexecuteOne(ctx context.Context, p *Program, cur *Snapshot, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
+func (s *Service) reexecuteOne(ctx context.Context, p *Program, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
 	sess, err := s.pool.AcquireCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer s.pool.Release(sess)
-	return s.reexecute(sess, p, cur, g2, sym2, symAdds, adds, full)
+	return s.reexecute(sess, p, g2, sym2, symAdds, adds, full)
 }

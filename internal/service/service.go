@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,8 +25,8 @@ type Config struct {
 	Threads int
 	// Stealing enables the work-stealing scheduler.
 	Stealing bool
-	// RR enables redundancy reduction; guidance is then maintained
-	// incrementally across mutation batches.
+	// RR enables redundancy reduction; the graph's shared guidance is then
+	// carried across insert-only batches (rrg.Carry).
 	RR bool
 	// Codec selects the delta-sync wire codec (nil: raw).
 	Codec compress.Codec
@@ -77,18 +76,12 @@ type Program struct {
 	// Outcome is the latest execution result on the snapshot's graph.
 	Outcome *apps.Outcome
 	// Warm reports whether the latest result came from the incremental
-	// path (guidance update + ExecuteWarm) rather than a cold registration
-	// or full-fallback run.
+	// path (ExecuteWarm after an insert-only batch) rather than a cold
+	// registration or full-fallback run.
 	Warm bool
 
-	runner apps.Incremental
-	// roots is the guidance root set the maintained guidance was generated
-	// from. Guidance can only be updated incrementally over a fixed root
-	// set, so it stays pinned across insert-only batches until one
-	// invalidates it (see freshRoots); a deletion batch re-derives it.
-	roots    []graph.VertexID
-	guidance *rrg.Guidance
-	resume   *apps.Resume
+	runner apps.Runnable
+	resume *apps.Resume
 }
 
 // Stats are cumulative mutation counters, snapshotted per version.
@@ -98,10 +91,10 @@ type Stats struct {
 	// EdgesAdded / EdgesRemoved count applied edge mutations.
 	EdgesAdded   int64
 	EdgesRemoved int64
-	// FullRebuilds counts batches that took the deletion fallback (full
-	// guidance regeneration + cold re-runs).
+	// FullRebuilds counts batches that took the deletion fallback (cold
+	// re-runs over a graph whose guidance is generated afresh).
 	FullRebuilds int64
-	// Incremental counts batches applied via guidance update + warm
+	// Incremental counts batches applied via carried guidance + warm
 	// re-execution.
 	Incremental int64
 }
@@ -216,17 +209,6 @@ func (s *Service) runOptions() cluster.Options {
 	}
 }
 
-// generate builds guidance for roots on g with a transient pool (nil when
-// RR is off: no guidance is maintained then).
-func (s *Service) generate(g *graph.Graph, roots []graph.VertexID) *rrg.Guidance {
-	if !s.cfg.RR {
-		return nil
-	}
-	sched := ws.New(s.cfg.Threads, s.cfg.Stealing)
-	defer sched.Close()
-	return rrg.Generate(g, roots, sched)
-}
-
 // ProgramID names a (key, domain) pairing in a snapshot's program map.
 func ProgramID(key, domain string) string { return key + ":" + domain }
 
@@ -263,10 +245,7 @@ func (s *Service) RegisterCtx(ctx context.Context, key, domain string, root grap
 	if !ok {
 		return nil, fmt.Errorf("service: unknown application %q for domain %q", key, domain)
 	}
-	inc, ok := entry.Build(root, iters).(apps.Incremental)
-	if !ok {
-		return nil, fmt.Errorf("service: %s does not support incremental re-execution", id)
-	}
+	runner := entry.Build(root, iters)
 
 	sym := cur.Sym
 	execG := cur.Graph
@@ -276,16 +255,11 @@ func (s *Service) RegisterCtx(ctx context.Context, key, domain string, root grap
 		}
 		execG = sym
 	}
-	roots := append([]graph.VertexID(nil), inc.GuidanceRoots(execG)...)
-	gd := s.generate(execG, roots)
-	opt := s.runOptions()
-	opt.Guidance = gd
-	opt.GuidanceRoots = roots
 	sess, err := s.pool.AcquireCtx(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("service: registration run for %s: %w", id, err)
 	}
-	out, resume, err := inc.ExecuteIn(sess, execG, opt)
+	out, resume, err := runner.ExecuteIn(sess, execG, s.runOptions())
 	s.pool.Release(sess) // heals the session if the run poisoned it
 	if err != nil {
 		return nil, fmt.Errorf("service: registration run for %s failed: %w", id, err)
@@ -297,7 +271,7 @@ func (s *Service) RegisterCtx(ctx context.Context, key, domain string, root grap
 	next.Sym = sym
 	next.Programs[id] = &Program{
 		Key: key, Domain: domain, NeedsSym: entry.NeedsSym,
-		Outcome: out, runner: inc, roots: roots, guidance: gd, resume: resume,
+		Outcome: out, runner: runner, resume: resume,
 	}
 	s.snap.Store(next)
 	s.cache.InvalidateBelow(next.Version)
@@ -321,12 +295,13 @@ func (s *Service) successor(cur *Snapshot) *Snapshot {
 }
 
 // Apply executes one mutation batch: the graph (and symmetrised twin) move
-// to the next version, guidance is updated incrementally, and every
-// registered program re-executes — warm for min/max insertions, cold
-// otherwise. Programs re-execute concurrently over the session pool (see
-// reexecuteAll); the snapshot swaps only after every program re-ran, so
-// readers never observe a version whose results lag its graph. Deletions
-// take the fallback path: full guidance regeneration and cold re-runs.
+// to the next version, an insertion batch carries each graph's shared
+// guidance along (rrg.Carry), and every registered program re-executes —
+// warm for min/max insertions, cold otherwise. Programs re-execute
+// concurrently over the session pool (see reexecuteAll); the snapshot swaps
+// only after every program re-ran, so readers never observe a version whose
+// results lag its graph. Deletions take the fallback path: cold re-runs,
+// whose first RR run generates the new version's guidance.
 func (s *Service) Apply(b *Batch) (*Snapshot, error) {
 	return s.ApplyCtx(context.Background(), b)
 }
@@ -394,6 +369,16 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 		next.Stats.FullRebuilds++
 	} else {
 		next.Stats.Incremental++
+		if s.cfg.RR {
+			// Before any program runs on the new versions, so every run
+			// over one shares a single Update.
+			sched := ws.New(s.cfg.Threads, s.cfg.Stealing)
+			rrg.Carry(cur.Graph, g2, b.Adds, sched)
+			if cur.Sym != nil {
+				rrg.Carry(cur.Sym, sym2, symAdds, sched)
+			}
+			sched.Close()
+		}
 	}
 
 	reexecuted, err := s.reexecuteAll(ctx, cur, g2, sym2, symAdds, b.Adds, full)
@@ -410,72 +395,27 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 	return next, nil
 }
 
-// reexecute moves one program from cur to the mutated graph on the given
-// session.
-func (s *Service) reexecute(sess *cluster.Session, p *Program, cur *Snapshot, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
-	prevG, execG, execAdds := cur.Graph, g2, adds
+// reexecute moves one program to the mutated graph on the given session.
+// Guidance is the cluster layer's choice either way: the new version's
+// shared slot holds what rrg.Carry moved there, or the first RR run over
+// the version generates it.
+func (s *Service) reexecute(sess *cluster.Session, p *Program, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
+	execG, execAdds := g2, adds
 	if p.NeedsSym {
-		prevG, execG, execAdds = cur.Sym, sym2, symAdds
+		execG, execAdds = sym2, symAdds
 	}
-	np := &Program{
-		Key: p.Key, Domain: p.Domain, NeedsSym: p.NeedsSym,
-		runner: p.runner, roots: p.roots,
-	}
-	opt := s.runOptions()
+	np := &Program{Key: p.Key, Domain: p.Domain, NeedsSym: p.NeedsSym, runner: p.runner}
+	var err error
 	if full {
-		// Deletions can grow distances: incremental guidance maintenance
-		// and monotone warm-starts both lose their correctness argument,
-		// so regenerate and re-run cold — from roots re-derived on execG,
-		// since the batch may also have given a pinned source its first
-		// in-edge (freshRoots) or stripped a vertex of its last one.
-		np.roots = slices.Clone(p.runner.GuidanceRoots(execG))
-		np.guidance = s.generate(execG, np.roots)
-		opt.Guidance, opt.GuidanceRoots = np.guidance, np.roots
-		out, resume, err := p.runner.ExecuteIn(sess, execG, opt)
-		if err != nil {
-			return nil, err
-		}
-		np.Outcome, np.resume = out, resume
-		return np, nil
+		// Deletions can grow distances: monotone warm-starts lose their
+		// correctness argument, so re-run cold.
+		np.Outcome, np.resume, err = p.runner.ExecuteIn(sess, execG, s.runOptions())
+	} else {
+		np.Outcome, np.resume, err = p.resume.ExecuteWarm(sess, execG, execAdds, s.runOptions())
+		np.Warm = true
 	}
-	if p.guidance != nil {
-		if roots := freshRoots(p, prevG, execG, execAdds); roots != nil {
-			np.roots = roots
-			np.guidance = s.generate(execG, roots)
-		} else {
-			// Clone before Update: the prior snapshot's guidance is
-			// published state and must stay frozen.
-			np.guidance = p.guidance.Clone()
-			if _, err := np.guidance.Update(execG, execAdds); err != nil {
-				return nil, err
-			}
-		}
-	}
-	opt.Guidance, opt.GuidanceRoots = np.guidance, np.roots
-	out, resume, err := p.resume.ExecuteWarm(sess, execG, execAdds, opt)
 	if err != nil {
 		return nil, err
 	}
-	np.Outcome, np.resume, np.Warm = out, resume, true
 	return np, nil
-}
-
-// freshRoots returns p's guidance roots re-derived on execG when the batch
-// invalidated the pinned set, and nil while the pinned set stands. The
-// default root set holds every source vertex because propagation can never
-// reach one; a pinned source that gains its first in-edge is reachable from
-// then on, and keeping it a level-0 root would tell its out-neighbours
-// their inputs settle earlier than they do (PageRank's "finish early" then
-// freezes them on stale values). Programs with explicit roots re-derive the
-// same set and are unaffected.
-func freshRoots(p *Program, prevG, execG *graph.Graph, adds []graph.Edge) []graph.VertexID {
-	for _, e := range adds {
-		if int(e.Dst) < prevG.NumVertices() && prevG.InDegree(e.Dst) == 0 && slices.Contains(p.roots, e.Dst) {
-			if roots := p.runner.GuidanceRoots(execG); !slices.Equal(roots, p.roots) {
-				return slices.Clone(roots)
-			}
-			return nil
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -14,7 +15,8 @@ import (
 )
 
 // registered is the program matrix the differential tests run: min/max and
-// arith, all three wire widths, plus the symmetrised-graph app.
+// arith (default-rooted and rooted), all three wire widths, plus the
+// symmetrised-graph app.
 var registered = []struct {
 	key, domain string
 	root        graph.VertexID
@@ -26,6 +28,7 @@ var registered = []struct {
 	{"cc", "u32", 0, 0},
 	{"pr", "f64", 0, 10},
 	{"pr", "f32", 0, 10},
+	{"numpaths", "f64", 0, 10},
 }
 
 // newTestService builds a 2-node resident service with every matrix program
@@ -45,28 +48,9 @@ func newTestService(t *testing.T, g *graph.Graph) *service.Service {
 	return svc
 }
 
-// pinnedRoots reproduces the guidance root set the service froze at
-// registration time: the program's own choice on the registration graph.
-func pinnedRoots(t *testing.T, key, domain string, root graph.VertexID, iters int, regG *graph.Graph) []graph.VertexID {
-	t.Helper()
-	entry, ok := apps.LookupRunnable(key, domain)
-	if !ok {
-		t.Fatalf("%s:%s not registered", key, domain)
-	}
-	runG := regG
-	if entry.NeedsSym {
-		runG = apps.Symmetrize(regG)
-	}
-	inc, ok := entry.Build(root, iters).(apps.Incremental)
-	if !ok {
-		t.Fatalf("%s:%s is not Incremental", key, domain)
-	}
-	return inc.GuidanceRoots(runG)
-}
-
-// coldOracle runs the program from scratch on an independently rebuilt
-// graph with the service's pinned guidance roots.
-func coldOracle(t *testing.T, key, domain string, root graph.VertexID, iters int, g *graph.Graph, roots []graph.VertexID) []float64 {
+// coldOracle runs the program from scratch, as a plain RR run, on an
+// independently rebuilt graph: nothing of the service's state reaches it.
+func coldOracle(t *testing.T, key, domain string, root graph.VertexID, iters int, g *graph.Graph) []float64 {
 	t.Helper()
 	entry, _ := apps.LookupRunnable(key, domain)
 	runG := g
@@ -74,7 +58,7 @@ func coldOracle(t *testing.T, key, domain string, root graph.VertexID, iters int
 		runG = apps.Symmetrize(g)
 	}
 	out, err := entry.Build(root, iters).Execute(runG, cluster.Options{
-		Nodes: 2, Threads: 2, Stealing: true, RR: true, GuidanceRoots: roots,
+		Nodes: 2, Threads: 2, Stealing: true, RR: true,
 	})
 	if err != nil {
 		t.Fatalf("cold %s:%s: %v", key, domain, err)
@@ -144,8 +128,7 @@ func TestIncrementalMatchesCold(t *testing.T) {
 			if !p.Warm {
 				t.Fatalf("batch %d: %s did not take the incremental path", batchNo, id)
 			}
-			roots := pinnedRoots(t, reg.key, reg.domain, reg.root, reg.iters, g0)
-			want := coldOracle(t, reg.key, reg.domain, reg.root, reg.iters, coldG, roots)
+			want := coldOracle(t, reg.key, reg.domain, reg.root, reg.iters, coldG)
 			if len(p.Outcome.Values) != len(want) {
 				t.Fatalf("batch %d: %s: %d values, want %d", batchNo, id, len(p.Outcome.Values), len(want))
 			}
@@ -162,8 +145,8 @@ func TestIncrementalMatchesCold(t *testing.T) {
 	}
 }
 
-// Deletions take the full-fallback path (regenerated guidance, cold
-// re-runs) and must equally match the oracle.
+// Deletions take the full-fallback path (cold re-runs over a graph whose
+// guidance is generated afresh) and must equally match the oracle.
 func TestDeletionFallbackMatchesCold(t *testing.T) {
 	g0 := gen.Uniform(250, 1000, 4, 23)
 	allEdges := g0.Edges(nil)
@@ -206,10 +189,7 @@ func TestDeletionFallbackMatchesCold(t *testing.T) {
 			if p.Warm {
 				t.Fatalf("%s took the incremental path through a deletion batch", id)
 			}
-			// The fallback regenerates guidance from roots re-derived on the
-			// mutated graph, exactly what a cold run on it chooses.
-			roots := pinnedRoots(t, reg.key, reg.domain, reg.root, reg.iters, coldG)
-			want := coldOracle(t, reg.key, reg.domain, reg.root, reg.iters, coldG, roots)
+			want := coldOracle(t, reg.key, reg.domain, reg.root, reg.iters, coldG)
 			for v := range want {
 				if !equalValues(reg.domain, p.Outcome.Values[v], want[v]) {
 					t.Fatalf("%s: vertex %d: fallback %g vs cold %g", id, v, p.Outcome.Values[v], want[v])
@@ -219,11 +199,10 @@ func TestDeletionFallbackMatchesCold(t *testing.T) {
 	}
 	checkFallback(snap, kept)
 
-	// A second deletion batch that also gives a pinned source (in-degree 0,
-	// hence a default guidance root) its first in-edge: the roots pinned at
-	// registration are stale now, and guidance regenerated from them would
-	// let PageRank's "finish early" freeze the source's out-neighbours on
-	// ranks that ignore its new in-flow.
+	// A second deletion batch that also gives a source (in-degree 0, hence
+	// a default guidance root) its first in-edge: guidance still rooted
+	// there would let PageRank's "finish early" freeze the source's
+	// out-neighbours on ranks that ignore its new in-flow.
 	source := graph.VertexID(0)
 	for v := 1; v < snap.Graph.NumVertices(); v++ {
 		if snap.Graph.InDegree(graph.VertexID(v)) == 0 && snap.Graph.OutDegree(graph.VertexID(v)) > 0 {
@@ -372,35 +351,63 @@ func TestApplyRejectsBadBatchAndStaysServing(t *testing.T) {
 	}
 }
 
-// A guidance root set pinned at registration goes stale when a batch gives
-// one of its source vertices (in-degree 0, hence a default root) its first
-// in-edge: the vertex stays a level-0 root in the maintained guidance, its
-// out-neighbours' LastIter stays too small, and PageRank's "finish early"
-// freezes them before the new in-flow has propagated. The service must
-// re-derive the root set then; served ranks stay within the repo's PageRank
-// tolerance of the serial reference on the independently rebuilt graph.
+// An insertion batch can change the default guidance root set: a source
+// vertex (in-degree 0, hence a root) that gains its first in-edge stops
+// being one, and an appended vertex without an in-edge becomes one.
+// Guidance still rooted at the old set tells the affected vertices' out-
+// neighbours their inputs settle earlier than they do, and PageRank's
+// "finish early" freezes them before the new in-flow has propagated. Served
+// ranks must stay within the repo's PageRank tolerance of the serial
+// reference on the independently rebuilt graph after every batch.
 func TestSourceRootGainingInEdgeKeepsPageRankRight(t *testing.T) {
-	const (
-		iters   = 20
-		batches = 30
-		perB    = 64
-	)
-	for seed := int64(1); seed <= 6; seed++ {
-		g0 := gen.RMAT(1<<10, 1<<14, gen.DefaultRMAT, 8, seed)
-		n := g0.NumVertices()
+	const iters = 20
+	// serve registers PageRank over g0 on a fresh service and applies the
+	// batches next draws from the current graph, checking after each.
+	serve := func(label string, g0 *graph.Graph, batches int, next func(cur *graph.Graph) *service.Batch) {
+		t.Helper()
 		svc, err := service.New(g0, service.Config{Nodes: 1, Threads: 1, Sessions: 1, RR: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer svc.Close()
 		if _, err := svc.Register("pr", "f64", 0, iters); err != nil {
 			t.Fatal(err)
 		}
 		allEdges := g0.Edges(nil)
-		rng := rand.New(rand.NewSource(seed))
 		cur := g0
 		for batchNo := 0; batchNo < batches; batchNo++ {
-			// Aim every insertion at a vertex nothing points to yet; once the
-			// graph has none left, at any vertex.
+			b := next(cur)
+			snap, err := svc.Apply(b)
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", label, batchNo, err)
+			}
+			cur = snap.Graph
+			allEdges = append(allEdges, b.Adds...)
+			coldG := graph.MustBuild(cur.NumVertices(), allEdges)
+			want := apps.RefPageRank(coldG, iters)
+			got := apps.PageRankScores(coldG, snap.Programs[service.ProgramID("pr", "f64")].Outcome.Values)
+			wrong, first := 0, -1
+			for v := range want {
+				if math.Abs(got[v]-want[v]) > 1e-4*(1+math.Abs(want[v])) {
+					if wrong++; first < 0 {
+						first = v
+					}
+				}
+			}
+			if wrong > 0 {
+				t.Fatalf("%s batch %d: %d of %d vertices serve wrong ranks (vertex %d: %g, reference %g)",
+					label, batchNo, wrong, len(want), first, got[first], want[first])
+			}
+		}
+	}
+
+	// Sources gaining in-edges: aim every insertion at a vertex nothing
+	// points to yet; once the graph has none left, at any vertex.
+	for seed := int64(1); seed <= 6; seed++ {
+		g0 := gen.RMAT(1<<10, 1<<14, gen.DefaultRMAT, 8, seed)
+		n := g0.NumVertices()
+		rng := rand.New(rand.NewSource(seed))
+		serve(fmt.Sprintf("seed %d", seed), g0, 30, func(cur *graph.Graph) *service.Batch {
 			var sources []graph.VertexID
 			for v := 0; v < n; v++ {
 				if cur.InDegree(graph.VertexID(v)) == 0 {
@@ -408,28 +415,23 @@ func TestSourceRootGainingInEdgeKeepsPageRankRight(t *testing.T) {
 				}
 			}
 			b := &service.Batch{}
-			for i := 0; i < perB; i++ {
+			for i := 0; i < 64; i++ {
 				dst := graph.VertexID(rng.Intn(n))
 				if len(sources) > 0 {
 					dst = sources[rng.Intn(len(sources))]
 				}
 				b.Adds = append(b.Adds, graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: dst, Weight: 1})
 			}
-			snap, err := svc.Apply(b)
-			if err != nil {
-				t.Fatalf("seed %d batch %d: %v", seed, batchNo, err)
-			}
-			cur = snap.Graph
-			allEdges = append(allEdges, b.Adds...)
-			coldG := graph.MustBuild(n, allEdges)
-			want := apps.RefPageRank(coldG, iters)
-			got := apps.PageRankScores(coldG, snap.Programs[service.ProgramID("pr", "f64")].Outcome.Values)
-			for v := range want {
-				if math.Abs(got[v]-want[v]) > 1e-4*(1+math.Abs(want[v])) {
-					t.Fatalf("seed %d batch %d: vertex %d serves rank %g, reference %g", seed, batchNo, v, got[v], want[v])
-				}
-			}
-		}
-		svc.Close()
+			return b
+		})
 	}
+
+	// Vertex growth: a new source n feeding new vertices n → n+1 → n+2 → 5.
+	g0 := gen.Uniform(200, 800, 4, 3)
+	n := graph.VertexID(g0.NumVertices())
+	serve("growth", g0, 1, func(*graph.Graph) *service.Batch {
+		return &service.Batch{AddVertices: 3, Adds: []graph.Edge{
+			{Src: n, Dst: n + 1, Weight: 1}, {Src: n + 1, Dst: n + 2, Weight: 1}, {Src: n + 2, Dst: 5, Weight: 1},
+		}}
+	})
 }
