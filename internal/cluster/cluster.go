@@ -120,8 +120,9 @@ type RunResult[V comparable] struct {
 	Guidance *rrg.Guidance
 	// PreprocessTime is the RRG generation cost this run paid: zero when RR
 	// is off, when Options.Guidance was given, and when the graph's shared
-	// slot already held the guidance (generated by an earlier run or carried
-	// by rrg.Carry; Guidance.GenTime keeps its cost).
+	// slot already held the guidance (generated by an earlier run, carried
+	// by rrg.Carry, or read from a .slfc file; Guidance.GenTime keeps the
+	// cost of a generation, and is 0 for a file's).
 	PreprocessTime time.Duration
 	// Comm aggregates message/byte counts over all workers.
 	Comm comm.Stats

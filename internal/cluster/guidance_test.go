@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -31,18 +32,21 @@ func runGuidance[V comparable](t *testing.T, g graph.View, p *core.Program[V], o
 }
 
 // TestGuidanceSharedPerGraph pins one default-root guidance per graph
-// object: arith and min/max programs over the same heap or mmap'd graph all
-// get the guidance the first RR run generated, and only that run pays for
-// it. An arith program with Roots still generates a private guidance from
-// them, RR-off runs get none, and concurrent first runs generate once.
+// object: arith and min/max programs over the same graph all get the same
+// guidance. Over the heap graph the first RR run generates it and only that
+// run pays; a converted .slfc file, mmap'd or out of core, arrives with it,
+// so no run pays and it equals the heap graph's. An arith program with
+// Roots still generates a private guidance from them, RR-off runs get none,
+// and concurrent first runs over a file without the section generate once.
 func TestGuidanceSharedPerGraph(t *testing.T) {
 	heap := gen.RMAT(2048, 16384, gen.DefaultRMAT, 8, 3)
-	path := filepath.Join(t.TempDir(), "g.slfc")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.slfc")
 	if err := store.Write(path, heap); err != nil {
 		t.Fatal(err)
 	}
-	open := func() *store.Graph {
-		sg, err := store.Open(path)
+	open := func(path string, budget int64) *store.Graph {
+		sg, err := store.OpenBudget(path, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +54,12 @@ func TestGuidanceSharedPerGraph(t *testing.T) {
 		return sg
 	}
 	opt := cluster.Options{Nodes: 2, Threads: 2, Stealing: true, RR: true}
-	for name, g := range map[string]graph.View{"heap": heap, "mmap": open()} {
+	// Heap first: its first run must be the one that fills its slot.
+	for _, v := range []struct {
+		name string
+		g    graph.View
+	}{{"heap", heap}, {"mmap", open(path, 0)}, {"ooc", open(path, 1)}} {
+		name, g := v.name, v.g
 		runs := []guidanceRun{
 			runGuidance(t, g, apps.PageRank(5), opt),
 			runGuidance(t, g, apps.SSSP(0), opt),
@@ -59,9 +68,13 @@ func TestGuidanceSharedPerGraph(t *testing.T) {
 			runGuidance(t, g, apps.WP(0), opt),
 		}
 		for i, r := range runs {
-			if r.gd != runs[0].gd || r.preprocess != (i == 0) {
+			if r.gd != runs[0].gd || r.preprocess != (name == "heap" && i == 0) {
 				t.Errorf("%s run %d: guidance %p (first run's %p), paid preprocessing %v", name, i, r.gd, runs[0].gd, r.preprocess)
 			}
+		}
+		if want, _ := rrg.Shared(heap, nil); !slices.Equal(runs[0].gd.LastIter, want.LastIter) ||
+			runs[0].gd.Rounds != want.Rounds || runs[0].gd.MaxLastIter != want.MaxLastIter {
+			t.Errorf("%s: shared guidance differs from the heap graph's", name)
 		}
 		rooted := rrg.Generate(g, []graph.VertexID{7}, nil)
 		if r := runGuidance(t, g, apps.NumPaths(7, 5), opt); r.gd == runs[0].gd || !r.preprocess || !slices.Equal(r.gd.LastIter, rooted.LastIter) {
@@ -74,7 +87,18 @@ func TestGuidanceSharedPerGraph(t *testing.T) {
 		}
 	}
 
-	fresh := open()
+	// The same file with the flag cleared and the section cut off.
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img = img[:len(img)-(8+4*heap.NumVertices())]
+	img[24] &^= 1 << 1
+	bare := filepath.Join(dir, "bare.slfc")
+	if err := os.WriteFile(bare, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := open(bare, 0)
 	runs := make([]guidanceRun, 8)
 	var wg sync.WaitGroup
 	for i := range runs {

@@ -19,20 +19,18 @@
 // reusable across applications on the same graph (§3.2): Shared generates
 // it from DefaultRoots once per graph object and hands that one guidance to
 // every later run, and Carry moves it across an insertion batch to the next
-// graph version. Start late is sound under any LastIter, so min/max
-// programs share it too; per-root guidance bought no measurable precision.
+// graph version. A converted .slfc file carries it (package store writes it
+// at conversion), so a graph opened from one arrives with its slot already
+// full and no job on it generates. Start late is sound under any LastIter,
+// so min/max programs share it too; per-root guidance bought no
+// measurable precision.
 // The one exception is an arithmetic program whose information starts at
 // its own roots (NumPaths, HeatSimulation, evidence-rooted BP): finish early
 // needs levels measured from those roots, so its run generates them.
 package rrg
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"math"
-	"slices"
 	"time"
 
 	"slfe/internal/bitset"
@@ -50,6 +48,8 @@ type Guidance struct {
 	// unreachable vertices).
 	LastIter []uint32
 	// Level[v] is the BFS level from the roots (Unreached if unreachable).
+	// Only Update and Carry read it. It is nil for guidance decoded from a
+	// .slfc file, which is never carried.
 	Level []uint32
 	// Rounds is the number of propagation iterations preprocessing ran.
 	Rounds uint32
@@ -171,8 +171,10 @@ func DefaultRoots(g graph.View) []graph.VertexID {
 
 // Shared returns Generate(g, DefaultRoots(g), sched) from g's graph.Derived
 // slot, generating it exactly once per graph object even under concurrent
-// callers; fresh reports whether this call generated it. A View without a
-// slot gets a fresh guidance every call. The result is shared: Clone it
+// callers; fresh reports whether this call generated it. A graph opened
+// from a .slfc file that carries guidance has its slot filled at open, so
+// Shared never generates for it. A View without a slot gets a fresh
+// guidance every call. The result is shared: Clone it
 // before Update.
 func Shared(g graph.View, sched *ws.Scheduler) (gd *Guidance, fresh bool) {
 	build := func() any { fresh = true; return Generate(g, DefaultRoots(g), sched) }
@@ -221,7 +223,8 @@ func keepsDefaultRoots(prev, next *graph.Graph, added []graph.Edge) bool {
 	return true
 }
 
-// Reached reports whether v was reached during preprocessing.
+// Reached reports whether v was reached during preprocessing. It needs
+// Level, so it does not apply to guidance decoded from a .slfc file.
 func (gd *Guidance) Reached(v graph.VertexID) bool { return gd.Level[v] != Unreached }
 
 // Clone returns a deep copy sharing no storage with gd. Update mutates the
@@ -233,56 +236,4 @@ func (gd *Guidance) Clone() *Guidance {
 	cp.LastIter = append([]uint32(nil), gd.LastIter...)
 	cp.Level = append([]uint32(nil), gd.Level...)
 	return &cp
-}
-
-const (
-	guidanceMagic = "SLRR"
-	// ioChunk bounds the array entries WriteTo and ReadGuidance move per call.
-	ioChunk = 1 << 14
-)
-
-// WriteTo serialises the guidance (magic, u32 n, u32 rounds, then LastIter
-// and Level arrays), enabling the §4.4 amortisation of preprocessing across
-// the ~8.7 jobs Facebook runs per graph.
-func (gd *Guidance) WriteTo(w io.Writer) (int64, error) {
-	buf := binary.LittleEndian.AppendUint32([]byte(guidanceMagic), uint32(len(gd.LastIter)))
-	k, err := w.Write(binary.LittleEndian.AppendUint32(buf, gd.Rounds))
-	total := int64(k)
-	for _, arr := range [][]uint32{gd.LastIter, gd.Level} {
-		for lo := 0; lo < len(arr) && err == nil; lo += ioChunk {
-			// Append fails only on types it cannot encode; []uint32 is not one.
-			buf, _ = binary.Append(buf[:0], binary.LittleEndian, arr[lo:min(lo+ioChunk, len(arr))])
-			k, err = w.Write(buf)
-			total += int64(k)
-		}
-	}
-	return total, err
-}
-
-// ReadGuidance deserialises a guidance written by WriteTo. The arrays grow
-// with the bytes actually read, so a header claiming more vertices than the
-// body holds fails at the end of the body instead of allocating the claim.
-func ReadGuidance(r io.Reader) (*Guidance, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("rrg: truncated header: %w", err)
-	}
-	if string(hdr[:4]) != guidanceMagic {
-		return nil, errors.New("rrg: bad magic")
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	gd := &Guidance{Rounds: binary.LittleEndian.Uint32(hdr[8:])}
-	for i, arr := range []*[]uint32{&gd.LastIter, &gd.Level} {
-		for len(*arr) < n {
-			k := min(n-len(*arr), ioChunk)
-			*arr = slices.Grow(*arr, k)[:len(*arr)+k]
-			if err := binary.Read(r, binary.LittleEndian, (*arr)[len(*arr)-k:]); err != nil {
-				return nil, fmt.Errorf("rrg: truncated %s at entry %d of %d: %w", [2]string{"LastIter", "Level"}[i], len(*arr)-k, n, err)
-			}
-		}
-	}
-	for _, l := range gd.LastIter {
-		gd.MaxLastIter = max(gd.MaxLastIter, l)
-	}
-	return gd, nil
 }

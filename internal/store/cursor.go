@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"slfe/internal/graph"
+	"slfe/internal/rrg"
 )
 
 // Cursor decodes adjacency blocks into its own reusable scratch and charges
@@ -259,9 +260,12 @@ func grow[T any](b []T, n int) []T {
 // offset index, returning an ErrBadFormat-wrapped error on the first
 // defect: non-monotone edge offsets, a control region or data that overruns
 // its block, control codes that do not cover the block exactly (or unused
-// codes that are not zero), or neighbour ids out of range. Open only checks
-// structure (O(nBlocks)); Validate is the deep O(m) check used by the
-// fuzzer, corruption tests and `slfe-convert -check`.
+// codes that are not zero), neighbour ids out of range, or a guidance
+// section that differs from the default-root guidance regenerated from the
+// verified adjacency. Open only checks structure (O(nBlocks)); Validate is
+// the deep O(m) check used by the fuzzer, corruption tests and
+// `slfe-convert -check`. A wrong LastIter cannot change a min/max result,
+// but it can freeze an arith vertex early, so it must not pass.
 func (g *Graph) Validate() error {
 	for _, s := range []struct {
 		name string
@@ -277,6 +281,20 @@ func (g *Graph) Validate() error {
 		}
 		if err := g.validateDir(s.name, s.d); err != nil {
 			return err
+		}
+	}
+	if !g.guided {
+		return nil
+	}
+	got, _ := rrg.Shared(g, nil)
+	want := rrg.Generate(g, rrg.DefaultRoots(g), nil)
+	if got.Rounds != want.Rounds || got.MaxLastIter != want.MaxLastIter {
+		return badf("guidance section has Rounds %d, MaxLastIter %d; the graph gives %d, %d",
+			got.Rounds, got.MaxLastIter, want.Rounds, want.MaxLastIter)
+	}
+	for v, l := range want.LastIter {
+		if got.LastIter[v] != l {
+			return badf("guidance section has LastIter[%d] = %d; the graph gives %d", v, got.LastIter[v], l)
 		}
 	}
 	return nil

@@ -12,7 +12,8 @@
 //	4       4     u32 version (currently 2)
 //	8       8     u64 vertex count n
 //	16      8     u64 edge count m
-//	24      4     u32 flags (bit 0: edge-offset entries are u64, not u32)
+//	24      4     u32 flags (bit 0: edge-offset entries are u64, not u32;
+//	                         bit 1: the guidance section follows)
 //	28      1     u8 blockShift (vertices per adjacency block = 1<<shift)
 //	29      1     u8 out-weight mode   (0 const-1, 1 varint u32, 2 raw f32)
 //	30      1     u8 in-weight mode    (same encoding)
@@ -34,6 +35,13 @@
 // Degrees come from the edge-offset index, so the adjacency stream needs
 // no per-vertex length prefixes; a block is the unit of decode (and of
 // pread in out-of-core mode).
+//
+// When flag bit 1 is set, one trailing section starts at the 8-aligned end
+// of the ten above and runs to the end of the file: the default-root
+// guidance, u32 Rounds, u32 MaxLastIter, then n × u32 LastIter (rrg).
+// The writers always emit it; Open decodes it into the graph's Derived
+// slot, so no run over the file generates guidance. A file without the
+// bit opens the same way and generates on its first RR run.
 package store
 
 import (
@@ -44,6 +52,7 @@ import (
 	"os"
 
 	"slfe/internal/graph"
+	"slfe/internal/rrg"
 )
 
 // Magic identifies an SLFC file (first four bytes).
@@ -63,7 +72,8 @@ const (
 	// per vertex.
 	BlockShift = 6
 
-	flagWideOff = 1 << 0
+	flagWideOff  = 1 << 0
+	flagGuidance = 1 << 1
 )
 
 // Weight encoding modes.
@@ -137,6 +147,8 @@ type Graph struct {
 	m     int64
 	shift uint
 	wide  bool
+
+	guided bool // the file carries the guidance section
 
 	data   []byte // whole file when mapped (or opened from bytes); nil in reader mode
 	mapped []byte // the mmap region to release on Close (nil for OpenBytes)
@@ -311,7 +323,12 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 		lens[i] = int64(l)
 		total = align8(total) + int64(l)
 	}
-	if align8(total) != size && total != size {
+	gpos := align8(total) // where the guidance section starts
+	if g.guided = flags&flagGuidance != 0; g.guided {
+		if want := 8 + 4*int64(n64); size-gpos != want {
+			return nil, badf("guidance section is %d bytes, want %d", size-gpos, want)
+		}
+	} else if gpos != size && total != size {
 		return nil, badf("section lengths sum to %d, file size is %d", total, size)
 	}
 
@@ -469,8 +486,42 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 		}
 	}
 
+	if g.guided {
+		gd, err := g.readGuidance(gpos)
+		if err != nil {
+			return nil, err
+		}
+		g.derived.Get(func() any { return gd })
+	}
 	g.def = g.newCursor()
 	return g, nil
+}
+
+// readGuidance decodes the guidance section at pos into the heap, so a
+// result holding it stays valid after Close. Level is nil: the engine
+// reads only LastIter.
+func (g *Graph) readGuidance(pos int64) (*rrg.Guidance, error) {
+	var raw []byte
+	if g.data != nil {
+		raw = g.data[pos:]
+	} else {
+		raw = make([]byte, 8+4*g.n)
+		if _, err := g.r.ReadAt(raw, pos); err != nil {
+			return nil, badf("reading guidance section: %v", err)
+		}
+	}
+	gd := &rrg.Guidance{
+		Rounds:      binary.LittleEndian.Uint32(raw),
+		MaxLastIter: binary.LittleEndian.Uint32(raw[4:]),
+	}
+	if gd.MaxLastIter > uint32(g.n) {
+		return nil, badf("guidance MaxLastIter %d exceeds vertex count %d", gd.MaxLastIter, g.n)
+	}
+	gd.LastIter = make([]uint32, g.n)
+	for i := range gd.LastIter {
+		gd.LastIter[i] = binary.LittleEndian.Uint32(raw[8+4*i:])
+	}
+	return gd, nil
 }
 
 func (g *Graph) numBlocks() int64 {

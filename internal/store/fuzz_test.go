@@ -83,8 +83,17 @@ func FuzzSLFC(f *testing.F) {
 		gen.RMAT(130, 900, gen.DefaultRMAT, 16, 11),              // varint weights
 		fracWeights(gen.RMAT(100, 600, gen.DefaultRMAT, 16, 13)), // raw f32
 	} {
-		f.Add(imageOf(f, g))
+		img := imageOf(f, g)
+		if binary.LittleEndian.Uint32(img[24:])&flagGuidance == 0 {
+			f.Fatal("seed image carries no guidance section")
+		}
+		f.Add(img)
 	}
+	// A flag-less file: the const-1 seed with its section cut off.
+	bare := imageOf(f, gen.RMAT(130, 900, gen.DefaultRMAT, 1, 7))
+	bare = bare[:len(bare)-(8+4*130)]
+	bare[24] &^= flagGuidance
+	f.Add(bare)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := OpenBytes(data)
 		if err != nil {
@@ -184,6 +193,11 @@ func TestCorruptionRejected(t *testing.T) {
 	if binary.LittleEndian.Uint32(base[24:])&flagWideOff != 0 {
 		t.Fatal("test graph unexpectedly uses wide offsets")
 	}
+	if binary.LittleEndian.Uint32(base[24:])&flagGuidance == 0 {
+		t.Fatal("writer did not emit the guidance section")
+	}
+	// The guidance section follows the ten listed ones.
+	gpos := secStart(base, sectionLens)
 
 	cases := []struct {
 		name string
@@ -191,7 +205,7 @@ func TestCorruptionRejected(t *testing.T) {
 		// lateOK: the defect is content-level, allowed to pass open and
 		// be caught by Validate instead.
 		lateOK bool
-		// want: substrings the error must contain.
+		// want: substrings the open or Validate error must contain.
 		want []string
 	}{
 		{name: "empty file", mut: func(img []byte) []byte { return nil }},
@@ -325,6 +339,26 @@ func TestCorruptionRejected(t *testing.T) {
 			img[secStart(img, secOutW)+3] |= 0x80
 			return img
 		}},
+		{name: "guidance section one entry short", want: []string{"guidance section"}, mut: func(img []byte) []byte {
+			return img[:len(img)-4]
+		}},
+		{name: "guidance section one entry too many", want: []string{"guidance section"}, mut: func(img []byte) []byte {
+			return append(img, 0, 0, 0, 0)
+		}},
+		{name: "trailing bytes without the guidance flag", mut: func(img []byte) []byte {
+			img[24] &^= flagGuidance
+			return img
+		}},
+		{name: "guidance MaxLastIter beyond n", want: []string{"MaxLastIter"}, mut: func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[gpos+4:], uint32(n)+1)
+			return img
+		}},
+		{name: "guidance LastIter entry off by one", lateOK: true, want: []string{"LastIter["}, mut: func(img []byte) []byte {
+			// Structurally sound, so open takes it; only regenerating
+			// the guidance from the adjacency shows it is wrong.
+			binary.LittleEndian.PutUint32(img[gpos+8+4*(n/2):], binary.LittleEndian.Uint32(img[gpos+8+4*(n/2):])+1)
+			return img
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,6 +384,11 @@ func TestCorruptionRejected(t *testing.T) {
 			}
 			if !errors.Is(verr, ErrBadFormat) {
 				t.Fatalf("Validate error does not wrap ErrBadFormat: %v", verr)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(verr.Error(), w) {
+					t.Fatalf("Validate error %q does not mention %q", verr, w)
+				}
 			}
 			walkAll(t, g) // clamped decode: garbage in, bounded ids out
 		})

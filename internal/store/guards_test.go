@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"sort"
@@ -76,21 +77,35 @@ const v1BytesPerEdge = 4.63
 // 12 B/edge binary format per edge (it carries BOTH directions plus both
 // indexes, so this bound has real slack only because of delta coding with
 // byte-length values), and at most 1.10× what v1 cost: v2 trades bytes for
-// decode speed, within that bound. The open-speed half of the guard is
-// wall-clock and lives in TestStorageOpenSpeed (perf_test.go).
+// decode speed, within that bound. Both bounds are on the CSR alone; the
+// guidance section (4 B/vertex, no adjacency in it) has its own bound: it
+// is exactly 8+4n bytes. The open-speed half of the guard is wall-clock and
+// lives in TestStorageOpenSpeed (perf_test.go).
 func TestStorageGuards(t *testing.T) {
 	rawPath, cmpPath, m := storageFiles(t)
 	rawSt, err := os.Stat(rawPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmpSt, err := os.Stat(cmpPath)
+	img, err := os.ReadFile(cmpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The CSR ends where the ten header-listed sections end, 8-aligned.
+	csr := int64(112)
+	for i := 0; i < 10; i++ {
+		csr = (csr+7)&^7 + int64(binary.LittleEndian.Uint64(img[32+8*i:]))
+	}
+	csr = (csr + 7) &^ 7
+	n := int64(binary.LittleEndian.Uint64(img[8:]))
+	section := int64(len(img)) - csr
 	rawBPE := bytesPerEdge(rawSt.Size(), m)
-	cmpBPE := bytesPerEdge(cmpSt.Size(), m)
-	t.Logf("raw %.2f B/edge, slfc %.3f B/edge (%.0f%% of raw, %.3f× v1)", rawBPE, cmpBPE, 100*cmpBPE/rawBPE, cmpBPE/v1BytesPerEdge)
+	cmpBPE := bytesPerEdge(csr, m)
+	t.Logf("raw %.2f B/edge, slfc CSR %.3f B/edge (%.0f%% of raw, %.3f× v1); guidance section %d bytes for %d vertices",
+		rawBPE, cmpBPE, 100*cmpBPE/rawBPE, cmpBPE/v1BytesPerEdge, section, n)
+	if section != 8+4*n {
+		t.Errorf("guidance section is %d bytes, want 8+4n = %d", section, 8+4*n)
+	}
 	if cmpBPE > 0.60*rawBPE {
 		t.Errorf("compressed CSR costs %.2f B/edge, more than 60%% of the raw %.2f B/edge", cmpBPE, rawBPE)
 	}

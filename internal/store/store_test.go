@@ -134,7 +134,7 @@ func TestBuilderMatchesWrite(t *testing.T) {
 	sameGraph(t, g, sg)
 
 	// The builder output must be byte-identical to the View writer's:
-	// same sort order, same sections, same bytes.
+	// same sort order, same sections, same bytes, guidance included.
 	path2 := filepath.Join(dir, "w.slfc")
 	if err := Write(path2, g); err != nil {
 		t.Fatal(err)
@@ -143,6 +143,9 @@ func TestBuilderMatchesWrite(t *testing.T) {
 	b2, _ := os.ReadFile(path2)
 	if string(b1) != string(b2) {
 		t.Fatalf("builder output (%d bytes) differs from writer output (%d bytes)", len(b1), len(b2))
+	}
+	if b1[24]&flagGuidance == 0 {
+		t.Fatal("builder output carries no guidance section")
 	}
 }
 

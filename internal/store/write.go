@@ -11,6 +11,7 @@ import (
 	"slices"
 
 	"slfe/internal/graph"
+	"slfe/internal/rrg"
 )
 
 // sectionWriter tracks the file position of a buffered sequential write
@@ -313,6 +314,34 @@ func writeFile(f *os.File, n int, m int64, wmode byte,
 	return nil
 }
 
+// appendGuidance ends every write: it generates v's default-root guidance,
+// appends it as the guidance section at the (8-aligned) end of f, and only
+// then sets flagGuidance, so the header never announces a section that was
+// not written.
+func appendGuidance(f *os.File, v graph.View) error {
+	gd := rrg.Generate(v, rrg.DefaultRoots(v), nil)
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 8, 8+4*len(gd.LastIter))
+	binary.LittleEndian.PutUint32(buf, gd.Rounds)
+	binary.LittleEndian.PutUint32(buf[4:], gd.MaxLastIter)
+	for _, l := range gd.LastIter {
+		buf = binary.LittleEndian.AppendUint32(buf, l)
+	}
+	if _, err := f.WriteAt(buf, end); err != nil {
+		return err
+	}
+	var flags [4]byte
+	if _, err := f.ReadAt(flags[:], 24); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(flags[:], binary.LittleEndian.Uint32(flags[:])|flagGuidance)
+	_, err = f.WriteAt(flags[:], 24)
+	return err
+}
+
 // classifyWeights picks the tightest weight mode for a stream of weights.
 type weightClass struct {
 	allOne bool
@@ -342,9 +371,9 @@ func (c *weightClass) mode() byte {
 }
 
 // Write encodes any graph.View (heap graph, another store.Graph, …) as an
-// SLFC file at path. The weight mode is chosen by a pre-scan: const-1
-// graphs store no weights at all, integer-weighted graphs store varints,
-// everything else raw float32.
+// SLFC file at path, guidance section included. The weight mode is chosen
+// by a pre-scan: const-1 graphs store no weights at all, integer-weighted
+// graphs store varints, everything else raw float32.
 func Write(path string, g graph.View) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -371,7 +400,7 @@ func Write(path string, g graph.View) (err error) {
 		func(v int) int64 { return g.OutDegree(graph.VertexID(v)) },
 		func(v int) int64 { return g.InDegree(graph.VertexID(v)) },
 	}
-	return writeFile(f, n, g.NumEdges(), wc.mode(), degs,
+	err = writeFile(f, n, g.NumEdges(), wc.mode(), degs,
 		func(dir int, emit func(ids []graph.VertexID, ws []float32) error) error {
 			for v := 0; v < n; v++ {
 				id := graph.VertexID(v)
@@ -388,6 +417,10 @@ func Write(path string, g graph.View) (err error) {
 			}
 			return nil
 		})
+	if err != nil {
+		return err
+	}
+	return appendGuidance(f, g)
 }
 
 // Builder streams edges to an SLFC file without ever materialising the
@@ -477,7 +510,8 @@ func (b *Builder) scanSpill(fn func(src, dst uint32, w float32)) error {
 	return nil
 }
 
-// Finish writes the SLFC file and removes the spill.
+// Finish writes the SLFC file and removes the spill. The guidance section
+// is generated over the file just written, reopened.
 func (b *Builder) Finish() (err error) {
 	if b.done {
 		return fmt.Errorf("store: Finish called twice")
@@ -528,7 +562,7 @@ func (b *Builder) Finish() (err error) {
 	var curs []int64
 	var ids []graph.VertexID
 	var ws []float32
-	return writeFile(f, b.n, b.m, b.wc.mode(), degs,
+	err = writeFile(f, b.n, b.m, b.wc.mode(), degs,
 		func(dir int, emit func(ids []graph.VertexID, ws []float32) error) error {
 			off := outOff
 			if dir == 1 {
@@ -592,4 +626,13 @@ func (b *Builder) Finish() (err error) {
 			}
 			return nil
 		})
+	if err != nil {
+		return err
+	}
+	sg, err := Open(b.path)
+	if err != nil {
+		return err
+	}
+	defer sg.Close()
+	return appendGuidance(f, sg)
 }
