@@ -58,7 +58,6 @@ func main() {
 	codecName := flag.String("codec", "raw", "delta-sync wire codec: raw | varint-xor | rle | adaptive (slfe; built at the domain's word width)")
 	syncName := flag.String("sync", "dense", "delta-sync strategy: dense | sparse | adaptive (slfe)")
 	sparseDiv := flag.Int64("sparse-divisor", 0, "adaptive sync goes sparse when changed*divisor < |V| (0 = default 16)")
-	serialSync := flag.Bool("serial-sync", false, "disable overlapped delta-sync streaming; run sync strictly after the compute barrier (slfe, differential oracle)")
 	rebalance := flag.Bool("rebalance", false, "enable dynamic inter-node rebalancing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
 	iters := flag.Int("iters", 30, "iterations for arithmetic apps")
@@ -113,7 +112,7 @@ func main() {
 		fatal(fmt.Errorf("-sparse-divisor must be non-negative (got %d)", *sparseDiv))
 	}
 	opt := cluster.Options{Nodes: *nodes, Threads: *threads, Stealing: *stealing, RR: *rr,
-		Codec: codec, Sync: sync, SparseDivisor: *sparseDiv, SerialSync: *serialSync, Rebalance: *rebalance}
+		Codec: codec, Sync: sync, SparseDivisor: *sparseDiv, Rebalance: *rebalance}
 	if *ft {
 		dir := *ftDir
 		if dir == "" {

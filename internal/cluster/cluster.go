@@ -40,17 +40,13 @@ type Options struct {
 	DenseDivisor int64
 	// Codec selects the delta-sync wire codec (nil: compress.Raw).
 	Codec compress.Codec
-	// Sync selects the delta-sync strategy (dense AllGather, sparse
-	// per-peer exchange, or adaptive per-superstep selection); see
+	// Sync selects the delta-sync strategy (dense broadcast, sparse
+	// per-peer routing, or adaptive per-superstep selection); see
 	// core.Config.Sync.
 	Sync core.SyncStrategy
 	// SparseDivisor tunes the adaptive density threshold; see
 	// core.Config.SparseDivisor.
 	SparseDivisor int64
-	// SerialSync disables the overlapped superstep pipeline and runs
-	// delta-sync strictly after the compute barrier; see
-	// core.Config.SerialSync.
-	SerialSync bool
 	// MeasureAllocs records per-superstep heap-allocation deltas; see
 	// core.Config.MeasureAllocs (only attributable with Nodes=1).
 	MeasureAllocs bool
@@ -247,7 +243,6 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				Codec:            opt.Codec,
 				Sync:             opt.Sync,
 				SparseDivisor:    opt.SparseDivisor,
-				SerialSync:       opt.SerialSync,
 				MeasureAllocs:    opt.MeasureAllocs,
 				Rebalance:        opt.Rebalance,
 				RebalanceEvery:   opt.RebalanceEvery,
@@ -263,7 +258,6 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				comm.Abort(s.transports[rank])
 				return
 			}
-			defer eng.Close()
 			results[rank], errs[rank] = eng.Run(p)
 			if errs[rank] != nil {
 				// Unblock peers waiting on this rank's collectives.

@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -222,7 +221,7 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		var transports []comm.Transport
 		var err error
 		if ft.TCPLoopback {
-			transports, err = joinEpoch(meshNodes, uint32(epoch), members, meshJoinTimeout)
+			transports, err = comm.JoinMembers(meshNodes, uint32(epoch), members, meshJoinTimeout)
 			if err != nil {
 				if len(revivedPrev) > 0 {
 					// The grown epoch could not form (the rejoined rank
@@ -497,34 +496,6 @@ type growOutcome struct {
 	restorePerRank []*ckpt.State
 	revived        []int
 	bytes          int
-}
-
-// joinEpoch forms one membership epoch over the persistent mesh: every
-// member joins concurrently and the epoch's transports are returned in
-// member order. On any member's failure every formed transport is closed.
-func joinEpoch(meshNodes []*comm.MeshNode, epoch uint32, members []int, timeout time.Duration) ([]comm.Transport, error) {
-	ts := make([]comm.Transport, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, id := range members {
-		wg.Add(1)
-		go func(i, id int) {
-			defer wg.Done()
-			ts[i], errs[i] = meshNodes[id].Join(epoch, members, timeout)
-		}(i, id)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, t := range ts {
-				if t != nil {
-					t.Close()
-				}
-			}
-			return nil, err
-		}
-	}
-	return ts, nil
 }
 
 // awaitRejoins holds the recovery transition open for the rejoin window,

@@ -287,6 +287,41 @@ func (n *MeshNode) Join(epoch uint32, members []int, timeout time.Duration) (Tra
 	return n.join(epoch, members, timeout, true)
 }
 
+// JoinMembers forms one membership epoch from this process's own nodes:
+// every member's node (nodes[id] for each original id in members) Joins
+// concurrently, and the epoch's transports are returned in member order.
+// If any member fails, every transport that did form is closed.
+func JoinMembers(nodes []*MeshNode, epoch uint32, members []int, timeout time.Duration) ([]Transport, error) {
+	return joinMembers(nodes, epoch, members, timeout, true)
+}
+
+// joinMembers is JoinMembers with the transports' failure discipline as a
+// parameter (LoopbackTCP forms a strict mesh).
+func joinMembers(nodes []*MeshNode, epoch uint32, members []int, timeout time.Duration, resilient bool) ([]Transport, error) {
+	ts := make([]Transport, len(members))
+	errs := make([]error, len(members))
+	var wg sync.WaitGroup
+	for i, id := range members {
+		wg.Add(1)
+		go func(i, id int) {
+			defer wg.Done()
+			ts[i], errs[i] = nodes[id].join(epoch, members, timeout, resilient)
+		}(i, id)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for _, t := range ts {
+				if t != nil {
+					t.Close()
+				}
+			}
+			return nil, err
+		}
+	}
+	return ts, nil
+}
+
 // join is Join with the transport's failure discipline as a parameter
 // (see tcpTransport): DialTCP and LoopbackTCP form strict meshes.
 func (n *MeshNode) join(epoch uint32, members []int, timeout time.Duration, resilient bool) (Transport, error) {

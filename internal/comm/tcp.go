@@ -356,29 +356,7 @@ func LoopbackTCP(size int, timeout time.Duration) ([]Transport, error) {
 			n.Close()
 		}
 	}()
-	members := allMembers(size)
-	ts := make([]Transport, size)
-	errs := make([]error, size)
-	var wg sync.WaitGroup
-	for rank := range nodes {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ts[rank], errs[rank] = nodes[rank].join(0, members, timeout, false)
-		}(rank)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, t := range ts {
-				if t != nil {
-					t.Close()
-				}
-			}
-			return nil, err
-		}
-	}
-	return ts, nil
+	return joinMembers(nodes, 0, allMembers(size), timeout, false)
 }
 
 func (t *tcpTransport) Stats() Stats { return t.stats.snapshot() }

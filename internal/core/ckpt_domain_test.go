@@ -36,13 +36,12 @@ func runDomainCkpt[V comparable](t *testing.T, g *graph.Graph, p *Program[V], no
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			eng, err := New[V](Config{Graph: g, Comm: comm.NewComm(transports[rank]), Part: part, Ckpt: m})
+			eng, err := New[V](Config{Graph: g, Comm: comm.NewComm(transports[rank]), Part: part, Sched: testSched(t, 0), Ckpt: m})
 			if err != nil {
 				errs[rank] = err
 				comm.Abort(transports[rank])
 				return
 			}
-			defer eng.Close()
 			results[rank], errs[rank] = eng.Run(p)
 			if errs[rank] != nil {
 				comm.Abort(transports[rank])

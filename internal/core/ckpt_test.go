@@ -41,7 +41,7 @@ func runWithCkpt(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, m
 			if rank == failRank {
 				tr = &flakyTransport{Transport: tr, remaining: failAfter}
 			}
-			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(tr), Part: part, Ckpt: m})
+			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: testSched(t, 0), Ckpt: m})
 			if err != nil {
 				errs[rank] = err
 				comm.Abort(transports[rank])
@@ -174,7 +174,7 @@ func TestCheckpointIncompatibleWithRebalance(t *testing.T) {
 	g := gen.Path(16)
 	part, _ := partition.NewChunked(g, 1)
 	_, err := New[float64](Config{
-		Graph: g, Comm: singleComm(t), Part: part,
+		Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0),
 		Ckpt: &ckpt.Manager{Dir: t.TempDir()}, Rebalance: true,
 	})
 	if err == nil {

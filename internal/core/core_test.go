@@ -12,6 +12,7 @@ import (
 	"slfe/internal/metrics"
 	"slfe/internal/partition"
 	"slfe/internal/rrg"
+	"slfe/internal/ws"
 )
 
 func singleComm(t *testing.T) *comm.Comm {
@@ -21,6 +22,14 @@ func singleComm(t *testing.T) *comm.Comm {
 		t.Fatal(err)
 	}
 	return comm.NewComm(ts[0])
+}
+
+// testSched builds a work-stealing pool of threads workers (<=0:
+// GOMAXPROCS) that is closed when the test ends.
+func testSched(tb testing.TB, threads int) *ws.Scheduler {
+	s := ws.New(threads, true)
+	tb.Cleanup(s.Close)
+	return s
 }
 
 func testProgram() *Program[float64] {
@@ -43,16 +52,18 @@ func TestNewValidation(t *testing.T) {
 	g := gen.Path(10)
 	part, _ := partition.NewChunked(g, 1)
 	cm := singleComm(t)
+	sc := testSched(t, 1)
 
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"nil graph", Config{Comm: cm, Part: part}},
-		{"nil comm", Config{Graph: g, Part: part}},
-		{"nil part", Config{Graph: g, Comm: cm}},
-		{"rr without guidance", Config{Graph: g, Comm: cm, Part: part, RR: true}},
-		{"guidance size mismatch", Config{Graph: g, Comm: cm, Part: part, RR: true,
+		{"nil graph", Config{Comm: cm, Part: part, Sched: sc}},
+		{"nil comm", Config{Graph: g, Part: part, Sched: sc}},
+		{"nil part", Config{Graph: g, Comm: cm, Sched: sc}},
+		{"nil sched", Config{Graph: g, Comm: cm, Part: part}},
+		{"rr without guidance", Config{Graph: g, Comm: cm, Part: part, Sched: sc, RR: true}},
+		{"guidance size mismatch", Config{Graph: g, Comm: cm, Part: part, Sched: sc, RR: true,
 			Guidance: &rrg.Guidance{LastIter: make([]uint32, 3), Level: make([]uint32, 3)}}},
 	}
 	for _, c := range cases {
@@ -62,10 +73,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	// Partition/comm size mismatch.
 	badPart, _ := partition.NewChunked(g, 3)
-	if _, err := New[float64](Config{Graph: g, Comm: cm, Part: badPart}); err == nil {
+	if _, err := New[float64](Config{Graph: g, Comm: cm, Part: badPart, Sched: sc}); err == nil {
 		t.Error("partition size mismatch accepted")
 	}
-	if _, err := New[float64](Config{Graph: g, Comm: cm, Part: part}); err != nil {
+	if _, err := New[float64](Config{Graph: g, Comm: cm, Part: part, Sched: sc}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -105,7 +116,7 @@ func TestAggKindString(t *testing.T) {
 func TestRunOnSingleWorker(t *testing.T) {
 	g := gen.Path(50)
 	part, _ := partition.NewChunked(g, 1)
-	eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part})
+	eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +137,7 @@ func TestRunOnSingleWorker(t *testing.T) {
 func TestEmptyGraph(t *testing.T) {
 	g := graph.MustBuild(0, nil)
 	part, _ := partition.NewChunked(g, 1)
-	eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part})
+	eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +154,7 @@ func TestEmptyGraph(t *testing.T) {
 func TestRootOutOfRangeIgnored(t *testing.T) {
 	g := gen.Path(5)
 	part, _ := partition.NewChunked(g, 1)
-	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part})
+	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0)})
 	p := testProgram()
 	p.Roots = []graph.VertexID{99} // silently out of range: no activity
 	p.InitValue = func(_ graph.View, _ graph.VertexID) Value { return math.Inf(1) }
@@ -178,7 +189,7 @@ func TestCodecsProduceIdenticalResults(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				defer transports[rank].Close()
-				eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(transports[rank]), Part: part, Codec: c})
+				eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(transports[rank]), Part: part, Sched: testSched(t, 0), Codec: c})
 				if err != nil {
 					t.Error(err)
 					return
@@ -280,7 +291,7 @@ func TestRRSuppressesWork(t *testing.T) {
 	gd := rrg.Generate(g, []graph.VertexID{0}, nil)
 
 	run := func(rr bool) *Result[float64] {
-		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, RR: rr, Guidance: gd,
+		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), RR: rr, Guidance: gd,
 			DenseDivisor: 1 << 20}) // force pull mode to exercise the RR path
 		if err != nil {
 			t.Fatal(err)
@@ -354,7 +365,7 @@ func TestRRWidestPathReducesComputations(t *testing.T) {
 		Better: func(a, b Value) bool { return a > b },
 	}
 	run := func(rr bool) *Result[float64] {
-		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, RR: rr, Guidance: gd,
+		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), RR: rr, Guidance: gd,
 			DenseDivisor: 1 << 20}) // force pull mode to exercise the RR path
 		if err != nil {
 			t.Fatal(err)
@@ -380,7 +391,7 @@ func TestRRWidestPathReducesComputations(t *testing.T) {
 func TestMaxItersBoundsArith(t *testing.T) {
 	g := gen.Uniform(100, 500, 1, 3)
 	part, _ := partition.NewChunked(g, 1)
-	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part})
+	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0)})
 	p := &Program[float64]{
 		Name:       "pr",
 		Agg:        Arith,
@@ -402,7 +413,7 @@ func TestMaxItersBoundsArith(t *testing.T) {
 func TestEpsilonTerminatesArith(t *testing.T) {
 	g := gen.Uniform(100, 500, 1, 4)
 	part, _ := partition.NewChunked(g, 1)
-	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part})
+	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0)})
 	p := &Program[float64]{
 		Name:       "decay",
 		Agg:        Arith,
@@ -425,7 +436,7 @@ func TestEpsilonTerminatesArith(t *testing.T) {
 func TestTrackLastChange(t *testing.T) {
 	g := gen.Path(6)
 	part, _ := partition.NewChunked(g, 1)
-	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, TrackLastChange: true})
+	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), TrackLastChange: true})
 	res, err := eng.Run(testProgram())
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"slfe/internal/graph"
 	"slfe/internal/metrics"
 	"slfe/internal/partition"
-	"slfe/internal/ws"
 )
 
 func TestParseSyncStrategy(t *testing.T) {
@@ -37,84 +36,20 @@ func TestParseSyncStrategy(t *testing.T) {
 func TestSyncStrategyValidation(t *testing.T) {
 	g := gen.Path(10)
 	part, _ := partition.NewChunked(g, 1)
-	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sync: SyncSparse, Rebalance: true}); err == nil {
+	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), Sync: SyncSparse, Rebalance: true}); err == nil {
 		t.Error("sparse sync with rebalancing accepted")
 	}
-	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sync: SyncStrategy(42)}); err == nil {
+	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), Sync: SyncStrategy(42)}); err == nil {
 		t.Error("invalid sync strategy accepted")
 	}
-	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sync: SyncAdaptive}); err != nil {
+	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), Sync: SyncAdaptive}); err != nil {
 		t.Errorf("adaptive sync rejected: %v", err)
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	sched := ws.New(4, true)
-	for _, codec := range []compress.Codec{compress.Raw{}, compress.Adaptive{}} {
-		for _, n := range []int{0, 1, frameSegEntries, frameSegEntries + 1, 3*frameSegEntries + 17} {
-			ids := make([]uint32, n)
-			vals := make([]uint64, n)
-			for i := range ids {
-				ids[i] = uint32(2 * i)
-				vals[i] = math.Float64bits(float64(i % 5))
-			}
-			blob, picks := frameEncode(sched, codec, ids, vals)
-			wantSegs := (n + frameSegEntries - 1) / frameSegEntries
-			var gotSegs int64
-			for _, c := range picks {
-				gotSegs += c
-			}
-			if int(gotSegs) != wantSegs {
-				t.Fatalf("%s n=%d: %d pick entries, want %d segments", codec.Name(), n, gotSegs, wantSegs)
-			}
-			i := 0
-			err := frameDecode(codec, blob, func(id uint32, val uint64) error {
-				if id != ids[i] || val != vals[i] {
-					t.Fatalf("%s n=%d: entry %d = (%d,%v), want (%d,%v)", codec.Name(), n, i, id, val, ids[i], vals[i])
-				}
-				i++
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", codec.Name(), n, err)
-			}
-			if i != n {
-				t.Fatalf("%s n=%d: decoded %d entries", codec.Name(), n, i)
-			}
-			// Serial encoding (the sparse per-destination path) must produce
-			// identical bytes: the wire format cannot depend on threading.
-			serial, _ := frameEncode(nil, codec, ids, vals)
-			if string(serial) != string(blob) {
-				t.Fatalf("%s n=%d: serial and parallel frames differ", codec.Name(), n)
-			}
-		}
-	}
-}
-
-func TestFrameDecodeRejectsCorruptFrames(t *testing.T) {
-	codec := compress.Raw{}
-	ids := []uint32{1, 2, 3}
-	vals := []uint64{4, 5, 6}
-	blob, _ := frameEncode(nil, codec, ids, vals)
-	nop := func(uint32, uint64) error { return nil }
-	if err := frameDecode(codec, nil, nop); err == nil {
-		t.Error("nil frame accepted")
-	}
-	for cut := 1; cut < len(blob); cut++ {
-		if err := frameDecode(codec, blob[:cut], nop); err == nil {
-			t.Errorf("truncation at %d/%d undetected", cut, len(blob))
-		}
-	}
-	if err := frameDecode(codec, append(append([]byte{}, blob...), 0x1), nop); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	if err := frameDecode(codec, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, nop); err == nil {
-		t.Error("absurd segment count accepted")
-	}
-}
-
 // runClusterAll executes p on a fresh in-process cluster and returns every
-// worker's result.
+// worker's result. A rank whose mutate leaves Sched nil computes on a
+// GOMAXPROCS-wide pool of its own.
 func runClusterAll(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, mutate func(rank int, cfg *Config)) []*Result[float64] {
 	t.Helper()
 	part, err := partition.NewChunked(g, nodes)
@@ -136,6 +71,9 @@ func runClusterAll(t *testing.T, g *graph.Graph, p *Program[float64], nodes int,
 			cfg := Config{Graph: g, Comm: comm.NewComm(transports[rank]), Part: part}
 			if mutate != nil {
 				mutate(rank, &cfg)
+			}
+			if cfg.Sched == nil {
+				cfg.Sched = testSched(t, 0)
 			}
 			eng, err := New[float64](cfg)
 			if err != nil {
@@ -206,7 +144,7 @@ func TestSyncStrategiesBitIdentical(t *testing.T) {
 
 // TestAdaptiveSparseTailBytes is the acceptance check of the adaptive
 // exchange: on a frontier-driven run the sparse strategy must transfer
-// strictly fewer bytes than the dense AllGather on every superstep the
+// strictly fewer bytes than the dense broadcast on every superstep the
 // adaptive mode routes sparsely, and the adaptive run must use both
 // strategies (dense head, sparse tail).
 func TestAdaptiveSparseTailBytes(t *testing.T) {
@@ -317,7 +255,7 @@ func TestOneRankSyncMatchesTwoRanksAndSerial(t *testing.T) {
 			cfgFor := func(strat SyncStrategy) func(int, *Config) {
 				return func(_ int, cfg *Config) {
 					cfg.TrackLastChange = true
-					cfg.Threads = 2
+					cfg.Sched = testSched(t, 2)
 					cfg.Sync = strat
 					if forcePull {
 						cfg.DenseDivisor = math.MaxInt64
@@ -352,6 +290,56 @@ func TestOneRankSyncMatchesTwoRanksAndSerial(t *testing.T) {
 						t.Fatalf("%s %v: %d updates, serial reference %d", prog.Name, strat, one.Metrics.Updates(), wantUpdates)
 					}
 				}
+			}
+		}
+	}
+}
+
+// Every multi-rank superstep synchronises through the one streaming
+// exchange: a pull superstep streams while it computes, a push superstep
+// opens the exchange after commit. Under every strategy each superstep
+// counts once as dense or sparse, exactly the pull supersteps count as
+// overlapped, push supersteps send through the exchange but hide no bytes,
+// and values and LastChange equal the one-rank run's.
+func TestPushAndPullSuperstepsShareOneExchange(t *testing.T) {
+	g := gen.RMAT(4096, 32768, gen.DefaultRMAT, 8, 41)
+	prog := testProgram()
+	one := runClusterAll(t, g, prog, 1, func(_ int, cfg *Config) { cfg.TrackLastChange = true })[0]
+	for _, strat := range []SyncStrategy{SyncDense, SyncSparse, SyncAdaptive} {
+		two := runClusterAll(t, g, prog, 2, func(_ int, cfg *Config) {
+			cfg.TrackLastChange = true
+			cfg.Sync = strat
+		})
+		for rank, res := range two {
+			if !sameValues(res.Values, one.Values) {
+				t.Fatalf("%v rank %d: values differ from the one-rank run", strat, rank)
+			}
+			if !slices.Equal(res.LastChange, one.LastChange) {
+				t.Fatalf("%v rank %d: LastChange differs from the one-rank run", strat, rank)
+			}
+			m := res.Metrics
+			var push, pull int64
+			for _, it := range m.Iters {
+				if it.Mode == metrics.Pull {
+					pull++
+					continue
+				}
+				push++
+				if it.StreamedBytes != 0 {
+					t.Errorf("%v rank %d superstep %d: push superstep hid %d bytes behind compute", strat, rank, it.Iter, it.StreamedBytes)
+				}
+				if it.SyncBytes == 0 {
+					t.Errorf("%v rank %d superstep %d: push superstep sent nothing through the exchange", strat, rank, it.Iter)
+				}
+			}
+			if push == 0 || pull == 0 {
+				t.Fatalf("%v rank %d: %d push and %d pull supersteps; the run must exercise both", strat, rank, push, pull)
+			}
+			if got := m.DenseSyncs + m.SparseSyncs; got != int64(len(m.Iters)) {
+				t.Errorf("%v rank %d: dense %d + sparse %d syncs for %d supersteps", strat, rank, m.DenseSyncs, m.SparseSyncs, len(m.Iters))
+			}
+			if m.OverlappedSyncs != pull {
+				t.Errorf("%v rank %d: %d overlapped syncs, want one per pull superstep = %d", strat, rank, m.OverlappedSyncs, pull)
 			}
 		}
 	}

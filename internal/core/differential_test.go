@@ -1,25 +1,19 @@
 // Differential transport test: every registered application must produce
 // bit-identical results over the in-process transport and over a real TCP
-// mesh, across all delta-sync strategies and both sync pipelines (serial
-// and overlapped). The engine is transport-, strategy- and
-// pipeline-agnostic by contract; this is the contract's enforcement.
+// mesh, across all delta-sync strategies, and equal to the one-rank run,
+// which exchanges nothing. The engine is transport-, strategy- and
+// rank-count-agnostic by contract; this is the contract's enforcement.
 package core_test
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"slfe/internal/apps"
 	"slfe/internal/cluster"
-	"slfe/internal/comm"
 	"slfe/internal/core"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
-	"slfe/internal/partition"
-	"slfe/internal/rrg"
 )
 
 // diffApps lists the Program-shaped registered applications (the whole-
@@ -45,59 +39,6 @@ func diffApps(g *graph.Graph) map[string]struct {
 	}
 }
 
-// runTCP executes the program over a freshly dialled localhost TCP mesh
-// and returns every rank's values.
-func runTCP(t *testing.T, g *graph.Graph, prog *core.Program[float64], nodes int, strat core.SyncStrategy, serialSync bool, gd *rrg.Guidance) [][]core.Value {
-	t.Helper()
-	part, err := partition.NewChunked(g, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transports, err := comm.LoopbackTCP(nodes, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make([][]core.Value, nodes)
-	errs := make([]error, nodes)
-	var wg sync.WaitGroup
-	for rank := 0; rank < nodes; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			tr := transports[rank]
-			eng, err := core.New[float64](core.Config{
-				Graph: g, Comm: comm.NewComm(tr), Part: part,
-				RR: true, Guidance: gd, Sync: strat, SerialSync: serialSync,
-			})
-			if err != nil {
-				errs[rank] = err
-				comm.Abort(tr)
-				return
-			}
-			defer eng.Close()
-			res, err := eng.Run(prog)
-			if err != nil {
-				errs[rank] = err
-				comm.Abort(tr)
-				return
-			}
-			values[rank] = res.Values
-		}(rank)
-	}
-	wg.Wait()
-	// Close only after every rank finished: an early Close can reset
-	// connections carrying a slower peer's final reduce results.
-	for _, tr := range transports {
-		tr.Close()
-	}
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-	return values
-}
-
 func bitIdentical(a, b []core.Value) bool {
 	if len(a) != len(b) {
 		return false
@@ -112,10 +53,8 @@ func bitIdentical(a, b []core.Value) bool {
 
 // TestDifferentialTransportsAndStrategies is the engine's core contract
 // check: for every registered application, every delta-sync strategy
-// (dense | sparse | adaptive) crossed with both sync pipelines (serial
-// oracle | overlapped streaming), over both the in-process transport and a
-// real TCP mesh, must produce values bit-identical to the serial dense
-// in-process reference.
+// (dense | sparse | adaptive), over both the in-process transport and a
+// real TCP mesh, must produce values bit-identical to the one-rank run.
 func TestDifferentialTransportsAndStrategies(t *testing.T) {
 	const nodes = 3
 	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 8, 13)
@@ -123,31 +62,28 @@ func TestDifferentialTransportsAndStrategies(t *testing.T) {
 	for name, app := range diffApps(g) {
 		app := app
 		t.Run(name, func(t *testing.T) {
-			// Reference: serial dense in-process run. Guidance is generated
-			// once so every variant sees identical redundancy-reduction
-			// decisions.
-			ref, err := cluster.Execute(app.g, app.prog, cluster.Options{Nodes: nodes, RR: true, SerialSync: true})
+			// Reference: the one-rank run, which shares no sync code with
+			// the multi-rank exchange. Its guidance is reused so every
+			// variant sees identical redundancy-reduction decisions.
+			ref, err := cluster.Execute(app.g, app.prog, cluster.Options{Nodes: 1, RR: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			gd := ref.Guidance
 			for _, sync := range strategies {
-				for _, serial := range []bool{true, false} {
-					label := fmt.Sprintf("%v/serial=%v", sync, serial)
-					inproc, err := cluster.Execute(app.g, app.prog, cluster.Options{
-						Nodes: nodes, RR: true, Guidance: gd, Sync: sync, SerialSync: serial,
-					})
-					if err != nil {
-						t.Fatalf("in-process %s: %v", label, err)
-					}
-					if !bitIdentical(inproc.Result.Values, ref.Result.Values) {
-						t.Fatalf("in-process %s differs from serial dense reference", label)
-					}
-					tcp := runTCP(t, app.g, app.prog, nodes, sync, serial, gd)
-					for rank, vals := range tcp {
-						if !bitIdentical(vals, ref.Result.Values) {
-							t.Fatalf("TCP %s: rank %d differs from serial dense reference", label, rank)
-						}
+				inproc, err := cluster.Execute(app.g, app.prog, cluster.Options{
+					Nodes: nodes, RR: true, Guidance: gd, Sync: sync,
+				})
+				if err != nil {
+					t.Fatalf("in-process %v: %v", sync, err)
+				}
+				if !bitIdentical(inproc.Result.Values, ref.Result.Values) {
+					t.Fatalf("in-process %v differs from the one-rank reference", sync)
+				}
+				tcp := runTCPDomain(t, app.g, app.prog, nodes, sync, gd)
+				for rank, vals := range tcp {
+					if !bitIdentical(vals, ref.Result.Values) {
+						t.Fatalf("TCP %v: rank %d differs from the one-rank reference", sync, rank)
 					}
 				}
 			}

@@ -1,19 +1,17 @@
 // Cross-domain differential test: the value-domain genericization must
-// preserve the engine's strategy/pipeline/transport invariance contract in
-// every domain, and the narrow domains must agree with the f64 oracle.
+// preserve the engine's strategy/transport/rank-count invariance contract
+// in every domain, and the narrow domains must agree with the f64 oracle.
 //
 // For each registered application and each of its domains (f64, f32, and
 // u32 where the property is an integer label), every delta-sync strategy
-// (dense | sparse | adaptive) crossed with both sync pipelines (serial
-// oracle | overlapped streaming) over both the in-process transport and a
+// (dense | sparse | adaptive) over both the in-process transport and a
 // real TCP mesh must produce values bit-identical (in the domain's own
-// wire words) to that domain's serial dense in-process reference. Across
-// domains, f32 must match f64 within float32 rounding, and u32 must match
-// f64 exactly after identifying the unreached sentinels.
+// wire words) to that domain's one-rank run. Across domains, f32 must
+// match f64 within float32 rounding, and u32 must match f64 exactly after
+// identifying the unreached sentinels.
 package core_test
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -27,12 +25,12 @@ import (
 	"slfe/internal/graph"
 	"slfe/internal/partition"
 	"slfe/internal/rrg"
+	"slfe/internal/ws"
 )
 
 // runTCPDomain executes the program over a freshly dialled localhost TCP
-// mesh and returns every rank's values (the generic counterpart of
-// runTCP).
-func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V], nodes int, strat core.SyncStrategy, serialSync bool, gd *rrg.Guidance) [][]V {
+// mesh and returns every rank's values.
+func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V], nodes int, strat core.SyncStrategy, gd *rrg.Guidance) [][]V {
 	t.Helper()
 	part, err := partition.NewChunked(g, nodes)
 	if err != nil {
@@ -50,16 +48,17 @@ func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program
 		go func(rank int) {
 			defer wg.Done()
 			tr := transports[rank]
+			sched := ws.New(0, true)
+			defer sched.Close()
 			eng, err := core.New[V](core.Config{
-				Graph: g, Comm: comm.NewComm(tr), Part: part,
-				RR: true, Guidance: gd, Sync: strat, SerialSync: serialSync,
+				Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: sched,
+				RR: true, Guidance: gd, Sync: strat,
 			})
 			if err != nil {
 				errs[rank] = err
 				comm.Abort(tr)
 				return
 			}
-			defer eng.Close()
 			res, err := eng.Run(prog)
 			if err != nil {
 				errs[rank] = err
@@ -70,6 +69,8 @@ func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program
 		}(rank)
 	}
 	wg.Wait()
+	// Close only after every rank finished: an early Close can reset
+	// connections carrying a slower peer's final reduce results.
 	for _, tr := range transports {
 		tr.Close()
 	}
@@ -95,35 +96,31 @@ func bitIdenticalIn[V comparable](dom core.Domain[V], a, b []V) bool {
 	return true
 }
 
-// domainMatrix runs the full strategy × pipeline × transport matrix for
-// one typed program and returns the serial dense in-process reference
-// projected to float64.
+// domainMatrix runs the full strategy × transport matrix for one typed
+// program and returns the one-rank reference projected to float64.
 func domainMatrix[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V]) []float64 {
 	t.Helper()
 	const nodes = 3
-	ref, err := cluster.Execute(g, prog, cluster.Options{Nodes: nodes, RR: true, SerialSync: true})
+	ref, err := cluster.Execute(g, prog, cluster.Options{Nodes: 1, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dom := ref.Result.Dom
 	gd := ref.Guidance
 	for _, sync := range []core.SyncStrategy{core.SyncDense, core.SyncSparse, core.SyncAdaptive} {
-		for _, serial := range []bool{true, false} {
-			label := fmt.Sprintf("%v/serial=%v", sync, serial)
-			inproc, err := cluster.Execute(g, prog, cluster.Options{
-				Nodes: nodes, RR: true, Guidance: gd, Sync: sync, SerialSync: serial,
-			})
-			if err != nil {
-				t.Fatalf("in-process %s: %v", label, err)
-			}
-			if !bitIdenticalIn(dom, inproc.Result.Values, ref.Result.Values) {
-				t.Fatalf("in-process %s differs from serial dense reference", label)
-			}
-			tcp := runTCPDomain(t, g, prog, nodes, sync, serial, gd)
-			for rank, vals := range tcp {
-				if !bitIdenticalIn(dom, vals, ref.Result.Values) {
-					t.Fatalf("TCP %s: rank %d differs from serial dense reference", label, rank)
-				}
+		inproc, err := cluster.Execute(g, prog, cluster.Options{
+			Nodes: nodes, RR: true, Guidance: gd, Sync: sync,
+		})
+		if err != nil {
+			t.Fatalf("in-process %v: %v", sync, err)
+		}
+		if !bitIdenticalIn(dom, inproc.Result.Values, ref.Result.Values) {
+			t.Fatalf("in-process %v differs from the one-rank reference", sync)
+		}
+		tcp := runTCPDomain(t, g, prog, nodes, sync, gd)
+		for rank, vals := range tcp {
+			if !bitIdenticalIn(dom, vals, ref.Result.Values) {
+				t.Fatalf("TCP %v: rank %d differs from the one-rank reference", sync, rank)
 			}
 		}
 	}
@@ -240,7 +237,7 @@ func TestDifferentialCompositeDomain(t *testing.T) {
 	prog := apps.SSSPTree(root)
 	refDist := domainMatrix(t, g, apps.SSSPF32(root))
 
-	res, err := cluster.Execute(g, prog, cluster.Options{Nodes: 3, RR: true, SerialSync: true})
+	res, err := cluster.Execute(g, prog, cluster.Options{Nodes: 3, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,16 +33,10 @@ type Config struct {
 	RR       bool
 	Guidance *rrg.Guidance
 
-	// Threads is the intra-worker thread count (<=0: GOMAXPROCS); Stealing
-	// enables the §3.6 work-stealing scheduler.
-	Threads  int
-	Stealing bool
-
-	// Sched is an externally-owned scheduler pool to compute on (nil: the
-	// engine creates one from Threads/Stealing and owns it). A resident
-	// service passes one persistent pool per rank so successive runs reuse
-	// the parked workers instead of spawning a fresh pool; Close then
-	// leaves the pool running for the next run.
+	// Sched is the scheduler pool the worker computes on (required; its
+	// thread count and §3.6 work stealing are the pool's). The caller owns
+	// it: a session passes one persistent pool per rank, so successive runs
+	// reuse the parked workers instead of spawning a fresh pool.
 	Sched *ws.Scheduler
 
 	// DenseDivisor sets the push/pull switch: pull when the frontier's
@@ -61,7 +55,7 @@ type Config struct {
 	Codec compress.Codec
 
 	// Sync selects the delta-sync strategy (§4.2's communication
-	// bottleneck): dense AllGather, sparse per-peer exchange, or
+	// bottleneck): dense broadcast, sparse per-peer routing, or
 	// per-superstep adaptive selection. The sparse strategies require a
 	// static partition (no Rebalance). All workers must agree.
 	Sync SyncStrategy
@@ -89,16 +83,6 @@ type Config struct {
 	// path of every worker concurrently, so it must be cheap and
 	// goroutine-safe.
 	Progress func(iter int)
-
-	// SerialSync disables the overlapped superstep pipeline: delta-sync
-	// then runs strictly after the compute barrier (encode, exchange,
-	// decode on the critical path), the pre-overlap behaviour. By default
-	// pull-style supersteps of multi-worker runs stream their delta-sync
-	// frames while compute is still running (overlap.go); the two paths
-	// produce bit-identical results, and the serial one is kept as the
-	// overlapped path's differential oracle (slfe-run -serial-sync). All
-	// workers must agree.
-	SerialSync bool
 
 	// MeasureAllocs records per-superstep heap allocation deltas
 	// (runtime.ReadMemStats) into the iteration metrics. The counters are
@@ -145,14 +129,13 @@ type Engine[V comparable] struct {
 	// curs[t] is thread t's adjacency cursor (free aliases for a heap
 	// graph, per-thread block-decode scratch for a disk-backed one);
 	// curs[threads] is the serial cursor used by the engine/dispatcher
-	// goroutine (sparse sync, overlap drain), which never runs
+	// goroutine (the stream drain's sparse routing), which never runs
 	// concurrently with itself.
-	curs     []graph.Cursor
-	sched    *ws.Scheduler
-	ownSched bool           // Close tears the pool down only when the engine built it
-	lo       graph.VertexID // owned range
-	hi       graph.VertexID
-	reb      *rebalancer // nil unless Config.Rebalance
+	curs  []graph.Cursor
+	sched *ws.Scheduler
+	lo    graph.VertexID // owned range
+	hi    graph.VertexID
+	reb   *rebalancer // nil unless Config.Rebalance
 
 	// dom and codec are resolved per Run from the program's domain (the
 	// codec width must match the domain width; an engine reused across
@@ -176,12 +159,10 @@ type Engine[V comparable] struct {
 	// captures.
 	curState  *state[V]
 	changed   *bitset.Atomic
-	push      *pushState[V]   // flat push-combining buffers (push.go)
-	collect   collectState[V] // changed-owned-vertex gather buffers
-	bits      bitsCollect     // checkpoint bit-listing buffers
-	frame     frameEnc        // delta-sync wire framing buffers (deltasync.go)
-	stream    streamState[V]  // overlapped delta-sync streaming state (overlap.go)
-	dirtySnap []uint32        // checkpoint shard's sparse-dirty listing
+	push      *pushState[V]  // flat push-combining buffers (push.go)
+	bits      bitsCollect    // checkpoint bit-listing buffers
+	stream    streamState[V] // delta-sync streaming state (overlap.go)
+	dirtySnap []uint32       // checkpoint shard's sparse-dirty listing
 
 	// Frontier-statistic scan: the pre-created chunk body folds through
 	// the scheduler's own reusable reduction accumulators, so the
@@ -189,32 +170,15 @@ type Engine[V comparable] struct {
 	outBody      func(clo, chi uint32, thread int) int64
 	statFrontier *bitset.Atomic
 
-	// Pre-created dense delta-sync decode callback and its per-batch
-	// context (deltasync.go).
-	denseDecode func(id uint32, bits uint64) error
+	// Per-exchange context of the pre-created stream decode callback
+	// (overlap.go).
 	decFrontier *bitset.Atomic
 	decIter     int
-	decRank     int
 }
 
-// collectState is the reusable working set of collectOwnedChanged: one
-// append buffer per mini-chunk of the owned range (written in parallel,
-// concatenated in chunk order) plus the concatenated output. Values are
-// collected directly as wire words (Domain.Bits applied at collection
-// time) so every downstream consumer — framing, sparse routing, flushing —
-// works width-agnostically on bit words.
-type collectState[V comparable] struct {
-	lo       uint32
-	src      *bitset.Atomic
-	values   []V
-	partIDs  [][]graph.VertexID
-	partVals [][]uint64
-	ids      []graph.VertexID
-	vals     []uint64
-	body     func(clo, chi uint32, thread int)
-}
-
-// bitsCollect is the same shape for collectBitsInto (checkpoint shards).
+// bitsCollect is the reusable working set of collectBitsInto (checkpoint
+// shards): one append buffer per mini-chunk, written in parallel and
+// concatenated in chunk order.
 type bitsCollect struct {
 	src   *bitset.Atomic
 	parts [][]uint32
@@ -249,6 +213,9 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 	if cfg.Part.Nodes() != cfg.Comm.Size() {
 		return nil, fmt.Errorf("core: partition has %d nodes but comm size is %d", cfg.Part.Nodes(), cfg.Comm.Size())
 	}
+	if cfg.Sched == nil {
+		return nil, errors.New("core: Config.Sched is required (build one with ws.New and close it after the run)")
+	}
 	if cfg.RR && cfg.Guidance == nil {
 		return nil, errors.New("core: RR requires Guidance")
 	}
@@ -271,24 +238,17 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 		cfg.SparseDivisor = 16
 	}
 	e := &Engine[V]{
-		cfg:  cfg,
-		g:    cfg.Graph,
-		comm: cfg.Comm,
-	}
-	if cfg.Sched != nil {
-		e.sched = cfg.Sched
-	} else {
-		e.sched = ws.New(cfg.Threads, cfg.Stealing)
-		e.ownSched = true
+		cfg:   cfg,
+		g:     cfg.Graph,
+		comm:  cfg.Comm,
+		sched: cfg.Sched,
 	}
 	e.curs = make([]graph.Cursor, e.sched.Threads()+1)
 	for i := range e.curs {
 		e.curs[i] = e.g.Cursor()
 	}
-	e.collect.body = e.collectChunk
 	e.bits.body = e.collectBitsChunk
 	e.outBody = e.outEdgesChunk
-	e.denseDecode = e.applyDenseDelta
 	e.lo, e.hi = cfg.Part.Range(cfg.Comm.Rank())
 	if cfg.Sync != SyncDense {
 		e.dirty = bitset.NewAtomic(cfg.Graph.NumVertices())
@@ -339,16 +299,6 @@ func (e *Engine[V]) bindDomain(dom Domain[V]) error {
 			e.codec.Name(), e.codec.Width(), dom.Name, dom.Width)
 	}
 	return nil
-}
-
-// Close releases the engine's persistent scheduler pool (externally-owned
-// pools from Config.Sched are left running for their owner). The engine
-// must not be used afterwards; forgetting to call Close leaks only parked
-// goroutines (they die with the process).
-func (e *Engine[V]) Close() {
-	if e.ownSched {
-		e.sched.Close()
-	}
 }
 
 // owner returns the worker currently owning v, honouring dynamic ranges.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"slfe/internal/bitset"
 	"slfe/internal/comm"
@@ -11,10 +12,10 @@ import (
 	"slfe/internal/ws"
 )
 
-// This file implements the overlapped superstep pipeline: instead of
-// waiting for the compute barrier and then paying encode + exchange +
-// decode on the critical path, pull-style supersteps stream their
-// delta-sync frames while compute is still running. The pieces:
+// This file implements the delta-sync pipeline of every multi-rank
+// superstep: changed owned vertices leave as codec chunks through the comm
+// layer's streaming exchange, and pull-style supersteps send them while
+// compute is still running. The pieces:
 //
 //   - BSP purity is what makes early emission safe: compute stages every
 //     new value into the kernel's scratch array (the double buffer — the
@@ -27,28 +28,25 @@ import (
 //     compute the rest. The drain batches changed (id, scratch value)
 //     pairs — packed into the domain's wire words as they are collected —
 //     encodes each batch with per-chunk codec selection
-//     (compress.StreamEncoder) and ships it through the comm layer's
-//     streaming exchange — all of it hidden behind the remaining compute.
+//     (compress.StreamEncoder) and ships it through the exchange — all of
+//     it hidden behind the remaining compute.
 //   - After commit, the sync phase only walks the owned changed set for
 //     local bookkeeping and drains the already-buffered remote chunks
 //     (comm.Exchange.Finish): the exposed communication is the decode
 //     tail, not the whole exchange.
 //
 // Push-mode supersteps cannot stream (an owned vertex's new value is only
-// known after the proposal AllToAll) and fall back to the serial
-// delta-sync within the same run. The serial path survives behind
-// Config.SerialSync as the differential oracle; both paths are
-// bit-identical across dense|sparse|adaptive by the strategy-invariance
-// contract differential_test.go enforces.
+// known after the proposal AllToAll). They open the same exchange after
+// commit (deltaSync), drain the whole owned range over the committed
+// values and send each peer one final chunk: same wire format, same
+// routing, same apply, all of it exposed as sync time.
 //
-// Strategy selection: the serial adaptive mode sizes the current superstep
-// with a changed-count AllReduce — unavailable here, since streaming
-// starts before the count exists. The overlapped adaptive mode instead
-// uses the previous superstep's global changed count (already agreed by
-// every rank, so the choice stays consistent cluster-wide), falling back
-// to dense when no count exists yet (first superstep, checkpoint resume).
-// Frontiers shrink and grow smoothly, so the one-superstep lag costs a
-// little traffic on transition supersteps and changes no results.
+// Strategy selection: the adaptive mode uses the previous superstep's
+// global changed count (agreed by every rank, so the choice stays
+// consistent cluster-wide), falling back to dense when no count exists yet
+// (first superstep, checkpoint resume). Frontiers shrink and grow smoothly,
+// so the one-superstep lag costs a little traffic on transition supersteps
+// and changes no results.
 
 // streamBatchMin/Max clamp the streamed batch size. The actual threshold
 // is a quarter of the owned range (streamBegin), so a dense superstep
@@ -62,17 +60,17 @@ const (
 	streamBatchMax = 8192
 )
 
-// streamState is the engine-owned working set of the overlapped delta-sync,
+// streamState is the engine-owned working set of the delta-sync stream,
 // allocated once and reused every superstep.
 type streamState[V comparable] struct {
-	active   bool
-	sparse   bool // this superstep's strategy (dense broadcast vs routed)
-	iter     int
-	batchCap int   // per-superstep flush threshold (streamBegin)
-	staged   []V   // kernel scratch the emission reads
-	err      error // first send failure, surfaced by streamFlush
+	active     bool
+	overlapped bool  // opened before compute (pull) rather than after commit (push)
+	sparse     bool  // this superstep's strategy (dense broadcast vs routed)
+	batchCap   int   // per-superstep flush threshold (streamBegin)
+	staged     []V   // array the emission reads (streamBegin)
+	err        error // first send failure, surfaced by streamFlush
 
-	ex     *comm.Exchange
+	ex     *comm.Exchange // nil until opened (streamExchange)
 	enc    compress.StreamEncoder
 	bytes0 int64 // transport BytesSent when the stream opened
 	hidden int64 // bytes sent while compute was still running
@@ -105,29 +103,27 @@ func (e *Engine[V]) streamInit() {
 }
 
 // overlapSync reports whether this run streams delta-sync during compute.
-// Single-worker runs have nothing to stream and keep the serial path (one
-// rank's sync is pure local bookkeeping either way).
-func (e *Engine[V]) overlapSync() bool {
-	return !e.cfg.SerialSync && e.comm.Size() > 1
-}
+// A single worker has no peer: its sync is pure local bookkeeping.
+func (e *Engine[V]) overlapSync() bool { return e.comm.Size() > 1 }
 
-// streamBegin opens the superstep's streaming exchange. Called between the
-// changed-set reset and compute dispatch, only when overlapSync() holds and
-// the kernel's superstep is pull-style (staged is its scratch array).
-func (e *Engine[V]) streamBegin(staged []V, iter int) {
+// streamBegin opens the superstep's stream over staged, the array the drain
+// reads values from; the exchange itself opens lazily (streamExchange). An
+// overlapped stream is opened between the changed-set reset and the
+// dispatch of a pull-style compute (staged is the kernel's scratch array)
+// and ships batches as chunks finish; a push superstep's is opened after
+// commit (staged is the value array) and holds everything for one final
+// chunk per peer, since nothing computes behind it.
+func (e *Engine[V]) streamBegin(staged []V, overlapped bool) {
 	s := &e.stream
 	s.active = true
+	s.overlapped = overlapped
 	s.staged = staged
-	s.iter = iter
 	s.err = nil
 	s.hidden = 0
 	s.bytes0 = e.comm.T.Stats().BytesSent
-	s.batchCap = int(e.hi-e.lo) / 4
-	if s.batchCap < streamBatchMin {
-		s.batchCap = streamBatchMin
-	}
-	if s.batchCap > streamBatchMax {
-		s.batchCap = streamBatchMax
+	s.batchCap = math.MaxInt
+	if overlapped {
+		s.batchCap = min(max(int(e.hi-e.lo)/4, streamBatchMin), streamBatchMax)
 	}
 	s.sparse = false
 	switch e.cfg.Sync {
@@ -150,7 +146,6 @@ func (e *Engine[V]) streamBegin(staged []V, iter int) {
 			s.destLast[r] = -1
 		}
 	}
-	s.ex = e.comm.StartExchange()
 }
 
 // computeOwned dispatches a pull-style compute body over the owned range,
@@ -185,9 +180,9 @@ func (e *Engine[V]) streamDrain(clo, chi uint32) {
 }
 
 // streamDrainSparse routes the chunk's changed vertices to the ranks owning
-// one of their out-neighbours — the same destination rule as syncSparse,
-// with the same consecutive-duplicate suppression over the ascending
-// adjacency list.
+// one of their out-neighbours — exactly the ranks that read the value
+// (pull-mode relaxation, arith gathers) or count its frontier bit — with
+// consecutive-duplicate suppression over the ascending adjacency list.
 func (e *Engine[V]) streamDrainSparse(clo, chi uint32) {
 	s := &e.stream
 	me := e.comm.Rank()
@@ -218,8 +213,8 @@ func (e *Engine[V]) streamDrainSparse(clo, chi uint32) {
 
 // streamSendDense encodes the pending batch once and broadcasts it. A
 // final batch doubles as each peer's end marker (SendFinalChunk), so the
-// common single-batch superstep pays one message per peer — the serial
-// AllGather's count — while still leaving during compute.
+// common single-batch superstep pays one message per peer — an AllGather's
+// count — while still leaving during compute.
 func (e *Engine[V]) streamSendDense(final bool) {
 	s := &e.stream
 	if len(s.ids) == 0 {
@@ -227,6 +222,7 @@ func (e *Engine[V]) streamSendDense(final bool) {
 	}
 	payload, name := s.enc.EncodeChunk(s.ids, s.vals)
 	e.curState.picks()[name]++
+	ex := e.streamExchange()
 	me := e.comm.Rank()
 	for r := 0; r < e.comm.Size(); r++ {
 		if r == me {
@@ -234,9 +230,9 @@ func (e *Engine[V]) streamSendDense(final bool) {
 		}
 		var err error
 		if final {
-			err = s.ex.SendFinalChunk(r, payload)
+			err = ex.SendFinalChunk(r, payload)
 		} else {
-			err = s.ex.SendChunk(r, payload)
+			err = ex.SendChunk(r, payload)
 		}
 		if err != nil {
 			s.err = err
@@ -256,9 +252,9 @@ func (e *Engine[V]) streamSendDest(r int, final bool) {
 	e.curState.picks()[name]++
 	var err error
 	if final {
-		err = s.ex.SendFinalChunk(r, payload)
+		err = e.streamExchange().SendFinalChunk(r, payload)
 	} else {
-		err = s.ex.SendChunk(r, payload)
+		err = e.streamExchange().SendChunk(r, payload)
 	}
 	if err != nil {
 		s.err = err
@@ -266,15 +262,28 @@ func (e *Engine[V]) streamSendDest(r int, final bool) {
 	s.destIDs[r], s.destVals[r] = s.destIDs[r][:0], s.destVals[r][:0]
 }
 
-// streamFlush ships the partial tail batches after compute returns and
-// surfaces any send error the drain hit. The flush still precedes commit,
-// so its (small) cost sits where the serial path's whole encode used to.
-// The hidden-bytes count is taken before the tail leaves: only bytes the
-// drain sent while compute was actually running are overlap — the tail
-// flush is merely early, not hidden.
+// streamExchange returns the superstep's exchange, opening it on first use:
+// a rank opens it at its first send, or at the drain if it sent nothing.
+// Every rank opens one per superstep except when the agreed changed count
+// is zero, so the ranks' exchange rounds stay in step.
+func (e *Engine[V]) streamExchange() *comm.Exchange {
+	if e.stream.ex == nil {
+		e.stream.ex = e.comm.StartExchange()
+	}
+	return e.stream.ex
+}
+
+// streamFlush ships the partial tail batches after the drain and surfaces
+// any send error it hit. An overlapped stream flushes before commit. The
+// hidden-bytes count is taken before the tail leaves: only bytes the drain
+// sent while compute was actually running are overlap — the tail flush is
+// merely early, not hidden (and a push superstep's stream, which sends
+// nothing before its flush, hides nothing).
 func (e *Engine[V]) streamFlush() error {
 	s := &e.stream
-	s.hidden = s.ex.SentBytes()
+	if s.ex != nil {
+		s.hidden = s.ex.SentBytes()
+	}
 	if s.err == nil {
 		if s.sparse {
 			me := e.comm.Rank()
@@ -290,11 +299,11 @@ func (e *Engine[V]) streamFlush() error {
 	return s.err
 }
 
-// syncStreamed is the overlapped counterpart of syncOwned, entered after
-// commit: local bookkeeping over the owned changed set, then the exchange
-// drain applying every remote chunk (already buffered by the transport
-// while compute ran), then the changed-count AllReduce the sparse modes
-// need for termination and the next superstep's strategy choice.
+// syncStreamed completes the superstep's exchange after commit: local
+// bookkeeping over the owned changed set, the changed-count AllReduce the
+// sparse strategies need, then the exchange drain applying every remote
+// chunk (for an overlapped stream, already buffered by the transport while
+// compute ran).
 func (e *Engine[V]) syncStreamed(st *state[V], changed *bitset.Atomic, frontier *bitset.Atomic, iter int, stat *metrics.IterStat) error {
 	s := &e.stream
 	defer func() {
@@ -303,22 +312,26 @@ func (e *Engine[V]) syncStreamed(st *state[V], changed *bitset.Atomic, frontier 
 		s.ex = nil
 	}()
 	local := e.noteOwnedChanged(st, changed, frontier, iter, s.sparse)
-	e.decFrontier, e.decIter = frontier, iter
-	err := s.ex.Finish(s.applyBody)
-	e.decFrontier = nil
-	if err != nil {
-		return err
-	}
 	if e.sparseSync() {
-		// The same changed-count AllReduce the serial sparse modes run,
-		// moved after the exchange: it feeds termination checks and the
-		// next superstep's adaptive estimate, so it must stay collective
-		// and cluster-consistent.
+		// The changed-count AllReduce feeds termination checks (no rank
+		// holds the full frontier under sparse routing) and the next
+		// superstep's adaptive estimate, so it must stay collective and
+		// cluster-consistent.
 		g, err := e.comm.AllReduceI64(local, comm.OpSum)
 		if err != nil {
 			return err
 		}
 		e.lastGlobalChanged = g
+	}
+	// When nothing changed anywhere no rank sent anything, and every rank
+	// knows it: the drain is skipped and the exchange never opens.
+	if !e.sparseSync() || e.lastGlobalChanged != 0 {
+		e.decFrontier, e.decIter = frontier, iter
+		err := e.streamExchange().Finish(s.applyBody)
+		e.decFrontier = nil
+		if err != nil {
+			return err
+		}
 	}
 	if s.sparse {
 		st.run.SparseSyncs++
@@ -326,7 +339,9 @@ func (e *Engine[V]) syncStreamed(st *state[V], changed *bitset.Atomic, frontier 
 	} else {
 		st.run.DenseSyncs++
 	}
-	st.run.OverlappedSyncs++
+	if s.overlapped {
+		st.run.OverlappedSyncs++
+	}
 	stat.StreamedBytes = s.hidden
 	stat.SyncBytes += e.comm.T.Stats().BytesSent - s.bytes0
 	return nil
@@ -339,8 +354,8 @@ func (e *Engine[V]) streamApply(_ int, chunk []byte) error {
 
 // applyStreamDelta applies one remote delta: every sender streams only
 // vertices it owns, so an owned id in a remote chunk is a protocol error
-// under the sparse routing (the serial sparse path enforces the same) and
-// impossible under dense ownership partitioning.
+// under the sparse routing and impossible under dense ownership
+// partitioning.
 func (e *Engine[V]) applyStreamDelta(id uint32, bits uint64) error {
 	if int(id) >= e.g.NumVertices() {
 		return fmt.Errorf("core: streamed delta for out-of-range vertex %d", id)

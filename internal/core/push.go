@@ -32,8 +32,9 @@ import (
 //     depend on the heuristic. The scanned words are cleared on the way
 //     out, restoring the all-clear invariant the next superstep relies on.
 //     Values leave the emit already packed into the domain's wire words.
-//  4. encode + AllToAll: each rank's batch is append-encoded into its
-//     reusable wire buffer (transports do not retain payloads after Send).
+//  4. encode + AllToAll: each rank's batch is encoded by that rank's
+//     compress.StreamEncoder into its reusable buffer (transports do not
+//     retain payloads after Send).
 
 // pairBuf is one thread's append buffer of proposals for one destination
 // rank. Length resets every push superstep; capacity is retained.
@@ -89,8 +90,8 @@ func (cb *rankCombiner[V]) ensure(lo, hi graph.VertexID) {
 type pushState[V comparable] struct {
 	bufs  [][]pairBuf[V] // [thread][rank] append buffers
 	comb  []rankCombiner[V]
-	blobs [][]byte // per-rank wire buffers (reused; transports copy)
-	encSc []compress.EncodeScratch
+	enc   []compress.StreamEncoder // per destination rank
+	blobs [][]byte                 // per-rank payloads, aliasing enc's buffers
 
 	// Per-superstep context for the pre-created task/decode closures.
 	prog    *Program[V]
@@ -109,14 +110,15 @@ func (e *Engine[V]) pushInit(p *Program[V]) *pushState[V] {
 		ps := &pushState[V]{
 			bufs:  make([][]pairBuf[V], threads),
 			comb:  make([]rankCombiner[V], size),
+			enc:   make([]compress.StreamEncoder, size),
 			blobs: make([][]byte, size),
-			encSc: make([]compress.EncodeScratch, size),
 		}
 		for t := range ps.bufs {
 			ps.bufs[t] = make([]pairBuf[V], size)
 		}
 		for r := range ps.comb {
 			ps.comb[r].bits = e.dom.Bits
+			ps.enc[r] = compress.NewStreamEncoder(e.codec)
 		}
 		ps.combineFn = e.combineRank
 		ps.decodeFn = e.applyPushDelta
@@ -181,14 +183,7 @@ func (e *Engine[V]) combineRank(r int) {
 			}
 		}
 	}
-	ids, vals := cb.outIDs, cb.outVals
-	if _, ok := e.codec.(compress.Adaptive); ok {
-		ps.blobs[r], _ = compress.AppendEncodeBest(ps.blobs[r][:0], &ps.encSc[r], e.dom.Width, ids, vals)
-	} else if ac, ok := e.codec.(compress.AppendCodec); ok {
-		ps.blobs[r] = ac.AppendEncode(ps.blobs[r][:0], ids, vals)
-	} else {
-		ps.blobs[r] = e.codec.Encode(ids, vals)
-	}
+	ps.blobs[r], _ = ps.enc[r].EncodeChunk(cb.outIDs, cb.outVals) // proposal picks stay uncounted
 }
 
 // emitWord appends seen word wi's live (id, wire-word) pairs in ascending

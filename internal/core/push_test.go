@@ -89,8 +89,7 @@ func TestPushMatchesPullAndSerialReference(t *testing.T) {
 				run := func(denseDivisor int64, mode metrics.Mode) []*Result[float64] {
 					rs := runClusterAll(t, g, prog, nodes, func(_ int, cfg *Config) {
 						cfg.DenseDivisor = denseDivisor
-						cfg.Threads = threads
-						cfg.Stealing = true
+						cfg.Sched = testSched(t, threads)
 						cfg.Codec = codec
 					})
 					for rank, r := range rs {
@@ -173,8 +172,7 @@ func TestPooledBuffersSurvivePoisoning(t *testing.T) {
 	prog := testProgram()
 	mk := func() *Engine[float64] {
 		eng, err := New[float64](Config{
-			Graph: g, Comm: singleComm(t), Part: part,
-			Threads: 2, Stealing: true,
+			Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 2),
 			DenseDivisor: 1, // force push supersteps
 			Codec:        compress.Adaptive{},
 		})
@@ -189,7 +187,6 @@ func TestPooledBuffersSurvivePoisoning(t *testing.T) {
 	}
 
 	eng := mk()
-	defer eng.Close()
 	if _, err := eng.Run(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -210,18 +207,8 @@ func TestPooledBuffersSurvivePoisoning(t *testing.T) {
 		poisonWords(cb.outVals)
 	}
 	for r := range eng.push.blobs {
-		poisonBytes(eng.push.blobs[r])
+		poisonBytes(eng.push.blobs[r]) // the per-rank encoders' buffers
 	}
-	poisonBytes(eng.frame.out)
-	for s := range eng.frame.parts {
-		poisonBytes(eng.frame.parts[s])
-	}
-	for i := range eng.collect.partIDs {
-		poisonIDs(eng.collect.partIDs[i])
-		poisonWords(eng.collect.partVals[i])
-	}
-	poisonIDs(eng.collect.ids)
-	poisonWords(eng.collect.vals)
 	for i := range eng.bits.parts {
 		poisonIDs(eng.bits.parts[i])
 	}

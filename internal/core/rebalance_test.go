@@ -5,10 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"slfe/internal/comm"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
-	"slfe/internal/partition"
 	"slfe/internal/rrg"
 	"slfe/internal/ws"
 )
@@ -17,42 +15,7 @@ import (
 // 0's result.
 func runCluster(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, mutate func(rank int, cfg *Config)) *Result[float64] {
 	t.Helper()
-	part, err := partition.NewChunked(g, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transports, err := comm.NewLocalGroup(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]*Result[float64], nodes)
-	errs := make([]error, nodes)
-	done := make(chan int, nodes)
-	for rank := 0; rank < nodes; rank++ {
-		go func(rank int) {
-			defer func() { done <- rank }()
-			defer transports[rank].Close()
-			cfg := Config{Graph: g, Comm: comm.NewComm(transports[rank]), Part: part}
-			if mutate != nil {
-				mutate(rank, &cfg)
-			}
-			eng, err := New[float64](cfg)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			results[rank], errs[rank] = eng.Run(p)
-		}(rank)
-	}
-	for i := 0; i < nodes; i++ {
-		<-done
-	}
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-	return results[0]
+	return runClusterAll(t, g, p, nodes, mutate)[0]
 }
 
 func testArith() *Program[float64] {

@@ -18,6 +18,7 @@ import (
 	"slfe/internal/metrics"
 	"slfe/internal/partition"
 	"slfe/internal/rrg"
+	"slfe/internal/ws"
 )
 
 // TestStartLateSoundForArbitraryGuidance runs SSSP and CC under LastIter
@@ -171,12 +172,13 @@ func BenchmarkMinMaxPull(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer ts[0].Close()
+				sched := ws.New(threads, true)
+				defer sched.Close()
 				eng, err := core.New[float64](core.Config{Graph: g, Comm: comm.NewComm(ts[0]), Part: part,
-					Threads: threads, Stealing: true, RR: rr, Guidance: gd, DenseDivisor: 1 << 40})
+					Sched: sched, RR: rr, Guidance: gd, DenseDivisor: 1 << 40})
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer eng.Close()
 				var res *core.Result[float64]
 				for b.Loop() {
 					if res, err = eng.Run(p); err != nil {

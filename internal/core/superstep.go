@@ -89,10 +89,10 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 	iter := 0
 	e.lastGlobalChanged = -1
 	// The run's state and changed set are pinned on the engine so the
-	// pre-created hot-path closures (dense decode, push apply, collect
-	// bodies) reach them without per-superstep captures.
+	// pre-created hot-path closures (stream drain and decode, push apply)
+	// reach them without per-superstep captures.
 	e.curState, e.changed = st, changed
-	defer func() { e.curState, e.changed, e.stream.active = nil, nil, false }()
+	defer func() { e.curState, e.changed, e.stream.active, e.stream.ex = nil, nil, false, nil }()
 	if snap, err := e.loadCheckpoint(p, k.kind()); err != nil {
 		return nil, err
 	} else if snap != nil {
@@ -134,7 +134,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		computeStart := time.Now()
 		if e.overlapSync() {
 			if staged, ok := k.stagedCompute(); ok {
-				e.streamBegin(staged, iter)
+				e.streamBegin(staged, true)
 			}
 		}
 		if err := k.compute(iter, &stat); err != nil {
@@ -158,11 +158,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		if f != nil {
 			f.Reset()
 		}
-		if e.stream.active {
-			if err := e.syncStreamed(st, changed, f, iter, &stat); err != nil {
-				return nil, err
-			}
-		} else if err := e.syncOwned(st, changed, f, iter, &stat); err != nil {
+		if err := e.deltaSync(st, changed, f, iter, &stat); err != nil {
 			return nil, err
 		}
 		syncDur := time.Since(syncStart)

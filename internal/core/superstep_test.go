@@ -20,7 +20,7 @@ func TestCkptRebalanceIncompatibilityError(t *testing.T) {
 	g := gen.Path(16)
 	part, _ := partition.NewChunked(g, 1)
 	_, err := New[float64](Config{
-		Graph: g, Comm: singleComm(t), Part: part,
+		Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 1),
 		Ckpt: &ckpt.Manager{Dir: t.TempDir()}, Rebalance: true,
 	})
 	if err == nil {
@@ -51,8 +51,7 @@ func TestDriverCheckpointResumeBothKernels(t *testing.T) {
 			rr := withGuidance(t, g, p)
 			parallel := func(rank int, cfg *Config) {
 				rr(rank, cfg)
-				cfg.Threads = 2
-				cfg.Stealing = true
+				cfg.Sched = testSched(t, 2)
 			}
 			want := runCluster(t, g, p, 2, parallel)
 
@@ -102,8 +101,7 @@ func TestDriverRebalanceParallelBothKernels(t *testing.T) {
 			want := runCluster(t, g, p, 3, rr)
 			got := runCluster(t, g, p, 3, func(rank int, cfg *Config) {
 				rr(rank, cfg)
-				cfg.Threads = 3
-				cfg.Stealing = true
+				cfg.Sched = testSched(t, 3)
 				cfg.Rebalance = true
 				cfg.RebalanceEvery = 2
 				cfg.RebalanceDamping = 1
@@ -125,7 +123,7 @@ func TestDriverPhaseMetrics(t *testing.T) {
 	p := testProgram()
 	m := &ckpt.Manager{Dir: t.TempDir(), Every: 2}
 	res := runCluster(t, g, p, 2, func(_ int, cfg *Config) {
-		cfg.Threads = 2
+		cfg.Sched = testSched(t, 2)
 		cfg.Ckpt = m
 	})
 	r := res.Metrics
@@ -160,7 +158,7 @@ func TestParallelFrontierHelpersMatchSerial(t *testing.T) {
 	g := gen.RMAT(4096, 32768, gen.DefaultRMAT, 1, 17)
 	part, _ := partition.NewChunked(g, 1)
 	for _, threads := range []int{1, 2, 7} {
-		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Threads: threads, Stealing: true})
+		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, threads)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +223,10 @@ func BenchmarkPullKernelThreads(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer ts[0].Close()
-			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(ts[0]), Part: part, Threads: threads, Stealing: true})
+			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(ts[0]), Part: part, Sched: testSched(b, threads)})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer eng.Close()
 			for b.Loop() {
 				if _, err := eng.Run(p); err != nil {
 					b.Fatal(err)

@@ -52,7 +52,7 @@ func TestEngineOverTCP(t *testing.T) {
 			}
 			transports[rank] = tr
 			eng, err := New[float64](Config{
-				Graph: g, Comm: comm.NewComm(tr), Part: part,
+				Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: testSched(t, 0),
 				RR: true, Guidance: gd,
 			})
 			if err != nil {
@@ -60,7 +60,6 @@ func TestEngineOverTCP(t *testing.T) {
 				comm.Abort(tr)
 				return
 			}
-			defer eng.Close()
 			results[rank], errs[rank] = eng.Run(prog)
 			if errs[rank] != nil {
 				comm.Abort(tr)
@@ -91,7 +90,7 @@ func TestEngineOverTCP(t *testing.T) {
 	}
 	// ... and with a single-worker in-process run.
 	soloPart, _ := partition.NewChunked(g, 1)
-	eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: soloPart, RR: true, Guidance: gd})
+	eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: soloPart, Sched: testSched(t, 0), RR: true, Guidance: gd})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestEngineSurvivesTransportFailure(t *testing.T) {
 				if rank == 1 {
 					tr = &flakyTransport{Transport: tr, remaining: failAfter}
 				}
-				eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(tr), Part: part})
+				eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: testSched(t, 0)})
 				if err != nil {
 					errs[rank] = err
 					return

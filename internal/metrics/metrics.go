@@ -36,14 +36,15 @@ type IterStat struct {
 	SyncBytes    int64 // bytes this worker sent during the delta-sync phase
 	SyncSparse   bool  // delta-sync ran the sparse per-peer exchange
 	// ExposedComm is the delta-sync wall time left on the critical path
-	// after the compute barrier: the whole sync phase when synchronising
-	// serially, only the drain/decode tail when the overlapped pipeline
-	// streamed deltas during compute.
+	// after the compute barrier: only the drain/decode tail when a pull
+	// superstep streamed its deltas during compute, the whole exchange
+	// (drain, encode, send, decode) for a push superstep, which opens it
+	// after commit.
 	ExposedComm time.Duration
 	// StreamedBytes counts the bytes this worker sent while its compute
-	// phase was still running (communication hidden by overlap; zero on the
-	// serial path). StreamedBytes/SyncBytes is the superstep's overlap
-	// ratio.
+	// phase was still running (communication hidden by overlap; zero on
+	// push supersteps and single-worker runs). StreamedBytes/SyncBytes is
+	// the superstep's overlap ratio.
 	StreamedBytes int64
 	// HeapAllocs/HeapBytes are the process-wide heap allocation deltas of
 	// this superstep (stepBegin through stepEnd), recorded only under
@@ -67,14 +68,16 @@ type Run struct {
 	// Rebalances counts dynamic boundary adjustments (internal/balance).
 	Rebalances int64
 
-	// DenseSyncs and SparseSyncs count supersteps synchronised through the
-	// dense AllGather and the sparse per-peer exchange; all workers move in
+	// DenseSyncs and SparseSyncs count supersteps whose deltas were
+	// broadcast to every rank and routed only to the ranks that read them;
+	// every superstep counts in exactly one, and all workers move in
 	// lockstep, so both are cluster-wide counts.
 	DenseSyncs  int64
 	SparseSyncs int64
-	// OverlappedSyncs counts supersteps whose delta-sync streamed during
-	// compute (the pipelined path); like the strategy counters it is a
-	// lockstep, cluster-wide count.
+	// OverlappedSyncs counts the supersteps whose exchange opened before
+	// compute and streamed while it ran: the pull supersteps of a
+	// multi-worker run (push supersteps open it after commit). Like the
+	// strategy counters it is a lockstep, cluster-wide count.
 	OverlappedSyncs int64
 	// FlushBytes is this worker's share of the final consistency flush that
 	// re-broadcasts values distributed only sparsely during the run.
