@@ -58,6 +58,7 @@ func BFSIn[V core.Float](root graph.VertexID) *core.Program[V] {
 	p.Name = "BFS"
 	p.Relax = func(src V, _ float32) V { return src + 1 }
 	p.RelaxSpan = minHopSpan[V]
+	p.Unweighted = true
 	return p
 }
 
@@ -88,8 +89,9 @@ func BFSU32(root graph.VertexID) *core.Program[uint32] {
 			}
 			return src + 1
 		},
-		Better:    func(a, b uint32) bool { return a < b },
-		RelaxSpan: minHopU32Span,
+		Better:     func(a, b uint32) bool { return a < b },
+		RelaxSpan:  minHopU32Span,
+		Unweighted: true,
 	}
 }
 
@@ -110,10 +112,11 @@ func CCIn[V core.Float](g graph.View) *core.Program[V] {
 		InitValue: func(_ graph.View, v graph.VertexID) V {
 			return V(v)
 		},
-		Roots:     roots,
-		Relax:     func(src V, _ float32) V { return src },
-		Better:    func(a, b V) bool { return a < b },
-		RelaxSpan: minLabelSpan[V],
+		Roots:      roots,
+		Relax:      func(src V, _ float32) V { return src },
+		Better:     func(a, b V) bool { return a < b },
+		RelaxSpan:  minLabelSpan[V],
+		Unweighted: true,
 	}
 }
 
@@ -139,10 +142,11 @@ func CCU32(g graph.View) *core.Program[uint32] {
 		InitValue: func(_ graph.View, v graph.VertexID) uint32 {
 			return uint32(v)
 		},
-		Roots:     roots,
-		Relax:     func(src uint32, _ float32) uint32 { return src },
-		Better:    func(a, b uint32) bool { return a < b },
-		RelaxSpan: minLabelSpan[uint32],
+		Roots:      roots,
+		Relax:      func(src uint32, _ float32) uint32 { return src },
+		Better:     func(a, b uint32) bool { return a < b },
+		RelaxSpan:  minLabelSpan[uint32],
+		Unweighted: true,
 	}
 }
 
@@ -217,6 +221,7 @@ func PageRankIn[V core.Float](iters int) *core.Program[V] {
 			return acc + src
 		},
 		GatherSpan: core.SumSpan[V],
+		Unweighted: true,
 		Apply: func(g graph.View, v graph.VertexID, acc, _ V) V {
 			rank := V(0.15) + V(0.85)*acc
 			if d := g.OutDegree(v); d > 0 {
@@ -275,6 +280,7 @@ func TunkRankIn[V core.Float](iters int) *core.Program[V] {
 			return acc + src
 		},
 		GatherSpan: core.SumSpan[V],
+		Unweighted: true,
 		Apply: func(g graph.View, v graph.VertexID, acc, _ V) V {
 			contrib := 1 + V(TunkRankP)*acc
 			if d := g.OutDegree(v); d > 0 {
@@ -330,6 +336,7 @@ func NumPathsIn[V core.Float](root graph.VertexID, iters int) *core.Program[V] {
 			return acc + src
 		},
 		GatherSpan: core.SumSpan[V],
+		Unweighted: true,
 		Apply: func(_ graph.View, v graph.VertexID, acc, _ V) V {
 			if v == root {
 				return 1
@@ -369,6 +376,7 @@ func NumPathsU32(root graph.VertexID, iters int) *core.Program[uint32] {
 			return acc + src
 		},
 		GatherSpan: core.SumSpan[uint32],
+		Unweighted: true,
 		Apply: func(_ graph.View, v graph.VertexID, acc, _ uint32) uint32 {
 			if v == root {
 				return 1
@@ -474,6 +482,7 @@ func HeatSimulation(hot []graph.VertexID, iters int) *core.Program[float64] {
 			return acc + src
 		},
 		GatherSpan: core.SumSpan[float64],
+		Unweighted: true,
 		Apply: func(g graph.View, v graph.VertexID, acc, prev float64) float64 {
 			if hotSet[v] {
 				return prev // heat sources stay clamped

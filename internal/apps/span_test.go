@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"slfe/internal/cluster"
@@ -86,57 +87,151 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// lifted returns a copy of p without its span hooks, so the engine runs its
-// per-edge hooks through the lifted path.
-func lifted[V comparable](p *core.Program[V]) *core.Program[V] {
+// edit names the changes variant makes to a copy of a registry program:
+// noSpans strips its span hooks, so the engine runs its per-edge hooks
+// through the lifted path; weighted clears Unweighted, so the kernels hand
+// every hook the graph's weights.
+type edit struct{ noSpans, weighted bool }
+
+// traits is what the original program declares.
+type traits struct{ hasSpan, unweighted bool }
+
+func edited[V comparable](p *core.Program[V], ed edit) (*core.Program[V], traits) {
 	q := *p
-	q.RelaxSpan, q.GatherSpan = nil, nil
-	return &q
+	if ed.noSpans {
+		q.RelaxSpan, q.GatherSpan = nil, nil
+	}
+	if ed.weighted {
+		q.Unweighted = false
+	}
+	return &q, traits{p.RelaxSpan != nil || p.GatherSpan != nil, p.Unweighted}
 }
 
-// liftedCC is ccRunner/ccU32Runner with the span hooks stripped.
-type liftedCC[V comparable] struct {
+func editedRunner[V comparable](p *core.Program[V], ed edit) (Runnable, traits) {
+	q, tr := edited(p, ed)
+	return AsRunnable(q), tr
+}
+
+// editedCC is ccRunner/ccU32Runner with its program edited.
+type editedCC[V comparable] struct {
 	build func(graph.View) *core.Program[V]
+	ed    edit
 }
 
-func (liftedCC[V]) ProgramName() string { return "CC" }
+func (editedCC[V]) ProgramName() string { return "CC" }
 
-func (r liftedCC[V]) Execute(g graph.View, opt cluster.Options) (*Outcome, error) {
-	return AsRunnable(lifted(r.build(g))).Execute(g, opt)
+func (r editedCC[V]) Execute(g graph.View, opt cluster.Options) (*Outcome, error) {
+	q, _ := edited(r.build(g), r.ed)
+	return AsRunnable(q).Execute(g, opt)
 }
 
-func (r liftedCC[V]) ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster.Options) (*Outcome, *Resume, error) {
-	return AsRunnable(lifted(r.build(g))).ExecuteIn(s, g, opt)
+func (r editedCC[V]) ExecuteIn(s *cluster.Session, g *graph.Graph, opt cluster.Options) (*Outcome, *Resume, error) {
+	q, _ := edited(r.build(g), r.ed)
+	return AsRunnable(q).ExecuteIn(s, g, opt)
 }
 
-// stripProg puts p on the lifted per-edge path and reports whether it
-// carried a span hook to strip.
-func stripProg[V comparable](p *core.Program[V]) (Runnable, bool) {
-	return AsRunnable(lifted(p)), p.RelaxSpan != nil || p.GatherSpan != nil
+func editedCCRunner[V comparable](build func(graph.View) *core.Program[V], g graph.View, ed edit) (Runnable, traits) {
+	_, tr := edited(build(g), ed)
+	return editedCC[V]{build, ed}, tr
 }
 
-// withoutSpans rebuilds a registry runnable on the lifted per-edge path and
-// reports whether the original carries a span hook at all.
-func withoutSpans(t *testing.T, r Runnable, g graph.View) (Runnable, bool) {
+// variant rebuilds a registry runnable with its program edited as ed says,
+// and reports what the original declares.
+func variant(t *testing.T, r Runnable, g graph.View, ed edit) (Runnable, traits) {
 	t.Helper()
 	switch x := r.(type) {
 	case progRunner[float64]:
-		return stripProg(x.p)
+		return editedRunner(x.p, ed)
 	case progRunner[float32]:
-		return stripProg(x.p)
+		return editedRunner(x.p, ed)
 	case progRunner[uint32]:
-		return stripProg(x.p)
+		return editedRunner(x.p, ed)
 	case progRunner[core.DistParent]:
-		return stripProg(x.p)
+		return editedRunner(x.p, ed)
 	case ccRunner[float64]:
-		return liftedCC[float64]{CCIn[float64]}, CCIn[float64](g).RelaxSpan != nil
+		return editedCCRunner(CCIn[float64], g, ed)
 	case ccRunner[float32]:
-		return liftedCC[float32]{CCIn[float32]}, CCIn[float32](g).RelaxSpan != nil
+		return editedCCRunner(CCIn[float32], g, ed)
 	case ccU32Runner:
-		return liftedCC[uint32]{CCU32}, CCU32(g).RelaxSpan != nil
+		return editedCCRunner(CCU32, g, ed)
 	}
-	t.Fatalf("unknown runnable type %T: teach withoutSpans to strip it", r)
-	return nil, false
+	t.Fatalf("unknown runnable type %T: teach variant to edit it", r)
+	return nil, traits{}
+}
+
+// weightReads wraps a View and counts the {In,Out}Weights calls made on it
+// and on every cursor it hands out. It forwards the graph's guidance slot,
+// so runs over it share guidance as runs over the graph do.
+type weightReads struct {
+	graph.View
+	n *atomic.Int64
+}
+
+func countWeightReads(g graph.View) weightReads { return weightReads{g, new(atomic.Int64)} }
+
+func (w weightReads) OutWeights(v graph.VertexID) []float32 {
+	w.n.Add(1)
+	return w.View.OutWeights(v)
+}
+
+func (w weightReads) InWeights(v graph.VertexID) []float32 {
+	w.n.Add(1)
+	return w.View.InWeights(v)
+}
+
+func (w weightReads) Cursor() graph.Cursor { return weightCursor{w.View.Cursor(), w.n} }
+
+func (w weightReads) Derived() *graph.Derived {
+	return w.View.(interface{ Derived() *graph.Derived }).Derived()
+}
+
+type weightCursor struct {
+	graph.Cursor
+	n *atomic.Int64
+}
+
+func (c weightCursor) OutWeights(v graph.VertexID) []float32 {
+	c.n.Add(1)
+	return c.Cursor.OutWeights(v)
+}
+
+func (c weightCursor) InWeights(v graph.VertexID) []float32 {
+	c.n.Add(1)
+	return c.Cursor.InWeights(v)
+}
+
+// weightsRead runs r over g and returns the outcome and how many weight
+// reads the run made.
+func weightsRead(t *testing.T, r Runnable, g weightReads, opt cluster.Options) (*Outcome, int64) {
+	t.Helper()
+	before := g.n.Load()
+	out, err := r.Execute(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, g.n.Load() - before
+}
+
+// writeSLFC writes g as a .slfc file in a test directory and returns its path.
+func writeSLFC(t *testing.T, g *graph.Graph, name string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := store.Write(path, g); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// openSLFC opens a .slfc file under a memory budget (0 maps it) for the
+// rest of the test.
+func openSLFC(t *testing.T, path string, budget int64) graph.View {
+	t.Helper()
+	sg, err := store.OpenBudget(path, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sg.Close() })
+	return sg
 }
 
 // TestSpanHooksMatchLifted is the differential oracle of the span fast
@@ -146,27 +241,20 @@ func withoutSpans(t *testing.T, r Runnable, g graph.View) (Runnable, bool) {
 // Computations/Updates/Suppressed/CatchUps whether the kernels call the
 // program's span hook or its per-edge hooks lifted. Both forms fold every
 // in-edge of a computing vertex; what a pull round counts is the kernel's
-// business (frontier bits over the same list), not the hook's. Every min/max
-// entry, lifted-only ones included, must also give RR-on values (and dist32
-// parents) bit-identical to RR-off under the graph's shared guidance.
+// business (frontier bits over the same list), not the hook's. The lifted
+// path of an Unweighted program is handed ws == nil and must read no weight:
+// indexing ws would panic. Every min/max entry, lifted-only ones included,
+// must also give RR-on values (and dist32 parents) bit-identical to RR-off
+// under the graph's shared guidance.
 func TestSpanHooksMatchLifted(t *testing.T) {
 	heap := gen.RMAT(1500, 12000, gen.DefaultRMAT, 8, 31)
-	open := func(g *graph.Graph, name string) graph.View {
-		path := filepath.Join(t.TempDir(), name)
-		if err := store.Write(path, g); err != nil {
-			t.Fatal(err)
-		}
-		sg, err := store.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sg.Close() })
-		return sg
-	}
 	sym := Symmetrize(heap)
-	views := map[string][2]graph.View{
-		"heap": {heap, sym},
-		"slfc": {open(heap, "g.slfc"), open(sym, "sym.slfc")},
+	views := map[string][2]weightReads{
+		"heap": {countWeightReads(heap), countWeightReads(sym)},
+		"slfc": {
+			countWeightReads(openSLFC(t, writeSLFC(t, heap, "g.slfc"), 0)),
+			countWeightReads(openSLFC(t, writeSLFC(t, sym, "sym.slfc"), 0)),
+		},
 	}
 	// The two programs that stay on the lifted path: BP's tanh and the
 	// composite dist32 relaxation dwarf the per-edge call.
@@ -178,9 +266,9 @@ func TestSpanHooksMatchLifted(t *testing.T) {
 				g = pair[1]
 			}
 			fast := entry.Build(3, 8)
-			slow, hasSpan := withoutSpans(t, fast, g)
-			if name := entry.Key + "/" + entry.Domain; hasSpan == liftedOnly[name] {
-				t.Fatalf("%s: span hook present = %v, expected %v", name, hasSpan, !hasSpan)
+			slow, tr := variant(t, fast, g, edit{noSpans: true})
+			if name := entry.Key + "/" + entry.Domain; tr.hasSpan == liftedOnly[name] {
+				t.Fatalf("%s: span hook present = %v, expected %v", name, tr.hasSpan, !tr.hasSpan)
 			}
 			for _, threads := range []int{1, 2, 4} {
 				var off *Outcome
@@ -195,12 +283,13 @@ func TestSpanHooksMatchLifted(t *testing.T) {
 					} else if entry.Agg == core.MinMax && (!sameBits(a.Values, off.Values) || !slices.Equal(a.Parents, off.Parents)) {
 						t.Errorf("%s/%s %s threads=%d: RR-on values or parents differ from RR-off", entry.Key, entry.Domain, mode, threads)
 					}
-					if !hasSpan {
+					if !tr.hasSpan {
 						continue // already on the lifted path: nothing to compare
 					}
-					b, err := slow.Execute(g, opt)
-					if err != nil {
-						t.Fatal(err)
+					b, reads := weightsRead(t, slow, g, opt)
+					if tr.unweighted && reads != 0 {
+						t.Errorf("%s/%s %s threads=%d rr=%v: the lifted path of an Unweighted program read weights %d times",
+							entry.Key, entry.Domain, mode, threads, rr, reads)
 					}
 					av, ac := runDigest(a.Values, a.Run.Iters)
 					bv, bc := runDigest(b.Values, b.Run.Iters)
@@ -208,6 +297,68 @@ func TestSpanHooksMatchLifted(t *testing.T) {
 						t.Errorf("%s/%s %s threads=%d rr=%v: span hook and lifted per-edge path diverge (values %#x vs %#x, counts %#x vs %#x, supersteps %d vs %d)",
 							entry.Key, entry.Domain, mode, threads, rr, av, bv, ac, bc, a.Iterations, b.Iterations)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnweightedReadsNoWeights: a program that declares Unweighted asks the
+// graph for no weight at all — over the heap CSR, the mmap'd .slfc and the
+// out-of-core reader, in pull and in push supersteps — and computes exactly
+// what it computes with the declaration cleared, values and per-superstep
+// counts. The registry declares it for every program whose hooks ignore w,
+// and only for those.
+func TestUnweightedReadsNoWeights(t *testing.T) {
+	heap := gen.RMAT(1500, 12000, gen.DefaultRMAT, 8, 31)
+	sym := Symmetrize(heap)
+	gPath, symPath := writeSLFC(t, heap, "g.slfc"), writeSLFC(t, sym, "sym.slfc")
+	views := map[string][2]weightReads{"heap": {countWeightReads(heap), countWeightReads(sym)}}
+	for mode, budget := range map[string]int64{"mmap": 0, "ooc": 1} {
+		views[mode] = [2]weightReads{
+			countWeightReads(openSLFC(t, gPath, budget)),
+			countWeightReads(openSLFC(t, symPath, budget)),
+		}
+	}
+	// Everything else reads weights: SSSP in every domain, WP, SpMV and BP.
+	unweighted := map[string]bool{
+		"pr/f64": true, "pr/f32": true, "tr/f64": true, "tr/f32": true,
+		"numpaths/f64": true, "numpaths/f32": true, "numpaths/u32": true, "heat/f64": true,
+		"bfs/f64": true, "bfs/f32": true, "bfs/u32": true, "cc/f64": true, "cc/f32": true, "cc/u32": true,
+	}
+	opts := map[string]cluster.Options{
+		"rr":        {Nodes: 1, Threads: 2, Stealing: true, RR: true},
+		"push-only": {Nodes: 1, Threads: 2, Stealing: true, DenseDivisor: 1},
+	}
+	for _, entry := range Runnables() {
+		name := entry.Key + "/" + entry.Domain
+		for mode, pair := range views {
+			g := pair[0]
+			if entry.NeedsSym {
+				g = pair[1]
+			}
+			r := entry.Build(3, 8)
+			cleared, tr := variant(t, r, g, edit{weighted: true})
+			if tr.unweighted != unweighted[name] {
+				t.Fatalf("%s: Unweighted = %v, expected %v", name, tr.unweighted, !tr.unweighted)
+			}
+			for oname, opt := range opts {
+				a, reads := weightsRead(t, r, g, opt)
+				if tr.unweighted && reads != 0 {
+					t.Errorf("%s %s %s: an Unweighted program read weights %d times", name, mode, oname, reads)
+				}
+				if !tr.unweighted && reads == 0 {
+					t.Errorf("%s %s %s: a weighted program read no weight", name, mode, oname)
+				}
+				if !tr.unweighted {
+					continue
+				}
+				b, _ := weightsRead(t, cleared, g, opt)
+				av, ac := runDigest(a.Values, a.Run.Iters)
+				bv, bc := runDigest(b.Values, b.Run.Iters)
+				if av != bv || ac != bc || a.Iterations != b.Iterations || !slices.Equal(a.Parents, b.Parents) {
+					t.Errorf("%s %s %s: Unweighted and weighted runs diverge (values %#x vs %#x, counts %#x vs %#x)",
+						name, mode, oname, av, bv, ac, bc)
 				}
 			}
 		}

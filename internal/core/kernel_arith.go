@@ -23,7 +23,6 @@ type arithKernel[V comparable] struct {
 	stableCnt []uint32
 	stableVal []V
 	scratch   []V
-	slack     uint32
 	maxIters  int
 
 	// gather is the program's resolved per-vertex gather hook.
@@ -50,25 +49,20 @@ func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], cha
 		counters:  make([]threadCounters, e.sched.Threads()),
 	}
 	copy(k.stableVal, st.values)
-	// A vertex is early-converged once its stability streak strictly
-	// exceeds its lastIter (§2.2: "x > its maximum/latest propagation
-	// level"; Algorithm 5's pseudo-code tests stableCnt < lastIter, but the
-	// strict prose version is required for correctness — an update can
-	// arrive exactly one round after lastIter when contributions cancel
-	// transiently, e.g. opposing evidence in BeliefPropagation). ECSlack
-	// widens the margin further for programs that want extra safety.
-	k.slack = 1
-	if p.ECSlack > 1 {
-		k.slack = uint32(p.ECSlack)
-	}
 	k.gatherBody = k.computeChunk
 	k.commitBody = k.commitChunk
 	return k
 }
 
-// ecFrozen reports whether v's stability streak has outlived its guidance.
+// ecFrozen reports whether v's stability streak has outlived its guidance:
+// v is early-converged once the streak strictly exceeds its LastIter (§2.2:
+// "x > its maximum/latest propagation level"). Algorithm 5's pseudo-code
+// tests stableCnt < lastIter, but the strict prose version is required for
+// correctness — an update can arrive exactly one round after lastIter when
+// contributions cancel transiently, e.g. opposing evidence in
+// BeliefPropagation.
 func (k *arithKernel[V]) ecFrozen(v graph.VertexID) bool {
-	return k.stableCnt[v] >= k.e.cfg.Guidance.LastIter[v]+k.slack
+	return k.stableCnt[v] > k.e.cfg.Guidance.LastIter[v]
 }
 
 func (k *arithKernel[V]) kind() ckpt.Kind          { return ckpt.Arith }
@@ -122,18 +116,18 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
 		// Algorithm 5 line 15: compute only while the stability
-		// streak is within the vertex's LastIter+slack; afterwards
+		// streak has not outgrown the vertex's LastIter; afterwards
 		// the vertex is early-converged and its cached value is
-		// reused ("finish early"). The +slack also guarantees every
-		// vertex computes at least once before freezing (vertices
-		// with no reachable in-neighbours have LastIter 0).
+		// reused ("finish early"). The strict test also guarantees
+		// every vertex computes at least once before freezing
+		// (vertices with no reachable in-neighbours have LastIter 0).
 		if e.cfg.RR && k.ecFrozen(vid) {
 			suppressed++
 			continue
 		}
 		ins := cur.InNeighbors(vid)
 		comps += int64(len(ins))
-		acc := k.gather(p.GatherInit, st.values, ins, cur.InWeights(vid))
+		acc := k.gather(p.GatherInit, st.values, ins, p.inWeights(cur, vid))
 		k.scratch[v] = p.Apply(e.g, vid, acc, st.values[vid])
 		// Mark the change at compute time (the same |Δ| > 0 test commit
 		// applies), so the overlapped pipeline can emit this chunk's deltas
@@ -164,7 +158,7 @@ func (k *arithKernel[V]) commitChunk(clo, chi uint32, th int) {
 		if p.stable(e.dom, newVal, k.stableVal[v]) {
 			k.stableCnt[v]++
 			// Only a lengthened streak can freeze a vertex (a reset one is
-			// at 0 < LastIter+slack).
+			// at 0, never above LastIter).
 			if e.cfg.RR && k.ecFrozen(graph.VertexID(v)) {
 				frozen++
 			}

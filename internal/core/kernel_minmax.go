@@ -231,7 +231,7 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 		} else {
 			comps += k.front.CountIn(ins)
 		}
-		best := k.relaxSpan(st.values[vid], st.values, ins, cur.InWeights(vid))
+		best := k.relaxSpan(st.values[vid], st.values, ins, p.inWeights(cur, vid))
 		if p.Better(best, st.values[vid]) {
 			k.scratch[v] = best
 			changed.Set(int(v))
@@ -261,15 +261,24 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
 	bufs := e.push.bufs[th]
 	comps := int64(0)
+	weighted := !p.Unweighted
 	it := k.front.IterIn(int(clo), int(chi))
 	for v := it.Next(); v >= 0; v = it.Next() {
 		vid := graph.VertexID(v)
 		srcVal := st.values[vid]
-		outs, ows := e.curs[th].OutNeighbors(vid), e.curs[th].OutWeights(vid)
+		outs := e.curs[th].OutNeighbors(vid)
+		var ows []float32
+		if weighted {
+			ows = e.curs[th].OutWeights(vid)
+		}
 		curR := -1
 		var curLo, curHi graph.VertexID
 		for i, u := range outs {
-			cand := k.relax(vid, srcVal, ows[i])
+			w := float32(1)
+			if weighted {
+				w = ows[i]
+			}
+			cand := k.relax(vid, srcVal, w)
 			comps++
 			if curR < 0 || u < curLo || u >= curHi {
 				curR = e.owner(u)

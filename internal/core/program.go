@@ -137,11 +137,12 @@ type Program[V comparable] struct {
 	// the last few ulps keep twitching long after the ranks are stable,
 	// and without StableEps "finish early" would never fire.
 	StableEps float64
-	// ECSlack is the number of stable rounds beyond lastIter required
-	// before a vertex is declared early-converged (values <= 1 mean 1,
-	// i.e. the paper's strict "x > lastIter" rule). Programs whose updates
-	// can transiently cancel for several rounds may raise it.
-	ECSlack int
+
+	// Unweighted declares that the hooks never read an edge weight (w or
+	// ws). The kernels then ask the graph for no weights at all — over a
+	// compressed file no weight block is decoded — span hooks get ws ==
+	// nil, and the lifted per-edge hooks get w = 1.
+	Unweighted bool
 }
 
 // Validate reports the first structural problem with the program. It
@@ -208,12 +209,23 @@ func (p *Program[V]) relax() func(src graph.VertexID, srcVal V, w float32) V {
 }
 
 // relaxSpan resolves the pull kernel's per-vertex hook: the program's
-// RelaxSpan, else its per-edge hooks lifted into one. Called once per run.
+// RelaxSpan, else its per-edge hooks lifted into one, which never index ws
+// of an Unweighted program. Called once per run.
 func (p *Program[V]) relaxSpan() func(best V, vals []V, ins []graph.VertexID, ws []float32) V {
 	if p.RelaxSpan != nil {
 		return p.RelaxSpan
 	}
 	relax, better := p.relax(), p.Better
+	if p.Unweighted {
+		return func(best V, vals []V, ins []graph.VertexID, _ []float32) V {
+			for _, u := range ins {
+				if cand := relax(u, vals[u], 1); better(cand, best) {
+					best = cand
+				}
+			}
+			return best
+		}
+	}
 	return func(best V, vals []V, ins []graph.VertexID, ws []float32) V {
 		for i, u := range ins {
 			if cand := relax(u, vals[u], ws[i]); better(cand, best) {
@@ -230,12 +242,29 @@ func (p *Program[V]) gatherSpan() func(acc V, vals []V, ins []graph.VertexID, ws
 		return p.GatherSpan
 	}
 	gather := p.Gather
+	if p.Unweighted {
+		return func(acc V, vals []V, ins []graph.VertexID, _ []float32) V {
+			for _, u := range ins {
+				acc = gather(acc, vals[u], 1)
+			}
+			return acc
+		}
+	}
 	return func(acc V, vals []V, ins []graph.VertexID, ws []float32) V {
 		for i, u := range ins {
 			acc = gather(acc, vals[u], ws[i])
 		}
 		return acc
 	}
+}
+
+// inWeights returns v's in-edge weights through cur, and nil without a read
+// for an Unweighted program.
+func (p *Program[V]) inWeights(cur graph.Cursor, v graph.VertexID) []float32 {
+	if p.Unweighted {
+		return nil
+	}
+	return cur.InWeights(v)
 }
 
 // SumSpan is the GatherSpan of an unweighted sum (Gather: acc + srcVal).

@@ -87,10 +87,10 @@ func TestTheorem1MinMaxDelayedEqualsOriginal(t *testing.T) {
 }
 
 // TestFinishEarlyOnlySkipsRepeats checks the arithmetic-side claim of §3.7
-// on random graphs: with an exact stability test (StableEps 0) and ECSlack
-// headroom, the finish-early output matches the unoptimised iteration
-// bit for bit — the skipped computations would have reproduced the cached
-// value.
+// on random graphs: with an exact stability test (StableEps 0) and the
+// strict freeze rule (stableCnt > LastIter), the finish-early output
+// matches the unoptimised iteration bit for bit — the skipped computations
+// would have reproduced the cached value.
 func TestFinishEarlyOnlySkipsRepeats(t *testing.T) {
 	f := func(seed int64, nodesRaw uint8) bool {
 		nodes := int(nodesRaw)%3 + 1

@@ -46,12 +46,61 @@ func appendBlock(dst []byte, vals []uint32) []byte {
 	return dst
 }
 
-// decodeBlock decodes len(ids) values from the block raw. It returns how many
-// values it decoded in full and how many bytes of raw those took, control
-// bytes included; on a short block k < len(ids) and ids[k:] are untouched.
-// It never reads past len(raw): groups of four take the table path only while
-// 16 data bytes remain, and a byte-wise tail decodes the rest.
-func decodeBlock(ids []uint32, raw []byte) (k, used int) {
+// decodeBlock decodes the len(ids) values of the block raw as adjacency
+// lists and writes absolute ids. List j is ids[rel[j]:rel[j+1]], and rel runs
+// monotone from 0 to len(ids). A list's first value is absolute and the rest
+// are gaps, so each value is written as its list's running sum — or as 0
+// where that sum is ≥ n, with over the index of the first such value (-1 if
+// none). It returns how many values it decoded in full and how many bytes of
+// raw those took, control bytes included; on a short block k < len(ids) and
+// ids[k:] read 0. It never reads past len(raw): groups of four take the table
+// path only while 16 data bytes remain, and a byte-wise tail decodes the rest.
+//
+// The running sums are a second pass over the unpacked values, list by list,
+// with no test in its inner loop: a list's sums only grow, so only its last
+// is checked against n. Folding the sums into the group loop measured slower,
+// since the extra live values spill to the stack.
+func decodeBlock(ids []uint32, raw []byte, rel []int, n uint64) (k, used, over int) {
+	k, used = unpack(ids, raw)
+	over = -1
+	// Lists run through ids[k:] too; what is summed there is cleared below.
+	for j := 1; j < len(rel); j++ {
+		dst := ids[rel[j-1]:rel[j]]
+		sum := uint64(0)
+		for i, x := range dst {
+			sum += uint64(x)
+			dst[i] = uint32(sum)
+		}
+		if sum < n {
+			continue
+		}
+		// Sums only grow along a list, so this one holds an id out of range.
+		// Every gap is below 2^32, so the written sums, which are the true
+		// ones mod 2^32, give the gaps back.
+		sum = 0
+		prev := uint32(0)
+		for i, x := range dst {
+			sum += uint64(x - prev)
+			prev = x
+			if sum >= n {
+				dst[i] = 0
+				if over < 0 {
+					over = rel[j-1] + i
+				}
+			}
+		}
+	}
+	// What follows a truncation was never decoded: it reads 0, and no sum
+	// through it is a defect.
+	clear(ids[k:])
+	if over >= k {
+		over = -1
+	}
+	return k, used, over
+}
+
+// unpack decodes the block's raw values into ids; see decodeBlock.
+func unpack(ids []uint32, raw []byte) (k, used int) {
 	cnt := len(ids)
 	nc := (cnt + 3) >> 2
 	if nc > len(raw) {

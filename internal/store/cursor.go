@@ -19,6 +19,11 @@ import (
 // the weight section; const-1 weights are served from one ones slice per
 // cursor and decode nothing.
 //
+// An id block decodes through one decoder: load resolves the block's
+// vertex→edge ranges, and decodeBlock unpacks the Stream VByte groups and
+// turns each list's gaps into absolute ids, testing only a list's last sum
+// against n. Validate runs the same decoder.
+//
 // The engine's chunk size (256 vertices) spans four 64-vertex blocks, so a
 // sequential chunk scan decodes each block exactly once; steady state
 // performs zero allocations. Returned slices alias cursor scratch and are
@@ -181,25 +186,9 @@ func (c *Cursor) load(d *dirRef, dc *dirCur, b int64) {
 	}
 	dc.block, dc.start = b, start
 	dc.ids = grow(dc.ids, cnt)
-	ids := dc.ids
-	k, _ := decodeBlock(ids, raw)
-
-	// Each list's first value is absolute, the rest are gaps. A sum ≥ n is
-	// corrupt and reads as 0; so does every value after a truncation
-	// (Validate reports both).
-	n := uint64(g.n)
-	for i := 0; i < nv; i++ {
-		dst := ids[rel[i]:rel[i+1]]
-		id := uint64(0)
-		for j, x := range dst {
-			id += uint64(x)
-			dst[j] = uint32(id)
-			if id >= n {
-				dst[j] = 0
-			}
-		}
-	}
-	clear(ids[k:])
+	// An id ≥ n is corrupt and reads as 0; so does every value after a
+	// truncation (Validate reports both).
+	decodeBlock(dc.ids, raw, rel, uint64(g.n))
 }
 
 // loadWeights decodes the weights of dc's current id block.
@@ -304,6 +293,7 @@ func (g *Graph) validateDir(name string, d *dirRef) error {
 	nb := g.numBlocks()
 	var buf, wb []byte
 	var ids []uint32
+	var rel []int
 	for b := int64(0); b < nb; b++ {
 		start := b << g.shift
 		end := start + int64(1)<<g.shift
@@ -319,8 +309,11 @@ func (g *Graph) validateDir(name string, d *dirRef) error {
 		if nc := (edges + 3) / 4; nc > int64(len(raw)) {
 			return badf("%s block %d: %d control bytes for %d edges overrun the %d-byte block", name, b, nc, edges, len(raw))
 		}
-		ids = grow(ids, int(edges))
-		k, used := decodeBlock(ids, raw)
+		// The index is monotone (Validate checked it), so rel runs from 0 to
+		// edges as decodeBlock requires.
+		ids, rel = grow(ids, int(edges)), grow(rel, int(end-start)+1)
+		g.relOffsets(d, start, rel)
+		k, used, over := decodeBlock(ids, raw, rel, uint64(g.n))
 		if k < len(ids) {
 			return badf("%s block %d: data truncated at edge %d of %d", name, b, k, edges)
 		}
@@ -330,15 +323,12 @@ func (g *Graph) validateDir(name string, d *dirRef) error {
 		if r := edges % 4; r != 0 && raw[edges/4]>>(2*r) != 0 {
 			return badf("%s block %d: nonzero codes after the last of %d edges", name, b, edges)
 		}
-		base := g.edgeOff(d, start)
-		for v := start; v < end; v++ {
-			var id uint64
-			for _, x := range ids[g.edgeOff(d, v)-base : g.edgeOff(d, v+1)-base] {
-				id += uint64(x)
-				if id >= uint64(g.n) {
-					return badf("%s block %d: vertex %d has neighbour %d out of range [0,%d)", name, b, v, id, g.n)
-				}
+		if over >= 0 {
+			v := start
+			for rel[v-start+1] <= over {
+				v++
 			}
+			return badf("%s block %d: vertex %d has a neighbour out of range [0,%d)", name, b, v, g.n)
 		}
 		if d.wmode == WVarint {
 			w0, w1 := g.wBlockOff(d, b), g.wBlockOff(d, b+1)
