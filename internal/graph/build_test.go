@@ -1,0 +1,139 @@
+package graph_test
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"slfe/internal/gen"
+	"slfe/internal/graph"
+)
+
+// adjacency is the six arrays of a built graph.
+type adjacency struct {
+	outOff, inOff []int64
+	outDst, inSrc []graph.VertexID
+	outW, inW     []float32
+}
+
+// referenceBuild is Build without the transpose: each direction is
+// counting-sorted from the edge list and key-sorted on its own.
+func referenceBuild(n int, edges []graph.Edge) adjacency {
+	side := func(owner, other func(graph.Edge) graph.VertexID) ([]int64, []graph.VertexID, []float32) {
+		off := make([]int64, n+1)
+		for _, e := range edges {
+			off[owner(e)+1]++
+		}
+		for v := 0; v < n; v++ {
+			off[v+1] += off[v]
+		}
+		keys := make([]uint64, len(edges))
+		next := slices.Clone(off[:n])
+		for _, e := range edges {
+			keys[next[owner(e)]] = graph.AdjSortKey(other(e), e.Weight)
+			next[owner(e)]++
+		}
+		ids, w := make([]graph.VertexID, len(edges)), make([]float32, len(edges))
+		for v := 0; v < n; v++ {
+			slices.Sort(keys[off[v]:off[v+1]])
+		}
+		for i, k := range keys {
+			ids[i], w[i] = graph.AdjSortKeyDecode(k)
+		}
+		return off, ids, w
+	}
+	src := func(e graph.Edge) graph.VertexID { return e.Src }
+	dst := func(e graph.Edge) graph.VertexID { return e.Dst }
+	var a adjacency
+	a.outOff, a.outDst, a.outW = side(src, dst)
+	a.inOff, a.inSrc, a.inW = side(dst, src)
+	return a
+}
+
+func adjacencyOf(g *graph.Graph) adjacency {
+	return adjacency{g.OutOff, g.InOff, g.OutDst, g.InSrc, g.OutW, g.InW}
+}
+
+// sameBits reports whether a and b hold the same arrays bit for bit
+// (weights compared by their bits, so NaN payloads and ±0 count).
+func sameBits(a, b adjacency) bool {
+	bits := func(w []float32) []uint32 {
+		out := make([]uint32, len(w))
+		for i, x := range w {
+			out[i] = math.Float32bits(x)
+		}
+		return out
+	}
+	return slices.Equal(a.outOff, b.outOff) && slices.Equal(a.inOff, b.inOff) &&
+		slices.Equal(a.outDst, b.outDst) && slices.Equal(a.inSrc, b.inSrc) &&
+		slices.Equal(bits(a.outW), bits(b.outW)) && slices.Equal(bits(a.inW), bits(b.inW))
+}
+
+// Build sorts the CSR once and transposes it into the CSC; the result must
+// equal, bit for bit, sorting both directions independently — and not
+// depend on the order the edges arrive in.
+func TestBuildMatchesReferenceSort(t *testing.T) {
+	check := func(name string, n int, edges []graph.Edge) *graph.Graph {
+		t.Helper()
+		g, err := graph.Build(n, edges)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameBits(adjacencyOf(g), referenceBuild(n, edges)) {
+			t.Fatalf("%s: Build differs from the two-sort reference", name)
+		}
+		return g
+	}
+
+	// Weights whose order and bits are easy to get wrong: NaNs with
+	// payloads and either sign, ±0, ±Inf and denormals.
+	weights := []float32{
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0x7fc00001),
+		math.Float32frombits(0xffc00000), math.Float32frombits(0x7f800001),
+		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1, 2, -3.5, 64,
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(40)
+		if trial < 2 {
+			n = trial // n = 0 and n = 1
+		}
+		var edges []graph.Edge
+		if n > 0 {
+			// Endpoints from a small pool leave isolated vertices and give
+			// self-loops and parallel edges with distinct weights.
+			pool := 1 + rng.Intn(n)
+			for i := rng.Intn(300); i > 0; i-- {
+				edges = append(edges, graph.Edge{
+					Src:    graph.VertexID(rng.Intn(pool)),
+					Dst:    graph.VertexID(rng.Intn(pool)),
+					Weight: weights[rng.Intn(len(weights))],
+				})
+			}
+		}
+		check("random", n, edges)
+	}
+
+	const n = 1 << 12
+	var raw []graph.Edge
+	if err := gen.RMATStream(n, 1<<15, gen.DefaultRMAT, 64, 29, func(s, d graph.VertexID, w float32) error {
+		raw = append(raw, graph.Edge{Src: s, Dst: d, Weight: w})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g := check("rmat", n, raw)
+	csr := g.Edges(nil)
+	shuffled := slices.Clone(csr)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, edges := range map[string][]graph.Edge{"rmat csr order": csr, "rmat shuffled": shuffled} {
+		if !sameBits(adjacencyOf(check(name, n, edges)), adjacencyOf(g)) {
+			t.Fatalf("%s: edge order changed the graph", name)
+		}
+	}
+}

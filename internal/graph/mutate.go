@@ -41,7 +41,7 @@ func dstOf(e Edge) VertexID { return e.Dst }
 
 // mergeAdj builds one side (CSR or CSC) of the extended graph: the added
 // edges are bucketed by their owning endpoint with a counting sort, each
-// bucket is key-sorted like Build's adjSorter, and every vertex's new
+// bucket is key-sorted like Build's sortAdjacency, and every vertex's new
 // segment is the ordered merge of its old segment and its bucket. Vertex
 // segments are independent, so the merge runs chunk-parallel.
 func mergeAdj(sched *ws.Scheduler, oldOff []int64, oldIDs []VertexID, oldW []float32,
@@ -124,14 +124,14 @@ func mergeAdj(sched *ws.Scheduler, oldOff []int64, oldIDs []VertexID, oldW []flo
 	return off, ids, w
 }
 
-// sortSegment packs (id, weight) pairs into self-contained sort keys
-// (adjSorter's transform) and returns them sorted ascending.
+// sortSegment appends the AdjSortKey of every (id, weight) pair to keys
+// and returns them sorted ascending.
 func sortSegment(keys []uint64, ids []VertexID, w []float32) []uint64 {
 	for i := range ids {
-		keys = append(keys, uint64(ids[i])<<32|uint64(orderedWeightBits(w[i])))
+		keys = append(keys, AdjSortKey(ids[i], w[i]))
 	}
-	// Insertion sort: buckets are typically tiny (a batch rarely adds many
-	// parallel edges to one vertex); fall back to a pdq sort when not.
+	// Insertion sort: segments are typically short (a batch's bucket, or a
+	// typical adjacency list); fall back to a pdq sort when not.
 	if len(keys) > 32 {
 		slices.Sort(keys)
 		return keys

@@ -5,8 +5,8 @@
 //     comment lines, whitespace separated. This is the format SNAP and
 //     KONECT distribute the paper's datasets in.
 //   - A packed binary format (magic "SLFG") holding the vertex count and
-//     raw edge triples; ~10x faster to load and used by the out-of-core
-//     engine's shards.
+//     raw edge triples in CSR order; ~10x faster to load than text, and
+//     parsed into a heap graph (out-of-core runs read SLFC, not SLFG).
 package loader
 
 import (
@@ -148,46 +148,41 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads the packed binary format written by WriteBinary.
+// ReadBinary reads the packed binary format written by WriteBinary. Bytes
+// after the m-th record are an error, not ignored.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
+	size, sized := sizeOf(r)
 	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: missing magic: %v", ErrBadFormat, err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
-	}
-	hdr := make([]byte, 4+8+8)
+	hdr := make([]byte, 4+4+8+8)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadFormat, err)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != 1 {
+	if string(hdr[:4]) != Magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != 1 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
 	}
-	n := binary.LittleEndian.Uint64(hdr[4:])
-	m := binary.LittleEndian.Uint64(hdr[12:])
+	n := binary.LittleEndian.Uint64(hdr[8:])
+	m := binary.LittleEndian.Uint64(hdr[16:])
 	if n > math.MaxUint32+1 || n > MaxVertices {
 		return nil, fmt.Errorf("%w: vertex count %d too large", ErrBadFormat, n)
 	}
-	// Cap the pre-allocation: a corrupt edge count must fail on truncated
-	// reads (cheap), not on a huge up-front make.
-	capHint := m
-	if capHint > 1<<16 {
-		capHint = 1 << 16
+	// A corrupt edge count must fail on a short read (cheap), not on a huge
+	// up-front make: allocate for the records the input can hold, or, when
+	// the reader cannot tell, a capped first guess.
+	capHint := min(m, 1<<16)
+	if sized {
+		capHint = min(m, uint64(max(size-24, 0))/12)
 	}
 	edges := make([]graph.Edge, 0, capHint)
 	// Batched block reads: one ReadFull per 4096 records instead of one
-	// per edge. The tail block reads short; a truncation mid-record is
-	// reported with the index of the first edge it corrupts.
+	// per edge, sized in records first so no edge count overflows it. A
+	// truncation is reported with the index of the first edge it corrupts.
 	buf := make([]byte, 12*4096)
 	for i := uint64(0); i < m; {
-		want := (m - i) * 12
-		if want > uint64(len(buf)) {
-			want = uint64(len(buf))
-		}
-		nr, err := io.ReadFull(br, buf[:want])
-		if nr%12 != 0 || (err != nil && uint64(nr) < want) {
+		nr, err := io.ReadFull(br, buf[:min(m-i, 4096)*12])
+		if err != nil {
 			return nil, fmt.Errorf("%w: truncated at edge %d: %v", ErrBadFormat, i+uint64(nr)/12, io.ErrUnexpectedEOF)
 		}
 		for o := 0; o < nr; o += 12 {
@@ -199,7 +194,28 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		}
 		i += uint64(nr) / 12
 	}
+	switch _, err := br.ReadByte(); {
+	case err == nil:
+		return nil, fmt.Errorf("%w: data after the %d edges the header declares", ErrBadFormat, m)
+	case err != io.EOF:
+		return nil, fmt.Errorf("loader: %w", err)
+	}
 	return graph.Build(int(n), edges)
+}
+
+// sizeOf bounds how many bytes r can still deliver, when it can tell:
+// readers over memory report their unread length, and a regular file
+// holds at most its size.
+func sizeOf(r io.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len()), true
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size(), true
+		}
+	}
+	return 0, false
 }
 
 // sniff returns the first four bytes of path ("" on short files).

@@ -3,7 +3,9 @@ package loader
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -109,6 +111,26 @@ func TestBinaryCorruption(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
 		t.Error("bad version accepted")
 	}
+	// Bytes after the m-th record — one stray byte, or a second file
+	// appended to the first — whether or not the reader knows its size.
+	twice := append(append([]byte{}, full...), full...)
+	path := filepath.Join(t.TempDir(), "twice.slfg")
+	if err := os.WriteFile(path, twice, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	trailing := map[string]func() (*graph.Graph, error){
+		"stray byte": func() (*graph.Graph, error) {
+			return ReadBinary(bytes.NewReader(append(full[:len(full):len(full)], 0)))
+		},
+		"sized reader":   func() (*graph.Graph, error) { return ReadBinary(bytes.NewReader(twice)) },
+		"unsized reader": func() (*graph.Graph, error) { return ReadBinary(io.MultiReader(bytes.NewReader(twice))) },
+		"file":           func() (*graph.Graph, error) { return LoadFile(path) },
+	}
+	for name, load := range trailing {
+		if _, err := load(); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("trailing data (%s): got %v, want ErrBadFormat", name, err)
+		}
+	}
 }
 
 func TestLoadSaveFile(t *testing.T) {
@@ -170,6 +192,26 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkLoadBinary loads an R-MAT .slfg file, whose records WriteBinary
+// writes in CSR order, from disk into a heap graph.
+func BenchmarkLoadBinary(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "g.slfg")
+	if err := SaveFile(path, gen.RMAT(1<<16, 1<<20, gen.DefaultRMAT, 64, 1)); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,11 +2,17 @@ package loader
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"slfe/internal/gen"
+	"slfe/internal/graph"
 )
 
 // Fuzz-style robustness: loaders fed corrupted or adversarial bytes must
@@ -69,6 +75,84 @@ func TestBinaryRandomGarbageNeverPanics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReadBinary: on any bytes ReadBinary never panics and never
+// allocates more than the input can hold edges for; when it succeeds, its
+// graph validates and is exactly graph.Build over the records a plain
+// reference decoder reads — and it succeeds whenever that decoder does.
+func FuzzReadBinary(f *testing.F) {
+	// The vertex count legitimately drives allocation whatever the file
+	// size (isolated vertices cost no bytes), so bound it for the fuzzer.
+	defer func(old uint64) { MaxVertices = old }(MaxVertices)
+	MaxVertices = 1 << 12
+	for _, g := range []*graph.Graph{graph.MustBuild(0, nil), gen.Uniform(8, 24, 4, 1), gen.RMAT(64, 256, gen.DefaultRMAT, 8, 2)} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	lying := []byte(Magic + "\x01\x00\x00\x00\x10\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00")
+	f.Add(lying) // 2^32-1 edges declared, none present
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := ReadBinary(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// Fixed buffers, a scheduler, offsets for at most MaxVertices
+		// vertices, and a few bytes per input byte for the edges.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 256<<10+32*MaxVertices+8*uint64(len(data)); got > limit {
+			t.Fatalf("%d-byte input allocated %d bytes, limit %d", len(data), got, limit)
+		}
+		want, wantErr := referenceReadBinary(data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadBinary error %v, reference decoder error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if verr := g.Validate(); verr != nil {
+			t.Fatalf("accepted a graph failing validation: %v", verr)
+		}
+		if !sameArrays(g, want) {
+			t.Fatal("ReadBinary's graph differs from Build over the decoded records")
+		}
+	})
+}
+
+// referenceReadBinary decodes the SLFG layout one field at a time: magic,
+// version 1, n <= MaxVertices, m, then exactly m 12-byte records.
+func referenceReadBinary(data []byte) (*graph.Graph, error) {
+	le := binary.LittleEndian
+	if len(data) < 24 || string(data[:4]) != Magic || le.Uint32(data[4:]) != 1 {
+		return nil, errors.New("bad header")
+	}
+	n, m := le.Uint64(data[8:]), le.Uint64(data[16:])
+	recs := data[24:]
+	if n > MaxVertices || uint64(len(recs))%12 != 0 || uint64(len(recs))/12 != m {
+		return nil, errors.New("bad sizes")
+	}
+	var edges []graph.Edge
+	for r := recs; len(r) > 0; r = r[12:] {
+		edges = append(edges, graph.Edge{Src: le.Uint32(r), Dst: le.Uint32(r[4:]), Weight: math.Float32frombits(le.Uint32(r[8:]))})
+	}
+	return graph.Build(int(n), edges)
+}
+
+// sameArrays compares two graphs' six arrays bit for bit.
+func sameArrays(a, b *graph.Graph) bool {
+	bits := func(w []float32) []uint32 {
+		out := make([]uint32, len(w))
+		for i, x := range w {
+			out[i] = math.Float32bits(x)
+		}
+		return out
+	}
+	return slices.Equal(a.OutOff, b.OutOff) && slices.Equal(a.InOff, b.InOff) &&
+		slices.Equal(a.OutDst, b.OutDst) && slices.Equal(a.InSrc, b.InSrc) &&
+		slices.Equal(bits(a.OutW), bits(b.OutW)) && slices.Equal(bits(a.InW), bits(b.InW))
 }
 
 func TestEdgeListAdversarialLines(t *testing.T) {
