@@ -57,7 +57,6 @@ func main() {
 	stealing := flag.Bool("stealing", true, "enable work stealing (slfe)")
 	codecName := flag.String("codec", "raw", "delta-sync wire codec: raw | varint-xor | rle | adaptive (slfe; built at the domain's word width)")
 	syncName := flag.String("sync", "dense", "delta-sync strategy: dense | sparse | adaptive (slfe)")
-	sparseDiv := flag.Int64("sparse-divisor", 0, "adaptive sync goes sparse when changed*divisor < |V| (0 = default 16)")
 	rebalance := flag.Bool("rebalance", false, "enable dynamic inter-node rebalancing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
 	iters := flag.Int("iters", 30, "iterations for arithmetic apps")
@@ -108,11 +107,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *sparseDiv < 0 {
-		fatal(fmt.Errorf("-sparse-divisor must be non-negative (got %d)", *sparseDiv))
-	}
 	opt := cluster.Options{Nodes: *nodes, Threads: *threads, Stealing: *stealing, RR: *rr,
-		Codec: codec, Sync: sync, SparseDivisor: *sparseDiv, Rebalance: *rebalance}
+		Codec: codec, Sync: sync, Rebalance: *rebalance}
 	if *ft {
 		dir := *ftDir
 		if dir == "" {

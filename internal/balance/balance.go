@@ -5,76 +5,25 @@
 // inter-node load imbalance"; the paper cites Mizan-style migration as the
 // intended direction).
 //
-// The scheme here keeps SLFE's contiguous-range ownership — only the range
-// boundaries move. After a measurement window every worker contributes its
-// compute time; each replica then derives the SAME new boundaries from the
-// shared measurements (piecewise-constant cost density, equal-cost
-// re-split), so no coordinator and no vertex-state shipping is needed: the
-// engine's per-iteration delta sync already keeps all property arrays
-// globally consistent, which makes ownership a pure accounting change.
+// The scheme here keeps SLFE's contiguous-range ownership
+// (partition.Chunked) — only the range boundaries move. After a measurement
+// window every worker contributes its compute time; each replica then
+// derives the SAME new boundaries from the shared measurements
+// (piecewise-constant cost density, equal-cost re-split), so no coordinator
+// and no vertex-state shipping is needed: ownership never changes a value.
+// The engine records the current ranges in every checkpoint shard, so a
+// resumed run adopts the ranges its shard was written under, and under
+// sparse delta-sync it re-broadcasts sparsely distributed values and
+// frontier bits before a move, so routing starts over under the new ranges.
+// Shrink and Grow derive a recovery epoch's ranges from the same maps.
 package balance
 
 import (
 	"errors"
 	"fmt"
+
+	"slfe/internal/partition"
 )
-
-// Ranges is a contiguous-range vertex ownership map: worker i owns
-// [bounds[i], bounds[i+1]).
-type Ranges struct {
-	bounds []uint32
-}
-
-// NewRanges builds a Ranges from explicit boundaries. bounds must start at
-// 0, be non-decreasing, and end at the vertex count.
-func NewRanges(bounds []uint32) (*Ranges, error) {
-	if len(bounds) < 2 {
-		return nil, errors.New("balance: need at least two boundaries")
-	}
-	if bounds[0] != 0 {
-		return nil, errors.New("balance: boundaries must start at 0")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			return nil, fmt.Errorf("balance: boundary %d decreases", i)
-		}
-	}
-	r := &Ranges{bounds: make([]uint32, len(bounds))}
-	copy(r.bounds, bounds)
-	return r, nil
-}
-
-// Workers returns the number of ranges.
-func (r *Ranges) Workers() int { return len(r.bounds) - 1 }
-
-// Range returns worker i's owned half-open range.
-func (r *Ranges) Range(i int) (lo, hi uint32) { return r.bounds[i], r.bounds[i+1] }
-
-// Owner returns the worker owning vertex v (binary search over the
-// boundaries; empty ranges are skipped by the search direction).
-func (r *Ranges) Owner(v uint32) int {
-	lo, hi := 0, len(r.bounds)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.bounds[mid+1] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Bounds returns a copy of the boundary array.
-func (r *Ranges) Bounds() []uint32 {
-	out := make([]uint32, len(r.bounds))
-	copy(out, r.bounds)
-	return out
-}
-
-func (r *Ranges) String() string {
-	return fmt.Sprintf("ranges%v", r.bounds)
-}
 
 // Shrink removes the given dead workers from r, folding each dead worker's
 // range into its nearest surviving predecessor; leading dead workers'
@@ -83,8 +32,8 @@ func (r *Ranges) String() string {
 // recovery layer uses this to rebalance a dead rank's vertices onto the
 // remaining membership without moving any survivor's existing range start.
 // At least one worker must survive.
-func Shrink(r *Ranges, dead []int) (*Ranges, error) {
-	k := r.Workers()
+func Shrink(r *partition.Chunked, dead []int) (*partition.Chunked, error) {
+	k := r.Nodes()
 	isDead := make([]bool, k)
 	for _, d := range dead {
 		if d < 0 || d >= k {
@@ -101,6 +50,7 @@ func Shrink(r *Ranges, dead []int) (*Ranges, error) {
 	if survivors == 0 {
 		return nil, errors.New("balance: no surviving workers")
 	}
+	bounds := r.Bounds()
 	nb := make([]uint32, 0, survivors+1)
 	nb = append(nb, 0)
 	first := true
@@ -109,12 +59,12 @@ func Shrink(r *Ranges, dead []int) (*Ranges, error) {
 			continue
 		}
 		if !first {
-			nb = append(nb, r.bounds[i])
+			nb = append(nb, bounds[i])
 		}
 		first = false
 	}
-	nb = append(nb, r.bounds[k])
-	return NewRanges(nb)
+	nb = append(nb, bounds[k])
+	return partition.FromBounds(nb)
 }
 
 // Grow is the inverse of Shrink for elastic re-expansion: given the
@@ -126,8 +76,8 @@ func Shrink(r *Ranges, dead []int) (*Ranges, error) {
 // ranges exactly (Grow(r, dead, dead) == r), which is what lets a rejoined
 // cluster resume bit-identical at full size. revived must be a subset of
 // dead.
-func Grow(original *Ranges, dead, revived []int) (*Ranges, error) {
-	k := original.Workers()
+func Grow(original *partition.Chunked, dead, revived []int) (*partition.Chunked, error) {
+	k := original.Nodes()
 	isDead := make([]bool, k)
 	for _, d := range dead {
 		if d < 0 || d >= k {
@@ -151,28 +101,6 @@ func Grow(original *Ranges, dead, revived []int) (*Ranges, error) {
 	return Shrink(original, stillDead)
 }
 
-// Spread is the imbalance statistic the paper reports in Figure 10b: the
-// relative gap between the slowest and fastest worker,
-// (max-min)/max. Zero times yield zero spread.
-func Spread(times []float64) float64 {
-	if len(times) == 0 {
-		return 0
-	}
-	min, max := times[0], times[0]
-	for _, t := range times[1:] {
-		if t < min {
-			min = t
-		}
-		if t > max {
-			max = t
-		}
-	}
-	if max <= 0 {
-		return 0
-	}
-	return (max - min) / max
-}
-
 // Plan derives new boundaries from measured per-worker times over the
 // current ranges. The cost of worker i's range is modelled as uniformly
 // dense (times[i] spread over its vertices); the global piecewise-linear
@@ -180,9 +108,9 @@ func Spread(times []float64) float64 {
 // empty ranges or zero time contribute zero density. damping in (0,1]
 // scales how far each boundary moves toward its equal-cost target (1 =
 // jump there; smaller values resist oscillation when the measurement is
-// noisy). Returns the input unchanged if the total time is zero.
-func Plan(r *Ranges, times []float64, damping float64) (*Ranges, error) {
-	k := r.Workers()
+// noisy). Returns r itself if the total time is zero.
+func Plan(r *partition.Chunked, times []float64, damping float64) (*partition.Chunked, error) {
+	k := r.Nodes()
 	if len(times) != k {
 		return nil, fmt.Errorf("balance: %d times for %d workers", len(times), k)
 	}
@@ -197,7 +125,7 @@ func Plan(r *Ranges, times []float64, damping float64) (*Ranges, error) {
 		total += t
 	}
 	if total == 0 {
-		return NewRanges(r.bounds)
+		return r, nil
 	}
 
 	// Cumulative cost at the old boundaries.
@@ -207,9 +135,10 @@ func Plan(r *Ranges, times []float64, damping float64) (*Ranges, error) {
 	}
 	target := total / float64(k)
 
+	bounds := r.Bounds()
 	newBounds := make([]uint32, k+1)
 	newBounds[0] = 0
-	newBounds[k] = r.bounds[k]
+	newBounds[k] = bounds[k]
 	for j := 1; j < k; j++ {
 		want := target * float64(j)
 		// Find the old range containing cumulative cost `want`.
@@ -217,14 +146,14 @@ func Plan(r *Ranges, times []float64, damping float64) (*Ranges, error) {
 		for i < k-1 && cum[i+1] < want {
 			i++
 		}
-		lo, hi := r.bounds[i], r.bounds[i+1]
+		lo, hi := bounds[i], bounds[i+1]
 		var ideal float64
 		if times[i] == 0 || hi == lo {
 			ideal = float64(hi)
 		} else {
 			ideal = float64(lo) + (want-cum[i])/times[i]*float64(hi-lo)
 		}
-		moved := float64(r.bounds[j]) + damping*(ideal-float64(r.bounds[j]))
+		moved := float64(bounds[j]) + damping*(ideal-float64(bounds[j]))
 		b := uint32(moved + 0.5)
 		// Keep boundaries monotone and in range.
 		if b < newBounds[j-1] {
@@ -235,5 +164,5 @@ func Plan(r *Ranges, times []float64, damping float64) (*Ranges, error) {
 		}
 		newBounds[j] = b
 	}
-	return NewRanges(newBounds)
+	return partition.FromBounds(newBounds)
 }

@@ -2,88 +2,20 @@ package balance
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"slfe/internal/partition"
 )
 
-func mustRanges(t *testing.T, bounds []uint32) *Ranges {
+func mustRanges(t *testing.T, bounds []uint32) *partition.Chunked {
 	t.Helper()
-	r, err := NewRanges(bounds)
+	r, err := partition.FromBounds(bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
-}
-
-func TestNewRangesValidation(t *testing.T) {
-	cases := [][]uint32{
-		nil,
-		{0},
-		{1, 5},    // must start at 0
-		{0, 5, 3}, // decreasing
-	}
-	for _, bounds := range cases {
-		if _, err := NewRanges(bounds); err == nil {
-			t.Errorf("bounds %v accepted", bounds)
-		}
-	}
-	if _, err := NewRanges([]uint32{0, 0, 5}); err != nil {
-		t.Errorf("empty first range rejected: %v", err)
-	}
-}
-
-func TestOwnerMatchesRanges(t *testing.T) {
-	r := mustRanges(t, []uint32{0, 10, 10, 25, 40})
-	for v := uint32(0); v < 40; v++ {
-		owner := r.Owner(v)
-		lo, hi := r.Range(owner)
-		if v < lo || v >= hi {
-			t.Fatalf("vertex %d assigned to worker %d owning [%d,%d)", v, owner, lo, hi)
-		}
-	}
-}
-
-func TestOwnerProperty(t *testing.T) {
-	f := func(rawBounds []uint32, v uint32) bool {
-		bounds := []uint32{0}
-		cur := uint32(0)
-		for _, b := range rawBounds {
-			cur += b % 1000
-			bounds = append(bounds, cur)
-		}
-		if len(bounds) < 2 || cur == 0 {
-			return true
-		}
-		r, err := NewRanges(bounds)
-		if err != nil {
-			return false
-		}
-		v %= cur
-		owner := r.Owner(v)
-		lo, hi := r.Range(owner)
-		return v >= lo && v < hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSpread(t *testing.T) {
-	cases := []struct {
-		times []float64
-		want  float64
-	}{
-		{nil, 0},
-		{[]float64{1, 1, 1}, 0},
-		{[]float64{0, 0}, 0},
-		{[]float64{1, 2}, 0.5},
-		{[]float64{4, 1, 2}, 0.75},
-	}
-	for _, c := range cases {
-		if got := Spread(c.times); got != c.want {
-			t.Errorf("Spread(%v) = %v, want %v", c.times, got, c.want)
-		}
-	}
 }
 
 func TestPlanEqualTimesKeepsBoundaries(t *testing.T) {
@@ -92,10 +24,8 @@ func TestPlanEqualTimesKeepsBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range out.Bounds() {
-		if b != r.bounds[i] {
-			t.Fatalf("boundary %d moved to %d", i, b)
-		}
+	if !slices.Equal(out.Bounds(), r.Bounds()) {
+		t.Fatalf("boundaries moved to %v", out.Bounds())
 	}
 }
 
@@ -182,7 +112,7 @@ func TestPlanProperty(t *testing.T) {
 			}
 		}
 		copy(bounds[1:], cuts)
-		r, err := NewRanges(bounds)
+		r, err := partition.FromBounds(bounds)
 		if err != nil {
 			return false
 		}
@@ -221,8 +151,8 @@ func TestPlanConvergesOnStaticDensity(t *testing.T) {
 		return 1
 	}
 	r := mustRanges(t, []uint32{0, 2500, 5000, 7500, n})
-	measure := func(r *Ranges) []float64 {
-		times := make([]float64, r.Workers())
+	measure := func(r *partition.Chunked) []float64 {
+		times := make([]float64, r.Nodes())
 		for i := range times {
 			lo, hi := r.Range(i)
 			for v := lo; v < hi; v++ {
@@ -231,10 +161,11 @@ func TestPlanConvergesOnStaticDensity(t *testing.T) {
 		}
 		return times
 	}
+	// Figure 10b's imbalance statistic: (slowest - fastest) / slowest.
 	var spread float64
 	for round := 0; round < 12; round++ {
 		times := measure(r)
-		spread = Spread(times)
+		spread = (slices.Max(times) - slices.Min(times)) / slices.Max(times)
 		next, err := Plan(r, times, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -70,8 +70,8 @@ func TestShrinkCoversEveryVertex(t *testing.T) {
 		if nb[0] != 0 || nb[len(nb)-1] != 20 {
 			t.Fatalf("dead %v: bounds %v do not span [0,20]", dead, nb)
 		}
-		if got.Workers() != 5-len(dead) {
-			t.Fatalf("dead %v: %d workers, want %d", dead, got.Workers(), 5-len(dead))
+		if got.Nodes() != 5-len(dead) {
+			t.Fatalf("dead %v: %d workers, want %d", dead, got.Nodes(), 5-len(dead))
 		}
 	}
 }

@@ -166,6 +166,29 @@ func appendWords(buf []byte, words []uint64, width int) []byte {
 // ErrCorrupt reports a shard failing structural or checksum validation.
 var ErrCorrupt = errors.New("ckpt: corrupt checkpoint shard")
 
+// CheckBounds validates the shard's ownership ranges before anything slices
+// per-rank state by them: at least two entries, starting at 0,
+// non-decreasing, and ending at len(Values). Merge and a resuming engine
+// both call it.
+func (s *State) CheckBounds() error {
+	b := s.Bounds
+	if len(b) < 2 {
+		return fmt.Errorf("%w: %d partition bounds; a bounds-tagged shard has at least 2", ErrCorrupt, len(b))
+	}
+	if b[0] != 0 {
+		return fmt.Errorf("%w: partition bounds start at %d, not 0", ErrCorrupt, b[0])
+	}
+	for i := 1; i < len(b); i++ {
+		if b[i] < b[i-1] {
+			return fmt.Errorf("%w: partition bound %d decreases (%d after %d)", ErrCorrupt, i, b[i], b[i-1])
+		}
+	}
+	if last := b[len(b)-1]; int(last) != len(s.Values) {
+		return fmt.Errorf("%w: partition bounds end at %d, values hold %d", ErrCorrupt, last, len(s.Values))
+	}
+	return nil
+}
+
 // ErrUntagged reports a version-1 shard: the pre-domain format carried no
 // value-domain tag, so its bits cannot be trusted to match the running
 // program's domain.
@@ -218,8 +241,15 @@ func ReadState(r io.Reader) (*State, error) {
 	}
 	if nsets > 0 {
 		s.Sets = make(map[string][]uint32, nsets)
+		prev := ""
 		for i := uint32(0); i < nsets; i++ {
 			k := d.string()
+			// WriteTo emits keys in ascending order; anything else (a
+			// duplicate included) would not survive a round trip.
+			if i > 0 && k <= prev {
+				return nil, fmt.Errorf("%w: set %q out of order", ErrCorrupt, k)
+			}
+			prev = k
 			s.Sets[k] = d.ids()
 		}
 	}

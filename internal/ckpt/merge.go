@@ -24,17 +24,14 @@ func Merge(shards []*State) (*State, error) {
 		return nil, errors.New("ckpt: merge of no shards")
 	}
 	ref := shards[0]
-	if len(ref.Bounds) < 2 {
-		return nil, errors.New("ckpt: merge needs bounds-tagged (v3) shards")
+	if err := ref.CheckBounds(); err != nil {
+		return nil, err
 	}
 	workers := len(ref.Bounds) - 1
 	if len(shards) != workers {
 		return nil, fmt.Errorf("ckpt: %d shards for %d-rank bounds", len(shards), workers)
 	}
 	n := len(ref.Values)
-	if int(ref.Bounds[workers]) != n {
-		return nil, fmt.Errorf("ckpt: bounds end at %d, values hold %d", ref.Bounds[workers], n)
-	}
 	out := &State{
 		Program: ref.Program,
 		Kind:    ref.Kind,

@@ -25,6 +25,19 @@ func mergeShard(r uint32) *State {
 	return s
 }
 
+// boundsShards builds one shard per rank of an 8-vertex epoch written under
+// the given bounds.
+func boundsShards(bounds ...uint32) []*State {
+	shards := make([]*State, len(bounds)-1)
+	for r := range shards {
+		s := mergeShard(uint32(r))
+		s.Bounds = bounds
+		s.Values = make([]uint64, 8)
+		shards[r] = s
+	}
+	return shards
+}
+
 func TestMergeTakesOwnerValuesAndUnionsSets(t *testing.T) {
 	a, b := mergeShard(0), mergeShard(1)
 	// Frontier bits are global knowledge (each owner holds its own changed
@@ -99,6 +112,10 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 			a.Bounds = nil
 			return []*State{a, b}
 		}, "bounds-tagged"},
+		{"bounds decrease", func() []*State { return boundsShards(0, 6, 3, 8) }, "bound 2 decreases"},
+		{"bounds overrun the values", func() []*State { return boundsShards(0, 9, 9, 8) }, "bound 3 decreases"},
+		{"bounds start past 0", func() []*State { return boundsShards(1, 4, 8) }, "start at 1"},
+		{"bounds end short of the values", func() []*State { return boundsShards(0, 4, 6) }, "end at 6"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,9 +44,6 @@ type Options struct {
 	// per-peer routing, or adaptive per-superstep selection); see
 	// core.Config.Sync.
 	Sync core.SyncStrategy
-	// SparseDivisor tunes the adaptive density threshold; see
-	// core.Config.SparseDivisor.
-	SparseDivisor int64
 	// MeasureAllocs records per-superstep heap-allocation deltas; see
 	// core.Config.MeasureAllocs (only attributable with Nodes=1).
 	MeasureAllocs bool
@@ -64,8 +61,7 @@ type Options struct {
 	// surviving ranks, as an epoch loop around the session run (recover.go).
 	// Only Execute can host it — the loop owns each epoch's transport group,
 	// so ExecuteOver and ExecuteSession reject it. Incompatible with Ckpt
-	// (the loop owns one private checkpoint manager per rank) and with
-	// Rebalance.
+	// (the loop owns one private checkpoint manager per rank).
 	FT *FTOptions
 }
 
@@ -75,21 +71,12 @@ type Options struct {
 // epoch. Every entry point calls it first, so a given mistake reads the
 // same wherever it is made.
 func (o *Options) validate(ownsTransports bool) error {
-	if o.Rebalance && o.Ckpt != nil {
-		return errors.New("cluster: Options.Ckpt and Options.Rebalance are mutually exclusive: owned ranges are not part of a checkpoint shard")
-	}
-	if o.Rebalance && o.Sync != core.SyncDense {
-		return errors.New("cluster: Options.Sync (sparse or adaptive) and Options.Rebalance are mutually exclusive: per-vertex destination sets assume stable ownership; use SyncDense")
-	}
 	ft := o.FT
 	if ft == nil {
 		return nil
 	}
 	if o.Ckpt != nil {
 		return errors.New("cluster: Options.FT and Options.Ckpt are mutually exclusive: recovery owns one private checkpoint manager per rank; leave Ckpt nil")
-	}
-	if o.Rebalance {
-		return errors.New("cluster: Options.FT and Options.Rebalance are mutually exclusive: recovery needs a static partition per epoch")
 	}
 	if ft.Rejoin && !ft.TCPLoopback {
 		return errors.New("cluster: Options.FT.Rejoin requires Options.FT.TCPLoopback: a restarted rank redials a real mesh")
@@ -242,7 +229,6 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				TrackLastChange:  opt.TrackLastChange,
 				Codec:            opt.Codec,
 				Sync:             opt.Sync,
-				SparseDivisor:    opt.SparseDivisor,
 				MeasureAllocs:    opt.MeasureAllocs,
 				Rebalance:        opt.Rebalance,
 				RebalanceEvery:   opt.RebalanceEvery,

@@ -89,9 +89,19 @@ func TestOptionsCombinations(t *testing.T) {
 		{"rr+rebalance", func() Options { return Options{RR: true, Rebalance: true, RebalanceEvery: 2} }},
 		{"rr+sparse-sync", func() Options { return Options{RR: true, Sync: core.SyncAdaptive, Codec: compress.Adaptive{}} }},
 		{"ckpt", func() Options { return Options{Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}} }},
+		{"ckpt+rebalance", func() Options {
+			return Options{Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}}
+		}},
+		{"sparse-sync+rebalance", func() Options {
+			return Options{Sync: core.SyncSparse, Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1}
+		}},
+		{"adaptive-sync+rebalance", func() Options {
+			return Options{RR: true, Sync: core.SyncAdaptive, Codec: compress.Adaptive{}, Rebalance: true, RebalanceEvery: 2, RebalanceDamping: 1}
+		}},
 		{"everything-compatible", func() Options {
 			return Options{RR: true, Stealing: true, Threads: 2, Sync: core.SyncSparse,
-				Codec: compress.VarintXOR{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3}}
+				Codec: compress.VarintXOR{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3},
+				Rebalance: true, RebalanceEvery: 2, RebalanceDamping: 1}
 		}},
 	}
 	for _, c := range cases {
@@ -135,16 +145,8 @@ func TestExclusionsRejectedUpFront(t *testing.T) {
 	}{
 		{"ft+ckpt", Options{FT: ft(nil), Ckpt: &ckpt.Manager{Dir: t.TempDir()}},
 			[]string{"Options.FT", "Options.Ckpt"}, false},
-		{"ft+rebalance", Options{FT: ft(nil), Rebalance: true},
-			[]string{"Options.FT", "Options.Rebalance"}, false},
 		{"ft-needs-execute", Options{FT: ft(nil)},
 			[]string{"Options.FT", "ExecuteSession", "ExecuteOver"}, true},
-		{"ckpt+rebalance", Options{Ckpt: &ckpt.Manager{Dir: t.TempDir()}, Rebalance: true},
-			[]string{"Options.Ckpt", "Options.Rebalance"}, false},
-		{"sparse-sync+rebalance", Options{Sync: core.SyncSparse, Rebalance: true},
-			[]string{"Options.Sync", "Options.Rebalance"}, false},
-		{"adaptive-sync+rebalance", Options{Sync: core.SyncAdaptive, Rebalance: true},
-			[]string{"Options.Sync", "Options.Rebalance"}, false},
 		{"rejoin-without-tcp", Options{FT: ft(func(f *FTOptions) { f.Rejoin = true })},
 			[]string{"Options.FT.Rejoin", "Options.FT.TCPLoopback"}, false},
 		{"ft-without-ckptdir", Options{FT: &FTOptions{}},

@@ -33,6 +33,7 @@ import (
 	"slfe/internal/comm"
 	"slfe/internal/core"
 	"slfe/internal/graph"
+	"slfe/internal/partition"
 )
 
 // FTOptions configures rank-failure tolerance (Options.FT).
@@ -50,9 +51,6 @@ type FTOptions struct {
 	CkptDir string
 	// CkptEvery is the checkpoint interval in supersteps (default 8).
 	CkptEvery int
-	// MaxEpochs bounds how many membership epochs (initial run + recoveries)
-	// the driver attempts (default: the initial rank count).
-	MaxEpochs int
 	// Faults, when set, wraps the initial epoch's transports for fault
 	// injection (tests and the recovery benchmark). Recovery epochs run
 	// unwrapped: injected faults are one-shot.
@@ -151,10 +149,6 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		opt.Nodes = 1
 	}
 	nodes := opt.Nodes
-	maxEpochs := ft.MaxEpochs
-	if maxEpochs <= 0 {
-		maxEpochs = nodes
-	}
 	rejoinWindow := ft.RejoinWindow
 	if rejoinWindow <= 0 {
 		rejoinWindow = 2 * time.Second
@@ -214,7 +208,9 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 	var revivedPrev []int
 	var fallbackMembers []int
 	var fallbackBounds []uint32
-	for epoch := 0; epoch < maxEpochs; epoch++ {
+	// The driver attempts one membership epoch per initial rank: the
+	// initial run plus nodes-1 recoveries.
+	for epoch := 0; epoch < nodes; epoch++ {
 		report.Epochs = epoch + 1
 		epochStart := time.Now()
 		k := len(members)
@@ -410,11 +406,11 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		report.ResumeIter = -1
 		report.RestoredFromReplica = false
 		var merged *ckpt.State
-		var failedRanges *balance.Ranges
+		var failedRanges *partition.Chunked
 		shards, fromReplica := bestCheckpoint(managers, members, p.Name, k)
 		if shards != nil {
 			if m, err := ckpt.Merge(shards); err == nil {
-				if r, err := balance.NewRanges(shards[0].Bounds); err == nil {
+				if r, err := partition.FromBounds(shards[0].Bounds); err == nil {
 					merged, failedRanges = m, r
 				}
 			}
@@ -466,7 +462,7 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		}
 		report.RecoverTime = time.Since(recoverStart)
 	}
-	return nil, fmt.Errorf("cluster: recovery epoch limit (%d) exhausted: %w", maxEpochs, lastErr)
+	return nil, fmt.Errorf("cluster: recovery epoch limit (%d) exhausted: %w", nodes, lastErr)
 }
 
 // meshJoinTimeout bounds one membership epoch's collective mesh formation;
@@ -557,7 +553,7 @@ func awaitRejoins(meshNodes []*comm.MeshNode, survivors, dead []int, window time
 // grown epoch restores each rejoined rank from the payload its process
 // actually decoded off the wire, so the redistribution is load-bearing. Any
 // failure cleans up and returns nil: the caller continues shrunk.
-func tryRejoinGrow(meshNodes []*comm.MeshNode, prevMembers, deadRanks []int, pending map[int]*comm.RejoinRequest, restarts <-chan restartOutcome, failedRanges *balance.Ranges, merged *ckpt.State, nextEpoch uint32) *growOutcome {
+func tryRejoinGrow(meshNodes []*comm.MeshNode, prevMembers, deadRanks []int, pending map[int]*comm.RejoinRequest, restarts <-chan restartOutcome, failedRanges *partition.Chunked, merged *ckpt.State, nextEpoch uint32) *growOutcome {
 	revived := make([]int, 0, len(pending))
 	for id := range pending {
 		revived = append(revived, id)

@@ -178,6 +178,29 @@ func TestFTKillSparseAdaptive(t *testing.T) {
 	requireWarmRestore(t, rep)
 }
 
+// rebalanceAdaptive moves ownership every superstep while adaptive sync
+// routes sparsely: the shards record the moved ranges, Merge takes each
+// vertex from its owner under them, and the next epoch folds those ranges.
+func rebalanceAdaptive(opt cluster.Options) cluster.Options {
+	opt.Sync = core.SyncAdaptive
+	opt.Rebalance, opt.RebalanceEvery, opt.RebalanceDamping = true, 1, 1
+	return opt
+}
+
+func TestFTKillRebalanceAdaptive(t *testing.T) {
+	g := ftGraph()
+	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
+		rebalanceAdaptive(cluster.Options{Nodes: 3, RR: true}), killMidRun(2), []int{2})
+	requireWarmRestore(t, rep)
+}
+
+func TestFTPartitionRebalanceAdaptive(t *testing.T) {
+	g := ftGraph()
+	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.PageRank(12) },
+		rebalanceAdaptive(cluster.Options{Nodes: 4}), partitionMidRun, []int{1, 3})
+	requireWarmRestore(t, rep)
+}
+
 // TestFTKillBeforeClosingPull kills a rank after the first pull round has
 // suppressed its late starters and before any pull has reached
 // max(LastIter): the new epoch restores a frontier-only shard, treats every

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"slices"
 	"sync"
@@ -170,15 +172,72 @@ func TestCheckpointRejectsWrongProgram(t *testing.T) {
 	}
 }
 
-func TestCheckpointIncompatibleWithRebalance(t *testing.T) {
-	g := gen.Path(16)
-	part, _ := partition.NewChunked(g, 1)
-	_, err := New[float64](Config{
-		Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0),
-		Ckpt: &ckpt.Manager{Dir: t.TempDir()}, Rebalance: true,
-	})
-	if err == nil {
-		t.Fatal("ckpt+rebalance accepted")
+// Rebalancing moves ownership away from Part, and a shard's values,
+// StableCnt and sparsedirty entries are authoritative only for the ranges
+// it was written under. A run resumed mid-way — every later shard deleted —
+// must adopt those ranges and finish bit-identical to the static run: both
+// kernels under RR, dense and sparse sync. The resume point is the first
+// checkpoint whose ranges had moved at an earlier tick than its own, so
+// sparse supersteps ran under them after the move-time flush.
+func TestCheckpointResumeUnderRebalance(t *testing.T) {
+	const nodes = 3
+	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 8, 7)
+	static, err := partition.NewChunked(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range []func() *Program[float64]{testProgram, testArith} {
+		for _, sync := range []SyncStrategy{SyncDense, SyncSparse} {
+			p := prog()
+			rr := withGuidance(t, g, p)
+			want := runCluster(t, g, p, nodes, rr)
+			run := func(m *ckpt.Manager) []*Result[float64] {
+				return runClusterAll(t, g, p, nodes, func(rank int, cfg *Config) {
+					rr(rank, cfg)
+					cfg.Sync = sync
+					cfg.Rebalance, cfg.RebalanceEvery, cfg.RebalanceDamping = true, 3, 1
+					cfg.Ckpt = m
+				})
+			}
+			full := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
+			run(full)
+			latest, err := full.LatestComplete(nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at, prev := -1, static.Bounds()
+			for iter := 0; iter <= latest && at < 0; iter++ {
+				s, err := full.Load(iter, 0)
+				if errors.Is(err, fs.ErrNotExist) {
+					continue // the Ruler jumped over this iteration
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(s.Bounds, static.Bounds()) && slices.Equal(s.Bounds, prev) {
+					at = iter
+				}
+				prev = s.Bounds
+			}
+			if at < 0 || at == latest {
+				t.Fatalf("%s/%v: no checkpoint with moved ranges before the last one (latest %d)", p.Name, sync, latest)
+			}
+			early := &ckpt.Manager{Dir: t.TempDir(), Every: 1, Resume: true}
+			for rank := 0; rank < nodes; rank++ {
+				s, err := full.Load(at, rank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := early.Save(rank, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for rank, res := range run(early) {
+				if !sameValues(res.Values, want.Values) {
+					t.Fatalf("%s/%v rank %d: resumed after iteration %d differs from the static run", p.Name, sync, rank, at)
+				}
+			}
+		}
 	}
 }
 

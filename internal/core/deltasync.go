@@ -17,8 +17,7 @@ type SyncStrategy int
 
 const (
 	// SyncDense streams every changed owned vertex to all ranks: the
-	// default, the cheapest choice on dense supersteps, and the only
-	// strategy compatible with dynamic rebalancing.
+	// default, and the cheapest choice on dense supersteps.
 	SyncDense SyncStrategy = iota
 	// SyncSparse always routes deltas point-to-point: a changed vertex is
 	// sent only to the ranks owning one of its out-neighbours (the ranks
@@ -30,6 +29,11 @@ const (
 	// checkpoint resume, have no count yet and go dense.
 	SyncAdaptive
 )
+
+// sparseDivisor is SyncAdaptive's threshold: a superstep synchronises
+// sparsely when the previous superstep's global changed count times
+// sparseDivisor is below |V|.
+const sparseDivisor = 16
 
 func (s SyncStrategy) String() string {
 	switch s {
@@ -177,6 +181,22 @@ func (e *Engine[V]) flushSparse(st *state[V]) error {
 	st.run.FlushBytes += e.comm.T.Stats().BytesSent - bytes0
 	st.run.SyncTime += time.Since(start)
 	return nil
+}
+
+// flushFrontier broadcasts the owned bits of frontier, so every rank holds
+// all of it. A collective, like flushSparse.
+func (e *Engine[V]) flushFrontier(st *state[V], frontier *bitset.Atomic) error {
+	if frontier == nil {
+		return nil
+	}
+	var ids []graph.VertexID
+	frontier.RangeIn(int(e.lo), int(e.hi), func(i int) bool {
+		ids = append(ids, graph.VertexID(i))
+		return true
+	})
+	return e.flushGather(st, ids, make([]uint64, len(ids)), func(id uint32, _ uint64) {
+		frontier.Set(int(id))
+	})
 }
 
 // flushGather broadcasts one owned (id, wire-word) batch as a single codec

@@ -36,8 +36,8 @@ func TestParseSyncStrategy(t *testing.T) {
 func TestSyncStrategyValidation(t *testing.T) {
 	g := gen.Path(10)
 	part, _ := partition.NewChunked(g, 1)
-	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), Sync: SyncSparse, Rebalance: true}); err == nil {
-		t.Error("sparse sync with rebalancing accepted")
+	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), Sync: SyncSparse, Rebalance: true}); err != nil {
+		t.Errorf("sparse sync with rebalancing rejected: %v", err)
 	}
 	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), Sync: SyncStrategy(42)}); err == nil {
 		t.Error("invalid sync strategy accepted")

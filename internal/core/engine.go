@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"slfe/internal/balance"
@@ -56,25 +57,21 @@ type Config struct {
 
 	// Sync selects the delta-sync strategy (§4.2's communication
 	// bottleneck): dense broadcast, sparse per-peer routing, or
-	// per-superstep adaptive selection. The sparse strategies require a
-	// static partition (no Rebalance). All workers must agree.
+	// per-superstep adaptive selection. All workers must agree.
 	Sync SyncStrategy
-	// SparseDivisor tunes SyncAdaptive: a superstep synchronises sparsely
-	// when globalChanged * SparseDivisor < |V| (default 16).
-	SparseDivisor int64
 
 	// Ckpt enables Pregel-style superstep checkpointing: every
-	// Ckpt.Interval() supersteps each worker writes its shard, and with
-	// Ckpt.Resume the run restarts from the latest complete checkpoint.
-	// Incompatible with Rebalance (owned ranges are not part of the
-	// snapshot).
+	// Ckpt.Interval() supersteps each worker writes its shard, tagged with
+	// the ownership ranges it was written under, and with Ckpt.Resume the
+	// run restarts from the latest complete checkpoint under those ranges.
 	Ckpt *ckpt.Manager
 
 	// Restore seeds the run from a pre-merged checkpoint state instead of
 	// scanning Ckpt's directory: the cluster recovery driver merges a dead
 	// epoch's surviving shards into one global State and hands it to every
 	// new-epoch worker. Validated like a loaded shard; wins over
-	// Ckpt.Resume. Incompatible with Rebalance for the same reason as Ckpt.
+	// Ckpt.Resume. A merged state is authoritative for every vertex, so it
+	// carries no ranges and resumes under any ownership.
 	Restore *ckpt.State
 
 	// Progress, when set, is invoked after every completed superstep with
@@ -94,7 +91,8 @@ type Config struct {
 	// Rebalance enables dynamic inter-node boundary adjustment (the §5
 	// future-work item, implemented in internal/balance): every
 	// RebalanceEvery iterations workers exchange their window compute
-	// times and deterministically re-split the ownership boundaries.
+	// times and deterministically re-split the ownership boundaries. It
+	// composes with every Sync strategy, Ckpt and Restore.
 	Rebalance bool
 	// RebalanceEvery is the measurement window in iterations (default 4).
 	RebalanceEvery int
@@ -133,9 +131,12 @@ type Engine[V comparable] struct {
 	// concurrently with itself.
 	curs  []graph.Cursor
 	sched *ws.Scheduler
-	lo    graph.VertexID // owned range
-	hi    graph.VertexID
-	reb   *rebalancer // nil unless Config.Rebalance
+	// part is the ownership map: Config.Part, a resumed shard's ranges or
+	// the latest rebalance plan (setPart); lo/hi cache this rank's range.
+	part *partition.Chunked
+	lo   graph.VertexID
+	hi   graph.VertexID
+	reb  *rebalancer // nil unless Config.Rebalance
 
 	// dom and codec are resolved per Run from the program's domain (the
 	// codec width must match the domain width; an engine reused across
@@ -186,11 +187,10 @@ type bitsCollect struct {
 }
 
 // rebalancer accumulates the measurement window for dynamic boundary
-// adjustment. Every worker holds an identical replica of ranges: the plan
-// is computed from AllGathered times with the same pure function, so the
-// replicas stay in lockstep without a coordinator.
+// adjustment. Every worker computes the next ownership map from the
+// AllGathered times with the same pure function (balance.Plan), so the
+// workers' maps stay in lockstep without a coordinator.
 type rebalancer struct {
-	ranges  *balance.Ranges
 	window  time.Duration
 	iters   int
 	every   int
@@ -225,17 +225,8 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 	if cfg.DenseDivisor <= 0 {
 		cfg.DenseDivisor = 20
 	}
-	if (cfg.Ckpt != nil || cfg.Restore != nil) && cfg.Rebalance {
-		return nil, errors.New("core: checkpointing with dynamic rebalancing is not supported (owned ranges are not part of the snapshot)")
-	}
 	if cfg.Sync < SyncDense || cfg.Sync > SyncAdaptive {
 		return nil, fmt.Errorf("core: invalid delta-sync strategy %d", cfg.Sync)
-	}
-	if cfg.Sync != SyncDense && cfg.Rebalance {
-		return nil, errors.New("core: sparse delta-sync needs a static partition (per-vertex destination sets assume stable ownership); disable Rebalance or use SyncDense")
-	}
-	if cfg.SparseDivisor <= 0 {
-		cfg.SparseDivisor = 16
 	}
 	e := &Engine[V]{
 		cfg:   cfg,
@@ -249,22 +240,11 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 	}
 	e.bits.body = e.collectBitsChunk
 	e.outBody = e.outEdgesChunk
-	e.lo, e.hi = cfg.Part.Range(cfg.Comm.Rank())
+	e.setPart(cfg.Part)
 	if cfg.Sync != SyncDense {
 		e.dirty = bitset.NewAtomic(cfg.Graph.NumVertices())
 	}
 	if cfg.Rebalance {
-		k := cfg.Part.Nodes()
-		bounds := make([]uint32, k+1)
-		for i := 0; i < k; i++ {
-			lo, _ := cfg.Part.Range(i)
-			bounds[i] = lo
-		}
-		_, bounds[k] = cfg.Part.Range(k - 1)
-		ranges, err := balance.NewRanges(bounds)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition boundaries: %w", err)
-		}
 		every := cfg.RebalanceEvery
 		if every <= 0 {
 			every = 4
@@ -273,9 +253,15 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 		if damping <= 0 || damping > 1 {
 			damping = 0.5
 		}
-		e.reb = &rebalancer{ranges: ranges, every: every, damping: damping}
+		e.reb = &rebalancer{every: every, damping: damping}
 	}
 	return e, nil
+}
+
+// setPart installs p as the ownership map and caches this rank's range.
+func (e *Engine[V]) setPart(p *partition.Chunked) {
+	e.part = p
+	e.lo, e.hi = p.Range(e.comm.Rank())
 }
 
 // bindDomain resolves the run's domain and codec and validates that their
@@ -301,31 +287,15 @@ func (e *Engine[V]) bindDomain(dom Domain[V]) error {
 	return nil
 }
 
-// owner returns the worker currently owning v, honouring dynamic ranges.
-func (e *Engine[V]) owner(v graph.VertexID) int {
-	if e.reb != nil {
-		return e.reb.ranges.Owner(v)
-	}
-	return e.cfg.Part.Owner(v)
-}
-
-// rankRange returns rank r's owned range, honouring dynamic ranges.
-func (e *Engine[V]) rankRange(r int) (lo, hi graph.VertexID) {
-	if e.reb != nil {
-		return e.reb.ranges.Range(r)
-	}
-	return e.cfg.Part.Range(r)
-}
-
 // maybeRebalance closes one iteration of the measurement window and, at
 // window boundaries, re-splits the ownership ranges from the AllGathered
 // per-worker compute times. Neither kernel keeps per-owner state a moving
 // vertex would have to carry: "start late" is a function of the Ruler and
-// the guidance alone, and a "finish early" streak simply restarts.
-func (e *Engine[V]) maybeRebalance(st *state[V], iterTime time.Duration) error {
-	if e.reb == nil {
-		return nil
-	}
+// the guidance alone, and a "finish early" streak simply restarts. Sparse
+// delta-sync does: it delivered values and frontier bits only to the
+// readers under the old ranges, so before a move both are made globally
+// replicated again. frontier is the kernel's next frontier (nil for arith).
+func (e *Engine[V]) maybeRebalance(st *state[V], frontier *bitset.Atomic, iterTime time.Duration) error {
 	e.reb.window += iterTime
 	e.reb.iters++
 	if e.reb.iters < e.reb.every {
@@ -344,17 +314,28 @@ func (e *Engine[V]) maybeRebalance(st *state[V], iterTime time.Duration) error {
 		}
 		times[rank] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	next, err := balance.Plan(e.reb.ranges, times, e.reb.damping)
+	next, err := balance.Plan(e.part, times, e.reb.damping)
 	if err != nil {
 		return err
 	}
+	e.reb.window, e.reb.iters = 0, 0
+	if slices.Equal(next.Bounds(), e.part.Bounds()) {
+		return nil
+	}
+	// Every rank computed the same plan, so every rank enters these
+	// collectives, and all of them still route under the old ranges.
+	if e.sparseSync() {
+		if err := e.flushSparse(st); err != nil {
+			return err
+		}
+		if err := e.flushFrontier(st, frontier); err != nil {
+			return err
+		}
+	}
 	if lo, hi := next.Range(e.comm.Rank()); lo != e.lo || hi != e.hi {
 		st.run.Rebalances++
-		e.lo, e.hi = lo, hi
 	}
-	e.reb.ranges = next
-	e.reb.window = 0
-	e.reb.iters = 0
+	e.setPart(next)
 	return nil
 }
 
@@ -536,6 +517,20 @@ func (e *Engine[V]) loadCheckpoint(p *Program[V], kind ckpt.Kind) (*ckpt.State, 
 	if err := e.validateSnap(s, p, kind); err != nil {
 		return nil, err
 	}
+	// The shard's StableCnt and sparsedirty entries are authoritative only
+	// for the ranges it was written under, which rebalancing may have moved
+	// away from Part: resume under those.
+	if err := s.CheckBounds(); err != nil {
+		return nil, err
+	}
+	if len(s.Bounds) != e.comm.Size()+1 {
+		return nil, fmt.Errorf("core: checkpoint was written by %d ranks, resuming on %d", len(s.Bounds)-1, e.comm.Size())
+	}
+	part, err := partition.FromBounds(s.Bounds)
+	if err != nil {
+		return nil, err
+	}
+	e.setPart(part)
 	return s, nil
 }
 
@@ -556,21 +551,6 @@ func (e *Engine[V]) validateSnap(s *ckpt.State, p *Program[V], kind ckpt.Kind) e
 		return fmt.Errorf("core: checkpoint has %d values for a graph of %d vertices", len(s.Values), e.g.NumVertices())
 	}
 	return nil
-}
-
-// partBounds returns the partition's boundary array for checkpoint
-// tagging. Checkpointing is incompatible with rebalancing, so the
-// partition is the epoch's fixed ownership map.
-func (e *Engine[V]) partBounds() []uint32 {
-	k := e.cfg.Part.Nodes()
-	bounds := make([]uint32, k+1)
-	for i := 0; i < k; i++ {
-		lo, _ := e.cfg.Part.Range(i)
-		bounds[i] = uint32(lo)
-	}
-	_, hi := e.cfg.Part.Range(k - 1)
-	bounds[k] = uint32(hi)
-	return bounds
 }
 
 // replicateShard streams the just-saved shard to the ring buddy

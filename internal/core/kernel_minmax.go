@@ -281,8 +281,8 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 			cand := k.relax(vid, srcVal, w)
 			comps++
 			if curR < 0 || u < curLo || u >= curHi {
-				curR = e.owner(u)
-				curLo, curHi = e.rankRange(curR)
+				curR = e.part.Owner(u)
+				curLo, curHi = e.part.Range(curR)
 			}
 			b := &bufs[curR]
 			// Parallel edges land adjacently in the ascending list:

@@ -131,7 +131,7 @@ func (e *Engine[V]) streamBegin(staged []V, overlapped bool) {
 		s.sparse = true
 	case SyncAdaptive:
 		s.sparse = e.lastGlobalChanged >= 0 &&
-			e.lastGlobalChanged*e.cfg.SparseDivisor < int64(e.g.NumVertices())
+			e.lastGlobalChanged*sparseDivisor < int64(e.g.NumVertices())
 	}
 	s.ids, s.vals = s.ids[:0], s.vals[:0]
 	if s.sparse {
@@ -185,13 +185,13 @@ func (e *Engine[V]) streamDrain(clo, chi uint32) {
 // consecutive-duplicate suppression over the ascending adjacency list.
 func (e *Engine[V]) streamDrainSparse(clo, chi uint32) {
 	s := &e.stream
-	me := e.comm.Rank()
+	me, part := e.comm.Rank(), e.part
 	it := e.changed.IterIn(int(clo), int(chi))
 	for i := it.Next(); i >= 0; i = it.Next() {
 		id := graph.VertexID(i)
 		val := e.dom.Bits(s.staged[i])
 		for _, u := range e.curs[len(e.curs)-1].OutNeighbors(id) {
-			r := e.owner(u)
+			r := part.Owner(u)
 			if r == me {
 				continue
 			}

@@ -141,7 +141,7 @@ func (e *Engine[V]) pushInit(p *Program[V]) *pushState[V] {
 func (e *Engine[V]) combineRank(r int) {
 	ps := e.push
 	p := ps.prog
-	lo, hi := e.rankRange(r)
+	lo, hi := e.part.Range(r)
 	cb := &ps.comb[r]
 	cb.ensure(lo, hi)
 	entries := 0

@@ -54,26 +54,49 @@ func withGuidance(t *testing.T, g *graph.Graph, p *Program[float64]) func(int, *
 	}
 }
 
+// allSyncs are the delta-sync strategies rebalancing must compose with.
+// Under the sparse ones a move is preceded by a flush of sparsely routed
+// values and frontier bits; without it the new owners read stale inputs.
+var allSyncs = []SyncStrategy{SyncDense, SyncSparse, SyncAdaptive}
+
 func TestRebalanceMinMaxMatchesStatic(t *testing.T) {
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 16, 17)
-	for _, rr := range []bool{false, true} {
+	for _, tc := range []struct {
+		name string
+		rr   bool
+		// pushOnly sets DenseDivisor 1, so every superstep pushes from the
+		// frontier: a new owner missing a frontier bit loses that push.
+		pushOnly bool
+	}{{"plain", false, false}, {"rr", true, false}, {"push-only", false, true}} {
 		p := testProgram()
-		var base func(int, *Config)
-		if rr {
-			base = withGuidance(t, g, p)
+		var rr func(int, *Config)
+		if tc.rr {
+			rr = withGuidance(t, g, p)
+		}
+		base := func(rank int, cfg *Config) {
+			if rr != nil {
+				rr(rank, cfg)
+			}
+			if tc.pushOnly {
+				cfg.DenseDivisor = 1
+			}
 		}
 		want := runCluster(t, g, p, 4, base)
-		got := runCluster(t, g, p, 4, func(rank int, cfg *Config) {
-			if base != nil {
+		for _, sync := range allSyncs {
+			results := runClusterAll(t, g, p, 4, func(rank int, cfg *Config) {
 				base(rank, cfg)
+				cfg.Sync = sync
+				cfg.Rebalance = true
+				cfg.RebalanceEvery = 2
+				cfg.RebalanceDamping = 1
+			})
+			if results[0].Metrics.Rebalances == 0 {
+				t.Fatalf("%s sync=%v: rank 0's range never moved", tc.name, sync)
 			}
-			cfg.Rebalance = true
-			cfg.RebalanceEvery = 2
-			cfg.RebalanceDamping = 1
-		})
-		for v := range want.Values {
-			if got.Values[v] != want.Values[v] {
-				t.Fatalf("rr=%v vertex %d: rebalanced %v, static %v", rr, v, got.Values[v], want.Values[v])
+			for rank, got := range results {
+				if !sameValues(got.Values, want.Values) {
+					t.Fatalf("%s sync=%v rank %d: rebalanced values differ from the static run", tc.name, sync, rank)
+				}
 			}
 		}
 	}
@@ -83,14 +106,17 @@ func TestRebalanceArithMatchesStatic(t *testing.T) {
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 1, 23)
 	p := testArith()
 	want := runCluster(t, g, p, 4, nil)
-	got := runCluster(t, g, p, 4, func(_ int, cfg *Config) {
-		cfg.Rebalance = true
-		cfg.RebalanceEvery = 3
-		cfg.RebalanceDamping = 0.7
-	})
-	for v := range want.Values {
-		if got.Values[v] != want.Values[v] {
-			t.Fatalf("vertex %d: rebalanced %v, static %v", v, got.Values[v], want.Values[v])
+	for _, sync := range allSyncs {
+		results := runClusterAll(t, g, p, 4, func(_ int, cfg *Config) {
+			cfg.Sync = sync
+			cfg.Rebalance = true
+			cfg.RebalanceEvery = 3
+			cfg.RebalanceDamping = 0.7
+		})
+		for rank, got := range results {
+			if !sameValues(got.Values, want.Values) {
+				t.Fatalf("sync=%v rank %d: rebalanced values differ from the static run", sync, rank)
+			}
 		}
 	}
 }

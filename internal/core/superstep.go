@@ -178,7 +178,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 
 		if e.reb != nil {
 			rebStart := time.Now()
-			if err := e.maybeRebalance(st, stat.Time); err != nil {
+			if err := e.maybeRebalance(st, f, stat.Time); err != nil {
 				return nil, err
 			}
 			st.run.RebalanceTime += time.Since(rebStart)
@@ -192,7 +192,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 				Domain:  e.dom.Name,
 				Width:   uint8(e.dom.Width),
 				Rank:    uint32(e.comm.Rank()),
-				Bounds:  e.partBounds(),
+				Bounds:  e.part.Bounds(),
 				Values:  e.encodeValues(st.values),
 			}
 			k.snapshot(snap)

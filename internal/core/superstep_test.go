@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -13,23 +12,6 @@ import (
 	"slfe/internal/graph"
 	"slfe/internal/partition"
 )
-
-// The unified superstep driver must refuse the documented Ckpt+Rebalance
-// combination with an explanatory error, not silently drop one feature.
-func TestCkptRebalanceIncompatibilityError(t *testing.T) {
-	g := gen.Path(16)
-	part, _ := partition.NewChunked(g, 1)
-	_, err := New[float64](Config{
-		Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 1),
-		Ckpt: &ckpt.Manager{Dir: t.TempDir()}, Rebalance: true,
-	})
-	if err == nil {
-		t.Fatal("ckpt+rebalance accepted")
-	}
-	if !strings.Contains(err.Error(), "rebalanc") || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("error does not explain the incompatibility: %v", err)
-	}
-}
 
 // Checkpoint-resume through the unified driver, both kernels, with RR on
 // (so the resumed min/max run has to repay what it cannot know it owes)

@@ -79,8 +79,9 @@ type Run struct {
 	// multi-worker run (push supersteps open it after commit). Like the
 	// strategy counters it is a lockstep, cluster-wide count.
 	OverlappedSyncs int64
-	// FlushBytes is this worker's share of the final consistency flush that
-	// re-broadcasts values distributed only sparsely during the run.
+	// FlushBytes is this worker's share of the consistency flushes that
+	// re-broadcast values distributed only sparsely: the final one, and one
+	// before every rebalance move.
 	FlushBytes int64
 	// CodecPicks counts, per codec name, how many delta batches this worker
 	// encoded with it (the adaptive codec spreads over several names; a

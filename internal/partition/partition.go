@@ -9,7 +9,7 @@ package partition
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"slfe/internal/graph"
 )
@@ -28,7 +28,9 @@ type Partition interface {
 }
 
 // Chunked is a contiguous-range partition. Boundaries[i] is the first vertex
-// of node i; Boundaries[len] == |V|.
+// of node i; Boundaries[len] == |V|. It is the engine's one ownership map:
+// the static chunking, a rebalance plan (internal/balance) and the ranges a
+// checkpoint shard records are all Chunked values.
 type Chunked struct {
 	boundaries []graph.VertexID // length nodes+1
 }
@@ -70,8 +72,8 @@ func NewChunked(g graph.View, nodes int) (*Chunked, error) {
 
 // FromBounds builds a contiguous partition from explicit boundaries:
 // bounds[0] must be 0 and the array non-decreasing; bounds[len-1] is the
-// vertex count. The recovery path uses it to install ownership ranges
-// produced by balance.Shrink after a rank death.
+// vertex count. It installs the ranges balance.Plan, Shrink and Grow
+// produce, and the ranges a resumed checkpoint shard was written under.
 func FromBounds(bounds []uint32) (*Chunked, error) {
 	if len(bounds) < 2 {
 		return nil, errors.New("partition: need at least two boundaries")
@@ -79,14 +81,12 @@ func FromBounds(bounds []uint32) (*Chunked, error) {
 	if bounds[0] != 0 {
 		return nil, errors.New("partition: boundaries must start at 0")
 	}
-	b := make([]graph.VertexID, len(bounds))
-	for i, x := range bounds {
-		if i > 0 && x < bounds[i-1] {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] < bounds[i-1] {
 			return nil, fmt.Errorf("partition: boundary %d decreases", i)
 		}
-		b[i] = graph.VertexID(x)
 	}
-	return &Chunked{boundaries: b}, nil
+	return &Chunked{boundaries: slices.Clone(bounds)}, nil
 }
 
 // NewChunkedUniform splits [0,n) into near-equal vertex-count ranges,
@@ -103,11 +103,21 @@ func NewChunkedUniform(n, nodes int) (*Chunked, error) {
 	return &Chunked{boundaries: b}, nil
 }
 
-// Owner returns the node owning v by binary search over the boundaries.
+// Owner returns the node owning v by binary search over the boundaries;
+// empty ranges are skipped by the search direction. Sparse delta-sync calls
+// it once per routed out-neighbour, hence the plain loop instead of
+// sort.Search and its closure.
 func (c *Chunked) Owner(v graph.VertexID) int {
-	// First boundary strictly greater than v, minus one.
-	i := sort.Search(len(c.boundaries), func(i int) bool { return c.boundaries[i] > v })
-	return i - 1
+	lo, hi := 0, len(c.boundaries)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c.boundaries[mid+1] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Nodes returns the node count.
@@ -117,6 +127,9 @@ func (c *Chunked) Nodes() int { return len(c.boundaries) - 1 }
 func (c *Chunked) Range(node int) (lo, hi graph.VertexID) {
 	return c.boundaries[node], c.boundaries[node+1]
 }
+
+// Bounds returns a copy of the boundary array (Nodes()+1 entries).
+func (c *Chunked) Bounds() []uint32 { return slices.Clone(c.boundaries) }
 
 // Owned iterates node's vertices in ascending order.
 func (c *Chunked) Owned(node int, fn func(v graph.VertexID) bool) {

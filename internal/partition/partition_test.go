@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +165,85 @@ func TestQuickPartitionInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFromBoundsValidation(t *testing.T) {
+	for _, bounds := range [][]uint32{
+		nil,
+		{0},
+		{1, 5},    // must start at 0
+		{0, 5, 3}, // decreasing
+	} {
+		if _, err := FromBounds(bounds); err == nil {
+			t.Errorf("bounds %v accepted", bounds)
+		}
+	}
+	bounds := []uint32{0, 0, 5}
+	p, err := FromBounds(bounds)
+	if err != nil {
+		t.Fatalf("empty first range rejected: %v", err)
+	}
+	bounds[1] = 3
+	p.Bounds()[2] = 9
+	if got := p.Bounds(); !slices.Equal(got, []uint32{0, 0, 5}) {
+		t.Errorf("Bounds = %v, want [0 0 5]: the partition shares an array with its caller", got)
+	}
+}
+
+// linearOwner is Owner's oracle: the node whose [lo, hi) holds v.
+func linearOwner(bounds []uint32, v uint32) int {
+	for i := 0; i+1 < len(bounds); i++ {
+		if bounds[i] <= v && v < bounds[i+1] {
+			return i
+		}
+	}
+	return -1
+}
+
+// Owner must agree with a linear scan on every vertex, including next to
+// empty ranges at the start, in the middle and at the end.
+func TestOwnerMatchesLinearScan(t *testing.T) {
+	for _, bounds := range [][]uint32{
+		{0, 40},
+		{0, 10, 10, 25, 40},
+		{0, 0, 0, 7, 40},
+		{0, 13, 40, 40, 40},
+		{0, 1, 2, 3, 4, 40},
+		{0, 39, 40},
+	} {
+		p, err := FromBounds(bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := uint32(0); v < 40; v++ {
+			if got, want := p.Owner(v), linearOwner(bounds, v); got != want {
+				t.Fatalf("bounds %v: Owner(%d) = %d, want %d", bounds, v, got, want)
+			}
+		}
+	}
+}
+
+func TestOwnerProperty(t *testing.T) {
+	f := func(raw []uint32, v uint32) bool {
+		bounds := []uint32{0}
+		cur := uint32(0)
+		for _, b := range raw {
+			cur += b % 1000 // zero steps make empty ranges
+			bounds = append(bounds, cur)
+		}
+		if len(bounds) < 2 || cur == 0 {
+			return true
+		}
+		p, err := FromBounds(bounds)
+		if err != nil {
+			return false
+		}
+		v %= cur
+		return p.Owner(v) == linearOwner(bounds, v)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
