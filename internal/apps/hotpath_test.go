@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"slfe/internal/ckpt"
 	"slfe/internal/cluster"
 	"slfe/internal/compress"
 	"slfe/internal/core"
@@ -64,23 +65,33 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		iters       = 20
 	)
 	g := pkProxy(t, 4000)
+	// A single-rank tick must stay under one |V|×8 value array, so that
+	// row's graph is large enough that the tick's fixed costs (the temp
+	// file's name and handle) sit well below the line.
+	gCkpt := pkProxy(t, 200)
+	every2 := func(o *cluster.Options) { o.Ckpt = &ckpt.Manager{Dir: t.TempDir(), Every: 2} }
 	cases := []struct {
 		name  string
 		prog  *core.Program[float64]
 		nodes int
 		opts  func(*cluster.Options)
+		g     *graph.Graph // nil: g
 	}{
 		// Pull path: all-vertex arith kernel, 20 steady supersteps.
-		{"PR", PageRank(iters), 1, nil},
+		{"PR", PageRank(iters), 1, nil, nil},
 		// Push path: DenseDivisor=1 keeps the frontier kernel in push mode.
-		{"SSSP-push", SSSP(0), 1, func(o *cluster.Options) { o.DenseDivisor = 1 }},
+		{"SSSP-push", SSSP(0), 1, func(o *cluster.Options) { o.DenseDivisor = 1 }, nil},
 		// Overlapped pipeline: two in-process workers stream delta-sync
 		// during compute. The counters are process-global, so this measures
 		// the whole two-worker cluster — including the transport's
 		// per-message payload copies, which are inherent to delivery, not a
 		// hot-path regression; the budget stays the same deliberately
 		// generous bound.
-		{"PR-overlapped", PageRank(iters), 2, nil},
+		{"PR-overlapped", PageRank(iters), 2, nil, nil},
+		// Checkpoint ticks every other superstep: the tick (encode into a
+		// pooled buffer, background save) sits inside the measured window.
+		{"PR-overlapped+Ckpt{Every: 2}", PageRank(iters), 2, every2, nil},
+		{"PR+Ckpt{Every: 2}", PageRank(iters), 1, every2, gCkpt},
 	}
 	for _, tc := range cases {
 		opt := cluster.Options{Nodes: tc.nodes, Threads: 2, Stealing: true, RR: true,
@@ -88,7 +99,11 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		if tc.opts != nil {
 			tc.opts(&opt)
 		}
-		res, err := cluster.Execute(g, tc.prog, opt)
+		view := g
+		if tc.g != nil {
+			view = tc.g
+		}
+		res, err := cluster.Execute(view, tc.prog, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -101,6 +116,22 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		allocs, bytes := steadyState(res.Result.Metrics.Iters)
 		t.Logf("%s: %d iters, steady state %d allocs / %d bytes per superstep",
 			tc.name, res.Result.Iterations, allocs, bytes)
+		if m := opt.Ckpt; m != nil && tc.nodes == 1 {
+			// A tick must not copy the value array: a steady superstep with
+			// a tick allocates less than one |V|×8 array. One rank, so the
+			// counters are this tick's alone.
+			var ticks []metrics.IterStat
+			for _, s := range res.Result.Metrics.Iters[len(res.Result.Metrics.Iters)/2:] {
+				if m.ShouldSave(s.Iter) {
+					ticks = append(ticks, s)
+				}
+			}
+			_, tickBytes := steadyState(ticks)
+			t.Logf("%s: a steady tick superstep allocates %d bytes", tc.name, tickBytes)
+			if limit := int64(view.NumVertices()) * 8; len(ticks) == 0 || tickBytes >= limit {
+				t.Errorf("%s: %d steady tick supersteps allocate %d bytes, want < %d (|V|×8)", tc.name, len(ticks), tickBytes, limit)
+			}
+		}
 		if allocs > allocBudget {
 			t.Errorf("%s: steady-state supersteps allocate %d objects, budget %d — the hot path regressed",
 				tc.name, allocs, allocBudget)

@@ -1,16 +1,20 @@
 // Package ckpt provides BSP superstep checkpointing for the SLFE engine.
 // Supersteps are barrier-aligned, so a consistent global snapshot is just
 // every worker's state at the same iteration: each rank writes one shard
-// per checkpoint (atomic rename), and a checkpoint is complete when all
-// ranks' shards for the same iteration exist. On restart the engine
-// resumes from the latest complete checkpoint instead of iteration 0 —
-// the standard Pregel-style fault-tolerance scheme.
+// per checkpoint (atomic rename) holding only the vertex range it owns, and
+// a checkpoint is complete when every rank's shard for the same iteration
+// exists. On restart the engine loads every rank's shard of the latest
+// complete checkpoint and folds them with Merge into one global state, the
+// same path fault recovery takes — the standard Pregel-style
+// fault-tolerance scheme. A Writer persists a run's shards in the
+// background: a tick is durable once the next tick starts or the run
+// returns.
 //
 // Shards are domain-tagged: values are stored as the value domain's wire
 // words at the domain's width, and the domain name is part of the frame, so
 // a shard written by one property domain can never silently resume as
 // another (the bits would be meaningless). Only the current format version
-// is read; shards of the two older formats are rejected with an actionable
+// is read; shards of the three older formats are rejected with an actionable
 // error.
 package ckpt
 
@@ -23,7 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -52,27 +56,31 @@ type State struct {
 	// Width is the domain's wire word width in bytes (4 or 8). Values are
 	// stored at this width.
 	Width uint8
-	// Rank is the writing worker's rank within its epoch (format v3). The
+	// Rank is the writing worker's rank within its epoch. The
 	// replication/recovery path uses it to identify a shard independent of
 	// the file name it travelled under.
 	Rank uint32
 	// Bounds are the partition boundaries of the epoch that wrote the shard
-	// (nodes+1 entries; format v3). Recovery groups shards by identical
-	// bounds and folds dead ranks' ranges using them.
+	// (nodes+1 entries, the last one |V|). The shard holds the owned range
+	// [Bounds[Rank], Bounds[Rank+1]); Merge groups shards by identical
+	// bounds and places each range by them. A merged state has no Bounds:
+	// it holds every vertex.
 	Bounds []uint32
-	// Values is the (globally synchronised) property array as the
-	// domain's wire words.
+	// Values is the owner's property array as the domain's wire words:
+	// element i is vertex Bounds[Rank]+i, or vertex i in a merged state.
 	Values []uint64
-	// StableCnt / StableVal are the arith loop's Algorithm 5 state
-	// (StableVal as wire words like Values).
+	// StableCnt / StableVal are the arith loop's Algorithm 5 state over the
+	// same range as Values (StableVal as wire words like Values); empty for
+	// the min/max loop.
 	StableCnt []uint32
 	StableVal []uint64
-	// Sets holds the run's bitsets as sorted set-index lists. Live keys:
-	// "frontier" (min/max: the next superstep's active vertices) and
-	// "sparsedirty" (either kernel under sparse or adaptive delta-sync: owned
-	// vertices whose latest value not every rank has seen). Readers ignore
-	// keys they do not know, e.g. the "caughtup"/"debt" lists shards carried
-	// before "start late" became a scalar Ruler test.
+	// Sets holds the run's bitsets as sorted lists of global vertex ids,
+	// inside the owned range in a shard. Live keys: "frontier" (min/max:
+	// the next superstep's active vertices) and "sparsedirty" (either
+	// kernel under sparse or adaptive delta-sync: owned vertices whose
+	// latest value not every rank has seen). Readers ignore keys they do
+	// not know, e.g. the "caughtup"/"debt" lists shards carried before
+	// "start late" became a scalar Ruler test.
 	Sets map[string][]uint32
 }
 
@@ -81,8 +89,9 @@ const magic = "SLCK"
 // version is the current shard format: 2 introduced domain-tagged,
 // width-aware value arrays; 3 added the writing rank and the epoch's
 // partition bounds, which the replication/recovery path needs to merge
-// shards from a dead epoch.
-const version = 3
+// shards from a dead epoch; 4 keeps the same fields but a shard's arrays
+// and sets cover only the writer's owned range.
+const version = 4
 
 // width normalises the shard's word width (0 from a zero-value State means
 // the legacy 8 bytes).
@@ -93,10 +102,35 @@ func (s *State) width() int {
 	return 8
 }
 
-// WriteTo serialises the shard with a trailing CRC32.
-func (s *State) WriteTo(w io.Writer) (int64, error) {
+// AppendTo appends the shard's encoding, trailing CRC32 included, to dst
+// and returns the extended slice. dst grows at most once, to the exact
+// encoded size, so a caller that hands back its previous buffer encodes
+// without allocating.
+func (s *State) AppendTo(dst []byte) []byte {
+	return AppendTyped(dst, s, s.Values, s.StableVal, func(w uint64) uint64 { return w })
+}
+
+// AppendTyped encodes s as AppendTo does, except that the Values and
+// StableVal sections come from values and stableVal, each element converted
+// through bits as it is written (s.Values and s.StableVal are not read). A
+// caller holding its property array in a typed form — the engine's []V
+// behind its domain's Bits — writes it straight into the frame instead of
+// into a []uint64 first; the bytes equal AppendTo's over the converted
+// arrays.
+func AppendTyped[V any](dst []byte, s *State, values, stableVal []V, bits func(V) uint64) []byte {
 	width := s.width()
-	var buf []byte
+	var kbuf [4]string
+	keys := kbuf[:0]
+	size := len(magic) + 2 + 4 + len(s.Program) + 1 + 4 + 4 + len(s.Domain) + 1 + 4 +
+		8 + 4*len(s.Bounds) + 8 + width*len(values) + 8 + 4*len(s.StableCnt) +
+		8 + width*len(stableVal) + 4 + 4
+	for k, ids := range s.Sets {
+		keys = append(keys, k)
+		size += 4 + len(k) + 8 + 4*len(ids)
+	}
+	slices.Sort(keys)
+	start := len(dst)
+	buf := slices.Grow(dst, size)
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = appendString(buf, s.Program)
@@ -105,32 +139,21 @@ func (s *State) WriteTo(w io.Writer) (int64, error) {
 	buf = appendString(buf, s.Domain)
 	buf = append(buf, byte(width))
 	buf = binary.LittleEndian.AppendUint32(buf, s.Rank)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.Bounds)))
-	for _, b := range s.Bounds {
-		buf = binary.LittleEndian.AppendUint32(buf, b)
-	}
-	buf = appendWords(buf, s.Values, width)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.StableCnt)))
-	for _, c := range s.StableCnt {
-		buf = binary.LittleEndian.AppendUint32(buf, c)
-	}
-	buf = appendWords(buf, s.StableVal, width)
-	keys := make([]string, 0, len(s.Sets))
-	for k := range s.Sets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	buf = appendU32s(buf, s.Bounds)
+	buf = appendWords(buf, values, bits, width)
+	buf = appendU32s(buf, s.StableCnt)
+	buf = appendWords(buf, stableVal, bits, width)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		buf = appendString(buf, k)
-		ids := s.Sets[k]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ids)))
-		for _, id := range ids {
-			buf = binary.LittleEndian.AppendUint32(buf, id)
-		}
+		buf = appendU32s(buf, s.Sets[k])
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	n, err := w.Write(buf)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
+// WriteTo serialises the shard with a trailing CRC32.
+func (s *State) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(s.AppendTo(nil))
 	return int64(n), err
 }
 
@@ -138,11 +161,7 @@ func (s *State) WriteTo(w io.Writer) (int64, error) {
 // when a state travels over a connection (replica streaming, rejoin
 // redistribution) rather than to a file.
 func (s *State) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return s.AppendTo(nil), nil
 }
 
 // DecodeState parses a shard from a byte slice written by Encode/WriteTo.
@@ -150,15 +169,39 @@ func DecodeState(data []byte) (*State, error) {
 	return ReadState(bytes.NewReader(data))
 }
 
-// appendWords writes a length-prefixed word array at the given width.
-func appendWords(buf []byte, words []uint64, width int) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(words)))
-	for _, w := range words {
-		if width == 4 {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
+// appendWords writes a length-prefixed word array at the given width,
+// converting each element through bits. The caller has grown buf to hold
+// it.
+func appendWords[V any](buf []byte, vals []V, bits func(V) uint64, width int) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(vals)))
+	off := len(buf)
+	buf = buf[:off+width*len(vals)]
+	// Advancing out by one word keeps a single bounds check per element.
+	out := buf[off:]
+	if width == 4 {
+		for _, v := range vals {
+			binary.LittleEndian.PutUint32(out, uint32(bits(v)))
+			out = out[4:]
 		}
+	} else {
+		for _, v := range vals {
+			binary.LittleEndian.PutUint64(out, bits(v))
+			out = out[8:]
+		}
+	}
+	return buf
+}
+
+// appendU32s writes a length-prefixed uint32 array. The caller has grown
+// buf to hold it.
+func appendU32s(buf []byte, xs []uint32) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(xs)))
+	off := len(buf)
+	buf = buf[:off+4*len(xs)]
+	out := buf[off:]
+	for _, x := range xs {
+		binary.LittleEndian.PutUint32(out, x)
+		out = out[4:]
 	}
 	return buf
 }
@@ -168,8 +211,9 @@ var ErrCorrupt = errors.New("ckpt: corrupt checkpoint shard")
 
 // CheckBounds validates the shard's ownership ranges before anything slices
 // per-rank state by them: at least two entries, starting at 0,
-// non-decreasing, and ending at len(Values). Merge and a resuming engine
-// both call it.
+// non-decreasing, Rank inside them, and Values (and StableCnt/StableVal
+// when present) exactly as long as the owned range. Merge calls it on every
+// shard.
 func (s *State) CheckBounds() error {
 	b := s.Bounds
 	if len(b) < 2 {
@@ -183,8 +227,15 @@ func (s *State) CheckBounds() error {
 			return fmt.Errorf("%w: partition bound %d decreases (%d after %d)", ErrCorrupt, i, b[i], b[i-1])
 		}
 	}
-	if last := b[len(b)-1]; int(last) != len(s.Values) {
-		return fmt.Errorf("%w: partition bounds end at %d, values hold %d", ErrCorrupt, last, len(s.Values))
+	if int(s.Rank) >= len(b)-1 {
+		return fmt.Errorf("%w: rank %d outside bounds for %d workers", ErrCorrupt, s.Rank, len(b)-1)
+	}
+	lo, hi := b[s.Rank], b[s.Rank+1]
+	if owned := int(hi - lo); len(s.Values) != owned {
+		return fmt.Errorf("%w: rank %d holds %d values, its owned range [%d,%d) has %d", ErrCorrupt, s.Rank, len(s.Values), lo, hi, owned)
+	}
+	if len(s.StableCnt) != len(s.StableVal) || (len(s.StableCnt) != 0 && len(s.StableCnt) != len(s.Values)) {
+		return fmt.Errorf("%w: rank %d has stable arrays of %d/%d entries for %d values", ErrCorrupt, s.Rank, len(s.StableCnt), len(s.StableVal), len(s.Values))
 	}
 	return nil
 }
@@ -217,6 +268,8 @@ func ReadState(r io.Reader) (*State, error) {
 		return nil, ErrUntagged
 	case 2:
 		return nil, errors.New("ckpt: checkpoint shard uses format version 2 (no writing rank or partition bounds), which this build no longer reads; delete the checkpoint directory and re-run")
+	case 3:
+		return nil, errors.New("ckpt: checkpoint shard uses format version 3 (every rank's full value array), which this build no longer reads; delete the checkpoint directory and re-run")
 	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
@@ -374,10 +427,7 @@ func (m *Manager) shardPath(iter uint32, rank int) string {
 // before the data), which recovery would then mistake for corruption of an
 // otherwise complete checkpoint.
 func (m *Manager) Save(rank int, s *State) error {
-	return m.writeAtomic(m.shardPath(s.Iter, rank), func(w io.Writer) error {
-		_, err := s.WriteTo(w)
-		return err
-	})
+	return m.writeAtomic(m.shardPath(s.Iter, rank), s.AppendTo(nil))
 }
 
 // syncFile and syncDir are indirection points so tests can inject write
@@ -397,9 +447,10 @@ var (
 	}
 )
 
-// writeAtomic writes path via temp file + fsync + rename + directory fsync.
-// On error no file appears at path (a stale previous version may remain).
-func (m *Manager) writeAtomic(path string, write func(io.Writer) error) error {
+// writeAtomic writes data to path via temp file + fsync + rename +
+// directory fsync. On error no file appears at path (a stale previous
+// version may remain).
+func (m *Manager) writeAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
@@ -408,7 +459,7 @@ func (m *Manager) writeAtomic(path string, write func(io.Writer) error) error {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("ckpt: %w", err)
 	}
@@ -437,10 +488,7 @@ func (m *Manager) SaveReplica(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: replica rejected: %w", err)
 	}
-	return m.writeAtomic(m.replicaPath(s.Iter, int(s.Rank)), func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	return m.writeAtomic(m.replicaPath(s.Iter, int(s.Rank)), data)
 }
 
 func (m *Manager) replicaPath(iter uint32, rank int) string {
@@ -487,8 +535,9 @@ func (m *Manager) States() ([]Stored, error) {
 	return out, nil
 }
 
-// LatestComplete returns the highest iteration for which all size ranks
-// have shards, or -1 if none exists.
+// LatestComplete returns the highest iteration for which each of ranks
+// 0..size-1 has a shard, or -1 if none exists. A shard of a rank outside
+// that set (left by a run of another size) completes nothing.
 func (m *Manager) LatestComplete(size int) (int, error) {
 	entries, err := os.ReadDir(m.Dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -497,7 +546,7 @@ func (m *Manager) LatestComplete(size int) (int, error) {
 	if err != nil {
 		return -1, fmt.Errorf("ckpt: %w", err)
 	}
-	counts := map[int]int{}
+	present := map[int][]bool{}
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ".slck") {
@@ -508,15 +557,18 @@ func (m *Manager) LatestComplete(size int) (int, error) {
 			continue
 		}
 		iter, err1 := strconv.Atoi(parts[0])
-		_, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
+		rank, err2 := strconv.Atoi(parts[1])
+		if err1 != nil || err2 != nil || rank < 0 || rank >= size {
 			continue
 		}
-		counts[iter]++
+		if present[iter] == nil {
+			present[iter] = make([]bool, size)
+		}
+		present[iter][rank] = true
 	}
 	best := -1
-	for iter, c := range counts {
-		if c >= size && iter > best {
+	for iter, ranks := range present {
+		if iter > best && !slices.Contains(ranks, false) {
 			best = iter
 		}
 	}

@@ -142,6 +142,33 @@ func TestManagerSaveLoadLatest(t *testing.T) {
 	}
 }
 
+// A shard left by a run of another size must not complete an iteration:
+// ranks 0 and 2 at iteration 7 are not a 2-rank checkpoint while rank 1's
+// shard is missing, so the older complete iteration wins.
+func TestLatestCompleteRequiresEveryRank(t *testing.T) {
+	m := &Manager{Dir: filepath.Join(t.TempDir(), "ck")}
+	for _, shard := range []struct {
+		iter uint32
+		rank int
+	}{{3, 0}, {3, 1}, {7, 0}, {7, 2}} {
+		s := sampleState()
+		s.Iter = shard.iter
+		if err := m.Save(shard.rank, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := m.LatestComplete(2)
+	if err != nil || got != 3 {
+		t.Fatalf("LatestComplete(2) = %d, %v; want 3", got, err)
+	}
+	if _, err := m.Load(got, 1); err != nil {
+		t.Fatalf("the reported checkpoint does not load: %v", err)
+	}
+	if got, err := m.LatestComplete(3); err != nil || got != -1 {
+		t.Fatalf("LatestComplete(3) = %d, %v; want -1", got, err)
+	}
+}
+
 func TestManagerIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	m := &Manager{Dir: dir}

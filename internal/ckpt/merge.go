@@ -11,14 +11,15 @@ import (
 // iteration, domain, width and partition bounds — and cover every rank of
 // the writing epoch exactly once; any shard may be an original or a buddy
 // replica (they are byte-identical). The output carries no Rank/Bounds:
-// it is epoch-agnostic and can seed a run on any new membership.
+// it holds every vertex, is epoch-agnostic and can seed a run on any new
+// membership. Checkpoint resume and fault recovery both restore through it.
 //
-// Per-vertex state (Values, StableCnt, StableVal) is taken from each
-// vertex's owner, because under sparse delta-sync only the owner's copy is
-// authoritative. The bit sets are unioned: every owner holds its own
-// changed-frontier bits, so the frontier union is exactly the global
-// changed set, while every other set (sparsedirty) is owned-range state
-// and is restricted to each shard's range before the union.
+// A shard holds only its writer's owned range, and under sparse delta-sync
+// only the owner's copy of a vertex is authoritative, so every vertex's
+// state (Values, StableCnt, StableVal) comes from its owner's shard and
+// every set is the union of the owners' ranges of it: each owner holds its
+// own changed-frontier bits, so the frontier union is exactly the global
+// changed set.
 func Merge(shards []*State) (*State, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("ckpt: merge of no shards")
@@ -31,21 +32,10 @@ func Merge(shards []*State) (*State, error) {
 	if len(shards) != workers {
 		return nil, fmt.Errorf("ckpt: %d shards for %d-rank bounds", len(shards), workers)
 	}
-	n := len(ref.Values)
-	out := &State{
-		Program: ref.Program,
-		Kind:    ref.Kind,
-		Iter:    ref.Iter,
-		Domain:  ref.Domain,
-		Width:   ref.Width,
-		Values:  make([]uint64, n),
-	}
-	if len(ref.StableCnt) > 0 {
-		out.StableCnt = make([]uint32, n)
-		out.StableVal = make([]uint64, n)
-	}
+	// Validate every shard before allocating: the global size is only what
+	// the bounds claim until every owned range has proved its length.
 	seen := make([]bool, workers)
-	union := make(map[string][]bool)
+	stable := false
 	for _, s := range shards {
 		if s.Program != ref.Program || s.Kind != ref.Kind || s.Iter != ref.Iter ||
 			s.Domain != ref.Domain || s.Width != ref.Width {
@@ -54,25 +44,39 @@ func Merge(shards []*State) (*State, error) {
 		if !slices.Equal(s.Bounds, ref.Bounds) {
 			return nil, fmt.Errorf("ckpt: shard from rank %d has different bounds", s.Rank)
 		}
-		r := int(s.Rank)
-		if r < 0 || r >= workers {
-			return nil, fmt.Errorf("ckpt: shard rank %d outside bounds for %d workers", r, workers)
+		if err := s.CheckBounds(); err != nil {
+			return nil, err
 		}
-		if seen[r] {
-			return nil, fmt.Errorf("ckpt: duplicate shard for rank %d", r)
+		if seen[s.Rank] {
+			return nil, fmt.Errorf("ckpt: duplicate shard for rank %d", s.Rank)
 		}
-		seen[r] = true
-		if len(s.Values) != n {
-			return nil, fmt.Errorf("ckpt: shard from rank %d holds %d values, want %d", r, len(s.Values), n)
-		}
+		seen[s.Rank] = true
+		stable = stable || len(s.StableCnt) > 0
+	}
+	n := int(ref.Bounds[workers])
+	out := &State{
+		Program: ref.Program,
+		Kind:    ref.Kind,
+		Iter:    ref.Iter,
+		Domain:  ref.Domain,
+		Width:   ref.Width,
+		Values:  make([]uint64, n),
+	}
+	if stable {
+		out.StableCnt = make([]uint32, n)
+		out.StableVal = make([]uint64, n)
+	}
+	union := make(map[string][]bool)
+	for _, s := range shards {
+		r := s.Rank
 		lo, hi := s.Bounds[r], s.Bounds[r+1]
-		copy(out.Values[lo:hi], s.Values[lo:hi])
-		if out.StableCnt != nil {
-			if len(s.StableCnt) != n || len(s.StableVal) != n {
+		copy(out.Values[lo:hi], s.Values)
+		if stable {
+			if len(s.StableCnt) != int(hi-lo) {
 				return nil, fmt.Errorf("ckpt: shard from rank %d has truncated stable arrays", r)
 			}
-			copy(out.StableCnt[lo:hi], s.StableCnt[lo:hi])
-			copy(out.StableVal[lo:hi], s.StableVal[lo:hi])
+			copy(out.StableCnt[lo:hi], s.StableCnt)
+			copy(out.StableVal[lo:hi], s.StableVal)
 		}
 		for key, ids := range s.Sets {
 			b := union[key]
@@ -80,21 +84,12 @@ func Merge(shards []*State) (*State, error) {
 				b = make([]bool, n)
 				union[key] = b
 			}
-			ownedOnly := key != "frontier"
 			for _, id := range ids {
-				if int(id) >= n {
-					return nil, fmt.Errorf("ckpt: shard from rank %d: set %q id %d out of range", r, key, id)
-				}
-				if ownedOnly && (id < lo || id >= hi) {
-					continue
+				if id < lo || id >= hi {
+					return nil, fmt.Errorf("ckpt: shard from rank %d: set %q id %d outside its owned range [%d,%d)", r, key, id, lo, hi)
 				}
 				b[id] = true
 			}
-		}
-	}
-	for r, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("ckpt: merge missing rank %d's shard", r)
 		}
 	}
 	if len(union) > 0 {

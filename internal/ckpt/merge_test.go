@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// mergeShard builds a shard for rank r of a 2-worker epoch over 4 vertices
-// with bounds [0,2,4]. Values are rank-stamped so the test can verify which
-// shard each vertex's merged value came from.
+// mergeShard builds the shard of rank r of a 2-worker epoch over 4
+// vertices with bounds [0,2,4]: its owned range's 2 values, rank-stamped
+// so the test can verify which shard each merged value came from.
 func mergeShard(r uint32) *State {
 	s := &State{
 		Program: "SSSP",
@@ -17,22 +17,23 @@ func mergeShard(r uint32) *State {
 		Width:   8,
 		Rank:    r,
 		Bounds:  []uint32{0, 2, 4},
-		Values:  make([]uint64, 4),
+		Values:  make([]uint64, 2),
 	}
 	for i := range s.Values {
-		s.Values[i] = uint64(r)*100 + uint64(i)
+		s.Values[i] = uint64(r)*100 + uint64(2*r) + uint64(i)
 	}
 	return s
 }
 
-// boundsShards builds one shard per rank of an 8-vertex epoch written under
-// the given bounds.
+// boundsShards builds one shard per rank of an epoch written under the
+// given bounds, each holding its owned range's values (none where the
+// bounds decrease).
 func boundsShards(bounds ...uint32) []*State {
 	shards := make([]*State, len(bounds)-1)
 	for r := range shards {
 		s := mergeShard(uint32(r))
 		s.Bounds = bounds
-		s.Values = make([]uint64, 8)
+		s.Values = make([]uint64, max(0, int(bounds[r+1])-int(bounds[r])))
 		shards[r] = s
 	}
 	return shards
@@ -40,11 +41,10 @@ func boundsShards(bounds ...uint32) []*State {
 
 func TestMergeTakesOwnerValuesAndUnionsSets(t *testing.T) {
 	a, b := mergeShard(0), mergeShard(1)
-	// Frontier bits are global knowledge (each owner holds its own changed
-	// bits); sparsedirty is owned-range state, so rank 0's stale bit about
-	// vertex 3 (owned by rank 1) must be discarded.
-	a.Sets = map[string][]uint32{"frontier": {0, 3}, "sparsedirty": {1, 3}}
-	b.Sets = map[string][]uint32{"frontier": {2}, "sparsedirty": {2}}
+	// Each shard lists its owned range of every set; the owners' lists
+	// together are the global set.
+	a.Sets = map[string][]uint32{"frontier": {0}, "sparsedirty": {1}}
+	b.Sets = map[string][]uint32{"frontier": {2, 3}, "sparsedirty": {2}}
 	got, err := Merge([]*State{b, a}) // order must not matter
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestMergeTakesOwnerValuesAndUnionsSets(t *testing.T) {
 		t.Errorf("frontier = %v, want [0 2 3]", f)
 	}
 	if c := got.Sets["sparsedirty"]; len(c) != 2 || c[0] != 1 || c[1] != 2 {
-		t.Errorf("sparsedirty = %v, want [1 2] (rank 0's bit about vertex 3 dropped)", c)
+		t.Errorf("sparsedirty = %v, want [1 2]", c)
 	}
 	if got.Rank != 0 || got.Bounds != nil {
 		t.Errorf("merged state should be epoch-agnostic, got Rank=%d Bounds=%v", got.Rank, got.Bounds)
@@ -72,10 +72,10 @@ func TestMergeTakesOwnerValuesAndUnionsSets(t *testing.T) {
 func TestMergeStableArrays(t *testing.T) {
 	a, b := mergeShard(0), mergeShard(1)
 	a.Kind, b.Kind = Arith, Arith
-	a.StableCnt = []uint32{10, 11, 99, 99}
-	b.StableCnt = []uint32{99, 99, 22, 23}
-	a.StableVal = []uint64{1, 2, 0, 0}
-	b.StableVal = []uint64{0, 0, 3, 4}
+	a.StableCnt = []uint32{10, 11}
+	b.StableCnt = []uint32{22, 23}
+	a.StableVal = []uint64{1, 2}
+	b.StableVal = []uint64{3, 4}
 	got, err := Merge([]*State{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,43 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 		{"bounds decrease", func() []*State { return boundsShards(0, 6, 3, 8) }, "bound 2 decreases"},
 		{"bounds overrun the values", func() []*State { return boundsShards(0, 9, 9, 8) }, "bound 3 decreases"},
 		{"bounds start past 0", func() []*State { return boundsShards(1, 4, 8) }, "start at 1"},
-		{"bounds end short of the values", func() []*State { return boundsShards(0, 4, 6) }, "end at 6"},
+		{"bounds end short of the values", func() []*State {
+			shards := boundsShards(0, 4, 8)
+			for _, s := range shards {
+				s.Bounds = []uint32{0, 4, 6}
+			}
+			return shards
+		}, "rank 1 holds 4 values, its owned range [4,6) has 2"},
+		{"values not the owned range", func() []*State {
+			a, b := mergeShard(0), mergeShard(1)
+			b.Values = append(b.Values, 7)
+			return []*State{a, b}
+		}, "rank 1 holds 3 values"},
+		{"full-length values", func() []*State {
+			a, b := mergeShard(0), mergeShard(1)
+			a.Values = make([]uint64, 4) // a format-3 shard's whole array
+			return []*State{a, b}
+		}, "rank 0 holds 4 values"},
+		{"rank outside the bounds", func() []*State {
+			a, b := mergeShard(0), mergeShard(1)
+			b.Rank = 2
+			return []*State{a, b}
+		}, "rank 2 outside bounds for 2 workers"},
+		{"set id outside the owned range", func() []*State {
+			a, b := mergeShard(0), mergeShard(1)
+			a.Sets = map[string][]uint32{"frontier": {0, 3}}
+			return []*State{a, b}
+		}, "id 3 outside its owned range [0,2)"},
+		{"stable arrays of another length", func() []*State {
+			a, b := mergeShard(0), mergeShard(1)
+			a.StableCnt, a.StableVal = []uint32{1}, []uint64{1}
+			return []*State{a, b}
+		}, "stable arrays of 1/1 entries for 2 values"},
+		{"stable arrays on one rank only", func() []*State {
+			a, b := mergeShard(0), mergeShard(1)
+			b.StableCnt, b.StableVal = []uint32{1, 2}, []uint64{1, 2}
+			return []*State{a, b}
+		}, "truncated stable arrays"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -61,6 +61,30 @@ func TestReadStateRejectsV2(t *testing.T) {
 	}
 }
 
+// TestReadStateRejectsV3 pins the exit of the full-length format: a
+// version-3 frame has the current layout, but its arrays hold every vertex,
+// so it is refused with an actionable error rather than merged as an owned
+// shard.
+func TestReadStateRejectsV3(t *testing.T) {
+	s := mergeShard(0)
+	s.Values = make([]uint64, 4)
+	body := s.AppendTo(nil)
+	body = body[:len(body)-4]
+	body[4] = 3 // version u16 low byte, little-endian
+	_, err := ReadState(bytes.NewReader(appendCRC(body)))
+	if err == nil {
+		t.Fatal("v3 frame accepted")
+	}
+	if errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v3 frame reported as corruption: %v", err)
+	}
+	for _, want := range []string{"version 3", "delete the checkpoint directory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("v3 rejection %q is not actionable: missing %q", err, want)
+		}
+	}
+}
+
 func appendCRC(body []byte) []byte {
 	out := append([]byte(nil), body...)
 	sum := crc32.ChecksumIEEE(out)

@@ -172,13 +172,14 @@ func TestCheckpointRejectsWrongProgram(t *testing.T) {
 	}
 }
 
-// Rebalancing moves ownership away from Part, and a shard's values,
-// StableCnt and sparsedirty entries are authoritative only for the ranges
-// it was written under. A run resumed mid-way — every later shard deleted —
-// must adopt those ranges and finish bit-identical to the static run: both
-// kernels under RR, dense and sparse sync. The resume point is the first
-// checkpoint whose ranges had moved at an earlier tick than its own, so
-// sparse supersteps ran under them after the move-time flush.
+// Rebalancing moves ownership away from Part, and a shard holds the
+// values, StableCnt and sparsedirty entries of the range it owned when it
+// was written. A run resumed mid-way — every later shard deleted — must
+// place each shard by its recorded bounds when it merges them, and finish
+// bit-identical to the static run under Part: both kernels under RR, dense
+// and sparse sync. The resume point is the first checkpoint whose ranges
+// had moved at an earlier tick than its own, so sparse supersteps ran
+// under them after the move-time flush.
 func TestCheckpointResumeUnderRebalance(t *testing.T) {
 	const nodes = 3
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 8, 7)

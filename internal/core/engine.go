@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,9 +60,13 @@ type Config struct {
 	Sync SyncStrategy
 
 	// Ckpt enables Pregel-style superstep checkpointing: every
-	// Ckpt.Interval() supersteps each worker writes its shard, tagged with
-	// the ownership ranges it was written under, and with Ckpt.Resume the
-	// run restarts from the latest complete checkpoint under those ranges.
+	// Ckpt.Interval() supersteps each worker writes a shard of the vertex
+	// range it owns, tagged with the ownership ranges of that tick. The
+	// shard is encoded on the superstep path and written and fsynced in
+	// the background, so a tick is durable once the next tick starts or
+	// Run returns. With Ckpt.Resume the run loads every rank's shard of
+	// the latest complete checkpoint, merges them (ckpt.Merge) and restarts
+	// from that global state under Part, as a Restore state would.
 	Ckpt *ckpt.Manager
 
 	// Restore seeds the run from a pre-merged checkpoint state instead of
@@ -158,12 +161,12 @@ type Engine[V comparable] struct {
 	// (the zero-allocation hot path). curState/changed point at the active
 	// run's state so the pre-created closures below need no per-superstep
 	// captures.
-	curState  *state[V]
-	changed   *bitset.Atomic
-	push      *pushState[V]  // flat push-combining buffers (push.go)
-	bits      bitsCollect    // checkpoint bit-listing buffers
-	stream    streamState[V] // delta-sync streaming state (overlap.go)
-	dirtySnap []uint32       // checkpoint shard's sparse-dirty listing
+	curState *state[V]
+	changed  *bitset.Atomic
+	push     *pushState[V]  // flat push-combining buffers (push.go)
+	bits     bitsCollect    // checkpoint bit-listing buffers
+	stream   streamState[V] // delta-sync streaming state (overlap.go)
+	ck       ckptTick       // checkpoint tick state (checkpoint.go)
 
 	// Frontier-statistic scan: the pre-created chunk body folds through
 	// the scheduler's own reusable reduction accumulators, so the
@@ -182,6 +185,7 @@ type Engine[V comparable] struct {
 // concatenated in chunk order.
 type bitsCollect struct {
 	src   *bitset.Atomic
+	lo    uint32 // start of the scanned range; chunk i begins at lo+i*ChunkSize
 	parts [][]uint32
 	body  func(clo, chi uint32, thread int)
 }
@@ -440,23 +444,23 @@ func (e *Engine[V]) frontierOutEdgesGlobal(frontier *bitset.Atomic) (int64, erro
 	return e.comm.AllReduceI64(local, comm.OpSum)
 }
 
-// collectBitsInto appends the set indices of b to dst in ascending order.
-// Chunks are scanned in parallel into engine-owned per-chunk buffers (reused
-// across calls) and concatenated in chunk order, preserving the ascending
-// order serial Range produced. Callers own dst; the checkpoint path hands in
-// a retained slice re-sliced to zero length each tick.
-func (e *Engine[V]) collectBitsInto(dst []uint32, b *bitset.Atomic) []uint32 {
-	n := b.Len()
-	if n == 0 {
+// collectBitsInto appends the set indices of b inside [lo, hi) to dst in
+// ascending order. Chunks are scanned in parallel into engine-owned
+// per-chunk buffers (reused across calls) and concatenated in chunk order,
+// preserving the ascending order serial Range produced. Callers own dst;
+// the checkpoint path hands in a retained slice re-sliced to zero length
+// each tick.
+func (e *Engine[V]) collectBitsInto(dst []uint32, b *bitset.Atomic, lo, hi graph.VertexID) []uint32 {
+	if hi <= lo {
 		return dst
 	}
-	nParts := (n + ws.ChunkSize - 1) / ws.ChunkSize
+	nParts := (int(hi-lo) + ws.ChunkSize - 1) / ws.ChunkSize
 	bs := &e.bits
 	for len(bs.parts) < nParts {
 		bs.parts = append(bs.parts, nil)
 	}
-	bs.src = b
-	e.sched.Run(0, uint32(n), bs.body)
+	bs.src, bs.lo = b, uint32(lo)
+	e.sched.Run(uint32(lo), uint32(hi), bs.body)
 	bs.src = nil
 	for i := 0; i < nParts; i++ {
 		dst = append(dst, bs.parts[i]...)
@@ -468,7 +472,7 @@ func (e *Engine[V]) collectBitsInto(dst []uint32, b *bitset.Atomic) []uint32 {
 // buffer.
 func (e *Engine[V]) collectBitsChunk(clo, chi uint32, _ int) {
 	bs := &e.bits
-	idx := int(clo) / ws.ChunkSize
+	idx := int(clo-bs.lo) / ws.ChunkSize
 	ids := bs.parts[idx][:0]
 	it := bs.src.IterIn(int(clo), int(chi))
 	for i := it.Next(); i >= 0; i = it.Next() {
@@ -486,107 +490,4 @@ func restoreBits(b *bitset.Atomic, ids []uint32) error {
 		b.Set(int(id))
 	}
 	return nil
-}
-
-// loadCheckpoint returns the state to resume from: the pre-merged Restore
-// state when the recovery driver supplied one, else the worker's shard from
-// the latest complete checkpoint, else nil. Either source must carry this
-// run's domain tag: a value array is meaningless bits in any other domain.
-func (e *Engine[V]) loadCheckpoint(p *Program[V], kind ckpt.Kind) (*ckpt.State, error) {
-	if s := e.cfg.Restore; s != nil {
-		if err := e.validateSnap(s, p, kind); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	m := e.cfg.Ckpt
-	if m == nil || !m.Resume {
-		return nil, nil
-	}
-	iter, err := m.LatestComplete(e.comm.Size())
-	if err != nil {
-		return nil, err
-	}
-	if iter < 0 {
-		return nil, nil
-	}
-	s, err := m.Load(iter, e.comm.Rank())
-	if err != nil {
-		return nil, err
-	}
-	if err := e.validateSnap(s, p, kind); err != nil {
-		return nil, err
-	}
-	// The shard's StableCnt and sparsedirty entries are authoritative only
-	// for the ranges it was written under, which rebalancing may have moved
-	// away from Part: resume under those.
-	if err := s.CheckBounds(); err != nil {
-		return nil, err
-	}
-	if len(s.Bounds) != e.comm.Size()+1 {
-		return nil, fmt.Errorf("core: checkpoint was written by %d ranks, resuming on %d", len(s.Bounds)-1, e.comm.Size())
-	}
-	part, err := partition.FromBounds(s.Bounds)
-	if err != nil {
-		return nil, err
-	}
-	e.setPart(part)
-	return s, nil
-}
-
-// validateSnap checks that a checkpoint state matches the running program,
-// loop kind, domain and graph.
-func (e *Engine[V]) validateSnap(s *ckpt.State, p *Program[V], kind ckpt.Kind) error {
-	if s.Program != p.Name {
-		return fmt.Errorf("core: checkpoint is for program %q, running %q", s.Program, p.Name)
-	}
-	if s.Kind != kind {
-		return fmt.Errorf("core: checkpoint kind %d does not match loop %d", s.Kind, kind)
-	}
-	if s.Domain != e.dom.Name || int(s.Width) != e.dom.Width {
-		return fmt.Errorf("core: checkpoint carries domain %q (width %d) but the program runs domain %q (width %d); resume with the original domain or delete the checkpoint directory",
-			s.Domain, s.Width, e.dom.Name, e.dom.Width)
-	}
-	if len(s.Values) != e.g.NumVertices() {
-		return fmt.Errorf("core: checkpoint has %d values for a graph of %d vertices", len(s.Values), e.g.NumVertices())
-	}
-	return nil
-}
-
-// replicateShard streams the just-saved shard to the ring buddy
-// ((rank+1) mod size) and stores the buddy's shard as a replica, so every
-// checkpoint survives the loss of any single rank's process and disk
-// without a shared filesystem. The exchange is collective: every rank
-// reaches the checkpoint tick at the same iteration (the superstep loop is
-// barrier-aligned), so the ring pairs off deterministically.
-func (e *Engine[V]) replicateShard(snap *ckpt.State) error {
-	m := e.cfg.Ckpt
-	if !m.Replicate || e.comm.Size() == 1 {
-		return nil
-	}
-	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
-		return err
-	}
-	got, err := e.comm.RingExchange(buf.Bytes())
-	if err != nil {
-		return err
-	}
-	return m.SaveReplica(got)
-}
-
-// decodeValues converts a checkpoint bit-word array back into dst.
-func (e *Engine[V]) decodeValues(dst []V, words []uint64) {
-	for i, w := range words {
-		dst[i] = e.dom.FromBits(w)
-	}
-}
-
-// encodeValues converts a value array into checkpoint bit words.
-func (e *Engine[V]) encodeValues(vals []V) []uint64 {
-	out := make([]uint64, len(vals))
-	for i, v := range vals {
-		out[i] = e.dom.Bits(v)
-	}
-	return out
 }

@@ -80,9 +80,10 @@ func (k *arithKernel[V]) restore(snap *ckpt.State) error {
 	return nil
 }
 
-func (k *arithKernel[V]) snapshot(snap *ckpt.State) {
-	snap.StableCnt = k.stableCnt
-	snap.StableVal = k.e.encodeValues(k.stableVal)
+func (k *arithKernel[V]) snapshot(snap *ckpt.State) []V {
+	lo, hi := k.e.lo, k.e.hi
+	snap.StableCnt = k.stableCnt[lo:hi]
+	return k.stableVal[lo:hi]
 }
 
 func (k *arithKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, error) {

@@ -105,9 +105,13 @@ func (k *minmaxKernel[V]) restore(snap *ckpt.State) error {
 	return restoreBits(k.front, snap.Sets["frontier"])
 }
 
-func (k *minmaxKernel[V]) snapshot(snap *ckpt.State) {
-	k.snapFrontier = k.e.collectBitsInto(k.snapFrontier[:0], k.front)
-	snap.Sets = map[string][]uint32{"frontier": k.snapFrontier}
+// snapshot lists the owned part of the next frontier: every owner holds
+// its own changed bits, so the owners' lists together are the whole
+// frontier (ckpt.Merge unions them).
+func (k *minmaxKernel[V]) snapshot(snap *ckpt.State) []V {
+	k.snapFrontier = k.e.collectBitsInto(k.snapFrontier[:0], k.front, k.e.lo, k.e.hi)
+	snap.Sets["frontier"] = k.snapFrontier
+	return nil
 }
 
 func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, error) {

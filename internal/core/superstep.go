@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"time"
 
@@ -26,8 +27,11 @@ type kernel[V comparable] interface {
 	// restore applies kernel-specific state from a checkpoint shard; the
 	// driver has already restored the value array.
 	restore(snap *ckpt.State) error
-	// snapshot adds kernel-specific state to an outgoing shard.
-	snapshot(snap *ckpt.State)
+	// snapshot adds kernel-specific state of the owned range [e.lo, e.hi)
+	// to an outgoing shard and returns the typed array its StableVal
+	// section is encoded from (nil: none). The shard is encoded before the
+	// next superstep, so it may alias the kernel's arrays.
+	snapshot(snap *ckpt.State) (stableVal []V)
 	// frontier returns the bitset the sync phase repopulates with the
 	// next frontier, or nil for kernels that activate every vertex.
 	frontier() *bitset.Atomic
@@ -84,15 +88,22 @@ func foldCounters(cs []threadCounters, stat *metrics.IterStat) {
 //	stepBegin -> compute -> commit -> delta-sync -> stepEnd
 //	          -> rebalance window -> checkpoint tick
 //
-// with per-phase timings recorded in the run metrics.
-func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], changed *bitset.Atomic) (*Result[V], error) {
+// with per-phase timings recorded in the run metrics. Every return, errors
+// included, first drains the checkpoint writer, so the shards a returned
+// run wrote are durable; a failed save fails the run.
+func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], changed *bitset.Atomic) (res *Result[V], err error) {
 	iter := 0
 	e.lastGlobalChanged = -1
 	// The run's state and changed set are pinned on the engine so the
 	// pre-created hot-path closures (stream drain and decode, push apply)
 	// reach them without per-superstep captures.
 	e.curState, e.changed = st, changed
-	defer func() { e.curState, e.changed, e.stream.active, e.stream.ex = nil, nil, false, nil }()
+	defer func() {
+		e.curState, e.changed, e.stream.active, e.stream.ex = nil, nil, false, nil
+		if werr := e.drainCkpt(); werr != nil {
+			res, err = nil, errors.Join(err, werr)
+		}
+	}()
 	if snap, err := e.loadCheckpoint(p, k.kind()); err != nil {
 		return nil, err
 	} else if snap != nil {
@@ -109,8 +120,8 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 	}
 
 	// Per-superstep heap-allocation deltas (the alloc-budget guards'
-	// instrument). The window covers stepBegin through stepEnd — the
-	// steady-state path — and excludes checkpoint/rebalance ticks.
+	// instrument). The window covers stepBegin through the checkpoint tick;
+	// only the metrics append and the progress hook fall outside it.
 	var mem runtime.MemStats
 	var prevMallocs, prevBytes uint64
 	if e.cfg.MeasureAllocs {
@@ -169,12 +180,6 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		if err != nil {
 			return nil, err
 		}
-		if e.cfg.MeasureAllocs {
-			runtime.ReadMemStats(&mem)
-			stat.HeapAllocs = int64(mem.Mallocs - prevMallocs)
-			stat.HeapBytes = int64(mem.TotalAlloc - prevBytes)
-		}
-		st.run.Add(stat)
 
 		if e.reb != nil {
 			rebStart := time.Now()
@@ -185,34 +190,17 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		}
 		if e.cfg.Ckpt != nil && e.cfg.Ckpt.ShouldSave(iter) {
 			ckptStart := time.Now()
-			snap := &ckpt.State{
-				Program: p.Name,
-				Kind:    k.kind(),
-				Iter:    uint32(iter),
-				Domain:  e.dom.Name,
-				Width:   uint8(e.dom.Width),
-				Rank:    uint32(e.comm.Rank()),
-				Bounds:  e.part.Bounds(),
-				Values:  e.encodeValues(st.values),
-			}
-			k.snapshot(snap)
-			if e.dirty != nil {
-				// The sparse-only distribution state must survive a resume,
-				// or the final consistency flush would miss these vertices.
-				if snap.Sets == nil {
-					snap.Sets = make(map[string][]uint32)
-				}
-				e.dirtySnap = e.collectBitsInto(e.dirtySnap[:0], e.dirty)
-				snap.Sets["sparsedirty"] = e.dirtySnap
-			}
-			if err := e.cfg.Ckpt.Save(e.comm.Rank(), snap); err != nil {
-				return nil, err
-			}
-			if err := e.replicateShard(snap); err != nil {
+			if err := e.checkpoint(p, k, st, iter); err != nil {
 				return nil, err
 			}
 			st.run.CkptTime += time.Since(ckptStart)
 		}
+		if e.cfg.MeasureAllocs {
+			runtime.ReadMemStats(&mem)
+			stat.HeapAllocs = int64(mem.Mallocs - prevMallocs)
+			stat.HeapBytes = int64(mem.TotalAlloc - prevBytes)
+		}
+		st.run.Add(stat)
 		if e.cfg.Progress != nil {
 			e.cfg.Progress(iter)
 		}
@@ -230,7 +218,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		return nil, err
 	}
 
-	res := &Result[V]{
+	res = &Result[V]{
 		Values:     st.values,
 		Dom:        e.dom,
 		Iterations: len(st.run.Iters),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -161,14 +162,20 @@ func TestParallelFrontierHelpersMatchSerial(t *testing.T) {
 			if got := eng.frontierOutEdges(b); got != wantSum {
 				t.Fatalf("threads=%d density=%d: frontierOutEdges = %d, want %d", threads, density, got, wantSum)
 			}
-			gotIDs := eng.collectBitsInto(nil, b)
-			if len(gotIDs) != len(wantIDs) {
-				t.Fatalf("threads=%d density=%d: collectBits %d ids, want %d", threads, density, len(gotIDs), len(wantIDs))
-			}
-			for i := range gotIDs {
-				if gotIDs[i] != wantIDs[i] {
-					t.Fatalf("threads=%d density=%d: collectBits[%d] = %d, want %d (order broken)",
-						threads, density, i, gotIDs[i], wantIDs[i])
+			// The whole set, and an owned-range slice whose chunks start
+			// off the ChunkSize grid.
+			n := graph.VertexID(g.NumVertices())
+			for _, r := range [][2]graph.VertexID{{0, n}, {300, n - 7}} {
+				var want []uint32
+				for _, id := range wantIDs {
+					if graph.VertexID(id) >= r[0] && graph.VertexID(id) < r[1] {
+						want = append(want, id)
+					}
+				}
+				gotIDs := eng.collectBitsInto(nil, b, r[0], r[1])
+				if !slices.Equal(gotIDs, want) {
+					t.Fatalf("threads=%d density=%d range=%v: collectBits = %d ids, want %d in ascending order",
+						threads, density, r, len(gotIDs), len(want))
 				}
 			}
 		}
