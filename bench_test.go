@@ -140,26 +140,31 @@ func BenchmarkPushCombine(b *testing.B) {
 	}
 }
 
-// Codec microbenchmark: pooled append-encode against the allocating encode
-// over a representative dense delta batch (adaptive codec tries all three
-// candidates either way).
+// Codec microbenchmark: pooled append-encode of a representative delta
+// batch, Raw against Adaptive.
 func BenchmarkCodecAppendEncode(b *testing.B) {
 	ids, vals := codecBatch()
-	var sc compress.EncodeScratch
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, _ = compress.AppendEncodeBest(buf[:0], &sc, 8, ids, vals)
+	for _, c := range []compress.Codec{compress.Raw{}, compress.Adaptive{}} {
+		b.Run(c.Name(), func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = c.AppendEncode(buf[:0], ids, vals)
+			}
+		})
 	}
 }
 
+// BenchmarkCodecEncode is the allocating form of the same encode.
 func BenchmarkCodecEncode(b *testing.B) {
 	ids, vals := codecBatch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = compress.EncodeBest(8, ids, vals)
+	for _, c := range []compress.Codec{compress.Raw{}, compress.Adaptive{}} {
+		b.Run(c.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = c.Encode(ids, vals)
+			}
+		})
 	}
 }
 

@@ -55,7 +55,6 @@ func main() {
 	threads := flag.Int("threads", 0, "threads per node (0 = GOMAXPROCS)")
 	rr := flag.Bool("rr", true, "enable redundancy reduction (slfe)")
 	stealing := flag.Bool("stealing", true, "enable work stealing (slfe)")
-	codecName := flag.String("codec", "raw", "delta-sync wire codec: raw | varint-xor | rle | adaptive (slfe; built at the domain's word width)")
 	syncName := flag.String("sync", "dense", "delta-sync strategy: dense | sparse | adaptive (slfe)")
 	rebalance := flag.Bool("rebalance", false, "enable dynamic inter-node rebalancing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
@@ -99,16 +98,15 @@ func main() {
 	defer closeG()
 	fmt.Printf("graph: %v\n", g)
 
-	codec, err := compress.ByNameW(*codecName, width)
-	if err != nil {
-		fatal(err)
-	}
 	sync, err := core.ParseSyncStrategy(*syncName)
 	if err != nil {
 		fatal(err)
 	}
 	opt := cluster.Options{Nodes: *nodes, Threads: *threads, Stealing: *stealing, RR: *rr,
-		Codec: codec, Sync: sync, Rebalance: *rebalance}
+		Sync: sync, Rebalance: *rebalance}
+	if *nodes > 1 {
+		opt.Codec = compress.Adaptive{W: width}
+	}
 	if *ft {
 		dir := *ftDir
 		if dir == "" {
@@ -447,7 +445,7 @@ func printSample(app string, g graph.View, values []float64) {
 	}
 }
 
-// formatPicks renders the codec-choice counts in stable name order.
+// formatPicks renders the wire-layout counts in stable name order.
 func formatPicks(picks map[string]int64) string {
 	if len(picks) == 0 {
 		return "none"

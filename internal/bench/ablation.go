@@ -88,7 +88,7 @@ func AblationPartition(c Config) error {
 }
 
 // AblationCodec compares the delta-sync wire codecs: raw (12 bytes/entry)
-// against varint-xor. §4.2 attributes part of SLFE's win to reduced
+// against adaptive. §4.2 attributes part of SLFE's win to reduced
 // communication volume; the codec attacks the remaining bytes directly.
 func AblationCodec(c Config) error {
 	c.defaults()
@@ -97,7 +97,7 @@ func AblationCodec(c Config) error {
 	fmt.Fprintln(tw, "app\tgraph\tcodec\tseconds\tmsgs\tbytes")
 	for _, app := range []string{"SSSP", "CC", "PR"} {
 		for _, name := range []string{"LJ", "FS"} {
-			for _, codec := range []compress.Codec{compress.Raw{}, compress.VarintXOR{}} {
+			for _, codec := range []compress.Codec{compress.Raw{}, compress.Adaptive{}} {
 				res, err := c.RunSLFE(app, name, c.Nodes, true, func(o *cluster.Options) {
 					o.Codec = codec
 				})

@@ -83,9 +83,9 @@ func TestOptionsCombinations(t *testing.T) {
 		opt  func() Options
 	}{
 		{"plain", func() Options { return Options{} }},
-		{"codec", func() Options { return Options{Codec: compress.VarintXOR{}} }},
+		{"codec", func() Options { return Options{Codec: compress.Adaptive{}} }},
 		{"rebalance", func() Options { return Options{Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1} }},
-		{"rr+codec", func() Options { return Options{RR: true, Codec: compress.VarintXOR{}} }},
+		{"rr+codec", func() Options { return Options{RR: true, Codec: compress.Adaptive{}} }},
 		{"rr+rebalance", func() Options { return Options{RR: true, Rebalance: true, RebalanceEvery: 2} }},
 		{"rr+sparse-sync", func() Options { return Options{RR: true, Sync: core.SyncAdaptive, Codec: compress.Adaptive{}} }},
 		{"ckpt", func() Options { return Options{Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}} }},
@@ -100,7 +100,7 @@ func TestOptionsCombinations(t *testing.T) {
 		}},
 		{"everything-compatible", func() Options {
 			return Options{RR: true, Stealing: true, Threads: 2, Sync: core.SyncSparse,
-				Codec: compress.VarintXOR{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3},
+				Codec: compress.Adaptive{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3},
 				Rebalance: true, RebalanceEvery: 2, RebalanceDamping: 1}
 		}},
 	}

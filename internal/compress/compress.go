@@ -1,30 +1,27 @@
-// Package compress provides the wire codecs for the engine's per-iteration
-// property synchronisation. Every superstep each worker broadcasts
-// (vertex id, new value) pairs for its changed owned vertices; on skewed
-// graphs this delta stream dominates inter-node traffic (§4.2 attributes
-// much of SLFE's win to reduced communication), so shrinking it directly
-// attacks the paper's communication bottleneck.
+// Package compress provides the wire codecs for the engine's per-superstep
+// delta sync: batches of (vertex id, value bits) pairs, whose volume §4.2
+// makes SLFE's communication bottleneck. Values are the bit words of the
+// engine's value domain; both codecs take the word width in bytes as W (4
+// or 8; 0 means 8), which ranks share as configuration, not on the wire.
 //
-// Values travel as raw bit words (uint64), produced by the engine's value
-// domain (core.Domain): a float64 domain ships 8-byte words, while float32
-// and uint32 domains ship 4-byte words — half the wire traffic before any
-// entropy coding. Every codec is therefore width-parameterised: the W field
-// selects the word width in bytes (4 or 8; the zero value keeps the
-// original 8-byte format, so pre-domain callers and wire captures stay
-// valid).
+// Raw is the fixed-width format. Adaptive is one shaped format: a flags
+// byte, the uvarint count, then one of four layouts that the encoder reads
+// off the batch, with no trial encodings. Ids, which must ascend, go as:
 //
-// Three concrete codecs are provided: Raw, the fixed-width format;
-// VarintXOR, which delta-encodes the ascending vertex ids and XOR-encodes
-// the value bits against the previous value (values in one delta batch are
-// strongly correlated: BFS levels, component labels and saturating ranks
-// repeat their high bits), both as unsigned varints; and RLE, the
-// run-length "unchanged-suppression" codec that stores the ascending id
-// stream as runs of consecutive vertices (dense supersteps, where nearly
-// every vertex changes, collapse to a handful of run headers plus
-// fixed-width values). Adaptive wraps all three: every batch is encoded
-// with each candidate and the smallest wins, tagged with a one-byte codec
-// id so the receiver can dispatch without prior agreement (the width is
-// engine configuration shared by all ranks, not part of the tag).
+//   - bitmap: the first id as a uvarint, then one bit per id in
+//     (first, last], low bit first, ending with the last id's byte, then
+//     the values in id order. The encoder picks it in O(1) when
+//     last-first ≤ 8·(count-1): the bitmap then takes at most count-1
+//     bytes and gaps at least that many, so it is never the larger form.
+//   - gaps: each id minus its predecessor minus one (the first as is) as a
+//     uvarint, followed by its value.
+//
+// Values go as words, fixed W-byte little-endian, or as xor: each word
+// XORed with its predecessor and byte-reversed, as a uvarint, so that the
+// high bytes a float's information sits in come out short and a repeated
+// value costs one byte. One counting pass over the values, which writes
+// nothing, picks the smaller (a tie keeps words). No section carries a
+// length: a bitmap ends with its (count-1)th set bit.
 package compress
 
 import (
@@ -33,35 +30,28 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Codec encodes and decodes one delta batch of parallel slices: vals[i] is
-// the value-bit word of vertex ids[i]. VarintXOR and RLE additionally
-// require ids to be ascending (the engine emits them in owned-range order).
+// the value-bit word of vertex ids[i]. A word of a 4-byte codec must fit in
+// its low 32 bits; the high bits are dropped on the wire.
 type Codec interface {
 	// Name identifies the codec in experiment tables.
 	Name() string
-	// Width is the value word width in bytes (4 or 8). A word of a 4-byte
-	// codec must fit in its low 32 bits; the high bits are dropped on the
-	// wire.
+	// Width is the value word width in bytes (4 or 8).
 	Width() int
-	// Encode serialises the (ids[i], vals[i]) pairs.
+	// Encode serialises the (ids[i], vals[i]) pairs into a fresh buffer.
 	Encode(ids []uint32, vals []uint64) []byte
+	// AppendEncode appends the encoding to dst, so a kept buffer is reused.
+	AppendEncode(dst []byte, ids []uint32, vals []uint64) []byte
+	// Layout names the layout of an encoded payload, for metrics.
+	Layout(payload []byte) string
 	// Decode calls fn for every encoded pair, in encoding order.
 	Decode(buf []byte, fn func(id uint32, val uint64) error) error
 }
 
-// AppendCodec is the allocation-free form of Codec: AppendEncode writes the
-// batch after dst's existing contents and returns the extended slice, so a
-// caller that retains the returned buffer pays nothing on the next batch of
-// similar size. Every codec in this package implements it; Encode is
-// AppendEncode into a fresh buffer.
-type AppendCodec interface {
-	Codec
-	AppendEncode(dst []byte, ids []uint32, vals []uint64) []byte
-}
-
-// widthOf normalises a codec's W field: 0 means the original 8-byte words.
+// widthOf normalises a codec's W field: anything but 4 means 8.
 func widthOf(w int) int {
 	if w == 4 {
 		return 4
@@ -76,84 +66,289 @@ type Raw struct {
 	W int
 }
 
-// Name implements Codec.
-func (Raw) Name() string { return "raw" }
-
-// Width implements Codec.
-func (c Raw) Width() int { return widthOf(c.W) }
+// Name, Width and Layout implement Codec.
+func (Raw) Name() string         { return "raw" }
+func (c Raw) Width() int         { return widthOf(c.W) }
+func (Raw) Layout([]byte) string { return "raw" }
 
 // Encode implements Codec.
 func (c Raw) Encode(ids []uint32, vals []uint64) []byte {
 	return c.AppendEncode(make([]byte, 0, 4+len(ids)*(4+c.Width())), ids, vals)
 }
 
-// AppendEncode implements AppendCodec.
+// AppendEncode implements Codec.
 func (c Raw) AppendEncode(dst []byte, ids []uint32, vals []uint64) []byte {
-	w := c.Width()
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ids)))
 	for i, id := range ids {
-		dst = binary.LittleEndian.AppendUint32(dst, id)
-		if w == 4 {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(vals[i]))
-		} else {
-			dst = binary.LittleEndian.AppendUint64(dst, vals[i])
-		}
+		dst = appendWord(binary.LittleEndian.AppendUint32(dst, id), c.Width(), vals[i])
 	}
 	return dst
 }
 
 // Decode implements Codec.
 func (c Raw) Decode(buf []byte, fn func(id uint32, val uint64) error) error {
-	if len(buf) < 4 {
-		return errors.New("compress: short raw payload")
-	}
 	w := c.Width()
-	entry := 4 + w
-	count := int(binary.LittleEndian.Uint32(buf))
-	if count < 0 || len(buf) != 4+count*entry {
-		return fmt.Errorf("compress: raw payload length %d does not match count %d (width %d)", len(buf), count, w)
+	if len(buf) < 4 || len(buf) != 4+int(binary.LittleEndian.Uint32(buf))*(4+w) {
+		return fmt.Errorf("compress: raw payload of %d bytes does not match its count (width %d)", len(buf), w)
 	}
-	off := 4
-	for i := 0; i < count; i++ {
-		id := binary.LittleEndian.Uint32(buf[off:])
-		var val uint64
-		if w == 4 {
-			val = uint64(binary.LittleEndian.Uint32(buf[off+4:]))
-		} else {
-			val = binary.LittleEndian.Uint64(buf[off+4:])
-		}
-		if err := fn(id, val); err != nil {
+	for off := 4; off < len(buf); off += 4 + w {
+		if err := fn(binary.LittleEndian.Uint32(buf[off:]), readWord(buf[off+4:], w)); err != nil {
 			return err
 		}
-		off += entry
 	}
 	return nil
 }
 
-// VarintXOR compresses a batch as: uvarint count, then per entry a uvarint
-// id delta (first id is absolute) followed by a uvarint of the value bits
-// XORed with the previous entry's value bits (the first entry XORs against
-// zero). A float's information concentrates in its high bytes (sign,
-// exponent, leading mantissa) while uvarint drops high zero bytes, so the
-// XOR residue is byte-reversed (within the word width) before encoding.
-// Repeated values cost one byte; nearby ids cost one byte.
-type VarintXOR struct {
+// Adaptive is the shaped codec described in the package documentation.
+type Adaptive struct {
 	// W is the value word width in bytes: 4 or 8 (0 means 8).
 	W int
 }
 
-// Name implements Codec.
-func (VarintXOR) Name() string { return "varint-xor" }
+// Adaptive's flags byte: its layout bits (any other is corrupt) and names.
+const (
+	flagBitmap byte = 1 << iota // ids as a bitmap, else as gaps
+	flagXOR                     // values as XOR residues, else as words
+)
 
-// Width implements Codec.
-func (c VarintXOR) Width() int { return widthOf(c.W) }
+var layouts = [...]string{"gaps+words", "bitmap+words", "gaps+xor", "bitmap+xor"}
 
-// ErrNotAscending reports an Encode call with unsorted ids.
+// ErrNotAscending is Adaptive's panic value for unsorted ids, a bug.
 var ErrNotAscending = errors.New("compress: ids must be ascending")
 
-// reverse byte-reverses a word within the codec's width: the significant
-// high bytes of the XOR residue move to the low end, where uvarint is
-// cheap.
+// Name, Width and Layout implement Codec.
+func (Adaptive) Name() string                 { return "adaptive" }
+func (c Adaptive) Width() int                 { return widthOf(c.W) }
+func (Adaptive) Layout(payload []byte) string { return layouts[payload[0]&(flagBitmap|flagXOR)] }
+
+// Encode implements Codec; it panics with ErrNotAscending on unsorted ids.
+func (c Adaptive) Encode(ids []uint32, vals []uint64) []byte {
+	return c.AppendEncode(make([]byte, 0, 8+(1+c.Width())*len(ids)), ids, vals)
+}
+
+// AppendEncode implements Codec; it panics like Encode.
+func (c Adaptive) AppendEncode(dst []byte, ids []uint32, vals []uint64) []byte {
+	w, n := c.Width(), len(ids)
+	var flags byte
+	if n > 0 && ids[n-1] >= ids[0] && uint64(ids[n-1]-ids[0]) <= 8*uint64(n-1) {
+		flags = flagBitmap
+	}
+	if xorSmaller(w, vals) {
+		flags |= flagXOR
+	}
+	bitmap, xor := flags&flagBitmap != 0, flags&flagXOR != 0
+	dst = binary.AppendUvarint(append(dst, flags), uint64(n))
+	if bitmap {
+		first, last := ids[0], ids[n-1]
+		dst = binary.AppendUvarint(dst, uint64(first))
+		k := (int(last-first) + 7) / 8
+		dst = slices.Grow(dst, k)[:len(dst)+k]
+		bm := dst[len(dst)-k:]
+		clear(bm)
+		for i := 1; i < n; i++ {
+			if ids[i] <= ids[i-1] || ids[i] > last {
+				panic(ErrNotAscending)
+			}
+			b := ids[i] - first - 1
+			bm[b>>3] |= 1 << (b & 7)
+		}
+	}
+	mask, prev, prevID := uint64(math.MaxUint64)>>(64-8*w), uint64(0), int64(-1)
+	for i, val := range vals[:n] {
+		if id := int64(ids[i]); !bitmap {
+			if id <= prevID {
+				panic(ErrNotAscending)
+			}
+			dst = binary.AppendUvarint(dst, uint64(id-prevID-1)) // the first id as is; a dense run's ids cost a zero byte
+			prevID = id
+		}
+		if xor {
+			val &= mask
+			dst = binary.AppendUvarint(dst, reverse(w, val^prev))
+			prev = val
+		} else {
+			dst = appendWord(dst, w, val)
+		}
+	}
+	return dst
+}
+
+// uvarintLen[l] is the uvarint length of a value l bits long.
+var uvarintLen = [65]uint8{1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4,
+	5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9, 9, 10}
+
+// xorSmaller is the values' counting pass: it reports whether XOR residues
+// as uvarints take fewer bytes than fixed words, and writes nothing.
+func xorSmaller(w int, vals []uint64) bool {
+	words, size, mask, prev := w*len(vals), 0, uint64(math.MaxUint64)>>(64-8*w), uint64(0)
+	for _, val := range vals {
+		val &= mask
+		if size += int(uvarintLen[bits.Len64(reverse(w, val^prev))]); size >= words {
+			return false
+		}
+		prev = val
+	}
+	return size < words
+}
+
+// Decode implements Codec. It accepts only what the encoder can write, so
+// ids ascend in every payload it accepts: it rejects unknown flags, ids
+// beyond uint32, a bitmap without exactly count-1 set bits, width-4 residues
+// over 32 bits, truncation and trailing bytes. Only errors allocate.
+func (c Adaptive) Decode(buf []byte, fn func(id uint32, val uint64) error) error {
+	if len(buf) == 0 || int(buf[0]) >= len(layouts) {
+		return errors.New("compress: empty adaptive payload or unknown layout flags")
+	}
+	count, n := binary.Uvarint(buf[1:])
+	if n <= 0 {
+		return errors.New("compress: bad adaptive count")
+	}
+	decode := gaps
+	if buf[0]&flagBitmap != 0 && count > 0 {
+		decode = bitmap
+	}
+	off, err := decode(buf, 1+n, count, c.Width(), buf[0]&flagXOR != 0, fn)
+	if err == nil && off != len(buf) {
+		err = fmt.Errorf("compress: %d trailing bytes after %d entries", len(buf)-off, count)
+	}
+	return err
+}
+
+// gaps decodes count gap-layout entries from buf[off:], each id followed by
+// its value, and returns the offset after the last.
+func gaps(buf []byte, off int, count uint64, w int, xor bool, fn func(id uint32, val uint64) error) (int, error) {
+	id, prev := uint64(0), uint64(0)
+	for i := uint64(0); i < count; i++ {
+		var gap, val uint64
+		var n, m int
+		// Under xor a gap and its residue usually share one 8-byte load,
+		// whose clear high bits end both: decode them without a loop.
+		var u, stops uint64
+		if xor && len(buf)-off >= 8 {
+			u = binary.LittleEndian.Uint64(buf[off:])
+			stops = ^u & 0x8080808080808080
+		}
+		if stops&(stops-1) != 0 {
+			n, m = bits.TrailingZeros64(stops)/8+1, bits.TrailingZeros64(stops&(stops-1))/8+1
+			gap, val, n = compact(u&(1<<(8*n)-1)), compact(u>>(8*n)&(1<<(8*(m-n))-1)), m
+		} else {
+			// A gap of at most five bytes is below 2^35, so id+gap+1 below
+			// cannot wrap into a descending id that passes the range check.
+			if gap, n = binary.Uvarint(buf[off:]); n <= 0 || n > 5 {
+				return 0, fmt.Errorf("compress: bad id at entry %d", i)
+			}
+			if xor {
+				val, m = binary.Uvarint(buf[off+n:])
+			} else if len(buf)-off-n >= w {
+				val, m = readWord(buf[off+n:], w), w
+			}
+			if n += m; m <= 0 {
+				return 0, fmt.Errorf("compress: bad value at entry %d", i)
+			}
+		}
+		if i > 0 {
+			gap += id + 1 // undo the gap-1 bias
+		}
+		if id, off = gap, off+n; id > math.MaxUint32 || w == 4 && val > math.MaxUint32 {
+			return 0, fmt.Errorf("compress: bad entry %d", i)
+		}
+		if xor {
+			prev ^= reverse(w, val)
+			val = prev
+		}
+		if err := fn(uint32(id), val); err != nil {
+			return 0, err
+		}
+	}
+	return off, nil
+}
+
+// bitmap decodes count > 0 bitmap-layout entries from buf[off:] — the
+// first id, the bitmap of the others, then every value — and returns the
+// offset after the last.
+func bitmap(buf []byte, off int, count uint64, w int, xor bool, fn func(id uint32, val uint64) error) (int, error) {
+	first, n := binary.Uvarint(buf[off:])
+	if n <= 0 || first > math.MaxUint32 {
+		return 0, errors.New("compress: bad bitmap first id")
+	}
+	// The bitmap ends with the byte that holds its (count-1)th set bit, so
+	// one more set bit up to there is corrupt.
+	off, end := off+n, off+n
+	for seen := uint64(0); seen < count-1; end++ {
+		if end == len(buf) {
+			return 0, fmt.Errorf("compress: bitmap holds %d of %d ids", seen, count-1)
+		}
+		if seen += uint64(bits.OnesCount8(buf[end])); seen > count-1 {
+			return 0, fmt.Errorf("compress: bitmap holds more than %d ids", count-1)
+		}
+	}
+	bm, off := buf[off:end], end
+	if len(bm) > 0 && first+uint64(8*len(bm)-bits.LeadingZeros8(bm[len(bm)-1])) > math.MaxUint32 {
+		return 0, errors.New("compress: bitmap id overflows uint32")
+	}
+	if !xor && uint64(len(buf)-off) != count*uint64(w) {
+		return 0, fmt.Errorf("compress: %d value bytes for %d entries (width %d)", len(buf)-off, count, w)
+	}
+	// Walk the bitmap a word at a time, b its bit offset. The first id
+	// rides on a virtual word before it whose only bit is at offset -1.
+	prev := uint64(0)
+	for b := -64; b < 8*len(bm); b += 64 {
+		word := uint64(1) << 63
+		if b >= 0 {
+			word = loadWord(bm[b/8:])
+		}
+		for ; word != 0; word &= word - 1 {
+			id := first + 1 + uint64(b+bits.TrailingZeros64(word))
+			val := uint64(0)
+			if xor {
+				x, n := binary.Uvarint(buf[off:])
+				if n <= 0 || w == 4 && x > math.MaxUint32 {
+					return 0, fmt.Errorf("compress: bad value residue for id %d", id)
+				}
+				prev ^= reverse(w, x)
+				val, off = prev, off+n
+			} else {
+				val, off = readWord(buf[off:], w), off+w
+			}
+			if err := fn(uint32(id), val); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return off, nil
+}
+
+// compact gathers the 7-bit groups of a uvarint loaded little-endian.
+func compact(v uint64) uint64 {
+	return v&0x7f | v>>1&(0x7f<<7) | v>>2&(0x7f<<14) | v>>3&(0x7f<<21) |
+		v>>4&(0x7f<<28) | v>>5&(0x7f<<35) | v>>6&(0x7f<<42) | v>>7&(0x7f<<49)
+}
+
+// appendWord appends val as a little-endian w-byte word.
+func appendWord(dst []byte, w int, val uint64) []byte {
+	if w == 4 {
+		return binary.LittleEndian.AppendUint32(dst, uint32(val))
+	}
+	return binary.LittleEndian.AppendUint64(dst, val)
+}
+
+// readWord reads a little-endian w-byte word.
+func readWord(b []byte, w int) uint64 {
+	if w == 4 {
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// loadWord reads up to eight bytes of b as a little-endian word.
+func loadWord(b []byte) uint64 {
+	var word [8]byte
+	copy(word[:], b)
+	return binary.LittleEndian.Uint64(word[:])
+}
+
+// reverse byte-reverses a word within the width: the significant high
+// bytes of an XOR residue move to the low end, where uvarint is cheap.
 func reverse(w int, x uint64) uint64 {
 	if w == 4 {
 		return uint64(bits.ReverseBytes32(uint32(x)))
@@ -161,300 +356,12 @@ func reverse(w int, x uint64) uint64 {
 	return bits.ReverseBytes64(x)
 }
 
-// Encode implements Codec. Unsorted ids are a programming error: Encode
-// panics with ErrNotAscending rather than emit a stream that cannot be
-// decoded.
-func (c VarintXOR) Encode(ids []uint32, vals []uint64) []byte {
-	return c.AppendEncode(make([]byte, 0, 4+3*len(ids)), ids, vals)
-}
-
-// AppendEncode implements AppendCodec; it panics with ErrNotAscending on
-// unsorted input like Encode.
-func (c VarintXOR) AppendEncode(buf []byte, ids []uint32, vals []uint64) []byte {
-	w := c.Width()
-	var mask uint64 = math.MaxUint64
-	if w == 4 {
-		mask = math.MaxUint32
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	prevID := uint32(0)
-	prevBits := uint64(0)
-	for i, id := range ids {
-		delta := uint64(id - prevID)
-		if i > 0 {
-			if id <= prevID {
-				panic(ErrNotAscending)
-			}
-			delta = uint64(id-prevID) - 1 // gaps of 1 (dense runs) cost "0"
-		}
-		buf = binary.AppendUvarint(buf, delta)
-		valBits := vals[i] & mask
-		buf = binary.AppendUvarint(buf, reverse(w, valBits^prevBits))
-		prevID, prevBits = id, valBits
-	}
-	return buf
-}
-
-// Decode implements Codec.
-func (c VarintXOR) Decode(buf []byte, fn func(id uint32, val uint64) error) error {
-	w := c.Width()
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return errors.New("compress: bad varint count")
-	}
-	off := n
-	prevID := uint64(0)
-	prevBits := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		delta, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return fmt.Errorf("compress: truncated id at entry %d", i)
-		}
-		if delta > math.MaxUint32 {
-			// Also keeps prevID+delta+1 below 2^33: no uint64 wrap-around
-			// can sneak a non-ascending id past the range check below.
-			return fmt.Errorf("compress: id delta %d overflows uint32 at entry %d", delta, i)
-		}
-		off += n
-		xored, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return fmt.Errorf("compress: truncated value at entry %d", i)
-		}
-		off += n
-		if w == 4 && xored > math.MaxUint32 {
-			return fmt.Errorf("compress: value residue %d overflows width-4 word at entry %d", xored, i)
-		}
-		id := prevID + delta
-		if i > 0 {
-			id++ // undo the gap-1 bias
-		}
-		if id > math.MaxUint32 {
-			return fmt.Errorf("compress: id %d overflows uint32 at entry %d", id, i)
-		}
-		valBits := reverse(w, xored) ^ prevBits
-		if err := fn(uint32(id), valBits); err != nil {
-			return err
-		}
-		prevID, prevBits = id, valBits
-	}
-	if off != len(buf) {
-		return fmt.Errorf("compress: %d trailing bytes after %d entries", len(buf)-off, count)
-	}
-	return nil
-}
-
-// RLE is the run-length "unchanged-suppression" codec: uvarint count, then
-// the ascending id stream as (uvarint gap, uvarint run-length) pairs —
-// gap is the number of suppressed (unchanged) vertices since the previous
-// run's end — followed by the values as fixed Width()-byte little-endian
-// words in id order. On dense supersteps, where almost every vertex
-// changes, the whole id stream collapses to a few run headers and each
-// entry costs one word instead of Raw's word+4; on sparse batches the
-// varint codecs win.
-type RLE struct {
-	// W is the value word width in bytes: 4 or 8 (0 means 8).
-	W int
-}
-
-// Name implements Codec.
-func (RLE) Name() string { return "rle" }
-
-// Width implements Codec.
-func (c RLE) Width() int { return widthOf(c.W) }
-
-// Encode implements Codec. Like VarintXOR it requires ascending ids and
-// panics with ErrNotAscending on unsorted input.
-func (c RLE) Encode(ids []uint32, vals []uint64) []byte {
-	return c.AppendEncode(make([]byte, 0, 8+(1+c.Width())*len(ids)), ids, vals)
-}
-
-// AppendEncode implements AppendCodec; it panics with ErrNotAscending on
-// unsorted input like Encode.
-func (c RLE) AppendEncode(dst []byte, ids []uint32, vals []uint64) []byte {
-	w := c.Width()
-	buf := binary.AppendUvarint(dst, uint64(len(ids)))
-	next := uint64(0) // first id not yet covered by a run
-	for i := 0; i < len(ids); {
-		start := uint64(ids[i])
-		if i > 0 && start < next {
-			panic(ErrNotAscending)
-		}
-		j := i + 1
-		for j < len(ids) && ids[j-1] != math.MaxUint32 && ids[j] == ids[j-1]+1 {
-			j++
-		}
-		buf = binary.AppendUvarint(buf, start-next)
-		buf = binary.AppendUvarint(buf, uint64(j-i))
-		next = uint64(ids[j-1]) + 1
-		i = j
-	}
-	for _, v := range vals {
-		if w == 4 {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-		}
-	}
-	return buf
-}
-
-// Decode implements Codec.
-func (c RLE) Decode(buf []byte, fn func(id uint32, val uint64) error) error {
-	w := c.Width()
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return errors.New("compress: bad rle count")
-	}
-	off := n
-	// The values section alone needs one word per entry, so an honest count
-	// is bounded by the buffer length; checking up front bounds all work.
-	if count > uint64(len(buf))/uint64(w) {
-		return fmt.Errorf("compress: rle count %d exceeds payload capacity %d", count, len(buf))
-	}
-	ids := make([]uint32, 0, count)
-	next := uint64(0)
-	for uint64(len(ids)) < count {
-		gap, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return fmt.Errorf("compress: truncated rle gap after %d ids", len(ids))
-		}
-		off += n
-		runLen, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return fmt.Errorf("compress: truncated rle run length after %d ids", len(ids))
-		}
-		off += n
-		if runLen == 0 {
-			return fmt.Errorf("compress: empty rle run after %d ids", len(ids))
-		}
-		if runLen > count-uint64(len(ids)) {
-			return fmt.Errorf("compress: rle run of %d overflows count %d", runLen, count)
-		}
-		if gap > math.MaxUint32 {
-			// Keeps next+gap below 2^33: no uint64 wrap-around can restart
-			// a run before its predecessor and slip past the end check.
-			return fmt.Errorf("compress: rle gap %d overflows uint32 after %d ids", gap, len(ids))
-		}
-		start := next + gap
-		end := start + runLen - 1
-		if end > math.MaxUint32 {
-			return fmt.Errorf("compress: rle run ends at %d, beyond uint32", end)
-		}
-		for id := start; id <= end; id++ {
-			ids = append(ids, uint32(id))
-		}
-		next = end + 1
-	}
-	if uint64(len(buf)-off) != uint64(w)*count {
-		return fmt.Errorf("compress: rle values section has %d bytes for %d entries (width %d)", len(buf)-off, count, w)
-	}
-	for _, id := range ids {
-		var val uint64
-		if w == 4 {
-			val = uint64(binary.LittleEndian.Uint32(buf[off:]))
-		} else {
-			val = binary.LittleEndian.Uint64(buf[off:])
-		}
-		off += w
-		if err := fn(id, val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Wire-stable codec ids, used as the one-byte tag of Adaptive payloads.
-const (
-	idRaw byte = iota
-	idVarintXOR
-	idRLE
-)
-
-// candidates returns the adaptive registry for one word width, in tag
-// order. The array is a value (no allocation, no shared state).
-func candidates(w int) [3]struct {
-	id    byte
-	codec AppendCodec
-} {
-	return [3]struct {
-		id    byte
-		codec AppendCodec
-	}{
-		{idRaw, Raw{W: w}},
-		{idVarintXOR, VarintXOR{W: w}},
-		{idRLE, RLE{W: w}},
-	}
-}
-
-// ByID returns the width-w codec behind a wire tag.
-func ByID(id byte, w int) (Codec, error) {
-	for _, c := range candidates(widthOf(w)) {
-		if c.id == id {
-			return c.codec, nil
-		}
-	}
-	return nil, fmt.Errorf("compress: unknown codec id %d", id)
-}
-
-// EncodeBest encodes the batch with every registered codec of the given
-// width, keeps the smallest result (ties break towards the lower tag) and
-// returns it prefixed with the winner's tag, plus the winner's name for
-// metrics.
-func EncodeBest(w int, ids []uint32, vals []uint64) ([]byte, string) {
-	out, name := AppendEncodeBest(nil, nil, w, ids, vals)
-	return out, name
-}
-
-// EncodeScratch holds the per-candidate trial buffers AppendEncodeBest
-// needs; reusing one across batches makes the adaptive selection
-// allocation-free in steady state. The zero value is ready to use. A
-// scratch must not be shared by concurrent encoders.
-type EncodeScratch struct {
-	bufs [][]byte
-}
-
-// AppendEncodeBest is the pooled form of EncodeBest: candidate encodings go
-// into sc's reusable buffers and the tagged winner is appended to dst. A
-// nil sc allocates fresh trial buffers (EncodeBest semantics).
-func AppendEncodeBest(dst []byte, sc *EncodeScratch, w int, ids []uint32, vals []uint64) ([]byte, string) {
-	var local EncodeScratch
-	if sc == nil {
-		sc = &local
-	}
-	cands := candidates(widthOf(w))
-	if len(sc.bufs) < len(cands) {
-		sc.bufs = append(sc.bufs, make([][]byte, len(cands)-len(sc.bufs))...)
-	}
-	best := -1
-	for i, c := range cands {
-		sc.bufs[i] = c.codec.AppendEncode(sc.bufs[i][:0], ids, vals)
-		if best < 0 || len(sc.bufs[i]) < len(sc.bufs[best]) {
-			best = i
-		}
-	}
-	dst = append(dst, cands[best].id)
-	dst = append(dst, sc.bufs[best]...)
-	return dst, cands[best].codec.Name()
-}
-
-// StreamEncoder encodes a stream of independently serialised chunks for
-// the overlapped delta-sync: each EncodeChunk call produces one
-// self-contained wire payload in the encoder's reusable buffer, so codec
-// selection works per chunk without a whole-frame staging copy — the
-// payload is handed straight to the transport (which never retains it past
-// Send) instead of being appended into a frame first. An Adaptive codec
-// selects the best candidate per chunk through the pooled
-// AppendEncodeBest; append-capable codecs encode in place; any other codec
-// falls back to its allocating Encode. The zero value is unusable — build
-// one with NewStreamEncoder. A StreamEncoder must not be shared by
-// concurrent encoders.
+// StreamEncoder encodes delta-sync chunks into one reusable buffer, which
+// transports never retain past Send. Build one with NewStreamEncoder; it
+// must not be shared by concurrent encoders.
 type StreamEncoder struct {
-	codec    Codec
-	appendC  AppendCodec // nil when codec has no append form
-	adaptive bool
-	width    int
-	sc       EncodeScratch
-	buf      []byte
+	codec Codec
+	buf   []byte
 }
 
 // NewStreamEncoder returns a per-chunk encoder for codec (nil means Raw{}).
@@ -462,91 +369,12 @@ func NewStreamEncoder(codec Codec) StreamEncoder {
 	if codec == nil {
 		codec = Raw{}
 	}
-	e := StreamEncoder{codec: codec, width: codec.Width()}
-	_, e.adaptive = codec.(Adaptive)
-	e.appendC, _ = codec.(AppendCodec)
-	return e
+	return StreamEncoder{codec: codec}
 }
 
-// EncodeChunk serialises one chunk and returns the payload plus the name
-// of the codec that produced it (the selected candidate under Adaptive).
-// The payload aliases the encoder's reusable buffer and is valid until the
-// next EncodeChunk.
+// EncodeChunk encodes one chunk and returns it with its layout name; the
+// payload aliases the encoder's buffer until the next EncodeChunk.
 func (e *StreamEncoder) EncodeChunk(ids []uint32, vals []uint64) ([]byte, string) {
-	switch {
-	case e.adaptive:
-		var name string
-		e.buf, name = AppendEncodeBest(e.buf[:0], &e.sc, e.width, ids, vals)
-		return e.buf, name
-	case e.appendC != nil:
-		e.buf = e.appendC.AppendEncode(e.buf[:0], ids, vals)
-		return e.buf, e.codec.Name()
-	default:
-		e.buf = e.codec.Encode(ids, vals)
-		return e.buf, e.codec.Name()
-	}
-}
-
-// Adaptive picks the smallest encoding per batch (see EncodeBest) and tags
-// it with the codec id, so every payload is self-describing and the sender
-// needs no cross-rank codec agreement (all ranks still share the width, an
-// engine-level configuration). Encode requires ascending ids (the
-// VarintXOR and RLE candidates panic with ErrNotAscending otherwise).
-type Adaptive struct {
-	// W is the value word width in bytes: 4 or 8 (0 means 8).
-	W int
-}
-
-// Name implements Codec.
-func (Adaptive) Name() string { return "adaptive" }
-
-// Width implements Codec.
-func (c Adaptive) Width() int { return widthOf(c.W) }
-
-// Encode implements Codec.
-func (c Adaptive) Encode(ids []uint32, vals []uint64) []byte {
-	buf, _ := EncodeBest(c.Width(), ids, vals)
-	return buf
-}
-
-// AppendEncode implements AppendCodec. Callers that also want the winner's
-// name or pooled trial buffers should use AppendEncodeBest directly.
-func (c Adaptive) AppendEncode(dst []byte, ids []uint32, vals []uint64) []byte {
-	dst, _ = AppendEncodeBest(dst, nil, c.Width(), ids, vals)
-	return dst
-}
-
-// Decode implements Codec.
-func (c Adaptive) Decode(buf []byte, fn func(id uint32, val uint64) error) error {
-	if len(buf) == 0 {
-		return errors.New("compress: empty adaptive payload")
-	}
-	inner, err := ByID(buf[0], c.Width())
-	if err != nil {
-		return err
-	}
-	return inner.Decode(buf[1:], fn)
-}
-
-// ByName returns the width-8 codec registered under name
-// ("raw", "varint-xor", "rle" or "adaptive"); see ByNameW.
-func ByName(name string) (Codec, error) {
-	return ByNameW(name, 8)
-}
-
-// ByNameW returns the codec registered under name at the given word width
-// (4 or 8 bytes; anything else means 8).
-func ByNameW(name string, w int) (Codec, error) {
-	w = widthOf(w)
-	switch name {
-	case "", "raw":
-		return Raw{W: w}, nil
-	case "varint-xor":
-		return VarintXOR{W: w}, nil
-	case "rle":
-		return RLE{W: w}, nil
-	case "adaptive":
-		return Adaptive{W: w}, nil
-	}
-	return nil, fmt.Errorf("compress: unknown codec %q", name)
+	e.buf = e.codec.AppendEncode(e.buf[:0], ids, vals)
+	return e.buf, e.codec.Layout(e.buf)
 }

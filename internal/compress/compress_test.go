@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,18 +15,13 @@ import (
 var widths = []int{8, 4}
 
 func codecsW(w int) []Codec {
-	return []Codec{Raw{W: w}, VarintXOR{W: w}, RLE{W: w}, Adaptive{W: w}}
+	return []Codec{Raw{W: w}, Adaptive{W: w}}
 }
 
 func codecs() []Codec { return codecsW(8) }
 
 // wordMask returns the live-bit mask of a width.
-func wordMask(w int) uint64 {
-	if w == 4 {
-		return math.MaxUint32
-	}
-	return math.MaxUint64
-}
+func wordMask(w int) uint64 { return math.MaxUint64 >> (64 - 8*w) }
 
 type pair struct {
 	id  uint32
@@ -112,10 +109,10 @@ func TestWidth4HalvesFixedWidthPayloads(t *testing.T) {
 	if raw4 >= raw8*3/4 {
 		t.Fatalf("width-4 raw %dB vs width-8 raw %dB; expected a substantial cut", raw4, raw8)
 	}
-	rle8 := len(RLE{W: 8}.Encode(ids, vals))
-	rle4 := len(RLE{W: 4}.Encode(ids, vals))
-	if rle4 >= rle8*3/4 {
-		t.Fatalf("width-4 rle %dB vs width-8 rle %dB; expected a substantial cut", rle4, rle8)
+	ad8 := len(Adaptive{W: 8}.Encode(ids, vals))
+	ad4 := len(Adaptive{W: 4}.Encode(ids, vals))
+	if ad4 >= ad8*3/4 {
+		t.Fatalf("width-4 adaptive %dB vs width-8 adaptive %dB; expected a substantial cut", ad4, ad8)
 	}
 }
 
@@ -188,21 +185,31 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestVarintXORSmallerOnTypicalBatches(t *testing.T) {
-	// Dense ascending ids with heavily repeated values (converging
-	// component labels) must compress well below the raw 12 bytes/entry.
-	n := 4096
-	ids := make([]uint32, n)
-	vals := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint32(i)
-		vals[i] = math.Float64bits(float64(i % 7))
+// Dense batches must compress well below Raw's 12 bytes/entry: repeated
+// values (converging component labels) by more than half, distinct values
+// (the PageRank regime) by a quarter, since the bitmap carries the ids.
+func TestAdaptiveSmallerOnTypicalBatches(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		vals   []uint64
+		factor float64
+	}{{"repeated", f64bits(seq(4096, func(i int) float64 { return float64(i % 7) })), 0.5},
+		{"distinct", distinctVals(4096), 0.75}} {
+		ids := seqIDs(len(tc.vals))
+		raw := Raw{}.Encode(ids, tc.vals)
+		ad := Adaptive{}.Encode(ids, tc.vals)
+		if float64(len(ad)) >= float64(len(raw))*tc.factor {
+			t.Fatalf("%s: adaptive %d bytes vs raw %d bytes; want below %.2fx", tc.name, len(ad), len(raw), tc.factor)
+		}
 	}
-	raw := Raw{}.Encode(ids, vals)
-	xz := VarintXOR{}.Encode(ids, vals)
-	if len(xz) >= len(raw)/2 {
-		t.Fatalf("varint-xor %d bytes vs raw %d bytes; expected >2x reduction", len(xz), len(raw))
+}
+
+func seq(n int, f func(int) float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = f(i)
 	}
+	return out
 }
 
 func TestDecodeRejectsCorruptPayloads(t *testing.T) {
@@ -251,81 +258,132 @@ type errTest string
 
 func (e errTest) Error() string { return string(e) }
 
-func TestVarintXOREncodePanicsOnUnsortedIDs(t *testing.T) {
+func TestAdaptiveEncodePanicsOnUnsortedIDs(t *testing.T) {
 	for _, w := range widths {
-		for _, c := range []Codec{VarintXOR{W: w}, RLE{W: w}} {
+		// Gap layout, descending and repeated; bitmap layout with an id past
+		// the last, and with a repeat.
+		for _, ids := range [][]uint32{{5, 3}, {0, 1000, 1000}, {0, 100, 5}, {0, 1, 1, 2}} {
 			func() {
 				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s/w%d: expected panic for unsorted ids", c.Name(), w)
+					if recover() != ErrNotAscending {
+						t.Fatalf("w%d %v: expected an ErrNotAscending panic", w, ids)
 					}
 				}()
-				c.Encode([]uint32{5, 3}, []uint64{0, 0})
+				Adaptive{W: w}.Encode(ids, make([]uint64, len(ids)))
 			}()
 		}
 	}
 }
 
-func TestRLESmallerOnDenseRuns(t *testing.T) {
-	// A dense superstep (every vertex changed, distinct values — the
-	// PageRank regime) must beat Raw's 12 bytes/entry: the id stream
-	// collapses to one run header and each value costs 8 bytes.
-	n := 4096
-	ids := make([]uint32, n)
-	vals := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint32(i)
-		vals[i] = math.Float64bits(1.0 / float64(i+1))
-	}
-	raw := Raw{}.Encode(ids, vals)
-	rle := RLE{}.Encode(ids, vals)
-	if len(rle) >= len(raw)*3/4 {
-		t.Fatalf("rle %d bytes vs raw %d bytes on a dense run", len(rle), len(raw))
-	}
-}
-
-func TestAdaptivePicksSmallestCandidate(t *testing.T) {
-	cases := []struct {
-		name string
-		ids  []uint32
-		vals []uint64
-	}{
-		{"dense-distinct", seqIDs(2048), distinctVals(2048)},
-		{"dense-repeated", seqIDs(2048), repeatedVals(2048)},
-		{"sparse", []uint32{7, 9000, 123456}, []uint64{1, 2, 3}},
-	}
-	for _, w := range widths {
-		for _, tc := range cases {
-			vals := make([]uint64, len(tc.vals))
-			mask := wordMask(w)
-			for i, v := range tc.vals {
-				vals[i] = v & mask
-			}
-			buf, name := EncodeBest(w, tc.ids, vals)
-			minLen := -1
-			for _, c := range []Codec{Raw{W: w}, VarintXOR{W: w}, RLE{W: w}} {
-				if l := len(c.Encode(tc.ids, vals)); minLen < 0 || l < minLen {
-					minLen = l
-				}
-			}
-			if len(buf) != minLen+1 {
-				t.Fatalf("%s/w%d: EncodeBest(%s) produced %d bytes, smallest candidate is %d", tc.name, w, name, len(buf), minLen)
-			}
-			inner, err := ByID(buf[0], w)
-			if err != nil {
-				t.Fatalf("%s/w%d: bad tag %d", tc.name, w, buf[0])
-			}
-			if inner.Name() != name || inner.Width() != w {
-				t.Fatalf("%s/w%d: tag names %s (w%d), EncodeBest reported %s", tc.name, w, inner.Name(), inner.Width(), name)
+// The counting pass's length table must match the uvarints written.
+func TestUvarintLenTable(t *testing.T) {
+	for l := 1; l <= 64; l++ {
+		for _, x := range []uint64{0, 1 << (l - 1), 1<<l - 1} { // 0, then the shortest and longest l-bit values
+			if got, want := int(uvarintLen[bits.Len64(x)]), len(binary.AppendUvarint(nil, x)); got != want {
+				t.Fatalf("uvarintLen for %#x: %d, want %d", x, got, want)
 			}
 		}
 	}
 }
 
-func seqIDs(n int) []uint32 {
+// encodeAs encodes a batch in the layout flags names, whatever the rule
+// would pick.
+func encodeAs(w int, flags byte, ids []uint32, vals []uint64) []byte {
+	dst := binary.AppendUvarint([]byte{flags}, uint64(len(ids)))
+	prev := uint64(0)
+	value := func(dst []byte, val uint64) []byte {
+		if flags&flagXOR == 0 {
+			return appendWord(dst, w, val)
+		}
+		dst = binary.AppendUvarint(dst, reverse(w, val^prev))
+		prev = val
+		return dst
+	}
+	if flags&flagBitmap == 0 {
+		for i, id := range ids {
+			gap := uint64(id)
+			if i > 0 {
+				gap = uint64(id-ids[i-1]) - 1
+			}
+			dst = value(binary.AppendUvarint(dst, gap), vals[i])
+		}
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(ids[0]))
+	bm := make([]byte, (ids[len(ids)-1]-ids[0]+7)/8)
+	for _, id := range ids[1:] {
+		b := id - ids[0] - 1
+		bm[b>>3] |= 1 << (b & 7)
+	}
+	dst = append(dst, bm...)
+	for _, val := range vals {
+		dst = value(dst, val)
+	}
+	return dst
+}
+
+// The rule reads the layout off the batch, with no trial encodings. Its
+// value form is always the smaller one, and where it picks the bitmap the
+// bitmap is never larger than gaps, so the pick is the smallest of all four
+// layouts. Outside the bitmap rule gaps may lose by a byte or so; the
+// shapes below are those delta-sync sends.
+func TestAdaptivePicksSmallestCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cases := []struct {
+		name string
+		ids  []uint32
+		vals []uint64
+		want byte
+	}{
+		{"dense-distinct", seqIDs(2048), distinctVals(2048), flagBitmap},
+		{"dense-repeated", seqIDs(2048), repeatedVals(2048), flagBitmap | flagXOR},
+		{"stride-8", strideIDs(512, 8), distinctVals(512), flagBitmap}, // the rule's edge
+		{"stride-9", strideIDs(512, 9), distinctVals(512), 0},
+		{"sparse-distinct", []uint32{7, 9000, 123456}, []uint64{0x0123456789abcdef, 0xfedcba9876543210, 0x0f1e2d3c4b5a6978}, 0},
+		{"sparse-repeated", []uint32{7, 9000, 123456}, repeatedVals(3), flagXOR},
+	}
+	for trial := 0; trial < 200; trial++ {
+		ids, vals := randomBatch(rng, 1+rng.Intn(300), 8)
+		for i := range ids[:trial%2*len(ids)] {
+			ids[i] *= 7 // wide gaps: the gap layout
+		}
+		cases = append(cases, struct {
+			name string
+			ids  []uint32
+			vals []uint64
+			want byte
+		}{"random", ids, vals, 0xff})
+	}
+	for _, w := range widths {
+		for _, tc := range cases {
+			vals := make([]uint64, len(tc.vals))
+			for i, v := range tc.vals {
+				vals[i] = v & wordMask(w)
+			}
+			buf := Adaptive{W: w}.Encode(tc.ids, vals)
+			if tc.want != 0xff && buf[0] != tc.want {
+				t.Fatalf("%s/w%d: picked %s, want %s", tc.name, w, layouts[buf[0]], layouts[tc.want])
+			}
+			for flags := byte(0); flags < byte(len(layouts)); flags++ {
+				alt := encodeAs(w, flags, tc.ids, vals)
+				if flags == buf[0] && !bytes.Equal(alt, buf) {
+					t.Fatalf("%s/w%d: %s payload differs from the reference layout", tc.name, w, layouts[flags])
+				}
+				rivals := flags&flagBitmap == buf[0]&flagBitmap || buf[0]&flagBitmap != 0
+				if rivals && len(alt) < len(buf) {
+					t.Fatalf("%s/w%d: picked %s (%d bytes) but %s takes %d", tc.name, w, layouts[buf[0]], len(buf), layouts[flags], len(alt))
+				}
+			}
+		}
+	}
+}
+
+func seqIDs(n int) []uint32 { return strideIDs(n, 1) }
+
+func strideIDs(n, stride int) []uint32 {
 	ids := make([]uint32, n)
 	for i := range ids {
-		ids[i] = uint32(i)
+		ids[i] = uint32(i * stride)
 	}
 	return ids
 }
@@ -347,45 +405,43 @@ func repeatedVals(n int) []uint64 {
 }
 
 func TestDecodeRejectsUint64WrapAround(t *testing.T) {
-	// A crafted delta/gap near 2^64 must not wrap uint64 arithmetic past
-	// the 32-bit range checks and decode to duplicate ids without error.
+	// A crafted gap near 2^64 must not wrap uint64 arithmetic past the
+	// 32-bit range checks and decode to a non-ascending id without error;
+	// neither may a bitmap start or end beyond uint32.
 	nop := func(uint32, uint64) error { return nil }
-
-	vx := binary.AppendUvarint(nil, 2) // count
-	vx = binary.AppendUvarint(vx, 0)   // entry 0: id 0
-	vx = binary.AppendUvarint(vx, 0)   // entry 0: value bits
-	vx = binary.AppendUvarint(vx, math.MaxUint64)
-	vx = binary.AppendUvarint(vx, 0)
-	if err := (VarintXOR{}).Decode(vx, nop); err == nil {
-		t.Error("varint-xor accepted a wrapping id delta")
-	}
-
-	rle := binary.AppendUvarint(nil, 2) // count
-	rle = binary.AppendUvarint(rle, 0)  // run 1: gap 0
-	rle = binary.AppendUvarint(rle, 1)  // run 1: length 1
-	rle = binary.AppendUvarint(rle, math.MaxUint64)
-	rle = binary.AppendUvarint(rle, 1)
-	rle = append(rle, make([]byte, 16)...) // two values
-	if err := (RLE{}).Decode(rle, nop); err == nil {
-		t.Error("rle accepted a wrapping run gap")
+	gaps := binary.AppendUvarint([]byte{0}, 2) // gaps+words, count 2
+	gaps = binary.AppendUvarint(gaps, 5)       // id 5
+	gaps = append(gaps, make([]byte, 8)...)
+	gaps = binary.AppendUvarint(gaps, math.MaxUint64)
+	gaps = append(gaps, make([]byte, 8)...)
+	first := binary.AppendUvarint([]byte{flagBitmap, 1}, math.MaxUint32+1)
+	first = append(first, make([]byte, 8)...)
+	end := binary.AppendUvarint([]byte{flagBitmap, 2}, math.MaxUint32)
+	end = append(end, 1)
+	end = append(end, make([]byte, 16)...)
+	for name, buf := range map[string][]byte{"gap": gaps, "bitmap first": first, "bitmap end": end} {
+		if err := (Adaptive{}).Decode(buf, nop); err == nil {
+			t.Errorf("%s beyond uint32 accepted", name)
+		}
 	}
 }
 
-// A width-4 varint-xor payload whose residue exceeds 32 bits must be
-// rejected, not silently truncated into a different word.
-func TestVarintXORWidth4RejectsWideResidue(t *testing.T) {
-	buf := binary.AppendUvarint(nil, 1) // count
-	buf = binary.AppendUvarint(buf, 0)  // id 0
+// A width-4 xor payload whose residue exceeds 32 bits must be rejected, not
+// silently truncated into a different word.
+func TestAdaptiveWidth4RejectsWideResidue(t *testing.T) {
+	buf := []byte{flagXOR, 1, 0} // gaps+xor, count 1, id 0
 	buf = binary.AppendUvarint(buf, uint64(math.MaxUint32)+1)
-	if err := (VarintXOR{W: 4}).Decode(buf, func(uint32, uint64) error { return nil }); err == nil {
-		t.Fatal("width-4 varint-xor accepted a 33-bit value residue")
+	if err := (Adaptive{W: 4}).Decode(buf, func(uint32, uint64) error { return nil }); err == nil {
+		t.Fatal("width-4 adaptive accepted a 33-bit value residue")
 	}
 }
 
 func TestAdaptiveDecodeRejectsUnknownTag(t *testing.T) {
 	for _, w := range widths {
-		if err := (Adaptive{W: w}).Decode([]byte{0x7f, 0, 0}, func(uint32, uint64) error { return nil }); err == nil {
-			t.Fatalf("w%d: unknown codec tag accepted", w)
+		for _, flags := range []byte{4, 0x7f, 0xff} {
+			if err := (Adaptive{W: w}).Decode([]byte{flags, 0}, func(uint32, uint64) error { return nil }); err == nil {
+				t.Fatalf("w%d: unknown layout flags %#x accepted", w, flags)
+			}
 		}
 		if err := (Adaptive{W: w}).Decode(nil, func(uint32, uint64) error { return nil }); err == nil {
 			t.Fatalf("w%d: empty adaptive payload accepted", w)
@@ -393,41 +449,33 @@ func TestAdaptiveDecodeRejectsUnknownTag(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"", "raw", "varint-xor", "rle", "adaptive"} {
-		c, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if c.Width() != 8 {
-			t.Fatalf("ByName(%q) width %d, want 8", name, c.Width())
-		}
-		c4, err := ByNameW(name, 4)
-		if err != nil {
-			t.Fatalf("ByNameW(%q, 4): %v", name, err)
-		}
-		if c4.Width() != 4 {
-			t.Fatalf("ByNameW(%q, 4) width %d", name, c4.Width())
-		}
+// A bitmap the encoder cannot have written — a bit set past the last id,
+// or more or fewer set bits than count-1 — must be rejected before fn
+// sees a wrong id.
+func TestAdaptiveRejectsNonCanonicalBitmap(t *testing.T) {
+	// ids 10, 11, 13 as bitmap+words: first 10, bitmap 0b101, two more words.
+	good := []byte{flagBitmap, 3, 10, 0b101}
+	good = append(good, make([]byte, 3*8)...)
+	if err := (Adaptive{}).Decode(good, func(uint32, uint64) error { return nil }); err != nil {
+		t.Fatalf("canonical bitmap rejected: %v", err)
 	}
-	if _, err := ByName("zstd"); err == nil {
-		t.Fatal("ByName accepted an unknown codec")
-	}
-}
-
-func TestByID(t *testing.T) {
-	for _, w := range widths {
-		for _, id := range []byte{idRaw, idVarintXOR, idRLE} {
-			c, err := ByID(id, w)
-			if err != nil {
-				t.Fatalf("ByID(%d, %d): %v", id, w, err)
-			}
-			if got, err := ByNameW(c.Name(), w); err != nil || got != c {
-				t.Fatalf("ByID(%d, %d) = %s, not round-trippable through ByNameW", id, w, c.Name())
-			}
+	for _, tc := range []struct {
+		name   string
+		count  byte
+		bitmap []byte
+	}{
+		{"pad bit set", 3, []byte{0b10101}},
+		{"popcount above count", 2, []byte{0b101}},
+		{"popcount below count", 4, []byte{0b101}},
+	} {
+		buf := append([]byte{flagBitmap, tc.count, 10}, tc.bitmap...)
+		buf = append(buf, make([]byte, int(tc.count)*8)...)
+		calls := 0
+		if err := (Adaptive{}).Decode(buf, func(uint32, uint64) error { calls++; return nil }); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
-		if _, err := ByID(0x7f, w); err == nil {
-			t.Fatalf("ByID accepted an unknown id at width %d", w)
+		if calls > 0 {
+			t.Errorf("%s: fn ran %d times before the bitmap was rejected", tc.name, calls)
 		}
 	}
 }

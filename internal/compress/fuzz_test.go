@@ -7,15 +7,11 @@ import (
 )
 
 // batchFromBytes derives a strictly ascending (id, value-bits) batch from
-// raw fuzz input: each 12-byte record contributes a uvarint-style id gap and
-// 8 value bits (masked to the word width), so the corpus explores dense
-// runs, wide gaps and every bit pattern (including NaN and infinity floats)
-// without ever violating the codecs' ascending-ids contract.
+// raw fuzz input: each 12-byte record contributes an id gap and 8 value
+// bits (masked to the word width), so the corpus explores dense runs, wide
+// gaps and every bit pattern (including NaN and infinity floats) without
+// ever violating Adaptive's ascending-ids contract.
 func batchFromBytes(data []byte, w int) ([]uint32, []uint64) {
-	mask := uint64(math.MaxUint64)
-	if w == 4 {
-		mask = math.MaxUint32
-	}
 	var ids []uint32
 	var vals []uint64
 	id := uint64(0)
@@ -30,7 +26,7 @@ func batchFromBytes(data []byte, w int) ([]uint32, []uint64) {
 			break
 		}
 		ids = append(ids, uint32(id))
-		vals = append(vals, binary.LittleEndian.Uint64(data[off+4:])&mask)
+		vals = append(vals, binary.LittleEndian.Uint64(data[off+4:])&wordMask(w))
 	}
 	return ids, vals
 }
@@ -41,6 +37,7 @@ func fuzzRoundTrip(f *testing.F, c Codec) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 12))
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(make([]byte, 12*40)) // a dense run of zeros: bitmap+xor
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ids, vals := batchFromBytes(data, c.Width())
 		buf := c.Encode(ids, vals)
@@ -67,19 +64,12 @@ func fuzzRoundTrip(f *testing.F, c Codec) {
 	})
 }
 
-// fuzzDecodeRobust throws arbitrary bytes at Decode: it must never panic
-// and never over-read — every emitted entry consumes at least minEntryBytes
-// of payload, so a decoder claiming more entries than the buffer can carry
-// has read past its input.
-func fuzzDecodeRobust(f *testing.F, c Codec, minEntryBytes int) {
-	ids := []uint32{0, 1, 2, 500, 501, 99999}
-	vals := []uint64{0, 1, math.Float64bits(-1), math.Float64bits(math.Inf(1)), 314, 271}
-	if c.Width() == 4 {
-		for i := range vals {
-			vals[i] &= math.MaxUint32
-		}
-	}
-	f.Add(c.Encode(ids, vals))
+// fuzzRawDecode throws arbitrary bytes at Raw.Decode: it must never panic
+// and never over-read — every emitted entry consumes 4+width bytes of
+// payload, so a decoder claiming more entries than the buffer can carry has
+// read past its input.
+func fuzzRawDecode(f *testing.F, c Raw) {
+	f.Add(c.Encode([]uint32{0, 1, 2, 500, 501, 99999}, []uint64{0, 1, 2, 3, 314, 271}))
 	f.Add(c.Encode(nil, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
@@ -89,32 +79,70 @@ func fuzzDecodeRobust(f *testing.F, c Codec, minEntryBytes int) {
 			emitted++
 			return nil
 		})
-		if emitted > 0 && emitted > len(data)/minEntryBytes {
-			t.Fatalf("%s: emitted %d entries from %d bytes (min %d bytes/entry): over-read",
-				c.Name(), emitted, len(data), minEntryBytes)
+		if emitted > 0 && emitted > len(data)/(4+c.Width()) {
+			t.Fatalf("emitted %d entries from %d bytes: over-read", emitted, len(data))
 		}
 	})
 }
 
-func FuzzRawRoundTrip(f *testing.F)       { fuzzRoundTrip(f, Raw{}) }
-func FuzzVarintXORRoundTrip(f *testing.F) { fuzzRoundTrip(f, VarintXOR{}) }
-func FuzzRLERoundTrip(f *testing.F)       { fuzzRoundTrip(f, RLE{}) }
-func FuzzAdaptiveRoundTrip(f *testing.F)  { fuzzRoundTrip(f, Adaptive{}) }
+// fuzzAdaptiveDecode throws arbitrary bytes at Adaptive.Decode: it must
+// never panic, call fn at most count times, and hand out strictly
+// ascending ids from every payload it accepts.
+func fuzzAdaptiveDecode(f *testing.F, c Adaptive) {
+	mask := wordMask(c.Width())
+	sparse := []uint32{3, 900, 70000, 70001, 1 << 30}
+	for _, b := range []struct {
+		ids  []uint32
+		vals []uint64
+	}{
+		{seqIDs(64), distinctVals(64)},                                       // bitmap+words
+		{sparse, []uint64{0x0123456789abcdef, 0xfedcba98, 0x0f1e2d3c, 1, 2}}, // gaps+words
+		{seqIDs(64), repeatedVals(64)},                                       // bitmap+xor
+		{sparse, repeatedVals(len(sparse))},                                  // gaps+xor
+		{nil, nil},
+	} {
+		vals := make([]uint64, len(b.vals))
+		for i, v := range b.vals {
+			vals[i] = v & mask
+		}
+		f.Add(c.Encode(b.ids, vals))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{flagBitmap, 3, 10, 0b10101, 1, 2, 3})         // a bit past the last id
+	f.Add([]byte{flagBitmap | flagXOR, 4, 10, 0b101, 1, 2, 3}) // popcount short of count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		count := uint64(0)
+		if len(data) > 0 {
+			count, _ = binary.Uvarint(data[1:])
+		}
+		calls, prev := uint64(0), int64(-1)
+		ascending := true
+		err := c.Decode(data, func(id uint32, _ uint64) error {
+			calls++
+			if calls > count {
+				t.Fatalf("fn ran %d times for count %d", calls, count)
+			}
+			ascending = ascending && int64(id) > prev
+			prev = int64(id)
+			return nil
+		})
+		if err == nil && !ascending {
+			t.Fatalf("accepted a payload with non-ascending ids")
+		}
+	})
+}
 
-func FuzzRawDecode(f *testing.F)       { fuzzDecodeRobust(f, Raw{}, 12) }
-func FuzzVarintXORDecode(f *testing.F) { fuzzDecodeRobust(f, VarintXOR{}, 2) }
-func FuzzRLEDecode(f *testing.F)       { fuzzDecodeRobust(f, RLE{}, 8) }
-func FuzzAdaptiveDecode(f *testing.F)  { fuzzDecodeRobust(f, Adaptive{}, 2) }
+func FuzzRawRoundTrip(f *testing.F)      { fuzzRoundTrip(f, Raw{}) }
+func FuzzAdaptiveRoundTrip(f *testing.F) { fuzzRoundTrip(f, Adaptive{}) }
+
+func FuzzRawDecode(f *testing.F)      { fuzzRawDecode(f, Raw{}) }
+func FuzzAdaptiveDecode(f *testing.F) { fuzzAdaptiveDecode(f, Adaptive{}) }
 
 // Width-4 targets: the narrow-word codecs ship the F32/U32 domains and get
 // the same round-trip and robustness treatment.
 
-func FuzzRawW4RoundTrip(f *testing.F)       { fuzzRoundTrip(f, Raw{W: 4}) }
-func FuzzVarintXORW4RoundTrip(f *testing.F) { fuzzRoundTrip(f, VarintXOR{W: 4}) }
-func FuzzRLEW4RoundTrip(f *testing.F)       { fuzzRoundTrip(f, RLE{W: 4}) }
-func FuzzAdaptiveW4RoundTrip(f *testing.F)  { fuzzRoundTrip(f, Adaptive{W: 4}) }
+func FuzzRawW4RoundTrip(f *testing.F)      { fuzzRoundTrip(f, Raw{W: 4}) }
+func FuzzAdaptiveW4RoundTrip(f *testing.F) { fuzzRoundTrip(f, Adaptive{W: 4}) }
 
-func FuzzRawW4Decode(f *testing.F)       { fuzzDecodeRobust(f, Raw{W: 4}, 8) }
-func FuzzVarintXORW4Decode(f *testing.F) { fuzzDecodeRobust(f, VarintXOR{W: 4}, 2) }
-func FuzzRLEW4Decode(f *testing.F)       { fuzzDecodeRobust(f, RLE{W: 4}, 4) }
-func FuzzAdaptiveW4Decode(f *testing.F)  { fuzzDecodeRobust(f, Adaptive{W: 4}, 2) }
+func FuzzRawW4Decode(f *testing.F)      { fuzzRawDecode(f, Raw{W: 4}) }
+func FuzzAdaptiveW4Decode(f *testing.F) { fuzzAdaptiveDecode(f, Adaptive{W: 4}) }

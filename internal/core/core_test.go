@@ -216,10 +216,10 @@ func TestCodecsProduceIdenticalResults(t *testing.T) {
 		return results[0]
 	}
 	raw := run(compress.Raw{})
-	xz := run(compress.VarintXOR{})
+	ad := run(compress.Adaptive{})
 	for v := range raw {
-		if raw[v] != xz[v] {
-			t.Fatalf("vertex %d: raw %v, varint-xor %v", v, raw[v], xz[v])
+		if raw[v] != ad[v] {
+			t.Fatalf("vertex %d: raw %v, adaptive %v", v, raw[v], ad[v])
 		}
 	}
 }

@@ -49,8 +49,8 @@ type Config struct {
 	TrackLastChange bool
 
 	// Codec serialises delta-sync and push-proposal messages (nil:
-	// compress.Raw at the domain's width; compress.Adaptive picks the
-	// smallest encoding per batch). The codec's width must match the
+	// compress.Raw at the domain's width; compress.Adaptive shapes each
+	// batch's layout to it). The codec's width must match the
 	// program domain's width — Run validates. All workers must agree.
 	Codec compress.Codec
 
@@ -285,7 +285,7 @@ func (e *Engine[V]) bindDomain(dom Domain[V]) error {
 		e.streamInit()
 	}
 	if e.codec.Width() != dom.Width {
-		return fmt.Errorf("core: codec %s has wire width %d but domain %s needs %d (build the codec with compress.ByNameW or a matching W field)",
+		return fmt.Errorf("core: codec %s has wire width %d but domain %s needs %d (build the codec with a matching W field)",
 			e.codec.Name(), e.codec.Width(), dom.Name, dom.Width)
 	}
 	return nil

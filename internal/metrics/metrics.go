@@ -83,9 +83,9 @@ type Run struct {
 	// re-broadcast values distributed only sparsely: the final one, and one
 	// before every rebalance move.
 	FlushBytes int64
-	// CodecPicks counts, per codec name, how many delta batches this worker
-	// encoded with it (the adaptive codec spreads over several names; a
-	// fixed codec attributes every batch to its own).
+	// CodecPicks counts, per wire layout name, how many delta batches this
+	// worker encoded in it (the adaptive codec spreads over its four
+	// layouts; raw attributes every batch to "raw").
 	CodecPicks map[string]int64
 
 	// Per-phase breakdown of the unified superstep pipeline

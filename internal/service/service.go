@@ -9,7 +9,6 @@ import (
 
 	"slfe/internal/apps"
 	"slfe/internal/cluster"
-	"slfe/internal/compress"
 	"slfe/internal/core"
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
@@ -28,8 +27,6 @@ type Config struct {
 	// RR enables redundancy reduction; the graph's shared guidance is then
 	// carried across insert-only batches (rrg.Carry).
 	RR bool
-	// Codec selects the delta-sync wire codec (nil: raw).
-	Codec compress.Codec
 	// Sync selects the delta-sync strategy.
 	Sync core.SyncStrategy
 	// Sessions bounds how many programs execute concurrently: the resident
@@ -204,7 +201,6 @@ func (s *Service) runOptions() cluster.Options {
 		Threads:  s.cfg.Threads,
 		Stealing: s.cfg.Stealing,
 		RR:       s.cfg.RR,
-		Codec:    s.cfg.Codec,
 		Sync:     s.cfg.Sync,
 	}
 }
