@@ -17,7 +17,8 @@ import (
 
 // TestTwoThreadsBeatOne is the guard on intra-node scaling: the all-vertex
 // pull kernel shares nothing per edge between threads (chunk-local counters
-// folded into padded per-thread slots, a parallel commit), so PageRank on
+// folded into padded per-thread slots, one chunk pass that also keeps the
+// stability streaks, a commit that copies the staged range), so PageRank on
 // the PK proxy with two threads must take at most 0.85x the one-thread
 // engine time, median of five interleaved runs each. A per-edge write to a
 // shared cache line puts the ratio back above 1. Timing-sensitive, so the
@@ -51,4 +52,42 @@ func TestTwoThreadsBeatOne(t *testing.T) {
 		}
 	}
 	t.Errorf("2 threads never took <= 0.85x the 1-thread time across %d attempts (last ratio %.2f)", attempts, ratio)
+}
+
+// TestOneThreadNearSerialPageRank is the guard on COST's first term (the
+// one-thread engine against a plain loop): PageRank(20) on the PK proxy on
+// one rank and one thread must take at most 1.9x RefPageRank, the same
+// recurrence as a sequential loop, median of five interleaved runs each.
+// Metrics.Total starts after the guidance is chosen, and the graph's
+// shared guidance is built before the first timed run, so the ratio is the
+// engine's per-superstep cost alone. Three attempts, as above.
+func TestOneThreadNearSerialPageRank(t *testing.T) {
+	g := pkProxy(t, 40)
+	opt := cluster.Options{Nodes: 1, Threads: 1, Stealing: true, RR: true}
+	if _, err := cluster.Execute(g, PageRank(20), opt); err != nil {
+		t.Fatal(err)
+	}
+	const attempts, runs = 3, 5
+	var ratio float64
+	for attempt := 0; attempt < attempts; attempt++ {
+		var engine, loop []time.Duration
+		for i := 0; i < runs; i++ {
+			res, err := cluster.Execute(g, PageRank(20), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine = append(engine, res.Result.Metrics.Total)
+			start := time.Now()
+			RefPageRank(g, 20)
+			loop = append(loop, time.Since(start))
+		}
+		slices.Sort(engine)
+		slices.Sort(loop)
+		ratio = engine[runs/2].Seconds() / loop[runs/2].Seconds()
+		t.Logf("attempt %d: PR on PK, 1 thread: engine %v, loop %v (%.2fx)", attempt, engine[runs/2], loop[runs/2], ratio)
+		if ratio <= 1.9 {
+			return
+		}
+	}
+	t.Errorf("the 1-thread engine never took <= 1.9x the serial loop across %d attempts (last ratio %.2f)", attempts, ratio)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -290,6 +291,72 @@ func TestOneRankSyncMatchesTwoRanksAndSerial(t *testing.T) {
 						t.Fatalf("%s %v: %d updates, serial reference %d", prog.Name, strat, one.Metrics.Updates(), wantUpdates)
 					}
 				}
+			}
+		}
+	}
+}
+
+// An arith vertex whose new value is no change under the domain's |Δ| —
+// −0 computed for a vertex holding +0, or NaN — keeps its old bits: commit
+// publishes the old value, the vertex is not marked changed, so it counts
+// in no superstep's Updates and no rank is sent anything for it. One rank
+// and two overlapped ranks under dense and adaptive sync must agree bit for
+// bit.
+func TestArithZeroDeltaKeepsOldBits(t *testing.T) {
+	const n, negZero, nan = 8, 1, 6
+	g := gen.Path(n)
+	prog := &Program[float64]{
+		Name: "test-zero-delta",
+		Agg:  Arith,
+		InitValue: func(_ graph.View, v graph.VertexID) Value {
+			if v == nan {
+				return 2.5
+			}
+			return 0
+		},
+		Gather: func(acc, src Value, _ float32) Value { return acc + src },
+		Apply: func(_ graph.View, v graph.VertexID, acc, _ Value) Value {
+			switch v {
+			case negZero:
+				return math.Copysign(0, -1)
+			case nan:
+				return math.NaN()
+			}
+			// The 0·acc term makes a NaN leaking into a gather visible.
+			return float64(v) + 1 + 0*acc
+		},
+		MaxIters: 4,
+	}
+	want := make([]Value, n)
+	for v := range want {
+		want[v] = float64(v) + 1
+	}
+	want[negZero], want[nan] = 0, 2.5
+	check := func(label string, rs []*Result[float64]) {
+		t.Helper()
+		runs := make([]*metrics.Run, len(rs))
+		for rank, res := range rs {
+			if !sameValues(res.Values, want) {
+				t.Fatalf("%s rank %d: values %v, want %v (bits of vertex %d: %#x)",
+					label, rank, res.Values, want, negZero, math.Float64bits(res.Values[negZero]))
+			}
+			runs[rank] = res.Metrics
+		}
+		var updates []int64
+		for _, it := range metrics.Merge(runs).Iters {
+			updates = append(updates, it.Updates)
+		}
+		if wantUpdates := []int64{n - 2, 0, 0, 0}; !slices.Equal(updates, wantUpdates) {
+			t.Fatalf("%s: per-superstep updates %v, want %v", label, updates, wantUpdates)
+		}
+	}
+	check("one rank", runClusterAll(t, g, prog, 1, nil))
+	for _, strat := range []SyncStrategy{SyncDense, SyncAdaptive} {
+		two := runClusterAll(t, g, prog, 2, func(_ int, cfg *Config) { cfg.Sync = strat })
+		check(fmt.Sprintf("two ranks %v", strat), two)
+		for rank, res := range two {
+			if got := res.Metrics.OverlappedSyncs; got != int64(res.Iterations) {
+				t.Fatalf("%v rank %d: %d of %d supersteps overlapped", strat, rank, got, res.Iterations)
 			}
 		}
 	}

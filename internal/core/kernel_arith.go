@@ -54,17 +54,6 @@ func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], cha
 	return k
 }
 
-// ecFrozen reports whether v's stability streak has outlived its guidance:
-// v is early-converged once the streak strictly exceeds its LastIter (§2.2:
-// "x > its maximum/latest propagation level"). Algorithm 5's pseudo-code
-// tests stableCnt < lastIter, but the strict prose version is required for
-// correctness — an update can arrive exactly one round after lastIter when
-// contributions cancel transiently, e.g. opposing evidence in
-// BeliefPropagation.
-func (k *arithKernel[V]) ecFrozen(v graph.VertexID) bool {
-	return k.stableCnt[v] > k.e.cfg.Guidance.LastIter[v]
-}
-
 func (k *arithKernel[V]) kind() ckpt.Kind          { return ckpt.Arith }
 func (k *arithKernel[V]) superstepCap() int        { return k.maxIters + 1 }
 func (k *arithKernel[V]) frontier() *bitset.Atomic { return nil }
@@ -107,76 +96,82 @@ func (k *arithKernel[V]) compute(_ int, _ *metrics.IterStat) error {
 	return nil
 }
 
-// computeChunk gathers and applies one chunk of the owned range into
-// scratch (BSP-pure).
+// computeChunk is vertexUpdate (Algorithm 5 lines 13-18) for one chunk of
+// the owned range: gather and apply, the stability streak, and staging in
+// scratch the exact value commit publishes. It writes only the chunk's own
+// entries of scratch, stableCnt, stableVal and changed, so it stays
+// BSP-pure: the value array is untouched until commit.
 func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
-	e, p, st := k.e, k.p, k.st
+	e, p := k.e, k.p
 	cur := e.curs[th]
-	var comps, suppressed int64
+	values, scratch := k.st.values, k.scratch
+	stableCnt, stableVal := k.stableCnt, k.stableVal
+	rr, delta := e.cfg.RR, e.dom.Delta
+	var lastIter []uint32
+	if rr {
+		lastIter = e.cfg.Guidance.LastIter
+	}
+	var comps, suppressed, frozen int64
+	var maxDelta float64
 	changed := k.changed.Acc()
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
-		// Algorithm 5 line 15: compute only while the stability
-		// streak has not outgrown the vertex's LastIter; afterwards
-		// the vertex is early-converged and its cached value is
-		// reused ("finish early"). The strict test also guarantees
-		// every vertex computes at least once before freezing
-		// (vertices with no reachable in-neighbours have LastIter 0).
-		if e.cfg.RR && k.ecFrozen(vid) {
+		old := values[v]
+		// Algorithm 5 line 15: compute only while the stability streak
+		// has not outgrown the vertex's LastIter. The strict test is
+		// §2.2's prose ("x > its maximum/latest propagation level"), not
+		// the pseudo-code's stableCnt < lastIter: an update can arrive one
+		// round after lastIter when contributions cancel transiently, e.g.
+		// opposing evidence in BeliefPropagation. Past it the vertex is
+		// early-converged and keeps its value ("finish early"); vertices
+		// with no reachable in-neighbours (LastIter 0) still compute once.
+		if rr && stableCnt[v] > lastIter[v] {
 			suppressed++
+			frozen++
+			scratch[v] = old
 			continue
 		}
 		ins := cur.InNeighbors(vid)
 		comps += int64(len(ins))
-		acc := k.gather(p.GatherInit, st.values, ins, p.inWeights(cur, vid))
-		k.scratch[v] = p.Apply(e.g, vid, acc, st.values[vid])
-		// Mark the change at compute time (the same |Δ| > 0 test commit
-		// applies), so the overlapped pipeline can emit this chunk's deltas
-		// before the commit barrier; the bits are published one word at a
-		// time, the last before this body returns.
-		if e.dom.Delta(st.values[v], k.scratch[v]) > 0 {
+		acc := k.gather(p.GatherInit, values, ins, p.inWeights(cur, vid))
+		newVal := p.Apply(e.g, vid, acc, old)
+		if p.stable(e.dom, newVal, stableVal[v]) {
+			stableCnt[v]++
+			// Only a lengthened streak can freeze a vertex (a reset one is
+			// at 0, never above LastIter).
+			if rr && stableCnt[v] > lastIter[v] {
+				frozen++
+			}
+		} else {
+			stableCnt[v] = 0
+			stableVal[v] = newVal
+		}
+		// Stage what commit will publish: the new value only on a real
+		// change, so a |Δ| = 0 result (−0 against +0, NaN) keeps the old
+		// bits. Marking the change here lets the overlapped pipeline emit
+		// this chunk's deltas before the commit barrier; the bits are
+		// published one word at a time, the last before this body returns.
+		if d := delta(old, newVal); d > 0 {
+			if d > maxDelta {
+				maxDelta = d
+			}
+			scratch[v] = newVal
 			changed.Set(int(v))
+		} else {
+			scratch[v] = old
 		}
 	}
 	changed.Flush()
 	c := &k.counters[th]
 	c.comps += comps
 	c.suppressed += suppressed
-}
-
-// commitChunk is vertexUpdate (Algorithm 5 lines 13-18) for one chunk of
-// the owned range: stability bookkeeping and committing new values.
-func (k *arithKernel[V]) commitChunk(clo, chi uint32, th int) {
-	e, p, st := k.e, k.p, k.st
-	var maxDelta float64
-	var frozen int64 // early-converged vertices of the chunk after this commit
-	for v := clo; v < chi; v++ {
-		if e.cfg.RR && k.ecFrozen(graph.VertexID(v)) {
-			frozen++
-			continue
-		}
-		newVal := k.scratch[v]
-		if p.stable(e.dom, newVal, k.stableVal[v]) {
-			k.stableCnt[v]++
-			// Only a lengthened streak can freeze a vertex (a reset one is
-			// at 0, never above LastIter).
-			if e.cfg.RR && k.ecFrozen(graph.VertexID(v)) {
-				frozen++
-			}
-		} else {
-			k.stableCnt[v] = 0
-			k.stableVal[v] = newVal
-		}
-		if d := e.dom.Delta(st.values[v], newVal); d > 0 {
-			if d > maxDelta {
-				maxDelta = d
-			}
-			st.values[v] = newVal
-		}
-	}
-	c := &k.counters[th]
 	c.frozen += frozen
 	c.maxDelta = max(c.maxDelta, maxDelta)
+}
+
+// commitChunk publishes one chunk of the staged owned range.
+func (k *arithKernel[V]) commitChunk(clo, chi uint32, _ int) {
+	copy(k.st.values[clo:chi], k.scratch[clo:chi])
 }
 
 // commit runs commitChunk over the owned range on the scheduler and folds

@@ -20,9 +20,10 @@ import (
 //   - BSP purity is what makes early emission safe: compute stages every
 //     new value into the kernel's scratch array (the double buffer — the
 //     live value array is untouched until commit), and a vertex's scratch
-//     slot and changed bit are written only by the chunk that owns it. A
-//     chunk's deltas are therefore final the moment its compute finishes,
-//     superstep-commit or not.
+//     slot, changed bit and kernel state are written only by the chunk that
+//     owns it. A chunk's deltas are therefore final the moment its compute
+//     finishes: the arith compute already staged the exact values commit
+//     publishes, and its commit is a copy of the staged owned range.
 //   - ws.RunOverlap hands each finished chunk, in ascending vertex order,
 //     to the engine's drain on the dispatching goroutine while workers
 //     compute the rest. The drain batches changed (id, scratch value)

@@ -47,12 +47,15 @@ type kernel[V comparable] interface {
 	// Valid after stepBegin (which fixes the superstep's mode).
 	stagedCompute() ([]V, bool)
 	// compute stages this superstep's proposals in parallel; it must not
-	// mutate the value array (BSP purity). Pull-style bodies dispatch
-	// through Engine.computeOwned so they join the overlap phase when the
-	// superstep streams.
+	// mutate the value array (BSP purity). A pull-style body stages each
+	// owned vertex's final value, marks it changed and may update the
+	// vertex's own kernel state (the arith stability streak) in the same
+	// pass; it dispatches through Engine.computeOwned so it joins the
+	// overlap phase when the superstep streams.
 	compute(iter int, stat *metrics.IterStat) error
-	// commit applies staged values to the owned range, marks changed
-	// vertices, and folds per-thread counters into stat.
+	// commit applies staged values to the owned range (a push superstep
+	// also marks its changed vertices here) and folds per-thread counters
+	// into stat.
 	commit(iter int, stat *metrics.IterStat) error
 	// stepEnd runs post-sync global coordination (e.g. convergence
 	// reductions). done ends the run after checkpoint/rebalance ticks.
@@ -67,8 +70,8 @@ type kernel[V comparable] interface {
 // neighbour's line.
 type threadCounters struct {
 	comps, updates, suppressed, catchups int64
-	frozen                               int64   // arith commit: early-converged vertices seen
-	maxDelta                             float64 // arith commit: largest |Δ| the thread applied
+	frozen                               int64   // arith: vertices early-converged after this superstep
+	maxDelta                             float64 // arith: largest |Δ| the thread staged
 	_                                    [16]byte
 }
 
