@@ -65,9 +65,9 @@ func TestUniform(t *testing.T) {
 	if g.NumVertices() != 500 || g.NumEdges() != 2500 {
 		t.Fatalf("got %v", g)
 	}
-	for _, w := range g.OutW {
-		if w < 1 || w > 10 {
-			t.Fatalf("weight %v out of range", w)
+	for _, e := range g.Edges(nil) {
+		if e.Weight < 1 || e.Weight > 10 {
+			t.Fatalf("weight %v out of range", e.Weight)
 		}
 	}
 }

@@ -51,8 +51,18 @@ func referenceBuild(n int, edges []graph.Edge) adjacency {
 	return a
 }
 
+// adjacencyOf flattens g's six arrays back out of its accessors.
 func adjacencyOf(g *graph.Graph) adjacency {
-	return adjacency{g.OutOff, g.InOff, g.OutDst, g.InSrc, g.OutW, g.InW}
+	a := adjacency{outOff: []int64{0}, inOff: []int64{0}}
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		a.outDst = append(a.outDst, g.OutNeighbors(v)...)
+		a.outW = append(a.outW, g.OutWeights(v)...)
+		a.outOff = append(a.outOff, int64(len(a.outDst)))
+		a.inSrc = append(a.inSrc, g.InNeighbors(v)...)
+		a.inW = append(a.inW, g.InWeights(v)...)
+		a.inOff = append(a.inOff, int64(len(a.inSrc)))
+	}
+	return a
 }
 
 // sameBits reports whether a and b hold the same arrays bit for bit

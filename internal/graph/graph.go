@@ -2,13 +2,15 @@
 // engine in this repository: a compressed-sparse-row (CSR) view of the
 // outgoing edges and a compressed-sparse-column (CSC) view of the incoming
 // edges, both built once from an edge list ("Formatting" stage in the SLFE
-// pipeline, §3.1 of the paper).
+// pipeline, §3.1 of the paper). WithEdges derives versions that share those
+// arrays and copy only the lists a batch touches.
 package graph
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"slfe/internal/ws"
@@ -26,22 +28,84 @@ type Edge struct {
 
 // Graph is an immutable directed graph in CSR+CSC form.
 //
-// Outgoing edges of v: Dst[OutOff[v]:OutOff[v+1]] with weights
-// OutW[OutOff[v]:OutOff[v+1]]. Incoming edges of v: Src[InOff[v]:InOff[v+1]]
-// with weights InW[...]. Both adjacency lists are sorted by neighbour ID.
+// Each direction (out: the CSR, in: the CSC) is a side: a flat base plus,
+// for a version WithEdges derived, a patch holding the lists its batches
+// touched. Every adjacency list is sorted by (neighbour id, weight).
 type Graph struct {
 	n int64 // number of vertices
 	m int64 // number of directed edges
 
-	OutOff []int64
-	OutDst []VertexID
-	OutW   []float32
-
-	InOff []int64
-	InSrc []VertexID
-	InW   []float32
+	out, in side
 
 	derived Derived
+}
+
+// csr is flat adjacency: row r's list is ids[off[r]:off[r+1]], with
+// weights w[off[r]:off[r+1]].
+type csr struct {
+	off []int64
+	ids []VertexID
+	w   []float32
+}
+
+// side is one direction of a Graph. base is the flat adjacency of the last
+// full build, over its first len(base.off)-1 vertices; every version
+// WithEdges derives from that build shares it, and none writes it. patch is
+// nil for a flat graph; otherwise it holds the current list of every vertex
+// touched since the build, and every vertex appended past base counts as
+// touched (its row is empty until an edge reaches it). Any other vertex
+// reads base.
+type side struct {
+	patch *patch // first: the accessors test it before reading base
+	base  csr
+}
+
+// patch holds the lists of the touched vertices, one csr row each in
+// ascending vertex order. rank turns "which row is v's" into a lookup:
+// v's row is rank[v/64] plus the touched bits below v in its word.
+type patch struct {
+	touched []uint64 // bit v set: v's list lives in the patch
+	rank    []uint32 // rank[i]: touched vertices below 64·i
+	csr
+}
+
+// has reports whether v's list lives in p. A nil patch holds no list, so
+// for a flat side this is the one nil check the accessors pay.
+func (p *patch) has(v VertexID) bool {
+	return p != nil && int(v>>6) < len(p.touched) && p.touched[v>>6]&(1<<(v&63)) != 0
+}
+
+// rowsBelow returns how many touched vertices are below v, which for a
+// touched v is its row.
+func (p *patch) rowsBelow(v VertexID) int {
+	i := int(v >> 6)
+	if i >= len(p.touched) {
+		return len(p.off) - 1
+	}
+	return int(p.rank[i]) + popcount(p.touched[i]&(uint64(1)<<(v&63)-1))
+}
+
+// popcount is bits.OnesCount64 without its fallback call on CPUs that lack
+// POPCNT, which would give every accessor a stack frame.
+func popcount(x uint64) int {
+	x -= x >> 1 & 0x5555_5555_5555_5555
+	x = x&0x3333_3333_3333_3333 + x>>2&0x3333_3333_3333_3333
+	x = (x + x>>4) & 0x0f0f_0f0f_0f0f_0f0f
+	return int(x * 0x0101_0101_0101_0101 >> 56)
+}
+
+// lookup returns the arrays holding v's list and its bounds in them. It
+// also answers for a vertex past a flat side's base, which WithEdges asks
+// about when a batch appends vertices.
+func (s *side) lookup(v VertexID) (*csr, int64, int64) {
+	if p := s.patch; p.has(v) {
+		r := p.rowsBelow(v)
+		return &p.csr, p.off[r], p.off[r+1]
+	}
+	if int(v) >= len(s.base.off)-1 {
+		return &s.base, 0, 0
+	}
+	return &s.base, s.base.off[v], s.base.off[v+1]
 }
 
 // Derived returns g's once-slot for a value computed from its topology.
@@ -54,38 +118,67 @@ func (g *Graph) NumVertices() int { return int(g.n) }
 func (g *Graph) NumEdges() int64 { return g.m }
 
 // OutDegree returns the out-degree of v.
-func (g *Graph) OutDegree(v VertexID) int64 { return g.OutOff[v+1] - g.OutOff[v] }
+func (g *Graph) OutDegree(v VertexID) int64 {
+	if p := g.out.patch; p.has(v) {
+		r := p.rowsBelow(v)
+		return p.off[r+1] - p.off[r]
+	}
+	return g.out.base.off[v+1] - g.out.base.off[v]
+}
 
 // InDegree returns the in-degree of v.
-func (g *Graph) InDegree(v VertexID) int64 { return g.InOff[v+1] - g.InOff[v] }
+func (g *Graph) InDegree(v VertexID) int64 {
+	if p := g.in.patch; p.has(v) {
+		r := p.rowsBelow(v)
+		return p.off[r+1] - p.off[r]
+	}
+	return g.in.base.off[v+1] - g.in.base.off[v]
+}
 
 // OutNeighbors returns the sorted slice of out-neighbours of v. The slice
 // aliases the graph's storage and must not be modified.
 func (g *Graph) OutNeighbors(v VertexID) []VertexID {
-	return g.OutDst[g.OutOff[v]:g.OutOff[v+1]]
+	if p := g.out.patch; p.has(v) {
+		r := p.rowsBelow(v)
+		return p.ids[p.off[r]:p.off[r+1]]
+	}
+	return g.out.base.ids[g.out.base.off[v]:g.out.base.off[v+1]]
 }
 
 // OutWeights returns the weights parallel to OutNeighbors(v).
 func (g *Graph) OutWeights(v VertexID) []float32 {
-	return g.OutW[g.OutOff[v]:g.OutOff[v+1]]
+	if p := g.out.patch; p.has(v) {
+		r := p.rowsBelow(v)
+		return p.w[p.off[r]:p.off[r+1]]
+	}
+	return g.out.base.w[g.out.base.off[v]:g.out.base.off[v+1]]
 }
 
 // InNeighbors returns the sorted slice of in-neighbours of v. The slice
 // aliases the graph's storage and must not be modified.
 func (g *Graph) InNeighbors(v VertexID) []VertexID {
-	return g.InSrc[g.InOff[v]:g.InOff[v+1]]
+	if p := g.in.patch; p.has(v) {
+		r := p.rowsBelow(v)
+		return p.ids[p.off[r]:p.off[r+1]]
+	}
+	return g.in.base.ids[g.in.base.off[v]:g.in.base.off[v+1]]
 }
 
 // InWeights returns the weights parallel to InNeighbors(v).
 func (g *Graph) InWeights(v VertexID) []float32 {
-	return g.InW[g.InOff[v]:g.InOff[v+1]]
+	if p := g.in.patch; p.has(v) {
+		r := p.rowsBelow(v)
+		return p.w[p.off[r]:p.off[r+1]]
+	}
+	return g.in.base.w[g.in.base.off[v]:g.in.base.off[v+1]]
 }
 
 // Edges appends every edge to dst and returns it, in (src, dst) order.
 func (g *Graph) Edges(dst []Edge) []Edge {
-	for v := int64(0); v < g.n; v++ {
-		for i := g.OutOff[v]; i < g.OutOff[v+1]; i++ {
-			dst = append(dst, Edge{Src: VertexID(v), Dst: g.OutDst[i], Weight: g.OutW[i]})
+	for v := VertexID(0); int64(v) < g.n; v++ {
+		a, lo, hi := g.out.lookup(v)
+		for i := lo; i < hi; i++ {
+			dst = append(dst, Edge{Src: v, Dst: a.ids[i], Weight: a.w[i]})
 		}
 	}
 	return dst
@@ -102,8 +195,8 @@ func (g *Graph) AvgDegree() float64 {
 // MaxOutDegree returns the largest out-degree.
 func (g *Graph) MaxOutDegree() int64 {
 	var max int64
-	for v := int64(0); v < g.n; v++ {
-		if d := g.OutOff[v+1] - g.OutOff[v]; d > max {
+	for v := VertexID(0); int64(v) < g.n; v++ {
+		if d := g.OutDegree(v); d > max {
 			max = d
 		}
 	}
@@ -130,40 +223,43 @@ func Build(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, errors.New("graph: negative vertex count")
 	}
-	g := &Graph{n: int64(n), m: int64(len(edges)), OutOff: make([]int64, n+1), InOff: make([]int64, n+1)}
+	outOff, inOff := make([]int64, n+1), make([]int64, n+1)
 	for _, e := range edges {
-		if int64(e.Src) >= g.n || int64(e.Dst) >= g.n {
+		if int64(e.Src) >= int64(n) || int64(e.Dst) >= int64(n) {
 			return nil, fmt.Errorf("%w: (%d -> %d) with n=%d", ErrVertexOutOfRange, e.Src, e.Dst, n)
 		}
-		g.OutOff[e.Src+1]++
-		g.InOff[e.Dst+1]++
+		outOff[e.Src+1]++
+		inOff[e.Dst+1]++
 	}
 	for v := 0; v < n; v++ {
-		g.OutOff[v+1] += g.OutOff[v]
-		g.InOff[v+1] += g.InOff[v]
+		outOff[v+1] += outOff[v]
+		inOff[v+1] += inOff[v]
 	}
 
-	g.OutDst = make([]VertexID, len(edges))
-	g.OutW = make([]float32, len(edges))
-	cursor := slices.Clone(g.OutOff[:n])
+	outDst := make([]VertexID, len(edges))
+	outW := make([]float32, len(edges))
+	cursor := slices.Clone(outOff[:n])
 	for _, e := range edges {
 		p := cursor[e.Src]
 		cursor[e.Src]++
-		g.OutDst[p], g.OutW[p] = e.Dst, e.Weight
+		outDst[p], outW[p] = e.Dst, e.Weight
 	}
-	sortAdjacency(g.OutOff, g.OutDst, g.OutW, n)
+	sortAdjacency(outOff, outDst, outW, n)
 
-	g.InSrc = make([]VertexID, len(edges))
-	g.InW = make([]float32, len(edges))
-	copy(cursor, g.InOff)
+	inSrc := make([]VertexID, len(edges))
+	inW := make([]float32, len(edges))
+	copy(cursor, inOff)
 	for v := 0; v < n; v++ {
-		for i := g.OutOff[v]; i < g.OutOff[v+1]; i++ {
-			d := g.OutDst[i]
+		for i := outOff[v]; i < outOff[v+1]; i++ {
+			d := outDst[i]
 			p := cursor[d]
 			cursor[d]++
-			g.InSrc[p], g.InW[p] = VertexID(v), g.OutW[i]
+			inSrc[p], inW[p] = VertexID(v), outW[i]
 		}
 	}
+	g := &Graph{n: int64(n), m: int64(len(edges))}
+	g.out.base = csr{outOff, outDst, outW}
+	g.in.base = csr{inOff, inSrc, inW}
 	return g, nil
 }
 
@@ -210,6 +306,30 @@ func sortAdjacency(off []int64, ids []VertexID, w []float32, n int) {
 	})
 }
 
+// sortSegment appends the AdjSortKey of every (id, weight) pair to keys
+// and returns them sorted ascending.
+func sortSegment(keys []uint64, ids []VertexID, w []float32) []uint64 {
+	for i := range ids {
+		keys = append(keys, AdjSortKey(ids[i], w[i]))
+	}
+	// Insertion sort: a typical adjacency list is short; fall back to a
+	// pdq sort when not.
+	if len(keys) > 32 {
+		slices.Sort(keys)
+		return keys
+	}
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i - 1
+		for j >= 0 && keys[j] > k {
+			keys[j+1] = keys[j]
+			j--
+		}
+		keys[j+1] = k
+	}
+	return keys
+}
+
 // inKeyOrder reports whether a segment is already sorted by AdjSortKey.
 func inKeyOrder(ids []VertexID, w []float32) bool {
 	for i := 1; i < len(ids); i++ {
@@ -240,13 +360,10 @@ func weightFromOrderedBits(x uint32) float32 {
 	return math.Float32frombits(^x)
 }
 
-// Reverse returns the transpose graph (every edge flipped).
+// Reverse returns the transpose graph (every edge flipped). It shares g's
+// storage, patches included.
 func (g *Graph) Reverse() *Graph {
-	return &Graph{
-		n: g.n, m: g.m,
-		OutOff: g.InOff, OutDst: g.InSrc, OutW: g.InW,
-		InOff: g.OutOff, InSrc: g.OutDst, InW: g.OutW,
-	}
+	return &Graph{n: g.n, m: g.m, out: g.in, in: g.out}
 }
 
 // Validate performs structural integrity checks and returns the first
@@ -256,31 +373,83 @@ func (g *Graph) Validate() error {
 	if g.n < 0 || g.m < 0 {
 		return errors.New("graph: negative size")
 	}
-	if int64(len(g.OutOff)) != g.n+1 || int64(len(g.InOff)) != g.n+1 {
+	if err := g.out.validate(g.n, g.m); err != nil {
+		return fmt.Errorf("%w (out)", err)
+	}
+	if err := g.in.validate(g.n, g.m); err != nil {
+		return fmt.Errorf("%w (in)", err)
+	}
+	return nil
+}
+
+// validate checks one side over n vertices and m edges: its base and
+// patch are each well formed, the rank words count the touched bits, and
+// the lists the side serves hold m edges in all.
+func (s *side) validate(n, m int64) error {
+	rows := int64(len(s.base.off)) - 1
+	if rows > n || (s.patch == nil && rows != n) {
 		return errors.New("graph: offset array length mismatch")
 	}
-	if g.OutOff[0] != 0 || g.InOff[0] != 0 {
-		return errors.New("graph: offsets must start at 0")
+	if err := s.base.validate(n); err != nil {
+		return err
 	}
-	if g.OutOff[g.n] != g.m || g.InOff[g.n] != g.m {
+	edges := int64(len(s.base.ids))
+	if p := s.patch; p != nil {
+		if int64(len(p.touched)) != (n+63)/64 || len(p.rank) != len(p.touched) {
+			return errors.New("graph: patch bitset length mismatch")
+		}
+		var count uint32
+		for i, word := range p.touched {
+			if p.rank[i] != count {
+				return fmt.Errorf("graph: patch rank mismatch at word %d", i)
+			}
+			count += uint32(bits.OnesCount64(word))
+			for ; word != 0; word &= word - 1 {
+				v := int64(i)*64 + int64(bits.TrailingZeros64(word))
+				if v >= n {
+					return fmt.Errorf("%w: patched vertex %d", ErrVertexOutOfRange, v)
+				}
+				if v < rows {
+					edges -= s.base.off[v+1] - s.base.off[v]
+				}
+			}
+		}
+		for v := rows; v < n; v++ {
+			if !p.has(VertexID(v)) {
+				return fmt.Errorf("graph: vertex %d past the base is not in the patch", v)
+			}
+		}
+		if int64(len(p.off)) != int64(count)+1 {
+			return errors.New("graph: patch offset length mismatch")
+		}
+		if err := p.csr.validate(n); err != nil {
+			return err
+		}
+		edges += int64(len(p.ids))
+	}
+	if edges != m {
 		return errors.New("graph: offsets must end at m")
 	}
-	for v := int64(0); v < g.n; v++ {
-		if g.OutOff[v] > g.OutOff[v+1] || g.InOff[v] > g.InOff[v+1] {
-			return fmt.Errorf("graph: non-monotone offsets at vertex %d", v)
+	return nil
+}
+
+// validate checks that c's offsets start at 0, never fall and end at its
+// edge count, and that every id is below n.
+func (c *csr) validate(n int64) error {
+	if len(c.off) == 0 || c.off[0] != 0 {
+		return errors.New("graph: offsets must start at 0")
+	}
+	for r := 1; r < len(c.off); r++ {
+		if c.off[r-1] > c.off[r] {
+			return fmt.Errorf("graph: non-monotone offsets at row %d", r-1)
 		}
 	}
-	if int64(len(g.OutDst)) != g.m || int64(len(g.InSrc)) != g.m {
+	if c.off[len(c.off)-1] != int64(len(c.ids)) || len(c.ids) != len(c.w) {
 		return errors.New("graph: edge array length mismatch")
 	}
-	for _, d := range g.OutDst {
-		if int64(d) >= g.n {
-			return fmt.Errorf("%w: out-dst %d", ErrVertexOutOfRange, d)
-		}
-	}
-	for _, s := range g.InSrc {
-		if int64(s) >= g.n {
-			return fmt.Errorf("%w: in-src %d", ErrVertexOutOfRange, s)
+	for _, id := range c.ids {
+		if int64(id) >= n {
+			return fmt.Errorf("%w: neighbour %d", ErrVertexOutOfRange, id)
 		}
 	}
 	return nil

@@ -140,17 +140,17 @@ func TestEdgesRoundTrip(t *testing.T) {
 
 func TestValidateDetectsCorruption(t *testing.T) {
 	g := paperGraph()
-	g.OutOff[3] = g.OutOff[4] + 1 // non-monotone
+	g.out.base.off[3] = g.out.base.off[4] + 1 // non-monotone
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed non-monotone offsets")
 	}
 	g = paperGraph()
-	g.OutDst[0] = 99
+	g.out.base.ids[0] = 99
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed out-of-range dst")
 	}
 	g = paperGraph()
-	g.InOff[0] = 1
+	g.in.base.off[0] = 1
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed offset[0] != 0")
 	}

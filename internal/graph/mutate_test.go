@@ -1,34 +1,66 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// assertSameGraph compares the full CSR+CSC structure of two graphs.
-func assertSameGraph(t *testing.T, got, want *Graph, label string) {
-	t.Helper()
+// diffGraphs reports the first difference between got and want seen
+// through every accessor — sizes, per-vertex degrees, neighbour lists and
+// weight bits in both directions, Edges, MaxOutDegree — or got failing
+// Validate.
+func diffGraphs(got, want *Graph) error {
 	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("%s: size |V|=%d |E|=%d, want |V|=%d |E|=%d", label,
+		return fmt.Errorf("size |V|=%d |E|=%d, want |V|=%d |E|=%d",
 			got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
 	}
-	check := func(side string, gOff, wOff []int64, gIDs, wIDs []VertexID, gW, wW []float32) {
-		for v := range wOff {
-			if gOff[v] != wOff[v] {
-				t.Fatalf("%s: %s offset mismatch at %d: %d vs %d", label, side, v, gOff[v], wOff[v])
+	type dir struct {
+		name string
+		deg  func(*Graph, VertexID) int64
+		ids  func(*Graph, VertexID) []VertexID
+		w    func(*Graph, VertexID) []float32
+	}
+	for _, d := range []dir{
+		{"out", (*Graph).OutDegree, (*Graph).OutNeighbors, (*Graph).OutWeights},
+		{"in", (*Graph).InDegree, (*Graph).InNeighbors, (*Graph).InWeights},
+	} {
+		for v := VertexID(0); int(v) < want.NumVertices(); v++ {
+			if g, w := d.deg(got, v), d.deg(want, v); g != w {
+				return fmt.Errorf("%s-degree of %d: %d, want %d", d.name, v, g, w)
 			}
-		}
-		for i := range wIDs {
-			if gIDs[i] != wIDs[i] || gW[i] != wW[i] {
-				t.Fatalf("%s: %s edge %d: (%d, %g) vs (%d, %g)", label, side, i, gIDs[i], gW[i], wIDs[i], wW[i])
+			gIDs, wIDs, gW, wW := d.ids(got, v), d.ids(want, v), d.w(got, v), d.w(want, v)
+			if !slices.Equal(gIDs, wIDs) || len(gW) != len(wW) {
+				return fmt.Errorf("%s-list of %d: %v, want %v", d.name, v, gIDs, wIDs)
+			}
+			for i := range wW {
+				if math.Float32bits(gW[i]) != math.Float32bits(wW[i]) {
+					return fmt.Errorf("%s-weights of %d: %v, want %v", d.name, v, gW, wW)
+				}
 			}
 		}
 	}
-	check("out", got.OutOff, want.OutOff, got.OutDst, want.OutDst, got.OutW, want.OutW)
-	check("in", got.InOff, want.InOff, got.InSrc, want.InSrc, got.InW, want.InW)
+	if g, w := got.Edges(nil), want.Edges(nil); !slices.Equal(g, w) {
+		return errors.New("Edges differ")
+	}
+	if g, w := got.MaxOutDegree(), want.MaxOutDegree(); g != w {
+		return fmt.Errorf("MaxOutDegree %d, want %d", g, w)
+	}
 	if err := got.Validate(); err != nil {
-		t.Fatalf("%s: invalid result: %v", label, err)
+		return fmt.Errorf("invalid result: %w", err)
+	}
+	return nil
+}
+
+// assertSameGraph fails t unless got equals want through every accessor.
+func assertSameGraph(t *testing.T, got, want *Graph, label string) {
+	t.Helper()
+	if err := diffGraphs(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -54,21 +86,7 @@ func TestWithEdgesMatchesRebuild(t *testing.T) {
 			return false
 		}
 		want := MustBuild(total, append(append([]Edge(nil), base...), added...))
-		if got.NumEdges() != want.NumEdges() || got.NumVertices() != want.NumVertices() {
-			return false
-		}
-		for v := range want.OutOff {
-			if got.OutOff[v] != want.OutOff[v] || got.InOff[v] != want.InOff[v] {
-				return false
-			}
-		}
-		for i := range want.OutDst {
-			if got.OutDst[i] != want.OutDst[i] || got.OutW[i] != want.OutW[i] ||
-				got.InSrc[i] != want.InSrc[i] || got.InW[i] != want.InW[i] {
-				return false
-			}
-		}
-		return got.Validate() == nil
+		return diffGraphs(got, want) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -164,16 +182,7 @@ func TestWithoutEdgesMatchesRebuild(t *testing.T) {
 		if removed != int64(len(base)-len(kept)) {
 			return false
 		}
-		want := MustBuild(n, kept)
-		if got.NumEdges() != want.NumEdges() {
-			return false
-		}
-		for i := range want.OutDst {
-			if got.OutDst[i] != want.OutDst[i] || got.OutW[i] != want.OutW[i] {
-				return false
-			}
-		}
-		return got.Validate() == nil
+		return diffGraphs(got, MustBuild(n, kept)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -141,7 +141,8 @@ func referenceReadBinary(data []byte) (*graph.Graph, error) {
 	return graph.Build(int(n), edges)
 }
 
-// sameArrays compares two graphs' six arrays bit for bit.
+// sameArrays compares two graphs' adjacency in both directions, vertex by
+// vertex, with weights compared bit for bit.
 func sameArrays(a, b *graph.Graph) bool {
 	bits := func(w []float32) []uint32 {
 		out := make([]uint32, len(w))
@@ -150,9 +151,16 @@ func sameArrays(a, b *graph.Graph) bool {
 		}
 		return out
 	}
-	return slices.Equal(a.OutOff, b.OutOff) && slices.Equal(a.InOff, b.InOff) &&
-		slices.Equal(a.OutDst, b.OutDst) && slices.Equal(a.InSrc, b.InSrc) &&
-		slices.Equal(bits(a.OutW), bits(b.OutW)) && slices.Equal(bits(a.InW), bits(b.InW))
+	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
+		return false
+	}
+	for v := graph.VertexID(0); int(v) < a.NumVertices(); v++ {
+		if !slices.Equal(a.OutNeighbors(v), b.OutNeighbors(v)) || !slices.Equal(a.InNeighbors(v), b.InNeighbors(v)) ||
+			!slices.Equal(bits(a.OutWeights(v)), bits(b.OutWeights(v))) || !slices.Equal(bits(a.InWeights(v)), bits(b.InWeights(v))) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestEdgeListAdversarialLines(t *testing.T) {

@@ -7,7 +7,9 @@
 package store
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -69,16 +71,67 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
+// patchedTwin rebuilds g as a patched version: Build over all but its last
+// 10% of edges, then graph.WithEdges re-adding those in batches of 4. It
+// fails t unless the final version is patched, which shows as a list the
+// last batch did not touch still aliasing its parent's storage (a
+// compaction copies every list).
+func patchedTwin(t *testing.T, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	edges := g.Edges(nil)
+	keep := len(edges) - len(edges)/10
+	cur := graph.MustBuild(g.NumVertices(), edges[:keep])
+	var prev *graph.Graph
+	var batch []graph.Edge
+	for i := keep; i < len(edges); i += len(batch) {
+		batch = edges[i:min(i+4, len(edges))]
+		next, err := graph.WithEdges(cur, batch, g.NumVertices())
+		if err != nil {
+			t.Fatalf("WithEdges: %v", err)
+		}
+		prev, cur = cur, next
+	}
+	touched := map[graph.VertexID]bool{}
+	for _, e := range batch {
+		touched[e.Src] = true
+	}
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		if a, b := prev.OutNeighbors(v), cur.OutNeighbors(v); !touched[v] && len(a) > 0 && &a[0] == &b[0] {
+			return cur
+		}
+	}
+	t.Fatal("no list aliases the parent's: the last batch compacted, and the patched view needs a patched version")
+	return nil
+}
+
 // TestDifferentialStorageModes runs the full application × domain registry
-// against heap, mmap'd and out-of-core views of the same graph.
+// against heap, mmap'd, out-of-core and patched-heap views of the same
+// graph. The patched view must also write the same SLFC bytes as the graph
+// it equals.
 func TestDifferentialStorageModes(t *testing.T) {
 	heap := gen.RMAT(400, 3200, gen.DefaultRMAT, 8, 17) // varint weights
 	views := viewModes(t, heap)
+	patched := patchedTwin(t, heap)
+	dir := t.TempDir()
+	if err := Write(filepath.Join(dir, "heap.slfc"), heap); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(filepath.Join(dir, "patched.slfc"), patched); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(filepath.Join(dir, "heap.slfc"))
+	b, errB := os.ReadFile(filepath.Join(dir, "patched.slfc"))
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("patched graph wrote different SLFC bytes (%v, %v)", errA, errB)
+	}
 	const root, iters = 0, 6
 	for _, entry := range apps.Runnables() {
 		entry := entry
 		t.Run(entry.Key+"/"+entry.Domain, func(t *testing.T) {
 			ref := execOn(t, entry, heap, root, iters)
+			if got := execOn(t, entry, patched, root, iters); !bitsEqual(got, ref) {
+				t.Fatal("patched-heap view diverged from heap reference")
+			}
 			for mode, sg := range views {
 				if got := execOn(t, entry, sg, root, iters); !bitsEqual(got, ref) {
 					t.Fatalf("%s view diverged from heap reference", mode)
