@@ -30,7 +30,7 @@ func benchConfig() bench.Config {
 
 func runExperiment(b *testing.B, name string) {
 	b.Helper()
-	fn, ok := bench.Experiments[name]
+	e, ok := bench.Lookup(name)
 	if !ok {
 		b.Fatalf("unknown experiment %q", name)
 	}
@@ -38,7 +38,7 @@ func runExperiment(b *testing.B, name string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := fn(cfg); err != nil {
+		if err := e.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,12 +62,8 @@ func BenchmarkFigure10Balance(b *testing.B)            { runExperiment(b, "fig10
 // Ablations beyond the paper's own artefacts.
 
 func BenchmarkAblationDenseThreshold(b *testing.B) { runExperiment(b, "ablation-dense") }
-func BenchmarkAblationPartition(b *testing.B)      { runExperiment(b, "ablation-partition") }
 func BenchmarkAblationGuidanceReuse(b *testing.B)  { runExperiment(b, "ablation-guidance") }
-func BenchmarkAblationCodec(b *testing.B)          { runExperiment(b, "ablation-codec") }
 func BenchmarkAblationRebalance(b *testing.B)      { runExperiment(b, "ablation-rebalance") }
-func BenchmarkAblationReorder(b *testing.B)        { runExperiment(b, "ablation-reorder") }
-func BenchmarkAblationAsync(b *testing.B)          { runExperiment(b, "ablation-async") }
 func BenchmarkAnalyticsApps(b *testing.B)          { runExperiment(b, "analytics") }
 func BenchmarkAblationIncrementalRRG(b *testing.B) { runExperiment(b, "ablation-incremental") }
 

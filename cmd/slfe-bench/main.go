@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"slfe/internal/bench"
@@ -47,22 +46,22 @@ func main() {
 		}
 		return
 	}
-	fn, ok := bench.Experiments[*exp]
+	e, ok := bench.Lookup(*exp)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "slfe-bench: unknown experiment %q (want all | %s)\n", *exp, names())
 		os.Exit(2)
 	}
-	if err := fn(cfg); err != nil {
+	if err := e.Run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "slfe-bench:", err)
 		os.Exit(1)
 	}
 }
 
+// names lists the -exp keys in run order.
 func names() string {
-	var ns []string
-	for n := range bench.Experiments {
-		ns = append(ns, n)
+	ns := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		ns[i] = e.Name
 	}
-	sort.Strings(ns)
 	return strings.Join(ns, " | ")
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"slfe/internal/apps"
-	"slfe/internal/baseline/async"
 	"slfe/internal/baseline/gas"
 	"slfe/internal/baseline/ligra"
 	"slfe/internal/baseline/ooc"
@@ -50,7 +49,7 @@ func main() {
 	memBudget := flag.Int64("mem-budget", 0, "memory budget in bytes for .slfc graphs: 0 mmaps the file; a positive budget smaller than the file switches to out-of-core supersteps (block streaming via pread)")
 	dataset := flag.String("dataset", "", "Table 4 dataset code instead of -graph (PK OK LJ WK DI ST FS RMAT)")
 	scale := flag.Int("scale", 1000, "dataset down-scale factor")
-	system := flag.String("system", "slfe", "engine: slfe | powergraph | powerlyra | graphchi | ligra | async (baselines run the f64 domain only)")
+	system := flag.String("system", "slfe", "engine: slfe | powergraph | powerlyra | graphchi | ligra (baselines run the f64 domain only and reject the flags marked (slfe))")
 	nodes := flag.Int("nodes", 1, "cluster size (slfe/powergraph/powerlyra)")
 	threads := flag.Int("threads", 0, "threads per node (0 = GOMAXPROCS)")
 	rr := flag.Bool("rr", true, "enable redundancy reduction (slfe)")
@@ -71,6 +70,9 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 
+	if err := rejectSLFEOnly(*system); err != nil {
+		fatal(err)
+	}
 	if *nodes < 1 {
 		fatal(fmt.Errorf("-nodes must be at least 1 (got %d)", *nodes))
 	}
@@ -234,18 +236,6 @@ func main() {
 		values = res.Values
 		run = res.Metrics
 		fmt.Printf("system: Ligra-proxy elapsed=%v\n", res.Metrics.Total)
-	case "async":
-		prog, runG := baselineProgram(appKey, g, graph.VertexID(*root), *iters, *domain)
-		hg := heap(runG)
-		g = hg
-		res, _, err := async.Execute(hg, prog, *nodes)
-		if err != nil {
-			fatal(err)
-		}
-		values = res.Values
-		run = res.Metrics
-		fmt.Printf("system: async nodes=%d rounds=%d elapsed=%v comm=%d msgs / %d bytes\n",
-			*nodes, res.Rounds, res.Metrics.Total, res.Comm.MessagesSent, res.Comm.BytesSent)
 	default:
 		fatal(fmt.Errorf("unknown system %q", *system))
 	}
@@ -282,6 +272,27 @@ func usage() {
 		fmt.Fprintf(flag.CommandLine.Output(), "  %-10s %-18s %s\n", k, strings.Join(byKey[k], " "), agg[k])
 	}
 	fmt.Fprintln(flag.CommandLine.Output(), "  plus whole-graph analytics: triangles | kcore | clique | mst | diameter (f64)")
+}
+
+// rejectSLFEOnly refuses a baseline run that names a flag only the SLFE
+// engine reads, so -system ligra -ft fails up front instead of silently
+// running without failure tolerance.
+func rejectSLFEOnly(system string) error {
+	if strings.EqualFold(system, "slfe") {
+		return nil
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case f.Name == "rr", f.Name == "stealing", f.Name == "sync", f.Name == "rebalance",
+			strings.HasPrefix(f.Name, "ft"):
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("-system %s does not read %s (slfe engine only): remove or run -system slfe", system, strings.Join(set, " "))
 }
 
 // loadGraph opens the input as a graph.View: .slfc files are served from

@@ -12,16 +12,15 @@ func tinyConfig(buf *bytes.Buffer) Config {
 }
 
 func TestExperimentsSmoke(t *testing.T) {
-	for name, fn := range Experiments {
-		name, fn := name, fn
-		t.Run(name, func(t *testing.T) {
+	for _, e := range Experiments {
+		t.Run(e.Name, func(t *testing.T) {
 			var buf bytes.Buffer
 			cfg := tinyConfig(&buf)
-			if err := fn(cfg); err != nil {
-				t.Fatalf("%s: %v", name, err)
+			if err := e.Run(cfg); err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
 			}
 			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", name)
+				t.Fatalf("%s produced no output", e.Name)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"text/tabwriter"
 
 	"slfe/internal/apps"
@@ -274,38 +275,48 @@ func formatRow(xs []float64) string {
 	return out
 }
 
-// Experiments maps -exp flags to experiment functions.
-var Experiments = map[string]func(Config) error{
-	"table1":               Table1,
-	"table4":               Table4,
-	"table2":               Table2,
-	"fig2":                 Figure2,
-	"fig4":                 Figure4,
-	"table5":               Table5,
-	"fig5":                 Figure5,
-	"fig6":                 Figure6,
-	"fig7":                 Figure7,
-	"fig8":                 Figure8,
-	"fig9":                 Figure9,
-	"fig10":                Figure10,
-	"ablation-dense":       AblationDense,
-	"ablation-partition":   AblationPartition,
-	"ablation-guidance":    AblationGuidanceReuse,
-	"ablation-codec":       AblationCodec,
-	"ablation-rebalance":   AblationRebalance,
-	"ablation-reorder":     AblationReorder,
-	"ablation-async":       AblationAsync,
-	"ablation-incremental": AblationIncremental,
-	"analytics":            Analytics,
+// Experiment is one -exp key and the function that prints its table.
+type Experiment struct {
+	Name string
+	Run  func(Config) error
 }
 
-// All runs every experiment in a stable order.
+// Experiments lists every experiment once, in the order All runs them:
+// the paper's tables and figures in figure order, then the ablations.
+var Experiments = []Experiment{
+	{"table1", Table1},
+	{"table4", Table4},
+	{"table2", Table2},
+	{"fig2", Figure2},
+	{"fig4", Figure4},
+	{"table5", Table5},
+	{"fig5", Figure5},
+	{"fig6", Figure6},
+	{"fig7", Figure7},
+	{"fig8", Figure8},
+	{"fig9", Figure9},
+	{"fig10", Figure10},
+	{"ablation-dense", AblationDense},
+	{"ablation-guidance", AblationGuidanceReuse},
+	{"ablation-rebalance", AblationRebalance},
+	{"ablation-incremental", AblationIncremental},
+	{"analytics", Analytics},
+}
+
+// Lookup returns the experiment named name.
+func Lookup(name string) (Experiment, bool) {
+	i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.Name == name })
+	if i < 0 {
+		return Experiment{}, false
+	}
+	return Experiments[i], true
+}
+
+// All runs every experiment in list order.
 func All(c Config) error {
-	order := []string{"table1", "table4", "table2", "fig2", "fig4", "table5", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"ablation-dense", "ablation-partition", "ablation-guidance", "ablation-codec", "ablation-rebalance", "ablation-reorder", "ablation-async", "ablation-incremental", "analytics"}
-	for _, name := range order {
-		if err := Experiments[name](c); err != nil {
-			return fmt.Errorf("bench: %s: %w", name, err)
+	for _, e := range Experiments {
+		if err := e.Run(c); err != nil {
+			return fmt.Errorf("bench: %s: %w", e.Name, err)
 		}
 		fmt.Fprintln(c.Out)
 	}
