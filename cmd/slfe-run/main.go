@@ -24,6 +24,7 @@ import (
 	"slfe/internal/baseline/gas"
 	"slfe/internal/baseline/ligra"
 	"slfe/internal/baseline/ooc"
+	"slfe/internal/ckpt"
 	"slfe/internal/cluster"
 	"slfe/internal/compress"
 	"slfe/internal/core"
@@ -59,8 +60,8 @@ func main() {
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
 	iters := flag.Int("iters", 30, "iterations for arithmetic apps")
 	ft := flag.Bool("ft", false, "enable rank-failure tolerance: heartbeat detection, buddy-replicated checkpoints, automatic recovery (slfe)")
-	ftDir := flag.String("ft-dir", "", "base directory for per-rank checkpoint shards (default: a temporary directory)")
-	ftEvery := flag.Int("ft-every", 8, "checkpoint interval in supersteps under -ft")
+	ftDir := flag.String("ft-dir", "", "checkpoint directory under -ft (Options.Ckpt.Dir): rank r writes its shards to <dir>/rank-NNN (default: a temporary directory, removed on exit)")
+	ftEvery := flag.Int("ft-every", 8, "checkpoint interval in supersteps under -ft (Options.Ckpt.Every)")
 	ftInterval := flag.Duration("ft-interval", 0, "heartbeat probe period under -ft (0 = 25ms)")
 	ftDead := flag.Duration("ft-dead", 0, "silence after which a rank is declared dead under -ft (0 = 10x the probe period)")
 	ftTCP := flag.Bool("ft-tcp", false, "run membership epochs over a real loopback TCP mesh under -ft")
@@ -110,20 +111,10 @@ func main() {
 		opt.Codec = compress.Adaptive{W: width}
 	}
 	if *ft {
-		dir := *ftDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "slfe-ft-*")
-			if err != nil {
-				fatal(err)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
+		opt.Ckpt = &ckpt.Manager{Dir: *ftDir, Every: *ftEvery}
 		opt.FT = &cluster.FTOptions{
 			HeartbeatInterval: *ftInterval,
 			DeadAfter:         *ftDead,
-			CkptDir:           dir,
-			CkptEvery:         *ftEvery,
 			TCPLoopback:       *ftTCP,
 			Rejoin:            *ftRejoin,
 			RejoinWindow:      *ftRejoinWindow,

@@ -3,12 +3,12 @@
 // every worker's state at the same iteration: each rank writes one shard
 // per checkpoint (atomic rename) holding only the vertex range it owns, and
 // a checkpoint is complete when every rank's shard for the same iteration
-// exists. On restart the engine loads every rank's shard of the latest
-// complete checkpoint and folds them with Merge into one global state, the
-// same path fault recovery takes — the standard Pregel-style
-// fault-tolerance scheme. A Writer persists a run's shards in the
-// background: a tick is durable once the next tick starts or the run
-// returns.
+// exists. On restart MergeLatest folds every rank's shard of the latest
+// complete checkpoint with Merge into one global state that seeds the
+// engine; fault recovery takes the same path through MergeNewest — the
+// standard Pregel-style fault-tolerance scheme. A Writer persists a run's
+// shards in the background: a tick is durable once the next tick starts or
+// the run returns.
 //
 // Shards are domain-tagged: values are stored as the value domain's wire
 // words at the domain's width, and the domain name is part of the frame, so
@@ -394,7 +394,10 @@ type Manager struct {
 	Dir string
 	// Every is the checkpoint interval in supersteps (default 8).
 	Every int
-	// Resume makes the engine restart from the latest complete checkpoint.
+	// Resume makes a run restart from the latest complete checkpoint: the
+	// cluster layer merges it (MergeLatest, or MergeNewest over the
+	// per-rank directories of a fault-tolerant run) and seeds the engine
+	// with the result.
 	Resume bool
 	// Replicate makes the engine stream every saved shard to its ring buddy
 	// ((rank+1) mod size), who stores it via SaveReplica. Recovery can then
@@ -495,26 +498,20 @@ func (m *Manager) replicaPath(iter uint32, rank int) string {
 	return filepath.Join(m.Dir, fmt.Sprintf("replica-%08d-rank%03d.slck", iter, rank))
 }
 
-// Stored is one parsed shard file from a manager's directory.
-type Stored struct {
-	State *State
-	// Replica marks shards received from a ring buddy rather than written
+// stored is one parsed shard file from a manager's directory.
+type stored struct {
+	state *State
+	// replica marks shards received from a ring buddy rather than written
 	// by this manager's own rank.
-	Replica bool
+	replica bool
 }
 
-// States parses every shard and replica in the directory, silently
-// skipping unreadable or corrupt files: recovery wants whatever is still
-// valid, not an error about what isn't.
-func (m *Manager) States() ([]Stored, error) {
-	entries, err := os.ReadDir(m.Dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	var out []Stored
+// states parses every shard and replica in the directory, silently
+// skipping an unreadable directory and unreadable or corrupt files:
+// recovery wants whatever is still valid, not an error about what isn't.
+func (m *Manager) states() []stored {
+	entries, _ := os.ReadDir(m.Dir)
+	var out []stored
 	for _, e := range entries {
 		name := e.Name()
 		replica := strings.HasPrefix(name, "replica-")
@@ -530,9 +527,9 @@ func (m *Manager) States() ([]Stored, error) {
 		if err != nil {
 			continue
 		}
-		out = append(out, Stored{State: s, Replica: replica})
+		out = append(out, stored{state: s, replica: replica})
 	}
-	return out, nil
+	return out
 }
 
 // LatestComplete returns the highest iteration for which each of ranks

@@ -152,21 +152,18 @@ func TestSaveReplicaAndStates(t *testing.T) {
 	if err := m.SaveReplica([]byte("garbage")); err == nil {
 		t.Error("corrupt replica accepted")
 	}
-	stored, err := m.States()
-	if err != nil {
-		t.Fatal(err)
+	found := m.states()
+	if len(found) != 2 {
+		t.Fatalf("states returned %d entries, want 2", len(found))
 	}
-	if len(stored) != 2 {
-		t.Fatalf("States returned %d entries, want 2", len(stored))
+	byRank := map[uint32]stored{}
+	for _, st := range found {
+		byRank[st.state.Rank] = st
 	}
-	byRank := map[uint32]Stored{}
-	for _, st := range stored {
-		byRank[st.State.Rank] = st
-	}
-	if st := byRank[0]; st.Replica || st.State == nil {
+	if st := byRank[0]; st.replica || st.state == nil {
 		t.Errorf("rank 0 shard: %+v, want own (non-replica)", st)
 	}
-	if st := byRank[1]; !st.Replica {
+	if st := byRank[1]; !st.replica {
 		t.Errorf("rank 1 shard not marked replica: %+v", st)
 	}
 	// Replicas must not count toward complete local checkpoints.

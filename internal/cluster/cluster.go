@@ -54,14 +54,19 @@ type Options struct {
 	RebalanceEvery int
 	// RebalanceDamping in (0,1] scales boundary moves (default 0.5).
 	RebalanceDamping float64
-	// Ckpt enables superstep checkpointing; see core.Config.Ckpt.
+	// Ckpt enables superstep checkpointing; see core.Config.Ckpt. With
+	// Ckpt.Resume the run restarts from Ckpt.MergeLatest, merged once for
+	// all ranks. Under FT it sets the directory and cadence of the per-rank
+	// managers (Ckpt.Ranks), and Resume starts the first epoch from the
+	// recovery scan (ckpt.MergeNewest); without a Dir, FT uses a temporary
+	// directory removed on return.
 	Ckpt *ckpt.Manager
 	// FT enables rank-failure tolerance: heartbeat failure detection,
 	// buddy-replicated checkpoints and automatic recovery onto the
 	// surviving ranks, as an epoch loop around the session run (recover.go).
 	// Only Execute can host it — the loop owns each epoch's transport group,
-	// so ExecuteOver and ExecuteSession reject it. Incompatible with Ckpt
-	// (the loop owns one private checkpoint manager per rank).
+	// so ExecuteOver and ExecuteSession reject it. It checkpoints through
+	// Ckpt.
 	FT *FTOptions
 }
 
@@ -75,14 +80,8 @@ func (o *Options) validate(ownsTransports bool) error {
 	if ft == nil {
 		return nil
 	}
-	if o.Ckpt != nil {
-		return errors.New("cluster: Options.FT and Options.Ckpt are mutually exclusive: recovery owns one private checkpoint manager per rank; leave Ckpt nil")
-	}
 	if ft.Rejoin && !ft.TCPLoopback {
 		return errors.New("cluster: Options.FT.Rejoin requires Options.FT.TCPLoopback: a restarted rank redials a real mesh")
-	}
-	if ft.CkptDir == "" {
-		return errors.New("cluster: Options.FT.CkptDir is required")
 	}
 	if !ownsTransports {
 		return errors.New("cluster: Options.FT cannot run on a session or on caller-provided transports (ExecuteSession, ExecuteOver): recovery replaces the transport group every epoch; use Execute")
@@ -166,7 +165,9 @@ type epochPlan struct {
 
 // runSession is the one execution body: partition, guidance, one engine
 // goroutine per session rank over the session's resident communicators and
-// scheduler pools. The caller serialises runs on s.
+// scheduler pools. The caller serialises runs on s. Without a plan it
+// also merges the checkpoint a Ckpt.Resume run restarts from, once for all
+// ranks.
 //
 // It is also the one place guidance is chosen, by one rule: opt.Guidance
 // when handed in; else, for an arith program that declares Roots, guidance
@@ -186,6 +187,12 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 	}
 	if err != nil {
 		return nil, err
+	}
+	var restore *ckpt.State
+	if m := opt.Ckpt; plan == nil && m != nil && m.Resume {
+		if restore, err = m.MergeLatest(nodes); err != nil {
+			return nil, err
+		}
 	}
 
 	out := &RunResult[V]{}
@@ -234,6 +241,7 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				RebalanceEvery:   opt.RebalanceEvery,
 				RebalanceDamping: opt.RebalanceDamping,
 				Ckpt:             opt.Ckpt,
+				Restore:          restore,
 			}
 			if plan != nil {
 				cfg.Ckpt, cfg.Restore, cfg.Progress = plan.ckpt[rank], plan.restore[rank], plan.progress

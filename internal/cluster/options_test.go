@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +106,14 @@ func TestOptionsCombinations(t *testing.T) {
 				Rebalance: true, RebalanceEvery: 2, RebalanceDamping: 1}
 		}},
 	}
+	sameAsBase := func(t *testing.T, res *RunResult[float64]) {
+		t.Helper()
+		for v := range base.Result.Values {
+			if res.Result.Values[v] != base.Result.Values[v] {
+				t.Fatalf("vertex %d: %v, want %v", v, res.Result.Values[v], base.Result.Values[v])
+			}
+		}
+	}
 	for _, c := range cases {
 		for _, ep := range entryPoints {
 			t.Run(c.name+"/"+ep.name, func(t *testing.T) {
@@ -111,14 +121,49 @@ func TestOptionsCombinations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for v := range base.Result.Values {
-					if res.Result.Values[v] != base.Result.Values[v] {
-						t.Fatalf("vertex %d: %v, want %v", v, res.Result.Values[v], base.Result.Values[v])
-					}
-				}
+				sameAsBase(t, res)
 			})
 		}
 	}
+
+	// FT checkpoints through Ckpt, and only Execute hosts it: each rank's
+	// shards land in <Dir>/rank-NNN, and a resumed run starts its first
+	// epoch from them.
+	ftCkpt := func(dir string, resume bool) Options {
+		return Options{Nodes: nodes, Ckpt: &ckpt.Manager{Dir: dir, Every: 2, Resume: resume},
+			FT: &FTOptions{HeartbeatInterval: 5 * time.Millisecond, DeadAfter: 400 * time.Millisecond}}
+	}
+	t.Run("ft+ckpt/Execute", func(t *testing.T) {
+		dir := t.TempDir()
+		res, err := Execute(g, ssspProgram(), ftCkpt(dir, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsBase(t, res)
+		for r := range nodes {
+			sub := fmt.Sprintf("rank-%03d", r)
+			if own, _ := filepath.Glob(filepath.Join(dir, sub, fmt.Sprintf("ckpt-*-rank%03d.slck", r))); len(own) == 0 {
+				t.Errorf("no shard of rank %d under <Dir>/%s", r, sub)
+			}
+		}
+		if top, _ := filepath.Glob(filepath.Join(dir, "*.slck")); len(top) > 0 {
+			t.Errorf("FT wrote shards into <Dir> itself: %v", top)
+		}
+	})
+	t.Run("ft+ckpt-resume/Execute", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := Execute(g, ssspProgram(), ftCkpt(dir, false)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Execute(g, ssspProgram(), ftCkpt(dir, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsBase(t, res)
+		if res.Result.Iterations >= base.Result.Iterations {
+			t.Fatalf("resumed run executed %d supersteps, the plain run %d", res.Result.Iterations, base.Result.Iterations)
+		}
+	})
 }
 
 // TestExclusionsRejectedUpFront is the documented exclusion list as a
@@ -129,7 +174,7 @@ func TestOptionsCombinations(t *testing.T) {
 func TestExclusionsRejectedUpFront(t *testing.T) {
 	g := gen.Path(32)
 	ft := func(mod func(*FTOptions)) *FTOptions {
-		f := &FTOptions{CkptDir: t.TempDir(), HeartbeatInterval: 5 * time.Millisecond}
+		f := &FTOptions{HeartbeatInterval: 5 * time.Millisecond}
 		if mod != nil {
 			mod(f)
 		}
@@ -143,14 +188,10 @@ func TestExclusionsRejectedUpFront(t *testing.T) {
 		// itself: Execute hosts FT, the other two must refuse it.
 		executeRuns bool
 	}{
-		{"ft+ckpt", Options{FT: ft(nil), Ckpt: &ckpt.Manager{Dir: t.TempDir()}},
-			[]string{"Options.FT", "Options.Ckpt"}, false},
 		{"ft-needs-execute", Options{FT: ft(nil)},
 			[]string{"Options.FT", "ExecuteSession", "ExecuteOver"}, true},
 		{"rejoin-without-tcp", Options{FT: ft(func(f *FTOptions) { f.Rejoin = true })},
 			[]string{"Options.FT.Rejoin", "Options.FT.TCPLoopback"}, false},
-		{"ft-without-ckptdir", Options{FT: &FTOptions{}},
-			[]string{"Options.FT.CkptDir"}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -218,6 +259,27 @@ func TestCkptResumeThroughExecute(t *testing.T) {
 	for v := range want.Result.Values {
 		if res.Result.Values[v] != want.Result.Values[v] {
 			t.Fatalf("vertex %d differs", v)
+		}
+	}
+}
+
+// TestCkptResumeRejectsOtherRankCount checks that a checkpoint written by
+// 3 ranks does not resume on 2: the shards of ranks 0 and 1 cover only
+// two of its three ranges, and the error names both counts.
+func TestCkptResumeRejectsOtherRankCount(t *testing.T) {
+	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 1, 37)
+	m := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
+	if _, err := Execute(g, ssspProgram(), Options{Nodes: 3, Ckpt: m}); err != nil {
+		t.Fatal(err)
+	}
+	m.Resume = true
+	_, err := Execute(g, ssspProgram(), Options{Nodes: 2, Ckpt: m})
+	if err == nil {
+		t.Fatal("a 3-rank checkpoint resumed on 2 ranks")
+	}
+	for _, want := range []string{"written by 3 ranks", "resuming on 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"slfe/internal/apps"
+	"slfe/internal/ckpt"
 	"slfe/internal/cluster"
 	"slfe/internal/comm"
 	"slfe/internal/graph"
@@ -36,17 +37,18 @@ func TestRecoveryWithinBound(t *testing.T) {
 	}
 }
 
-// rejoinFT is the FT configuration the rejoin guard measures under: a
-// loopback TCP mesh with checkpoints every second superstep.
-func rejoinFT(t *testing.T) *cluster.FTOptions {
-	return &cluster.FTOptions{
-		HeartbeatInterval: 5 * time.Millisecond,
-		SuspectAfter:      150 * time.Millisecond,
-		DeadAfter:         400 * time.Millisecond,
-		CkptDir:           t.TempDir(),
-		CkptEvery:         2,
-		TCPLoopback:       true,
-	}
+// rejoinOptions is the configuration the rejoin guard measures under:
+// three ranks on a loopback TCP mesh with checkpoints every second
+// superstep.
+func rejoinOptions(t *testing.T) cluster.Options {
+	return cluster.Options{Nodes: 3, Threads: 1, Stealing: true, RR: true,
+		Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2},
+		FT: &cluster.FTOptions{
+			HeartbeatInterval: 5 * time.Millisecond,
+			SuspectAfter:      150 * time.Millisecond,
+			DeadAfter:         400 * time.Millisecond,
+			TCPLoopback:       true,
+		}}
 }
 
 // rejoinRun kills the last of three ranks halfway through a PageRank run
@@ -58,7 +60,7 @@ func rejoinRun(t *testing.T, g *graph.Graph, base *cluster.RunResult[float64]) (
 	t.Helper()
 	f := comm.NewFaults()
 	f.KillAfterSends(2, base.Comm.MessagesSent/2)
-	opt := cluster.Options{Nodes: 3, Threads: 1, Stealing: true, RR: true, FT: rejoinFT(t)}
+	opt := rejoinOptions(t)
 	opt.FT.Faults = f
 	opt.FT.Rejoin = true
 	opt.FT.RejoinWindow = 5 * time.Second
@@ -82,8 +84,7 @@ func rejoinRun(t *testing.T, g *graph.Graph, base *cluster.RunResult[float64]) (
 // single-epoch FT run.
 func tcpBaseline(t *testing.T, g *graph.Graph) float64 {
 	t.Helper()
-	got, err := cluster.Execute(g, apps.PageRank(24),
-		cluster.Options{Nodes: 3, Threads: 1, Stealing: true, RR: true, FT: rejoinFT(t)})
+	got, err := cluster.Execute(g, apps.PageRank(24), rejoinOptions(t))
 	if err != nil {
 		t.Fatalf("rejoin TCP baseline: %v", err)
 	}

@@ -22,8 +22,7 @@ package cluster
 
 import (
 	"fmt"
-	"path/filepath"
-	"slices"
+	"os"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -44,13 +43,6 @@ type FTOptions struct {
 	// suspect -> dead FSM (defaults 4x / 10x the interval).
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	// CkptDir is the base checkpoint directory. Every rank writes only to
-	// its own private subdirectory rank-<original id> — the failure model
-	// assumes no shared storage, which is why shards are replicated to ring
-	// buddies. Required.
-	CkptDir string
-	// CkptEvery is the checkpoint interval in supersteps (default 8).
-	CkptEvery int
 	// Faults, when set, wraps the initial epoch's transports for fault
 	// injection (tests and the recovery benchmark). Recovery epochs run
 	// unwrapped: injected faults are one-shot.
@@ -164,17 +156,25 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 
 	// members holds the surviving original rank ids; epoch rank i is
 	// members[i]. Every original rank keeps one private checkpoint manager
-	// for the whole run, so a recovery epoch's shards land in the same
-	// per-rank directories later recoveries will scan.
+	// under opt.Ckpt's directory for the whole run, so a recovery epoch's
+	// shards land in the same per-rank directories later recoveries will
+	// scan.
+	var base ckpt.Manager
+	if opt.Ckpt != nil {
+		base = *opt.Ckpt
+	}
+	if base.Dir == "" {
+		dir, err := os.MkdirTemp("", "slfe-ft-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		base.Dir = dir
+	}
+	managers := base.Ranks(nodes)
 	members := make([]int, nodes)
-	managers := make([]*ckpt.Manager, nodes)
 	for i := range members {
 		members[i] = i
-		managers[i] = &ckpt.Manager{
-			Dir:       filepath.Join(ft.CkptDir, fmt.Sprintf("rank-%03d", i)),
-			Every:     ft.CkptEvery,
-			Replicate: true,
-		}
 	}
 
 	// Persistent mesh endpoints, one per original rank, surviving across
@@ -199,7 +199,11 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 	}
 
 	report := &RecoveryReport{ResumeIter: -1}
+	// A resumed run's first epoch starts from the scan a recovery uses.
 	var restore *ckpt.State
+	if base.Resume {
+		restore, _, _ = ckpt.MergeNewest(managers, p.Name, nodes)
+	}
 	var restorePerRank []*ckpt.State
 	var bounds []uint32
 	var lastErr error
@@ -279,7 +283,7 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		var crashIter atomic.Int64
 		crashIter.Store(-1)
 		plan := &epochPlan{
-			ckpt:    pickManagers(managers, members),
+			ckpt:    ckpt.Pick(managers, members),
 			restore: make([]*ckpt.State, k),
 			bounds:  bounds,
 			progress: func(iter int) {
@@ -405,14 +409,11 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		restore, bounds, restorePerRank = nil, nil, nil
 		report.ResumeIter = -1
 		report.RestoredFromReplica = false
-		var merged *ckpt.State
 		var failedRanges *partition.Chunked
-		shards, fromReplica := bestCheckpoint(managers, members, p.Name, k)
-		if shards != nil {
-			if m, err := ckpt.Merge(shards); err == nil {
-				if r, err := partition.FromBounds(shards[0].Bounds); err == nil {
-					merged, failedRanges = m, r
-				}
+		merged, failedBounds, fromReplica := ckpt.MergeNewest(ckpt.Pick(managers, members), p.Name, k)
+		if merged != nil {
+			if failedRanges, err = partition.FromBounds(failedBounds); err != nil {
+				merged = nil
 			}
 		}
 		if failedRanges != nil {
@@ -665,14 +666,6 @@ func tryRejoinGrow(meshNodes []*comm.MeshNode, prevMembers, deadRanks []int, pen
 	return out
 }
 
-func pickManagers(managers []*ckpt.Manager, members []int) []*ckpt.Manager {
-	out := make([]*ckpt.Manager, len(members))
-	for i, id := range members {
-		out[i] = managers[id]
-	}
-	return out
-}
-
 // deathVerdict aggregates the per-rank failure detectors into one group
 // verdict: ranks are grouped by identical dead-sets and the largest class
 // wins (ties: the class containing the smallest rank). A clean death
@@ -704,66 +697,4 @@ func deathVerdict(hbs []*comm.Heartbeater) []int {
 		}
 	}
 	return best.dead
-}
-
-// bestCheckpoint scans the surviving ranks' private directories for the
-// newest checkpoint of the failed epoch (k workers) with a complete shard
-// set: every epoch rank's shard present, from the owner's own directory or
-// a buddy replica held by a survivor. Dead ranks' directories are never
-// read — that is the point of replication. Returns the shards indexed by
-// writing rank (nil if no complete set exists) and whether any shard was
-// fetched from a replica.
-func bestCheckpoint(managers []*ckpt.Manager, members []int, program string, k int) ([]*ckpt.State, bool) {
-	type slot struct {
-		state   *ckpt.State
-		replica bool
-	}
-	byIter := make(map[uint32][]slot)
-	for _, id := range members {
-		stored, err := managers[id].States()
-		if err != nil {
-			continue
-		}
-		for _, st := range stored {
-			s := st.State
-			if s.Program != program || len(s.Bounds) != k+1 || int(s.Rank) >= k {
-				continue
-			}
-			slots := byIter[s.Iter]
-			if slots == nil {
-				slots = make([]slot, k)
-				byIter[s.Iter] = slots
-			}
-			cur := &slots[s.Rank]
-			// Prefer the owner's original over a replica (they are
-			// byte-identical; the preference just keeps reporting honest).
-			if cur.state == nil || (cur.replica && !st.Replica) {
-				*cur = slot{state: s, replica: st.Replica}
-			}
-		}
-	}
-	bestIter := int64(-1)
-	for iter, slots := range byIter {
-		complete := true
-		for _, sl := range slots {
-			if sl.state == nil || !slices.Equal(sl.state.Bounds, slots[0].state.Bounds) {
-				complete = false
-				break
-			}
-		}
-		if complete && int64(iter) > bestIter {
-			bestIter = int64(iter)
-		}
-	}
-	if bestIter < 0 {
-		return nil, false
-	}
-	slots := byIter[uint32(bestIter)]
-	shards := make([]*ckpt.State, k)
-	fromReplica := false
-	for i, sl := range slots {
-		shards[i] = sl.state
-		fromReplica = fromReplica || sl.replica
-	}
-	return shards, fromReplica
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"slfe/internal/apps"
+	"slfe/internal/ckpt"
 	"slfe/internal/cluster"
 	"slfe/internal/comm"
 	"slfe/internal/core"
@@ -35,23 +36,28 @@ func ftGraph() *graph.Graph {
 // count so triggers can fire mid-run regardless of program or scale.
 func ftDiff[V comparable](t *testing.T, g *graph.Graph, mk func() *core.Program[V], opt cluster.Options, inject func(f *comm.Faults, total int64), wantDead []int, mods ...func(*cluster.FTOptions)) *cluster.RecoveryReport {
 	t.Helper()
+	return ftDiffIn(t, t.TempDir(), g, mk, opt, inject, wantDead, mods...)
+}
+
+// ftDiffIn is ftDiff checkpointing into dir, which may already hold other
+// runs' shards.
+func ftDiffIn[V comparable](t *testing.T, dir string, g *graph.Graph, mk func() *core.Program[V], opt cluster.Options, inject func(f *comm.Faults, total int64), wantDead []int, mods ...func(*cluster.FTOptions)) *cluster.RecoveryReport {
+	t.Helper()
 	base, err := cluster.Execute(g, mk(), opt)
 	if err != nil {
 		t.Fatalf("undisturbed run: %v", err)
 	}
 
-	dir := t.TempDir()
 	f := comm.NewFaults()
 	inject(f, base.Comm.MessagesSent)
 	fopt := opt
+	fopt.Ckpt = &ckpt.Manager{Dir: dir, Every: 1}
 	fopt.FT = &cluster.FTOptions{
 		HeartbeatInterval: 5 * time.Millisecond,
 		// A wide suspect->dead gap keeps post-abort verdicts unanimous even
 		// when -race scheduling stalls a goroutine for tens of milliseconds.
 		SuspectAfter: 150 * time.Millisecond,
 		DeadAfter:    400 * time.Millisecond,
-		CkptDir:      dir,
-		CkptEvery:    1,
 		Faults:       f,
 		OnDeath: func(dead []int) {
 			for _, d := range dead {
@@ -216,6 +222,32 @@ func TestFTKillBeforeClosingPull(t *testing.T) {
 	}
 }
 
+// TestFTRecoveryIgnoresForeignShards recovers into a Ckpt.Dir that already
+// holds complete shard sets newer than anything the run writes: a 3-rank
+// PageRank run's and a 4-rank SSSP run's. The directory is the caller's, so
+// recovery must pick only shards of its own program written by its own
+// rank count. Killing rank 0 leaves ranks 0, 1 and 2 of the 4-rank set in
+// the survivors' directories (own shards plus ring replicas), a set only
+// the writer-count filter rejects. The restore must stay warm and the
+// values bit-identical.
+func TestFTRecoveryIgnoresForeignShards(t *testing.T) {
+	g := ftGraph()
+	dir := t.TempDir()
+	ftCkpt := func(nodes int) cluster.Options {
+		return cluster.Options{Nodes: nodes, Ckpt: &ckpt.Manager{Dir: dir, Every: 1},
+			FT: &cluster.FTOptions{HeartbeatInterval: 5 * time.Millisecond, DeadAfter: 400 * time.Millisecond}}
+	}
+	if _, err := cluster.Execute(g, apps.PageRank(40), ftCkpt(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Execute(g, apps.SSSP(0), ftCkpt(4)); err != nil {
+		t.Fatal(err)
+	}
+	rep := ftDiffIn(t, dir, g, func() *core.Program[float64] { return apps.SSSP(0) },
+		cluster.Options{Nodes: 3}, killMidRun(0), []int{0})
+	requireWarmRestore(t, rep)
+}
+
 // TestFTKillBeforeFirstCheckpoint kills a rank before any checkpoint
 // completes: recovery must fall back to a cold restart of the shrunk group
 // and still produce bit-identical results.
@@ -242,11 +274,9 @@ func TestFTCleanRunNoFalseDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cluster.Execute(g, p(), cluster.Options{Nodes: 3, FT: &cluster.FTOptions{
+	got, err := cluster.Execute(g, p(), cluster.Options{Nodes: 3, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}, FT: &cluster.FTOptions{
 		HeartbeatInterval: 5 * time.Millisecond,
 		DeadAfter:         400 * time.Millisecond,
-		CkptDir:           t.TempDir(),
-		CkptEvery:         2,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -285,12 +315,11 @@ func recoverOnce(t *testing.T, deadAfter time.Duration) *cluster.RecoveryReport 
 	f := comm.NewFaults()
 	f.KillAfterSends(2, base.Comm.MessagesSent/2)
 	fopt := opt
+	fopt.Ckpt = &ckpt.Manager{Dir: t.TempDir(), Every: 2}
 	fopt.FT = &cluster.FTOptions{
 		HeartbeatInterval: 5 * time.Millisecond,
 		SuspectAfter:      150 * time.Millisecond,
 		DeadAfter:         deadAfter,
-		CkptDir:           t.TempDir(),
-		CkptEvery:         2,
 		Faults:            f,
 	}
 	got, err := cluster.Execute(g, apps.SSSP(0), fopt)

@@ -144,41 +144,21 @@ func (c *Comm) Barrier() error {
 // AllReduceI64 reduces x across all ranks with op and returns the result on
 // every rank.
 func (c *Comm) AllReduceI64(x int64, op ReduceOp) (int64, error) {
-	if c.Size() == 1 {
-		return x, nil
-	}
-	var buf [8]byte
-	if c.Rank() == 0 {
-		acc := x
-		for i := 0; i < c.Size()-1; i++ {
-			w, err := c.recvWord(typeReduce)
-			if err != nil {
-				return 0, err
-			}
-			acc = reduceI64(acc, int64(w), op)
-		}
-		binary.LittleEndian.PutUint64(buf[:], uint64(acc))
-		for r := 1; r < c.Size(); r++ {
-			if err := c.T.Send(r, typeReduceResult, buf[:]); err != nil {
-				return 0, err
-			}
-		}
-		return acc, nil
-	}
-	binary.LittleEndian.PutUint64(buf[:], uint64(x))
-	if err := c.T.Send(0, typeReduce, buf[:]); err != nil {
-		return 0, err
-	}
-	w, err := c.recvWord(typeReduceResult)
-	if err != nil {
-		return 0, err
-	}
-	return int64(w), nil
+	w, err := c.allReduceWord(uint64(x), op, foldI64)
+	return int64(w), err
 }
 
 // AllReduceF64 reduces x across all ranks with op and returns the result on
 // every rank.
 func (c *Comm) AllReduceF64(x float64, op ReduceOp) (float64, error) {
+	w, err := c.allReduceWord(math.Float64bits(x), op, foldF64)
+	return math.Float64frombits(w), err
+}
+
+// allReduceWord is both reductions over one 8-byte word: rank 0 gathers
+// every other rank's word, folds them into its own in arrival order, and
+// broadcasts the result. fold interprets the words (integer or float).
+func (c *Comm) allReduceWord(x uint64, op ReduceOp, fold func(a, b uint64, op ReduceOp) uint64) (uint64, error) {
 	if c.Size() == 1 {
 		return x, nil
 	}
@@ -190,9 +170,9 @@ func (c *Comm) AllReduceF64(x float64, op ReduceOp) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			acc = reduceF64(acc, math.Float64frombits(w), op)
+			acc = fold(acc, w, op)
 		}
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(acc))
+		binary.LittleEndian.PutUint64(buf[:], acc)
 		for r := 1; r < c.Size(); r++ {
 			if err := c.T.Send(r, typeReduceResult, buf[:]); err != nil {
 				return 0, err
@@ -200,15 +180,11 @@ func (c *Comm) AllReduceF64(x float64, op ReduceOp) (float64, error) {
 		}
 		return acc, nil
 	}
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+	binary.LittleEndian.PutUint64(buf[:], x)
 	if err := c.T.Send(0, typeReduce, buf[:]); err != nil {
 		return 0, err
 	}
-	w, err := c.recvWord(typeReduceResult)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(w), nil
+	return c.recvWord(typeReduceResult)
 }
 
 // selfResult returns the reused single-entry result slice holding blob,
@@ -372,6 +348,23 @@ func (c *Comm) RingExchange(blob []byte) ([]byte, error) {
 	return payload, nil
 }
 
+func foldI64(a, b uint64, op ReduceOp) uint64 {
+	return uint64(reduceI64(int64(a), int64(b), op))
+}
+
+func foldF64(a, b uint64, op ReduceOp) uint64 {
+	x, y := math.Float64frombits(a), math.Float64frombits(b)
+	switch op {
+	case OpSum:
+		return math.Float64bits(x + y)
+	case OpMin:
+		return math.Float64bits(math.Min(x, y))
+	case OpMax:
+		return math.Float64bits(math.Max(x, y))
+	}
+	panic(fmt.Sprintf("comm: unknown reduce op %d", op))
+}
+
 func reduceI64(a, b int64, op ReduceOp) int64 {
 	switch op {
 	case OpSum:
@@ -386,18 +379,6 @@ func reduceI64(a, b int64, op ReduceOp) int64 {
 			return b
 		}
 		return a
-	}
-	panic(fmt.Sprintf("comm: unknown reduce op %d", op))
-}
-
-func reduceF64(a, b float64, op ReduceOp) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMin:
-		return math.Min(a, b)
-	case OpMax:
-		return math.Max(a, b)
 	}
 	panic(fmt.Sprintf("comm: unknown reduce op %d", op))
 }

@@ -68,51 +68,9 @@ func (e *Engine[V]) drainCkpt() error {
 	return e.ck.w.Drain()
 }
 
-// loadCheckpoint returns the state to resume from: the pre-merged Restore
-// state when the recovery driver supplied one, else the merge of every
-// rank's shard of the latest complete checkpoint, else nil. Either source
-// must carry this run's domain tag: a value array is meaningless bits in
-// any other domain. A merged state holds every vertex's owner-authoritative
-// state, so the run resumes under Part whatever ranges wrote the shards.
-func (e *Engine[V]) loadCheckpoint(p *Program[V], kind ckpt.Kind) (*ckpt.State, error) {
-	s := e.cfg.Restore
-	if m := e.cfg.Ckpt; s == nil && m != nil && m.Resume {
-		var err error
-		if s, err = e.mergeLatest(m); err != nil || s == nil {
-			return nil, err
-		}
-	}
-	if s == nil {
-		return nil, nil
-	}
-	if err := e.validateSnap(s, p, kind); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// mergeLatest loads every rank's shard of m's latest complete checkpoint
-// and merges them (nil: no complete checkpoint).
-func (e *Engine[V]) mergeLatest(m *ckpt.Manager) (*ckpt.State, error) {
-	size := e.comm.Size()
-	iter, err := m.LatestComplete(size)
-	if err != nil || iter < 0 {
-		return nil, err
-	}
-	shards := make([]*ckpt.State, size)
-	for rank := range shards {
-		if shards[rank], err = m.Load(iter, rank); err != nil {
-			return nil, err
-		}
-	}
-	if w := len(shards[0].Bounds) - 1; w >= 1 && w != size {
-		return nil, fmt.Errorf("core: checkpoint was written by %d ranks, resuming on %d", w, size)
-	}
-	return ckpt.Merge(shards)
-}
-
-// validateSnap checks that a checkpoint state matches the running program,
-// loop kind, domain and graph.
+// validateSnap checks that the Restore state matches the running program,
+// loop kind, domain and graph: a value array is meaningless bits in any
+// other domain.
 func (e *Engine[V]) validateSnap(s *ckpt.State, p *Program[V], kind ckpt.Kind) error {
 	if s.Program != p.Name {
 		return fmt.Errorf("core: checkpoint is for program %q, running %q", s.Program, p.Name)

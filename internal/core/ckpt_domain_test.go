@@ -25,6 +25,10 @@ func runDomainCkpt[V comparable](t *testing.T, g *graph.Graph, p *Program[V], no
 	if err != nil {
 		t.Fatal(err)
 	}
+	restore, err := resumeFrom(m, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	transports, err := comm.NewLocalGroup(nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +40,7 @@ func runDomainCkpt[V comparable](t *testing.T, g *graph.Graph, p *Program[V], no
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			eng, err := New[V](Config{Graph: g, Comm: comm.NewComm(transports[rank]), Part: part, Sched: testSched(t, 0), Ckpt: m})
+			eng, err := New[V](Config{Graph: g, Comm: comm.NewComm(transports[rank]), Part: part, Sched: testSched(t, 0), Ckpt: m, Restore: restore})
 			if err != nil {
 				errs[rank] = err
 				comm.Abort(transports[rank])

@@ -19,12 +19,27 @@ import (
 	"slfe/internal/rrg"
 )
 
+// resumeFrom is the caller's half of Ckpt.Resume, which the engine does
+// not read: the Restore state merged from m's latest complete checkpoint
+// (nil when m is nil, not resuming, or has no complete checkpoint).
+func resumeFrom(m *ckpt.Manager, nodes int) (*ckpt.State, error) {
+	if m == nil || !m.Resume {
+		return nil, nil
+	}
+	return m.MergeLatest(nodes)
+}
+
 // runWithCkpt executes p on nodes workers with the given checkpoint
-// manager; rank failRank's transport dies after failAfter sends (failRank
-// < 0 disables injection). Returns worker results and errors.
+// manager, resuming from it under m.Resume; rank failRank's transport dies
+// after failAfter sends (failRank < 0 disables injection). Returns worker
+// results and errors.
 func runWithCkpt(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, m *ckpt.Manager, failRank, failAfter int) ([]*Result[float64], []error) {
 	t.Helper()
 	part, err := partition.NewChunked(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore, err := resumeFrom(m, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +58,7 @@ func runWithCkpt(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, m
 			if rank == failRank {
 				tr = &flakyTransport{Transport: tr, remaining: failAfter}
 			}
-			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: testSched(t, 0), Ckpt: m})
+			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: testSched(t, 0), Ckpt: m, Restore: restore})
 			if err != nil {
 				errs[rank] = err
 				comm.Abort(transports[rank])

@@ -50,7 +50,8 @@ func TestSyncStrategyValidation(t *testing.T) {
 
 // runClusterAll executes p on a fresh in-process cluster and returns every
 // worker's result. A rank whose mutate leaves Sched nil computes on a
-// GOMAXPROCS-wide pool of its own.
+// GOMAXPROCS-wide pool of its own, and one whose Ckpt resumes without a
+// Restore gets the merge of Ckpt's latest complete checkpoint.
 func runClusterAll(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, mutate func(rank int, cfg *Config)) []*Result[float64] {
 	t.Helper()
 	part, err := partition.NewChunked(g, nodes)
@@ -75,6 +76,15 @@ func runClusterAll(t *testing.T, g *graph.Graph, p *Program[float64], nodes int,
 			}
 			if cfg.Sched == nil {
 				cfg.Sched = testSched(t, 0)
+			}
+			var err error
+			if cfg.Restore == nil {
+				cfg.Restore, err = resumeFrom(cfg.Ckpt, nodes)
+			}
+			if err != nil {
+				errs[rank] = err
+				comm.Abort(transports[rank])
+				return
 			}
 			eng, err := New[float64](cfg)
 			if err != nil {

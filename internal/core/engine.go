@@ -64,17 +64,16 @@ type Config struct {
 	// range it owns, tagged with the ownership ranges of that tick. The
 	// shard is encoded on the superstep path and written and fsynced in
 	// the background, so a tick is durable once the next tick starts or
-	// Run returns. With Ckpt.Resume the run loads every rank's shard of
-	// the latest complete checkpoint, merges them (ckpt.Merge) and restarts
-	// from that global state under Part, as a Restore state would.
+	// Run returns. The engine only writes through Ckpt; resuming is
+	// Restore's job (Ckpt.Resume is read by the caller).
 	Ckpt *ckpt.Manager
 
-	// Restore seeds the run from a pre-merged checkpoint state instead of
-	// scanning Ckpt's directory: the cluster recovery driver merges a dead
-	// epoch's surviving shards into one global State and hands it to every
-	// new-epoch worker. Validated like a loaded shard; wins over
-	// Ckpt.Resume. A merged state is authoritative for every vertex, so it
-	// carries no ranges and resumes under any ownership.
+	// Restore is the engine's only seed: the merged checkpoint state the
+	// run restarts from (nil: cold start). The cluster layer builds it
+	// once per run (ckpt.Manager.MergeLatest, or ckpt.MergeNewest in fault
+	// recovery) and every worker only reads it. Validated against the
+	// program, loop kind, domain and graph; a merged state carries no
+	// ranges, so it resumes under any ownership.
 	Restore *ckpt.State
 
 	// Progress, when set, is invoked after every completed superstep with

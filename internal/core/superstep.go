@@ -107,9 +107,12 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 			res, err = nil, errors.Join(err, werr)
 		}
 	}()
-	if snap, err := e.loadCheckpoint(p, k.kind()); err != nil {
-		return nil, err
-	} else if snap != nil {
+	// A merged state holds every vertex's owner-authoritative state, so the
+	// run resumes under Part whatever ranges wrote the shards.
+	if snap := e.cfg.Restore; snap != nil {
+		if err := e.validateSnap(snap, p, k.kind()); err != nil {
+			return nil, err
+		}
 		e.decodeValues(st.values, snap.Values)
 		if err := k.restore(snap); err != nil {
 			return nil, err
