@@ -210,12 +210,17 @@ func TestFTPartitionRebalanceAdaptive(t *testing.T) {
 // TestFTKillBeforeClosingPull kills a rank after the first pull round has
 // suppressed its late starters and before any pull has reached
 // max(LastIter): the new epoch restores a frontier-only shard, treats every
-// vertex as owed and must still finish bit-identical.
+// vertex as owed and must still finish bit-identical. The kill comes at
+// three fifths of the undisturbed run's traffic rather than half: the
+// faulted run also replicates a checkpoint every superstep (one ring round,
+// a message to each peer), so half the undisturbed count falls before the
+// first checkpoint past superstep 0 is complete.
 func TestFTKillBeforeClosingPull(t *testing.T) {
 	g := ftGraph()
 	maxLastIter := int(rrg.Generate(g, []graph.VertexID{0}, nil).MaxLastIter)
+	kill := func(f *comm.Faults, total int64) { f.KillAfterSends(2, total*3/5) }
 	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
-		cluster.Options{Nodes: 3, RR: true}, killMidRun(2), []int{2})
+		cluster.Options{Nodes: 3, RR: true}, kill, []int{2})
 	requireWarmRestore(t, rep)
 	if rep.ResumeIter < 1 || rep.ResumeIter >= maxLastIter {
 		t.Skipf("resumed from superstep %d, outside the window [1, %d) this test is about; adjust the kill point", rep.ResumeIter, maxLastIter)

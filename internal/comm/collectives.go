@@ -17,20 +17,14 @@ const (
 )
 
 // Comm layers collective operations over a Transport. All ranks must invoke
-// the same collectives in the same order (standard SPMD discipline). A Comm
-// is not safe for concurrent use by multiple goroutines.
+// the same collectives in the same order (standard SPMD discipline). The
+// gather-style collectives (AllGather, SparseExchange, RingExchange) are
+// rounds of the streaming exchange (stream.go), so they share its one wire
+// format and round counter with delta-sync; Barrier and the reductions
+// stay root-based on their own message types. A Comm is not safe for
+// concurrent use by multiple goroutines.
 type Comm struct {
 	T Transport
-
-	// Sequence counters distinguish successive rounds of the peer-to-peer
-	// collectives: a fast rank may start round k+1 while a slow rank is
-	// still draining round k, so every blob is tagged and out-of-order
-	// arrivals are buffered.
-	gatherSeq   uint64
-	allToAllSeq uint64
-	sparseSeq   uint64
-	ringSeq     uint64
-	pending     map[pendKey][]byte
 
 	// Streaming-exchange state (stream.go): the round counter, messages of
 	// future rounds received while draining the current one, the reusable
@@ -40,60 +34,14 @@ type Comm struct {
 	streamBuf     []byte
 	ex            *Exchange
 
-	// seqBuf is the reusable header+payload staging buffer of sendSeq.
-	// Transports do not retain payloads after Send returns (the local
-	// transport copies, TCP writes synchronously), so one buffer serves
-	// every send of this Comm. A Comm is not safe for concurrent use.
-	seqBuf []byte
 	// self is the reused single-rank result of the size-1 fast paths, so a
 	// solo worker's collectives stay allocation-free. Valid until the next
 	// collective.
 	self [][]byte
 }
 
-type pendKey struct {
-	typ  uint16
-	seq  uint64
-	from int
-}
-
 // NewComm wraps a transport.
-func NewComm(t Transport) *Comm { return &Comm{T: t, pending: make(map[pendKey][]byte)} }
-
-// sendSeq sends payload tagged with an 8-byte sequence header, staging the
-// frame in the Comm's reusable buffer.
-func (c *Comm) sendSeq(to int, typ uint16, seq uint64, payload []byte) error {
-	buf := binary.LittleEndian.AppendUint64(c.seqBuf[:0], seq)
-	buf = append(buf, payload...)
-	c.seqBuf = buf[:0]
-	return c.T.Send(to, typ, buf)
-}
-
-// recvSeq returns the next message of the given type and sequence from any
-// rank, buffering messages that belong to later sequences.
-func (c *Comm) recvSeq(typ uint16, seq uint64) (from int, payload []byte, err error) {
-	for {
-		// Serve buffered messages first.
-		for k, p := range c.pending {
-			if k.typ == typ && k.seq == seq {
-				delete(c.pending, k)
-				return k.from, p, nil
-			}
-		}
-		m, err := c.T.Recv(typ)
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(m.Payload) < 8 {
-			return 0, nil, fmt.Errorf("comm: short sequenced payload from rank %d", m.From)
-		}
-		got := binary.LittleEndian.Uint64(m.Payload)
-		if got == seq {
-			return m.From, m.Payload[8:], nil
-		}
-		c.pending[pendKey{typ: typ, seq: got, from: m.From}] = m.Payload[8:]
-	}
-}
+func NewComm(t Transport) *Comm { return &Comm{T: t} }
 
 // recvWord receives the next message of the given type and validates the
 // fixed 8-byte payload the reduction collectives exchange: a short or
@@ -197,6 +145,35 @@ func (c *Comm) selfResult(blob []byte) [][]byte {
 	return c.self
 }
 
+// round runs one streaming exchange for the gather-style collectives: each
+// peer r for which payload(r) reports ok gets that payload as its single
+// final chunk, and every other peer gets only the end marker Finish emits.
+// It returns the chunks received, indexed by source rank; a source that
+// sent nothing, and this rank's own slot, stay nil. A second chunk from one
+// source is a protocol error.
+func (c *Comm) round(payload func(to int) ([]byte, bool)) ([][]byte, error) {
+	x := c.StartExchange()
+	for r := 0; r < c.Size(); r++ {
+		if p, ok := payload(r); ok && r != c.Rank() {
+			if err := x.SendFinalChunk(r, p); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out := make([][]byte, c.Size())
+	err := x.Finish(func(from int, chunk []byte) error {
+		if x.got[from] > 1 {
+			return fmt.Errorf("comm: rank %d sent %d blobs in one collective round", from, x.got[from])
+		}
+		out[from] = chunk
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // AllGather sends this rank's blob to every rank and returns all blobs
 // indexed by rank (own blob included, not copied). With a single rank the
 // returned slice is reused by the next size-1 collective.
@@ -204,119 +181,36 @@ func (c *Comm) AllGather(blob []byte) ([][]byte, error) {
 	if c.Size() == 1 {
 		return c.selfResult(blob), nil
 	}
-	seq := c.gatherSeq
-	c.gatherSeq++
-	out := make([][]byte, c.Size())
+	out, err := c.round(func(int) ([]byte, bool) { return blob, true })
+	if err != nil {
+		return nil, err
+	}
+	for r, b := range out {
+		if b == nil && r != c.Rank() {
+			return nil, fmt.Errorf("comm: rank %d sent no blob to AllGather", r)
+		}
+	}
 	out[c.Rank()] = blob
-	for r := 0; r < c.Size(); r++ {
-		if r == c.Rank() {
-			continue
-		}
-		if err := c.sendSeq(r, typeGather, seq, blob); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < c.Size()-1; i++ {
-		from, payload, err := c.recvSeq(typeGather, seq)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = payload
-	}
 	return out, nil
 }
 
-// AllToAll sends blobs[r] to rank r and returns the blobs received from each
-// rank (blobs[own rank] is passed through locally).
-func (c *Comm) AllToAll(blobs [][]byte) ([][]byte, error) {
+// SparseExchange sends blobs[r] to rank r only when non-nil, so a
+// superstep with few cross-rank deltas pays a payload only for the peers
+// it actually feeds; every other peer gets just the round's end marker.
+// Returns the received blobs indexed by source rank; sources that sent
+// nothing stay nil (blobs[own rank] is passed through locally).
+func (c *Comm) SparseExchange(blobs [][]byte) ([][]byte, error) {
 	if len(blobs) != c.Size() {
-		return nil, fmt.Errorf("comm: AllToAll needs %d blobs, got %d", c.Size(), len(blobs))
+		return nil, fmt.Errorf("comm: SparseExchange needs %d blobs, got %d", c.Size(), len(blobs))
 	}
 	if c.Size() == 1 {
 		return c.selfResult(blobs[0]), nil
 	}
-	seq := c.allToAllSeq
-	c.allToAllSeq++
-	out := make([][]byte, c.Size())
-	out[c.Rank()] = blobs[c.Rank()]
-	for r := 0; r < c.Size(); r++ {
-		if r == c.Rank() {
-			continue
-		}
-		if err := c.sendSeq(r, typeAllToAll, seq, blobs[r]); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < c.Size()-1; i++ {
-		from, payload, err := c.recvSeq(typeAllToAll, seq)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = payload
-	}
-	return out, nil
-}
-
-// SparseExchange is the sparse counterpart of AllToAll: blobs[r] is sent to
-// rank r only when non-nil, so a superstep with few cross-rank deltas pays
-// for the peers it actually feeds instead of a full mesh of payloads. Ranks
-// first AllGather a destination bitmap (one bit per rank, ceil(size/8)
-// bytes) so every rank knows how many payloads to expect; payloads are then
-// sent directly, batched and sequence-tagged like the gather path, so a
-// fast rank's next round never mixes with a slow rank's current one.
-// Returns the received blobs indexed by source rank; sources that sent
-// nothing stay nil (blobs[own rank] is passed through locally).
-func (c *Comm) SparseExchange(blobs [][]byte) ([][]byte, error) {
-	size := c.Size()
-	if len(blobs) != size {
-		return nil, fmt.Errorf("comm: SparseExchange needs %d blobs, got %d", size, len(blobs))
-	}
-	if size == 1 {
-		return c.selfResult(blobs[0]), nil
-	}
-	out := make([][]byte, size)
-	out[c.Rank()] = blobs[c.Rank()]
-	maskLen := (size + 7) / 8
-	mask := make([]byte, maskLen)
-	for r, b := range blobs {
-		if b != nil && r != c.Rank() {
-			mask[r/8] |= 1 << (r % 8)
-		}
-	}
-	masks, err := c.AllGather(mask)
+	out, err := c.round(func(r int) ([]byte, bool) { return blobs[r], blobs[r] != nil })
 	if err != nil {
 		return nil, err
 	}
-	expected := 0
-	me := c.Rank()
-	for src, m := range masks {
-		if src == me {
-			continue
-		}
-		if len(m) != maskLen {
-			return nil, fmt.Errorf("comm: sparse destination mask from rank %d has %d bytes, want %d", src, len(m), maskLen)
-		}
-		if m[me/8]&(1<<(me%8)) != 0 {
-			expected++
-		}
-	}
-	seq := c.sparseSeq
-	c.sparseSeq++
-	for r, b := range blobs {
-		if r == me || b == nil {
-			continue
-		}
-		if err := c.sendSeq(r, typeSparse, seq, b); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < expected; i++ {
-		from, payload, err := c.recvSeq(typeSparse, seq)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = payload
-	}
+	out[c.Rank()] = blobs[c.Rank()]
 	return out, nil
 }
 
@@ -331,21 +225,21 @@ func (c *Comm) RingExchange(blob []byte) ([]byte, error) {
 	if c.Size() == 1 {
 		return blob, nil
 	}
-	seq := c.ringSeq
-	c.ringSeq++
 	next := (c.Rank() + 1) % c.Size()
 	prev := (c.Rank() + c.Size() - 1) % c.Size()
-	if err := c.sendSeq(next, typeReplica, seq, blob); err != nil {
-		return nil, err
-	}
-	from, payload, err := c.recvSeq(typeReplica, seq)
+	out, err := c.round(func(r int) ([]byte, bool) { return blob, r == next })
 	if err != nil {
 		return nil, err
 	}
-	if from != prev {
-		return nil, fmt.Errorf("comm: ring payload from rank %d, want %d", from, prev)
+	for r, b := range out {
+		switch {
+		case r == prev && b == nil:
+			return nil, fmt.Errorf("comm: no ring payload from rank %d", prev)
+		case r != prev && b != nil:
+			return nil, fmt.Errorf("comm: ring payload from rank %d, want %d", r, prev)
+		}
 	}
-	return payload, nil
+	return out[prev], nil
 }
 
 func foldI64(a, b uint64, op ReduceOp) uint64 {

@@ -195,26 +195,6 @@ func TestAllGather(t *testing.T) {
 	})
 }
 
-func TestAllToAll(t *testing.T) {
-	runGroup(t, 4, func(c *Comm) error {
-		blobs := make([][]byte, c.Size())
-		for r := range blobs {
-			blobs[r] = []byte(fmt.Sprintf("%d->%d", c.Rank(), r))
-		}
-		got, err := c.AllToAll(blobs)
-		if err != nil {
-			return err
-		}
-		for r, b := range got {
-			want := fmt.Sprintf("%d->%d", r, c.Rank())
-			if string(b) != want {
-				return fmt.Errorf("rank %d: got[%d] = %q, want %q", c.Rank(), r, b, want)
-			}
-		}
-		return nil
-	})
-}
-
 // Many back-to-back rounds of mixed collectives exercise the sequencing
 // logic (a fast rank must not corrupt a slow rank's round).
 func TestCollectiveRounds(t *testing.T) {
@@ -234,13 +214,13 @@ func TestCollectiveRounds(t *testing.T) {
 			for r := range blobs {
 				blobs[r] = []byte{byte(round), byte(c.Rank()), byte(r)}
 			}
-			got, err := c.AllToAll(blobs)
+			got, err := c.SparseExchange(blobs)
 			if err != nil {
 				return err
 			}
 			for r, b := range got {
 				if b[0] != byte(round) || b[1] != byte(r) || b[2] != byte(c.Rank()) {
-					return fmt.Errorf("round %d rank %d: a2a[%d] = %v", round, c.Rank(), r, b)
+					return fmt.Errorf("round %d rank %d: exchange[%d] = %v", round, c.Rank(), r, b)
 				}
 			}
 		}
@@ -251,11 +231,26 @@ func TestCollectiveRounds(t *testing.T) {
 func TestSparseExchange(t *testing.T) {
 	const size = 4
 	runGroup(t, size, func(c *Comm) error {
-		// Round 1: a sparse ring — each rank feeds only its successor.
+		// Round 0: every rank feeds every rank, itself included.
 		blobs := make([][]byte, size)
+		for r := range blobs {
+			blobs[r] = []byte(fmt.Sprintf("%d->%d", c.Rank(), r))
+		}
+		got, err := c.SparseExchange(blobs)
+		if err != nil {
+			return err
+		}
+		for r, b := range got {
+			want := fmt.Sprintf("%d->%d", r, c.Rank())
+			if string(b) != want {
+				return fmt.Errorf("rank %d: got[%d] = %q, want %q", c.Rank(), r, b, want)
+			}
+		}
+		// Round 1: a sparse ring — each rank feeds only its successor.
+		blobs = make([][]byte, size)
 		next := (c.Rank() + 1) % size
 		blobs[next] = []byte(fmt.Sprintf("r%d->r%d", c.Rank(), next))
-		got, err := c.SparseExchange(blobs)
+		got, err = c.SparseExchange(blobs)
 		if err != nil {
 			return err
 		}
@@ -306,6 +301,38 @@ func TestSparseExchange(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestSparseExchangeOneMessagePerPeer pins the wire cost of one round:
+// whatever the pattern, every rank sends each peer exactly one message — its
+// payload (which doubles as the end marker) or a bare end marker.
+func TestSparseExchangeOneMessagePerPeer(t *testing.T) {
+	const size = 4
+	patterns := map[string]func(from, to int) bool{
+		"all-peers":  func(from, to int) bool { return true },
+		"ring":       func(from, to int) bool { return to == (from+1)%size },
+		"all-silent": func(from, to int) bool { return false },
+	}
+	for name, feeds := range patterns {
+		t.Run(name, func(t *testing.T) {
+			runGroup(t, size, func(c *Comm) error {
+				blobs := make([][]byte, size)
+				for r := range blobs {
+					if r != c.Rank() && feeds(c.Rank(), r) {
+						blobs[r] = []byte{byte(c.Rank())}
+					}
+				}
+				before := c.T.Stats().MessagesSent
+				if _, err := c.SparseExchange(blobs); err != nil {
+					return err
+				}
+				if sent := c.T.Stats().MessagesSent - before; sent != size-1 {
+					return fmt.Errorf("rank %d sent %d messages, want %d", c.Rank(), sent, size-1)
+				}
+				return nil
+			})
+		})
+	}
 }
 
 func TestSparseExchangeRoundsDoNotMix(t *testing.T) {
@@ -399,28 +426,6 @@ func TestAllReduceRejectsShortPayload(t *testing.T) {
 	}
 	if err := <-done; err == nil {
 		t.Fatal("AllReduceF64 accepted a 1-byte result payload")
-	}
-}
-
-func TestRecvSeqRejectsShortSequencedPayload(t *testing.T) {
-	ts, err := NewLocalGroup(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 bytes cannot carry the 8-byte sequence header.
-	if err := ts[1].Send(0, typeGather, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewComm(ts[0]).AllGather([]byte("x")); err == nil {
-		t.Fatal("AllGather accepted a sequenced payload without a header")
-	}
-}
-
-func TestAllToAllWrongLength(t *testing.T) {
-	ts, _ := NewLocalGroup(2)
-	c := NewComm(ts[0])
-	if _, err := c.AllToAll([][]byte{nil}); err == nil {
-		t.Fatal("AllToAll accepted wrong blob count")
 	}
 }
 

@@ -44,6 +44,18 @@ func streamRecord(from byte, seq uint64, kind byte, n uint32, chunk string) []by
 	return append([]byte{from, byte(len(p))}, p...)
 }
 
+// scriptMessages decodes fuzz input records (see streamRecord) into the
+// typeStream messages of a size-rank script, sent by ranks 1..size-1.
+func scriptMessages(data []byte, size int) []Message {
+	var msgs []Message
+	for len(data) >= 2 {
+		from, n := 1+int(data[0])%(size-1), min(int(data[1]), len(data)-2)
+		msgs = append(msgs, Message{From: from, Type: typeStream, Payload: data[2 : 2+n]})
+		data = data[2+n:]
+	}
+	return msgs
+}
+
 // FuzzStreamExchange feeds arbitrary typeStream payloads from two fake
 // peers, which then close, into Exchange.Finish of round 0. Finish must
 // return, with or without an error, and never panic. Every chunk it applies
@@ -82,11 +94,7 @@ func FuzzStreamExchange(f *testing.F) {
 				total[m.From] = int64(binary.LittleEndian.Uint32(p[9:]))
 			}
 		}}
-		for len(data) >= 2 {
-			from, n := 1+int(data[0])%(size-1), min(int(data[1]), len(data)-2)
-			tr.msgs = append(tr.msgs, Message{From: from, Type: typeStream, Payload: data[2 : 2+n]})
-			data = data[2+n:]
-		}
+		tr.msgs = scriptMessages(data, size)
 
 		err := NewComm(tr).StartExchange().Finish(func(from int, chunk []byte) error {
 			p := last.Payload
@@ -116,6 +124,93 @@ func FuzzStreamExchange(f *testing.F) {
 		for r := 1; r < size; r++ {
 			if applied[r] != total[r] {
 				t.Fatalf("Finish returned nil with rank %d at %d of %d announced chunks", r, applied[r], total[r])
+			}
+		}
+	})
+}
+
+// FuzzCollectiveRound feeds scripted typeStream messages from two fake
+// peers, which then close, into AllGather (round 0), SparseExchange (round
+// 1) and RingExchange (round 2) on rank 0 of a 3-rank group, all on one
+// Comm. No call may panic. A call that returns nil must return exactly the
+// chunks its round received: AllGather one from every peer, SparseExchange
+// at most one per peer, and RingExchange rank 2's, none from rank 1.
+func FuzzCollectiveRound(f *testing.F) {
+	cat := func(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
+	gather := cat(
+		streamRecord(0, 0, streamFinalKind, 0, "g1"),
+		streamRecord(1, 0, streamFinalKind, 0, "g2"),
+	)
+	sparse := cat(
+		streamRecord(1, 1, streamFinalKind, 0, "s2"),
+		streamRecord(0, 1, streamEndKind, 0, ""),
+	)
+	f.Add(cat(gather, sparse,
+		streamRecord(1, 2, streamFinalKind, 0, "ring"),
+		streamRecord(0, 2, streamEndKind, 0, ""),
+	))
+	f.Add(cat( // later rounds arrive first and wait in the buffer
+		streamRecord(1, 2, streamFinalKind, 0, "ring"),
+		streamRecord(0, 1, streamEndKind, 0, ""),
+		gather,
+		streamRecord(1, 1, streamEndKind, 0, ""),
+		streamRecord(0, 2, streamEndKind, 0, ""),
+	))
+	f.Add(cat(gather, sparse, // rank 1 feeds the ring the wrong way
+		streamRecord(0, 2, streamFinalKind, 0, "wrong way"),
+		streamRecord(1, 2, streamFinalKind, 0, "ring"),
+	))
+	f.Add(cat( // rank 2 gives AllGather no blob
+		streamRecord(0, 0, streamFinalKind, 0, "g1"),
+		streamRecord(1, 0, streamEndKind, 0, ""),
+	))
+	f.Add(cat( // two chunks from one peer in one round
+		streamRecord(0, 0, streamChunkKind, 0, "a"),
+		streamRecord(0, 0, streamFinalKind, 1, "b"),
+		streamRecord(1, 0, streamFinalKind, 0, "c"),
+	))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const size = 3
+		// chunks[round][from] lists the chunk payloads rank 0 received.
+		var chunks [3][size][][]byte
+		tr := &scriptTransport{size: size, msgs: scriptMessages(data, size), onRecv: func(m Message) {
+			p := m.Payload
+			if len(p) < streamHeaderLen || (p[8] != streamChunkKind && p[8] != streamFinalKind) {
+				return
+			}
+			if seq := binary.LittleEndian.Uint64(p); seq < 3 {
+				chunks[seq][m.From] = append(chunks[seq][m.From], p[streamHeaderLen:])
+			}
+		}}
+		c := NewComm(tr)
+
+		if all, err := c.AllGather([]byte("own")); err == nil {
+			if string(all[0]) != "own" {
+				t.Fatalf("AllGather own slot = %q", all[0])
+			}
+			for r := 1; r < size; r++ {
+				if got := chunks[0][r]; len(got) != 1 || !bytes.Equal(all[r], got[0]) {
+					t.Fatalf("AllGather returned %q from rank %d, which sent %q", all[r], r, got)
+				}
+			}
+		}
+		if out, err := c.SparseExchange([][]byte{[]byte("own"), nil, []byte("to 2")}); err == nil {
+			if string(out[0]) != "own" {
+				t.Fatalf("SparseExchange own slot = %q", out[0])
+			}
+			for r := 1; r < size; r++ {
+				got := chunks[1][r]
+				if len(got) > 1 || (len(got) == 1) != (out[r] != nil) || (out[r] != nil && !bytes.Equal(out[r], got[0])) {
+					t.Fatalf("SparseExchange returned %q from rank %d, which sent %q", out[r], r, got)
+				}
+			}
+		}
+		if got, err := c.RingExchange([]byte("to 1")); err == nil {
+			if len(chunks[2][1]) != 0 {
+				t.Fatalf("RingExchange accepted %q from rank 1", chunks[2][1])
+			}
+			if sent := chunks[2][2]; len(sent) != 1 || !bytes.Equal(got, sent[0]) {
+				t.Fatalf("RingExchange returned %q, rank 2 sent %q", got, sent)
 			}
 		}
 	})

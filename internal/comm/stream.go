@@ -6,10 +6,13 @@ import (
 	"fmt"
 )
 
-// This file implements the streaming exchange of the overlapped superstep
-// pipeline: a rank opens an exchange, streams individually framed chunks to
-// chosen peers while its compute phase is still running, and finishes with
-// a collective drain that applies every peer's chunks. Because the payload
+// This file implements the streaming exchange, the one wire framing for
+// point-to-point blobs: a rank opens an exchange, streams individually
+// framed chunks to chosen peers (in the overlapped superstep pipeline,
+// while its compute phase is still running), and finishes with a
+// collective drain that applies every peer's chunks. AllGather,
+// SparseExchange and RingExchange are single rounds of it in which each
+// peer gets at most one final chunk (collectives.go). Because the payload
 // travels as ordinary typed Transport messages it works identically over
 // the in-process and the TCP transports, and every rank can be at a
 // different point of the protocol at any moment — the only synchronisation
@@ -20,12 +23,13 @@ import (
 //
 //	u64 seq | u8 kind | u32 n
 //
-// where seq numbers the exchange round (a fast rank may stream round k+1
-// while a slow peer still drains round k; stray rounds are buffered like
-// the sequenced collectives), kind is streamChunk or streamEnd, and n is
-// the chunk's sequence index within (round, sender, receiver) — or, on an
-// end marker, the total number of chunks the sender addressed to this
-// receiver. Chunk payloads follow the header; end markers carry none.
+// where seq numbers the exchange round, one counter for every round this
+// Comm runs (a fast rank may stream round k+1 while a slow peer still
+// drains round k; Finish buffers such future rounds), kind is streamChunk
+// or streamEnd, and n is the chunk's sequence index within (round, sender,
+// receiver) — or, on an end marker, the total number of chunks the sender
+// addressed to this receiver. Chunk payloads follow the header; end
+// markers carry none.
 // Transports guarantee per-(sender, type) FIFO delivery, so the index is a
 // hardening check (ordered chunk sequencing), not a reassembly mechanism.
 

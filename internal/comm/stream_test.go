@@ -23,10 +23,10 @@ func streamGroups(t *testing.T, size int) map[string][]Transport {
 	return map[string][]Transport{"local": local, "tcp": tcp}
 }
 
-// TestStreamExchangeAllToAll streams several chunks from every rank to
+// TestStreamExchangeEveryPeer streams several chunks from every rank to
 // every other rank and checks each receiver sees each sender's chunks
 // complete and in order, over both transports.
-func TestStreamExchangeAllToAll(t *testing.T) {
+func TestStreamExchangeEveryPeer(t *testing.T) {
 	const size, chunks = 3, 5
 	for name, ts := range streamGroups(t, size) {
 		t.Run(name, func(t *testing.T) {

@@ -6,8 +6,10 @@
 //     an in-process implementation (channels) and a TCP implementation
 //     (length-prefixed frames over a full mesh, for genuinely distributed
 //     runs).
-//   - Comm: collectives built on Transport — barrier, all-reduce,
-//     all-gather, all-to-all — which is all the engine needs.
+//   - Comm: collectives built on Transport — barrier and all-reduce, plus
+//     the streaming exchange (stream.go) that carries delta-sync and the
+//     all-gather, sparse and ring exchanges — which is all the engine
+//     needs.
 //
 // Every byte crossing ranks is accounted, which feeds the communication
 // analysis in §4.2.
@@ -33,12 +35,8 @@ const (
 	typeBarrierRelease
 	typeReduce
 	typeReduceResult
-	typeGather
-	typeAllToAll
-	typeSparse
 	typeStream
 	typeHeartbeat
-	typeReplica
 	// typeAbortCtl is the resilient TCP mesh's in-band group-abort
 	// broadcast; it is consumed by the transport layer and never surfaces
 	// through Recv.

@@ -37,7 +37,7 @@ import (
 //     tail, not the whole exchange.
 //
 // Push-mode supersteps cannot stream (an owned vertex's new value is only
-// known after the proposal AllToAll). They open the same exchange after
+// known after the proposal exchange). They open the same exchange after
 // commit (deltaSync), drain the whole owned range over the committed
 // values and send each peer one final chunk: same wire format, same
 // routing, same apply, all of it exposed as sync time.

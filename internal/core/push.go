@@ -32,9 +32,10 @@ import (
 //     depend on the heuristic. The scanned words are cleared on the way
 //     out, restoring the all-clear invariant the next superstep relies on.
 //     Values leave the emit already packed into the domain's wire words.
-//  4. encode + AllToAll: each rank's batch is encoded by that rank's
+//  4. encode + SparseExchange: each rank's batch is encoded by that rank's
 //     compress.StreamEncoder into its reusable buffer (transports do not
-//     retain payloads after Send).
+//     retain payloads after Send) and sent as that peer's one chunk of an
+//     exchange round.
 
 // pairBuf is one thread's append buffer of proposals for one destination
 // rank. Length resets every push superstep; capacity is retained.
@@ -208,7 +209,7 @@ func (cb *rankCombiner[V]) emitWord(wi int) {
 func (e *Engine[V]) exchangePushFlat(updates *int64) error {
 	ps := e.push
 	e.sched.Tasks(e.comm.Size(), ps.combineFn)
-	got, err := e.comm.AllToAll(ps.blobs)
+	got, err := e.comm.SparseExchange(ps.blobs)
 	if err != nil {
 		return err
 	}

@@ -443,22 +443,6 @@ func statsOf(s *Service) map[string]any {
 	if snap.Sym != nil {
 		out["sym_edges"] = snap.Sym.NumEdges()
 	}
-	if rep := s.LastRecovery(); rep != nil {
-		out["recovery"] = map[string]any{
-			"epochs":          rep.Epochs,
-			"deaths":          rep.Deaths,
-			"detect_ms":       float64(rep.DetectTime.Microseconds()) / 1000,
-			"recover_ms":      float64(rep.RecoverTime.Microseconds()) / 1000,
-			"resume_iter":     rep.ResumeIter,
-			"replayed":        rep.ReplayedSupersteps,
-			"replica":         rep.RestoredFromReplica,
-			"rejoined":        rep.Rejoined,
-			"rejoin_ms":       float64(rep.RejoinTime.Microseconds()) / 1000,
-			"redistributed_B": rep.RedistributedBytes,
-			"degraded":        rep.Degraded,
-			"final_members":   rep.FinalMembers,
-		}
-	}
 	return out
 }
 

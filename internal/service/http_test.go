@@ -6,9 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"slfe/internal/cluster"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
 	"slfe/internal/service"
@@ -99,57 +97,6 @@ func TestHTTPLifecycle(t *testing.T) {
 	stats := getJSON(t, ts.URL+"/stats", http.StatusOK)
 	if stats["version"].(float64) != v0+2 || stats["vertices"].(float64) != 121 {
 		t.Fatalf("stats: %v", stats)
-	}
-}
-
-// TestStatsRecoveryBlock pins the /stats recovery surface: absent until a
-// run carries a RecoveryReport, then a JSON block mirroring it — including
-// the elastic-membership fields (rejoined ranks, redistributed bytes,
-// degradation verdict, final membership).
-func TestStatsRecoveryBlock(t *testing.T) {
-	svc, ts := newTestServer(t)
-
-	stats := getJSON(t, ts.URL+"/stats", http.StatusOK)
-	if _, ok := stats["recovery"]; ok {
-		t.Fatalf("recovery block present before any FT run: %v", stats["recovery"])
-	}
-
-	svc.RecordRecovery(nil) // nil reports must not publish a block
-	stats = getJSON(t, ts.URL+"/stats", http.StatusOK)
-	if _, ok := stats["recovery"]; ok {
-		t.Fatal("nil recovery report published a block")
-	}
-
-	svc.RecordRecovery(&cluster.RecoveryReport{
-		Epochs:             2,
-		Deaths:             []int{2},
-		ResumeIter:         4,
-		ReplayedSupersteps: 1,
-		Rejoined:           []int{2},
-		RejoinTime:         1500 * time.Microsecond,
-		RedistributedBytes: 4096,
-		FinalMembers:       3,
-	})
-	stats = getJSON(t, ts.URL+"/stats", http.StatusOK)
-	rec, ok := stats["recovery"].(map[string]any)
-	if !ok {
-		t.Fatalf("no recovery block after RecordRecovery: %v", stats)
-	}
-	if rec["epochs"].(float64) != 2 || rec["final_members"].(float64) != 3 {
-		t.Fatalf("recovery block: %v", rec)
-	}
-	if rec["degraded"] != false {
-		t.Fatalf("degraded: %v", rec["degraded"])
-	}
-	if rec["rejoin_ms"].(float64) != 1.5 {
-		t.Fatalf("rejoin_ms: %v", rec["rejoin_ms"])
-	}
-	if rec["redistributed_B"].(float64) != 4096 {
-		t.Fatalf("redistributed_B: %v", rec["redistributed_B"])
-	}
-	rejoined, ok := rec["rejoined"].([]any)
-	if !ok || len(rejoined) != 1 || rejoined[0].(float64) != 2 {
-		t.Fatalf("rejoined: %v", rec["rejoined"])
 	}
 }
 

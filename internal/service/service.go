@@ -127,10 +127,6 @@ type Service struct {
 	closed atomic.Bool
 	cache  *Cache
 	adm    *Admission
-	// recovery is the most recent fault-tolerance recovery report any run
-	// surfaced (nil until one does). Reports are immutable once published
-	// by the cluster layer, so an atomic pointer suffices.
-	recovery atomic.Pointer[cluster.RecoveryReport]
 }
 
 // New builds a service hosting g.
@@ -172,19 +168,6 @@ func (s *Service) Admission() *Admission { return s.adm }
 
 // PoolStats snapshots the session pool's lifecycle counters.
 func (s *Service) PoolStats() cluster.PoolStats { return s.pool.Stats() }
-
-// RecordRecovery publishes rep as the latest fault-tolerance recovery
-// report surfaced by /stats. Nil reports are ignored, so callers can pass
-// an outcome's Recovery field unconditionally.
-func (s *Service) RecordRecovery(rep *cluster.RecoveryReport) {
-	if rep != nil {
-		s.recovery.Store(rep)
-	}
-}
-
-// LastRecovery returns the most recent recovery report any run produced,
-// or nil when no FT-backed run has surfaced one.
-func (s *Service) LastRecovery() *cluster.RecoveryReport { return s.recovery.Load() }
 
 // Close shuts the session pool down, waiting for in-flight runs. Idempotent.
 func (s *Service) Close() error {
@@ -260,8 +243,6 @@ func (s *Service) RegisterCtx(ctx context.Context, key, domain string, root grap
 	if err != nil {
 		return nil, fmt.Errorf("service: registration run for %s failed: %w", id, err)
 	}
-
-	s.RecordRecovery(out.Recovery)
 
 	next := s.successor(cur)
 	next.Sym = sym
@@ -383,7 +364,6 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 	}
 	for id, np := range reexecuted {
 		next.Programs[id] = np
-		s.RecordRecovery(np.Outcome.Recovery)
 	}
 
 	s.snap.Store(next)
