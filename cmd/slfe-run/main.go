@@ -55,7 +55,6 @@ func main() {
 	threads := flag.Int("threads", 0, "threads per node (0 = GOMAXPROCS)")
 	rr := flag.Bool("rr", true, "enable redundancy reduction (slfe)")
 	stealing := flag.Bool("stealing", true, "enable work stealing (slfe)")
-	syncName := flag.String("sync", "dense", "delta-sync strategy: dense | sparse | adaptive (slfe)")
 	rebalance := flag.Bool("rebalance", false, "enable dynamic inter-node rebalancing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
 	iters := flag.Int("iters", 30, "iterations for arithmetic apps")
@@ -100,13 +99,13 @@ func main() {
 	}
 	defer closeG()
 	fmt.Printf("graph: %v\n", g)
-
-	sync, err := core.ParseSyncStrategy(*syncName)
+	rootV, err := rootID(uint64(*root), g.NumVertices())
 	if err != nil {
 		fatal(err)
 	}
+
 	opt := cluster.Options{Nodes: *nodes, Threads: *threads, Stealing: *stealing, RR: *rr,
-		Sync: sync, Rebalance: *rebalance}
+		Rebalance: *rebalance}
 	if *nodes > 1 {
 		opt.Codec = compress.Adaptive{W: width}
 	}
@@ -121,7 +120,7 @@ func main() {
 		}
 	}
 	appKey := strings.ToLower(*app)
-	if runAnalytics(appKey, g, graph.VertexID(*root), opt) {
+	if runAnalytics(appKey, g, rootV, opt) {
 		return
 	}
 
@@ -141,7 +140,7 @@ func main() {
 		if entry.NeedsSym {
 			runG = apps.Symmetrize(g)
 		}
-		out, err := entry.Build(graph.VertexID(*root), *iters).Execute(runG, opt)
+		out, err := entry.Build(rootV, *iters).Execute(runG, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -164,8 +163,7 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("delta-sync: strategy=%v supersteps dense=%d sparse=%d overlapped=%d flush=%dB codec-picks=%s\n",
-			sync, run.DenseSyncs, run.SparseSyncs, run.OverlappedSyncs, run.FlushBytes, formatPicks(run.CodecPicks))
+		fmt.Printf("delta-sync: overlapped=%d codec-picks=%s\n", run.OverlappedSyncs, formatPicks(run.CodecPicks))
 		var streamed, syncB int64
 		for _, s := range run.Iters {
 			streamed += s.StreamedBytes
@@ -181,7 +179,7 @@ func main() {
 				us(run.FrontierTime), us(run.ComputeTime), us(run.CommitTime), us(run.SyncTime), run.Steals)
 		}
 	case "powergraph", "powerlyra":
-		prog, runG := baselineProgram(appKey, g, graph.VertexID(*root), *iters, *domain)
+		prog, runG := baselineProgram(appKey, g, rootV, *iters, *domain)
 		hg := heap(runG)
 		g = hg
 		mode := gas.PowerGraph
@@ -197,7 +195,7 @@ func main() {
 		fmt.Printf("system: %v nodes=%d elapsed=%v comm=%d msgs / %d bytes\n",
 			mode, *nodes, res.Metrics.Total, stats.MessagesSent, stats.BytesSent)
 	case "graphchi":
-		prog, runG := baselineProgram(appKey, g, graph.VertexID(*root), *iters, *domain)
+		prog, runG := baselineProgram(appKey, g, rootV, *iters, *domain)
 		g = runG
 		dir, err := os.MkdirTemp("", "slfe-run-ooc-*")
 		if err != nil {
@@ -217,7 +215,7 @@ func main() {
 		run = res.Metrics
 		fmt.Printf("system: GraphChi-proxy elapsed=%v diskIO=%d bytes\n", res.Metrics.Total, res.BytesRead)
 	case "ligra":
-		prog, runG := baselineProgram(appKey, g, graph.VertexID(*root), *iters, *domain)
+		prog, runG := baselineProgram(appKey, g, rootV, *iters, *domain)
 		hg := heap(runG)
 		g = hg
 		res, err := ligra.Execute(hg, prog, *threads)
@@ -275,7 +273,7 @@ func rejectSLFEOnly(system string) error {
 	var set []string
 	flag.Visit(func(f *flag.Flag) {
 		switch {
-		case f.Name == "rr", f.Name == "stealing", f.Name == "sync", f.Name == "rebalance",
+		case f.Name == "rr", f.Name == "stealing", f.Name == "rebalance",
 			strings.HasPrefix(f.Name, "ft"):
 			set = append(set, "-"+f.Name)
 		}
@@ -284,6 +282,16 @@ func rejectSLFEOnly(system string) error {
 		return nil
 	}
 	return fmt.Errorf("-system %s does not read %s (slfe engine only): remove or run -system slfe", system, strings.Join(set, " "))
+}
+
+// rootID converts the -root flag to a vertex id, refusing a root outside
+// [0, |V|) instead of truncating it to 32 bits. The default root 0 passes
+// on an empty graph, whose rooted programs then have nothing to start from.
+func rootID(root uint64, n int) (graph.VertexID, error) {
+	if root > 0 && root >= uint64(n) {
+		return 0, fmt.Errorf("-root %d outside [0, %d)", root, n)
+	}
+	return graph.VertexID(root), nil
 }
 
 // loadGraph opens the input as a graph.View: .slfc files are served from

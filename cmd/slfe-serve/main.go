@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"slfe/internal/core"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
 	"slfe/internal/loader"
@@ -56,7 +55,6 @@ type serveConfig struct {
 	threads  int
 	rr       bool
 	stealing bool
-	syncName string
 
 	sessions      int
 	cacheCapacity int
@@ -77,7 +75,6 @@ func main() {
 	flag.IntVar(&c.threads, "threads", 0, "threads per node (0 = GOMAXPROCS)")
 	flag.BoolVar(&c.rr, "rr", true, "enable redundancy reduction (incrementally maintained)")
 	flag.BoolVar(&c.stealing, "stealing", true, "enable work stealing")
-	flag.StringVar(&c.syncName, "sync", "dense", "delta-sync strategy: dense | sparse | adaptive")
 	flag.IntVar(&c.sessions, "sessions", 2, "session pool size (concurrent program executions)")
 	flag.IntVar(&c.cacheCapacity, "cache", 4096, "read-cache capacity in entries (negative disables)")
 	flag.IntVar(&c.mutationQueue, "mutation-queue", 4, "bounded mutation queue depth before 429")
@@ -108,18 +105,18 @@ func run(c serveConfig) error {
 	if c.nodes < 1 {
 		return fmt.Errorf("-nodes must be at least 1 (got %d)", c.nodes)
 	}
-	sync, err := core.ParseSyncStrategy(c.syncName)
-	if err != nil {
-		return err
-	}
 	g, err := loadGraph(c.path, c.dataset, c.scale)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("graph: %v\n", g)
+	root, err := rootID(uint64(c.root), g.NumVertices())
+	if err != nil {
+		return err
+	}
 
 	svc, err := service.New(g, service.Config{
-		Nodes: c.nodes, Threads: c.threads, Stealing: c.stealing, RR: c.rr, Sync: sync,
+		Nodes: c.nodes, Threads: c.threads, Stealing: c.stealing, RR: c.rr,
 		Sessions:      c.sessions,
 		CacheCapacity: c.cacheCapacity,
 		MutationQueue: c.mutationQueue,
@@ -136,7 +133,7 @@ func run(c serveConfig) error {
 			return fmt.Errorf("-apps entry %q is not key:domain", spec)
 		}
 		start := time.Now()
-		snap, err := svc.Register(key, domain, graph.VertexID(c.root), c.iters)
+		snap, err := svc.Register(key, domain, root, c.iters)
 		if err != nil {
 			return err
 		}
@@ -170,6 +167,17 @@ func run(c serveConfig) error {
 		}
 		return err
 	}
+}
+
+// rootID converts the -root flag to a vertex id, refusing a root outside
+// [0, |V|) instead of truncating it to 32 bits before Register checks it.
+// The default root 0 passes on an empty graph, which serves no rooted
+// program until it grows.
+func rootID(root uint64, n int) (graph.VertexID, error) {
+	if root > 0 && root >= uint64(n) {
+		return 0, fmt.Errorf("-root %d outside [0, %d)", root, n)
+	}
+	return graph.VertexID(root), nil
 }
 
 func splitApps(spec string) []string {

@@ -3,9 +3,29 @@ package main
 import (
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
+
+// A -root past |V| is refused with the valid range, including one that
+// truncates to an in-range 32-bit id (2^32 would otherwise register vertex
+// 0); the default root 0 still passes over an empty graph.
+func TestRootOutOfRangeIsRefused(t *testing.T) {
+	for _, root := range []uint64{1 << 32, 1<<32 + 3, 99999999, 100} {
+		if _, err := rootID(root, 100); err == nil || !strings.Contains(err.Error(), "[0, 100)") {
+			t.Errorf("root %d over 100 vertices: err %v, want one naming [0, 100)", root, err)
+		}
+	}
+	for _, c := range []struct {
+		root uint64
+		n    int
+	}{{0, 0}, {0, 100}, {99, 100}} {
+		if id, err := rootID(c.root, c.n); err != nil || uint64(id) != c.root {
+			t.Errorf("root %d over %d vertices: got %d, %v", c.root, c.n, id, err)
+		}
+	}
+}
 
 // The daemon's listener must carry read/idle deadlines: without them one
 // slow client holds a connection (and eventually a file descriptor pool)

@@ -419,7 +419,7 @@ func SpMVF32(iters int) *core.Program[float32] { return SpMVIn[float32](iters) }
 // yields an actual shortest-path tree instead of bare distances. The
 // edge-aware RelaxE records the proposing source as the parent, and Better
 // breaks distance ties on the lower parent id — a strict total order, so
-// results are deterministic across schedules, strategies and transports.
+// results are deterministic across schedules, rank counts and transports.
 func SSSPTree(root graph.VertexID) *core.Program[core.DistParent] {
 	return &core.Program[core.DistParent]{
 		Name: "SSSPTree",

@@ -30,10 +30,9 @@ func valuewidthRun(t *testing.T, g *graph.Graph, domain string) (*Outcome, int64
 }
 
 // syncTraffic totals a run's delta-sync bytes: the per-superstep sync
-// traffic (which includes streamed bytes) plus the sparse termination
-// flush.
+// traffic, which includes streamed bytes.
 func syncTraffic(m *metrics.Run) int64 {
-	total := m.FlushBytes
+	var total int64
 	for _, s := range m.Iters {
 		total += s.SyncBytes
 	}

@@ -75,12 +75,11 @@ type State struct {
 	StableCnt []uint32
 	StableVal []uint64
 	// Sets holds the run's bitsets as sorted lists of global vertex ids,
-	// inside the owned range in a shard. Live keys: "frontier" (min/max:
-	// the next superstep's active vertices) and "sparsedirty" (either
-	// kernel under sparse or adaptive delta-sync: owned vertices whose
-	// latest value not every rank has seen). Readers ignore keys they do
-	// not know, e.g. the "caughtup"/"debt" lists shards carried before
-	// "start late" became a scalar Ruler test.
+	// inside the owned range in a shard. The one live key is "frontier"
+	// (min/max: the next superstep's active vertices). Readers ignore keys
+	// they do not know, e.g. the "caughtup"/"debt" lists shards carried
+	// before "start late" became a scalar Ruler test, and the
+	// "sparsedirty" list of the retired sparse delta-sync.
 	Sets map[string][]uint32
 }
 

@@ -15,11 +15,10 @@ import (
 // it holds every vertex, is epoch-agnostic and can seed a run on any new
 // membership. Checkpoint resume and fault recovery both restore through it.
 //
-// A shard holds only its writer's owned range, and under sparse delta-sync
-// only the owner's copy of a vertex is authoritative, so every vertex's
-// state (Values, StableCnt, StableVal) comes from its owner's shard and
-// every set is the union of the owners' ranges of it: each owner holds its
-// own changed-frontier bits, so the frontier union is exactly the global
+// A shard holds only its writer's owned range, so every vertex's state
+// (Values, StableCnt, StableVal) comes from its owner's shard and every set
+// is the union of the owners' ranges of it: each owner holds its own
+// changed-frontier bits, so the frontier union is exactly the global
 // changed set.
 func Merge(shards []*State) (*State, error) {
 	if len(shards) == 0 {

@@ -40,10 +40,11 @@ type Options struct {
 	DenseDivisor int64
 	// Codec selects the delta-sync wire codec (nil: compress.Raw).
 	Codec compress.Codec
-	// Sync selects the delta-sync strategy (dense broadcast, sparse
-	// per-peer routing, or adaptive per-superstep selection); see
-	// core.Config.Sync.
-	Sync core.SyncStrategy
+	// Sync named the delta-sync strategy. Delta-sync always broadcasts
+	// every changed value to every rank now.
+	//
+	// Deprecated: has no effect.
+	Sync int
 	// MeasureAllocs records per-superstep heap-allocation deltas; see
 	// core.Config.MeasureAllocs (only attributable with Nodes=1).
 	MeasureAllocs bool
@@ -235,7 +236,6 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				DenseDivisor:     opt.DenseDivisor,
 				TrackLastChange:  opt.TrackLastChange,
 				Codec:            opt.Codec,
-				Sync:             opt.Sync,
 				MeasureAllocs:    opt.MeasureAllocs,
 				Rebalance:        opt.Rebalance,
 				RebalanceEvery:   opt.RebalanceEvery,

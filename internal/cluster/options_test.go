@@ -89,19 +89,12 @@ func TestOptionsCombinations(t *testing.T) {
 		{"rebalance", func() Options { return Options{Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1} }},
 		{"rr+codec", func() Options { return Options{RR: true, Codec: compress.Adaptive{}} }},
 		{"rr+rebalance", func() Options { return Options{RR: true, Rebalance: true, RebalanceEvery: 2} }},
-		{"rr+sparse-sync", func() Options { return Options{RR: true, Sync: core.SyncAdaptive, Codec: compress.Adaptive{}} }},
 		{"ckpt", func() Options { return Options{Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}} }},
 		{"ckpt+rebalance", func() Options {
 			return Options{Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}}
 		}},
-		{"sparse-sync+rebalance", func() Options {
-			return Options{Sync: core.SyncSparse, Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1}
-		}},
-		{"adaptive-sync+rebalance", func() Options {
-			return Options{RR: true, Sync: core.SyncAdaptive, Codec: compress.Adaptive{}, Rebalance: true, RebalanceEvery: 2, RebalanceDamping: 1}
-		}},
 		{"everything-compatible", func() Options {
-			return Options{RR: true, Stealing: true, Threads: 2, Sync: core.SyncSparse,
+			return Options{RR: true, Stealing: true, Threads: 2,
 				Codec: compress.Adaptive{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3},
 				Rebalance: true, RebalanceEvery: 2, RebalanceDamping: 1}
 		}},

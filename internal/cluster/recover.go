@@ -12,8 +12,8 @@
 //
 // Recovered results are bit-identical to an undisturbed run because (a) the
 // merged checkpoint is the exact global state at the checkpointed superstep
-// (each vertex's words come from its owner, whose copy is authoritative
-// under every sync strategy), and (b) the engine's superstep trajectory is
+// (each vertex's words come from its owner's shard, and delta-sync gives
+// every rank the owner's copy), and (b) the engine's superstep trajectory is
 // invariant to partitioning and worker count: its reductions are max/
 // integer-sum (order-independent) and per-vertex gathers run in in-neighbor
 // order. Work after the restored checkpoint is simply re-executed, landing

@@ -172,38 +172,35 @@ func TestFTPartitionArithF64(t *testing.T) {
 	requireWarmRestore(t, rep)
 }
 
-// TestFTKillSparseAdaptive exercises recovery while the adaptive sparse
-// sync path is live, so the merged checkpoint must carry the sparse-dirty
-// bookkeeping across the membership change, and the resumed "start late"
-// run — whose shards no longer say who was suppressed — must repay
+// TestFTKillStartLate exercises recovery of a "start late" run: the
+// resumed run, whose shards do not say who was suppressed, must repay
 // everything with its closing pull.
-func TestFTKillSparseAdaptive(t *testing.T) {
+func TestFTKillStartLate(t *testing.T) {
 	g := ftGraph()
 	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
-		cluster.Options{Nodes: 3, RR: true, Sync: core.SyncAdaptive}, killMidRun(2), []int{2})
+		cluster.Options{Nodes: 3, RR: true}, killMidRun(2), []int{2})
 	requireWarmRestore(t, rep)
 }
 
-// rebalanceAdaptive moves ownership every superstep while adaptive sync
-// routes sparsely: the shards record the moved ranges, Merge takes each
-// vertex from its owner under them, and the next epoch folds those ranges.
-func rebalanceAdaptive(opt cluster.Options) cluster.Options {
-	opt.Sync = core.SyncAdaptive
+// withRebalance moves ownership every superstep: the shards record the
+// moved ranges, Merge takes each vertex from its owner under them, and the
+// next epoch folds those ranges.
+func withRebalance(opt cluster.Options) cluster.Options {
 	opt.Rebalance, opt.RebalanceEvery, opt.RebalanceDamping = true, 1, 1
 	return opt
 }
 
-func TestFTKillRebalanceAdaptive(t *testing.T) {
+func TestFTKillRebalance(t *testing.T) {
 	g := ftGraph()
 	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
-		rebalanceAdaptive(cluster.Options{Nodes: 3, RR: true}), killMidRun(2), []int{2})
+		withRebalance(cluster.Options{Nodes: 3, RR: true}), killMidRun(2), []int{2})
 	requireWarmRestore(t, rep)
 }
 
-func TestFTPartitionRebalanceAdaptive(t *testing.T) {
+func TestFTPartitionRebalance(t *testing.T) {
 	g := ftGraph()
 	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.PageRank(12) },
-		rebalanceAdaptive(cluster.Options{Nodes: 4}), partitionMidRun, []int{1, 3})
+		withRebalance(cluster.Options{Nodes: 4}), partitionMidRun, []int{1, 3})
 	requireWarmRestore(t, rep)
 }
 

@@ -10,10 +10,9 @@ import (
 // header and set listings are rebuilt in place every tick, and the writer
 // owns the two pooled encode buffers and the background save.
 type ckptTick struct {
-	w     *ckpt.Writer
-	snap  ckpt.State
-	sets  map[string][]uint32
-	dirty []uint32 // the shard's sparse-dirty listing
+	w    *ckpt.Writer
+	snap ckpt.State
+	sets map[string][]uint32
 }
 
 // checkpoint is the tick after superstep iter: one pass over the owned
@@ -25,7 +24,7 @@ func (e *Engine[V]) checkpoint(p *Program[V], k kernel[V], st *state[V], iter in
 	m, ck := e.cfg.Ckpt, &e.ck
 	if ck.w == nil {
 		ck.w = ckpt.NewWriter(m, e.comm.Rank())
-		ck.sets = make(map[string][]uint32, 2)
+		ck.sets = make(map[string][]uint32, 1)
 	}
 	clear(ck.sets)
 	ck.snap = ckpt.State{
@@ -39,12 +38,6 @@ func (e *Engine[V]) checkpoint(p *Program[V], k kernel[V], st *state[V], iter in
 		Sets:    ck.sets,
 	}
 	stable := k.snapshot(&ck.snap)
-	if e.dirty != nil {
-		// The sparse-only distribution state must survive a resume, or the
-		// final consistency flush would miss these vertices.
-		ck.dirty = e.collectBitsInto(ck.dirty[:0], e.dirty, e.lo, e.hi)
-		ck.sets["sparsedirty"] = ck.dirty
-	}
 	shard := ckpt.AppendTyped(ck.w.Buffer(), &ck.snap, st.values[e.lo:e.hi], stable, e.dom.Bits)
 	var replica []byte
 	if m.Replicate && e.comm.Size() > 1 {

@@ -188,13 +188,12 @@ func TestCheckpointRejectsWrongProgram(t *testing.T) {
 }
 
 // Rebalancing moves ownership away from Part, and a shard holds the
-// values, StableCnt and sparsedirty entries of the range it owned when it
+// values, StableCnt and frontier entries of the range it owned when it
 // was written. A run resumed mid-way — every later shard deleted — must
 // place each shard by its recorded bounds when it merges them, and finish
-// bit-identical to the static run under Part: both kernels under RR, dense
-// and sparse sync. The resume point is the first checkpoint whose ranges
-// had moved at an earlier tick than its own, so sparse supersteps ran
-// under them after the move-time flush.
+// bit-identical to the static run under Part: both kernels under RR. The
+// resume point is the first checkpoint whose ranges had moved at an
+// earlier tick than its own, so supersteps ran under them before the tick.
 func TestCheckpointResumeUnderRebalance(t *testing.T) {
 	const nodes = 3
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 8, 7)
@@ -203,55 +202,52 @@ func TestCheckpointResumeUnderRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prog := range []func() *Program[float64]{testProgram, testArith} {
-		for _, sync := range []SyncStrategy{SyncDense, SyncSparse} {
-			p := prog()
-			rr := withGuidance(t, g, p)
-			want := runCluster(t, g, p, nodes, rr)
-			run := func(m *ckpt.Manager) []*Result[float64] {
-				return runClusterAll(t, g, p, nodes, func(rank int, cfg *Config) {
-					rr(rank, cfg)
-					cfg.Sync = sync
-					cfg.Rebalance, cfg.RebalanceEvery, cfg.RebalanceDamping = true, 3, 1
-					cfg.Ckpt = m
-				})
+		p := prog()
+		rr := withGuidance(t, g, p)
+		want := runCluster(t, g, p, nodes, rr)
+		run := func(m *ckpt.Manager) []*Result[float64] {
+			return runClusterAll(t, g, p, nodes, func(rank int, cfg *Config) {
+				rr(rank, cfg)
+				cfg.Rebalance, cfg.RebalanceEvery, cfg.RebalanceDamping = true, 3, 1
+				cfg.Ckpt = m
+			})
+		}
+		full := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
+		run(full)
+		latest, err := full.LatestComplete(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, prev := -1, static.Bounds()
+		for iter := 0; iter <= latest && at < 0; iter++ {
+			s, err := full.Load(iter, 0)
+			if errors.Is(err, fs.ErrNotExist) {
+				continue // the Ruler jumped over this iteration
 			}
-			full := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
-			run(full)
-			latest, err := full.LatestComplete(nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			at, prev := -1, static.Bounds()
-			for iter := 0; iter <= latest && at < 0; iter++ {
-				s, err := full.Load(iter, 0)
-				if errors.Is(err, fs.ErrNotExist) {
-					continue // the Ruler jumped over this iteration
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(s.Bounds, static.Bounds()) && slices.Equal(s.Bounds, prev) {
-					at = iter
-				}
-				prev = s.Bounds
+			if !slices.Equal(s.Bounds, static.Bounds()) && slices.Equal(s.Bounds, prev) {
+				at = iter
 			}
-			if at < 0 || at == latest {
-				t.Fatalf("%s/%v: no checkpoint with moved ranges before the last one (latest %d)", p.Name, sync, latest)
+			prev = s.Bounds
+		}
+		if at < 0 || at == latest {
+			t.Fatalf("%s: no checkpoint with moved ranges before the last one (latest %d)", p.Name, latest)
+		}
+		early := &ckpt.Manager{Dir: t.TempDir(), Every: 1, Resume: true}
+		for rank := 0; rank < nodes; rank++ {
+			s, err := full.Load(at, rank)
+			if err != nil {
+				t.Fatal(err)
 			}
-			early := &ckpt.Manager{Dir: t.TempDir(), Every: 1, Resume: true}
-			for rank := 0; rank < nodes; rank++ {
-				s, err := full.Load(at, rank)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := early.Save(rank, s); err != nil {
-					t.Fatal(err)
-				}
+			if err := early.Save(rank, s); err != nil {
+				t.Fatal(err)
 			}
-			for rank, res := range run(early) {
-				if !sameValues(res.Values, want.Values) {
-					t.Fatalf("%s/%v rank %d: resumed after iteration %d differs from the static run", p.Name, sync, rank, at)
-				}
+		}
+		for rank, res := range run(early) {
+			if !sameValues(res.Values, want.Values) {
+				t.Fatalf("%s rank %d: resumed after iteration %d differs from the static run", p.Name, rank, at)
 			}
 		}
 	}
@@ -280,7 +276,6 @@ func TestCheckpointResumeBeforeClosingPull(t *testing.T) {
 		for _, nodes := range []int{1, 2} {
 			rr := func(_ int, cfg *Config) {
 				cfg.RR, cfg.Guidance = true, gd
-				cfg.Sync = SyncAdaptive // so shards carry "sparsedirty" too
 			}
 			want := runCluster(t, g, p, nodes, nil) // RR off
 			m := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
@@ -306,7 +301,7 @@ func TestCheckpointResumeBeforeClosingPull(t *testing.T) {
 					t.Fatal(err)
 				}
 				for key := range s.Sets {
-					if key != "frontier" && key != "sparsedirty" {
+					if key != "frontier" {
 						t.Errorf("%s nodes=%d: min/max shard carries set %q", gname, nodes, key)
 					}
 				}

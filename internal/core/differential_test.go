@@ -52,13 +52,12 @@ func bitIdentical(a, b []core.Value) bool {
 }
 
 // TestDifferentialTransportsAndStrategies is the engine's core contract
-// check: for every registered application, every delta-sync strategy
-// (dense | sparse | adaptive), over both the in-process transport and a
-// real TCP mesh, must produce values bit-identical to the one-rank run.
+// check: for every registered application, a multi-rank run over both the
+// in-process transport and a real TCP mesh must produce values
+// bit-identical to the one-rank run.
 func TestDifferentialTransportsAndStrategies(t *testing.T) {
 	const nodes = 3
 	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 8, 13)
-	strategies := []core.SyncStrategy{core.SyncDense, core.SyncSparse, core.SyncAdaptive}
 	for name, app := range diffApps(g) {
 		app := app
 		t.Run(name, func(t *testing.T) {
@@ -70,21 +69,19 @@ func TestDifferentialTransportsAndStrategies(t *testing.T) {
 				t.Fatal(err)
 			}
 			gd := ref.Guidance
-			for _, sync := range strategies {
-				inproc, err := cluster.Execute(app.g, app.prog, cluster.Options{
-					Nodes: nodes, RR: true, Guidance: gd, Sync: sync,
-				})
-				if err != nil {
-					t.Fatalf("in-process %v: %v", sync, err)
-				}
-				if !bitIdentical(inproc.Result.Values, ref.Result.Values) {
-					t.Fatalf("in-process %v differs from the one-rank reference", sync)
-				}
-				tcp := runTCPDomain(t, app.g, app.prog, nodes, sync, gd)
-				for rank, vals := range tcp {
-					if !bitIdentical(vals, ref.Result.Values) {
-						t.Fatalf("TCP %v: rank %d differs from the one-rank reference", sync, rank)
-					}
+			inproc, err := cluster.Execute(app.g, app.prog, cluster.Options{
+				Nodes: nodes, RR: true, Guidance: gd,
+			})
+			if err != nil {
+				t.Fatalf("in-process: %v", err)
+			}
+			if !bitIdentical(inproc.Result.Values, ref.Result.Values) {
+				t.Fatal("in-process run differs from the one-rank reference")
+			}
+			tcp := runTCPDomain(t, app.g, app.prog, nodes, gd)
+			for rank, vals := range tcp {
+				if !bitIdentical(vals, ref.Result.Values) {
+					t.Fatalf("TCP: rank %d differs from the one-rank reference", rank)
 				}
 			}
 		})

@@ -30,7 +30,7 @@ import (
 
 // runTCPDomain executes the program over a freshly dialled localhost TCP
 // mesh and returns every rank's values.
-func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V], nodes int, strat core.SyncStrategy, gd *rrg.Guidance) [][]V {
+func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V], nodes int, gd *rrg.Guidance) [][]V {
 	t.Helper()
 	part, err := partition.NewChunked(g, nodes)
 	if err != nil {
@@ -52,7 +52,7 @@ func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program
 			defer sched.Close()
 			eng, err := core.New[V](core.Config{
 				Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: sched,
-				RR: true, Guidance: gd, Sync: strat,
+				RR: true, Guidance: gd,
 			})
 			if err != nil {
 				errs[rank] = err
@@ -96,8 +96,8 @@ func bitIdenticalIn[V comparable](dom core.Domain[V], a, b []V) bool {
 	return true
 }
 
-// domainMatrix runs the full strategy × transport matrix for one typed
-// program and returns the one-rank reference projected to float64.
+// domainMatrix runs one typed program over both transports and returns the
+// one-rank reference projected to float64.
 func domainMatrix[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V]) []float64 {
 	t.Helper()
 	const nodes = 3
@@ -107,21 +107,17 @@ func domainMatrix[V comparable](t *testing.T, g *graph.Graph, prog *core.Program
 	}
 	dom := ref.Result.Dom
 	gd := ref.Guidance
-	for _, sync := range []core.SyncStrategy{core.SyncDense, core.SyncSparse, core.SyncAdaptive} {
-		inproc, err := cluster.Execute(g, prog, cluster.Options{
-			Nodes: nodes, RR: true, Guidance: gd, Sync: sync,
-		})
-		if err != nil {
-			t.Fatalf("in-process %v: %v", sync, err)
-		}
-		if !bitIdenticalIn(dom, inproc.Result.Values, ref.Result.Values) {
-			t.Fatalf("in-process %v differs from the one-rank reference", sync)
-		}
-		tcp := runTCPDomain(t, g, prog, nodes, sync, gd)
-		for rank, vals := range tcp {
-			if !bitIdenticalIn(dom, vals, ref.Result.Values) {
-				t.Fatalf("TCP %v: rank %d differs from the one-rank reference", sync, rank)
-			}
+	inproc, err := cluster.Execute(g, prog, cluster.Options{Nodes: nodes, RR: true, Guidance: gd})
+	if err != nil {
+		t.Fatalf("in-process: %v", err)
+	}
+	if !bitIdenticalIn(dom, inproc.Result.Values, ref.Result.Values) {
+		t.Fatal("in-process run differs from the one-rank reference")
+	}
+	tcp := runTCPDomain(t, g, prog, nodes, gd)
+	for rank, vals := range tcp {
+		if !bitIdenticalIn(dom, vals, ref.Result.Values) {
+			t.Fatalf("TCP: rank %d differs from the one-rank reference", rank)
 		}
 	}
 	return ref.Result.Float64s()

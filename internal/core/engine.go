@@ -54,11 +54,6 @@ type Config struct {
 	// program domain's width — Run validates. All workers must agree.
 	Codec compress.Codec
 
-	// Sync selects the delta-sync strategy (§4.2's communication
-	// bottleneck): dense broadcast, sparse per-peer routing, or
-	// per-superstep adaptive selection. All workers must agree.
-	Sync SyncStrategy
-
 	// Ckpt enables Pregel-style superstep checkpointing: every
 	// Ckpt.Interval() supersteps each worker writes a shard of the vertex
 	// range it owns, tagged with the ownership ranges of that tick. The
@@ -94,7 +89,7 @@ type Config struct {
 	// future-work item, implemented in internal/balance): every
 	// RebalanceEvery iterations workers exchange their window compute
 	// times and deterministically re-split the ownership boundaries. It
-	// composes with every Sync strategy, Ckpt and Restore.
+	// composes with Ckpt and Restore.
 	Rebalance bool
 	// RebalanceEvery is the measurement window in iterations (default 4).
 	RebalanceEvery int
@@ -127,10 +122,7 @@ type Engine[V comparable] struct {
 	g    graph.View
 	comm *comm.Comm
 	// curs[t] is thread t's adjacency cursor (free aliases for a heap
-	// graph, per-thread block-decode scratch for a disk-backed one);
-	// curs[threads] is the serial cursor used by the engine/dispatcher
-	// goroutine (the stream drain's sparse routing), which never runs
-	// concurrently with itself.
+	// graph, per-thread block-decode scratch for a disk-backed one).
 	curs  []graph.Cursor
 	sched *ws.Scheduler
 	// part is the ownership map: Config.Part, a resumed shard's ranges or
@@ -145,16 +137,6 @@ type Engine[V comparable] struct {
 	// runs keeps one codec).
 	dom   Domain[V]
 	codec compress.Codec
-
-	// dirty marks owned vertices whose latest value was distributed only
-	// through the sparse exchange and so is stale on uninterested ranks;
-	// flushSparse re-broadcasts them at termination. Nil under SyncDense.
-	dirty *bitset.Atomic
-	// lastGlobalChanged caches the changed-count AllReduce of the latest
-	// delta-sync; the next frontier holds exactly those vertices, so the
-	// sparse-mode active count can reuse it instead of re-reducing
-	// (-1: unknown — first superstep or just resumed from a checkpoint).
-	lastGlobalChanged int64
 
 	// Steady-state working sets, allocated once and reused every superstep
 	// (the zero-allocation hot path). curState/changed point at the active
@@ -228,25 +210,19 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 	if cfg.DenseDivisor <= 0 {
 		cfg.DenseDivisor = 20
 	}
-	if cfg.Sync < SyncDense || cfg.Sync > SyncAdaptive {
-		return nil, fmt.Errorf("core: invalid delta-sync strategy %d", cfg.Sync)
-	}
 	e := &Engine[V]{
 		cfg:   cfg,
 		g:     cfg.Graph,
 		comm:  cfg.Comm,
 		sched: cfg.Sched,
 	}
-	e.curs = make([]graph.Cursor, e.sched.Threads()+1)
+	e.curs = make([]graph.Cursor, e.sched.Threads())
 	for i := range e.curs {
 		e.curs[i] = e.g.Cursor()
 	}
 	e.bits.body = e.collectBitsChunk
 	e.outBody = e.outEdgesChunk
 	e.setPart(cfg.Part)
-	if cfg.Sync != SyncDense {
-		e.dirty = bitset.NewAtomic(cfg.Graph.NumVertices())
-	}
 	if cfg.Rebalance {
 		every := cfg.RebalanceEvery
 		if every <= 0 {
@@ -292,13 +268,11 @@ func (e *Engine[V]) bindDomain(dom Domain[V]) error {
 
 // maybeRebalance closes one iteration of the measurement window and, at
 // window boundaries, re-splits the ownership ranges from the AllGathered
-// per-worker compute times. Neither kernel keeps per-owner state a moving
-// vertex would have to carry: "start late" is a function of the Ruler and
-// the guidance alone, and a "finish early" streak simply restarts. Sparse
-// delta-sync does: it delivered values and frontier bits only to the
-// readers under the old ranges, so before a move both are made globally
-// replicated again. frontier is the kernel's next frontier (nil for arith).
-func (e *Engine[V]) maybeRebalance(st *state[V], frontier *bitset.Atomic, iterTime time.Duration) error {
+// per-worker compute times. No state has to move with a vertex: delta-sync
+// leaves every value and the whole frontier on every rank, "start late" is
+// a function of the Ruler and the guidance alone, and a "finish early"
+// streak simply restarts.
+func (e *Engine[V]) maybeRebalance(st *state[V], iterTime time.Duration) error {
 	e.reb.window += iterTime
 	e.reb.iters++
 	if e.reb.iters < e.reb.every {
@@ -324,16 +298,6 @@ func (e *Engine[V]) maybeRebalance(st *state[V], frontier *bitset.Atomic, iterTi
 	e.reb.window, e.reb.iters = 0, 0
 	if slices.Equal(next.Bounds(), e.part.Bounds()) {
 		return nil
-	}
-	// Every rank computed the same plan, so every rank enters these
-	// collectives, and all of them still route under the old ranges.
-	if e.sparseSync() {
-		if err := e.flushSparse(st); err != nil {
-			return err
-		}
-		if err := e.flushFrontier(st, frontier); err != nil {
-			return err
-		}
 	}
 	if lo, hi := next.Range(e.comm.Rank()); lo != e.lo || hi != e.hi {
 		st.run.Rebalances++
@@ -411,12 +375,8 @@ func (st *state[V]) markChanged(v graph.VertexID, iter int) {
 // the scheduler with a pre-created chunk body, so the per-superstep scan
 // allocates nothing (the scheduler owns the reduction accumulators).
 func (e *Engine[V]) frontierOutEdges(frontier *bitset.Atomic) int64 {
-	return e.sumFrontierOutEdges(frontier, 0, uint32(frontier.Len()))
-}
-
-func (e *Engine[V]) sumFrontierOutEdges(frontier *bitset.Atomic, lo, hi uint32) int64 {
 	e.statFrontier = frontier
-	sum, _ := e.sched.ReduceI64(lo, hi, e.outBody)
+	sum, _ := e.sched.ReduceI64(0, uint32(frontier.Len()), e.outBody)
 	e.statFrontier = nil
 	return sum
 }
@@ -429,18 +389,6 @@ func (e *Engine[V]) outEdgesChunk(clo, chi uint32, _ int) int64 {
 		s += e.g.OutDegree(graph.VertexID(i))
 	}
 	return s
-}
-
-// frontierOutEdgesGlobal returns the global frontier out-degree sum. Under
-// dense sync every worker holds the full frontier and computes it locally;
-// once sparse sync is possible a worker only holds the bits it needs, so
-// the owned spans are summed with an AllReduce instead.
-func (e *Engine[V]) frontierOutEdgesGlobal(frontier *bitset.Atomic) (int64, error) {
-	if !e.sparseSync() {
-		return e.frontierOutEdges(frontier), nil
-	}
-	local := e.sumFrontierOutEdges(frontier, uint32(e.lo), uint32(e.hi))
-	return e.comm.AllReduceI64(local, comm.OpSum)
 }
 
 // collectBitsInto appends the set indices of b inside [lo, hi) to dst in

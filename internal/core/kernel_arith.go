@@ -75,15 +75,15 @@ func (k *arithKernel[V]) snapshot(snap *ckpt.State) []V {
 	return k.stableVal[lo:hi]
 }
 
-func (k *arithKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, error) {
+func (k *arithKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) bool {
 	if *iter >= k.maxIters {
-		return true, nil
+		return true
 	}
 	stat.Iter = *iter
 	stat.Mode = metrics.Pull
 	stat.ActiveVerts = int64(k.e.g.NumVertices())
 	clear(k.counters)
-	return false, nil
+	return false
 }
 
 // stagedCompute implements kernel: the gather/apply compute always stages

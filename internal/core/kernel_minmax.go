@@ -5,7 +5,6 @@ import (
 
 	"slfe/internal/bitset"
 	"slfe/internal/ckpt"
-	"slfe/internal/comm"
 	"slfe/internal/graph"
 	"slfe/internal/metrics"
 )
@@ -114,25 +113,12 @@ func (k *minmaxKernel[V]) snapshot(snap *ckpt.State) []V {
 	return nil
 }
 
-func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, error) {
+func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) bool {
 	e := k.e
 	// The global active count drives termination and the mode switch, so
-	// every worker must agree on it. Under dense sync the local frontier IS
-	// the global frontier; once sparse sync is possible each worker only
-	// holds the bits it needs, but the frontier is exactly the previous
-	// delta-sync's changed set, whose AllReduced count the engine cached.
-	// Only a frontier not built by a sync (iteration 0's roots, a
-	// checkpoint resume) needs a collective count.
+	// every worker must agree on it: delta-sync gives every worker the
+	// whole frontier, so each counts it locally.
 	active := int64(k.front.Count())
-	if e.sparseSync() && e.lastGlobalChanged >= 0 {
-		active = e.lastGlobalChanged
-	} else if e.sparseSync() {
-		var err error
-		active, err = e.comm.AllReduceI64(int64(k.front.CountRange(int(e.lo), int(e.hi))), comm.OpSum)
-		if err != nil {
-			return false, err
-		}
-	}
 
 	// "Start late" debt: the latest pull round ran at ruler owedAbove and
 	// skipped every vertex whose LastIter lies beyond it; each of them
@@ -143,7 +129,7 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, er
 	// correctness rule, as one comparison instead of a reactivate-all).
 	debt := k.owedAbove < int64(k.maxLastIter)
 	if active == 0 && !debt {
-		return true, nil // no active work and nothing owed: done
+		return true // no active work and nothing owed: done
 	}
 	if debt && (active == 0 || k.owedAbove < 0) && int(k.maxLastIter) > *iter {
 		// Nothing is in flight, or a resumed run cannot tell who is owed:
@@ -155,11 +141,7 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, er
 	k.pullMode = debt
 	if !debt {
 		// The push/pull switch (Gemini's heuristic).
-		outEdges, err := e.frontierOutEdgesGlobal(k.front)
-		if err != nil {
-			return false, err
-		}
-		k.pullMode = outEdges > e.g.NumEdges()/e.cfg.DenseDivisor
+		k.pullMode = e.frontierOutEdges(k.front) > e.g.NumEdges()/e.cfg.DenseDivisor
 	}
 
 	stat.Iter = *iter
@@ -170,7 +152,7 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, er
 		stat.Mode = metrics.Push
 	}
 	clear(k.counters)
-	return false, nil
+	return false
 }
 
 // stagedCompute implements kernel: pull supersteps stage final values into

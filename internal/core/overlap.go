@@ -40,14 +40,11 @@ import (
 // known after the proposal exchange). They open the same exchange after
 // commit (deltaSync), drain the whole owned range over the committed
 // values and send each peer one final chunk: same wire format, same
-// routing, same apply, all of it exposed as sync time.
+// broadcast, same apply, all of it exposed as sync time.
 //
-// Strategy selection: the adaptive mode uses the previous superstep's
-// global changed count (agreed by every rank, so the choice stays
-// consistent cluster-wide), falling back to dense when no count exists yet
-// (first superstep, checkpoint resume). Frontiers shrink and grow smoothly,
-// so the one-superstep lag costs a little traffic on transition supersteps
-// and changes no results.
+// Every batch goes to every peer, so every rank holds every value and the
+// whole frontier after each superstep: the push/pull statistic and the
+// termination test are local, and no superstep needs a collective count.
 
 // streamBatchMin/Max clamp the streamed batch size. The actual threshold
 // is a quarter of the owned range (streamBegin), so a dense superstep
@@ -66,7 +63,6 @@ const (
 type streamState[V comparable] struct {
 	active     bool
 	overlapped bool  // opened before compute (pull) rather than after commit (push)
-	sparse     bool  // this superstep's strategy (dense broadcast vs routed)
 	batchCap   int   // per-superstep flush threshold (streamBegin)
 	staged     []V   // array the emission reads (streamBegin)
 	err        error // first send failure, surfaced by streamFlush
@@ -76,16 +72,9 @@ type streamState[V comparable] struct {
 	bytes0 int64 // transport BytesSent when the stream opened
 	hidden int64 // bytes sent while compute was still running
 
-	// Dense batch: pending (id, wire-word) pairs for the broadcast.
+	// Pending (id, wire-word) pairs for the broadcast.
 	ids  []graph.VertexID
 	vals []uint64
-	// Sparse batches: pending pairs per destination rank, plus the last
-	// vertex routed to each rank this superstep (-1: none) — duplicate
-	// suppression must survive a mid-vertex batch flush, so it cannot key
-	// off the (reset) buffer tail.
-	destIDs  [][]graph.VertexID
-	destVals [][]uint64
-	destLast []int64
 
 	drainBody func(clo, chi uint32)
 	applyBody func(from int, chunk []byte) error
@@ -126,27 +115,7 @@ func (e *Engine[V]) streamBegin(staged []V, overlapped bool) {
 	if overlapped {
 		s.batchCap = min(max(int(e.hi-e.lo)/4, streamBatchMin), streamBatchMax)
 	}
-	s.sparse = false
-	switch e.cfg.Sync {
-	case SyncSparse:
-		s.sparse = true
-	case SyncAdaptive:
-		s.sparse = e.lastGlobalChanged >= 0 &&
-			e.lastGlobalChanged*sparseDivisor < int64(e.g.NumVertices())
-	}
 	s.ids, s.vals = s.ids[:0], s.vals[:0]
-	if s.sparse {
-		size := e.comm.Size()
-		for len(s.destIDs) < size {
-			s.destIDs = append(s.destIDs, nil)
-			s.destVals = append(s.destVals, nil)
-			s.destLast = append(s.destLast, 0)
-		}
-		for r := 0; r < size; r++ {
-			s.destIDs[r], s.destVals[r] = s.destIDs[r][:0], s.destVals[r][:0]
-			s.destLast[r] = -1
-		}
-	}
 }
 
 // computeOwned dispatches a pull-style compute body over the owned range,
@@ -166,57 +135,21 @@ func (e *Engine[V]) streamDrain(clo, chi uint32) {
 	if s.err != nil {
 		return
 	}
-	if s.sparse {
-		e.streamDrainSparse(clo, chi)
-		return
-	}
 	it := e.changed.IterIn(int(clo), int(chi))
 	for i := it.Next(); i >= 0; i = it.Next() {
 		s.ids = append(s.ids, graph.VertexID(i))
 		s.vals = append(s.vals, e.dom.Bits(s.staged[i]))
 	}
 	if len(s.ids) >= s.batchCap {
-		e.streamSendDense(false)
+		e.streamSend(false)
 	}
 }
 
-// streamDrainSparse routes the chunk's changed vertices to the ranks owning
-// one of their out-neighbours — exactly the ranks that read the value
-// (pull-mode relaxation, arith gathers) or count its frontier bit — with
-// consecutive-duplicate suppression over the ascending adjacency list.
-func (e *Engine[V]) streamDrainSparse(clo, chi uint32) {
-	s := &e.stream
-	me, part := e.comm.Rank(), e.part
-	it := e.changed.IterIn(int(clo), int(chi))
-	for i := it.Next(); i >= 0; i = it.Next() {
-		id := graph.VertexID(i)
-		val := e.dom.Bits(s.staged[i])
-		for _, u := range e.curs[len(e.curs)-1].OutNeighbors(id) {
-			r := part.Owner(u)
-			if r == me {
-				continue
-			}
-			if s.destLast[r] == int64(id) {
-				continue // already routed to this rank
-			}
-			s.destLast[r] = int64(id)
-			s.destIDs[r] = append(s.destIDs[r], id)
-			s.destVals[r] = append(s.destVals[r], val)
-			if len(s.destIDs[r]) >= s.batchCap {
-				e.streamSendDest(r, false)
-				if s.err != nil {
-					return
-				}
-			}
-		}
-	}
-}
-
-// streamSendDense encodes the pending batch once and broadcasts it. A
+// streamSend encodes the pending batch once and broadcasts it. A
 // final batch doubles as each peer's end marker (SendFinalChunk), so the
 // common single-batch superstep pays one message per peer — an AllGather's
 // count — while still leaving during compute.
-func (e *Engine[V]) streamSendDense(final bool) {
+func (e *Engine[V]) streamSend(final bool) {
 	s := &e.stream
 	if len(s.ids) == 0 {
 		return
@@ -243,30 +176,10 @@ func (e *Engine[V]) streamSendDense(final bool) {
 	s.ids, s.vals = s.ids[:0], s.vals[:0]
 }
 
-// streamSendDest encodes and sends rank r's pending routed batch.
-func (e *Engine[V]) streamSendDest(r int, final bool) {
-	s := &e.stream
-	if len(s.destIDs[r]) == 0 {
-		return
-	}
-	payload, name := s.enc.EncodeChunk(s.destIDs[r], s.destVals[r])
-	e.curState.picks()[name]++
-	var err error
-	if final {
-		err = e.streamExchange().SendFinalChunk(r, payload)
-	} else {
-		err = e.streamExchange().SendChunk(r, payload)
-	}
-	if err != nil {
-		s.err = err
-	}
-	s.destIDs[r], s.destVals[r] = s.destIDs[r][:0], s.destVals[r][:0]
-}
-
 // streamExchange returns the superstep's exchange, opening it on first use:
 // a rank opens it at its first send, or at the drain if it sent nothing.
-// Every rank opens one per superstep except when the agreed changed count
-// is zero, so the ranks' exchange rounds stay in step.
+// Every rank opens exactly one per superstep, so the ranks' exchange rounds
+// stay in step.
 func (e *Engine[V]) streamExchange() *comm.Exchange {
 	if e.stream.ex == nil {
 		e.stream.ex = e.comm.StartExchange()
@@ -286,25 +199,16 @@ func (e *Engine[V]) streamFlush() error {
 		s.hidden = s.ex.SentBytes()
 	}
 	if s.err == nil {
-		if s.sparse {
-			me := e.comm.Rank()
-			for r := 0; r < e.comm.Size() && s.err == nil; r++ {
-				if r != me {
-					e.streamSendDest(r, true)
-				}
-			}
-		} else {
-			e.streamSendDense(true)
-		}
+		e.streamSend(true)
 	}
 	return s.err
 }
 
 // syncStreamed completes the superstep's exchange after commit: local
-// bookkeeping over the owned changed set, the changed-count AllReduce the
-// sparse strategies need, then the exchange drain applying every remote
-// chunk (for an overlapped stream, already buffered by the transport while
-// compute ran).
+// bookkeeping over the owned changed set, then the exchange drain applying
+// every remote chunk (for an overlapped stream, already buffered by the
+// transport while compute ran). A rank that sent nothing still drains: its
+// end markers are what its peers wait for.
 func (e *Engine[V]) syncStreamed(st *state[V], changed *bitset.Atomic, frontier *bitset.Atomic, iter int, stat *metrics.IterStat) error {
 	s := &e.stream
 	defer func() {
@@ -312,33 +216,12 @@ func (e *Engine[V]) syncStreamed(st *state[V], changed *bitset.Atomic, frontier 
 		s.staged = nil
 		s.ex = nil
 	}()
-	local := e.noteOwnedChanged(st, changed, frontier, iter, s.sparse)
-	if e.sparseSync() {
-		// The changed-count AllReduce feeds termination checks (no rank
-		// holds the full frontier under sparse routing) and the next
-		// superstep's adaptive estimate, so it must stay collective and
-		// cluster-consistent.
-		g, err := e.comm.AllReduceI64(local, comm.OpSum)
-		if err != nil {
-			return err
-		}
-		e.lastGlobalChanged = g
-	}
-	// When nothing changed anywhere no rank sent anything, and every rank
-	// knows it: the drain is skipped and the exchange never opens.
-	if !e.sparseSync() || e.lastGlobalChanged != 0 {
-		e.decFrontier, e.decIter = frontier, iter
-		err := e.streamExchange().Finish(s.applyBody)
-		e.decFrontier = nil
-		if err != nil {
-			return err
-		}
-	}
-	if s.sparse {
-		st.run.SparseSyncs++
-		stat.SyncSparse = true
-	} else {
-		st.run.DenseSyncs++
+	e.noteOwnedChanged(st, changed, frontier, iter)
+	e.decFrontier, e.decIter = frontier, iter
+	err := e.streamExchange().Finish(s.applyBody)
+	e.decFrontier = nil
+	if err != nil {
+		return err
 	}
 	if s.overlapped {
 		st.run.OverlappedSyncs++
@@ -354,21 +237,15 @@ func (e *Engine[V]) streamApply(_ int, chunk []byte) error {
 }
 
 // applyStreamDelta applies one remote delta: every sender streams only
-// vertices it owns, so an owned id in a remote chunk is a protocol error
-// under the sparse routing and impossible under dense ownership
-// partitioning.
+// vertices it owns, so an owned id in a remote chunk is a protocol error.
 func (e *Engine[V]) applyStreamDelta(id uint32, bits uint64) error {
 	if int(id) >= e.g.NumVertices() {
 		return fmt.Errorf("core: streamed delta for out-of-range vertex %d", id)
 	}
-	owned := graph.VertexID(id) >= e.lo && graph.VertexID(id) < e.hi
-	if owned {
-		if e.stream.sparse {
-			return fmt.Errorf("core: peer streamed a delta for vertex %d owned here", id)
-		}
-	} else {
-		e.curState.values[id] = e.dom.FromBits(bits)
+	if graph.VertexID(id) >= e.lo && graph.VertexID(id) < e.hi {
+		return fmt.Errorf("core: peer streamed a delta for vertex %d owned here", id)
 	}
+	e.curState.values[id] = e.dom.FromBits(bits)
 	if e.decFrontier != nil {
 		e.decFrontier.Set(int(id))
 	}

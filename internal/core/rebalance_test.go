@@ -54,11 +54,6 @@ func withGuidance(t *testing.T, g *graph.Graph, p *Program[float64]) func(int, *
 	}
 }
 
-// allSyncs are the delta-sync strategies rebalancing must compose with.
-// Under the sparse ones a move is preceded by a flush of sparsely routed
-// values and frontier bits; without it the new owners read stale inputs.
-var allSyncs = []SyncStrategy{SyncDense, SyncSparse, SyncAdaptive}
-
 func TestRebalanceMinMaxMatchesStatic(t *testing.T) {
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 16, 17)
 	for _, tc := range []struct {
@@ -82,21 +77,18 @@ func TestRebalanceMinMaxMatchesStatic(t *testing.T) {
 			}
 		}
 		want := runCluster(t, g, p, 4, base)
-		for _, sync := range allSyncs {
-			results := runClusterAll(t, g, p, 4, func(rank int, cfg *Config) {
-				base(rank, cfg)
-				cfg.Sync = sync
-				cfg.Rebalance = true
-				cfg.RebalanceEvery = 2
-				cfg.RebalanceDamping = 1
-			})
-			if results[0].Metrics.Rebalances == 0 {
-				t.Fatalf("%s sync=%v: rank 0's range never moved", tc.name, sync)
-			}
-			for rank, got := range results {
-				if !sameValues(got.Values, want.Values) {
-					t.Fatalf("%s sync=%v rank %d: rebalanced values differ from the static run", tc.name, sync, rank)
-				}
+		results := runClusterAll(t, g, p, 4, func(rank int, cfg *Config) {
+			base(rank, cfg)
+			cfg.Rebalance = true
+			cfg.RebalanceEvery = 2
+			cfg.RebalanceDamping = 1
+		})
+		if results[0].Metrics.Rebalances == 0 {
+			t.Fatalf("%s: rank 0's range never moved", tc.name)
+		}
+		for rank, got := range results {
+			if !sameValues(got.Values, want.Values) {
+				t.Fatalf("%s rank %d: rebalanced values differ from the static run", tc.name, rank)
 			}
 		}
 	}
@@ -106,17 +98,14 @@ func TestRebalanceArithMatchesStatic(t *testing.T) {
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 1, 23)
 	p := testArith()
 	want := runCluster(t, g, p, 4, nil)
-	for _, sync := range allSyncs {
-		results := runClusterAll(t, g, p, 4, func(_ int, cfg *Config) {
-			cfg.Sync = sync
-			cfg.Rebalance = true
-			cfg.RebalanceEvery = 3
-			cfg.RebalanceDamping = 0.7
-		})
-		for rank, got := range results {
-			if !sameValues(got.Values, want.Values) {
-				t.Fatalf("sync=%v rank %d: rebalanced values differ from the static run", sync, rank)
-			}
+	results := runClusterAll(t, g, p, 4, func(_ int, cfg *Config) {
+		cfg.Rebalance = true
+		cfg.RebalanceEvery = 3
+		cfg.RebalanceDamping = 0.7
+	})
+	for rank, got := range results {
+		if !sameValues(got.Values, want.Values) {
+			t.Fatalf("rank %d: rebalanced values differ from the static run", rank)
 		}
 	}
 }

@@ -72,25 +72,23 @@ func TestStartLateSoundForArbitraryGuidance(t *testing.T) {
 			}
 			for dname, dd := range divisors {
 				for _, nodes := range []int{1, 2} {
-					for _, sync := range []core.SyncStrategy{core.SyncDense, core.SyncSparse, core.SyncAdaptive} {
-						label := fmt.Sprintf("%s/%s/%s/nodes=%d/%v", pname, gname, dname, nodes, sync)
-						got, err := cluster.Execute(pr.g, pr.p, cluster.Options{
-							Nodes: nodes, Threads: 2, RR: true, Guidance: gd, DenseDivisor: dd, Sync: sync,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !bitIdentical(got.Result.Values, want.Result.Values) {
-							t.Fatalf("%s: values differ from the RR-off run", label)
-						}
-						lastPull := -1
-						for _, s := range got.Result.Metrics.Iters {
-							if s.Mode == metrics.Pull {
-								lastPull = s.Iter
-							} else if lastPull >= 0 && lastPull < maxLI {
-								t.Fatalf("%s: push at iteration %d while the last pull ran at ruler %d < max(LastIter) %d",
-									label, s.Iter, lastPull, maxLI)
-							}
+					label := fmt.Sprintf("%s/%s/%s/nodes=%d", pname, gname, dname, nodes)
+					got, err := cluster.Execute(pr.g, pr.p, cluster.Options{
+						Nodes: nodes, Threads: 2, RR: true, Guidance: gd, DenseDivisor: dd,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !bitIdentical(got.Result.Values, want.Result.Values) {
+						t.Fatalf("%s: values differ from the RR-off run", label)
+					}
+					lastPull := -1
+					for _, s := range got.Result.Metrics.Iters {
+						if s.Mode == metrics.Pull {
+							lastPull = s.Iter
+						} else if lastPull >= 0 && lastPull < maxLI {
+							t.Fatalf("%s: push at iteration %d while the last pull ran at ruler %d < max(LastIter) %d",
+								label, s.Iter, lastPull, maxLI)
 						}
 					}
 				}

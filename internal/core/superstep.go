@@ -35,10 +35,10 @@ type kernel[V comparable] interface {
 	// frontier returns the bitset the sync phase repopulates with the
 	// next frontier, or nil for kernels that activate every vertex.
 	frontier() *bitset.Atomic
-	// stepBegin runs pre-compute global coordination: termination checks,
+	// stepBegin runs pre-compute coordination: termination checks,
 	// Ruler advance (it may move iter forward) and push/pull mode
 	// selection. done ends the run before any compute.
-	stepBegin(iter *int, stat *metrics.IterStat) (done bool, err error)
+	stepBegin(iter *int, stat *metrics.IterStat) (done bool)
 	// stagedCompute reports whether this superstep's compute is pull-style
 	// — every owned vertex's new value is staged chunk-locally into the
 	// returned scratch array — so the overlapped pipeline may stream
@@ -96,7 +96,6 @@ func foldCounters(cs []threadCounters, stat *metrics.IterStat) {
 // run wrote are durable; a failed save fails the run.
 func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], changed *bitset.Atomic) (res *Result[V], err error) {
 	iter := 0
-	e.lastGlobalChanged = -1
 	// The run's state and changed set are pinned on the engine so the
 	// pre-created hot-path closures (stream drain and decode, push apply)
 	// reach them without per-superstep captures.
@@ -117,11 +116,6 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		if err := k.restore(snap); err != nil {
 			return nil, err
 		}
-		if e.dirty != nil {
-			if err := restoreBits(e.dirty, snap.Sets["sparsedirty"]); err != nil {
-				return nil, err
-			}
-		}
 		iter = int(snap.Iter) + 1
 	}
 
@@ -138,11 +132,8 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 	for tick := 0; tick < k.superstepCap(); tick++ {
 		var stat metrics.IterStat
 		beginStart := time.Now()
-		done, err := k.stepBegin(&iter, &stat)
+		done := k.stepBegin(&iter, &stat)
 		st.run.FrontierTime += time.Since(beginStart)
-		if err != nil {
-			return nil, err
-		}
 		if done {
 			break
 		}
@@ -182,14 +173,14 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		st.run.SyncTime += syncDur
 		stat.ExposedComm = syncDur
 
-		done, err = k.stepEnd(iter, &stat)
+		done, err := k.stepEnd(iter, &stat)
 		if err != nil {
 			return nil, err
 		}
 
 		if e.reb != nil {
 			rebStart := time.Now()
-			if err := e.maybeRebalance(st, f, stat.Time); err != nil {
+			if err := e.maybeRebalance(st, stat.Time); err != nil {
 				return nil, err
 			}
 			st.run.RebalanceTime += time.Since(rebStart)
@@ -218,10 +209,6 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 			prevMallocs, prevBytes = mem.Mallocs, mem.TotalAlloc
 		}
 		iter++
-	}
-
-	if err := e.flushSparse(st); err != nil {
-		return nil, err
 	}
 
 	res = &Result[V]{

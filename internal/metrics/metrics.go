@@ -34,7 +34,6 @@ type IterStat struct {
 	ActiveVerts  int64 // active vertices entering the superstep (global)
 	ECGlobal     int64 // early-converged vertices cluster-wide (arith + RR)
 	SyncBytes    int64 // bytes this worker sent during the delta-sync phase
-	SyncSparse   bool  // delta-sync ran the sparse per-peer exchange
 	// ExposedComm is the delta-sync wall time left on the critical path
 	// after the compute barrier: only the drain/decode tail when a pull
 	// superstep streamed its deltas during compute, the whole exchange
@@ -68,21 +67,11 @@ type Run struct {
 	// Rebalances counts dynamic boundary adjustments (internal/balance).
 	Rebalances int64
 
-	// DenseSyncs and SparseSyncs count supersteps whose deltas were
-	// broadcast to every rank and routed only to the ranks that read them;
-	// every superstep counts in exactly one, and all workers move in
-	// lockstep, so both are cluster-wide counts.
-	DenseSyncs  int64
-	SparseSyncs int64
 	// OverlappedSyncs counts the supersteps whose exchange opened before
 	// compute and streamed while it ran: the pull supersteps of a
-	// multi-worker run (push supersteps open it after commit). Like the
-	// strategy counters it is a lockstep, cluster-wide count.
+	// multi-worker run (push supersteps open it after commit). All workers
+	// move in lockstep, so it is a cluster-wide count.
 	OverlappedSyncs int64
-	// FlushBytes is this worker's share of the consistency flushes that
-	// re-broadcast values distributed only sparsely: the final one, and one
-	// before every rebalance move.
-	FlushBytes int64
 	// CodecPicks counts, per wire layout name, how many delta batches this
 	// worker encoded in it (the adaptive codec spreads over its four
 	// layouts; raw attributes every batch to "raw").
@@ -154,7 +143,6 @@ func Merge(runs []*Run) *Run {
 			o.CatchUps += s.CatchUps
 			o.SyncBytes += s.SyncBytes
 			o.StreamedBytes += s.StreamedBytes
-			o.SyncSparse = o.SyncSparse || s.SyncSparse
 			if s.ExposedComm > o.ExposedComm {
 				o.ExposedComm = s.ExposedComm
 			}
@@ -207,16 +195,9 @@ func Merge(runs []*Run) *Run {
 		if r.Rebalances > out.Rebalances {
 			out.Rebalances = r.Rebalances // all workers rebalance in lockstep
 		}
-		if r.DenseSyncs > out.DenseSyncs {
-			out.DenseSyncs = r.DenseSyncs // lockstep: identical on every worker
-		}
-		if r.SparseSyncs > out.SparseSyncs {
-			out.SparseSyncs = r.SparseSyncs
-		}
 		if r.OverlappedSyncs > out.OverlappedSyncs {
 			out.OverlappedSyncs = r.OverlappedSyncs // lockstep: identical on every worker
 		}
-		out.FlushBytes += r.FlushBytes
 		for name, n := range r.CodecPicks {
 			if out.CodecPicks == nil {
 				out.CodecPicks = make(map[string]int64)

@@ -9,7 +9,6 @@ import (
 
 	"slfe/internal/apps"
 	"slfe/internal/cluster"
-	"slfe/internal/core"
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
 	"slfe/internal/ws"
@@ -27,8 +26,6 @@ type Config struct {
 	// RR enables redundancy reduction; the graph's shared guidance is then
 	// carried across insert-only batches (rrg.Carry).
 	RR bool
-	// Sync selects the delta-sync strategy.
-	Sync core.SyncStrategy
 	// Sessions bounds how many programs execute concurrently: the resident
 	// session pool's size (default 1, the pre-pool serial behaviour).
 	Sessions int
@@ -184,7 +181,6 @@ func (s *Service) runOptions() cluster.Options {
 		Threads:  s.cfg.Threads,
 		Stealing: s.cfg.Stealing,
 		RR:       s.cfg.RR,
-		Sync:     s.cfg.Sync,
 	}
 }
 
