@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -182,5 +184,51 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			t.Errorf("%s: steady-state supersteps allocate %d bytes, budget %d — generics regressed the hot path",
 				tc.name, bytes, byteBudget)
 		}
+	}
+}
+
+// TestWarmApplyAllocBudget bounds what one warm min/max re-execution
+// allocates per vertex: the fresh value array, the two projection copies
+// and the frontier and changed bitsets, and nothing else of size |V| — no
+// degree scan's partition, no pull scratch or push combiner a two-superstep
+// push wave never touches, and no re-projection of unchanged vertices.
+// Counted by TotalAlloc, so the guard is deterministic.
+func TestWarmApplyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	const n, budget = 1 << 14, 24 // budget: bytes per vertex
+	g := gen.RMAT(n, 16*n, gen.DefaultRMAT, 16, 7)
+	s, err := cluster.NewSession(1, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	entry, _ := LookupRunnable("sssp", "dist32")
+	opt := cluster.Options{RR: true}
+	_, resume, err := entry.Build(0, 0).ExecuteIn(s, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	added := make([]graph.Edge, 64)
+	for i := range added {
+		added[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: float32(1 + rng.Intn(64))}
+	}
+	g2, err := graph.WithEdges(g, added, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, _, err := resume.ExecuteWarm(s, g2, added, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("warm sssp:dist32 apply: %d supersteps, %.1f B/vertex allocated", out.Iterations, perVertex)
+	if perVertex > budget {
+		t.Errorf("a warm apply allocates %.1f B/vertex, budget %d", perVertex, budget)
 	}
 }

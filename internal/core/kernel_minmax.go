@@ -12,9 +12,10 @@ import (
 // minmaxKernel is the frontier-driven comparison kernel with the "start
 // late" rule of Algorithm 2 (single Ruler), plugged into the shared
 // superstep driver. Every per-superstep working set (scratch values,
-// per-thread counters, push buffers) is allocated once here or on the
-// engine and reused; the compute/commit bodies are pre-created closures so
-// dispatching a superstep performs no heap allocations.
+// per-thread counters, push buffers) is allocated once — here, on the
+// engine, or on the first superstep that needs it — and reused; the
+// compute/commit bodies are pre-created closures so dispatching a steady
+// superstep performs no heap allocations.
 type minmaxKernel[V comparable] struct {
 	e  *Engine[V]
 	p  *Program[V]
@@ -27,7 +28,7 @@ type minmaxKernel[V comparable] struct {
 
 	front   *bitset.Atomic
 	changed *bitset.Atomic
-	scratch []V
+	scratch []V // pull staging, allocated on the first pull superstep
 
 	// "Start late" state (Algorithm 2, single Ruler). lastIter is the
 	// guidance array (nil with RR off) and maxLastIter its maximum, taken
@@ -65,7 +66,6 @@ func newMinMaxKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], ch
 		relaxSpan: p.relaxSpan(),
 		front:     bitset.NewAtomic(n),
 		changed:   changed,
-		scratch:   make([]V, n),
 		counters:  make([]threadCounters, e.sched.Threads()),
 		owedAbove: math.MaxInt64,
 	}
@@ -142,6 +142,11 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) bool {
 	if !debt {
 		// The push/pull switch (Gemini's heuristic).
 		k.pullMode = e.frontierOutEdges(k.front) > e.g.NumEdges()/e.cfg.DenseDivisor
+	}
+	if k.pullMode && k.scratch == nil {
+		// A run that only pushes (a warm wave from a few sources) never
+		// stages a value, so it never pays for the array.
+		k.scratch = make([]V, e.g.NumVertices())
 	}
 
 	stat.Iter = *iter
@@ -230,8 +235,8 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	c.catchups += catchups
 }
 
-// computePush is source-side push with sender-side combining: proposals
-// are appended into engine-owned per-thread per-rank buffers (push.go).
+// computePush is source-side push: proposals are appended into engine-owned
+// per-thread per-rank buffers, which commit folds (push.go).
 func (k *minmaxKernel[V]) computePush() {
 	e := k.e
 	e.pushInit(k.p)

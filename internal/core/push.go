@@ -19,8 +19,11 @@ import (
 //     (dst, proposal) pairs into its per-destination-rank pairBuf,
 //     combining consecutive duplicates in place. Ownership lookups are
 //     amortised by a per-source cursor over the ascending adjacency list.
-//  2. combine (combineRank, one scheduler task per destination rank): all
-//     threads' pairs for rank r are folded into a dense per-owner value
+//  2. combine (combineRank, one scheduler task per destination rank). This
+//     rank's own proposals are already home: its task folds every thread's
+//     pairs straight into the value array (foldOwn), so steps 3 and 4 are
+//     for peers only, and a one-rank run neither combines nor encodes. For
+//     a peer r, all threads' pairs are folded into a dense per-owner value
 //     array indexed by (id - lo_r), guarded by a `seen` bitset with a
 //     second-level `blocks` bitmap (one bit per seen-word). The fold is the
 //     program's Better-merge, made order-insensitive by the aggregation's
@@ -32,7 +35,7 @@ import (
 //     depend on the heuristic. The scanned words are cleared on the way
 //     out, restoring the all-clear invariant the next superstep relies on.
 //     Values leave the emit already packed into the domain's wire words.
-//  4. encode + SparseExchange: each rank's batch is encoded by that rank's
+//  4. encode + SparseExchange: each peer's batch is encoded by that peer's
 //     compress.StreamEncoder into its reusable buffer (transports do not
 //     retain payloads after Send) and sent as that peer's one chunk of an
 //     exchange round.
@@ -137,9 +140,13 @@ func (e *Engine[V]) pushInit(p *Program[V]) *pushState[V] {
 	return ps
 }
 
-// combineRank is the per-destination-rank scheduler task: fold, emit in
-// ascending order, clear, encode.
+// combineRank is the per-destination-rank scheduler task: for a peer, fold,
+// emit in ascending order, clear, encode; for this rank, foldOwn.
 func (e *Engine[V]) combineRank(r int) {
+	if r == e.comm.Rank() {
+		e.foldOwn()
+		return
+	}
 	ps := e.push
 	p := ps.prog
 	lo, hi := e.part.Range(r)
@@ -187,6 +194,29 @@ func (e *Engine[V]) combineRank(r int) {
 	ps.blobs[r], _ = ps.enc[r].EncodeChunk(cb.outIDs, cb.outVals) // proposal picks stay uncounted
 }
 
+// foldOwn applies this rank's own proposals to its owned values. Folding
+// every thread's pairs in turn leaves each vertex at the best of its
+// proposals, as combining first would; the changed bit counts one update per
+// improved vertex. It runs before any peer's proposals are decoded, and no
+// other combine task touches the value array.
+func (e *Engine[V]) foldOwn() {
+	ps := e.push
+	p, values, own := ps.prog, e.curState.values, e.comm.Rank()
+	var updates int64
+	for t := range ps.bufs {
+		b := &ps.bufs[t][own]
+		for i, id := range b.ids {
+			if p.Better(b.vals[i], values[id]) {
+				values[id] = b.vals[i]
+				if e.changed.TestAndSet(int(id)) {
+					updates++
+				}
+			}
+		}
+	}
+	ps.updates += updates
+}
+
 // emitWord appends seen word wi's live (id, wire-word) pairs in ascending
 // order and clears the word.
 func (cb *rankCombiner[V]) emitWord(wi int) {
@@ -204,8 +234,9 @@ func (cb *rankCombiner[V]) emitWord(wi int) {
 }
 
 // exchangePushFlat combines, exchanges and applies push proposals through
-// the flat path. The per-rank combine tasks run on the scheduler; decode
-// applies remote proposals to the owned range.
+// the flat path. The per-rank combine tasks run on the scheduler (this
+// rank's folds its own proposals in place); decode applies peers'
+// proposals to the owned range.
 func (e *Engine[V]) exchangePushFlat(updates *int64) error {
 	ps := e.push
 	e.sched.Tasks(e.comm.Size(), ps.combineFn)
@@ -213,7 +244,10 @@ func (e *Engine[V]) exchangePushFlat(updates *int64) error {
 	if err != nil {
 		return err
 	}
-	for _, blob := range got {
+	for r, blob := range got {
+		if r == e.comm.Rank() {
+			continue // folded in place; its blob stays nil
+		}
 		if err := e.codec.Decode(blob, ps.decodeFn); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"slfe/internal/compress"
@@ -302,4 +303,35 @@ func trailingZeros(x uint64) int {
 		n++
 	}
 	return n
+}
+
+// A rank folds its own proposals straight into its values, one update per
+// improved vertex: a vertex that two frontier vertices improve in one push
+// superstep, through proposals the append buffer cannot combine (another
+// destination sits between them), counts once, as in the serial reference.
+func TestOwnProposalsCountOneUpdatePerVertex(t *testing.T) {
+	// Superstep 1 pushes from {1, 2}: 1 offers 3 the distance 11, then 4 the
+	// distance 2, then 2 offers 3 the distance 2.
+	g := graph.MustBuild(5, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 0, Dst: 2, Weight: 1},
+		{Src: 1, Dst: 3, Weight: 10}, {Src: 1, Dst: 4, Weight: 1}, {Src: 2, Dst: 3, Weight: 1},
+	})
+	res := runClusterAll(t, g, testProgram(), 1, func(_ int, cfg *Config) {
+		cfg.DenseDivisor = 1
+		cfg.Sched = testSched(t, 1)
+	})[0]
+	var got []int64
+	for _, it := range res.Metrics.Iters {
+		if it.Mode != metrics.Push {
+			t.Fatalf("superstep %d ran %v, want push", it.Iter, it.Mode)
+		}
+		got = append(got, it.Updates)
+	}
+	want, _, wantUpdates := serialMinMax(g, testProgram())
+	if !sameValues(res.Values, want) {
+		t.Fatalf("values %v, serial reference %v", res.Values, want)
+	}
+	if !slices.Equal(got, []int64{2, 2, 0}) || res.Metrics.Updates() != wantUpdates {
+		t.Fatalf("per-superstep updates %v (total %d), want [2 2 0] (serial reference %d)", got, res.Metrics.Updates(), wantUpdates)
+	}
 }

@@ -33,11 +33,16 @@ const alpha = 8
 // NewChunked builds a degree-balanced contiguous partition of g over nodes
 // ranges, mirroring Gemini's chunking. It never produces empty heads: if
 // there are fewer vertices than nodes the trailing nodes own empty ranges.
+// One node owns [0, n) whatever the degrees, so it reads none: a one-rank
+// run over a patched graph version pays no per-vertex lookup to partition.
 func NewChunked(g graph.View, nodes int) (*Chunked, error) {
 	if nodes <= 0 {
 		return nil, errors.New("partition: nodes must be positive")
 	}
 	n := g.NumVertices()
+	if nodes == 1 {
+		return &Chunked{boundaries: []graph.VertexID{0, graph.VertexID(n)}}, nil
+	}
 	total := float64(0)
 	for v := 0; v < n; v++ {
 		total += alpha + float64(g.OutDegree(graph.VertexID(v)))

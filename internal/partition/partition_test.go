@@ -38,6 +38,33 @@ func TestChunkedCoversDisjoint(t *testing.T) {
 	}
 }
 
+// degreeCounter is a View that counts the degree reads made through it.
+type degreeCounter struct {
+	graph.View
+	reads int
+}
+
+func (d *degreeCounter) OutDegree(v graph.VertexID) int64 { d.reads++; return d.View.OutDegree(v) }
+func (d *degreeCounter) InDegree(v graph.VertexID) int64  { d.reads++; return d.View.InDegree(v) }
+
+// One node owns every vertex whatever the degrees, so chunking for it reads
+// none: a one-rank run pays nothing per vertex to partition.
+func TestChunkedOneNodeReadsNoDegrees(t *testing.T) {
+	for _, g := range []*graph.Graph{gen.RMAT(1000, 8000, gen.DefaultRMAT, 1, 1), graph.MustBuild(0, nil)} {
+		view := &degreeCounter{View: g}
+		p, err := NewChunked(view, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.reads != 0 {
+			t.Errorf("n=%d: NewChunked(g, 1) read %d degrees, want 0", g.NumVertices(), view.reads)
+		}
+		if want := []uint32{0, uint32(g.NumVertices())}; !slices.Equal(p.Bounds(), want) {
+			t.Errorf("n=%d: bounds %v, want %v", g.NumVertices(), p.Bounds(), want)
+		}
+	}
+}
+
 func TestChunkedDegreeBalance(t *testing.T) {
 	g := gen.RMAT(4096, 65536, gen.DefaultRMAT, 1, 2)
 	p, err := NewChunked(g, 8)

@@ -19,11 +19,15 @@
 // reusable across applications on the same graph (§3.2): Shared generates
 // it from DefaultRoots once per graph object and hands that one guidance to
 // every later run, and Carry moves it across an insertion batch to the next
-// graph version. A converted .slfc file carries it (package store writes it
-// at conversion), so a graph opened from one arrives with its slot already
-// full and no job on it generates. Start late is sound under any LastIter,
-// so min/max programs share it too; per-root guidance bought no
-// measurable precision.
+// graph version. The service calls Carry only while an arith program is
+// registered: that program's re-execution is a cold RR run over the new
+// version, whereas a warm min/max wave runs with RR off and reads no
+// guidance, and any later cold run over a version nothing was carried to
+// generates through Shared. A converted .slfc file carries it (package
+// store writes it at conversion), so a graph opened from one arrives with
+// its slot already full and no job on it generates. Start late is sound
+// under any LastIter, so min/max programs share it too; per-root guidance
+// bought no measurable precision.
 // The one exception is an arithmetic program whose information starts at
 // its own roots (NumPaths, HeatSimulation, evidence-rooted BP): finish early
 // needs levels measured from those roots, so its run generates them.

@@ -1,11 +1,11 @@
 // Package service hosts a resident SLFE graph: a versioned in-memory graph
 // that accepts mutation batches and incrementally re-executes registered
 // programs against every new version, serving results over HTTP. It is the
-// long-lived counterpart of the run-to-completion CLI: each graph version's
-// shared guidance is carried across insertion batches (rrg.Carry) instead
-// of regenerated, min/max programs warm-start from their prior fixed point,
-// and reads are served from immutable snapshots so they never block behind
-// a mutation.
+// long-lived counterpart of the run-to-completion CLI: while an arith
+// program is registered, each graph version's shared guidance is carried
+// across insertion batches (rrg.Carry) instead of regenerated, min/max
+// programs warm-start from their prior fixed point, and reads are served
+// from immutable snapshots so they never block behind a mutation.
 package service
 
 import (

@@ -1,9 +1,13 @@
 package service_test
 
 import (
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"slfe/internal/apps"
+	"slfe/internal/cluster"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
@@ -71,6 +75,62 @@ func TestEveryVersionSharesDefaultGuidance(t *testing.T) {
 				gd.Rounds != want.Rounds || gd.MaxLastIter != want.MaxLastIter {
 				t.Errorf("%s: %s's shared guidance is missing (fresh %v) or differs from the default-root guidance", step.name, name, fresh)
 			}
+		}
+	}
+}
+
+// A service whose programs are all min/max carries no guidance: its warm
+// waves run with RR off, so each insertion leaves the new version's shared
+// slot empty, for the base graph and its symmetrised twin. An arith program
+// registered later generates on the version it runs over and matches a cold
+// run bit for bit.
+func TestMinMaxOnlyServiceCarriesNoGuidance(t *testing.T) {
+	g0 := gen.Uniform(250, 1000, 4, 29)
+	edges := g0.Edges(nil)
+	svc, err := service.New(g0, service.Config{Nodes: 1, Threads: 2, Sessions: 1, RR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, id := range [][2]string{{"sssp", "dist32"}, {"cc", "u32"}} {
+		if _, err := svc.Register(id[0], id[1], 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	var snap *service.Snapshot
+	for batch := 0; batch < 3; batch++ {
+		b := &service.Batch{}
+		for i := 0; i < 20; i++ {
+			b.Adds = append(b.Adds, graph.Edge{Src: graph.VertexID(rng.Intn(250)), Dst: graph.VertexID(rng.Intn(250)), Weight: 1})
+		}
+		edges = append(edges, b.Adds...)
+		if snap, err = svc.Apply(b); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		for name, g := range map[string]*graph.Graph{"Graph": snap.Graph, "Sym": snap.Sym} {
+			if _, fresh := rrg.Shared(g, nil); !fresh {
+				t.Errorf("batch %d: %s's shared slot was filled, want it empty", batch, name)
+			}
+		}
+	}
+
+	snap, err = svc.Register("pr", "f64", 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := cluster.Execute(graph.MustBuild(snap.Graph.NumVertices(), edges), apps.PageRank(10),
+		cluster.Options{Nodes: 1, Threads: 2, RR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := snap.Programs[service.ProgramID("pr", "f64")].Outcome.Values, cold.Result.Float64s()
+	if len(got) != len(want) {
+		t.Fatalf("PageRank has %d values, want %d", len(got), len(want))
+	}
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("vertex %d: registered PageRank %g, cold %g", v, got[v], want[v])
 		}
 	}
 }

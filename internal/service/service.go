@@ -9,6 +9,7 @@ import (
 
 	"slfe/internal/apps"
 	"slfe/internal/cluster"
+	"slfe/internal/core"
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
 	"slfe/internal/ws"
@@ -23,8 +24,9 @@ type Config struct {
 	Threads int
 	// Stealing enables the work-stealing scheduler.
 	Stealing bool
-	// RR enables redundancy reduction; the graph's shared guidance is then
-	// carried across insert-only batches (rrg.Carry).
+	// RR enables redundancy reduction; while an arith program is
+	// registered, the graph's shared guidance is then carried across
+	// insert-only batches (rrg.Carry).
 	RR bool
 	// Sessions bounds how many programs execute concurrently: the resident
 	// session pool's size (default 1, the pre-pool serial behaviour).
@@ -76,6 +78,7 @@ type Program struct {
 
 	runner apps.Runnable
 	resume *apps.Resume
+	arith  bool // core.Arith: its re-executions are cold runs that read guidance
 }
 
 // Stats are cumulative mutation counters, snapshotted per version.
@@ -88,8 +91,8 @@ type Stats struct {
 	// FullRebuilds counts batches that took the deletion fallback (cold
 	// re-runs over a graph whose guidance is generated afresh).
 	FullRebuilds int64
-	// Incremental counts batches applied via carried guidance + warm
-	// re-execution.
+	// Incremental counts insert-only batches: warm re-execution, plus
+	// carried guidance while an arith program is registered.
 	Incremental int64
 }
 
@@ -109,6 +112,16 @@ type Snapshot struct {
 	Programs map[string]*Program
 	// Stats are the cumulative mutation counters as of this version.
 	Stats Stats
+}
+
+// hasArith reports whether an arith program is registered.
+func (sn *Snapshot) hasArith() bool {
+	for _, p := range sn.Programs {
+		if p.arith {
+			return true
+		}
+	}
+	return false
 }
 
 // Service is the resident graph engine: a pool of long-lived cluster
@@ -244,7 +257,7 @@ func (s *Service) RegisterCtx(ctx context.Context, key, domain string, root grap
 	next.Sym = sym
 	next.Programs[id] = &Program{
 		Key: key, Domain: domain, NeedsSym: entry.NeedsSym,
-		Outcome: out, runner: runner, resume: resume,
+		Outcome: out, runner: runner, resume: resume, arith: entry.Agg == core.Arith,
 	}
 	s.snap.Store(next)
 	s.cache.InvalidateBelow(next.Version)
@@ -269,12 +282,13 @@ func (s *Service) successor(cur *Snapshot) *Snapshot {
 
 // Apply executes one mutation batch: the graph (and symmetrised twin) move
 // to the next version, an insertion batch carries each graph's shared
-// guidance along (rrg.Carry), and every registered program re-executes —
-// warm for min/max insertions, cold otherwise. Programs re-execute
-// concurrently over the session pool (see reexecuteAll); the snapshot swaps
-// only after every program re-ran, so readers never observe a version whose
-// results lag its graph. Deletions take the fallback path: cold re-runs,
-// whose first RR run generates the new version's guidance.
+// guidance along (rrg.Carry) when an arith program is registered, and every
+// registered program re-executes — warm for min/max insertions, cold
+// otherwise. Programs re-execute concurrently over the session pool (see
+// reexecuteAll); the snapshot swaps only after every program re-ran, so
+// readers never observe a version whose results lag its graph. Deletions
+// take the fallback path: cold re-runs, whose first RR run generates the
+// new version's guidance.
 func (s *Service) Apply(b *Batch) (*Snapshot, error) {
 	return s.ApplyCtx(context.Background(), b)
 }
@@ -342,9 +356,12 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 		next.Stats.FullRebuilds++
 	} else {
 		next.Stats.Incremental++
-		if s.cfg.RR {
-			// Before any program runs on the new versions, so every run
-			// over one shares a single Update.
+		if s.cfg.RR && cur.hasArith() {
+			// Only an arith re-execution reads guidance: warm min/max waves
+			// run with RR off, and a later cold run (a registration, a
+			// deletion fallback) generates through rrg.Shared. Carried
+			// before any program runs on the new versions, so every run over
+			// one shares a single Update.
 			sched := ws.New(s.cfg.Threads, s.cfg.Stealing)
 			rrg.Carry(cur.Graph, g2, b.Adds, sched)
 			if cur.Sym != nil {
@@ -370,13 +387,13 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 // reexecute moves one program to the mutated graph on the given session.
 // Guidance is the cluster layer's choice either way: the new version's
 // shared slot holds what rrg.Carry moved there, or the first RR run over
-// the version generates it.
+// the version generates it (warm min/max waves read none).
 func (s *Service) reexecute(sess *cluster.Session, p *Program, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
 	execG, execAdds := g2, adds
 	if p.NeedsSym {
 		execG, execAdds = sym2, symAdds
 	}
-	np := &Program{Key: p.Key, Domain: p.Domain, NeedsSym: p.NeedsSym, runner: p.runner}
+	np := &Program{Key: p.Key, Domain: p.Domain, NeedsSym: p.NeedsSym, runner: p.runner, arith: p.arith}
 	var err error
 	if full {
 		// Deletions can grow distances: monotone warm-starts lose their

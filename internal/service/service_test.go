@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // registered is the program matrix the differential tests run: min/max and
-// arith (default-rooted and rooted), all three wire widths, plus the
-// symmetrised-graph app.
+// arith (default-rooted and rooted), all three wire widths, the
+// symmetrised-graph app and the composite dist32 domain (parent trees).
 var registered = []struct {
 	key, domain string
 	root        graph.VertexID
@@ -24,6 +25,7 @@ var registered = []struct {
 }{
 	{"sssp", "f64", 0, 0},
 	{"sssp", "f32", 0, 0},
+	{"sssp", "dist32", 0, 0},
 	{"bfs", "u32", 0, 0},
 	{"cc", "u32", 0, 0},
 	{"pr", "f64", 0, 10},
@@ -31,11 +33,11 @@ var registered = []struct {
 	{"numpaths", "f64", 0, 10},
 }
 
-// newTestService builds a 2-node resident service with every matrix program
-// registered.
-func newTestService(t *testing.T, g *graph.Graph) *service.Service {
+// newTestService builds a resident service of the given node count with
+// every matrix program registered.
+func newTestService(t *testing.T, g *graph.Graph, nodes int) *service.Service {
 	t.Helper()
-	svc, err := service.New(g, service.Config{Nodes: 2, Threads: 2, Stealing: true, RR: true})
+	svc, err := service.New(g, service.Config{Nodes: nodes, Threads: 2, Stealing: true, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,8 @@ func newTestService(t *testing.T, g *graph.Graph) *service.Service {
 
 // coldOracle runs the program from scratch, as a plain RR run, on an
 // independently rebuilt graph: nothing of the service's state reaches it.
-func coldOracle(t *testing.T, key, domain string, root graph.VertexID, iters int, g *graph.Graph) []float64 {
+// It returns the projected values and the parent tree (nil unless dist32).
+func coldOracle(t *testing.T, key, domain string, root graph.VertexID, iters int, g *graph.Graph) ([]float64, []uint32) {
 	t.Helper()
 	entry, _ := apps.LookupRunnable(key, domain)
 	runG := g
@@ -63,7 +66,7 @@ func coldOracle(t *testing.T, key, domain string, root graph.VertexID, iters int
 	if err != nil {
 		t.Fatalf("cold %s:%s: %v", key, domain, err)
 	}
-	return out.Values
+	return out.Values, out.Parents
 }
 
 // equalValues compares per the acceptance contract: f64/u32 bit-identical,
@@ -85,11 +88,19 @@ func equalValues(domain string, got, want float64) bool {
 // service: after N mutation batches (duplicates, self-loops, vertex growth
 // included), every registered program's incremental result must match a
 // cold full run on the final graph — rebuilt independently from the
-// concatenated edge list, not via the service's merge path.
+// concatenated edge list, not via the service's merge path — values and
+// dist32 parent trees alike. One rank runs without a degree scan or a
+// codec, so the service runs at one node as well as two.
 func TestIncrementalMatchesCold(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) { testIncrementalMatchesCold(t, nodes) })
+	}
+}
+
+func testIncrementalMatchesCold(t *testing.T, nodes int) {
 	g0 := gen.Uniform(300, 1200, 4, 17)
 	allEdges := g0.Edges(nil)
-	svc := newTestService(t, g0)
+	svc := newTestService(t, g0, nodes)
 
 	rng := rand.New(rand.NewSource(41))
 	n := g0.NumVertices()
@@ -128,7 +139,7 @@ func TestIncrementalMatchesCold(t *testing.T) {
 			if !p.Warm {
 				t.Fatalf("batch %d: %s did not take the incremental path", batchNo, id)
 			}
-			want := coldOracle(t, reg.key, reg.domain, reg.root, reg.iters, coldG)
+			want, wantParents := coldOracle(t, reg.key, reg.domain, reg.root, reg.iters, coldG)
 			if len(p.Outcome.Values) != len(want) {
 				t.Fatalf("batch %d: %s: %d values, want %d", batchNo, id, len(p.Outcome.Values), len(want))
 			}
@@ -137,6 +148,9 @@ func TestIncrementalMatchesCold(t *testing.T) {
 					t.Fatalf("batch %d: %s: vertex %d: incremental %g vs cold %g",
 						batchNo, id, v, p.Outcome.Values[v], want[v])
 				}
+			}
+			if !slices.Equal(p.Outcome.Parents, wantParents) {
+				t.Fatalf("batch %d: %s: incremental parent tree differs from the cold run's", batchNo, id)
 			}
 		}
 	}
@@ -150,7 +164,7 @@ func TestIncrementalMatchesCold(t *testing.T) {
 func TestDeletionFallbackMatchesCold(t *testing.T) {
 	g0 := gen.Uniform(250, 1000, 4, 23)
 	allEdges := g0.Edges(nil)
-	svc := newTestService(t, g0)
+	svc := newTestService(t, g0, 2)
 
 	// Delete a handful of existing (src, dst) pairs and add a few edges in
 	// the same batch.
@@ -189,7 +203,7 @@ func TestDeletionFallbackMatchesCold(t *testing.T) {
 			if p.Warm {
 				t.Fatalf("%s took the incremental path through a deletion batch", id)
 			}
-			want := coldOracle(t, reg.key, reg.domain, reg.root, reg.iters, coldG)
+			want, _ := coldOracle(t, reg.key, reg.domain, reg.root, reg.iters, coldG)
 			for v := range want {
 				if !equalValues(reg.domain, p.Outcome.Values[v], want[v]) {
 					t.Fatalf("%s: vertex %d: fallback %g vs cold %g", id, v, p.Outcome.Values[v], want[v])
