@@ -22,9 +22,9 @@ type CacheStats struct {
 	Invalidations int64
 }
 
-// Cache memoises derived read results (top-k rankings, routes, point
-// lookups) keyed by request shape and pinned to the graph version they were
-// computed at. A lookup hits only when versions match, so a stale entry can
+// Cache memoises encoded read responses (top-k rankings, routes) keyed by
+// request shape and pinned to the graph version they were computed at; a
+// hit is written out as stored, with no re-encoding. A lookup hits only when versions match, so a stale entry can
 // never serve; Apply additionally invalidates superseded versions eagerly
 // (InvalidateBelow) so dead entries do not squat in the LRU. Counters are
 // atomics — the stats read path never contends with the cache lock.
@@ -43,7 +43,7 @@ type Cache struct {
 type cacheEntry struct {
 	key     string
 	version uint64
-	value   any
+	value   []byte
 }
 
 // NewCache builds a cache bounded to capacity entries; capacity <= 0
@@ -60,7 +60,7 @@ func (c *Cache) Enabled() bool { return c.cap > 0 }
 
 // Get returns the value cached under key at exactly the given version. A
 // version mismatch drops the stale entry and misses.
-func (c *Cache) Get(key string, version uint64) (any, bool) {
+func (c *Cache) Get(key string, version uint64) ([]byte, bool) {
 	if !c.Enabled() {
 		c.misses.Add(1)
 		return nil, false
@@ -86,7 +86,7 @@ func (c *Cache) Get(key string, version uint64) (any, bool) {
 
 // Put stores value under key at version, evicting the least recently used
 // entry when over capacity.
-func (c *Cache) Put(key string, version uint64, value any) {
+func (c *Cache) Put(key string, version uint64, value []byte) {
 	if !c.Enabled() {
 		return
 	}

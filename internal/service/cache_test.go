@@ -10,8 +10,8 @@ func TestCacheHitMissAndVersionPinning(t *testing.T) {
 	if _, ok := c.Get("a", 1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("a", 1, "v1")
-	if v, ok := c.Get("a", 1); !ok || v != "v1" {
+	c.Put("a", 1, []byte("v1"))
+	if v, ok := c.Get("a", 1); !ok || string(v) != "v1" {
 		t.Fatalf("Get(a,1) = %v, %v; want v1, true", v, ok)
 	}
 	// Same key at a newer graph version: the stale entry must not serve,
@@ -30,12 +30,12 @@ func TestCacheHitMissAndVersionPinning(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", 1, "A")
-	c.Put("b", 1, "B")
+	c.Put("a", 1, []byte("A"))
+	c.Put("b", 1, []byte("B"))
 	if _, ok := c.Get("a", 1); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", 1, "C") // evicts b
+	c.Put("c", 1, []byte("C")) // evicts b
 	if _, ok := c.Get("b", 1); ok {
 		t.Fatal("LRU entry b survived eviction")
 	}
@@ -49,9 +49,9 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheInvalidateBelow(t *testing.T) {
 	c := NewCache(8)
-	c.Put("old1", 1, "x")
-	c.Put("old2", 2, "x")
-	c.Put("new", 3, "x")
+	c.Put("old1", 1, []byte("x"))
+	c.Put("old2", 2, []byte("x"))
+	c.Put("new", 3, []byte("x"))
 	c.InvalidateBelow(3)
 	if st := c.Stats(); st.Entries != 1 || st.Invalidations != 2 {
 		t.Fatalf("stats after InvalidateBelow(3) = %+v; want 1 entry, 2 invalidations", st)
@@ -66,7 +66,7 @@ func TestCacheDisabled(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("capacity 0 cache reports enabled")
 	}
-	c.Put("a", 1, "v") // must be a no-op, not a panic
+	c.Put("a", 1, []byte("v")) // must be a no-op, not a panic
 	if _, ok := c.Get("a", 1); ok {
 		t.Fatal("disabled cache served a value")
 	}
@@ -75,12 +75,12 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCachePutReplacesSameKey(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", 1, "old")
-	c.Put("a", 2, "new")
+	c.Put("a", 1, []byte("old"))
+	c.Put("a", 2, []byte("new"))
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("same-key Put duplicated the entry: %+v", st)
 	}
-	if v, ok := c.Get("a", 2); !ok || v != "new" {
+	if v, ok := c.Get("a", 2); !ok || string(v) != "new" {
 		t.Fatalf("Get(a,2) = %v, %v; want new, true", v, ok)
 	}
 }

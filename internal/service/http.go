@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -143,20 +144,46 @@ func handleResult(s *Service, w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("vertex %d outside [0, %d)", vertex, len(p.Outcome.Values)))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"app":     q.Get("app"),
-		"domain":  q.Get("domain"),
-		"vertex":  vertex,
-		"value":   p.Outcome.Values[vertex],
-		"version": snap.Version,
-		"warm":    p.Warm,
-	})
+	body := resultBody{App: q.Get("app"), Domain: q.Get("domain"), Version: snap.Version, Vertex: vertex, Warm: p.Warm}
+	if x := &p.Outcome.Values[vertex]; !math.IsInf(*x, 0) && !math.IsNaN(*x) {
+		body.Value = x
+	}
+	writeJSON(w, http.StatusOK, &body)
+}
+
+// /result and a /route miss encode typed structs whose fields follow the
+// sorted key order encoding/json gives a map: the same bytes, without
+// reflecting over and sorting map keys per request. A /topk miss, once per
+// ranking and version, keeps its map.
+
+// resultBody is one /result answer. A non-finite value (an unreached
+// shortest-path vertex) has no JSON number and reads null.
+type resultBody struct {
+	App     string   `json:"app"`
+	Domain  string   `json:"domain"`
+	Value   *float64 `json:"value"`
+	Version uint64   `json:"version"`
+	Vertex  int64    `json:"vertex"`
+	Warm    bool     `json:"warm"`
 }
 
 // topKEntry is one /topk row.
 type topKEntry struct {
 	Vertex uint32  `json:"vertex"`
 	Value  float64 `json:"value"`
+}
+
+// routeBody is one /route answer.
+type routeBody struct {
+	App      string   `json:"app"`
+	Cached   bool     `json:"cached"`
+	Distance float64  `json:"distance"`
+	Domain   string   `json:"domain"`
+	From     uint64   `json:"from"`
+	Hops     int      `json:"hops"`
+	Path     []uint32 `json:"path"`
+	To       uint64   `json:"to"`
+	Version  uint64   `json:"version"`
 }
 
 func handleTopK(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -185,63 +212,70 @@ func handleTopK(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := fmt.Sprintf("topk:%s:%d:%s", id, k, order)
-	if v, ok := s.cache.Get(key, snap.Version); ok {
-		writeJSON(w, http.StatusOK, withCached(v.(map[string]any), true))
+	key := "topk:" + id + ":" + strconv.Itoa(k) + ":" + order
+	if b, ok := s.cache.Get(key, snap.Version); ok {
+		writeBytes(w, http.StatusOK, b)
 		return
 	}
-	payload := map[string]any{
+	writeMiss(s, w, key, snap.Version, map[string]any{
 		"app":     q.Get("app"),
+		"cached":  true,
 		"domain":  q.Get("domain"),
 		"k":       k,
 		"order":   order,
 		"version": snap.Version,
 		"top":     topK(p.Outcome.Values, k, order == "asc"),
-	}
-	s.cache.Put(key, snap.Version, payload)
-	writeJSON(w, http.StatusOK, withCached(payload, false))
+	})
 }
 
 // topK ranks finite values (the +Inf unreached sentinel is skipped; integer
 // domains' MaxUint32 sentinel is a value like any other and sorts to the
 // far end of its order). Ties break on the lower vertex id so rankings are
-// deterministic.
+// deterministic. A bounded heap keeps the k best entries seen, the worst at
+// its root, so a ranking costs O(|V| log k) instead of a full sort.
 func topK(values []float64, k int, asc bool) []topKEntry {
-	idx := make([]uint32, 0, len(values))
-	for v, x := range values {
-		if !math.IsInf(x, 0) && !math.IsNaN(x) {
-			idx = append(idx, uint32(v))
+	// behind reports whether a ranks after b.
+	behind := func(a, b topKEntry) bool {
+		if a.Value != b.Value {
+			return (a.Value > b.Value) == asc
 		}
+		return a.Vertex > b.Vertex
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := values[idx[i]], values[idx[j]]
-		if a != b {
-			if asc {
-				return a < b
+	// down sifts h[i] until no child ranks behind its parent.
+	down := func(h []topKEntry, i int) {
+		for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+			if c+1 < len(h) && behind(h[c+1], h[c]) {
+				c++
 			}
-			return a > b
+			if !behind(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
 		}
-		return idx[i] < idx[j]
-	})
-	if len(idx) > k {
-		idx = idx[:k]
 	}
-	out := make([]topKEntry, len(idx))
-	for i, v := range idx {
-		out[i] = topKEntry{Vertex: v, Value: values[v]}
+	h := make([]topKEntry, 0, min(k, len(values)))
+	for v, x := range values {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			continue
+		}
+		e := topKEntry{Vertex: uint32(v), Value: x}
+		switch {
+		case len(h) < k:
+			h = append(h, e)
+			for i := len(h) - 1; i > 0 && behind(h[i], h[(i-1)/2]); i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+			}
+		case behind(h[0], e):
+			h[0] = e
+			down(h, 0)
+		}
 	}
-	return out
-}
-
-// withCached annotates a (possibly shared, cached) payload without mutating
-// it: cached payloads are published values, so the flag goes on a copy.
-func withCached(payload map[string]any, hit bool) map[string]any {
-	out := make(map[string]any, len(payload)+1)
-	for k, v := range payload {
-		out[k] = v
+	// Move the worst entry to the back until the heap is spent: best first.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		down(h[:end], 0)
 	}
-	out["cached"] = hit
-	return out
+	return h
 }
 
 func handleRoute(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -264,9 +298,9 @@ func handleRoute(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := fmt.Sprintf("route:%s:%d:%d", id, from, to)
-	if v, ok := s.cache.Get(key, snap.Version); ok {
-		writeJSON(w, http.StatusOK, withCached(v.(map[string]any), true))
+	key := "route:" + id + ":" + strconv.FormatUint(from, 10) + ":" + strconv.FormatUint(to, 10)
+	if b, ok := s.cache.Get(key, snap.Version); ok {
+		writeBytes(w, http.StatusOK, b)
 		return
 	}
 	path, ok := walkParents(p.Outcome.Parents, uint32(from), uint32(to))
@@ -274,18 +308,10 @@ func handleRoute(s *Service, w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no route from %d to %d in %s's shortest-path tree", from, to, id))
 		return
 	}
-	payload := map[string]any{
-		"app":      q.Get("app"),
-		"domain":   q.Get("domain"),
-		"from":     from,
-		"to":       to,
-		"version":  snap.Version,
-		"hops":     len(path) - 1,
-		"path":     path,
-		"distance": p.Outcome.Values[to] - p.Outcome.Values[from],
-	}
-	s.cache.Put(key, snap.Version, payload)
-	writeJSON(w, http.StatusOK, withCached(payload, false))
+	writeMiss(s, w, key, snap.Version, &routeBody{
+		App: q.Get("app"), Cached: true, Distance: p.Outcome.Values[to] - p.Outcome.Values[from],
+		Domain: q.Get("domain"), From: from, Hops: len(path) - 1, Path: path, To: to, Version: snap.Version,
+	})
 }
 
 // walkParents climbs the predecessor tree from `to` until it meets `from`
@@ -462,10 +488,46 @@ func post(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// writeJSON encodes v in full before the header goes out, so a value JSON
+// cannot carry answers 500 instead of an empty 200.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := encodeJSON(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBytes(w, code, b)
+}
+
+// cachedTrue is the flag in a body writeMiss stores. Only the app name, a
+// JSON string with its quotes escaped, precedes it, so the first match is
+// the flag itself.
+var cachedTrue = []byte(`"cached":true`)
+
+// writeMiss answers a cacheable read the cache missed. body is encoded once
+// with its cached flag set; the cache keeps those bytes for every later hit
+// at this version, and this request gets a copy flagged "cached":false.
+func writeMiss(s *Service, w http.ResponseWriter, key string, version uint64, body any) {
+	hit, err := encodeJSON(body)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	s.cache.Put(key, version, hit)
+	writeBytes(w, http.StatusOK, bytes.Replace(hit, cachedTrue, []byte(`"cached":false`), 1))
+}
+
+// encodeJSON is v as a response body: JSON and a newline, as json.Encoder
+// writes it.
+func encodeJSON(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(b, '\n'), err
+}
+
+func writeBytes(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
