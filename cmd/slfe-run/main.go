@@ -64,13 +64,11 @@ func main() {
 	ftInterval := flag.Duration("ft-interval", 0, "heartbeat probe period under -ft (0 = 25ms)")
 	ftDead := flag.Duration("ft-dead", 0, "silence after which a rank is declared dead under -ft (0 = 10x the probe period)")
 	ftTCP := flag.Bool("ft-tcp", false, "run membership epochs over a real loopback TCP mesh under -ft")
-	ftRejoin := flag.Bool("ft-rejoin", false, "enable elastic re-expansion under -ft: restart dead ranks and grow them back into the next epoch (requires -ft-tcp)")
-	ftRejoinWindow := flag.Duration("ft-rejoin-window", 0, "how long a recovery transition waits for restarted ranks under -ft-rejoin (0 = 2s)")
 	verbose := flag.Bool("v", false, "print per-iteration statistics")
 	flag.Usage = usage
 	flag.Parse()
 
-	if err := rejectSLFEOnly(*system); err != nil {
+	if err := rejectIgnoredFlags(*system, *ft); err != nil {
 		fatal(err)
 	}
 	if *nodes < 1 {
@@ -115,8 +113,6 @@ func main() {
 			HeartbeatInterval: *ftInterval,
 			DeadAfter:         *ftDead,
 			TCPLoopback:       *ftTCP,
-			Rejoin:            *ftRejoin,
-			RejoinWindow:      *ftRejoinWindow,
 		}
 	}
 	appKey := strings.ToLower(*app)
@@ -155,12 +151,6 @@ func main() {
 			} else {
 				fmt.Printf("fault-tolerance: epochs=%d deaths=%v resume-iter=%d replayed=%d recover=%v replica=%v\n",
 					rep.Epochs, rep.Deaths, rep.ResumeIter, rep.ReplayedSupersteps, rep.RecoverTime, rep.RestoredFromReplica)
-				if len(rep.Rejoined) > 0 {
-					fmt.Printf("rejoin: ranks=%v rejoin=%v redistributed=%dB final-members=%d\n",
-						rep.Rejoined, rep.RejoinTime, rep.RedistributedBytes, rep.FinalMembers)
-				} else if rep.Degraded {
-					fmt.Printf("rejoin: degraded — no rank made the window; continuing with %d members\n", rep.FinalMembers)
-				}
 			}
 		}
 		fmt.Printf("delta-sync: overlapped=%d codec-picks=%s\n", run.OverlappedSyncs, formatPicks(run.CodecPicks))
@@ -263,25 +253,30 @@ func usage() {
 	fmt.Fprintln(flag.CommandLine.Output(), "  plus whole-graph analytics: triangles | kcore | clique | mst | diameter (f64)")
 }
 
-// rejectSLFEOnly refuses a baseline run that names a flag only the SLFE
-// engine reads, so -system ligra -ft fails up front instead of silently
-// running without failure tolerance.
-func rejectSLFEOnly(system string) error {
-	if strings.EqualFold(system, "slfe") {
-		return nil
-	}
-	var set []string
+// rejectIgnoredFlags refuses a run that names a flag nothing would read: a
+// flag only the SLFE engine reads on a baseline run, so -system ligra -ft
+// fails up front instead of silently running without failure tolerance,
+// and an -ft-* setting without -ft.
+func rejectIgnoredFlags(system string, ft bool) error {
+	var slfeOnly []string
+	orphan := ""
 	flag.Visit(func(f *flag.Flag) {
 		switch {
 		case f.Name == "rr", f.Name == "stealing", f.Name == "rebalance",
 			strings.HasPrefix(f.Name, "ft"):
-			set = append(set, "-"+f.Name)
+			slfeOnly = append(slfeOnly, "-"+f.Name)
+		}
+		if !ft && orphan == "" && strings.HasPrefix(f.Name, "ft-") {
+			orphan = "-" + f.Name
 		}
 	})
-	if len(set) == 0 {
-		return nil
+	if len(slfeOnly) > 0 && !strings.EqualFold(system, "slfe") {
+		return fmt.Errorf("-system %s does not read %s (slfe engine only): remove or run -system slfe", system, strings.Join(slfeOnly, " "))
 	}
-	return fmt.Errorf("-system %s does not read %s (slfe engine only): remove or run -system slfe", system, strings.Join(set, " "))
+	if orphan != "" {
+		return fmt.Errorf("%s has no effect without -ft: add -ft or remove %s", orphan, orphan)
+	}
+	return nil
 }
 
 // rootID converts the -root flag to a vertex id, refusing a root outside

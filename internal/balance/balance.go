@@ -15,7 +15,7 @@
 // resumed run adopts the ranges its shard was written under, and under
 // sparse delta-sync it re-broadcasts sparsely distributed values and
 // frontier bits before a move, so routing starts over under the new ranges.
-// Shrink and Grow derive a recovery epoch's ranges from the same maps.
+// Shrink derives a recovery epoch's ranges from the same maps.
 package balance
 
 import (
@@ -65,40 +65,6 @@ func Shrink(r *partition.Chunked, dead []int) (*partition.Chunked, error) {
 	}
 	nb = append(nb, bounds[k])
 	return partition.FromBounds(nb)
-}
-
-// Grow is the inverse of Shrink for elastic re-expansion: given the
-// original epoch's ranges, the workers that died, and the subset of those
-// that have been readmitted, it returns the ownership map for the grown
-// membership — revived workers get their original ranges back, while
-// workers that stayed dead remain folded into their surviving
-// predecessors. Growing back every dead worker reproduces the original
-// ranges exactly (Grow(r, dead, dead) == r), which is what lets a rejoined
-// cluster resume bit-identical at full size. revived must be a subset of
-// dead.
-func Grow(original *partition.Chunked, dead, revived []int) (*partition.Chunked, error) {
-	k := original.Nodes()
-	isDead := make([]bool, k)
-	for _, d := range dead {
-		if d < 0 || d >= k {
-			return nil, fmt.Errorf("balance: dead worker %d outside [0,%d)", d, k)
-		}
-		isDead[d] = true
-	}
-	stillDead := make([]int, 0, len(dead))
-	seen := make([]bool, k)
-	for _, r := range revived {
-		if r < 0 || r >= k || !isDead[r] {
-			return nil, fmt.Errorf("balance: revived worker %d was not among the dead", r)
-		}
-		seen[r] = true
-	}
-	for _, d := range dead {
-		if !seen[d] {
-			stillDead = append(stillDead, d)
-		}
-	}
-	return Shrink(original, stillDead)
 }
 
 // Plan derives new boundaries from measured per-worker times over the

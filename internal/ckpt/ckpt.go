@@ -156,18 +156,6 @@ func (s *State) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Encode serialises the shard to a byte slice — the WriteTo format, used
-// when a state travels over a connection (replica streaming, rejoin
-// redistribution) rather than to a file.
-func (s *State) Encode() ([]byte, error) {
-	return s.AppendTo(nil), nil
-}
-
-// DecodeState parses a shard from a byte slice written by Encode/WriteTo.
-func DecodeState(data []byte) (*State, error) {
-	return ReadState(bytes.NewReader(data))
-}
-
 // appendWords writes a length-prefixed word array at the given width,
 // converting each element through bits. The caller has grown buf to hold
 // it.

@@ -7,11 +7,12 @@ import (
 
 // FuzzDecodeState feeds arbitrary shard bytes to the decoder, with the CRC
 // trailer recomputed so mutations reach the parser instead of stopping at
-// the checksum. A shard is a disk format and a wire format (replica
-// streaming, the rejoin admission's restore state), so: decoding never
-// panics, an accepted shard or merged state re-encodes to exactly the
-// input, and Merge over accepted shards returns an error rather than
-// panicking, however their bounds, owned arrays and sets are laid out.
+// the checksum. A shard is a disk format and a wire format (a rank streams
+// it to its ring buddy, whose replica shrink-and-resume recovery merges),
+// so: decoding never panics, an accepted shard or merged state re-encodes
+// to exactly the input, and Merge over accepted shards returns an error
+// rather than panicking, however their bounds, owned arrays and sets are
+// laid out.
 func FuzzDecodeState(f *testing.F) {
 	arith := mergeShard(1)
 	arith.Kind, arith.Width = Arith, 4
@@ -33,7 +34,7 @@ func FuzzDecodeState(f *testing.F) {
 			return
 		}
 		data = appendCRC(data[:len(data)-4])
-		s, err := DecodeState(data)
+		s, err := ReadState(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package ckpt_test
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"strings"
@@ -44,7 +45,7 @@ func shardIter(t *testing.T, f *os.File) uint32 {
 		t.Error(err)
 		return 0
 	}
-	s, err := ckpt.DecodeState(data)
+	s, err := ckpt.ReadState(bytes.NewReader(data))
 	if err != nil {
 		t.Error(err)
 		return 0

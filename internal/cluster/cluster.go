@@ -77,14 +77,7 @@ type Options struct {
 // epoch. Every entry point calls it first, so a given mistake reads the
 // same wherever it is made.
 func (o *Options) validate(ownsTransports bool) error {
-	ft := o.FT
-	if ft == nil {
-		return nil
-	}
-	if ft.Rejoin && !ft.TCPLoopback {
-		return errors.New("cluster: Options.FT.Rejoin requires Options.FT.TCPLoopback: a restarted rank redials a real mesh")
-	}
-	if !ownsTransports {
+	if o.FT != nil && !ownsTransports {
 		return errors.New("cluster: Options.FT cannot run on a session or on caller-provided transports (ExecuteSession, ExecuteOver): recovery replaces the transport group every epoch; use Execute")
 	}
 	return nil
@@ -159,7 +152,7 @@ func ExecuteOver[V comparable](g graph.View, p *core.Program[V], opt Options, tr
 // run, per epoch rank where it differs by rank; a plain run has none.
 type epochPlan struct {
 	ckpt     []*ckpt.Manager // each rank's private checkpoint manager
-	restore  []*ckpt.State   // each rank's restore state (nil entry: cold start)
+	restore  *ckpt.State     // every rank's restore state (nil: cold start)
 	bounds   []uint32        // partition boundaries folded from the failed epoch (nil: chunk g)
 	progress func(iter int)  // per-superstep hook, called by every rank
 }
@@ -244,7 +237,7 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				Restore:          restore,
 			}
 			if plan != nil {
-				cfg.Ckpt, cfg.Restore, cfg.Progress = plan.ckpt[rank], plan.restore[rank], plan.progress
+				cfg.Ckpt, cfg.Restore, cfg.Progress = plan.ckpt[rank], plan.restore, plan.progress
 			}
 			eng, err := core.New[V](cfg)
 			if err != nil {

@@ -166,13 +166,6 @@ func TestOptionsCombinations(t *testing.T) {
 // rejected ExecuteSession leaves its session healthy; see entryPoints).
 func TestExclusionsRejectedUpFront(t *testing.T) {
 	g := gen.Path(32)
-	ft := func(mod func(*FTOptions)) *FTOptions {
-		f := &FTOptions{HeartbeatInterval: 5 * time.Millisecond}
-		if mod != nil {
-			mod(f)
-		}
-		return f
-	}
 	cases := []struct {
 		name  string
 		opt   Options
@@ -181,10 +174,8 @@ func TestExclusionsRejectedUpFront(t *testing.T) {
 		// itself: Execute hosts FT, the other two must refuse it.
 		executeRuns bool
 	}{
-		{"ft-needs-execute", Options{FT: ft(nil)},
+		{"ft-needs-execute", Options{FT: &FTOptions{HeartbeatInterval: 5 * time.Millisecond}},
 			[]string{"Options.FT", "ExecuteSession", "ExecuteOver"}, true},
-		{"rejoin-without-tcp", Options{FT: ft(func(f *FTOptions) { f.Rejoin = true })},
-			[]string{"Options.FT.Rejoin", "Options.FT.TCPLoopback"}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

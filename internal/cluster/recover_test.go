@@ -172,6 +172,32 @@ func TestFTPartitionArithF64(t *testing.T) {
 	requireWarmRestore(t, rep)
 }
 
+// overTCP runs every membership epoch over a real loopback TCP mesh: the
+// same guards with each epoch formed by comm.MeshNode handshakes over real
+// sockets.
+func overTCP(ft *cluster.FTOptions) { ft.TCPLoopback = true }
+
+func TestFTTCPKillMinMaxF64(t *testing.T) {
+	g := ftGraph()
+	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
+		cluster.Options{Nodes: 3}, killMidRun(2), []int{2}, overTCP)
+	requireWarmRestore(t, rep)
+}
+
+func TestFTTCPKillArithF64(t *testing.T) {
+	g := ftGraph()
+	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.PageRank(12) },
+		cluster.Options{Nodes: 3}, killMidRun(1), []int{1}, overTCP)
+	requireWarmRestore(t, rep)
+}
+
+func TestFTTCPPartitionMinMaxF64(t *testing.T) {
+	g := ftGraph()
+	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
+		cluster.Options{Nodes: 4}, partitionMidRun, []int{1, 3}, overTCP)
+	requireWarmRestore(t, rep)
+}
+
 // TestFTKillStartLate exercises recovery of a "start late" run: the
 // resumed run, whose shards do not say who was suppressed, must repay
 // everything with its closing pull.

@@ -215,23 +215,3 @@ func FuzzCollectiveRound(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeAdmission throws arbitrary bytes at the rejoin admission
-// decoder: it must never panic, and a payload it accepts must be exactly
-// what encode writes for the admission it decoded.
-func FuzzDecodeAdmission(f *testing.F) {
-	f.Add((&Admission{Epoch: 7, Members: []int{0, 1, 2}, Bounds: []uint32{0, 10, 20, 30}, Restore: []byte("state")}).encode())
-	f.Add((&Admission{Epoch: 1, Members: []int{3}}).encode())
-	f.Add((&Admission{}).encode())
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := decodeAdmission(data)
-		if err != nil {
-			return
-		}
-		if got := a.encode(); !bytes.Equal(got, data) {
-			t.Fatalf("accepted %x, which re-encodes as %x", data, got)
-		}
-	})
-}

@@ -1,29 +1,21 @@
-// Reconnectable TCP mesh with elastic membership. A MeshNode is one rank's
-// long-lived network identity: a persistent listener plus the handshake
-// logic that admits peers into membership epochs. DialTCP uses a node for
-// one epoch and drops it; the recovery driver keeps it across epochs: the
-// surviving ranks of a failure form a new (shrunk) mesh with a higher
-// epoch number, and a restarted rank can announce itself (Rejoin) and be
-// admitted back at the next epoch boundary. Stale-epoch connections are
-// rejected by the handshake, half-open connections are reaped by a read
-// deadline, and rejoin dialling uses bounded exponential backoff with
-// jitter under a hard deadline.
+// Reconnectable TCP mesh with shrinking membership. A MeshNode is one
+// rank's long-lived network identity: a persistent listener plus the
+// handshake logic that admits peers into membership epochs. DialTCP uses a
+// node for one epoch and drops it; the recovery driver keeps it across
+// epochs: the surviving ranks of a failure form a new (shrunk) mesh with a
+// higher epoch number, and a dead rank's node is simply closed. Stale-epoch
+// connections are rejected by the handshake, a hello of any kind but a mesh
+// peer's is refused, and half-open connections are reaped by a read
+// deadline.
 package comm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 )
-
-// rejoinQueueCap bounds how many rejoin announcements a node parks before
-// telling further rejoiners to back off and retry.
-const rejoinQueueCap = 8
 
 // MeshNode is one rank's persistent mesh endpoint. The node's identity is
 // its original rank id, which never changes; its rank within a membership
@@ -38,9 +30,6 @@ type MeshNode struct {
 	pending   *joinState
 	inflight  map[net.Conn]struct{} // connections mid-handshake, closed on Close
 	closed    bool
-
-	rejoinMu sync.Mutex // serialises capacity check + park (pushers only)
-	rejoins  chan *RejoinRequest
 
 	wg sync.WaitGroup // accept loop + handshake goroutines
 }
@@ -108,7 +97,6 @@ func newMeshNode(id int, addrs []string, ln net.Listener) *MeshNode {
 		ln:        ln,
 		lastEpoch: -1,
 		inflight:  make(map[net.Conn]struct{}),
-		rejoins:   make(chan *RejoinRequest, rejoinQueueCap),
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -121,13 +109,8 @@ func (n *MeshNode) ID() int { return n.id }
 // Addr returns the node's listen address.
 func (n *MeshNode) Addr() string { return n.ln.Addr().String() }
 
-// Rejoins delivers parked rejoin announcements: restarted ranks that
-// dialled this node asking to be readmitted. The recovery driver decides
-// each request's fate with Admit or Reject at the next epoch boundary.
-func (n *MeshNode) Rejoins() <-chan *RejoinRequest { return n.rejoins }
-
-// Close shuts the node down: the listener stops, in-flight handshakes are
-// cut, and every parked rejoin request is rejected. Idempotent.
+// Close shuts the node down: the listener stops and in-flight handshakes
+// are cut. Idempotent.
 func (n *MeshNode) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -141,14 +124,7 @@ func (n *MeshNode) Close() error {
 	n.mu.Unlock()
 	err := n.ln.Close()
 	n.wg.Wait()
-	for {
-		select {
-		case r := <-n.rejoins:
-			r.Reject()
-		default:
-			return err
-		}
-	}
+	return err
 }
 
 func (n *MeshNode) acceptLoop() {
@@ -178,27 +154,18 @@ func (n *MeshNode) untrack(conn net.Conn) {
 	n.mu.Unlock()
 }
 
-// handshake reads one accepted connection's hello and routes it: mesh
-// connections feed a pending Join, rejoin announcements are parked for the
-// recovery driver. Connections that never send a valid hello within the
-// handshake deadline are reaped.
+// handshake reads one accepted connection's hello and hands a mesh peer's
+// to admitMesh. A connection that sends any other kind, or no valid hello
+// within the handshake deadline, is closed unanswered.
 func (n *MeshNode) handshake(conn net.Conn) {
 	defer n.wg.Done()
 	kind, epoch, peer, err := readHello(conn, time.Now().Add(handshakeTimeout))
-	if err != nil {
+	if err != nil || kind != kindMesh {
 		n.untrack(conn)
 		conn.Close()
 		return
 	}
-	switch kind {
-	case kindMesh:
-		n.admitMesh(epoch, peer, conn)
-	case kindRejoin:
-		n.parkRejoin(peer, conn)
-	default:
-		n.untrack(conn)
-		conn.Close()
-	}
+	n.admitMesh(epoch, peer, conn)
 }
 
 // admitMesh decides a mesh-formation connection's fate against the node's
@@ -244,36 +211,6 @@ func (n *MeshNode) admitMesh(epoch uint32, peer int, conn net.Conn) {
 		writeStatus(conn, hsRetry)
 	}
 	conn.Close()
-}
-
-// parkRejoin queues a restarted rank's announcement for the recovery
-// driver. The rejoiner is answered hsOK ("parked — hold this connection
-// for the admission decision") before the request is published, so the
-// admission write can never interleave with the status byte.
-func (n *MeshNode) parkRejoin(peer int, conn net.Conn) {
-	n.untrack(conn)
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed || peer < 0 || peer >= len(n.addrs) || peer == n.id {
-		writeStatus(conn, hsReject)
-		conn.Close()
-		return
-	}
-	n.rejoinMu.Lock()
-	if len(n.rejoins) == cap(n.rejoins) {
-		n.rejoinMu.Unlock()
-		writeStatus(conn, hsRetry)
-		conn.Close()
-		return
-	}
-	if writeStatus(conn, hsOK) != nil {
-		n.rejoinMu.Unlock()
-		conn.Close()
-		return
-	}
-	n.rejoins <- &RejoinRequest{Rank: peer, conn: conn}
-	n.rejoinMu.Unlock()
 }
 
 // Join forms the mesh for one membership epoch: members lists the epoch's
@@ -489,217 +426,4 @@ func dialEpoch(addr string, epoch uint32, id int, deadline time.Time) (byte, net
 		return status, nil
 	}
 	return hsOK, conn
-}
-
-// RejoinRequest is a restarted rank's parked announcement. Exactly one of
-// Admit or Reject must be called; both close the connection.
-type RejoinRequest struct {
-	// Rank is the announcing rank's original id.
-	Rank int
-	conn net.Conn
-}
-
-// Admission is the recovery driver's answer to an admitted rejoiner: the
-// epoch to join, its member list, the partition bounds for that epoch, and
-// the serialised checkpoint state the rejoiner resumes from (the shard
-// redistribution — the rejoiner gets its range's state from the current
-// owners' merged checkpoint, shipped over this connection). Restore and
-// Bounds are empty when the failed epoch had no usable checkpoint (the new
-// epoch cold-starts).
-type Admission struct {
-	Epoch   uint32
-	Members []int
-	Bounds  []uint32
-	Restore []byte
-}
-
-// encode serialises the admission payload (all little-endian u32 counts).
-func (a *Admission) encode() []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, a.Epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Members)))
-	for _, m := range a.Members {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Bounds)))
-	for _, b := range a.Bounds {
-		buf = binary.LittleEndian.AppendUint32(buf, b)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Restore)))
-	return append(buf, a.Restore...)
-}
-
-func decodeAdmission(buf []byte) (*Admission, error) {
-	a := &Admission{}
-	u32 := func() (uint32, error) {
-		if len(buf) < 4 {
-			return 0, errors.New("comm: truncated admission")
-		}
-		v := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		return v, nil
-	}
-	var err error
-	if a.Epoch, err = u32(); err != nil {
-		return nil, err
-	}
-	nm, err := u32()
-	if err != nil || uint64(nm)*4 > uint64(len(buf)) {
-		return nil, errors.New("comm: truncated admission members")
-	}
-	a.Members = make([]int, nm)
-	for i := range a.Members {
-		v, _ := u32()
-		a.Members[i] = int(v)
-	}
-	nb, err := u32()
-	if err != nil || uint64(nb)*4 > uint64(len(buf)) {
-		return nil, errors.New("comm: truncated admission bounds")
-	}
-	if nb > 0 {
-		a.Bounds = make([]uint32, nb)
-		for i := range a.Bounds {
-			a.Bounds[i], _ = u32()
-		}
-	}
-	nr, err := u32()
-	if err != nil || uint64(nr) != uint64(len(buf)) {
-		return nil, errors.New("comm: truncated admission restore state")
-	}
-	if nr > 0 {
-		a.Restore = buf
-	}
-	return a, nil
-}
-
-// Admit answers the rejoiner with an admission and closes the connection.
-// It returns the number of payload bytes shipped (the redistribution cost
-// the recovery report accounts).
-func (r *RejoinRequest) Admit(a *Admission) (int, error) {
-	defer r.conn.Close()
-	payload := a.encode()
-	msg := make([]byte, 0, 5+len(payload))
-	msg = append(msg, hsAdmit)
-	msg = binary.LittleEndian.AppendUint32(msg, uint32(len(payload)))
-	msg = append(msg, payload...)
-	r.conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-	if _, err := r.conn.Write(msg); err != nil {
-		return 0, fmt.Errorf("comm: admit rank %d: %w", r.Rank, err)
-	}
-	return len(payload), nil
-}
-
-// Reject refuses the rejoiner and closes the connection.
-func (r *RejoinRequest) Reject() {
-	writeStatus(r.conn, hsReject)
-	r.conn.Close()
-}
-
-// RejoinConfig tunes a restarted rank's redial loop.
-type RejoinConfig struct {
-	// Deadline is the hard overall limit: Rejoin fails once it elapses,
-	// whatever state the redial loop is in. Required.
-	Deadline time.Duration
-	// BaseBackoff / MaxBackoff bound the exponential backoff between full
-	// candidate passes (defaults 10ms / 200ms); each sleep is jittered in
-	// [0.5, 1.5) of the current backoff so simultaneously restarted ranks
-	// do not redial in lockstep.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-}
-
-// Rejoin announces this restarted node to the surviving mesh and waits for
-// an admission. Candidates (every other address in the table) are dialled
-// in order; a candidate that parks the announcement (hsOK) is then watched
-// until the hard deadline for the admission verdict, because survivors
-// admit rejoiners only at an epoch boundary — the next recovery
-// transition. Candidates that are down or not ready are retried with
-// bounded exponential backoff + jitter. The caller typically follows a
-// successful Rejoin with Join(adm.Epoch, adm.Members, ...).
-func (n *MeshNode) Rejoin(cfg RejoinConfig) (*Admission, error) {
-	if cfg.Deadline <= 0 {
-		return nil, errors.New("comm: RejoinConfig.Deadline is required")
-	}
-	base := cfg.BaseBackoff
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	max := cfg.MaxBackoff
-	if max < base {
-		max = 200 * time.Millisecond
-		if max < base {
-			max = base
-		}
-	}
-	deadline := time.Now().Add(cfg.Deadline)
-	rng := rand.New(rand.NewSource(int64(n.id)*2654435761 + 1))
-	backoff := base
-	for {
-		for cand := 0; cand < len(n.addrs); cand++ {
-			if cand == n.id {
-				continue
-			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("comm: rejoin deadline (%v) exceeded", cfg.Deadline)
-			}
-			if adm := n.tryRejoin(n.addrs[cand], deadline); adm != nil {
-				return adm, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("comm: rejoin deadline (%v) exceeded", cfg.Deadline)
-		}
-		sleep := backoff/2 + time.Duration(rng.Int63n(int64(backoff)))
-		if until := time.Until(deadline); sleep > until {
-			sleep = until
-		}
-		time.Sleep(sleep)
-		if backoff *= 2; backoff > max {
-			backoff = max
-		}
-	}
-}
-
-// tryRejoin makes one announcement attempt against one candidate address,
-// returning the admission or nil (any failure — down candidate, retry
-// answer, rejection, timeout — just moves the loop on).
-func (n *MeshNode) tryRejoin(addr string, deadline time.Time) *Admission {
-	dialTO := time.Second
-	if until := time.Until(deadline); until < dialTO {
-		dialTO = until
-	}
-	conn, err := net.DialTimeout("tcp", addr, dialTO)
-	if err != nil {
-		return nil
-	}
-	defer conn.Close()
-	if err := writeHello(conn, kindRejoin, 0, n.id, deadline); err != nil {
-		return nil
-	}
-	status, err := readStatus(conn, deadline)
-	if err != nil || status != hsOK {
-		return nil
-	}
-	// Parked: hold the line for the admission verdict until the deadline.
-	status, err = readStatus(conn, deadline)
-	if err != nil || status != hsAdmit {
-		return nil
-	}
-	var lenBuf [4]byte
-	conn.SetReadDeadline(deadline)
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		return nil
-	}
-	plen := binary.LittleEndian.Uint32(lenBuf[:])
-	if plen > maxFrameLen {
-		return nil
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return nil
-	}
-	adm, err := decodeAdmission(payload)
-	if err != nil {
-		return nil
-	}
-	return adm
 }

@@ -142,8 +142,12 @@ func TestMeshHalfOpenConnectionReaped(t *testing.T) {
 	}
 }
 
-func TestMeshRejoinAdmit(t *testing.T) {
-	nodes, _, err := NewLoopbackMeshNodes(3)
+// TestMeshRefusesUnknownHelloKind dials a node with a well-formed hello of
+// kind 1, a kind the mesh does not speak: the node must close the
+// connection without answering a status byte, and still form an epoch
+// afterwards.
+func TestMeshRefusesUnknownHelloKind(t *testing.T) {
+	nodes, addrs, err := NewLoopbackMeshNodes(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,89 +156,30 @@ func TestMeshRejoinAdmit(t *testing.T) {
 			n.Close()
 		}
 	}()
-	// Node 2 announces itself; node 0 or 1 parks the request.
-	type rejoinOut struct {
-		adm *Admission
-		err error
-	}
-	got := make(chan rejoinOut, 1)
-	go func() {
-		adm, err := nodes[2].Rejoin(RejoinConfig{Deadline: 5 * time.Second})
-		got <- rejoinOut{adm, err}
-	}()
-	var req *RejoinRequest
-	select {
-	case req = <-nodes[0].Rejoins():
-	case req = <-nodes[1].Rejoins():
-	case <-time.After(5 * time.Second):
-		t.Fatal("no rejoin request arrived")
-	}
-	if req.Rank != 2 {
-		t.Fatalf("rejoin request from rank %d, want 2", req.Rank)
-	}
-	want := &Admission{Epoch: 7, Members: []int{0, 1, 2}, Bounds: []uint32{0, 10, 20, 30}, Restore: []byte("state")}
-	sent, err := req.Admit(want)
+	conn, err := net.Dial("tcp", addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sent <= len(want.Restore) {
-		t.Fatalf("admit reported %d bytes shipped", sent)
+	defer conn.Close()
+	deadline := time.Now().Add(handshakeTimeout + 2*time.Second)
+	if err := writeHello(conn, 1, 0, 1, deadline); err != nil {
+		t.Fatal(err)
 	}
-	out := <-got
-	if out.err != nil {
-		t.Fatal(out.err)
+	conn.SetReadDeadline(deadline)
+	var b [1]byte
+	if n, err := conn.Read(b[:]); n > 0 {
+		t.Fatalf("unknown hello kind answered with status %d", b[0])
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("connection with an unknown hello kind was held open")
 	}
-	if out.adm.Epoch != 7 || len(out.adm.Members) != 3 || len(out.adm.Bounds) != 4 ||
-		string(out.adm.Restore) != "state" {
-		t.Fatalf("admission round-trip: %+v", out.adm)
-	}
-}
 
-func TestMeshRejoinRejectedTimesOut(t *testing.T) {
-	nodes, _, err := NewLoopbackMeshNodes(2)
-	if err != nil {
+	ts := joinAll(t, nodes, 0, []int{0, 1})
+	defer closeAll(ts)
+	if err := ts[1].Send(0, TypeUser, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	done := make(chan error, 1)
-	go func() {
-		_, err := nodes[1].Rejoin(RejoinConfig{Deadline: 500 * time.Millisecond, BaseBackoff: 20 * time.Millisecond})
-		done <- err
-	}()
-	// Reject every announcement; the rejoiner must give up at its hard
-	// deadline, not spin forever.
-	go func() {
-		for req := range nodes[0].Rejoins() {
-			req.Reject()
-		}
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("rejected rejoin reported success")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("rejoin did not respect its hard deadline")
-	}
-}
-
-func TestMeshRejoinNoSurvivors(t *testing.T) {
-	nodes, _, err := NewLoopbackMeshNodes(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes[0].Close()
-	defer nodes[1].Close()
-	start := time.Now()
-	if _, err := nodes[1].Rejoin(RejoinConfig{Deadline: 400 * time.Millisecond}); err == nil {
-		t.Fatal("rejoin with no survivors succeeded")
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("rejoin overshot its deadline by far")
+	if m, err := ts[0].Recv(TypeUser); err != nil || string(m.Payload) != "after" {
+		t.Fatalf("delivery after a refused hello: %v %v", m, err)
 	}
 }
 

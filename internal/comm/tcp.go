@@ -22,22 +22,21 @@ const maxFrameLen = 1 << 30
 // fixed-size hello — magic, connection kind, membership epoch, sender's
 // rank — and the acceptor answers with one status byte. The epoch tag is
 // what makes reconnection safe: a connection from a previous membership
-// epoch (a rank that died, restarted, and redialled with stale knowledge)
-// identifies itself as stale instead of silently joining the wrong mesh.
+// epoch (a rank that missed a membership transition and redialled with
+// stale knowledge) identifies itself as stale instead of silently joining the wrong mesh.
 const (
 	helloMagic = "SLFM"
 	helloLen   = 4 + 1 + 4 + 4 // magic | kind | epoch u32 | rank u32
 
-	// connection kinds
-	kindMesh   byte = 0 // mesh formation: part of a Join for the epoch
-	kindRejoin byte = 1 // rejoin announcement: a restarted rank asking back in
+	// kindMesh is the one connection kind: mesh formation, part of a Join
+	// for the epoch. A hello carrying any other kind is refused.
+	kindMesh byte = 0
 
 	// handshake status replies
 	hsOK     byte = 0 // accepted
-	hsRetry  byte = 1 // not ready for this epoch yet (or rejoin queue full): back off and retry
+	hsRetry  byte = 1 // not ready for this epoch yet: back off and retry
 	hsStale  byte = 2 // epoch is in the past: give up, the mesh moved on
 	hsReject byte = 3 // refused (unknown rank, not a member, node closing)
-	hsAdmit  byte = 4 // rejoin admission follows (length-prefixed payload)
 )
 
 // handshakeTimeout bounds how long an accepted connection may sit half-open
