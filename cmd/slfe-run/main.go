@@ -63,7 +63,6 @@ func main() {
 	ftEvery := flag.Int("ft-every", 8, "checkpoint interval in supersteps under -ft (Options.Ckpt.Every)")
 	ftInterval := flag.Duration("ft-interval", 0, "heartbeat probe period under -ft (0 = 25ms)")
 	ftDead := flag.Duration("ft-dead", 0, "silence after which a rank is declared dead under -ft (0 = 10x the probe period)")
-	ftTCP := flag.Bool("ft-tcp", false, "run membership epochs over a real loopback TCP mesh under -ft")
 	verbose := flag.Bool("v", false, "print per-iteration statistics")
 	flag.Usage = usage
 	flag.Parse()
@@ -112,7 +111,6 @@ func main() {
 		opt.FT = &cluster.FTOptions{
 			HeartbeatInterval: *ftInterval,
 			DeadAfter:         *ftDead,
-			TCPLoopback:       *ftTCP,
 		}
 	}
 	appKey := strings.ToLower(*app)

@@ -11,10 +11,10 @@
 // derives the SAME new boundaries from the shared measurements
 // (piecewise-constant cost density, equal-cost re-split), so no coordinator
 // and no vertex-state shipping is needed: ownership never changes a value.
-// The engine records the current ranges in every checkpoint shard, so a
-// resumed run adopts the ranges its shard was written under, and under
-// sparse delta-sync it re-broadcasts sparsely distributed values and
-// frontier bits before a move, so routing starts over under the new ranges.
+// Delta-sync broadcasts every owner's changes to every rank, so each rank
+// already holds every value and the whole frontier and a move ships
+// nothing. The engine records the current ranges in every checkpoint
+// shard, so a resumed run adopts the ranges its shard was written under.
 // Shrink derives a recovery epoch's ranges from the same maps.
 package balance
 

@@ -53,10 +53,6 @@ type FTOptions struct {
 	// hook: the differential tests delete dead ranks' directories here to
 	// prove recovery never touches them.
 	OnDeath func(dead []int)
-	// TCPLoopback runs every membership epoch over a real loopback TCP mesh
-	// (persistent comm.MeshNode endpoints, epoch-tagged handshakes) instead
-	// of the in-process transport.
-	TCPLoopback bool
 }
 
 // RecoveryReport describes what the recovery driver observed and did.
@@ -116,25 +112,6 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 		members[i] = i
 	}
 
-	// Persistent mesh endpoints, one per original rank, surviving across
-	// membership epochs. A dead rank's node is closed at its verdict (the
-	// process died, its listener with it).
-	var meshNodes []*comm.MeshNode
-	if ft.TCPLoopback {
-		var err error
-		meshNodes, _, err = comm.NewLoopbackMeshNodes(nodes)
-		if err != nil {
-			return nil, err
-		}
-		defer func() {
-			for _, n := range meshNodes {
-				if n != nil {
-					n.Close()
-				}
-			}
-		}()
-	}
-
 	report := &RecoveryReport{ResumeIter: -1}
 	// A resumed run's first epoch starts from the scan a recovery uses.
 	var restore *ckpt.State
@@ -148,13 +125,7 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 	for epoch := 0; epoch < nodes; epoch++ {
 		report.Epochs = epoch + 1
 		k := len(members)
-		var transports []comm.Transport
-		var err error
-		if ft.TCPLoopback {
-			transports, err = comm.JoinMembers(meshNodes, uint32(epoch), members, meshJoinTimeout)
-		} else {
-			transports, err = comm.NewLocalGroup(k)
-		}
+		transports, err := comm.NewLocalGroup(k)
 		if err != nil {
 			return nil, err
 		}
@@ -234,14 +205,6 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 			ft.OnDeath(deadOrig)
 		}
 
-		// A dead process's listener dies with it.
-		if ft.TCPLoopback {
-			for _, d := range deadOrig {
-				meshNodes[d].Close()
-				meshNodes[d] = nil
-			}
-		}
-
 		// Shrink the membership, preserving survivor order.
 		deadSet := make(map[int]bool, len(deadRanks))
 		for _, r := range deadRanks {
@@ -284,9 +247,6 @@ func executeFT[V comparable](g graph.View, p *core.Program[V], opt Options) (*Ru
 	}
 	return nil, fmt.Errorf("cluster: recovery epoch limit (%d) exhausted: %w", nodes, lastErr)
 }
-
-// meshJoinTimeout bounds one membership epoch's collective mesh formation.
-const meshJoinTimeout = 30 * time.Second
 
 // deathVerdict aggregates the per-rank failure detectors into one group
 // verdict: ranks are grouped by identical dead-sets and the largest class

@@ -34,14 +34,14 @@ func ftGraph() *graph.Graph {
 // the recovery driver, and requires bit-identical values plus a recovery
 // report matching wantDead. inject receives the undisturbed run's message
 // count so triggers can fire mid-run regardless of program or scale.
-func ftDiff[V comparable](t *testing.T, g *graph.Graph, mk func() *core.Program[V], opt cluster.Options, inject func(f *comm.Faults, total int64), wantDead []int, mods ...func(*cluster.FTOptions)) *cluster.RecoveryReport {
+func ftDiff[V comparable](t *testing.T, g *graph.Graph, mk func() *core.Program[V], opt cluster.Options, inject func(f *comm.Faults, total int64), wantDead []int) *cluster.RecoveryReport {
 	t.Helper()
-	return ftDiffIn(t, t.TempDir(), g, mk, opt, inject, wantDead, mods...)
+	return ftDiffIn(t, t.TempDir(), g, mk, opt, inject, wantDead)
 }
 
 // ftDiffIn is ftDiff checkpointing into dir, which may already hold other
 // runs' shards.
-func ftDiffIn[V comparable](t *testing.T, dir string, g *graph.Graph, mk func() *core.Program[V], opt cluster.Options, inject func(f *comm.Faults, total int64), wantDead []int, mods ...func(*cluster.FTOptions)) *cluster.RecoveryReport {
+func ftDiffIn[V comparable](t *testing.T, dir string, g *graph.Graph, mk func() *core.Program[V], opt cluster.Options, inject func(f *comm.Faults, total int64), wantDead []int) *cluster.RecoveryReport {
 	t.Helper()
 	base, err := cluster.Execute(g, mk(), opt)
 	if err != nil {
@@ -66,9 +66,6 @@ func ftDiffIn[V comparable](t *testing.T, dir string, g *graph.Graph, mk func() 
 				}
 			}
 		},
-	}
-	for _, mod := range mods {
-		mod(fopt.FT)
 	}
 	got, err := cluster.Execute(g, mk(), fopt)
 	if err != nil {
@@ -169,32 +166,6 @@ func TestFTPartitionArithF64(t *testing.T) {
 	g := ftGraph()
 	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.PageRank(12) },
 		cluster.Options{Nodes: 4}, partitionMidRun, []int{1, 3})
-	requireWarmRestore(t, rep)
-}
-
-// overTCP runs every membership epoch over a real loopback TCP mesh: the
-// same guards with each epoch formed by comm.MeshNode handshakes over real
-// sockets.
-func overTCP(ft *cluster.FTOptions) { ft.TCPLoopback = true }
-
-func TestFTTCPKillMinMaxF64(t *testing.T) {
-	g := ftGraph()
-	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
-		cluster.Options{Nodes: 3}, killMidRun(2), []int{2}, overTCP)
-	requireWarmRestore(t, rep)
-}
-
-func TestFTTCPKillArithF64(t *testing.T) {
-	g := ftGraph()
-	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.PageRank(12) },
-		cluster.Options{Nodes: 3}, killMidRun(1), []int{1}, overTCP)
-	requireWarmRestore(t, rep)
-}
-
-func TestFTTCPPartitionMinMaxF64(t *testing.T) {
-	g := ftGraph()
-	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
-		cluster.Options{Nodes: 4}, partitionMidRun, []int{1, 3}, overTCP)
 	requireWarmRestore(t, rep)
 }
 

@@ -106,6 +106,69 @@ func TestCollectiveSendFailurePropagates(t *testing.T) {
 	}
 }
 
+// TestTCPHalfOpenConnectionReaped connects to a rank whose mesh is still
+// forming and sends nothing: the rank must cut the connection once the
+// handshake deadline passes instead of holding it open forever. Meanwhile
+// a hello from a rank that must not dial it is closed unanswered without
+// waiting on the silent connection, and the real peer can still join.
+func TestTCPHalfOpenConnectionReaped(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	trCh := make(chan Transport, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		tr, err := DialTCP(0, 2, addrs, 3*handshakeTimeout+5*time.Second)
+		if err != nil {
+			errCh <- err
+			return
+		}
+		trCh <- tr
+	}()
+	connect := func() net.Conn {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			conn, err := net.Dial("tcp", addrs[0])
+			if err == nil {
+				return conn
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("dial: %v", err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// closedWithin requires conn to be closed, unanswered, within d.
+	closedWithin := func(conn net.Conn, d time.Duration, what string) {
+		conn.SetReadDeadline(time.Now().Add(d))
+		buf := make([]byte, 1)
+		if _, err := conn.Read(buf); err == nil {
+			t.Fatalf("%s received data", what)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s was not closed within %v", what, d)
+		}
+	}
+	silent := connect()
+	defer silent.Close()
+	refused := connect()
+	defer refused.Close()
+	if err := writeHello(refused, 0, time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	closedWithin(refused, handshakeTimeout/2, "hello from rank 0 to rank 0")
+	closedWithin(silent, handshakeTimeout+2*time.Second, "half-open connection")
+
+	tr1, err := DialTCP(1, 2, addrs, 5*time.Second)
+	if err != nil {
+		t.Fatalf("rank 1 after the refused connections: %v", err)
+	}
+	defer tr1.Close()
+	select {
+	case tr0 := <-trCh:
+		tr0.Close()
+	case err := <-errCh:
+		t.Fatalf("rank 0 after the refused connections: %v", err)
+	}
+}
+
 // TestTCPRejectsBogusHandshake connects a raw socket claiming an invalid
 // rank: the mesh setup must fail rather than accept the impostor.
 func TestTCPRejectsBogusHandshake(t *testing.T) {
@@ -130,7 +193,7 @@ func TestTCPRejectsBogusHandshake(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	if err := writeHello(conn, kindMesh, 0, 99, time.Now().Add(2*time.Second)); err != nil {
+	if err := writeHello(conn, 99, time.Now().Add(2*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err == nil {
@@ -168,7 +231,7 @@ func TestTCPGarbageStreamClosesInbox(t *testing.T) {
 	}
 	defer conn.Close()
 	// Legitimate handshake as rank 1.
-	if err := writeHello(conn, kindMesh, 0, 1, time.Now().Add(2*time.Second)); err != nil {
+	if err := writeHello(conn, 1, time.Now().Add(2*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := readStatus(conn, time.Now().Add(2*time.Second)); err != nil || st != hsOK {

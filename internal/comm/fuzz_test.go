@@ -3,7 +3,9 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"net"
 	"testing"
+	"time"
 )
 
 // scriptTransport is rank 0 of a group whose peers are a script: Recv hands
@@ -212,6 +214,39 @@ func FuzzCollectiveRound(f *testing.F) {
 			if sent := chunks[2][2]; len(sent) != 1 || !bytes.Equal(got, sent[0]) {
 				t.Fatalf("RingExchange returned %q, rank 2 sent %q", got, sent)
 			}
+		}
+	})
+}
+
+// FuzzReadHello feeds arbitrary bytes, then end of stream, to readHello. It
+// must never panic, accept exactly the inputs that start with the magic and
+// hold at least a whole hello, and return the little-endian rank after the
+// magic.
+func FuzzReadHello(f *testing.F) {
+	f.Add([]byte("SLFM\x03\x00\x00\x00"))
+	f.Add([]byte("SLFM\xff\xff\xff\xfftrailing bytes"))
+	f.Add([]byte("SLFM\x01\x00"))
+	f.Add([]byte("SLFX\x01\x00\x00\x00"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			b.Write(data) // fails once a stops reading past the hello
+			b.Close()
+		}()
+		rank, err := readHello(a, time.Now().Add(time.Second))
+		a.Close()
+		<-done
+		valid := len(data) >= helloLen && string(data[:4]) == helloMagic
+		switch {
+		case valid && err != nil:
+			t.Fatalf("valid hello %x refused: %v", data, err)
+		case !valid && err == nil:
+			t.Fatalf("invalid hello %x accepted as rank %d", data, rank)
+		case valid && rank != int(binary.LittleEndian.Uint32(data[4:])):
+			t.Fatalf("hello %x read as rank %d", data, rank)
 		}
 	})
 }

@@ -18,25 +18,16 @@ const frameHeaderLen = 4 + 2 + 4
 // the caller (the engine batches per-superstep updates well below this).
 const maxFrameLen = 1 << 30
 
-// Connection handshake. Every TCP connection between ranks opens with a
-// fixed-size hello — magic, connection kind, membership epoch, sender's
-// rank — and the acceptor answers with one status byte. The epoch tag is
-// what makes reconnection safe: a connection from a previous membership
-// epoch (a rank that missed a membership transition and redialled with
-// stale knowledge) identifies itself as stale instead of silently joining the wrong mesh.
+// Connection handshake. Every TCP connection between ranks opens with an
+// 8-byte hello — magic and the dialler's rank — and the acceptor answers
+// hsOK once it has taken the connection into the mesh. A hello it refuses
+// (bad magic, a rank that must not dial it, a slot already filled) is
+// closed unanswered.
 const (
 	helloMagic = "SLFM"
-	helloLen   = 4 + 1 + 4 + 4 // magic | kind | epoch u32 | rank u32
+	helloLen   = 4 + 4 // magic | rank u32
 
-	// kindMesh is the one connection kind: mesh formation, part of a Join
-	// for the epoch. A hello carrying any other kind is refused.
-	kindMesh byte = 0
-
-	// handshake status replies
-	hsOK     byte = 0 // accepted
-	hsRetry  byte = 1 // not ready for this epoch yet: back off and retry
-	hsStale  byte = 2 // epoch is in the past: give up, the mesh moved on
-	hsReject byte = 3 // refused (unknown rank, not a member, node closing)
+	hsOK byte = 0 // accepted
 )
 
 // handshakeTimeout bounds how long an accepted connection may sit half-open
@@ -44,51 +35,38 @@ const (
 // handshake are reaped instead of pinning an accept slot forever.
 const handshakeTimeout = 2 * time.Second
 
+// dialRetryMin / dialRetryMax bound the redial backoff while a lower rank
+// is not listening yet. Mesh formation sits inside timed runs and a peer's
+// listener is usually microseconds behind the first dial, so the delay
+// starts well under a millisecond and backs off to the steady pace.
+const (
+	dialRetryMin = 250 * time.Microsecond
+	dialRetryMax = 10 * time.Millisecond
+)
+
 // tcpTransport is a full-mesh TCP Transport. Rank i listens on addrs[i];
-// every pair of ranks shares one connection (dialled by the lower rank).
-//
-// Two failure disciplines share the implementation. A strict transport
-// (DialTCP, LoopbackTCP) treats any peer connection error as whole-group
-// death: the inbox closes and every pending operation returns ErrClosed —
-// the right model for run-to-completion jobs where membership never
-// changes. A resilient transport (MeshNode.Join) treats a peer connection
-// error as that peer's death only: the peer slot is cleared, later sends
-// to it are silently dropped (frames to a powered-off host vanish), and
-// the transport stays alive so the failure detector — not the socket
-// layer — decides when the group is broken.
+// every pair of ranks shares one connection (dialled by the higher rank).
+// Any peer connection error is whole-group death: the inbox closes and
+// every pending operation returns ErrClosed — the model of a
+// run-to-completion job whose membership never changes.
 type tcpTransport struct {
-	rank      int
-	size      int
-	resilient bool
-	peers     []net.Conn   // peers[rank] == nil; guarded by sendMu per slot
-	sendMu    []sync.Mutex // serialises writes and peer-slot access per peer
-	inbox     *typedQueues
-	stats     statCounters
+	rank   int
+	size   int
+	peers  []net.Conn   // peers[rank] == nil; guarded by sendMu per slot
+	sendMu []sync.Mutex // serialises writes and peer-slot access per peer
+	inbox  *typedQueues
+	stats  statCounters
 
 	closed    atomic.Bool
-	abortOnce sync.Once
 	closeOnce sync.Once
 	closeErr  error
 }
 
-func newTCPTransport(rank, size int, resilient bool) *tcpTransport {
-	return &tcpTransport{
-		rank:      rank,
-		size:      size,
-		resilient: resilient,
-		peers:     make([]net.Conn, size),
-		sendMu:    make([]sync.Mutex, size),
-		inbox:     newTypedQueues(),
-	}
-}
-
 // writeHello sends the connection-opening hello frame.
-func writeHello(conn net.Conn, kind byte, epoch uint32, rank int, deadline time.Time) error {
+func writeHello(conn net.Conn, rank int, deadline time.Time) error {
 	var buf [helloLen]byte
 	copy(buf[:4], helloMagic)
-	buf[4] = kind
-	binary.LittleEndian.PutUint32(buf[5:], epoch)
-	binary.LittleEndian.PutUint32(buf[9:], uint32(rank))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(rank))
 	conn.SetWriteDeadline(deadline)
 	_, err := conn.Write(buf[:])
 	conn.SetWriteDeadline(time.Time{})
@@ -97,17 +75,17 @@ func writeHello(conn net.Conn, kind byte, epoch uint32, rank int, deadline time.
 
 // readHello reads and validates a hello frame, enforcing the half-open
 // reaping deadline.
-func readHello(conn net.Conn, deadline time.Time) (kind byte, epoch uint32, rank int, err error) {
+func readHello(conn net.Conn, deadline time.Time) (rank int, err error) {
 	var buf [helloLen]byte
 	conn.SetReadDeadline(deadline)
 	if _, err = io.ReadFull(conn, buf[:]); err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
 	conn.SetReadDeadline(time.Time{})
 	if string(buf[:4]) != helloMagic {
-		return 0, 0, 0, errors.New("comm: bad handshake magic")
+		return 0, errors.New("comm: bad handshake magic")
 	}
-	return buf[4], binary.LittleEndian.Uint32(buf[5:]), int(binary.LittleEndian.Uint32(buf[9:])), nil
+	return int(binary.LittleEndian.Uint32(buf[4:])), nil
 }
 
 func writeStatus(conn net.Conn, status byte) error {
@@ -130,8 +108,7 @@ func readStatus(conn net.Conn, deadline time.Time) (byte, error) {
 // DialTCP connects rank into a full mesh of size ranks; addrs lists every
 // rank's listen address (host:port). It blocks until the mesh is complete
 // or the timeout elapses. All ranks must call DialTCP concurrently. The
-// mesh is a one-epoch MeshNode join with the strict failure discipline:
-// the node (and its listener) lives only until the mesh has formed.
+// rank's listener lives only until the mesh has formed.
 func DialTCP(rank, size int, addrs []string, timeout time.Duration) (Transport, error) {
 	if size <= 0 || rank < 0 || rank >= size {
 		return nil, fmt.Errorf("comm: invalid rank %d of %d", rank, size)
@@ -139,81 +116,235 @@ func DialTCP(rank, size int, addrs []string, timeout time.Duration) (Transport, 
 	if len(addrs) != size {
 		return nil, fmt.Errorf("comm: need %d addresses, got %d", size, len(addrs))
 	}
-	n, err := ListenMesh(rank, addrs)
+	ln, err := net.Listen("tcp", addrs[rank])
+	if err != nil {
+		return nil, fmt.Errorf("comm: listen %s: %w", addrs[rank], err)
+	}
+	t, err := formMesh(ln, rank, addrs, time.Now().Add(timeout))
 	if err != nil {
 		return nil, err
 	}
-	defer n.Close()
-	return n.join(0, allMembers(size), timeout, false)
+	return t, nil
 }
 
-// allMembers is the member list of a full mesh: original ids 0..size-1.
-func allMembers(size int) []int {
-	members := make([]int, size)
-	for i := range members {
-		members[i] = i
+// LoopbackTCP dials a full TCP mesh of size ranks on 127.0.0.1 — the
+// loopback counterpart of NewLocalGroup, used by benchmarks and tests that
+// want real sockets (serialisation, kernel buffering, write syscalls) on
+// one machine. Every listener is bound on :0 before any rank dials and held
+// until the mesh has formed, so there is no reserve/release gap for another
+// process to steal a port.
+func LoopbackTCP(size int, timeout time.Duration) ([]Transport, error) {
+	if size <= 0 {
+		return nil, errors.New("comm: mesh size must be positive")
 	}
-	return members
-}
-
-// startReaders launches one reader goroutine per connected peer.
-func (t *tcpTransport) startReaders() {
-	for peer, conn := range t.peers {
-		if conn == nil {
-			continue
+	lns := make([]net.Listener, size)
+	addrs := make([]string, size)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range lns[:i] {
+				l.Close()
+			}
+			return nil, fmt.Errorf("comm: listen loopback: %w", err)
 		}
-		go t.readLoop(peer, conn)
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
+	deadline := time.Now().Add(timeout)
+	ts := make([]Transport, size)
+	errs := make([]error, size)
+	var wg sync.WaitGroup
+	for i, ln := range lns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t, err := formMesh(ln, i, addrs, deadline)
+			if err == nil {
+				ts[i] = t
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for _, t := range ts {
+				if t != nil {
+					t.Close()
+				}
+			}
+			return nil, err
+		}
+	}
+	return ts, nil
 }
 
-func (t *tcpTransport) readLoop(peer int, conn net.Conn) {
-	// peerDown is how a broken connection surfaces: whole-group death for a
-	// strict transport, a single cleared peer slot for a resilient one.
-	peerDown := func() {
-		if t.resilient {
-			t.clearPeer(peer, conn)
+// formMesh forms rank's side of a full mesh over addrs on the already-bound
+// listener ln, which it closes before returning. Higher ranks are accepted,
+// each hello read on its own goroutine so a silent connection cannot hold
+// up real peers; lower ranks are dialled. The mesh must be complete by
+// deadline.
+func formMesh(ln net.Listener, rank int, addrs []string, deadline time.Time) (*tcpTransport, error) {
+	size := len(addrs)
+	t := &tcpTransport{
+		rank:   rank,
+		size:   size,
+		peers:  make([]net.Conn, size),
+		sendMu: make([]sync.Mutex, size),
+		inbox:  newTypedQueues(),
+	}
+	var (
+		mu       sync.Mutex // guards everything below and t.peers
+		firstErr error
+		missing  = size - 1 - rank // higher ranks not accepted yet
+		inflight = make(map[net.Conn]struct{})
+		closing  bool
+		allIn    = make(chan struct{})
+		accepts  sync.WaitGroup // accept loop + handshakes
+		dials    sync.WaitGroup
+	)
+	if missing == 0 {
+		close(allIn)
+	}
+
+	handshake := func(conn net.Conn) {
+		defer accepts.Done()
+		peer, err := readHello(conn, time.Now().Add(handshakeTimeout))
+		mu.Lock()
+		defer mu.Unlock()
+		delete(inflight, conn)
+		if err != nil || closing || peer <= rank || peer >= size || t.peers[peer] != nil ||
+			writeStatus(conn, hsOK) != nil {
+			conn.Close()
 			return
 		}
-		t.inbox.close()
+		t.peers[peer] = conn
+		if missing--; missing == 0 {
+			close(allIn)
+		}
 	}
+	accepts.Add(1)
+	go func() {
+		defer accepts.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			if closing {
+				mu.Unlock()
+				conn.Close()
+				return
+			}
+			inflight[conn] = struct{}{}
+			accepts.Add(1)
+			mu.Unlock()
+			go handshake(conn)
+		}
+	}()
+
+	for r := range rank {
+		dials.Add(1)
+		go func() {
+			defer dials.Done()
+			conn, err := dialPeer(addrs[r], rank, deadline)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("comm: rank %d: dial rank %d (%s): %w", rank, r, addrs[r], err)
+				}
+				return
+			}
+			t.peers[r] = conn
+		}()
+	}
+	dials.Wait()
+	if firstErr == nil {
+		select {
+		case <-allIn:
+		case <-time.After(time.Until(deadline)):
+			mu.Lock()
+			firstErr = fmt.Errorf("comm: rank %d: timed out waiting for %d higher ranks", rank, missing)
+			mu.Unlock()
+		}
+	}
+
+	ln.Close()
+	mu.Lock()
+	closing = true
+	for c := range inflight {
+		c.Close()
+	}
+	mu.Unlock()
+	accepts.Wait()
+	if firstErr != nil {
+		for _, c := range t.peers {
+			if c != nil {
+				c.Close()
+			}
+		}
+		return nil, firstErr
+	}
+	for peer, conn := range t.peers {
+		if conn != nil {
+			go t.readLoop(peer, conn)
+		}
+	}
+	return t, nil
+}
+
+// dialPeer connects to a lower rank's listener and completes the hello. A
+// failed dial (the peer is not listening yet) is retried with backoff until
+// deadline; a failure after the connection opened is final.
+func dialPeer(addr string, rank int, deadline time.Time) (net.Conn, error) {
+	d := net.Dialer{Deadline: deadline}
+	for delay := dialRetryMin; ; delay = min(2*delay, dialRetryMax) {
+		conn, err := d.Dial("tcp", addr)
+		if err != nil {
+			if time.Now().Add(delay).After(deadline) {
+				return nil, err
+			}
+			time.Sleep(delay)
+			continue
+		}
+		if err := writeHello(conn, rank, deadline); err != nil {
+			conn.Close()
+			return nil, err
+		}
+		status, err := readStatus(conn, deadline)
+		if err == nil && status != hsOK {
+			err = fmt.Errorf("handshake status %d", status)
+		}
+		if err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("handshake refused: %w", err)
+		}
+		return conn, nil
+	}
+}
+
+// readLoop delivers one peer's frames into the inbox. A broken connection
+// or a malformed frame is whole-group death: the inbox closes.
+func (t *tcpTransport) readLoop(peer int, conn net.Conn) {
+	defer t.inbox.close()
 	hdr := make([]byte, frameHeaderLen)
 	for {
 		if _, err := io.ReadFull(conn, hdr); err != nil {
-			peerDown()
 			return
 		}
 		plen := binary.LittleEndian.Uint32(hdr[0:])
 		typ := binary.LittleEndian.Uint16(hdr[4:])
 		from := int(binary.LittleEndian.Uint32(hdr[6:]))
 		if plen > maxFrameLen || from != peer {
-			peerDown()
 			return
 		}
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(conn, payload); err != nil {
-			peerDown()
 			return
-		}
-		if typ == typeAbortCtl {
-			// In-band group-abort broadcast (resilient meshes): tear down the
-			// local queues so blocked collectives return ErrClosed, then keep
-			// draining the socket so peers' final writes never block.
-			t.inbox.close()
-			continue
 		}
 		t.inbox.push(Message{From: from, Type: typ, Payload: payload})
 	}
-}
-
-// clearPeer marks one peer's connection dead. Sends to a cleared peer are
-// silently dropped; the transport itself stays alive.
-func (t *tcpTransport) clearPeer(peer int, conn net.Conn) {
-	t.sendMu[peer].Lock()
-	if t.peers[peer] == conn {
-		t.peers[peer] = nil
-	}
-	t.sendMu[peer].Unlock()
-	conn.Close()
 }
 
 func (t *tcpTransport) Rank() int { return t.rank }
@@ -236,20 +367,6 @@ func (t *tcpTransport) Send(to int, typ uint16, payload []byte) error {
 		t.inbox.push(Message{From: t.rank, Type: typ, Payload: p})
 		return nil
 	}
-	err := t.writeFrame(to, typ, payload, time.Time{})
-	if err != nil && t.resilient {
-		// The peer died mid-write: like a frame to a powered-off host, the
-		// message vanishes. The failure detector owns the group verdict.
-		return nil
-	}
-	return err
-}
-
-// writeFrame writes one framed message to peer `to` under its send lock.
-// A cleared peer slot drops silently in resilient mode and errors in
-// strict mode. A non-zero deadline bounds the socket write (used by the
-// abort broadcast so it can never hang on a wedged peer).
-func (t *tcpTransport) writeFrame(to int, typ uint16, payload []byte, deadline time.Time) error {
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint16(hdr[4:], typ)
@@ -258,28 +375,13 @@ func (t *tcpTransport) writeFrame(to int, typ uint16, payload []byte, deadline t
 	defer t.sendMu[to].Unlock()
 	conn := t.peers[to]
 	if conn == nil {
-		if t.resilient {
-			return nil
-		}
 		return errors.New("comm: no connection to peer")
 	}
 	t.stats.record(len(payload))
-	if !deadline.IsZero() {
-		conn.SetWriteDeadline(deadline)
-		defer conn.SetWriteDeadline(time.Time{})
-	}
 	if _, err := conn.Write(hdr[:]); err != nil {
-		if t.resilient {
-			t.peers[to] = nil
-			conn.Close()
-		}
 		return fmt.Errorf("comm: send header: %w", err)
 	}
 	if _, err := conn.Write(payload); err != nil {
-		if t.resilient {
-			t.peers[to] = nil
-			conn.Close()
-		}
 		return fmt.Errorf("comm: send payload: %w", err)
 	}
 	return nil
@@ -312,50 +414,9 @@ func (t *tcpTransport) Close() error {
 	return t.closeErr
 }
 
-// Abort implements Aborter. A strict transport closes its connections,
-// which breaks every peer's read loop and closes their inboxes in turn —
-// the TCP equivalent of the local hub teardown. A resilient transport must
-// not let a socket close stand in for a group verdict, so it broadcasts an
-// explicit in-band abort frame (bounded by a write deadline), then closes
-// its own queues; peers that miss the frame still abort through their own
-// failure detectors, the broadcast just gets everyone there sooner.
-func (t *tcpTransport) Abort() {
-	if !t.resilient {
-		t.Close()
-		return
-	}
-	t.abortOnce.Do(func() {
-		deadline := time.Now().Add(time.Second)
-		for peer := range t.peers {
-			if peer == t.rank {
-				continue
-			}
-			// Best-effort: a dead or wedged peer is already being handled by
-			// its own detector.
-			_ = t.writeFrame(peer, typeAbortCtl, nil, deadline)
-		}
-		t.closed.Store(true)
-		t.inbox.close()
-	})
-}
-
-// LoopbackTCP dials a full TCP mesh of size ranks on 127.0.0.1 — the
-// loopback counterpart of NewLocalGroup, used by benchmarks and tests that
-// want real sockets (serialisation, kernel buffering, write syscalls) on
-// one machine. Like DialTCP it is a one-epoch strict join; the nodes'
-// listeners are bound on :0 once and held until the mesh has formed, so
-// there is no reserve/release gap for another process to steal a port.
-func LoopbackTCP(size int, timeout time.Duration) ([]Transport, error) {
-	nodes, _, err := NewLoopbackMeshNodes(size)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	return joinMembers(nodes, 0, allMembers(size), timeout, false)
-}
+// Abort implements Aborter: closing this rank's connections breaks every
+// peer's read loop, which closes their inboxes in turn — the TCP
+// equivalent of the local hub teardown.
+func (t *tcpTransport) Abort() { t.Close() }
 
 func (t *tcpTransport) Stats() Stats { return t.stats.snapshot() }

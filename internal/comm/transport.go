@@ -37,10 +37,6 @@ const (
 	typeReduceResult
 	typeStream
 	typeHeartbeat
-	// typeAbortCtl is the resilient TCP mesh's in-band group-abort
-	// broadcast; it is consumed by the transport layer and never surfaces
-	// through Recv.
-	typeAbortCtl
 	// TypeUser is the first type available to applications.
 	TypeUser uint16 = 64
 )
