@@ -241,7 +241,8 @@ func openSLFC(t *testing.T, path string, budget int64) graph.View {
 // Computations/Updates/Suppressed/CatchUps whether the kernels call the
 // program's span hook or its per-edge hooks lifted. Both forms fold every
 // in-edge of a computing vertex; what a pull round counts is the kernel's
-// business (frontier bits over the same list), not the hook's. The lifted
+// business (the frontier's out-degrees, or frontier bits in a round the
+// Ruler rules), not the hook's. The lifted
 // path of an Unweighted program is handed ws == nil and must read no weight:
 // indexing ws would panic. Every min/max entry, lifted-only ones included,
 // must also give RR-on values (and dist32 parents) bit-identical to RR-off

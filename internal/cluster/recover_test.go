@@ -26,6 +26,9 @@ import (
 	"slfe/internal/rrg"
 )
 
+// ftEvery is the checkpoint interval of every fault-injected run.
+const ftEvery = 1
+
 func ftGraph() *graph.Graph {
 	return gen.RMAT(2048, 16384, gen.DefaultRMAT, 8, 4)
 }
@@ -51,7 +54,7 @@ func ftDiffIn[V comparable](t *testing.T, dir string, g *graph.Graph, mk func() 
 	f := comm.NewFaults()
 	inject(f, base.Comm.MessagesSent)
 	fopt := opt
-	fopt.Ckpt = &ckpt.Manager{Dir: dir, Every: 1}
+	fopt.Ckpt = &ckpt.Manager{Dir: dir, Every: ftEvery}
 	fopt.FT = &cluster.FTOptions{
 		HeartbeatInterval: 5 * time.Millisecond,
 		// A wide suspect->dead gap keeps post-abort verdicts unanimous even
@@ -118,6 +121,15 @@ func requireWarmRestore(t *testing.T, rep *cluster.RecoveryReport) {
 	t.Helper()
 	if rep.ResumeIter < 0 {
 		t.Errorf("resume iter = %d, want a checkpointed superstep (warm restore)", rep.ResumeIter)
+	}
+	// Recovery must restore the newest complete checkpoint; an older one
+	// replays bit-identically, only slower. The furthest rank is less than
+	// one interval past the newest tick, and that tick may be incomplete: a
+	// rank can die before its replica of it reaches its buddy. Every rank
+	// finished the tick before, so fewer than two intervals are replayed.
+	if rep.ReplayedSupersteps >= 2*ftEvery {
+		t.Errorf("replayed %d supersteps from tick %d, want fewer than two checkpoint intervals (%d): not the newest complete checkpoint",
+			rep.ReplayedSupersteps, rep.ResumeIter, 2*ftEvery)
 	}
 	if !rep.RestoredFromReplica {
 		t.Error("restore used no buddy replica, but the dead ranks' directories were deleted")

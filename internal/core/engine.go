@@ -149,9 +149,7 @@ type Engine[V comparable] struct {
 	stream   streamState[V] // delta-sync streaming state (overlap.go)
 	ck       ckptTick       // checkpoint tick state (checkpoint.go)
 
-	// Frontier-statistic scan: the pre-created chunk body folds through
-	// the scheduler's own reusable reduction accumulators, so the
-	// per-superstep push/pull switch scan allocates nothing.
+	// The frontier out-degree scan's chunk body and input (frontierOutEdges).
 	outBody      func(clo, chi uint32, thread int) int64
 	statFrontier *bitset.Atomic
 
@@ -369,16 +367,17 @@ func (st *state[V]) markChanged(v graph.VertexID, iter int) {
 	}
 }
 
-// frontierOutEdges sums the out-degrees of the frontier (the push/pull
-// switch statistic); the frontier is globally consistent, so every worker
-// computes the same value locally. The scan is a chunked ReduceI64 over
-// the scheduler with a pre-created chunk body, so the per-superstep scan
-// allocates nothing (the scheduler owns the reduction accumulators).
-func (e *Engine[V]) frontierOutEdges(frontier *bitset.Atomic) int64 {
+// frontierOutEdges sums the frontier's out-degrees in total (the push/pull
+// switch statistic, the same on every worker: the frontier is global) and
+// over the owned range. Each scan is a ReduceI64 over a pre-created chunk
+// body, so it allocates nothing (the scheduler owns the accumulators).
+func (e *Engine[V]) frontierOutEdges(frontier *bitset.Atomic) (total, owned int64) {
 	e.statFrontier = frontier
-	sum, _ := e.sched.ReduceI64(0, uint32(frontier.Len()), e.outBody)
+	owned, _ = e.sched.ReduceI64(uint32(e.lo), uint32(e.hi), e.outBody)
+	below, _ := e.sched.ReduceI64(0, uint32(e.lo), e.outBody)
+	above, _ := e.sched.ReduceI64(uint32(e.hi), uint32(frontier.Len()), e.outBody)
 	e.statFrontier = nil
-	return sum
+	return below + owned + above, owned
 }
 
 // outEdgesChunk sums one chunk's frontier out-degrees.

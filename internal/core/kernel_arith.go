@@ -91,8 +91,7 @@ func (k *arithKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) bool {
 func (k *arithKernel[V]) stagedCompute() ([]V, bool) { return k.scratch, true }
 
 func (k *arithKernel[V]) compute(_ int, _ *metrics.IterStat) error {
-	wsStats := k.e.computeOwned(k.gatherBody)
-	k.st.run.Steals += wsStats.Steals
+	k.st.run.Steals += k.e.computeOwned(k.gatherBody).Steals
 	return nil
 }
 

@@ -45,7 +45,8 @@ type minmaxKernel[V comparable] struct {
 	// Per-superstep mode decision, made in stepBegin and consumed by
 	// compute/commit.
 	pullMode bool
-	ruler    int64 // current iteration, read by pullBody
+	ruler    int64    // current iteration, read by pullBody
+	ruled    []uint32 // lastIter if the Ruler can suppress or owe a vertex this round, else nil
 
 	counters []threadCounters
 
@@ -138,10 +139,21 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) bool {
 		// the guidance only ever delays a vertex).
 		*iter = int(k.maxLastIter)
 	}
-	k.pullMode = debt
+	var total, owned int64
 	if !debt {
-		// The push/pull switch (Gemini's heuristic).
-		k.pullMode = e.frontierOutEdges(k.front) > e.g.NumEdges()/e.cfg.DenseDivisor
+		total, owned = e.frontierOutEdges(k.front)
+	}
+	// The push/pull switch (Gemini's heuristic); debt pins pull.
+	k.pullMode = debt || total > e.g.NumEdges()/e.cfg.DenseDivisor
+	// Outside debt nobody is owed, and with the Ruler at maxLastIter nobody
+	// is suppressed: every vertex computes, and Σ_v |in(v) ∩ F| =
+	// Σ_{u∈F} OutDegree(u). Each rank counts the frontier vertices it owns.
+	clear(k.counters)
+	k.ruled = nil
+	if k.pullMode && (debt || *iter < int(k.maxLastIter)) {
+		k.ruled = k.lastIter
+	} else {
+		k.counters[0].comps = owned
 	}
 	if k.pullMode && k.scratch == nil {
 		// A run that only pushes (a warm wave from a few sources) never
@@ -151,12 +163,10 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) bool {
 
 	stat.Iter = *iter
 	stat.ActiveVerts = active
+	stat.Mode = metrics.Push
 	if k.pullMode {
 		stat.Mode = metrics.Pull
-	} else {
-		stat.Mode = metrics.Push
 	}
-	clear(k.counters)
 	return false
 }
 
@@ -171,12 +181,13 @@ func (k *minmaxKernel[V]) stagedCompute() ([]V, bool) {
 
 func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 	if !k.pullMode {
-		k.computePush()
+		// Source-side push into per-thread per-rank buffers commit folds (push.go).
+		k.e.pushInit(k.p)
+		k.st.run.Steals += k.e.sched.Run(uint32(k.e.lo), uint32(k.e.hi), k.pushBody).Steals
 		return nil
 	}
 	k.ruler = int64(iter)
-	wsStats := k.e.computeOwned(k.pullBody)
-	k.st.run.Steals += wsStats.Steals
+	k.st.run.Steals += k.e.computeOwned(k.pullBody).Steals
 	if k.lastIter != nil {
 		k.owedAbove = k.ruler
 	}
@@ -191,13 +202,14 @@ func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 // values only improve, so a source that did not change has nothing to
 // offer beyond what the destination already folded in — the result is bit
 // for bit the one a frontier-filtered scan produces, without a
-// data-dependent branch per edge. The frontier only counts: Computations
-// keeps Gemini's signal/slot accounting, one per in-edge whose source is
-// active (the relaxations of §2.2), counted branch-free over the same list.
+// data-dependent branch per edge. Computations keeps Gemini's signal/slot
+// accounting, one per in-edge whose source is active (the relaxations of
+// §2.2): stepBegin counts an unruled round, so its loop walks each in-list
+// once; a ruled round (dead round, debt pull) counts per vertex.
 func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	p, st := k.p, k.st
 	cur := k.e.curs[th]
-	lastIter, ruler, owedAbove := k.lastIter, k.ruler, k.owedAbove
+	lastIter, ruler, owedAbove := k.ruled, k.ruler, k.owedAbove
 	var comps, suppressed, catchups int64
 	changed := k.changed.Acc()
 	for v := clo; v < chi; v++ {
@@ -219,7 +231,7 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 		if owed {
 			catchups++
 			comps += int64(len(ins))
-		} else {
+		} else if lastIter != nil {
 			comps += k.front.CountIn(ins)
 		}
 		best := k.relaxSpan(st.values[vid], st.values, ins, p.inWeights(cur, vid))
@@ -235,15 +247,6 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	c.catchups += catchups
 }
 
-// computePush is source-side push: proposals are appended into engine-owned
-// per-thread per-rank buffers, which commit folds (push.go).
-func (k *minmaxKernel[V]) computePush() {
-	e := k.e
-	e.pushInit(k.p)
-	wsStats := e.sched.Run(uint32(e.lo), uint32(e.hi), k.pushBody)
-	k.st.run.Steals += wsStats.Steals
-}
-
 // computePushChunk relaxes one chunk's frontier vertices into the flat
 // per-rank append buffers. Ownership lookups are amortised with a cursor
 // over the rank ranges: adjacency lists are ascending, so the owner changes
@@ -251,7 +254,6 @@ func (k *minmaxKernel[V]) computePush() {
 func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
 	bufs := e.push.bufs[th]
-	comps := int64(0)
 	weighted := !p.Unweighted
 	it := k.front.IterIn(int(clo), int(chi))
 	for v := it.Next(); v >= 0; v = it.Next() {
@@ -270,7 +272,6 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 				w = ows[i]
 			}
 			cand := k.relax(vid, srcVal, w)
-			comps++
 			if curR < 0 || u < curLo || u >= curHi {
 				curR = e.part.Owner(u)
 				curLo, curHi = e.part.Range(curR)
@@ -288,7 +289,6 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 			}
 		}
 	}
-	k.counters[th].comps += comps
 }
 
 // commitPullChunk applies one chunk's staged improvements to the owned

@@ -1,11 +1,13 @@
 // Tests of the min/max pull contract: every pull relaxes all in-edges, the
-// frontier only counts, and "start late" is one Ruler comparison whose
-// soundness does not depend on where the guidance came from.
+// count is one per edge whose source is active whichever rank takes it, and
+// "start late" is one Ruler comparison whose soundness does not depend on
+// where the guidance came from.
 package core_test
 
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -18,6 +20,7 @@ import (
 	"slfe/internal/metrics"
 	"slfe/internal/partition"
 	"slfe/internal/rrg"
+	"slfe/internal/store"
 	"slfe/internal/ws"
 )
 
@@ -138,6 +141,108 @@ func TestRROffSuperstepCountsPinned(t *testing.T) {
 			t.Errorf("%s: per-superstep {mode comps updates}\n got  %v\n want %v", pin.name, got, pin.want)
 		}
 	}
+}
+
+// TestComputationsSumOverRanks runs four min/max programs with RR on and
+// off at 1, 2 and 4 in-process ranks, over the heap graph, its mmap'd .slfc
+// and a graph.WithEdges version whose out-degrees go through the patch. A
+// rank counts a superstep outside a ruled pull round by the out-degrees of
+// the frontier vertices it owns (the source's owner), and a ruled round by
+// the in-lists it pulls (the destination's owner). Either way the mode
+// sequence and the per-superstep Computations summed over ranks must equal
+// the one-rank run's.
+func TestComputationsSumOverRanks(t *testing.T) {
+	g := gen.RMAT(2048, 16384, gen.DefaultRMAT, 16, 91)
+	sym := apps.Symmetrize(g)
+	// 300 added edges stay under |E|/16, so WithEdges patches instead of
+	// compacting; 16 new vertices are reached only through the batch.
+	rng := rand.New(rand.NewSource(7))
+	n := g.NumVertices() + 16
+	batch := make([]graph.Edge, 300)
+	mirrored := make([]graph.Edge, 0, 2*len(batch))
+	for i := range batch {
+		e := graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: float32(1 + rng.Intn(16))}
+		batch[i] = e
+		mirrored = append(mirrored, e, graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
+	}
+	patched, err := graph.WithEdges(g, batch, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patchedSym, err := graph.WithEdges(sym, mirrored, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slfc := func(h *graph.Graph, name string) graph.View {
+		path := filepath.Join(t.TempDir(), name)
+		if err := store.Write(path, h); err != nil {
+			t.Fatal(err)
+		}
+		sg, err := store.OpenBudget(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sg.Close() })
+		return sg
+	}
+	views := []struct {
+		name     string
+		dir, sym graph.View
+	}{
+		{"heap", g, sym},
+		{"slfc", slfc(g, "g.slfc"), slfc(sym, "sym.slfc")},
+		{"patched", patched, patchedSym},
+	}
+	for _, v := range views {
+		for _, rr := range []bool{false, true} {
+			for _, pr := range []struct {
+				name string
+				run  func(nodes int) ([]step, error)
+			}{
+				{"sssp", func(nodes int) ([]step, error) { return summedSteps(v.dir, apps.SSSP(0), nodes, rr) }},
+				{"bfs/u32", func(nodes int) ([]step, error) { return summedSteps(v.dir, apps.BFSU32(0), nodes, rr) }},
+				{"cc", func(nodes int) ([]step, error) { return summedSteps(v.sym, apps.CC(v.sym), nodes, rr) }},
+				{"wp", func(nodes int) ([]step, error) { return summedSteps(v.dir, apps.WP(0), nodes, rr) }},
+			} {
+				label := fmt.Sprintf("%s/%s/rr=%v", v.name, pr.name, rr)
+				want, err := pr.run(1)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for _, nodes := range []int{2, 4} {
+					got, err := pr.run(nodes)
+					if err != nil {
+						t.Fatalf("%s nodes=%d: %v", label, nodes, err)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s nodes=%d: per-superstep {mode comps} summed over ranks\n got  %v\n want %v", label, nodes, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// summedSteps runs p on nodes in-process ranks and returns each superstep's
+// mode and Computations summed over the ranks. Updates are left out: on
+// several ranks a vertex two ranks improve in one push may count once or
+// twice, depending on which proposal applies first.
+func summedSteps[V comparable](g graph.View, p *core.Program[V], nodes int, rr bool) ([]step, error) {
+	res, err := cluster.Execute(g, p, cluster.Options{Nodes: nodes, Threads: 1, RR: rr})
+	if err != nil {
+		return nil, err
+	}
+	steps := make([]step, len(res.Result.Metrics.Iters))
+	for rank, w := range res.PerWorker {
+		if len(w.Iters) != len(steps) {
+			return nil, fmt.Errorf("rank %d ran %d supersteps, rank 0 ran %d", rank, len(w.Iters), len(steps))
+		}
+		for i, s := range w.Iters {
+			steps[i].mode = s.Mode
+			steps[i].comps += s.Computations
+		}
+	}
+	return steps, nil
 }
 
 func rrOffIters[V comparable](g graph.View, p *core.Program[V]) ([]metrics.IterStat, error) {

@@ -159,18 +159,22 @@ func TestParallelFrontierHelpersMatchSerial(t *testing.T) {
 				wantIDs = append(wantIDs, uint32(i))
 				return true
 			})
-			if got := eng.frontierOutEdges(b); got != wantSum {
-				t.Fatalf("threads=%d density=%d: frontierOutEdges = %d, want %d", threads, density, got, wantSum)
-			}
 			// The whole set, and an owned-range slice whose chunks start
 			// off the ChunkSize grid.
 			n := graph.VertexID(g.NumVertices())
 			for _, r := range [][2]graph.VertexID{{0, n}, {300, n - 7}} {
 				var want []uint32
+				var wantOwned int64
 				for _, id := range wantIDs {
 					if graph.VertexID(id) >= r[0] && graph.VertexID(id) < r[1] {
 						want = append(want, id)
+						wantOwned += eng.g.OutDegree(graph.VertexID(id))
 					}
+				}
+				eng.lo, eng.hi = r[0], r[1]
+				if total, owned := eng.frontierOutEdges(b); total != wantSum || owned != wantOwned {
+					t.Fatalf("threads=%d density=%d owned=%v: frontierOutEdges = (%d, %d), want (%d, %d)",
+						threads, density, r, total, owned, wantSum, wantOwned)
 				}
 				gotIDs := eng.collectBitsInto(nil, b, r[0], r[1])
 				if !slices.Equal(gotIDs, want) {

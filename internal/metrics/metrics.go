@@ -25,9 +25,11 @@ func (m Mode) String() string {
 
 // IterStat records one superstep of one worker.
 type IterStat struct {
-	Iter         int
-	Mode         Mode
-	Computations int64 // per-edge computations executed
+	Iter int
+	Mode Mode
+	// Computations counts per-edge computations. A min/max superstep counts at
+	// the source's owner, a pull round RR can suppress or owe in at the destination's.
+	Computations int64
 	Updates      int64 // vertex value changes
 	Suppressed   int64 // vertex computations skipped by RR
 	CatchUps     int64 // full-scan catch-up pulls (start-late repayments)
