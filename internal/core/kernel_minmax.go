@@ -181,7 +181,7 @@ func (k *minmaxKernel[V]) stagedCompute() ([]V, bool) {
 
 func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 	if !k.pullMode {
-		// Source-side push into per-thread per-rank buffers commit folds (push.go).
+		// Source-side push into per-thread per-rank buffers; commit folds them (push.go).
 		k.e.pushInit(k.p)
 		k.st.run.Steals += k.e.sched.Run(uint32(k.e.lo), uint32(k.e.hi), k.pushBody).Steals
 		return nil
