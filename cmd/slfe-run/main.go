@@ -32,6 +32,7 @@ import (
 	"slfe/internal/graph"
 	"slfe/internal/loader"
 	"slfe/internal/metrics"
+	"slfe/internal/store"
 )
 
 // domainWidth resolves a value-domain name to its wire word width via the
@@ -95,6 +96,7 @@ func main() {
 		fatal(err)
 	}
 	defer closeG()
+	disk, _ := g.(*store.Graph)
 	fmt.Printf("graph: %v\n", g)
 	rootV, err := rootID(uint64(*root), g.NumVertices())
 	if err != nil {
@@ -223,6 +225,10 @@ func main() {
 		for _, s := range run.Iters {
 			fmt.Printf("  iter=%-3d mode=%-4s active=%-8d comps=%-10d updates=%-8d suppressed=%-8d catchups=%d\n",
 				s.Iter, s.Mode, s.ActiveVerts, s.Computations, s.Updates, s.Suppressed, s.CatchUps)
+		}
+		if disk != nil {
+			kept, blocks, bytes, limit := disk.InCache()
+			fmt.Printf("slfc-cache: in-blocks=%d/%d cached=%.2fMiB cap=%.2fMiB\n", kept, blocks, float64(bytes)/(1<<20), float64(limit)/(1<<20))
 		}
 	}
 	printSample(appKey, g, values)

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"slfe/internal/ckpt"
 	"slfe/internal/cluster"
@@ -115,10 +115,16 @@ func TestRunFailsOnSyncErrorAndResumes(t *testing.T) {
 	}
 }
 
-// failingTransport fails every send once its flag is up.
+// failingTransport fails every send once its flag is up. From superstep 4
+// on (ready), a send first waits for the flag, so the failure surfaces in
+// superstep 4 or 5, before tick 5 is submitted; the first failure closes
+// failed.
 type failingTransport struct {
 	comm.Transport
-	down *atomic.Bool
+	ready  func() bool
+	down   chan struct{}
+	failed chan struct{}
+	once   sync.Once
 }
 
 var errLinkDown = errors.New("injected transport failure")
@@ -128,33 +134,62 @@ var errLinkDown = errors.New("injected transport failure")
 func (f *failingTransport) Abort() { comm.Abort(f.Transport) }
 
 func (f *failingTransport) Send(to int, typ uint16, payload []byte) error {
-	if f.down.Load() {
-		return errLinkDown
+	if f.ready() {
+		<-f.down
 	}
-	return f.Transport.Send(to, typ, payload)
+	select {
+	case <-f.down:
+		f.once.Do(func() { close(f.failed) })
+		return errLinkDown
+	default:
+		return f.Transport.Send(to, typ, payload)
+	}
 }
 
 // A transport failure while a tick's save is in flight ends the run, but
 // the run returns only once that save has finished: its shards are on disk
-// and no temp file appears afterwards. The fsync of tick 3 takes the link
-// down and then stalls, so a run that skipped the drain would return first.
+// and no temp file appears afterwards. Every event is ordered, not timed:
+// the link goes down once both ranks' tick-3 fsyncs have begun, so both
+// have submitted tick 3; rank 0's sends from superstep 4 on wait for that,
+// so neither rank reaches tick 5; and each tick-3 fsync stalls until rank
+// 0's send has failed, so the save is still in flight when the run fails
+// and a run that skipped the drain would return first.
 func TestRunDrainsSaveOnTransportFailure(t *testing.T) {
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 1, 41)
 	ts, err := comm.NewLocalGroup(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var down atomic.Bool
-	ts[0] = &failingTransport{Transport: ts[0], down: &down}
+	// Without RR every superstep applies every vertex, and rank 0 owns
+	// vertex 0: its fifth Apply is in superstep 4, after tick 3's submit.
+	p := pageRank()
+	apply := p.Apply
+	var applied0 atomic.Int32
+	p.Apply = func(g graph.View, v graph.VertexID, acc, old core.Value) core.Value {
+		if v == 0 {
+			applied0.Add(1)
+		}
+		return apply(g, v, acc, old)
+	}
+	ft := &failingTransport{
+		Transport: ts[0],
+		ready:     func() bool { return applied0.Load() >= 5 },
+		down:      make(chan struct{}),
+		failed:    make(chan struct{}),
+	}
+	ts[0] = ft
+	var reached atomic.Int32
 	m := &ckpt.Manager{Dir: t.TempDir(), Every: 2}
 	restore := ckpt.SetSyncFile(func(f *os.File) error {
 		if shardIter(t, f) == 3 {
-			down.Store(true)
-			time.Sleep(100 * time.Millisecond)
+			if reached.Add(1) == 2 {
+				close(ft.down)
+			}
+			<-ft.failed
 		}
 		return f.Sync()
 	})
-	_, err = cluster.ExecuteOver(g, pageRank(), cluster.Options{Nodes: 2, Ckpt: m}, ts)
+	_, err = cluster.ExecuteOver(g, p, cluster.Options{Nodes: 2, Ckpt: m}, ts)
 	if tmp := tempFiles(t, m.Dir); len(tmp) > 0 {
 		t.Errorf("temp files present when the run returned: %v", tmp)
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"math"
+	"sync/atomic"
 
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
@@ -24,18 +25,20 @@ import (
 // turns each list's gaps into absolute ids, testing only a list's last sum
 // against n. Validate runs the same decoder.
 //
+// In-blocks decode once per open graph: a mapped or resident graph keeps the
+// ids of its in-blocks of most edges, up to the file's own size in ids, and
+// the first cursor to decode a kept block publishes it for the others. Out
+// of core nothing is kept; out-blocks and weights decode per cursor.
+//
 // The engine's chunk size (256 vertices) spans four 64-vertex blocks, so a
-// sequential chunk scan decodes each block exactly once; steady state
-// performs zero allocations. Returned slices alias cursor scratch and are
-// valid until the next call for that direction. Cursors are
-// single-goroutine; take one per thread via (*Graph).Cursor.
+// sequential chunk scan decodes each block at most once; steady state
+// performs zero allocations. Returned slices alias cursor scratch or kept
+// ids, are read-only, and are valid until the next call for that direction.
+// Cursors are single-goroutine; take one per thread via (*Graph).Cursor.
 type Cursor struct {
 	g       *Graph
 	out, in dirCur
 	ones    []float32 // const-1 weights, all 1.0, grown to the widest list served
-
-	// Decode counters, read by the package's contract tests.
-	idBlocks, wBlocks int64
 }
 
 type dirCur struct {
@@ -47,10 +50,14 @@ type dirCur struct {
 	// adjacency rather than a panic (Open/Validate report corruption; the
 	// cursor only has to stay memory-safe).
 	rel []int
-	ids []graph.VertexID // the block's decoded neighbour ids
+	ids []graph.VertexID // the block's decoded neighbour ids: own, or the graph's shared copy
+	own []graph.VertexID // decode scratch for blocks the graph does not keep
 	ws  []float32        // weights parallel to ids when wblock == block
 	buf []byte           // pread scratch for adjacency bytes (reader mode)
 	wb  []byte           // pread scratch for weight bytes (reader mode)
+
+	// Decode counters, read by the package's contract tests.
+	idBlocks, wBlocks int64
 }
 
 // Cursor returns an independent adjacency reader (graph.View).
@@ -162,39 +169,62 @@ func (g *Graph) relOffsets(d *dirRef, start int64, rel []int) {
 	}
 }
 
-// load decodes the neighbour ids of block b of direction d into dc's
-// scratch. Weights are not touched (see weights).
+// load points dc at the ids of block b of direction d: the graph's kept copy,
+// else a decode into a new slice it publishes (a block the graph keeps) or
+// into dc's own scratch. Weights are not touched (see weights).
 func (c *Cursor) load(d *dirRef, dc *dirCur, b int64) {
 	g := c.g
-	c.idBlocks++
 	start := b << g.shift
 	nv := int(min(start+int64(1)<<g.shift, int64(g.n)) - start)
-	// A failed read decodes as an empty block.
-	raw, _ := g.blockBytes(d.adj, d.adjPos, g.blockOff(d, b), g.blockOff(d, b+1), &dc.buf)
-
 	dc.rel = grow(dc.rel, nv+1)
 	rel := dc.rel
 	g.relOffsets(d, start, rel)
+	dc.block, dc.start = b, start
+
+	var slot *atomic.Pointer[[]graph.VertexID]
+	if d.hot != nil && rel[nv] >= d.hotMin {
+		slot = &d.hot[b]
+		if p := slot.Load(); p != nil {
+			dc.ids = *p
+			clampRel(rel, len(dc.ids))
+			return
+		}
+	}
+	dc.idBlocks++
+	// A failed read decodes as an empty block.
+	raw, _ := g.blockBytes(d.adj, d.adjPos, g.blockOff(d, b), g.blockOff(d, b+1), &dc.buf)
 	// Every edge costs at least one data byte, so a block claiming more
 	// edges than it has bytes is corrupt; clamping here bounds scratch by
 	// the (already size-checked) section length.
 	cnt := min(max(rel[nv], 0), len(raw))
+	clampRel(rel, cnt)
+	ids := &dc.own
+	if slot != nil {
+		ids = new([]graph.VertexID)
+	}
+	*ids = grow(*ids, cnt)
+	// An id ≥ n is corrupt and reads as 0; so does every value after a
+	// truncation (Validate reports both).
+	decodeBlock(*ids, raw, rel, uint64(g.n))
+	if slot != nil && !slot.CompareAndSwap(nil, ids) {
+		ids = slot.Load() // another cursor decoded the same bytes first
+	}
+	dc.ids = *ids
+}
+
+// clampRel clamps rel monotone into [0,cnt].
+func clampRel(rel []int, cnt int) {
 	prev := 0
 	for i, r := range rel {
 		prev = max(prev, min(r, cnt))
 		rel[i] = prev
 	}
-	dc.block, dc.start = b, start
-	dc.ids = grow(dc.ids, cnt)
-	// An id ≥ n is corrupt and reads as 0; so does every value after a
-	// truncation (Validate reports both).
-	decodeBlock(dc.ids, raw, rel, uint64(g.n))
 }
 
 // loadWeights decodes the weights of dc's current id block.
 func (c *Cursor) loadWeights(d *dirRef, dc *dirCur) {
 	g := c.g
-	c.wBlocks++
+	dc.wBlocks++
 	dc.wblock = dc.block
 	dc.ws = grow(dc.ws, len(dc.ids))
 	ws := dc.ws

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"slfe/internal/gen"
@@ -130,10 +131,18 @@ func (s *cursorSpy) Cursor() graph.Cursor {
 // TestCursorDecodesOnlyWhatIsRead: a sequential scan decodes every id block
 // exactly once; readers that never ask for weights — an ids-only walk,
 // rrg.Generate — decode no weight block; a reader that does pays one weight
-// block per id block, and none at all when every weight is 1.
+// block per id block, and none at all when every weight is 1. On a mapped or
+// resident graph the in-blocks a cursor decoded are the graph's: every
+// in-block of these graphs fits the cache, so a second cursor decodes none
+// of them, while out-blocks decode per cursor. Out of core nothing is kept.
 func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 	for mode, heap := range weightModeGraphs() {
-		for access, sg := range viewModes(t, heap) {
+		views := viewModes(t, heap)
+		var err error
+		if views["bytes"], err = OpenBytes(imageOf(t, heap)); err != nil {
+			t.Fatal(err)
+		}
+		for access, sg := range views {
 			nb := sg.numBlocks()
 			scan := func(weights bool) *Cursor {
 				cur := sg.newCursor()
@@ -148,15 +157,24 @@ func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 				}
 				return cur
 			}
-			if c := scan(false); c.idBlocks != 2*nb || c.wBlocks != 0 {
-				t.Errorf("%s/%s: ids-only walk decoded %d id and %d weight blocks, want %d and 0", mode, access, c.idBlocks, c.wBlocks, 2*nb)
+			check := func(walk string, c *Cursor, wantIn, wantW int64) {
+				t.Helper()
+				if c.in.idBlocks != wantIn || c.out.idBlocks != nb || c.in.wBlocks != wantW || c.out.wBlocks != wantW {
+					t.Errorf("%s/%s: %s decoded %d in- and %d out-id blocks, %d in- and %d out-weight blocks; want %d, %d, %d, %d",
+						mode, access, walk, c.in.idBlocks, c.out.idBlocks, c.in.wBlocks, c.out.wBlocks, wantIn, nb, wantW, wantW)
+				}
 			}
-			wantW := 2 * nb
+			check("first ids-only walk", scan(false), nb, 0)
+			wantIn, wantW := int64(0), nb
+			if sg.OutOfCore() {
+				wantIn = nb
+			}
 			if mode == "const1" {
 				wantW = 0
 			}
-			if c := scan(true); c.idBlocks != 2*nb || c.wBlocks != wantW {
-				t.Errorf("%s/%s: ids+weights walk decoded %d id and %d weight blocks, want %d and %d", mode, access, c.idBlocks, c.wBlocks, 2*nb, wantW)
+			check("second ids+weights walk", scan(true), wantIn, wantW)
+			if kept, blocks, _, _ := sg.InCache(); sg.OutOfCore() != (kept == 0) || !sg.OutOfCore() && kept != blocks {
+				t.Errorf("%s/%s: %d of %d in-blocks cached", mode, access, kept, blocks)
 			}
 
 			spy := &cursorSpy{Graph: sg}
@@ -165,11 +183,113 @@ func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 			sched.Close()
 			var idBlocks, wBlocks int64
 			for _, c := range spy.taken {
-				idBlocks += c.idBlocks
-				wBlocks += c.wBlocks
+				idBlocks += c.in.idBlocks + c.out.idBlocks
+				wBlocks += c.in.wBlocks + c.out.wBlocks
 			}
 			if len(spy.taken) == 0 || idBlocks == 0 || wBlocks != 0 {
 				t.Errorf("%s/%s: rrg.Generate took %d cursors and decoded %d id and %d weight blocks, want some, some and 0", mode, access, len(spy.taken), idBlocks, wBlocks)
+			}
+		}
+	}
+}
+
+// partialCacheViews opens a const-1 graph of small gaps, whose decoded in-ids
+// (4 B/edge) exceed its whole file, in every access mode.
+func partialCacheViews(t *testing.T) (*graph.Graph, map[string]*Graph) {
+	heap := gen.RMAT(300, 20000, gen.DefaultRMAT, 1, 5)
+	img := imageOf(t, heap)
+	if 4*heap.NumEdges() <= int64(len(img)) {
+		t.Fatalf("decoded in-ids take %d bytes, the file %d: every block would be cached", 4*heap.NumEdges(), len(img))
+	}
+	views := viewModes(t, heap)
+	var err error
+	if views["bytes"], err = OpenBytes(img); err != nil {
+		t.Fatal(err)
+	}
+	return heap, views
+}
+
+// TestCursorPartialCache: when only the largest in-blocks fit the cache,
+// interleaved reads of both directions, ids and weights, through cursors
+// that find blocks cached or not, all return the heap graph's slices; the
+// blocks kept are exactly those of the most edges, and their ids fit the cap.
+func TestCursorPartialCache(t *testing.T) {
+	heap, views := partialCacheViews(t)
+	rng := rand.New(rand.NewSource(2))
+	var script []read
+	for i := 0; i < 20000; i++ {
+		script = append(script, read{rng.Intn(3) > 0, rng.Intn(2) == 0, rng.Intn(300)})
+	}
+	for access, sg := range views {
+		for pass := 0; pass < 2; pass++ {
+			cur := sg.Cursor()
+			for _, r := range script {
+				checkRead(t, heap, cur, r)
+			}
+		}
+		kept, blocks, bytes, limit := sg.InCache()
+		if sg.OutOfCore() {
+			if kept != 0 || limit != 0 {
+				t.Errorf("%s: out of core, %d blocks cached under a cap of %d", access, kept, limit)
+			}
+			continue
+		}
+		if kept == 0 || kept == blocks || bytes > limit {
+			t.Errorf("%s: %d of %d in-blocks cached in %d bytes under a cap of %d; want some, not all, within the cap",
+				access, kept, blocks, bytes, limit)
+		}
+		minKept, maxLeft := int64(math.MaxInt64), int64(-1)
+		for b := int64(0); b < sg.numBlocks(); b++ {
+			edges := sg.edgeOff(&sg.in, min((b+1)<<sg.shift, int64(sg.n))) - sg.edgeOff(&sg.in, b<<sg.shift)
+			if sg.in.hot[b].Load() != nil {
+				minKept = min(minKept, edges)
+			} else {
+				maxLeft = max(maxLeft, edges)
+			}
+		}
+		if minKept <= maxLeft {
+			t.Errorf("%s: a kept block has %d edges, a block left out %d", access, minKept, maxLeft)
+		}
+	}
+}
+
+// TestCursorConcurrentFirstTouch: cursors of one graph racing to decode the
+// same in-blocks first, each scanning in its own order, all read the heap
+// graph's adjacency, and so does every block the graph kept.
+func TestCursorConcurrentFirstTouch(t *testing.T) {
+	for mode, heap := range map[string]*graph.Graph{
+		"varint":  gen.RMAT(2000, 30000, gen.DefaultRMAT, 64, 21),
+		"partial": gen.RMAT(300, 20000, gen.DefaultRMAT, 1, 5),
+	} {
+		views := viewModes(t, heap)
+		var err error
+		if views["bytes"], err = OpenBytes(imageOf(t, heap)); err != nil {
+			t.Fatal(err)
+		}
+		for access, sg := range views {
+			n := sg.NumVertices()
+			var wg sync.WaitGroup
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func(order []int) {
+					defer wg.Done()
+					cur := sg.Cursor()
+					for _, v := range order {
+						id := graph.VertexID(v)
+						if !slices.Equal(cur.InNeighbors(id), heap.InNeighbors(id)) ||
+							!sameBits(cur.InWeights(id), heap.InWeights(id)) ||
+							!slices.Equal(cur.OutNeighbors(id), heap.OutNeighbors(id)) {
+							t.Errorf("%s/%s: vertex %d differs from the heap graph", mode, access, v)
+							return
+						}
+					}
+				}(rand.New(rand.NewSource(int64(i))).Perm(n))
+			}
+			wg.Wait()
+			// Every kept block is what a fresh decode gives.
+			cur := sg.Cursor()
+			for v := 0; v < n; v++ {
+				checkRead(t, heap, cur, read{in: true, v: v})
 			}
 		}
 	}

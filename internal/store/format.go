@@ -34,7 +34,8 @@
 //
 // Degrees come from the edge-offset index, so the adjacency stream needs
 // no per-vertex length prefixes; a block is the unit of decode (and of
-// pread in out-of-core mode).
+// pread in out-of-core mode). A mapped or resident graph also keeps decoded
+// in-blocks for every cursor, up to the file's own size (see Cursor).
 //
 // When flag bit 1 is set, one trailing section starts at the 8-aligned end
 // of the ten above and runs to the end of the file: the default-root
@@ -50,6 +51,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sync/atomic"
 
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
@@ -136,6 +139,11 @@ type dirRef struct {
 	wLen   int64
 
 	wmode byte
+
+	// hot holds each kept block's ids once a cursor has decoded them; blocks
+	// of hotMin edges or more are kept. Nil for out-blocks and out of core.
+	hot    []atomic.Pointer[[]graph.VertexID]
+	hotMin int
 }
 
 // Graph is a disk-backed graph satisfying graph.View. Index reads
@@ -244,6 +252,7 @@ func openReader(f *os.File, size int64) (*Graph, error) {
 // must not be used after Close.
 func (g *Graph) Close() error {
 	var err error
+	g.in.hot = nil
 	if g.mapped != nil {
 		err = munmapFile(g.mapped)
 		g.mapped = nil
@@ -339,23 +348,15 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 	nb := g.numBlocks()
 	wantOff := (n64 + 1) * uint64(offW)
 	wantBlk := uint64(nb+1) * 8
-	check := func(name string, got int64, want uint64) error {
-		if uint64(got) != want {
-			return badf("%s section is %d bytes, want %d", name, got, want)
+	for _, s := range []struct {
+		name string
+		sec  int
+		want uint64
+	}{{"out edge-offset", secOutOff, wantOff}, {"in edge-offset", secInOff, wantOff},
+		{"out block-offset", secOutBlk, wantBlk}, {"in block-offset", secInBlk, wantBlk}} {
+		if uint64(lens[s.sec]) != s.want {
+			return nil, badf("%s section is %d bytes, want %d", s.name, lens[s.sec], s.want)
 		}
-		return nil
-	}
-	if err := check("out edge-offset", lens[secOutOff], wantOff); err != nil {
-		return nil, err
-	}
-	if err := check("in edge-offset", lens[secInOff], wantOff); err != nil {
-		return nil, err
-	}
-	if err := check("out block-offset", lens[secOutBlk], wantBlk); err != nil {
-		return nil, err
-	}
-	if err := check("in block-offset", lens[secInBlk], wantBlk); err != nil {
-		return nil, err
 	}
 	for _, s := range []struct {
 		name  string
@@ -486,6 +487,9 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 		}
 	}
 
+	if data != nil {
+		g.cacheHot(&g.in, size)
+	}
 	if g.guided {
 		gd, err := g.readGuidance(gpos)
 		if err != nil {
@@ -495,6 +499,46 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 	}
 	g.def = g.newCursor()
 	return g, nil
+}
+
+// cacheHot sizes d's cache of decoded ids from the edge-offset index alone:
+// blocks are kept largest edge count first while their ids (4 B/edge) fit
+// in limit bytes. Keeping every block of more edges than the first that does
+// not fit stays within the limit and needs only the threshold hotMin.
+func (g *Graph) cacheHot(d *dirRef, limit int64) {
+	counts := make([]int, g.numBlocks())
+	total := int64(0)
+	for b := range counts {
+		start := int64(b) << g.shift
+		counts[b] = int(max(g.edgeOff(d, min(start+int64(1)<<g.shift, int64(g.n)))-g.edgeOff(d, start), 0))
+		total += int64(counts[b])
+	}
+	d.hot, d.hotMin = make([]atomic.Pointer[[]graph.VertexID], len(counts)), 1
+	if 4*total <= limit {
+		return
+	}
+	slices.Sort(counts)
+	for i := len(counts) - 1; i >= 0; i-- {
+		if limit -= 4 * int64(counts[i]); limit < 0 {
+			d.hotMin = counts[i] + 1
+			return
+		}
+	}
+}
+
+// InCache reports the in-blocks kept decoded so far, of all, the bytes of
+// their ids and the cap on those: the file's size, 0 out of core. Safe for
+// concurrent use with cursors.
+func (g *Graph) InCache() (kept, blocks int, bytes, limit int64) {
+	if g.in.hot != nil {
+		limit = g.size
+	}
+	for i := range g.in.hot {
+		if p := g.in.hot[i].Load(); p != nil {
+			kept, bytes = kept+1, bytes+4*int64(len(*p))
+		}
+	}
+	return kept, int(g.numBlocks()), bytes, limit
 }
 
 // readGuidance decodes the guidance section at pos into the heap, so a
