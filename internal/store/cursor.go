@@ -180,23 +180,24 @@ func (c *Cursor) load(d *dirRef, dc *dirCur, b int64) {
 	rel := dc.rel
 	g.relOffsets(d, start, rel)
 	dc.block, dc.start = b, start
+	// Every edge costs at least one data byte, so a block claiming more
+	// edges than it has bytes is corrupt; clamping here bounds scratch by
+	// the (already size-checked) section length.
+	o0, o1 := g.blockOff(d, b), g.blockOff(d, b+1)
+	cnt := min(max(rel[nv], 0), int(o1-o0))
 
 	var slot *atomic.Pointer[[]graph.VertexID]
-	if d.hot != nil && rel[nv] >= d.hotMin {
+	if d.hot != nil && cnt >= d.hotMin {
 		slot = &d.hot[b]
 		if p := slot.Load(); p != nil {
 			dc.ids = *p
-			clampRel(rel, len(dc.ids))
+			clampRel(rel, cnt)
 			return
 		}
 	}
 	dc.idBlocks++
-	// A failed read decodes as an empty block.
-	raw, _ := g.blockBytes(d.adj, d.adjPos, g.blockOff(d, b), g.blockOff(d, b+1), &dc.buf)
-	// Every edge costs at least one data byte, so a block claiming more
-	// edges than it has bytes is corrupt; clamping here bounds scratch by
-	// the (already size-checked) section length.
-	cnt := min(max(rel[nv], 0), len(raw))
+	raw, _ := g.blockBytes(d.adj, d.adjPos, o0, o1, &dc.buf)
+	cnt = min(cnt, len(raw)) // a failed read decodes as an empty block
 	clampRel(rel, cnt)
 	ids := &dc.own
 	if slot != nil {

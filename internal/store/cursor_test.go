@@ -137,12 +137,7 @@ func (s *cursorSpy) Cursor() graph.Cursor {
 // of them, while out-blocks decode per cursor. Out of core nothing is kept.
 func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 	for mode, heap := range weightModeGraphs() {
-		views := viewModes(t, heap)
-		var err error
-		if views["bytes"], err = OpenBytes(imageOf(t, heap)); err != nil {
-			t.Fatal(err)
-		}
-		for access, sg := range views {
+		for access, sg := range viewModes(t, heap) {
 			nb := sg.numBlocks()
 			scan := func(weights bool) *Cursor {
 				cur := sg.newCursor()
@@ -193,28 +188,17 @@ func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 	}
 }
 
-// partialCacheViews opens a const-1 graph of small gaps, whose decoded in-ids
-// (4 B/edge) exceed its whole file, in every access mode.
-func partialCacheViews(t *testing.T) (*graph.Graph, map[string]*Graph) {
-	heap := gen.RMAT(300, 20000, gen.DefaultRMAT, 1, 5)
-	img := imageOf(t, heap)
-	if 4*heap.NumEdges() <= int64(len(img)) {
-		t.Fatalf("decoded in-ids take %d bytes, the file %d: every block would be cached", 4*heap.NumEdges(), len(img))
-	}
-	views := viewModes(t, heap)
-	var err error
-	if views["bytes"], err = OpenBytes(img); err != nil {
-		t.Fatal(err)
-	}
-	return heap, views
-}
-
 // TestCursorPartialCache: when only the largest in-blocks fit the cache,
 // interleaved reads of both directions, ids and weights, through cursors
 // that find blocks cached or not, all return the heap graph's slices; the
 // blocks kept are exactly those of the most edges, and their ids fit the cap.
 func TestCursorPartialCache(t *testing.T) {
-	heap, views := partialCacheViews(t)
+	// A const-1 graph of small gaps: its decoded in-ids exceed its file.
+	heap := gen.RMAT(300, 20000, gen.DefaultRMAT, 1, 5)
+	if size := int64(len(imageOf(t, heap))); 4*heap.NumEdges() <= size {
+		t.Fatalf("decoded in-ids take %d bytes, the file %d: every block would be cached", 4*heap.NumEdges(), size)
+	}
+	views := viewModes(t, heap)
 	rng := rand.New(rand.NewSource(2))
 	var script []read
 	for i := 0; i < 20000; i++ {
@@ -261,12 +245,7 @@ func TestCursorConcurrentFirstTouch(t *testing.T) {
 		"varint":  gen.RMAT(2000, 30000, gen.DefaultRMAT, 64, 21),
 		"partial": gen.RMAT(300, 20000, gen.DefaultRMAT, 1, 5),
 	} {
-		views := viewModes(t, heap)
-		var err error
-		if views["bytes"], err = OpenBytes(imageOf(t, heap)); err != nil {
-			t.Fatal(err)
-		}
-		for access, sg := range views {
+		for access, sg := range viewModes(t, heap) {
 			n := sg.NumVertices()
 			var wg sync.WaitGroup
 			for i := 0; i < 8; i++ {
@@ -449,4 +428,9 @@ func TestCorruptBlockStartOffsetRawWeights(t *testing.T) {
 		t.Fatal("Validate accepted a non-monotone index")
 	}
 	walkAll(t, g)
+	// The kept ids are sized by what a block decodes, not by what the
+	// damaged index claims, so they stay under the cap.
+	if kept, _, bytes, limit := g.InCache(); kept == 0 || bytes > limit {
+		t.Fatalf("%d blocks keep %d bytes of ids under a cap of %d", kept, bytes, limit)
+	}
 }

@@ -19,9 +19,10 @@ import (
 	"slfe/internal/graph"
 )
 
-// viewModes writes g to a temp SLFC file and opens it in every disk access
-// mode: "mmap" (default open; pread fallback off Linux) and "ooc" (budget
-// of one byte forces out-of-core block streaming).
+// viewModes writes g to a temp SLFC file and opens it in every access mode:
+// "mmap" (default open; pread fallback off Linux), "bytes" (OpenBytes of
+// the file's image) and "ooc" (budget of one byte forces out-of-core block
+// streaming).
 func viewModes(t *testing.T, g *graph.Graph) map[string]*Graph {
 	t.Helper()
 	p := filepath.Join(t.TempDir(), "g.slfc")
@@ -39,8 +40,16 @@ func viewModes(t *testing.T, g *graph.Graph) map[string]*Graph {
 	if !oc.OutOfCore() {
 		t.Fatal("budget of 1 byte did not force out-of-core mode")
 	}
+	img, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := OpenBytes(img)
+	if err != nil {
+		t.Fatalf("OpenBytes: %v", err)
+	}
 	t.Cleanup(func() { mm.Close(); oc.Close() })
-	return map[string]*Graph{"mmap": mm, "ooc": oc}
+	return map[string]*Graph{"mmap": mm, "bytes": rb, "ooc": oc}
 }
 
 // execOn runs one registered application over a view exactly as slfe-run

@@ -501,21 +501,20 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 	return g, nil
 }
 
-// cacheHot sizes d's cache of decoded ids from the edge-offset index alone:
-// blocks are kept largest edge count first while their ids (4 B/edge) fit
-// in limit bytes. Keeping every block of more edges than the first that does
-// not fit stays within the limit and needs only the threshold hotMin.
+// cacheHot picks the blocks of d that keep their decoded ids, from the index
+// and block tables alone: longest decoded length (edges, at most one per
+// byte) first while 4 B per id fits in limit. Keeping every block longer than
+// the first that does not fit stays within limit and needs only hotMin.
 func (g *Graph) cacheHot(d *dirRef, limit int64) {
-	counts := make([]int, g.numBlocks())
-	total := int64(0)
+	d.hot, d.hotMin = make([]atomic.Pointer[[]graph.VertexID], g.numBlocks()), 1
+	if 4*d.adjLen <= limit {
+		return // every block fits: an edge takes at least one byte
+	}
+	counts := make([]int, len(d.hot))
 	for b := range counts {
 		start := int64(b) << g.shift
-		counts[b] = int(max(g.edgeOff(d, min(start+int64(1)<<g.shift, int64(g.n)))-g.edgeOff(d, start), 0))
-		total += int64(counts[b])
-	}
-	d.hot, d.hotMin = make([]atomic.Pointer[[]graph.VertexID], len(counts)), 1
-	if 4*total <= limit {
-		return
+		edges := g.edgeOff(d, min(start+int64(1)<<g.shift, int64(g.n))) - g.edgeOff(d, start)
+		counts[b] = int(min(max(edges, 0), g.blockOff(d, int64(b)+1)-g.blockOff(d, int64(b))))
 	}
 	slices.Sort(counts)
 	for i := len(counts) - 1; i >= 0; i-- {
