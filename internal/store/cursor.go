@@ -26,9 +26,10 @@ import (
 // against n. Validate runs the same decoder.
 //
 // In-blocks decode once per open graph: a mapped or resident graph keeps the
-// ids of its in-blocks of most edges, up to the file's own size in ids, and
-// the first cursor to decode a kept block publishes it for the others. Out
-// of core nothing is kept; out-blocks and weights decode per cursor.
+// ids of its in-blocks of most edges, up to the file's own size in ids (under
+// an OpenBudget budget, up to what the mapping leaves of it), and the first
+// cursor to decode a kept block publishes it for the others. Out of core
+// nothing is kept; out-blocks and weights decode per cursor.
 //
 // The engine's chunk size (256 vertices) spans four 64-vertex blocks, so a
 // sequential chunk scan decodes each block at most once; steady state

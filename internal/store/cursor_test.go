@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -234,6 +236,45 @@ func TestCursorPartialCache(t *testing.T) {
 		if minKept <= maxLeft {
 			t.Errorf("%s: a kept block has %d edges, a block left out %d", access, minKept, maxLeft)
 		}
+	}
+}
+
+// TestCursorCacheWithinBudget: a budget at or above the file's size maps the
+// file and keeps decoded in-ids only in what the mapping leaves of the
+// budget, so mapped pages plus kept ids never exceed it; reads still equal
+// the heap graph's.
+func TestCursorCacheWithinBudget(t *testing.T) {
+	heap := gen.RMAT(2000, 30000, gen.DefaultRMAT, 1, 5)
+	p := filepath.Join(t.TempDir(), "g.slfc")
+	if err := Write(p, heap); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	st, err := os.Stat(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := st.Size()
+	for _, tc := range []struct {
+		budget   int64
+		wantKept bool
+	}{{size, false}, {size + 1, false}, {size + size/2, true}, {2 * size, true}} {
+		g, err := OpenBudget(p, tc.budget)
+		if err != nil {
+			t.Fatalf("OpenBudget(%d): %v", tc.budget, err)
+		}
+		if g.OutOfCore() {
+			t.Fatalf("budget %d ≥ file size %d opened out of core", tc.budget, size)
+		}
+		cur := g.Cursor()
+		for v := 0; v < heap.NumVertices(); v++ {
+			checkRead(t, heap, cur, read{in: true, v: v})
+		}
+		kept, blocks, bytes, limit := g.InCache()
+		if limit != min(size, tc.budget-size) || bytes > limit || (kept > 0) != tc.wantKept {
+			t.Errorf("budget %d over a %d-byte file: %d of %d in-blocks kept in %d bytes under a cap of %d; want the cap %d, within it, kept=%v",
+				tc.budget, size, kept, blocks, bytes, limit, min(size, tc.budget-size), tc.wantKept)
+		}
+		g.Close()
 	}
 }
 

@@ -35,7 +35,8 @@
 // Degrees come from the edge-offset index, so the adjacency stream needs
 // no per-vertex length prefixes; a block is the unit of decode (and of
 // pread in out-of-core mode). A mapped or resident graph also keeps decoded
-// in-blocks for every cursor, up to the file's own size (see Cursor).
+// in-blocks for every cursor, up to the file's own size and within a memory
+// budget (see Cursor).
 //
 // When flag bit 1 is set, one trailing section starts at the 8-aligned end
 // of the ten above and runs to the end of the file: the default-root
@@ -141,9 +142,11 @@ type dirRef struct {
 	wmode byte
 
 	// hot holds each kept block's ids once a cursor has decoded them; blocks
-	// of hotMin edges or more are kept. Nil for out-blocks and out of core.
+	// of hotMin edges or more are kept, their ids within hotCap bytes. Nil
+	// for out-blocks and out of core.
 	hot    []atomic.Pointer[[]graph.VertexID]
 	hotMin int
+	hotCap int64
 }
 
 // Graph is a disk-backed graph satisfying graph.View. Index reads
@@ -192,7 +195,9 @@ func Open(path string) (*Graph, error) {
 // than the file size forces out-of-core mode — only the offset index and
 // block tables are heap-resident, and every adjacency block is pread into
 // cursor-owned scratch on demand, so supersteps stream the edge file
-// instead of faulting it wholesale into RAM.
+// instead of faulting it wholesale into RAM. A positive budget at or above
+// the file size caps the decoded in-ids the graph keeps (see Cursor) at what
+// the mapping leaves of it.
 func OpenBudget(path string, budget int64) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -223,7 +228,11 @@ func OpenBudget(path string, budget int64) (*Graph, error) {
 		}
 		return g, nil
 	}
-	g, err := parse(data, nil, size)
+	keep := size
+	if budget > 0 {
+		keep = min(size, budget-size)
+	}
+	g, err := parse(data, nil, size, keep)
 	if err != nil {
 		munmapFile(data)
 		f.Close()
@@ -236,11 +245,11 @@ func OpenBudget(path string, budget int64) (*Graph, error) {
 
 // OpenBytes parses an in-memory SLFC image (fuzzing, tests, embedding).
 func OpenBytes(data []byte) (*Graph, error) {
-	return parse(data, nil, int64(len(data)))
+	return parse(data, nil, int64(len(data)), int64(len(data)))
 }
 
 func openReader(f *os.File, size int64) (*Graph, error) {
-	g, err := parse(nil, f, size)
+	g, err := parse(nil, f, size, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +281,9 @@ func (g *Graph) Close() error {
 func (g *Graph) OutOfCore() bool { return g.ooc }
 
 // parse validates structure and builds the Graph. Exactly one of data
-// (resident/mapped bytes) and r (pread source) is non-nil.
-func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
+// (resident/mapped bytes) and r (pread source) is non-nil; keep caps the
+// bytes of decoded in-ids the graph keeps (0 with r: none).
+func parse(data []byte, r io.ReaderAt, size, keep int64) (*Graph, error) {
 	var hdr [headerSize]byte
 	if size < headerSize {
 		return nil, badf("file is %d bytes, smaller than the %d-byte header", size, headerSize)
@@ -348,15 +358,23 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 	nb := g.numBlocks()
 	wantOff := (n64 + 1) * uint64(offW)
 	wantBlk := uint64(nb+1) * 8
-	for _, s := range []struct {
-		name string
-		sec  int
-		want uint64
-	}{{"out edge-offset", secOutOff, wantOff}, {"in edge-offset", secInOff, wantOff},
-		{"out block-offset", secOutBlk, wantBlk}, {"in block-offset", secInBlk, wantBlk}} {
-		if uint64(lens[s.sec]) != s.want {
-			return nil, badf("%s section is %d bytes, want %d", s.name, lens[s.sec], s.want)
+	check := func(name string, got int64, want uint64) error {
+		if uint64(got) != want {
+			return badf("%s section is %d bytes, want %d", name, got, want)
 		}
+		return nil
+	}
+	if err := check("out edge-offset", lens[secOutOff], wantOff); err != nil {
+		return nil, err
+	}
+	if err := check("in edge-offset", lens[secInOff], wantOff); err != nil {
+		return nil, err
+	}
+	if err := check("out block-offset", lens[secOutBlk], wantBlk); err != nil {
+		return nil, err
+	}
+	if err := check("in block-offset", lens[secInBlk], wantBlk); err != nil {
+		return nil, err
 	}
 	for _, s := range []struct {
 		name  string
@@ -487,8 +505,8 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 		}
 	}
 
-	if data != nil {
-		g.cacheHot(&g.in, size)
+	if keep > 0 {
+		g.cacheHot(&g.in, keep)
 	}
 	if g.guided {
 		gd, err := g.readGuidance(gpos)
@@ -506,10 +524,7 @@ func parse(data []byte, r io.ReaderAt, size int64) (*Graph, error) {
 // byte) first while 4 B per id fits in limit. Keeping every block longer than
 // the first that does not fit stays within limit and needs only hotMin.
 func (g *Graph) cacheHot(d *dirRef, limit int64) {
-	d.hot, d.hotMin = make([]atomic.Pointer[[]graph.VertexID], g.numBlocks()), 1
-	if 4*d.adjLen <= limit {
-		return // every block fits: an edge takes at least one byte
-	}
+	d.hot, d.hotMin, d.hotCap = make([]atomic.Pointer[[]graph.VertexID], g.numBlocks()), 1, limit
 	counts := make([]int, len(d.hot))
 	for b := range counts {
 		start := int64(b) << g.shift
@@ -526,12 +541,10 @@ func (g *Graph) cacheHot(d *dirRef, limit int64) {
 }
 
 // InCache reports the in-blocks kept decoded so far, of all, the bytes of
-// their ids and the cap on those: the file's size, 0 out of core. Safe for
-// concurrent use with cursors.
+// their ids and the cap on those: the file's size, less under a budget, 0
+// out of core. Safe for concurrent use with cursors.
 func (g *Graph) InCache() (kept, blocks int, bytes, limit int64) {
-	if g.in.hot != nil {
-		limit = g.size
-	}
+	limit = g.in.hotCap
 	for i := range g.in.hot {
 		if p := g.in.hot[i].Load(); p != nil {
 			kept, bytes = kept+1, bytes+4*int64(len(*p))
