@@ -24,7 +24,6 @@ import (
 	"slfe/internal/baseline/gas"
 	"slfe/internal/baseline/ligra"
 	"slfe/internal/baseline/ooc"
-	"slfe/internal/ckpt"
 	"slfe/internal/cluster"
 	"slfe/internal/compress"
 	"slfe/internal/core"
@@ -59,16 +58,11 @@ func main() {
 	rebalance := flag.Bool("rebalance", false, "enable dynamic inter-node rebalancing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
 	iters := flag.Int("iters", 30, "iterations for arithmetic apps")
-	ft := flag.Bool("ft", false, "enable rank-failure tolerance: heartbeat detection, buddy-replicated checkpoints, automatic recovery (slfe)")
-	ftDir := flag.String("ft-dir", "", "checkpoint directory under -ft (Options.Ckpt.Dir): rank r writes its shards to <dir>/rank-NNN (default: a temporary directory, removed on exit)")
-	ftEvery := flag.Int("ft-every", 8, "checkpoint interval in supersteps under -ft (Options.Ckpt.Every)")
-	ftInterval := flag.Duration("ft-interval", 0, "heartbeat probe period under -ft (0 = 25ms)")
-	ftDead := flag.Duration("ft-dead", 0, "silence after which a rank is declared dead under -ft (0 = 10x the probe period)")
 	verbose := flag.Bool("v", false, "print per-iteration statistics")
 	flag.Usage = usage
 	flag.Parse()
 
-	if err := rejectIgnoredFlags(*system, *ft); err != nil {
+	if err := rejectIgnoredFlags(*system); err != nil {
 		fatal(err)
 	}
 	if *nodes < 1 {
@@ -108,13 +102,6 @@ func main() {
 	if *nodes > 1 {
 		opt.Codec = compress.Adaptive{W: width}
 	}
-	if *ft {
-		opt.Ckpt = &ckpt.Manager{Dir: *ftDir, Every: *ftEvery}
-		opt.FT = &cluster.FTOptions{
-			HeartbeatInterval: *ftInterval,
-			DeadAfter:         *ftDead,
-		}
-	}
 	appKey := strings.ToLower(*app)
 	if runAnalytics(appKey, g, rootV, opt) {
 		return
@@ -145,14 +132,6 @@ func main() {
 		run = metrics.Merge(out.PerWorker)
 		fmt.Printf("system: SLFE (rr=%v domain=%s width=%dB) nodes=%d elapsed=%v preprocess=%v comm=%d msgs / %d bytes\n",
 			*rr, *domain, width, *nodes, out.Elapsed, out.Preprocess, out.Comm.MessagesSent, out.Comm.BytesSent)
-		if rep := out.Recovery; rep != nil {
-			if len(rep.Deaths) == 0 {
-				fmt.Printf("fault-tolerance: epochs=%d no failures detected\n", rep.Epochs)
-			} else {
-				fmt.Printf("fault-tolerance: epochs=%d deaths=%v resume-iter=%d replayed=%d recover=%v replica=%v\n",
-					rep.Epochs, rep.Deaths, rep.ResumeIter, rep.ReplayedSupersteps, rep.RecoverTime, rep.RestoredFromReplica)
-			}
-		}
 		fmt.Printf("delta-sync: overlapped=%d codec-picks=%s\n", run.OverlappedSyncs, formatPicks(run.CodecPicks))
 		var streamed, syncB int64
 		for _, s := range run.Iters {
@@ -258,27 +237,18 @@ func usage() {
 }
 
 // rejectIgnoredFlags refuses a run that names a flag nothing would read: a
-// flag only the SLFE engine reads on a baseline run, so -system ligra -ft
-// fails up front instead of silently running without failure tolerance,
-// and an -ft-* setting without -ft.
-func rejectIgnoredFlags(system string, ft bool) error {
+// flag only the SLFE engine reads on a baseline run, so -system ligra
+// -rebalance fails up front instead of silently running without it.
+func rejectIgnoredFlags(system string) error {
 	var slfeOnly []string
-	orphan := ""
 	flag.Visit(func(f *flag.Flag) {
-		switch {
-		case f.Name == "rr", f.Name == "stealing", f.Name == "rebalance",
-			strings.HasPrefix(f.Name, "ft"):
+		switch f.Name {
+		case "rr", "stealing", "rebalance":
 			slfeOnly = append(slfeOnly, "-"+f.Name)
-		}
-		if !ft && orphan == "" && strings.HasPrefix(f.Name, "ft-") {
-			orphan = "-" + f.Name
 		}
 	})
 	if len(slfeOnly) > 0 && !strings.EqualFold(system, "slfe") {
 		return fmt.Errorf("-system %s does not read %s (slfe engine only): remove or run -system slfe", system, strings.Join(slfeOnly, " "))
-	}
-	if orphan != "" {
-		return fmt.Errorf("%s has no effect without -ft: add -ft or remove %s", orphan, orphan)
 	}
 	return nil
 }

@@ -70,9 +70,6 @@ type Outcome struct {
 	Elapsed    time.Duration
 	Preprocess time.Duration
 	Comm       comm.Stats
-	// Recovery describes failure detection and recovery when the run used
-	// cluster.Options.FT (nil otherwise).
-	Recovery *cluster.RecoveryReport
 }
 
 // Runnable is a domain-erased executable program: the typed Program[V] and

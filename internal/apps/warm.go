@@ -54,7 +54,6 @@ func outcomeWith[V comparable](res *cluster.RunResult[V], values []float64, pare
 		Elapsed:    res.Elapsed,
 		Preprocess: res.PreprocessTime,
 		Comm:       res.Comm,
-		Recovery:   res.Recovery,
 	}
 }
 

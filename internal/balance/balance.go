@@ -14,58 +14,15 @@
 // Delta-sync broadcasts every owner's changes to every rank, so each rank
 // already holds every value and the whole frontier and a move ships
 // nothing. The engine records the current ranges in every checkpoint
-// shard, so a resumed run adopts the ranges its shard was written under.
-// Shrink derives a recovery epoch's ranges from the same maps.
+// shard so that Merge places each shard's vertices by them; a resumed run
+// starts again from the static ranges and rebalances from there.
 package balance
 
 import (
-	"errors"
 	"fmt"
 
 	"slfe/internal/partition"
 )
-
-// Shrink removes the given dead workers from r, folding each dead worker's
-// range into its nearest surviving predecessor; leading dead workers'
-// ranges fold into the first survivor. Survivor order is preserved: the
-// i-th returned range belongs to the i-th surviving worker of r. The
-// recovery layer uses this to rebalance a dead rank's vertices onto the
-// remaining membership without moving any survivor's existing range start.
-// At least one worker must survive.
-func Shrink(r *partition.Chunked, dead []int) (*partition.Chunked, error) {
-	k := r.Nodes()
-	isDead := make([]bool, k)
-	for _, d := range dead {
-		if d < 0 || d >= k {
-			return nil, fmt.Errorf("balance: dead worker %d outside [0,%d)", d, k)
-		}
-		isDead[d] = true
-	}
-	survivors := 0
-	for i := 0; i < k; i++ {
-		if !isDead[i] {
-			survivors++
-		}
-	}
-	if survivors == 0 {
-		return nil, errors.New("balance: no surviving workers")
-	}
-	bounds := r.Bounds()
-	nb := make([]uint32, 0, survivors+1)
-	nb = append(nb, 0)
-	first := true
-	for i := 0; i < k; i++ {
-		if isDead[i] {
-			continue
-		}
-		if !first {
-			nb = append(nb, bounds[i])
-		}
-		first = false
-	}
-	nb = append(nb, bounds[k])
-	return partition.FromBounds(nb)
-}
 
 // Plan derives new boundaries from measured per-worker times over the
 // current ranges. The cost of worker i's range is modelled as uniformly

@@ -5,10 +5,9 @@
 // a checkpoint is complete when every rank's shard for the same iteration
 // exists. On restart MergeLatest folds every rank's shard of the latest
 // complete checkpoint with Merge into one global state that seeds the
-// engine; fault recovery takes the same path through MergeNewest — the
-// standard Pregel-style fault-tolerance scheme. A Writer persists a run's
-// shards in the background: a tick is durable once the next tick starts or
-// the run returns.
+// engine, the standard Pregel-style restart scheme. A Writer persists a
+// run's shards in the background: a tick is durable once the next tick
+// starts or the run returns.
 //
 // Shards are domain-tagged: values are stored as the value domain's wire
 // words at the domain's width, and the domain name is part of the frame, so
@@ -19,7 +18,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,11 +54,10 @@ type State struct {
 	// Width is the domain's wire word width in bytes (4 or 8). Values are
 	// stored at this width.
 	Width uint8
-	// Rank is the writing worker's rank within its epoch. The
-	// replication/recovery path uses it to identify a shard independent of
-	// the file name it travelled under.
+	// Rank is the writing worker's rank; Merge places the shard by it,
+	// independent of the file name the shard was read from.
 	Rank uint32
-	// Bounds are the partition boundaries of the epoch that wrote the shard
+	// Bounds are the partition boundaries of the run that wrote the shard
 	// (nodes+1 entries, the last one |V|). The shard holds the owned range
 	// [Bounds[Rank], Bounds[Rank+1]); Merge groups shards by identical
 	// bounds and places each range by them. A merged state has no Bounds:
@@ -86,10 +83,9 @@ type State struct {
 const magic = "SLCK"
 
 // version is the current shard format: 2 introduced domain-tagged,
-// width-aware value arrays; 3 added the writing rank and the epoch's
-// partition bounds, which the replication/recovery path needs to merge
-// shards from a dead epoch; 4 keeps the same fields but a shard's arrays
-// and sets cover only the writer's owned range.
+// width-aware value arrays; 3 added the writing rank and the partition
+// bounds Merge places each shard by; 4 keeps the same fields but a shard's
+// arrays and sets cover only the writer's owned range.
 const version = 4
 
 // width normalises the shard's word width (0 from a zero-value State means
@@ -382,15 +378,9 @@ type Manager struct {
 	// Every is the checkpoint interval in supersteps (default 8).
 	Every int
 	// Resume makes a run restart from the latest complete checkpoint: the
-	// cluster layer merges it (MergeLatest, or MergeNewest over the
-	// per-rank directories of a fault-tolerant run) and seeds the engine
-	// with the result.
+	// cluster layer merges it (MergeLatest) and seeds the engine with the
+	// result.
 	Resume bool
-	// Replicate makes the engine stream every saved shard to its ring buddy
-	// ((rank+1) mod size), who stores it via SaveReplica. Recovery can then
-	// fetch a dead rank's shard from the buddy's directory instead of
-	// requiring a shared filesystem.
-	Replicate bool
 }
 
 // Interval returns the effective checkpoint interval.
@@ -414,7 +404,7 @@ func (m *Manager) shardPath(iter uint32, rank int) string {
 // Save writes rank's shard atomically and durably: temp file, fsync,
 // rename, directory fsync. Without the syncs a crash shortly after Save
 // could surface the renamed file empty or torn (the rename can reach disk
-// before the data), which recovery would then mistake for corruption of an
+// before the data), which a resume would then mistake for corruption of an
 // otherwise complete checkpoint.
 func (m *Manager) Save(rank int, s *State) error {
 	return m.writeAtomic(m.shardPath(s.Iter, rank), s.AppendTo(nil))
@@ -467,56 +457,6 @@ func (m *Manager) writeAtomic(path string, data []byte) error {
 		return fmt.Errorf("ckpt: sync dir: %w", err)
 	}
 	return nil
-}
-
-// SaveReplica stores a buddy rank's serialised shard, validating it
-// (checksum and structure) before trusting anything it claims about
-// itself. The replica keeps its own rank/iter identity under a distinct
-// file-name prefix so LatestComplete never counts it as a local shard.
-func (m *Manager) SaveReplica(data []byte) error {
-	s, err := ReadState(bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("ckpt: replica rejected: %w", err)
-	}
-	return m.writeAtomic(m.replicaPath(s.Iter, int(s.Rank)), data)
-}
-
-func (m *Manager) replicaPath(iter uint32, rank int) string {
-	return filepath.Join(m.Dir, fmt.Sprintf("replica-%08d-rank%03d.slck", iter, rank))
-}
-
-// stored is one parsed shard file from a manager's directory.
-type stored struct {
-	state *State
-	// replica marks shards received from a ring buddy rather than written
-	// by this manager's own rank.
-	replica bool
-}
-
-// states parses every shard and replica in the directory, silently
-// skipping an unreadable directory and unreadable or corrupt files:
-// recovery wants whatever is still valid, not an error about what isn't.
-func (m *Manager) states() []stored {
-	entries, _ := os.ReadDir(m.Dir)
-	var out []stored
-	for _, e := range entries {
-		name := e.Name()
-		replica := strings.HasPrefix(name, "replica-")
-		if !strings.HasSuffix(name, ".slck") || (!replica && !strings.HasPrefix(name, "ckpt-")) {
-			continue
-		}
-		f, err := os.Open(filepath.Join(m.Dir, name))
-		if err != nil {
-			continue
-		}
-		s, err := ReadState(f)
-		f.Close()
-		if err != nil {
-			continue
-		}
-		out = append(out, stored{state: s, replica: replica})
-	}
-	return out
 }
 
 // LatestComplete returns the highest iteration for which each of ranks

@@ -7,9 +7,8 @@ import (
 
 // FuzzDecodeState feeds arbitrary shard bytes to the decoder, with the CRC
 // trailer recomputed so mutations reach the parser instead of stopping at
-// the checksum. A shard is a disk format and a wire format (a rank streams
-// it to its ring buddy, whose replica shrink-and-resume recovery merges),
-// so: decoding never panics, an accepted shard or merged state re-encodes
+// the checksum. A shard is a disk format that a resumed run merges, so:
+// decoding never panics, an accepted shard or merged state re-encodes
 // to exactly the input, and Merge over accepted shards returns an error
 // rather than panicking, however their bounds, owned arrays and sets are
 // laid out.

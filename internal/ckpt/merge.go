@@ -3,17 +3,15 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
 )
 
-// Merge folds one epoch's shards into a single global restore state. The
+// Merge folds one run's shards into a single global restore state. The
 // shards must all come from the same checkpoint — same program, kind,
 // iteration, domain, width and partition bounds — and cover every rank of
-// the writing epoch exactly once; any shard may be an original or a buddy
-// replica (they are byte-identical). The output carries no Rank/Bounds:
-// it holds every vertex, is epoch-agnostic and can seed a run on any new
-// membership. Checkpoint resume and fault recovery both restore through it.
+// the writing run exactly once. The output carries no Rank/Bounds: it
+// holds every vertex and can seed a run under any ownership ranges.
+// Checkpoint resume restores through it.
 //
 // A shard holds only its writer's owned range, so every vertex's state
 // (Values, StableCnt, StableVal) comes from its owner's shard and every set
@@ -127,81 +125,4 @@ func (m *Manager) MergeLatest(size int) (*State, error) {
 		return nil, fmt.Errorf("ckpt: checkpoint was written by %d ranks, resuming on %d", w, size)
 	}
 	return Merge(shards)
-}
-
-// Ranks returns one private manager per rank 0..n-1, the layout
-// rank-failure recovery checkpoints into: rank r writes only to
-// m.Dir/rank-NNN, at m's interval, and replicates every shard to its ring
-// buddy, because recovery assumes no shared storage.
-func (m *Manager) Ranks(n int) []*Manager {
-	out := make([]*Manager, n)
-	for r := range out {
-		out[r] = &Manager{Dir: filepath.Join(m.Dir, fmt.Sprintf("rank-%03d", r)), Every: m.Every, Replicate: true}
-	}
-	return out
-}
-
-// Pick returns managers[id] for each id in members, in order: one epoch's
-// managers by epoch rank, out of the per-original-rank set Ranks built.
-func Pick(managers []*Manager, members []int) []*Manager {
-	out := make([]*Manager, len(members))
-	for i, id := range members {
-		out[i] = managers[id]
-	}
-	return out
-}
-
-// MergeNewest scans the managers' directories for the newest checkpoint
-// of program written by a k-rank epoch whose shard set is complete: every
-// writing rank's shard present, as its own file or as a buddy's replica in
-// any of the directories, all under one set of bounds. It merges that set
-// and returns the state, the writing epoch's partition bounds, and
-// whether any shard came from a replica; nil when no complete set merges.
-// Shards of other programs or rank counts are skipped, so the directories
-// may also hold other runs' checkpoints. Only the given directories are
-// read: recovery passes the survivors', never a dead rank's.
-func MergeNewest(managers []*Manager, program string, k int) (*State, []uint32, bool) {
-	byIter := make(map[uint32][]stored)
-	for _, m := range managers {
-		for _, st := range m.states() {
-			s := st.state
-			if s.Program != program || len(s.Bounds) != k+1 || int(s.Rank) >= k {
-				continue
-			}
-			slots := byIter[s.Iter]
-			if slots == nil {
-				slots = make([]stored, k)
-				byIter[s.Iter] = slots
-			}
-			cur := &slots[s.Rank]
-			// Prefer the owner's original over a replica (they are
-			// byte-identical; the preference keeps reporting honest).
-			if cur.state == nil || (cur.replica && !st.replica) {
-				*cur = st
-			}
-		}
-	}
-	best := int64(-1)
-	for iter, slots := range byIter {
-		incomplete := slices.ContainsFunc(slots, func(sl stored) bool {
-			return sl.state == nil || !slices.Equal(sl.state.Bounds, slots[0].state.Bounds)
-		})
-		if !incomplete && int64(iter) > best {
-			best = int64(iter)
-		}
-	}
-	if best < 0 {
-		return nil, nil, false
-	}
-	shards := make([]*State, k)
-	fromReplica := false
-	for i, sl := range byIter[uint32(best)] {
-		shards[i] = sl.state
-		fromReplica = fromReplica || sl.replica
-	}
-	merged, err := Merge(shards)
-	if err != nil {
-		return nil, nil, false
-	}
-	return merged, shards[0].Bounds, fromReplica
 }

@@ -1,13 +1,11 @@
 package ckpt
 
 import (
-	"os"
-	"slices"
 	"strings"
 	"testing"
 )
 
-// mergeShard builds the shard of rank r of a 2-worker epoch over 4
+// mergeShard builds the shard of rank r of a 2-worker run over 4
 // vertices with bounds [0,2,4]: its owned range's 2 values, rank-stamped
 // so the test can verify which shard each merged value came from.
 func mergeShard(r uint32) *State {
@@ -27,7 +25,7 @@ func mergeShard(r uint32) *State {
 	return s
 }
 
-// boundsShards builds one shard per rank of an epoch written under the
+// boundsShards builds one shard per rank of a run written under the
 // given bounds, each holding its owned range's values (none where the
 // bounds decrease).
 func boundsShards(bounds ...uint32) []*State {
@@ -64,7 +62,7 @@ func TestMergeTakesOwnerValuesAndUnionsSets(t *testing.T) {
 		t.Errorf("sparsedirty = %v, want [1 2]", c)
 	}
 	if got.Rank != 0 || got.Bounds != nil {
-		t.Errorf("merged state should be epoch-agnostic, got Rank=%d Bounds=%v", got.Rank, got.Bounds)
+		t.Errorf("merged state should carry no ranges, got Rank=%d Bounds=%v", got.Rank, got.Bounds)
 	}
 	if got.Iter != 5 || got.Program != "SSSP" {
 		t.Errorf("identity mangled: %+v", got)
@@ -163,53 +161,4 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestMergeNewestTakesNewestCompleteOwnedSet pins what rank-failure
-// recovery restores from. Two ranks each write ticks 4 and 8, as the
-// owner's shard and as a replica in the ring buddy's directory; only rank 0
-// writes tick 12. The newest complete tick is 8, merged from the owners'
-// shards. Only once an owner's shard is gone does its replica stand in, and
-// only once both copies are gone does the merge fall back to tick 4.
-func TestMergeNewestTakesNewestCompleteOwnedSet(t *testing.T) {
-	ms := (&Manager{Dir: t.TempDir()}).Ranks(2)
-	save := func(iter uint32, rank int) {
-		t.Helper()
-		s := mergeShard(uint32(rank))
-		s.Iter = iter
-		if err := ms[rank].Save(rank, s); err != nil {
-			t.Fatal(err)
-		}
-		if err := ms[(rank+1)%2].SaveReplica(s.AppendTo(nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, iter := range []uint32{4, 8} {
-		save(iter, 0)
-		save(iter, 1)
-	}
-	save(12, 0)
-	check := func(step string, wantIter uint32, wantReplica bool) {
-		t.Helper()
-		got, bounds, fromReplica := MergeNewest(ms, "SSSP", 2)
-		if got == nil {
-			t.Fatalf("%s: no complete checkpoint merged", step)
-		}
-		if got.Iter != wantIter || fromReplica != wantReplica {
-			t.Errorf("%s: merged tick %d (from replica %v), want tick %d (from replica %v)",
-				step, got.Iter, fromReplica, wantIter, wantReplica)
-		}
-		if !slices.Equal(bounds, []uint32{0, 2, 4}) || !slices.Equal(got.Values, []uint64{0, 1, 102, 103}) {
-			t.Errorf("%s: bounds %v values %v, want [0 2 4] and [0 1 102 103]", step, bounds, got.Values)
-		}
-	}
-	check("every copy present", 8, false)
-	if err := os.Remove(ms[1].shardPath(8, 1)); err != nil {
-		t.Fatal(err)
-	}
-	check("rank 1's own tick-8 shard removed", 8, true)
-	if err := os.Remove(ms[0].replicaPath(8, 1)); err != nil {
-		t.Fatal(err)
-	}
-	check("both copies of rank 1's tick-8 shard removed", 4, false)
 }

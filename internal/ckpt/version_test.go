@@ -129,45 +129,3 @@ func TestSaveSyncErrorLeavesNoShard(t *testing.T) {
 		})
 	}
 }
-
-func TestSaveReplicaAndStates(t *testing.T) {
-	m := &Manager{Dir: filepath.Join(t.TempDir(), "ck")}
-	own := sampleState()
-	own.Rank = 0
-	own.Bounds = []uint32{0, 2, 4}
-	if err := m.Save(0, own); err != nil {
-		t.Fatal(err)
-	}
-	buddy := sampleState()
-	buddy.Rank = 1
-	buddy.Bounds = []uint32{0, 2, 4}
-	var blob bytes.Buffer
-	if _, err := buddy.WriteTo(&blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SaveReplica(blob.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt replica payloads are rejected before anything hits disk.
-	if err := m.SaveReplica([]byte("garbage")); err == nil {
-		t.Error("corrupt replica accepted")
-	}
-	found := m.states()
-	if len(found) != 2 {
-		t.Fatalf("states returned %d entries, want 2", len(found))
-	}
-	byRank := map[uint32]stored{}
-	for _, st := range found {
-		byRank[st.state.Rank] = st
-	}
-	if st := byRank[0]; st.replica || st.state == nil {
-		t.Errorf("rank 0 shard: %+v, want own (non-replica)", st)
-	}
-	if st := byRank[1]; !st.replica {
-		t.Errorf("rank 1 shard not marked replica: %+v", st)
-	}
-	// Replicas must not count toward complete local checkpoints.
-	if got, err := m.LatestComplete(2); err != nil || got != -1 {
-		t.Errorf("LatestComplete = %d, %v; replicas must not count", got, err)
-	}
-}

@@ -3,11 +3,11 @@ package ckpt
 // Writer persists one rank's shards behind the supersteps that follow
 // them: the caller encodes a tick into Buffer and hands it to Submit, and a
 // background goroutine does the temp-file write, fsync, rename and
-// directory fsync (and, with a buddy's shard, SaveReplica's validation and
-// write) while the next supersteps compute. At most one save is in flight:
-// Submit waits for the previous one first, so a tick is durable once the
-// next tick starts. Drain waits for the last one and stops the goroutine;
-// a run that drains on every exit returns only with its shards durable.
+// directory fsync while the next supersteps compute. At most one save is
+// in flight: Submit waits for the previous one first, so a tick is durable
+// once the next tick starts. Drain waits for the last one and stops the
+// goroutine; a run that drains on every exit returns only with its shards
+// durable.
 //
 // Two buffers alternate: the tick encodes into the one the in-flight save
 // is not reading, and both are kept across runs, so a steady tick encodes
@@ -28,8 +28,8 @@ type Writer struct {
 }
 
 type writeJob struct {
-	iter           uint32
-	shard, replica []byte
+	iter  uint32
+	shard []byte
 }
 
 // NewWriter returns a writer saving rank's shards into m's directory.
@@ -43,11 +43,9 @@ func (w *Writer) Buffer() []byte { return w.bufs[w.cur][:0] }
 
 // Submit waits for the save in flight, then hands the tick at iter to the
 // background goroutine: shard is its encoding (Buffer's storage, possibly
-// grown) and replica, when non-nil, is the ring buddy's shard to validate
-// and store with SaveReplica. Neither slice may be touched until the save
-// is waited for. If the previous save failed, Submit returns its error and
-// submits nothing.
-func (w *Writer) Submit(iter uint32, shard, replica []byte) error {
+// grown), which may not be touched until the save is waited for. If the
+// previous save failed, Submit returns its error and submits nothing.
+func (w *Writer) Submit(iter uint32, shard []byte) error {
 	if err := w.wait(); err != nil {
 		return err
 	}
@@ -60,7 +58,7 @@ func (w *Writer) Submit(iter uint32, shard, replica []byte) error {
 	w.bufs[w.cur] = shard
 	w.cur ^= 1
 	w.busy = true
-	w.jobs <- writeJob{iter: iter, shard: shard, replica: replica}
+	w.jobs <- writeJob{iter: iter, shard: shard}
 	return nil
 }
 
@@ -87,10 +85,6 @@ func (w *Writer) wait() error {
 // the job and the writer's immutable manager and rank.
 func (w *Writer) loop(jobs <-chan writeJob, done chan<- error) {
 	for j := range jobs {
-		err := w.m.writeAtomic(w.m.shardPath(j.iter, w.rank), j.shard)
-		if err == nil && j.replica != nil {
-			err = w.m.SaveReplica(j.replica)
-		}
-		done <- err
+		done <- w.m.writeAtomic(w.m.shardPath(j.iter, w.rank), j.shard)
 	}
 }

@@ -6,7 +6,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -57,30 +56,8 @@ type Options struct {
 	RebalanceDamping float64
 	// Ckpt enables superstep checkpointing; see core.Config.Ckpt. With
 	// Ckpt.Resume the run restarts from Ckpt.MergeLatest, merged once for
-	// all ranks. Under FT it sets the directory and cadence of the per-rank
-	// managers (Ckpt.Ranks), and Resume starts the first epoch from the
-	// recovery scan (ckpt.MergeNewest); without a Dir, FT uses a temporary
-	// directory removed on return.
+	// all ranks.
 	Ckpt *ckpt.Manager
-	// FT enables rank-failure tolerance: heartbeat failure detection,
-	// buddy-replicated checkpoints and automatic recovery onto the
-	// surviving ranks, as an epoch loop around the session run (recover.go).
-	// Only Execute can host it — the loop owns each epoch's transport group,
-	// so ExecuteOver and ExecuteSession reject it. It checkpoints through
-	// Ckpt.
-	FT *FTOptions
-}
-
-// validate rejects option combinations that cannot run, before any
-// transport, pool or goroutine exists. ownsTransports is true only for
-// Execute, the one entry point whose transport group FT may replace per
-// epoch. Every entry point calls it first, so a given mistake reads the
-// same wherever it is made.
-func (o *Options) validate(ownsTransports bool) error {
-	if o.FT != nil && !ownsTransports {
-		return errors.New("cluster: Options.FT cannot run on a session or on caller-provided transports (ExecuteSession, ExecuteOver): recovery replaces the transport group every epoch; use Execute")
-	}
-	return nil
 }
 
 // RunResult is the outcome of a cluster execution over property type V.
@@ -104,27 +81,18 @@ type RunResult[V comparable] struct {
 	Comm comm.Stats
 	// Elapsed is the wall-clock execution time (excluding preprocessing).
 	Elapsed time.Duration
-	// Recovery describes failure detection and recovery when the run used
-	// Options.FT (nil otherwise).
-	Recovery *RecoveryReport
 }
 
 // Execute partitions g, optionally generates RR guidance, and runs the
 // program on an in-process cluster: open a session of opt.Nodes ranks, run,
-// close. With opt.FT the run is wrapped in the recovery epoch loop.
+// close.
 func Execute[V comparable](g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
-	if err := opt.validate(true); err != nil {
-		return nil, err
-	}
-	if opt.FT != nil {
-		return executeFT(g, p, opt)
-	}
 	s, err := NewSession(opt.Nodes, opt.Threads, opt.Stealing)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	return runSession(s, g, p, opt, nil)
+	return runSession(s, g, p, opt)
 }
 
 // ExecuteOver runs the program over caller-provided transports, one per
@@ -134,34 +102,18 @@ func Execute[V comparable](g graph.View, p *core.Program[V], opt Options) (*RunR
 // earlier: a premature close can reset connections still carrying a slower
 // peer's final collective results.
 func ExecuteOver[V comparable](g graph.View, p *core.Program[V], opt Options, transports []comm.Transport) (*RunResult[V], error) {
-	if err := opt.validate(false); err != nil {
-		for _, t := range transports {
-			t.Close()
-		}
-		return nil, err
-	}
 	s, err := NewSessionOver(transports, opt.Threads, opt.Stealing)
 	if err != nil {
 		return nil, err // no transports: nothing to close
 	}
 	defer s.Close()
-	return runSession(s, g, p, opt, nil)
-}
-
-// epochPlan is what the recovery epoch loop dictates to one epoch's session
-// run, per epoch rank where it differs by rank; a plain run has none.
-type epochPlan struct {
-	ckpt     []*ckpt.Manager // each rank's private checkpoint manager
-	restore  *ckpt.State     // every rank's restore state (nil: cold start)
-	bounds   []uint32        // partition boundaries folded from the failed epoch (nil: chunk g)
-	progress func(iter int)  // per-superstep hook, called by every rank
+	return runSession(s, g, p, opt)
 }
 
 // runSession is the one execution body: partition, guidance, one engine
 // goroutine per session rank over the session's resident communicators and
-// scheduler pools. The caller serialises runs on s. Without a plan it
-// also merges the checkpoint a Ckpt.Resume run restarts from, once for all
-// ranks.
+// scheduler pools. The caller serialises runs on s. It also merges the
+// checkpoint a Ckpt.Resume run restarts from, once for all ranks.
 //
 // It is also the one place guidance is chosen, by one rule: opt.Guidance
 // when handed in; else, for an arith program that declares Roots, guidance
@@ -170,20 +122,14 @@ type epochPlan struct {
 // default-root guidance (rrg.Shared). Start late is sound under any
 // guidance, and PageRank-like programs are informative everywhere from
 // iteration 0, which the default roots describe.
-func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt Options, plan *epochPlan) (*RunResult[V], error) {
+func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
 	nodes := s.Nodes()
-	var part *partition.Chunked
-	var err error
-	if plan != nil && plan.bounds != nil {
-		part, err = partition.FromBounds(plan.bounds)
-	} else {
-		part, err = partition.NewChunked(g, nodes)
-	}
+	part, err := partition.NewChunked(g, nodes)
 	if err != nil {
 		return nil, err
 	}
 	var restore *ckpt.State
-	if m := opt.Ckpt; plan == nil && m != nil && m.Resume {
+	if m := opt.Ckpt; m != nil && m.Resume {
 		if restore, err = m.MergeLatest(nodes); err != nil {
 			return nil, err
 		}
@@ -235,9 +181,6 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				RebalanceDamping: opt.RebalanceDamping,
 				Ckpt:             opt.Ckpt,
 				Restore:          restore,
-			}
-			if plan != nil {
-				cfg.Ckpt, cfg.Restore, cfg.Progress = plan.ckpt[rank], plan.restore, plan.progress
 			}
 			eng, err := core.New[V](cfg)
 			if err != nil {

@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"slfe/internal/ckpt"
 	"slfe/internal/comm"
@@ -60,11 +57,7 @@ var entryPoints = []struct {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		res, err := ExecuteSession(s, g, ssspProgram(), opt)
-		if err != nil && !s.Healthy() {
-			t.Errorf("a rejected run poisoned the session: %v", err)
-		}
-		return res, err
+		return ExecuteSession(s, g, ssspProgram(), opt)
 	}},
 }
 
@@ -117,92 +110,6 @@ func TestOptionsCombinations(t *testing.T) {
 				sameAsBase(t, res)
 			})
 		}
-	}
-
-	// FT checkpoints through Ckpt, and only Execute hosts it: each rank's
-	// shards land in <Dir>/rank-NNN, and a resumed run starts its first
-	// epoch from them.
-	ftCkpt := func(dir string, resume bool) Options {
-		return Options{Nodes: nodes, Ckpt: &ckpt.Manager{Dir: dir, Every: 2, Resume: resume},
-			FT: &FTOptions{HeartbeatInterval: 5 * time.Millisecond, DeadAfter: 400 * time.Millisecond}}
-	}
-	t.Run("ft+ckpt/Execute", func(t *testing.T) {
-		dir := t.TempDir()
-		res, err := Execute(g, ssspProgram(), ftCkpt(dir, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAsBase(t, res)
-		for r := range nodes {
-			sub := fmt.Sprintf("rank-%03d", r)
-			if own, _ := filepath.Glob(filepath.Join(dir, sub, fmt.Sprintf("ckpt-*-rank%03d.slck", r))); len(own) == 0 {
-				t.Errorf("no shard of rank %d under <Dir>/%s", r, sub)
-			}
-		}
-		if top, _ := filepath.Glob(filepath.Join(dir, "*.slck")); len(top) > 0 {
-			t.Errorf("FT wrote shards into <Dir> itself: %v", top)
-		}
-	})
-	t.Run("ft+ckpt-resume/Execute", func(t *testing.T) {
-		dir := t.TempDir()
-		if _, err := Execute(g, ssspProgram(), ftCkpt(dir, false)); err != nil {
-			t.Fatal(err)
-		}
-		res, err := Execute(g, ssspProgram(), ftCkpt(dir, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAsBase(t, res)
-		if res.Result.Iterations >= base.Result.Iterations {
-			t.Fatalf("resumed run executed %d supersteps, the plain run %d", res.Result.Iterations, base.Result.Iterations)
-		}
-	})
-}
-
-// TestExclusionsRejectedUpFront is the documented exclusion list as a
-// table: every pair that cannot run is refused by every entry point that
-// could be asked for it, with one error — the same text wherever the
-// mistake is made — that names both options, before a run starts (a
-// rejected ExecuteSession leaves its session healthy; see entryPoints).
-func TestExclusionsRejectedUpFront(t *testing.T) {
-	g := gen.Path(32)
-	cases := []struct {
-		name  string
-		opt   Options
-		names []string // what the error must name
-		// executeRuns marks the one exclusion that is about the entry point
-		// itself: Execute hosts FT, the other two must refuse it.
-		executeRuns bool
-	}{
-		{"ft-needs-execute", Options{FT: &FTOptions{HeartbeatInterval: 5 * time.Millisecond}},
-			[]string{"Options.FT", "ExecuteSession", "ExecuteOver"}, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var first string
-			for _, ep := range entryPoints {
-				_, err := ep.run(t, g, c.opt, 2)
-				if c.executeRuns && ep.name == "Execute" {
-					if err != nil {
-						t.Fatalf("Execute must host it: %v", err)
-					}
-					continue
-				}
-				if err == nil {
-					t.Fatalf("%s accepted the combination", ep.name)
-				}
-				for _, name := range c.names {
-					if !strings.Contains(err.Error(), name) {
-						t.Errorf("%s: error %q does not name %s", ep.name, err, name)
-					}
-				}
-				if first == "" {
-					first = err.Error()
-				} else if err.Error() != first {
-					t.Errorf("%s: error %q differs from the other entry points' %q", ep.name, err, first)
-				}
-			}
-		})
 	}
 }
 

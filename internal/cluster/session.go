@@ -104,9 +104,6 @@ func (s *Session) Close() error {
 // communicators and scheduler pools. Nodes/Threads/Stealing in opt are
 // overridden by the session's fixed topology.
 func ExecuteSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
-	if err := opt.validate(false); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -115,7 +112,7 @@ func ExecuteSession[V comparable](s *Session, g graph.View, p *core.Program[V], 
 	if s.poisoned.Load() {
 		return nil, errors.New("cluster: session was poisoned by an earlier failed run; close it and build a fresh one")
 	}
-	res, err := runSession(s, g, p, opt, nil)
+	res, err := runSession(s, g, p, opt)
 	if err != nil {
 		// A failing rank aborts the whole transport group to unblock its
 		// peers, which leaves the group unusable for further runs.

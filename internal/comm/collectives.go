@@ -18,10 +18,10 @@ const (
 
 // Comm layers collective operations over a Transport. All ranks must invoke
 // the same collectives in the same order (standard SPMD discipline). The
-// gather-style collectives (AllGather, SparseExchange, RingExchange) are
-// rounds of the streaming exchange (stream.go), so they share its one wire
-// format and round counter with delta-sync; Barrier and the reductions
-// stay root-based on their own message types. A Comm is not safe for
+// gather-style collectives (AllGather, SparseExchange) are rounds of the
+// streaming exchange (stream.go), so they share its one wire format and
+// round counter with delta-sync; Barrier and the reductions stay
+// root-based on their own message types. A Comm is not safe for
 // concurrent use by multiple goroutines.
 type Comm struct {
 	T Transport
@@ -212,34 +212,6 @@ func (c *Comm) SparseExchange(blobs [][]byte) ([][]byte, error) {
 	}
 	out[c.Rank()] = blobs[c.Rank()]
 	return out, nil
-}
-
-// RingExchange sends blob to the next rank on the ring ((rank+1) mod size)
-// and returns the payload received from the previous rank. The checkpoint
-// replication path uses it to hand every rank's shard to a buddy, so any
-// single rank's state survives the loss of that rank's disk and process.
-// It is a collective: every rank must call it at the same point (the
-// engine's superstep loop is barrier-aligned, so checkpoint ticks qualify).
-// With a single rank the blob is passed through.
-func (c *Comm) RingExchange(blob []byte) ([]byte, error) {
-	if c.Size() == 1 {
-		return blob, nil
-	}
-	next := (c.Rank() + 1) % c.Size()
-	prev := (c.Rank() + c.Size() - 1) % c.Size()
-	out, err := c.round(func(r int) ([]byte, bool) { return blob, r == next })
-	if err != nil {
-		return nil, err
-	}
-	for r, b := range out {
-		switch {
-		case r == prev && b == nil:
-			return nil, fmt.Errorf("comm: no ring payload from rank %d", prev)
-		case r != prev && b != nil:
-			return nil, fmt.Errorf("comm: ring payload from rank %d, want %d", r, prev)
-		}
-	}
-	return out[prev], nil
 }
 
 func foldI64(a, b uint64, op ReduceOp) uint64 {

@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -104,6 +105,8 @@ func TestLocalCloseUnblocksRecv(t *testing.T) {
 		_, err := ts[0].Recv(TypeUser)
 		done <- err
 	}()
+	// Let the Recv block. Either order passes: a Recv that starts after the
+	// close returns ErrClosed too.
 	time.Sleep(10 * time.Millisecond)
 	ts[0].Close()
 	select {
@@ -429,44 +432,36 @@ func TestAllReduceRejectsShortPayload(t *testing.T) {
 	}
 }
 
-// freeAddrs reserves n distinct loopback ports.
+// freeAddrs picks n distinct loopback addresses for a DialTCP to listen
+// on. A port is free only until its check closes, so the picks come from
+// below Linux's default ephemeral range (32768-60999), which the :0
+// listeners and outgoing connections of concurrently running tests draw
+// from; a random start keeps concurrent test processes apart.
 func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	const lo, span = 20000, 12000
+	addrs := make([]string, 0, n)
+	for i, start := 0, rand.Intn(span); len(addrs) < n; i++ {
+		if i == span {
+			t.Fatal("no free loopback port below the ephemeral range")
 		}
-		addrs[i] = l.Addr().String()
+		l, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", lo+(start+i)%span))
+		if err != nil {
+			continue
+		}
+		addrs = append(addrs, l.Addr().String())
 		l.Close()
 	}
 	return addrs
 }
 
+// dialMesh forms a size-rank loopback TCP mesh whose listeners are bound
+// before any rank dials, so no concurrent process can take a port.
 func dialMesh(t *testing.T, size int) []Transport {
 	t.Helper()
-	addrs := freeAddrs(t, size)
-	ts := make([]Transport, size)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			tr, err := DialTCP(r, size, addrs, 5*time.Second)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			ts[r] = tr
-		}(r)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		t.Fatal(firstErr)
+	ts, err := LoopbackTCP(size, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return ts
 }

@@ -45,8 +45,10 @@ func TestAbortUnblocksPeers(t *testing.T) {
 			results <- err
 		}(rank)
 	}
-	time.Sleep(20 * time.Millisecond) // let both block inside the collective
-	Abort(ts[0])                      // rank 0 "dies" without participating
+	// Let both block inside the collective. Either order passes: the
+	// collective needs rank 0, so an Abort that comes first fails it too.
+	time.Sleep(20 * time.Millisecond)
+	Abort(ts[0]) // rank 0 "dies" without participating
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-results:
@@ -123,19 +125,6 @@ func TestTCPHalfOpenConnectionReaped(t *testing.T) {
 		}
 		trCh <- tr
 	}()
-	connect := func() net.Conn {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			conn, err := net.Dial("tcp", addrs[0])
-			if err == nil {
-				return conn
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("dial: %v", err)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
 	// closedWithin requires conn to be closed, unanswered, within d.
 	closedWithin := func(conn net.Conn, d time.Duration, what string) {
 		conn.SetReadDeadline(time.Now().Add(d))
@@ -146,9 +135,9 @@ func TestTCPHalfOpenConnectionReaped(t *testing.T) {
 			t.Fatalf("%s was not closed within %v", what, d)
 		}
 	}
-	silent := connect()
+	silent := dialListening(t, addrs[0])
 	defer silent.Close()
-	refused := connect()
+	refused := dialListening(t, addrs[0])
 	defer refused.Close()
 	if err := writeHello(refused, 0, time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
@@ -179,19 +168,7 @@ func TestTCPRejectsBogusHandshake(t *testing.T) {
 		done <- err
 	}()
 	// Impersonate rank 1 with a bogus rank id in the handshake.
-	var conn net.Conn
-	var err error
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		conn, err = net.Dial("tcp", addrs[0])
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	conn := dialListening(t, addrs[0])
 	defer conn.Close()
 	if err := writeHello(conn, 99, time.Now().Add(2*time.Second)); err != nil {
 		t.Fatal(err)
@@ -216,19 +193,7 @@ func TestTCPGarbageStreamClosesInbox(t *testing.T) {
 		}
 		trCh <- tr
 	}()
-	var conn net.Conn
-	var err error
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		conn, err = net.Dial("tcp", addrs[0])
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	conn := dialListening(t, addrs[0])
 	defer conn.Close()
 	// Legitimate handshake as rank 1.
 	if err := writeHello(conn, 1, time.Now().Add(2*time.Second)); err != nil {
@@ -298,7 +263,9 @@ func TestCloseIdempotentDuringExchange(t *testing.T) {
 				_ = x.SendChunk(0, []byte("in flight"))
 				finishErr <- x.Finish(func(int, []byte) error { return nil })
 			}()
-			time.Sleep(10 * time.Millisecond) // let Finish block in Recv
+			// Let Finish block in Recv. Either order passes: a Finish that
+			// starts after the close fails on the closed transport too.
+			time.Sleep(10 * time.Millisecond)
 			// Concurrent double close from several goroutines, racing Abort.
 			var wg sync.WaitGroup
 			for i := 0; i < 4; i++ {
@@ -367,6 +334,8 @@ func TestAbortTCP(t *testing.T) {
 		_, err := ts[1].Recv(TypeUser)
 		recvDone <- err
 	}()
+	// Let the Recv block. Either order passes: rank 1's reader closes its
+	// inbox on rank 0's abort, so a Recv that starts later fails too.
 	time.Sleep(10 * time.Millisecond)
 	Abort(ts[0])
 	select {
@@ -376,5 +345,23 @@ func TestAbortTCP(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("peer Recv still blocked after TCP abort")
+	}
+}
+
+// dialListening connects to addr, retrying until a DialTCP in another
+// goroutine has bound it. A deadline-bounded poll: only liveness depends on
+// when the listener appears.
+func dialListening(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		conn, err := net.Dial("tcp", addr)
+		if err == nil {
+			return conn
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("dial: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

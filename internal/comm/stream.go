@@ -10,9 +10,9 @@ import (
 // point-to-point blobs: a rank opens an exchange, streams individually
 // framed chunks to chosen peers (in the overlapped superstep pipeline,
 // while its compute phase is still running), and finishes with a
-// collective drain that applies every peer's chunks. AllGather,
-// SparseExchange and RingExchange are single rounds of it in which each
-// peer gets at most one final chunk (collectives.go). Because the payload
+// collective drain that applies every peer's chunks. AllGather and
+// SparseExchange are single rounds of it in which each peer gets at most
+// one final chunk (collectives.go). Because the payload
 // travels as ordinary typed Transport messages it works identically over
 // the in-process and the TCP transports, and every rank can be at a
 // different point of the protocol at any moment — the only synchronisation

@@ -107,7 +107,10 @@ func TestStreamExchangeRoundsOverlap(t *testing.T) {
 					c := NewComm(ts[rank])
 					for round := 0; round < rounds; round++ {
 						if rank == 0 {
-							time.Sleep(2 * time.Millisecond) // the slow rank
+							// The slow rank. Any interleaving passes: the
+							// sleep only makes the fast ranks likely to
+							// stream the next round before rank 0 drains.
+							time.Sleep(2 * time.Millisecond)
 						}
 						x := c.StartExchange()
 						n := (rank+round)%4 + 1

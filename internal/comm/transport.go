@@ -36,7 +36,6 @@ const (
 	typeReduce
 	typeReduceResult
 	typeStream
-	typeHeartbeat
 	// TypeUser is the first type available to applications.
 	TypeUser uint16 = 64
 )

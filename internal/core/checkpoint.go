@@ -17,13 +17,12 @@ type ckptTick struct {
 
 // checkpoint is the tick after superstep iter: one pass over the owned
 // range encodes the shard straight from the typed arrays into the free
-// pooled buffer, the ring exchange (collective, so it stays here) swaps
-// those same bytes with the buddy under Ckpt.Replicate, and the writer
-// saves both in the background once the previous tick's save is done.
+// pooled buffer, and the writer saves it in the background once the
+// previous tick's save is done.
 func (e *Engine[V]) checkpoint(p *Program[V], k kernel[V], st *state[V], iter int) error {
-	m, ck := e.cfg.Ckpt, &e.ck
+	ck := &e.ck
 	if ck.w == nil {
-		ck.w = ckpt.NewWriter(m, e.comm.Rank())
+		ck.w = ckpt.NewWriter(e.cfg.Ckpt, e.comm.Rank())
 		ck.sets = make(map[string][]uint32, 1)
 	}
 	clear(ck.sets)
@@ -39,17 +38,7 @@ func (e *Engine[V]) checkpoint(p *Program[V], k kernel[V], st *state[V], iter in
 	}
 	stable := k.snapshot(&ck.snap)
 	shard := ckpt.AppendTyped(ck.w.Buffer(), &ck.snap, st.values[e.lo:e.hi], stable, e.dom.Bits)
-	var replica []byte
-	if m.Replicate && e.comm.Size() > 1 {
-		// Every rank reaches the tick at the same iteration (the loop is
-		// barrier-aligned), so the ring pairs off deterministically. The
-		// received payload is a fresh buffer the writer may keep.
-		var err error
-		if replica, err = e.comm.RingExchange(shard); err != nil {
-			return err
-		}
-	}
-	return ck.w.Submit(uint32(iter), shard, replica)
+	return ck.w.Submit(uint32(iter), shard)
 }
 
 // drainCkpt waits for the checkpoint save in flight, if any, and returns

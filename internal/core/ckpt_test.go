@@ -335,3 +335,69 @@ func TestCheckpointResumeBeforeClosingPull(t *testing.T) {
 		}
 	}
 }
+
+// A run resumed from any tick repeats the rest of the uninterrupted run
+// exactly: the same supersteps, each with the same mode, active count,
+// Computations and frozen vertices, and bit-identical values. The path
+// moves the frontier one vertex per superstep, across the rank boundary,
+// so some tick's frontier is a single owned vertex of each rank. Under
+// finish early each vertex's value settles one hop per superstep, so
+// vertices freeze throughout the run and every tick holds stability
+// streaks in progress: a resume that dropped a frontier entry, a streak or
+// a streak's reference value diverges.
+func TestResumeFromEveryTickRepeatsTheRun(t *testing.T) {
+	const nodes = 2
+	g := gen.Path(64)
+	for _, tc := range []struct {
+		p  *Program[float64]
+		rr bool
+	}{{testProgram(), false}, {testArith(), true}} {
+		p := tc.p
+		setup := func(int, *Config) {}
+		if tc.rr {
+			setup = withGuidance(t, g, p)
+		}
+		m := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
+		full := runCluster(t, g, p, nodes, func(rank int, cfg *Config) {
+			setup(rank, cfg)
+			cfg.Ckpt = m
+		})
+		want := map[int]metrics.IterStat{}
+		for _, s := range full.Metrics.Iters {
+			want[s.Iter] = s
+		}
+		latest, err := m.LatestComplete(nodes)
+		if err != nil || latest < 2 {
+			t.Fatalf("%s: latest complete checkpoint %d, %v; want at least 2", p.Name, latest, err)
+		}
+		for at := 0; at < latest; at++ {
+			shards := make([]*ckpt.State, nodes)
+			for rank := range shards {
+				if shards[rank], err = m.Load(at, rank); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged, err := ckpt.Merge(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runCluster(t, g, p, nodes, func(rank int, cfg *Config) {
+				setup(rank, cfg)
+				cfg.Restore = merged
+			})
+			if !sameValues(got.Values, full.Values) {
+				t.Fatalf("%s resumed after iteration %d: values differ from the uninterrupted run", p.Name, at)
+			}
+			if len(got.Metrics.Iters) != len(full.Metrics.Iters)-at-1 {
+				t.Fatalf("%s resumed after iteration %d: %d supersteps, the uninterrupted run %d after it", p.Name, at, len(got.Metrics.Iters), len(full.Metrics.Iters)-at-1)
+			}
+			for _, s := range got.Metrics.Iters {
+				w := want[s.Iter]
+				if s.Mode != w.Mode || s.ActiveVerts != w.ActiveVerts || s.Computations != w.Computations || s.Suppressed != w.Suppressed {
+					t.Fatalf("%s resumed after iteration %d: superstep %d is %v with %d active, %d computations, %d frozen; the uninterrupted run's %v with %d, %d, %d",
+						p.Name, at, s.Iter, s.Mode, s.ActiveVerts, s.Computations, s.Suppressed, w.Mode, w.ActiveVerts, w.Computations, w.Suppressed)
+				}
+			}
+		}
+	}
+}

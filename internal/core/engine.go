@@ -65,18 +65,10 @@ type Config struct {
 
 	// Restore is the engine's only seed: the merged checkpoint state the
 	// run restarts from (nil: cold start). The cluster layer builds it
-	// once per run (ckpt.Manager.MergeLatest, or ckpt.MergeNewest in fault
-	// recovery) and every worker only reads it. Validated against the
-	// program, loop kind, domain and graph; a merged state carries no
-	// ranges, so it resumes under any ownership.
+	// once per run (ckpt.Manager.MergeLatest) and every worker only reads
+	// it. Validated against the program, loop kind, domain and graph; a
+	// merged state carries no ranges, so it resumes under any ownership.
 	Restore *ckpt.State
-
-	// Progress, when set, is invoked after every completed superstep with
-	// the iteration just finished. The recovery driver uses it to measure
-	// how many supersteps a failure rolls back. It runs on the superstep
-	// path of every worker concurrently, so it must be cheap and
-	// goroutine-safe.
-	Progress func(iter int)
 
 	// MeasureAllocs records per-superstep heap allocation deltas
 	// (runtime.ReadMemStats) into the iteration metrics. The counters are

@@ -121,7 +121,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 
 	// Per-superstep heap-allocation deltas (the alloc-budget guards'
 	// instrument). The window covers stepBegin through the checkpoint tick;
-	// only the metrics append and the progress hook fall outside it.
+	// only the metrics append falls outside it.
 	var mem runtime.MemStats
 	var prevMallocs, prevBytes uint64
 	if e.cfg.MeasureAllocs {
@@ -198,9 +198,6 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 			stat.HeapBytes = int64(mem.TotalAlloc - prevBytes)
 		}
 		st.run.Add(stat)
-		if e.cfg.Progress != nil {
-			e.cfg.Progress(iter)
-		}
 		if done {
 			break
 		}

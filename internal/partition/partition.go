@@ -67,8 +67,7 @@ func NewChunked(g graph.View, nodes int) (*Chunked, error) {
 
 // FromBounds builds a contiguous partition from explicit boundaries:
 // bounds[0] must be 0 and the array non-decreasing; bounds[len-1] is the
-// vertex count. It installs the ranges balance.Plan and Shrink produce,
-// and the ranges a resumed checkpoint shard was written under.
+// vertex count. It installs the ranges balance.Plan produces.
 func FromBounds(bounds []uint32) (*Chunked, error) {
 	if len(bounds) < 2 {
 		return nil, errors.New("partition: need at least two boundaries")

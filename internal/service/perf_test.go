@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -133,4 +134,80 @@ func TestServeCachedBeatsUncached(t *testing.T) {
 			cp99, up99, chr, cb, ub)
 	}
 	t.Logf("topk p99: uncached %v, cached %v (hit rate %.2f)", up99, cp99, chr)
+}
+
+// TestReadPathLatencyDuringApply bounds the blocked-read-path regression
+// in wall-clock terms: while a mutation batch holds the writer lock and
+// re-executes programs, /healthz and /result must keep answering from
+// atomics and the pinned snapshot — p99 under 50ms (the acceptance bound;
+// in practice they answer in microseconds). TestReadPathUnblockedDuringApply
+// is its ordering half in tier-1.
+func TestReadPathLatencyDuringApply(t *testing.T) {
+	g := gen.Uniform(30000, 120000, 4, 71)
+	svc, err := service.New(g, service.Config{Nodes: 1, Threads: 2, RR: true, Sessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	// An arithmetic program with a high iteration count: warm re-execution
+	// re-runs it cold, so every Apply holds the writer lock for a while.
+	if _, err := svc.Register("pr", "f64", 0, 2000); err != nil {
+		t.Fatal(err)
+	}
+	h := service.Handler(svc)
+
+	applyStart := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		b := &service.Batch{Adds: []graph.Edge{{Src: 1, Dst: 2, Weight: 1}, {Src: 5, Dst: 9, Weight: 2}}}
+		_, err := svc.Apply(b)
+		done <- err
+	}()
+
+	probe := func(path string) time.Duration {
+		req := httptest.NewRequest("GET", path, nil)
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(rec, req)
+		d := time.Since(start)
+		if rec.Code != 200 {
+			t.Fatalf("GET %s during Apply: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+		return d
+	}
+
+	var healthz, result []time.Duration
+	sampling := true
+	for sampling {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampling = false
+		default:
+			healthz = append(healthz, probe("/healthz"))
+			result = append(result, probe("/result?app=pr&domain=f64&vertex=42"))
+			time.Sleep(time.Millisecond)
+		}
+	}
+	applyTook := time.Since(applyStart)
+
+	// The probes must actually have overlapped the batch; a trivially fast
+	// Apply would make the latency assertion vacuous.
+	if len(healthz) < 10 {
+		t.Fatalf("only %d probes overlapped the mutation batch (Apply took %v); slow the batch down", len(healthz), applyTook)
+	}
+	p99 := func(ds []time.Duration) time.Duration {
+		sorted := append([]time.Duration(nil), ds...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		return sorted[len(sorted)*99/100]
+	}
+	const bound = 50 * time.Millisecond
+	if got := p99(healthz); got >= bound {
+		t.Errorf("/healthz p99 %v during Apply (bound %v, %d samples)", got, bound, len(healthz))
+	}
+	if got := p99(result); got >= bound {
+		t.Errorf("/result p99 %v during Apply (bound %v, %d samples)", got, bound, len(result))
+	}
 }

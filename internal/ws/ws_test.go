@@ -90,22 +90,36 @@ func TestDefaultThreads(t *testing.T) {
 }
 
 func TestStealingRebalancesSkewedWork(t *testing.T) {
-	// Thread 0's span gets all the slow chunks; with stealing other threads
-	// must take some of them. We detect rebalancing via the Steals counter.
-	const n = 64 * ChunkSize
+	// Thread 0's first chunk stays busy until the other threads have taken
+	// every other chunk of its span: with stealing they must, and no
+	// schedule lets thread 0 run more than that one chunk of its own span.
+	const n, own = 64 * ChunkSize, 16 // thread 0 owns chunks [0, own)
 	s := New(4, true)
-	var slowCalls atomic.Int64
+	var stolen, ranOwn atomic.Int64
+	taken, giveUp := make(chan struct{}), make(chan struct{})
+	// The timeout only turns lost steals into a failure, not a hang.
+	defer time.AfterFunc(10*time.Second, func() { close(giveUp) }).Stop()
 	st := s.Run(0, n, func(lo, _ uint32, thread int) {
-		if lo < n/4 { // chunks initially owned by thread 0
-			slowCalls.Add(1)
-			time.Sleep(2 * time.Millisecond)
+		if lo >= own*ChunkSize {
+			return
+		}
+		if thread != 0 {
+			if stolen.Add(1) == own-1 {
+				close(taken)
+			}
+			return
+		}
+		ranOwn.Add(1)
+		select {
+		case <-taken:
+		case <-giveUp:
 		}
 	})
-	if st.Steals == 0 {
-		t.Skip("no steals observed (single-core scheduling); skew test skipped")
+	if ranOwn.Load() > 1 || stolen.Load() < own-1 {
+		t.Errorf("thread 0 ran %d of its %d chunks and thieves %d", ranOwn.Load(), own, stolen.Load())
 	}
-	if st.MaxSkew() > 3.9 {
-		t.Errorf("MaxSkew = %.2f even with stealing", st.MaxSkew())
+	if st.Steals < own-1 {
+		t.Errorf("Steals = %d, want at least %d", st.Steals, own-1)
 	}
 }
 
