@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -27,30 +26,21 @@ func TestEngineOverTCP(t *testing.T) {
 	gd := rrg.Generate(g, []graph.VertexID{0}, nil)
 	prog := testProgram()
 
-	addrs := make([]string, nodes)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
-		l.Close()
+	// LoopbackTCP binds every listener before any rank dials, so no other
+	// process can take a port between reservation and use.
+	transports, err := comm.LoopbackTCP(nodes, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	results := make([]*Result[float64], nodes)
 	errs := make([]error, nodes)
-	transports := make([]comm.Transport, nodes)
 	var wg sync.WaitGroup
 	for rank := 0; rank < nodes; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			tr, err := comm.DialTCP(rank, nodes, addrs, 5*time.Second)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			transports[rank] = tr
+			tr := transports[rank]
 			eng, err := New[float64](Config{
 				Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: testSched(t, 0),
 				RR: true, Guidance: gd,
@@ -70,9 +60,7 @@ func TestEngineOverTCP(t *testing.T) {
 	// Close only after every rank finished: an early Close can reset
 	// connections carrying a slower peer's final reduce results.
 	for _, tr := range transports {
-		if tr != nil {
-			tr.Close()
-		}
+		tr.Close()
 	}
 	for rank, err := range errs {
 		if err != nil {

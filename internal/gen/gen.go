@@ -9,6 +9,7 @@ package gen
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 
 	"slfe/internal/graph"
@@ -28,30 +29,35 @@ var DefaultRMAT = RMATParams{A: 0.57, B: 0.19, C: 0.19}
 // to emit instead of materialising the slice, so billion-edge graphs can
 // stream straight into the store builder on a small-RAM box. Deterministic
 // for a given seed; bit-identical to RMAT's edges.
+//
+// The sequence is a contract that seeds every Table 4 proxy. One math/rand
+// source seeded with seed yields, per level, one Int63 x (drawn again while
+// float64(x)/(1<<63) rounds to 1, as Float64 does); the level takes the
+// first of r < A, r < A+B, r < A+B+C that holds for that quotient r, else
+// D. When maxWeight > 1 each kept edge then takes one Intn(maxWeight) from
+// the same source.
 func RMATStream(n int, m int64, p RMATParams, maxWeight int, seed int64, emit func(src, dst graph.VertexID, w float32) error) error {
 	if n <= 0 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(seed))
-	levels := 0
-	for 1<<levels < n {
-		levels++
-	}
+	source := rand.NewSource(seed)
+	rng := rand.New(source)
+	// r < t holds exactly for x below a bound, so a level needs no branch;
+	// running maxima keep the first-match order when sums do not increase.
+	one := below(1)
+	tA := below(p.A)
+	tAB := max(tA, below(p.A+p.B))
+	tABC := max(tAB, below(p.A+p.B+p.C))
 	for done := int64(0); done < m; {
 		src, dst := 0, 0
-		for l := 0; l < levels; l++ {
-			r := rng.Float64()
-			switch {
-			case r < p.A:
-				// top-left: no bit set
-			case r < p.A+p.B:
-				dst |= 1 << l
-			case r < p.A+p.B+p.C:
-				src |= 1 << l
-			default:
-				src |= 1 << l
-				dst |= 1 << l
+		for bit := 1; bit < n; bit <<= 1 {
+			x := source.Int63()
+			for x >= one {
+				x = source.Int63()
 			}
+			s := b2i(x >= tAB)
+			src |= -s & bit
+			dst |= -(b2i(x >= tA) ^ s ^ b2i(x >= tABC)) & bit
 		}
 		if src >= n || dst >= n {
 			continue // rejection keeps the distribution shape
@@ -66,6 +72,30 @@ func RMATStream(n int, m int64, p RMATParams, maxWeight int, seed int64, emit fu
 		done++
 	}
 	return nil
+}
+
+// below returns the smallest x in [0, 2^63-1) for which
+// float64(x)/(1<<63) < t is false, else math.MaxInt64. The quotient never
+// decreases in x, so a binary search finds it for any t, NaN and ±Inf
+// included.
+func below(t float64) int64 {
+	lo, hi := int64(0), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RMAT generates an R-MAT graph with n vertices (rounded up to a power of

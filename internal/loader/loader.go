@@ -5,7 +5,7 @@
 //     comment lines, whitespace separated. This is the format SNAP and
 //     KONECT distribute the paper's datasets in.
 //   - A packed binary format (magic "SLFG") holding the vertex count and
-//     raw edge triples in CSR order; ~10x faster to load than text, and
+//     raw edge triples in CSR order as fixed 12-byte little-endian records,
 //     parsed into a heap graph (out-of-core runs read SLFC, not SLFG).
 package loader
 
@@ -133,17 +133,24 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	rec := make([]byte, 12)
+	// Encode 4096 records per Write, the block ReadBinary reads.
+	buf := make([]byte, 0, 12*4096)
 	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
 		ns, ws := g.OutNeighbors(v), g.OutWeights(v)
 		for i := range ns {
-			binary.LittleEndian.PutUint32(rec[0:], uint32(v))
-			binary.LittleEndian.PutUint32(rec[4:], uint32(ns[i]))
-			binary.LittleEndian.PutUint32(rec[8:], math.Float32bits(ws[i]))
-			if _, err := bw.Write(rec); err != nil {
-				return err
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(ns[i]))
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(ws[i]))
+			if len(buf) == cap(buf) {
+				if _, err := bw.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
 		}
+	}
+	if _, err := bw.Write(buf); err != nil {
+		return err
 	}
 	return bw.Flush()
 }

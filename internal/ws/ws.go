@@ -34,24 +34,6 @@ type Stats struct {
 	Steals          int64   // chunks executed by a non-owner thread
 }
 
-// MaxSkew returns max/mean chunks per thread (1.0 = perfectly balanced).
-func (s Stats) MaxSkew() float64 {
-	if len(s.ChunksPerThread) == 0 {
-		return 1
-	}
-	var max, sum int64
-	for _, c := range s.ChunksPerThread {
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	return float64(max) * float64(len(s.ChunksPerThread)) / float64(sum)
-}
-
 // span is one thread's chunk assignment [next, end), padded to a full
 // cache line so a thief's fetch-and-add on one cursor never invalidates
 // its neighbour's.

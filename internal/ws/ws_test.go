@@ -172,19 +172,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestMaxSkew(t *testing.T) {
-	if got := (Stats{}).MaxSkew(); got != 1 {
-		t.Errorf("empty MaxSkew = %v", got)
-	}
-	if got := (Stats{ChunksPerThread: []int64{0, 0}}).MaxSkew(); got != 1 {
-		t.Errorf("zero-work MaxSkew = %v", got)
-	}
-	got := (Stats{ChunksPerThread: []int64{3, 1}}).MaxSkew()
-	if got != 1.5 {
-		t.Errorf("MaxSkew = %v, want 1.5", got)
-	}
-}
-
 // Property: for any range and thread count, every vertex is visited exactly
 // once, with and without stealing.
 func TestQuickExactCover(t *testing.T) {
