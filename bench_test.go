@@ -119,10 +119,10 @@ func BenchmarkCC8Nodes(b *testing.B) {
 	}
 }
 
-// Push-combine microbenchmark. DenseDivisor=1 keeps SSSP in push mode on
-// every non-empty frontier, so the run is dominated by the flat combiner;
-// -benchmem shows its allocations.
-func BenchmarkPushCombine(b *testing.B) {
+// Push microbenchmark. DenseDivisor=1 keeps SSSP in push mode on every
+// non-empty frontier, so the run is dominated by owner-side relaxation and
+// the commit fold; -benchmem shows their allocations.
+func BenchmarkPush(b *testing.B) {
 	g := gen.RMAT(1<<14, 1<<17, gen.DefaultRMAT, 64, 5)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -190,8 +190,8 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // TestWarmApplyAllocBudget bounds what one warm min/max re-execution
 // allocates per vertex: the fresh value array, the two projection copies
 // and the frontier and changed bitsets, and nothing else of size |V| — no
-// degree scan's partition, no pull scratch or push combiner a two-superstep
-// push wave never touches, and no re-projection of unchanged vertices.
+// degree scan's partition, no pull scratch a two-superstep push wave never
+// touches, and no re-projection of unchanged vertices.
 // Counted by TotalAlloc, so the guard is deterministic.
 func TestWarmApplyAllocBudget(t *testing.T) {
 	if raceEnabled {

@@ -27,9 +27,10 @@ func (st *state[V]) picks() map[string]int64 {
 // rank ends the superstep holding every value and the whole frontier. Every
 // multi-rank superstep goes through the streaming exchange (overlap.go): a
 // pull superstep opened it before compute and streamed while computing; a
-// push superstep cannot (an owned vertex's new value is only known after
-// the proposal exchange), so it opens the same exchange now, over the
-// committed values, and sends each peer one final chunk.
+// push superstep cannot (an owned vertex's new value is only known once
+// commit has folded every thread's proposals), so it opens the same
+// exchange now, over the committed values, and sends each peer one final
+// chunk.
 func (e *Engine[V]) deltaSync(st *state[V], changed *bitset.Atomic, frontier *bitset.Atomic, iter int, stat *metrics.IterStat) error {
 	if e.comm.Size() == 1 {
 		// One rank owns every vertex and commit already applied every

@@ -48,7 +48,7 @@ type Config struct {
 	// changed (used by the Figure 2 early-convergence analysis).
 	TrackLastChange bool
 
-	// Codec serialises delta-sync and push-proposal messages (nil:
+	// Codec serialises delta-sync messages (nil:
 	// compress.Raw at the domain's width; compress.Adaptive shapes each
 	// batch's layout to it). The codec's width must match the
 	// program domain's width — Run validates. All workers must agree.
@@ -136,7 +136,7 @@ type Engine[V comparable] struct {
 	// captures.
 	curState *state[V]
 	changed  *bitset.Atomic
-	push     *pushState[V]  // flat push-combining buffers (push.go)
+	pushBufs []pairBuf[V]   // per-thread push proposals (kernel_minmax.go)
 	bits     bitsCollect    // checkpoint bit-listing buffers
 	stream   streamState[V] // delta-sync streaming state (overlap.go)
 	ck       ckptTick       // checkpoint tick state (checkpoint.go)
@@ -210,6 +210,7 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 	for i := range e.curs {
 		e.curs[i] = e.g.Cursor()
 	}
+	e.pushBufs = make([]pairBuf[V], e.sched.Threads())
 	e.bits.body = e.collectBitsChunk
 	e.outBody = e.outEdgesChunk
 	e.setPart(cfg.Part)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"slfe/internal/bitset"
 	"slfe/internal/ckpt"
@@ -181,9 +182,13 @@ func (k *minmaxKernel[V]) stagedCompute() ([]V, bool) {
 
 func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 	if !k.pullMode {
-		// Source-side push into per-thread per-rank buffers; commit folds them (push.go).
-		k.e.pushInit(k.p)
-		k.st.run.Steals += k.e.sched.Run(uint32(k.e.lo), uint32(k.e.hi), k.pushBody).Steals
+		// Every rank holds the whole frontier: each relaxes it into the
+		// destinations it owns, and commit folds the proposals.
+		for t := range k.e.pushBufs {
+			b := &k.e.pushBufs[t]
+			b.ids, b.vals = b.ids[:0], b.vals[:0]
+		}
+		k.st.run.Steals += k.e.sched.Run(0, uint32(k.e.g.NumVertices()), k.pushBody).Steals
 		return nil
 	}
 	k.ruler = int64(iter)
@@ -247,36 +252,46 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	c.catchups += catchups
 }
 
-// computePushChunk relaxes one chunk's frontier vertices into the flat
-// per-rank append buffers. Ownership lookups are amortised with a cursor
-// over the rank ranges: adjacency lists are ascending, so the owner changes
-// at most once per rank per source vertex.
+// pairBuf is one thread's append buffer of push proposals. Length resets
+// every push superstep; capacity is retained.
+type pairBuf[V comparable] struct {
+	ids  []graph.VertexID
+	vals []V
+}
+
+// computePushChunk relaxes one chunk of the global frontier along the
+// out-edges whose destinations this rank owns, into the thread's append
+// buffer. Out-lists are ascending (graph.Cursor), so the owned edges are one
+// slice that two binary searches find, skipped when the whole list is owned
+// (always, on one rank).
 func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
-	bufs := e.push.bufs[th]
+	cur, b := e.curs[th], &e.pushBufs[th]
+	lo, hi := e.lo, e.hi
 	weighted := !p.Unweighted
 	it := k.front.IterIn(int(clo), int(chi))
 	for v := it.Next(); v >= 0; v = it.Next() {
 		vid := graph.VertexID(v)
-		srcVal := st.values[vid]
-		outs := e.curs[th].OutNeighbors(vid)
+		outs := cur.OutNeighbors(vid)
+		i, j := 0, len(outs)
+		if j > 0 && (outs[0] < lo || outs[j-1] >= hi) {
+			i, _ = slices.BinarySearch(outs, lo)
+			j, _ = slices.BinarySearch(outs, hi)
+			if i >= j {
+				continue
+			}
+		}
 		var ows []float32
 		if weighted {
-			ows = e.curs[th].OutWeights(vid)
+			ows = cur.OutWeights(vid)
 		}
-		curR := -1
-		var curLo, curHi graph.VertexID
-		for i, u := range outs {
-			w := float32(1)
+		srcVal := st.values[vid]
+		for x := i; x < j; x++ {
+			u, w := outs[x], float32(1)
 			if weighted {
-				w = ows[i]
+				w = ows[x]
 			}
 			cand := k.relax(vid, srcVal, w)
-			if curR < 0 || u < curLo || u >= curHi {
-				curR = e.part.Owner(u)
-				curLo, curHi = e.part.Range(curR)
-			}
-			b := &bufs[curR]
 			// Parallel edges land adjacently in the ascending list:
 			// combine in place instead of appending a duplicate.
 			if n := len(b.ids); n > 0 && b.ids[n-1] == u {
@@ -289,6 +304,28 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 			}
 		}
 	}
+}
+
+// foldPush applies every thread's push proposals to the owned values and
+// returns the updates. Min/max folding is order-insensitive under Better's
+// total order, so folding the buffers in turn leaves each vertex at the
+// best of its proposals; the changed bit counts one update per improved
+// vertex.
+func (k *minmaxKernel[V]) foldPush() int64 {
+	p, values := k.p, k.st.values
+	var updates int64
+	for t := range k.e.pushBufs {
+		b := &k.e.pushBufs[t]
+		for i, id := range b.ids {
+			if p.Better(b.vals[i], values[id]) {
+				values[id] = b.vals[i]
+				if k.changed.TestAndSet(int(id)) {
+					updates++
+				}
+			}
+		}
+	}
+	return updates
 }
 
 // commitPullChunk applies one chunk's staged improvements to the owned
@@ -307,8 +344,8 @@ func (k *minmaxKernel[V]) commit(_ int, stat *metrics.IterStat) error {
 	e := k.e
 	if k.pullMode {
 		e.sched.Run(uint32(e.lo), uint32(e.hi), k.commitBody)
-	} else if err := e.exchangePushFlat(&k.counters[0].updates); err != nil {
-		return err
+	} else {
+		k.counters[0].updates += k.foldPush()
 	}
 	foldCounters(k.counters, stat)
 	return nil

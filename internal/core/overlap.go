@@ -37,14 +37,16 @@ import (
 //     tail, not the whole exchange.
 //
 // Push-mode supersteps cannot stream (an owned vertex's new value is only
-// known after the proposal exchange). They open the same exchange after
-// commit (deltaSync), drain the whole owned range over the committed
-// values and send each peer one final chunk: same wire format, same
-// broadcast, same apply, all of it exposed as sync time.
+// known once commit has folded every thread's proposals). They open the
+// same exchange after commit (deltaSync), drain the whole owned range over
+// the committed values and send each peer one final chunk: same wire
+// format, same broadcast, same apply, all of it exposed as sync time.
 //
 // Every batch goes to every peer, so every rank holds every value and the
 // whole frontier after each superstep: the push/pull statistic and the
-// termination test are local, and no superstep needs a collective count.
+// termination test are local, no superstep needs a collective count, and a
+// push superstep relaxes the whole frontier into the destinations its rank
+// owns, so this exchange is the superstep's only message round.
 
 // streamBatchMin/Max clamp the streamed batch size. The actual threshold
 // is a quarter of the owned range (streamBegin), so a dense superstep

@@ -19,8 +19,8 @@
 //
 // The engine stack is generic over the vertex property type: a Program[V]
 // picks a value Domain (F64, F32, U32, or a composite like DistParent) and
-// every layer below — kernels, push combining, delta-sync, overlapped
-// streaming, checkpoints, wire codecs — works in that domain's width.
+// every layer below — kernels, delta-sync, overlapped streaming,
+// checkpoints, wire codecs — works in that domain's width.
 package core
 
 import (
@@ -91,7 +91,7 @@ type Program[V comparable] struct {
 	RelaxE func(src graph.VertexID, srcVal V, w float32) V
 	// Better reports whether a beats b under the aggregation order
 	// (SSSP/CC: a < b; WidestPath: a > b). It must be a strict total-order
-	// test so push combining is order-insensitive.
+	// test so folding push proposals is order-insensitive.
 	Better func(a, b V) bool
 	// RelaxSpan is the optional span form of Relax/RelaxE + Better, called
 	// once per computing vertex by the pull kernel: starting from best (the

@@ -145,25 +145,9 @@ func poisonVals(s []float64) {
 	}
 }
 
-func poisonWords(s []uint64) {
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = 0xDEADBEEFDEADBEEF
-	}
-}
-
-func poisonBytes(s []byte) {
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = 0xAA
-	}
-}
-
 // Pooled buffers must never leak stale contents into a later run: poison
 // every engine-owned data buffer between two runs of the same engine and
-// require bit-identical results. Control state (the combiner's seen/blocks
-// bitmaps) is deliberately not poisoned — its all-clear invariant is what
-// the engine maintains; the data arrays it gates are what must not alias.
+// require bit-identical results.
 func TestPooledBuffersSurvivePoisoning(t *testing.T) {
 	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 8, 31)
 	part, err := partition.NewChunked(g, 1)
@@ -192,23 +176,14 @@ func TestPooledBuffersSurvivePoisoning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Poison every pooled data buffer the first run left behind.
-	if eng.push == nil {
+	pushed := 0
+	for _, b := range eng.pushBufs {
+		pushed += cap(b.ids)
+		poisonIDs(b.ids)
+		poisonVals(b.vals)
+	}
+	if pushed == 0 {
 		t.Fatal("push path never ran; DenseDivisor=1 should force push supersteps")
-	}
-	for _, byRank := range eng.push.bufs {
-		for r := range byRank {
-			poisonIDs(byRank[r].ids)
-			poisonVals(byRank[r].vals)
-		}
-	}
-	for r := range eng.push.comb {
-		cb := &eng.push.comb[r]
-		poisonVals(cb.vals[:0])
-		poisonIDs(cb.outIDs)
-		poisonWords(cb.outVals)
-	}
-	for r := range eng.push.blobs {
-		poisonBytes(eng.push.blobs[r]) // the per-rank encoders' buffers
 	}
 	for i := range eng.bits.parts {
 		poisonIDs(eng.bits.parts[i])
@@ -221,88 +196,6 @@ func TestPooledBuffersSurvivePoisoning(t *testing.T) {
 	if !sameValues(ref.Values, again.Values) {
 		t.Fatal("poisoned pooled buffers leaked into a later run's results")
 	}
-}
-
-// A combiner emit must leave seen/blocks all-clear (the invariant the next
-// superstep's fold relies on), in both the dense-scan and the
-// bucketed-sparse emit paths.
-func TestCombinerClearsAfterEmit(t *testing.T) {
-	var cb rankCombiner[float64]
-	cb.bits = F64().Bits
-	cb.ensure(100, 1700) // 1600 ids: 25 seen words, 1 blocks word
-	better := func(a, b Value) bool { return a < b }
-	fold := func(ids []uint32, vals []float64) {
-		for i, id := range ids {
-			li := int(id - cb.lo)
-			wi, mask := li>>6, uint64(1)<<(uint(li)&63)
-			if cb.seen[wi]&mask == 0 {
-				cb.seen[wi] |= mask
-				cb.blocks[wi>>6] |= 1 << (uint(wi) & 63)
-				cb.vals[li] = vals[i]
-			} else if better(vals[i], cb.vals[li]) {
-				cb.vals[li] = vals[i]
-			}
-		}
-	}
-	check := func(mode string, emit func()) {
-		cb.outIDs, cb.outVals = cb.outIDs[:0], cb.outVals[:0]
-		emit()
-		for wi, w := range cb.seen {
-			if w != 0 {
-				t.Fatalf("%s: seen word %d left set: %x", mode, wi, w)
-			}
-		}
-		for bi, b := range cb.blocks {
-			if b != 0 {
-				t.Fatalf("%s: blocks word %d left set: %x", mode, bi, b)
-			}
-		}
-	}
-	// Sparse path: a few scattered ids.
-	fold([]uint32{100, 163, 1699}, []float64{1, 2, 3})
-	check("sparse", func() {
-		for bwi, bw := range cb.blocks {
-			if bw == 0 {
-				continue
-			}
-			cb.blocks[bwi] = 0
-			for bw != 0 {
-				cb.emitWord(bwi<<6 + trailingZeros(bw))
-				bw &= bw - 1
-			}
-		}
-	})
-	if len(cb.outIDs) != 3 || cb.outIDs[0] != 100 || cb.outIDs[1] != 163 || cb.outIDs[2] != 1699 {
-		t.Fatalf("sparse emit produced %v", cb.outIDs)
-	}
-	// Dense path: every id.
-	ids := make([]uint32, 1600)
-	vals := make([]float64, 1600)
-	for i := range ids {
-		ids[i] = 100 + uint32(i)
-		vals[i] = float64(i)
-	}
-	fold(ids, vals)
-	check("dense", func() {
-		for wi := range cb.seen {
-			cb.emitWord(wi)
-		}
-		for i := range cb.blocks {
-			cb.blocks[i] = 0
-		}
-	})
-	if len(cb.outIDs) != 1600 || cb.outIDs[0] != 100 || cb.outIDs[1599] != 1699 {
-		t.Fatalf("dense emit produced %d ids", len(cb.outIDs))
-	}
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // A rank folds its own proposals straight into its values, one update per
@@ -333,5 +226,39 @@ func TestOwnProposalsCountOneUpdatePerVertex(t *testing.T) {
 	}
 	if !slices.Equal(got, []int64{2, 2, 0}) || res.Metrics.Updates() != wantUpdates {
 		t.Fatalf("per-superstep updates %v (total %d), want [2 2 0] (serial reference %d)", got, res.Metrics.Updates(), wantUpdates)
+	}
+}
+
+// The same count on several ranks: each rank folds only the proposals for
+// the vertices it owns, so a vertex improved through two sources that
+// different ranks own still counts once, and the summed updates equal the
+// serial reference's at any rank count. Superstep 1 pushes from {1, 2}: 1
+// offers 3 the distance 2 and 2 offers it 11.
+func TestPushCountsOneUpdatePerVertexOnEveryRankCount(t *testing.T) {
+	g := graph.MustBuild(6, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 0, Dst: 2, Weight: 1},
+		{Src: 1, Dst: 3, Weight: 1}, {Src: 2, Dst: 3, Weight: 10}, {Src: 4, Dst: 5, Weight: 1},
+	})
+	want, _, wantUpdates := serialMinMax(g, testProgram())
+	for nodes := 1; nodes <= 3; nodes++ {
+		rs := runClusterAll(t, g, testProgram(), nodes, func(_ int, cfg *Config) {
+			cfg.DenseDivisor = 1
+			cfg.Sched = testSched(t, 1)
+		})
+		var updates int64
+		for rank, r := range rs {
+			if !sameValues(r.Values, want) {
+				t.Fatalf("nodes=%d rank %d: values %v, serial reference %v", nodes, rank, r.Values, want)
+			}
+			for _, it := range r.Metrics.Iters {
+				if it.Mode != metrics.Push {
+					t.Fatalf("nodes=%d rank %d: superstep %d ran %v, want push", nodes, rank, it.Iter, it.Mode)
+				}
+			}
+			updates += r.Metrics.Updates()
+		}
+		if updates != wantUpdates {
+			t.Errorf("nodes=%d: %d updates summed over ranks, serial reference %d", nodes, updates, wantUpdates)
+		}
 	}
 }

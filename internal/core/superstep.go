@@ -43,7 +43,8 @@ type kernel[V comparable] interface {
 	// — every owned vertex's new value is staged chunk-locally into the
 	// returned scratch array — so the overlapped pipeline may stream
 	// deltas while compute runs. Push supersteps return (nil, false): an
-	// owned vertex's value is only known after the proposal exchange.
+	// owned vertex's value is only known once commit has folded every
+	// thread's proposals.
 	// Valid after stepBegin (which fixes the superstep's mode).
 	stagedCompute() ([]V, bool)
 	// compute stages this superstep's proposals in parallel; it must not
@@ -97,7 +98,7 @@ func foldCounters(cs []threadCounters, stat *metrics.IterStat) {
 func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], changed *bitset.Atomic) (res *Result[V], err error) {
 	iter := 0
 	// The run's state and changed set are pinned on the engine so the
-	// pre-created hot-path closures (stream drain and decode, push apply)
+	// pre-created hot-path closures (stream drain and decode, push fold)
 	// reach them without per-superstep captures.
 	e.curState, e.changed = st, changed
 	defer func() {

@@ -35,7 +35,9 @@ var DefaultRMAT = RMATParams{A: 0.57, B: 0.19, C: 0.19}
 // float64(x)/(1<<63) rounds to 1, as Float64 does); the level takes the
 // first of r < A, r < A+B, r < A+B+C that holds for that quotient r, else
 // D. When maxWeight > 1 each kept edge then takes one Intn(maxWeight) from
-// the same source.
+// the same source. Params that can keep no edge of a non-power-of-two n
+// (no quadrant A, and no B or no C: a zero RMATParams, a NaN A, A+B+C ≤ 0)
+// are an error before anything is drawn.
 func RMATStream(n int, m int64, p RMATParams, maxWeight int, seed int64, emit func(src, dst graph.VertexID, w float32) error) error {
 	if n <= 0 {
 		return nil
@@ -48,6 +50,12 @@ func RMATStream(n int, m int64, p RMATParams, maxWeight int, seed int64, emit fu
 	tA := below(p.A)
 	tAB := max(tA, below(p.A+p.B))
 	tABC := max(tAB, below(p.A+p.B+p.C))
+	// Below a power of two, a level that always sets the source bit (no A
+	// or B) or always the destination bit (no A or C) keeps no edge: every
+	// draw would be rejected forever.
+	if m > 0 && n&(n-1) != 0 && (tAB == 0 || tA == 0 && tAB == tABC) {
+		return fmt.Errorf("gen: R-MAT params %+v keep no edge of %d vertices: every level sets the source or the destination bit", p, n)
+	}
 	for done := int64(0); done < m; {
 		src, dst := 0, 0
 		for bit := 1; bit < n; bit <<= 1 {
@@ -101,7 +109,7 @@ func b2i(b bool) int {
 // RMAT generates an R-MAT graph with n vertices (rounded up to a power of
 // two internally, then mapped back into [0,n)) and m directed edges with
 // weights drawn uniformly from [1, maxWeight]. The output is deterministic
-// for a given seed.
+// for a given seed; params RMATStream refuses give an edgeless graph.
 func RMAT(n int, m int64, p RMATParams, maxWeight int, seed int64) *graph.Graph {
 	if n <= 0 {
 		return graph.MustBuild(0, nil)

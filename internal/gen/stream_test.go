@@ -142,21 +142,79 @@ func FuzzRMATStreamMatchesReference(f *testing.F) {
 	f.Add(uint16(1024), uint16(4096), 0.57, 0.19, 0.19, 64, int64(1))
 	f.Add(uint16(1000), uint16(100), 0.0, 0.5, 0.5, 1, int64(-7))
 	f.Add(uint16(1), uint16(10), math.NaN(), math.Inf(1), -0.5, 100, int64(3))
+	f.Add(uint16(1000), uint16(10), 0.0, 0.0, 0.0, 64, int64(4))
 	f.Fuzz(func(t *testing.T, n, m uint16, a, b, c float64, maxWeight int, seed int64) {
 		if n > 4096 || m > 4096 {
-			return
-		}
-		// Below a power of two, an edge whose top level lands in quadrant A
-		// is always kept; without that floor both loops can reject forever
-		// (A+B+C <= 0 puts every edge at the excluded corner).
-		if n&(n-1) != 0 && !(a >= 1.0/64) {
 			return
 		}
 		if maxWeight > math.MaxInt32 {
 			maxWeight = math.MaxInt32
 		}
-		requireSameStream(t, int(n), int64(m), RMATParams{A: a, B: b, C: c}, maxWeight, seed)
+		p := RMATParams{A: a, B: b, C: c}
+		if n&(n-1) != 0 && m > 0 {
+			if keepsNoEdge(p) {
+				// The reference would reject forever; RMATStream refuses.
+				if err := RMATStream(int(n), int64(m), p, maxWeight, seed, failOnEmit(t)); err == nil {
+					t.Fatalf("n=%d %+v: no error for params that keep no edge", n, p)
+				}
+				return
+			}
+			// Below a power of two, an edge whose top level lands in
+			// quadrant A is always kept; without that floor a kept edge can
+			// take a near-endless run of rejections in both loops.
+			if !(a >= 1.0/64) {
+				return
+			}
+		}
+		requireSameStream(t, int(n), int64(m), p, maxWeight, seed)
 	})
+}
+
+// keepsNoEdge reports whether no level can leave the source bit clear (no
+// A or B) or none the destination bit (no A or C), read through the same
+// bounds as the draws.
+func keepsNoEdge(p RMATParams) bool {
+	tA := below(p.A)
+	tAB := max(tA, below(p.A+p.B))
+	tABC := max(tAB, below(p.A+p.B+p.C))
+	return tAB == 0 || tA == 0 && tAB == tABC
+}
+
+func failOnEmit(t *testing.T) func(src, dst graph.VertexID, w float32) error {
+	return func(src, dst graph.VertexID, w float32) error {
+		t.Fatalf("emitted (%d, %d, %v) for params that keep no edge", src, dst, w)
+		return nil
+	}
+}
+
+// Params that keep no edge below a power of two are refused before a draw
+// (the loop would otherwise reject every edge forever); at a power of two
+// every edge is (n-1, n-1) and the stream still matches the reference, and
+// m = 0 draws nothing and is no error.
+func TestRMATStreamRefusesParamsThatKeepNoEdge(t *testing.T) {
+	for _, p := range []RMATParams{
+		{},
+		{A: math.NaN(), B: 0.3, C: 0.3},
+		{A: -0.5, B: 0.2, C: 0.1},
+		{C: 0.5},
+		{B: 0.5},
+	} {
+		if !keepsNoEdge(p) {
+			t.Fatalf("%+v: keepsNoEdge is false", p)
+		}
+		if err := RMATStream(1000, 10, p, 64, 1, failOnEmit(t)); err == nil {
+			t.Errorf("%+v: no error below a power of two", p)
+		}
+		if err := RMATStream(1000, 0, p, 64, 1, failOnEmit(t)); err != nil {
+			t.Errorf("%+v: m=0 returned %v", p, err)
+		}
+		requireSameStream(t, 1024, 100, p, 64, 1)
+	}
+	for _, p := range []RMATParams{DefaultRMAT, {B: 0.5, C: 0.5}, {A: 1e-300}} {
+		if keepsNoEdge(p) {
+			t.Errorf("%+v: keepsNoEdge is true, but some level leaves both bits clear", p)
+		}
+	}
 }
 
 var errEnough = errors.New("enough edges")

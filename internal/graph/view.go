@@ -38,6 +38,14 @@ func (d *Derived) Get(build func() any) any {
 //   - Slices returned by adjacency methods alias decoder scratch (or the
 //     graph's storage): they are valid until the next adjacency call on
 //     the same View/Cursor and must not be modified.
+//
+// Order contract: every out- and in-list ascends by neighbour id, parallel
+// edges adjacent. Build sorts each list, WithEdges merges a batch into the
+// sorted lists, and SLFC stores each list as gaps, whose prefix sums
+// ascend. Push supersteps rely on it: they binary-search each out-list for
+// the destinations a rank owns. A corrupt .slfc can decode to a list that
+// does not ascend, but its ids stay in [0, n), so a reader stays
+// memory-safe and only its results are wrong.
 type View interface {
 	NumVertices() int
 	NumEdges() int64
@@ -56,7 +64,8 @@ type View interface {
 }
 
 // Cursor is a thread-local adjacency reader over a View. See View's
-// concurrency contract for slice lifetime.
+// concurrency contract for slice lifetime and its order contract: the
+// lists a Cursor returns ascend.
 type Cursor interface {
 	OutNeighbors(v VertexID) []VertexID
 	OutWeights(v VertexID) []float32

@@ -83,7 +83,7 @@ type Run struct {
 	// (internal/core/superstep.go). CommitTime is a sub-phase already
 	// counted inside ComputeTime; the other three are outside it.
 	FrontierTime  time.Duration // pre-compute coordination: frontier stats, mode switch, termination checks
-	CommitTime    time.Duration // committing staged updates / routing push proposals
+	CommitTime    time.Duration // committing staged updates / folding push proposals
 	CkptTime      time.Duration // checkpoint shard writes
 	RebalanceTime time.Duration // rebalance window exchanges and boundary moves
 }

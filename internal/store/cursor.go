@@ -141,32 +141,21 @@ func (g *Graph) blockBytes(sec []byte, pos, o0, o1 int64, scratch *[]byte) ([]by
 }
 
 // relOffsets fills rel with the edge offsets of vertices [start,
-// start+len(rel)) relative to the first, resolving the index representation
-// once per block instead of once per lookup.
+// start+len(rel)) relative to the first, resolving the index width once
+// per block instead of once per lookup.
 func (g *Graph) relOffsets(d *dirRef, start int64, rel []int) {
-	switch {
-	case d.off != nil && g.wide:
+	if g.wide {
 		raw := d.off[8*start:]
 		e0 := int64(binary.LittleEndian.Uint64(raw))
 		for i := range rel {
 			rel[i] = int(int64(binary.LittleEndian.Uint64(raw[8*i:])) - e0)
 		}
-	case d.off != nil:
-		raw := d.off[4*start:]
-		e0 := int64(binary.LittleEndian.Uint32(raw))
-		for i := range rel {
-			rel[i] = int(int64(binary.LittleEndian.Uint32(raw[4*i:])) - e0)
-		}
-	case d.off64 != nil:
-		off := d.off64[start:]
-		for i := range rel {
-			rel[i] = int(int64(off[i]) - int64(off[0]))
-		}
-	default:
-		off := d.off32[start:]
-		for i := range rel {
-			rel[i] = int(int64(off[i]) - int64(off[0]))
-		}
+		return
+	}
+	raw := d.off[4*start:]
+	e0 := int64(binary.LittleEndian.Uint32(raw))
+	for i := range rel {
+		rel[i] = int(int64(binary.LittleEndian.Uint32(raw[4*i:])) - e0)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"slfe/internal/apps"
@@ -174,5 +175,29 @@ func TestDifferentialWeightModes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdjacencyListsAscend checks the order push supersteps binary-search
+// (core's computePushChunk): every out- and in-list ascends, in a heap graph
+// built from unsorted edges, a graph.WithEdges-patched one, and the .slfc of
+// it read mapped and out of core.
+func TestAdjacencyListsAscend(t *testing.T) {
+	heap := gen.RMAT(400, 3200, gen.DefaultRMAT, 8, 17)
+	views := map[string]graph.View{"heap": heap, "patched": patchedTwin(t, heap)}
+	for mode, sg := range viewModes(t, heap) {
+		if mode != "bytes" {
+			views[mode] = sg
+		}
+	}
+	for name, v := range views {
+		cur := v.Cursor()
+		for u := graph.VertexID(0); int(u) < v.NumVertices(); u++ {
+			for dir, ids := range map[string][]graph.VertexID{"out": cur.OutNeighbors(u), "in": cur.InNeighbors(u)} {
+				if !slices.IsSorted(ids) {
+					t.Fatalf("%s: %s-list of %d does not ascend: %v", name, dir, u, ids)
+				}
+			}
+		}
 	}
 }

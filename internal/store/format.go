@@ -118,21 +118,17 @@ func align8(x int64) int64 { return (x + 7) &^ 7 }
 
 // dirRef holds one direction's section references. In mapped mode the
 // byte-slice fields alias the mapping; in reader (out-of-core) mode the
-// offset index and block tables are decoded into heap arrays at open and
+// offset index and block tables are read into heap bytes at open and
 // adjacency/weight bytes are pread on demand.
 type dirRef struct {
-	// Mapped mode.
+	// Both modes.
 	off []byte // edge-offset index (u32 or u64 entries)
 	blk []byte // adjacency block-offset table (u64 entries)
-	adj []byte // adjacency blocks
 	wbk []byte // weight block-offset table (WVarint only)
-	w   []byte // weight data
 
-	// Reader mode.
-	off32 []uint32
-	off64 []uint64
-	blkT  []uint64
-	wbkT  []uint64
+	// Mapped mode only.
+	adj []byte // adjacency blocks
+	w   []byte // weight data
 
 	adjPos int64 // file offset of adjacency data (reader mode)
 	adjLen int64
@@ -435,40 +431,25 @@ func parse(data []byte, r io.ReaderAt, size, keep int64) (*Graph, error) {
 		}
 		// Reader mode: index + block tables become heap-resident (the
 		// "semi-external" model — O(n) index RAM, zero edge RAM).
-		raw := make([]byte, lens[off])
-		if _, err := r.ReadAt(raw, starts[off]); err != nil {
-			return badf("reading edge-offset index: %v", err)
-		}
-		if wide {
-			d.off64 = make([]uint64, n64+1)
-			for i := range d.off64 {
-				d.off64[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		read := func(sec int, what string) ([]byte, error) {
+			if lens[sec] == 0 {
+				return nil, nil
 			}
-		} else {
-			d.off32 = make([]uint32, n64+1)
-			for i := range d.off32 {
-				d.off32[i] = binary.LittleEndian.Uint32(raw[4*i:])
+			raw := make([]byte, lens[sec])
+			if _, err := r.ReadAt(raw, starts[sec]); err != nil {
+				return nil, badf("reading %s: %v", what, err)
 			}
+			return raw, nil
 		}
-		raw = make([]byte, lens[blk])
-		if _, err := r.ReadAt(raw, starts[blk]); err != nil {
-			return badf("reading block-offset table: %v", err)
+		var err error
+		if d.off, err = read(off, "edge-offset index"); err != nil {
+			return err
 		}
-		d.blkT = make([]uint64, nb+1)
-		for i := range d.blkT {
-			d.blkT[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		if d.blk, err = read(blk, "block-offset table"); err != nil {
+			return err
 		}
-		if lens[wbk] > 0 {
-			raw = make([]byte, lens[wbk])
-			if _, err := r.ReadAt(raw, starts[wbk]); err != nil {
-				return badf("reading weight block-offset table: %v", err)
-			}
-			d.wbkT = make([]uint64, nb+1)
-			for i := range d.wbkT {
-				d.wbkT[i] = binary.LittleEndian.Uint64(raw[8*i:])
-			}
-		}
-		return nil
+		d.wbk, err = read(wbk, "weight block-offset table")
+		return err
 	}
 	if err := load(&g.out, secOutOff, secOutBlk, secOutAdj, secOutWBlk, secOutW); err != nil {
 		return nil, err
@@ -590,31 +571,18 @@ func (g *Graph) numBlocks() int64 {
 // edgeOff returns the cumulative edge count before vertex v (0 ≤ v ≤ n).
 // Safe for concurrent use.
 func (g *Graph) edgeOff(d *dirRef, v int64) int64 {
-	switch {
-	case d.off != nil:
-		if g.wide {
-			return int64(binary.LittleEndian.Uint64(d.off[8*v:]))
-		}
-		return int64(binary.LittleEndian.Uint32(d.off[4*v:]))
-	case d.off64 != nil:
-		return int64(d.off64[v])
-	default:
-		return int64(d.off32[v])
+	if g.wide {
+		return int64(binary.LittleEndian.Uint64(d.off[8*v:]))
 	}
+	return int64(binary.LittleEndian.Uint32(d.off[4*v:]))
 }
 
 func (g *Graph) blockOff(d *dirRef, b int64) int64 {
-	if d.blk != nil {
-		return int64(binary.LittleEndian.Uint64(d.blk[8*b:]))
-	}
-	return int64(d.blkT[b])
+	return int64(binary.LittleEndian.Uint64(d.blk[8*b:]))
 }
 
 func (g *Graph) wBlockOff(d *dirRef, b int64) int64 {
-	if d.wbk != nil {
-		return int64(binary.LittleEndian.Uint64(d.wbk[8*b:]))
-	}
-	return int64(d.wbkT[b])
+	return int64(binary.LittleEndian.Uint64(d.wbk[8*b:]))
 }
 
 // NumVertices is safe for concurrent use.

@@ -11,7 +11,7 @@
 // reduction accumulators) is owned by the scheduler and reused. A
 // steady-state phase therefore performs no heap allocations and no goroutine
 // creation — only channel wake-ups. A Scheduler is NOT safe for concurrent
-// use: one phase (Run / ReduceI64 / Tasks / ParallelFor) runs at a time,
+// use: one phase (Run / ReduceI64 / ParallelFor) runs at a time,
 // always dispatched from the same goroutine discipline the engine already
 // follows.
 package ws
@@ -89,16 +89,10 @@ type Scheduler struct {
 	acc   []paddedI64
 	redFn func(chunkLo, chunkHi uint32, thread int) int64
 
-	// Tasks state.
-	taskN    int64
-	taskNext atomic.Int64
-	taskFn   func(task int)
-
 	// Method values bound once at construction so dispatching a phase never
 	// allocates a closure.
-	runBody  func(t int)
-	taskBody func(t int)
-	redWrap  func(chunkLo, chunkHi uint32, thread int)
+	runBody func(t int)
+	redWrap func(chunkLo, chunkHi uint32, thread int)
 }
 
 // New returns a scheduler with the given thread count (<=0 means
@@ -109,7 +103,6 @@ func New(threads int, stealing bool) *Scheduler {
 	}
 	s := &Scheduler{threads: threads, stealing: stealing}
 	s.runBody = s.runWorker
-	s.taskBody = s.taskWorker
 	s.redWrap = s.reduceChunk
 	return s
 }
@@ -411,41 +404,4 @@ func (s *Scheduler) ReduceI64(lo, hi uint32, fn func(chunkLo, chunkHi uint32, th
 // accumulator.
 func (s *Scheduler) reduceChunk(clo, chi uint32, th int) {
 	s.acc[th].v += s.redFn(clo, chi, th)
-}
-
-// Tasks runs fn(task) for every task in [0, n) across the scheduler's
-// threads, balancing through a shared atomic cursor. It is meant for small
-// fixed task counts (per-thread buffers, per-rank merges) where Run's
-// vertex-range chunking does not apply; fn must be safe to call
-// concurrently for different tasks and must not re-enter the scheduler.
-func (s *Scheduler) Tasks(n int, fn func(task int)) {
-	if n <= 0 {
-		return
-	}
-	workers := s.threads
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	s.taskN = int64(n)
-	s.taskNext.Store(0)
-	s.taskFn = fn
-	s.dispatch(s.taskBody, workers)
-	s.taskFn = nil
-}
-
-// taskWorker drains the shared task cursor.
-func (s *Scheduler) taskWorker(int) {
-	for {
-		c := s.taskNext.Add(1) - 1
-		if c >= s.taskN {
-			return
-		}
-		s.taskFn(int(c))
-	}
 }

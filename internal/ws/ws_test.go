@@ -248,11 +248,6 @@ func TestPoolReuseAcrossPhases(t *testing.T) {
 		if chunks != 12 {
 			t.Fatalf("round %d: stale stats, %d chunks", round, chunks)
 		}
-		var tasks atomic.Int64
-		s.Tasks(7, func(int) { tasks.Add(1) })
-		if tasks.Load() != 7 {
-			t.Fatalf("round %d: %d tasks ran", round, tasks.Load())
-		}
 		sum, _ := s.ReduceI64(0, 100, func(clo, chi uint32, _ int) int64 {
 			return int64(chi - clo)
 		})
@@ -276,7 +271,7 @@ func TestCloseIsIdempotentAndLazy(t *testing.T) {
 	s2.Close()
 }
 
-// A steady-state Run/ReduceI64/Tasks phase must not allocate: the pool,
+// A steady-state Run/ReduceI64 phase must not allocate: the pool,
 // spans, counters and accumulators are all reused. This is the scheduler's
 // share of the zero-allocation superstep contract.
 func TestPhasesDoNotAllocate(t *testing.T) {
@@ -284,37 +279,15 @@ func TestPhasesDoNotAllocate(t *testing.T) {
 		s := New(threads, true)
 		fn := func(_, _ uint32, _ int) {}
 		red := func(clo, chi uint32, _ int) int64 { return int64(chi - clo) }
-		task := func(int) {}
 		s.Run(0, 10000, fn) // warm up: pool + arrays
 		s.ReduceI64(0, 10000, red)
-		s.Tasks(64, task)
 		if a := testing.AllocsPerRun(20, func() { s.Run(0, 10000, fn) }); a > 0 {
 			t.Errorf("threads=%d: Run allocates %.1f objects per phase", threads, a)
 		}
 		if a := testing.AllocsPerRun(20, func() { s.ReduceI64(0, 10000, red) }); a > 0 {
 			t.Errorf("threads=%d: ReduceI64 allocates %.1f objects per phase", threads, a)
 		}
-		if a := testing.AllocsPerRun(20, func() { s.Tasks(64, task) }); a > 0 {
-			t.Errorf("threads=%d: Tasks allocates %.1f objects per phase", threads, a)
-		}
 		s.Close()
-	}
-}
-
-func TestTasksRunsEachTaskOnce(t *testing.T) {
-	for _, threads := range []int{1, 2, 5} {
-		for _, n := range []int{0, 1, 3, 100} {
-			s := New(threads, false)
-			seen := make([]int32, n)
-			s.Tasks(n, func(task int) {
-				atomic.AddInt32(&seen[task], 1)
-			})
-			for task, c := range seen {
-				if c != 1 {
-					t.Fatalf("threads=%d n=%d: task %d ran %d times", threads, n, task, c)
-				}
-			}
-		}
 	}
 }
 
