@@ -7,6 +7,7 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -214,53 +215,112 @@ var ErrVertexOutOfRange = errors.New("graph: edge endpoint out of range")
 // is irrelevant; parallel edges and self-loops are preserved (the paper's
 // datasets contain both). Weights of zero are allowed.
 //
-// Only the CSR is sorted: a counting sort by source, then a key sort of
-// each out-list. The CSC is the sorted CSR's stable transpose — walking
-// sources in ascending order fills every in-list by ascending source, and
-// parallel edges arrive in the CSR's weight order — so it comes out in
-// the same (neighbour id, weight) order a sort would give it.
+// Build counting-sorts the edges by source into a CSR and finishes it as
+// FromCSR does. Both counting sorts, this one and the transpose, run on
+// every core and give the arrays a serial pass gives (see countingSort).
 func Build(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, errors.New("graph: negative vertex count")
 	}
-	outOff, inOff := make([]int64, n+1), make([]int64, n+1)
-	for _, e := range edges {
-		if int64(e.Src) >= int64(n) || int64(e.Dst) >= int64(n) {
-			return nil, fmt.Errorf("%w: (%d -> %d) with n=%d", ErrVertexOutOfRange, e.Src, e.Dst, n)
-		}
-		outOff[e.Src+1]++
-		inOff[e.Dst+1]++
+	sched := ws.New(0, true)
+	defer sched.Close()
+	off, ids, w := make([]int64, n+1), make([]VertexID, len(edges)), make([]float32, len(edges))
+	err := countingSort(sched, n, len(edges), off,
+		func(lo, hi int, hist []int64) error {
+			for _, e := range edges[lo:hi] {
+				if int64(e.Src) >= int64(n) || int64(e.Dst) >= int64(n) {
+					return fmt.Errorf("%w: (%d -> %d) with n=%d", ErrVertexOutOfRange, e.Src, e.Dst, n)
+				}
+				hist[e.Src]++
+			}
+			return nil
+		},
+		func(lo, hi int, next []int64) {
+			for _, e := range edges[lo:hi] {
+				ids[next[e.Src]], w[next[e.Src]] = e.Dst, e.Weight
+				next[e.Src]++
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
-	for v := 0; v < n; v++ {
-		outOff[v+1] += outOff[v]
-		inOff[v+1] += inOff[v]
-	}
+	return finish(sched, n, off, ids, w), nil
+}
 
-	outDst := make([]VertexID, len(edges))
-	outW := make([]float32, len(edges))
-	cursor := slices.Clone(outOff[:n])
-	for _, e := range edges {
-		p := cursor[e.Src]
-		cursor[e.Src]++
-		outDst[p], outW[p] = e.Dst, e.Weight
-	}
-	sortAdjacency(outOff, outDst, outW, n)
+// FromCSR returns the graph whose out-lists are grouped by source, in any
+// order: v's list is ids[off[v]:off[v+1]], weighted by w[off[v]:off[v+1]].
+// The offsets must run from 0 to len(ids) == len(w) without falling, and
+// every id must be below n. FromCSR takes the arrays over, key-sorts each
+// list and transposes the CSR into the CSC: over the same edges it gives
+// Build's graph.
+func FromCSR(n int, off []int64, ids []VertexID, w []float32) *Graph {
+	sched := ws.New(0, true)
+	defer sched.Close()
+	return finish(sched, n, off, ids, w)
+}
 
-	inSrc := make([]VertexID, len(edges))
-	inW := make([]float32, len(edges))
-	copy(cursor, inOff)
-	for v := 0; v < n; v++ {
-		for i := outOff[v]; i < outOff[v+1]; i++ {
-			d := outDst[i]
-			p := cursor[d]
-			cursor[d]++
-			inSrc[p], inW[p] = VertexID(v), outW[i]
-		}
+// finish is FromCSR on sched. The CSC is the sorted CSR's stable
+// transpose, so every in-list comes out in (neighbour id, weight) order.
+func finish(sched *ws.Scheduler, n int, off []int64, ids []VertexID, w []float32) *Graph {
+	sortAdjacency(sched, off, ids, w, n)
+	inOff, inSrc, inW := make([]int64, n+1), make([]VertexID, len(ids)), make([]float32, len(ids))
+	countingSort(sched, n, len(ids), inOff,
+		func(lo, hi int, hist []int64) error {
+			for _, d := range ids[lo:hi] {
+				hist[d]++
+			}
+			return nil
+		},
+		func(lo, hi int, next []int64) {
+			// The part starts in the first list ending past edge lo.
+			v, _ := slices.BinarySearch(off[1:], int64(lo)+1)
+			for ; v < n && off[v] < int64(hi); v++ {
+				for i := max(off[v], int64(lo)); i < min(off[v+1], int64(hi)); i++ {
+					p := next[ids[i]]
+					next[ids[i]]++
+					inSrc[p], inW[p] = VertexID(v), w[i]
+				}
+			}
+		})
+	return &Graph{n: int64(n), m: int64(len(ids)), out: side{base: csr{off, ids, w}}, in: side{base: csr{inOff, inSrc, inW}}}
+}
+
+// testParts, when positive, overrides partsFor in tests.
+var testParts int
+
+// partsFor returns the part count of a counting sort of m edges into n
+// lists: one per thread, while each part gets 2^16 and over n edges.
+func partsFor(sched *ws.Scheduler, n, m int) int {
+	return cmp.Or(testParts, max(1, min(sched.Threads(), m>>16, m/(n+1))))
+}
+
+// countingSort is a stable counting sort of m items into n buckets, which
+// fills off with the bucket offsets. The items are split into partsFor
+// contiguous parts, each counted by count(lo, hi, hist) into its own
+// histogram and placed by place(lo, hi, next) at next[bucket]++. A prefix
+// sum in part order turns the histograms into cursors, so every bucket
+// holds its items in input order. A count error stops the sort.
+func countingSort(sched *ws.Scheduler, n, m int, off []int64,
+	count func(lo, hi int, hist []int64) error, place func(lo, hi int, next []int64)) error {
+	parts := partsFor(sched, n, m)
+	hist := make([]int64, parts*n)
+	errs := make([]error, parts)
+	eachPart := func(fn func(p int)) { // one part per scheduler chunk
+		sched.Run(0, uint32(parts)*ws.ChunkSize, func(lo, _ uint32, _ int) { fn(int(lo / ws.ChunkSize)) })
 	}
-	g := &Graph{n: int64(n), m: int64(len(edges))}
-	g.out.base = csr{outOff, outDst, outW}
-	g.in.base = csr{inOff, inSrc, inW}
-	return g, nil
+	eachPart(func(p int) { errs[p] = count(m*p/parts, m*(p+1)/parts, hist[p*n:(p+1)*n]) })
+	if err := cmp.Or(errs...); err != nil {
+		return err
+	}
+	var run int64
+	for v := 0; v < n; v++ {
+		for p := v; p < len(hist); p += n {
+			hist[p], run = run, run+hist[p]
+		}
+		off[v+1] = run
+	}
+	eachPart(func(p int) { place(m*p/parts, m*(p+1)/parts, hist[p*n:(p+1)*n]) })
+	return nil
 }
 
 // MustBuild is Build that panics on error, for tests and generators whose
@@ -281,14 +341,9 @@ func MustBuild(n int, edges []Edge) *Graph {
 // half), sorted by sortSegment, and unpacked; the key is self-contained,
 // so no permutation tracking is needed, and a weight keeps its exact bits.
 // Segments are independent, so the per-vertex sorts run chunk-parallel on
-// a scheduler — graph formatting is a fixed cost on every load (§3.1's
+// sched — graph formatting is a fixed cost on every load (§3.1's
 // Formatting stage).
-func sortAdjacency(off []int64, ids []VertexID, w []float32, n int) {
-	if n == 0 {
-		return
-	}
-	sched := ws.New(0, true)
-	defer sched.Close()
+func sortAdjacency(sched *ws.Scheduler, off []int64, ids []VertexID, w []float32, n int) {
 	scratch := make([][]uint64, sched.Threads())
 	sched.Run(0, uint32(n), func(clo, chi uint32, th int) {
 		buf := scratch[th]
@@ -332,8 +387,8 @@ func sortSegment(keys []uint64, ids []VertexID, w []float32) []uint64 {
 
 // inKeyOrder reports whether a segment is already sorted by AdjSortKey.
 func inKeyOrder(ids []VertexID, w []float32) bool {
-	for i := 1; i < len(ids); i++ {
-		if AdjSortKey(ids[i-1], w[i-1]) > AdjSortKey(ids[i], w[i]) {
+	for i := 1; i < len(ids) && i < len(w); i++ {
+		if ids[i-1] > ids[i] || ids[i-1] == ids[i] && orderedWeightBits(w[i-1]) > orderedWeightBits(w[i]) {
 			return false
 		}
 	}

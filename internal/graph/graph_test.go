@@ -256,26 +256,6 @@ func TestQuickAdjacencySorted(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild builds from edges in random order and from the same edges
-// in CSR order, the order a .slfg file stores them in.
-func BenchmarkBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	edges := randomEdges(rng, 10000, 100000)
-	for _, in := range []struct {
-		name  string
-		edges []Edge
-	}{{"random", edges}, {"csr-order", MustBuild(10000, edges).Edges(nil)}} {
-		b.Run(in.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := Build(10000, in.edges); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // The packed parallel adjacency sort must agree with a plain reference
 // sort: ascending neighbour id, ties broken by ascending weight, parallel
 // edges preserved.

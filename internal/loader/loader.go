@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -182,7 +183,18 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if sized {
 		capHint = min(m, uint64(max(size-24, 0))/12)
 	}
-	edges := make([]graph.Edge, 0, capHint)
+	// Records whose sources ascend (every file WriteBinary writes) are
+	// decoded straight into the CSR's out-arrays; from the first record
+	// whose source falls, the records go through an edge list and Build.
+	off, last := make([]int64, n+1), uint32(0)
+	ids, w := make([]graph.VertexID, 0, capHint), make([]float32, 0, capHint)
+	csr := func() *graph.Graph {
+		for v := uint64(last) + 1; v <= n; v++ {
+			off[v] = int64(len(ids))
+		}
+		return graph.FromCSR(int(n), off, ids, w)
+	}
+	var edges []graph.Edge
 	// Batched block reads: one ReadFull per 4096 records instead of one
 	// per edge, sized in records first so no edge count overflows it. A
 	// truncation is reported with the index of the first edge it corrupts.
@@ -192,12 +204,19 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated at edge %d: %v", ErrBadFormat, i+uint64(nr)/12, io.ErrUnexpectedEOF)
 		}
-		for o := 0; o < nr; o += 12 {
-			edges = append(edges, graph.Edge{
-				Src:    graph.VertexID(binary.LittleEndian.Uint32(buf[o:])),
-				Dst:    graph.VertexID(binary.LittleEndian.Uint32(buf[o+4:])),
-				Weight: math.Float32frombits(binary.LittleEndian.Uint32(buf[o+8:])),
-			})
+		rest := buf[:nr]
+		if edges == nil {
+			rest, last, ids, w = decodeCSR(rest, n, last, off, ids, w)
+		}
+		for ; len(rest) >= 12; rest = rest[12:] {
+			e := graph.Edge{Src: le.Uint32(rest), Dst: le.Uint32(rest[4:8]), Weight: math.Float32frombits(le.Uint32(rest[8:12]))}
+			if uint64(e.Src) >= n || uint64(e.Dst) >= n {
+				return nil, fmt.Errorf("%w: (%d -> %d) with n=%d", graph.ErrVertexOutOfRange, e.Src, e.Dst, n)
+			}
+			if edges == nil {
+				edges = csr().Edges(make([]graph.Edge, 0, capHint))
+			}
+			edges = append(edges, e)
 		}
 		i += uint64(nr) / 12
 	}
@@ -207,7 +226,39 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	case err != io.EOF:
 		return nil, fmt.Errorf("loader: %w", err)
 	}
-	return graph.Build(int(n), edges)
+	if edges != nil {
+		return graph.Build(int(n), edges)
+	}
+	return csr(), nil
+}
+
+var le = binary.LittleEndian
+
+// decodeCSR appends records to a CSR's out-arrays while their sources
+// ascend from last and their endpoints are below n, setting off[v] once a
+// record from v or a later source arrives. It returns the records from
+// the first that breaks either, the latest source and the arrays.
+func decodeCSR(recs []byte, n uint64, last uint32, off []int64, ids []graph.VertexID, w []float32) ([]byte, uint32, []graph.VertexID, []float32) {
+	k, r := len(ids), len(recs)/12
+	ids, w = slices.Grow(ids, r)[:k+r], slices.Grow(w, r)[:k+r]
+	for ; len(recs) >= 12 && k < len(ids) && k < len(w); recs = recs[12:] {
+		src, dst := le.Uint32(recs), le.Uint32(recs[4:8])
+		if src != last {
+			if src < last || uint64(src) >= n {
+				break
+			}
+			for v := last + 1; v <= src; v++ {
+				off[v] = int64(k)
+			}
+			last = src
+		}
+		if uint64(dst) >= n {
+			break
+		}
+		ids[k], w[k] = dst, math.Float32frombits(le.Uint32(recs[8:12]))
+		k++
+	}
+	return recs, last, ids[:k], w[:k]
 }
 
 // sizeOf bounds how many bytes r can still deliver, when it can tell:

@@ -2,12 +2,15 @@ package loader
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -230,23 +233,90 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkLoadBinary loads an R-MAT .slfg file, whose records WriteBinary
-// writes in CSR order, from disk into a heap graph.
+// ReadBinary parses records whose sources ascend straight into the CSR and
+// routes any other order through Build; either way the graph must be
+// Build's over the same records, whichever record first breaks the order.
+// 2^17 edges make the build run over more than one part on a multi-core
+// host.
+func TestReadBinaryAnyRecordOrder(t *testing.T) {
+	const n = 1 << 12
+	csr := gen.RMAT(n, 1<<17, gen.DefaultRMAT, 8, 5).Edges(nil)
+	last := len(csr) - 1
+	shuffled := slices.Clone(csr)
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, edges := range map[string][]graph.Edge{
+		"csr order":      csr,
+		"shuffled":       shuffled,
+		"last first":     append([]graph.Edge{csr[last]}, csr[:last]...),
+		"first last":     append(slices.Clone(csr[1:]), csr[0]),
+		"one record":     csr[:1],
+		"reverse halves": append(slices.Clone(csr[last/2:]), csr[:last/2]...),
+	} {
+		g, err := ReadBinary(bytes.NewReader(records(n, edges)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameArrays(g, graph.MustBuild(n, edges)) {
+			t.Fatalf("%s: ReadBinary's graph differs from Build's", name)
+		}
+	}
+}
+
+// records returns an .slfg file holding edges as they come, in whatever
+// order, where WriteBinary writes a graph's edges in CSR order.
+func records(n int, edges []graph.Edge) []byte {
+	le := binary.LittleEndian
+	buf := le.AppendUint32([]byte(Magic), 1)
+	buf = le.AppendUint64(buf, uint64(n))
+	buf = le.AppendUint64(buf, uint64(len(edges)))
+	for _, e := range edges {
+		buf = le.AppendUint32(buf, e.Src)
+		buf = le.AppendUint32(buf, e.Dst)
+		buf = le.AppendUint32(buf, math.Float32bits(e.Weight))
+	}
+	return buf
+}
+
+// BenchmarkLoadBinary loads R-MAT .slfg files from disk into a heap graph:
+// records in CSR order, as WriteBinary writes them, and at G-batch's size
+// (2^17 vertices, 2^21 edges) also in generator order.
 func BenchmarkLoadBinary(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "g.slfg")
-	if err := SaveFile(path, gen.RMAT(1<<16, 1<<20, gen.DefaultRMAT, 64, 1)); err != nil {
+	dir := b.TempDir()
+	var rmat []graph.Edge
+	if err := gen.RMATStream(1<<17, 1<<21, gen.DefaultRMAT, 64, 1, func(s, d graph.VertexID, w float32) error {
+		rmat = append(rmat, graph.Edge{Src: s, Dst: d, Weight: w})
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fi.Size())
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := LoadFile(path); err != nil {
+	for _, in := range []struct {
+		name  string
+		write func(path string) error
+	}{
+		{"csr-order-2^20", func(path string) error { return SaveFile(path, gen.RMAT(1<<16, 1<<20, gen.DefaultRMAT, 64, 1)) }},
+		{"gen-order-2^21", func(path string) error { return os.WriteFile(path, records(1<<17, rmat), 0o644) }},
+		{"csr-order-2^21", func(path string) error { return SaveFile(path, graph.MustBuild(1<<17, rmat)) }},
+	} {
+		path := filepath.Join(dir, in.name+".slfg")
+		if err := in.write(path); err != nil {
 			b.Fatal(err)
 		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(fi.Size())
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := LoadFile(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

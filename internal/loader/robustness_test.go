@@ -95,6 +95,9 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	lying := []byte(Magic + "\x01\x00\x00\x00\x10\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00")
 	f.Add(lying) // 2^32-1 edges declared, none present
+	shuffled := gen.RMAT(64, 256, gen.DefaultRMAT, 8, 3).Edges(nil)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	f.Add(records(64, shuffled)) // records whose sources do not ascend
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -97,23 +97,6 @@ func NewChunkedUniform(n, nodes int) (*Chunked, error) {
 	return &Chunked{boundaries: b}, nil
 }
 
-// Owner returns the node owning v by binary search over the boundaries;
-// empty ranges are skipped by the search direction. Sparse delta-sync calls
-// it once per routed out-neighbour, hence the plain loop instead of
-// sort.Search and its closure.
-func (c *Chunked) Owner(v graph.VertexID) int {
-	lo, hi := 0, len(c.boundaries)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.boundaries[mid+1] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Nodes returns the node count.
 func (c *Chunked) Nodes() int { return len(c.boundaries) - 1 }
 

@@ -24,8 +24,8 @@ func TestChunkedCoversDisjoint(t *testing.T) {
 		for node := 0; node < nodes; node++ {
 			p.Owned(node, func(v graph.VertexID) bool {
 				seen[v]++
-				if p.Owner(v) != node {
-					t.Fatalf("Owner(%d) = %d, want %d", v, p.Owner(v), node)
+				if lo, hi := p.Range(node); v < lo || v >= hi {
+					t.Fatalf("node %d owns %d outside its range [%d,%d)", node, v, lo, hi)
 				}
 				return true
 			})
@@ -122,13 +122,13 @@ func TestUniformRanges(t *testing.T) {
 	if lo != 0 || hi != 33 {
 		t.Errorf("Range(0) = [%d,%d)", lo, hi)
 	}
-	if p.Owner(0) != 0 || p.Owner(33) != 1 || p.Owner(99) != 2 {
-		t.Errorf("Owner boundaries wrong: %d %d %d", p.Owner(0), p.Owner(33), p.Owner(99))
+	if lo, hi := p.Range(2); lo != 66 || hi != 100 {
+		t.Errorf("Range(2) = [%d,%d)", lo, hi)
 	}
 }
 
-// Property: every partition covers all vertices exactly once, and Owner
-// agrees with Owned, for random graphs and node counts.
+// Property: every partition covers all vertices exactly once, and every
+// vertex Owned yields lies in its node's Range, for random graphs and node counts.
 func TestQuickPartitionInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -145,7 +145,7 @@ func TestQuickPartitionInvariants(t *testing.T) {
 				p.Owned(node, func(v graph.VertexID) bool {
 					seen[v]++
 					count++
-					if p.Owner(v) != node {
+					if lo, hi := p.Range(node); v < lo || v >= hi {
 						seen[v] = -1000
 					}
 					return true
@@ -187,62 +187,6 @@ func TestFromBoundsValidation(t *testing.T) {
 	p.Bounds()[2] = 9
 	if got := p.Bounds(); !slices.Equal(got, []uint32{0, 0, 5}) {
 		t.Errorf("Bounds = %v, want [0 0 5]: the partition shares an array with its caller", got)
-	}
-}
-
-// linearOwner is Owner's oracle: the node whose [lo, hi) holds v.
-func linearOwner(bounds []uint32, v uint32) int {
-	for i := 0; i+1 < len(bounds); i++ {
-		if bounds[i] <= v && v < bounds[i+1] {
-			return i
-		}
-	}
-	return -1
-}
-
-// Owner must agree with a linear scan on every vertex, including next to
-// empty ranges at the start, in the middle and at the end.
-func TestOwnerMatchesLinearScan(t *testing.T) {
-	for _, bounds := range [][]uint32{
-		{0, 40},
-		{0, 10, 10, 25, 40},
-		{0, 0, 0, 7, 40},
-		{0, 13, 40, 40, 40},
-		{0, 1, 2, 3, 4, 40},
-		{0, 39, 40},
-	} {
-		p, err := FromBounds(bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := uint32(0); v < 40; v++ {
-			if got, want := p.Owner(v), linearOwner(bounds, v); got != want {
-				t.Fatalf("bounds %v: Owner(%d) = %d, want %d", bounds, v, got, want)
-			}
-		}
-	}
-}
-
-func TestOwnerProperty(t *testing.T) {
-	f := func(raw []uint32, v uint32) bool {
-		bounds := []uint32{0}
-		cur := uint32(0)
-		for _, b := range raw {
-			cur += b % 1000 // zero steps make empty ranges
-			bounds = append(bounds, cur)
-		}
-		if len(bounds) < 2 || cur == 0 {
-			return true
-		}
-		p, err := FromBounds(bounds)
-		if err != nil {
-			return false
-		}
-		v %= cur
-		return p.Owner(v) == linearOwner(bounds, v)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -11,7 +11,7 @@
 // reduction accumulators) is owned by the scheduler and reused. A
 // steady-state phase therefore performs no heap allocations and no goroutine
 // creation — only channel wake-ups. A Scheduler is NOT safe for concurrent
-// use: one phase (Run / ReduceI64 / ParallelFor) runs at a time,
+// use: one phase (Run / RunOverlap / ReduceI64) runs at a time,
 // always dispatched from the same goroutine discipline the engine already
 // follows.
 package ws
@@ -368,15 +368,6 @@ func (s *Scheduler) RunOverlap(lo, hi uint32, fn func(chunkLo, chunkHi uint32, t
 	s.mark = false
 	s.fn = nil
 	return Stats{ChunksPerThread: s.perThread, Steals: s.steals.Load()}
-}
-
-// ParallelFor is a convenience wrapper calling fn once per vertex.
-func (s *Scheduler) ParallelFor(lo, hi uint32, fn func(v uint32, thread int)) Stats {
-	return s.Run(lo, hi, func(clo, chi uint32, thread int) {
-		for v := clo; v < chi; v++ {
-			fn(v, thread)
-		}
-	})
 }
 
 // ReduceI64 runs fn over every mini-chunk of [lo, hi) like Run and returns

@@ -34,8 +34,10 @@ func TestCoversEveryVertexOnce(t *testing.T) {
 			const lo, hi = 13, 5000
 			seen := make([]int32, hi)
 			s := New(threads, stealing)
-			s.ParallelFor(lo, hi, func(v uint32, _ int) {
-				atomic.AddInt32(&seen[v], 1)
+			s.Run(lo, hi, func(clo, chi uint32, _ int) {
+				for v := clo; v < chi; v++ {
+					atomic.AddInt32(&seen[v], 1)
+				}
 			})
 			for v := 0; v < lo; v++ {
 				if seen[v] != 0 {
@@ -182,9 +184,11 @@ func TestQuickExactCover(t *testing.T) {
 		var visited sync.Map
 		ok := atomic.Bool{}
 		ok.Store(true)
-		New(threads, stealing).ParallelFor(lo, hi, func(v uint32, _ int) {
-			if _, dup := visited.LoadOrStore(v, true); dup {
-				ok.Store(false)
+		New(threads, stealing).Run(lo, hi, func(clo, chi uint32, _ int) {
+			for v := clo; v < chi; v++ {
+				if _, dup := visited.LoadOrStore(v, true); dup {
+					ok.Store(false)
+				}
 			}
 		})
 		if !ok.Load() {
