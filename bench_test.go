@@ -63,7 +63,6 @@ func BenchmarkFigure10Balance(b *testing.B)            { runExperiment(b, "fig10
 
 func BenchmarkAblationDenseThreshold(b *testing.B) { runExperiment(b, "ablation-dense") }
 func BenchmarkAblationGuidanceReuse(b *testing.B)  { runExperiment(b, "ablation-guidance") }
-func BenchmarkAblationRebalance(b *testing.B)      { runExperiment(b, "ablation-rebalance") }
 func BenchmarkAnalyticsApps(b *testing.B)          { runExperiment(b, "analytics") }
 func BenchmarkAblationIncrementalRRG(b *testing.B) { runExperiment(b, "ablation-incremental") }
 

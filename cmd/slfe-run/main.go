@@ -55,7 +55,6 @@ func main() {
 	threads := flag.Int("threads", 0, "threads per node (0 = GOMAXPROCS)")
 	rr := flag.Bool("rr", true, "enable redundancy reduction (slfe)")
 	stealing := flag.Bool("stealing", true, "enable work stealing (slfe)")
-	rebalance := flag.Bool("rebalance", false, "enable dynamic inter-node rebalancing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
 	iters := flag.Int("iters", 30, "iterations for arithmetic apps")
 	verbose := flag.Bool("v", false, "print per-iteration statistics")
@@ -97,8 +96,7 @@ func main() {
 		fatal(err)
 	}
 
-	opt := cluster.Options{Nodes: *nodes, Threads: *threads, Stealing: *stealing, RR: *rr,
-		Rebalance: *rebalance}
+	opt := cluster.Options{Nodes: *nodes, Threads: *threads, Stealing: *stealing, RR: *rr}
 	if *nodes > 1 {
 		opt.Codec = compress.Adaptive{W: width}
 	}
@@ -238,12 +236,12 @@ func usage() {
 
 // rejectIgnoredFlags refuses a run that names a flag nothing would read: a
 // flag only the SLFE engine reads on a baseline run, so -system ligra
-// -rebalance fails up front instead of silently running without it.
+// -rr=false fails up front instead of silently running without it.
 func rejectIgnoredFlags(system string) error {
 	var slfeOnly []string
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "rr", "stealing", "rebalance":
+		case "rr", "stealing":
 			slfeOnly = append(slfeOnly, "-"+f.Name)
 		}
 	})

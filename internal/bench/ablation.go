@@ -49,34 +49,6 @@ func AblationDense(c Config) error {
 	return tw.Flush()
 }
 
-// AblationRebalance evaluates the §5 future-work item implemented in
-// internal/balance: dynamic inter-node boundary adjustment. It reports the
-// Figure 10b imbalance statistic and runtime with rebalancing off and on.
-func AblationRebalance(c Config) error {
-	c.defaults()
-	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Ablation: dynamic inter-node rebalancing (§5 future work)")
-	fmt.Fprintln(tw, "app\tgraph\trebalance\tseconds\timbalance\tmoves")
-	for _, app := range []string{"SSSP", "PR"} {
-		for _, name := range []string{"LJ", "FS"} {
-			for _, reb := range []bool{false, true} {
-				res, err := c.RunSLFE(app, name, c.Nodes, true, func(o *cluster.Options) {
-					o.Rebalance = reb
-					o.RebalanceEvery = 2
-					o.RebalanceDamping = 0.5
-				})
-				if err != nil {
-					return err
-				}
-				m := metrics.Merge(res.PerWorker)
-				fmt.Fprintf(tw, "%s\t%s\t%v\t%.4f\t%.3f\t%d\n", app, name, reb,
-					res.Elapsed.Seconds(), metrics.Imbalance(res.PerWorker), m.Rebalances)
-			}
-		}
-	}
-	return tw.Flush()
-}
-
 // AblationIncremental quantifies incremental guidance maintenance
 // (rrg.Guidance.Update, the §5 "minimise preprocessing overhead" future
 // work): after a batch of edge insertions, updating the existing guidance

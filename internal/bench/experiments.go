@@ -298,7 +298,6 @@ var Experiments = []Experiment{
 	{"fig10", Figure10},
 	{"ablation-dense", AblationDense},
 	{"ablation-guidance", AblationGuidanceReuse},
-	{"ablation-rebalance", AblationRebalance},
 	{"ablation-incremental", AblationIncremental},
 	{"analytics", Analytics},
 }

@@ -58,10 +58,11 @@ type State struct {
 	// independent of the file name the shard was read from.
 	Rank uint32
 	// Bounds are the partition boundaries of the run that wrote the shard
-	// (nodes+1 entries, the last one |V|). The shard holds the owned range
-	// [Bounds[Rank], Bounds[Rank+1]); Merge groups shards by identical
-	// bounds and places each range by them. A merged state has no Bounds:
-	// it holds every vertex.
+	// (nodes+1 entries, the last one |V|): the run's one static ownership
+	// map, so every tick of a run records the same Bounds. The shard holds
+	// the owned range [Bounds[Rank], Bounds[Rank+1]); Merge groups shards by
+	// identical bounds and places each range by them. A merged state has no
+	// Bounds: it holds every vertex.
 	Bounds []uint32
 	// Values is the owner's property array as the domain's wire words:
 	// element i is vertex Bounds[Rank]+i, or vertex i in a merged state.

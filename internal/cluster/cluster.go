@@ -47,13 +47,6 @@ type Options struct {
 	// MeasureAllocs records per-superstep heap-allocation deltas; see
 	// core.Config.MeasureAllocs (only attributable with Nodes=1).
 	MeasureAllocs bool
-	// Rebalance enables dynamic inter-node boundary adjustment; see
-	// core.Config.Rebalance.
-	Rebalance bool
-	// RebalanceEvery is the rebalance window in iterations (default 4).
-	RebalanceEvery int
-	// RebalanceDamping in (0,1] scales boundary moves (default 0.5).
-	RebalanceDamping float64
 	// Ckpt enables superstep checkpointing; see core.Config.Ckpt. With
 	// Ckpt.Resume the run restarts from Ckpt.MergeLatest, merged once for
 	// all ranks.
@@ -166,21 +159,18 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 		go func(rank int) {
 			defer wg.Done()
 			cfg := core.Config{
-				Graph:            g,
-				Comm:             s.comms[rank],
-				Part:             part,
-				RR:               opt.RR,
-				Guidance:         out.Guidance,
-				Sched:            s.scheds[rank],
-				DenseDivisor:     opt.DenseDivisor,
-				TrackLastChange:  opt.TrackLastChange,
-				Codec:            opt.Codec,
-				MeasureAllocs:    opt.MeasureAllocs,
-				Rebalance:        opt.Rebalance,
-				RebalanceEvery:   opt.RebalanceEvery,
-				RebalanceDamping: opt.RebalanceDamping,
-				Ckpt:             opt.Ckpt,
-				Restore:          restore,
+				Graph:           g,
+				Comm:            s.comms[rank],
+				Part:            part,
+				RR:              opt.RR,
+				Guidance:        out.Guidance,
+				Sched:           s.scheds[rank],
+				DenseDivisor:    opt.DenseDivisor,
+				TrackLastChange: opt.TrackLastChange,
+				Codec:           opt.Codec,
+				MeasureAllocs:   opt.MeasureAllocs,
+				Ckpt:            opt.Ckpt,
+				Restore:         restore,
 			}
 			eng, err := core.New[V](cfg)
 			if err != nil {

@@ -79,17 +79,11 @@ func TestOptionsCombinations(t *testing.T) {
 	}{
 		{"plain", func() Options { return Options{} }},
 		{"codec", func() Options { return Options{Codec: compress.Adaptive{}} }},
-		{"rebalance", func() Options { return Options{Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1} }},
 		{"rr+codec", func() Options { return Options{RR: true, Codec: compress.Adaptive{}} }},
-		{"rr+rebalance", func() Options { return Options{RR: true, Rebalance: true, RebalanceEvery: 2} }},
 		{"ckpt", func() Options { return Options{Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}} }},
-		{"ckpt+rebalance", func() Options {
-			return Options{Rebalance: true, RebalanceEvery: 1, RebalanceDamping: 1, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 2}}
-		}},
 		{"everything-compatible", func() Options {
 			return Options{RR: true, Stealing: true, Threads: 2,
-				Codec: compress.Adaptive{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3},
-				Rebalance: true, RebalanceEvery: 2, RebalanceDamping: 1}
+				Codec: compress.Adaptive{}, Ckpt: &ckpt.Manager{Dir: t.TempDir(), Every: 3}}
 		}},
 	}
 	sameAsBase := func(t *testing.T, res *RunResult[float64]) {

@@ -33,7 +33,7 @@ func (e *Engine[V]) checkpoint(p *Program[V], k kernel[V], st *state[V], iter in
 		Domain:  e.dom.Name,
 		Width:   uint8(e.dom.Width),
 		Rank:    uint32(e.comm.Rank()),
-		Bounds:  e.part.Bounds(),
+		Bounds:  e.cfg.Part.Bounds(),
 		Sets:    ck.sets,
 	}
 	stable := k.snapshot(&ck.snap)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"slices"
 	"sync"
@@ -184,72 +182,6 @@ func TestCheckpointRejectsWrongProgram(t *testing.T) {
 	_, errs := runWithCkpt(t, g, other, 2, m, -1, 0)
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("checkpoint for a different program accepted")
-	}
-}
-
-// Rebalancing moves ownership away from Part, and a shard holds the
-// values, StableCnt and frontier entries of the range it owned when it
-// was written. A run resumed mid-way — every later shard deleted — must
-// place each shard by its recorded bounds when it merges them, and finish
-// bit-identical to the static run under Part: both kernels under RR. The
-// resume point is the first checkpoint whose ranges had moved at an
-// earlier tick than its own, so supersteps ran under them before the tick.
-func TestCheckpointResumeUnderRebalance(t *testing.T) {
-	const nodes = 3
-	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 8, 7)
-	static, err := partition.NewChunked(g, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prog := range []func() *Program[float64]{testProgram, testArith} {
-		p := prog()
-		rr := withGuidance(t, g, p)
-		want := runCluster(t, g, p, nodes, rr)
-		run := func(m *ckpt.Manager) []*Result[float64] {
-			return runClusterAll(t, g, p, nodes, func(rank int, cfg *Config) {
-				rr(rank, cfg)
-				cfg.Rebalance, cfg.RebalanceEvery, cfg.RebalanceDamping = true, 3, 1
-				cfg.Ckpt = m
-			})
-		}
-		full := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
-		run(full)
-		latest, err := full.LatestComplete(nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at, prev := -1, static.Bounds()
-		for iter := 0; iter <= latest && at < 0; iter++ {
-			s, err := full.Load(iter, 0)
-			if errors.Is(err, fs.ErrNotExist) {
-				continue // the Ruler jumped over this iteration
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(s.Bounds, static.Bounds()) && slices.Equal(s.Bounds, prev) {
-				at = iter
-			}
-			prev = s.Bounds
-		}
-		if at < 0 || at == latest {
-			t.Fatalf("%s: no checkpoint with moved ranges before the last one (latest %d)", p.Name, latest)
-		}
-		early := &ckpt.Manager{Dir: t.TempDir(), Every: 1, Resume: true}
-		for rank := 0; rank < nodes; rank++ {
-			s, err := full.Load(at, rank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := early.Save(rank, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for rank, res := range run(early) {
-			if !sameValues(res.Values, want.Values) {
-				t.Fatalf("%s rank %d: resumed after iteration %d differs from the static run", p.Name, rank, at)
-			}
-		}
 	}
 }
 

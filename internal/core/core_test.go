@@ -48,6 +48,49 @@ func testProgram() *Program[float64] {
 	}
 }
 
+// runCluster executes p on a fresh in-process cluster and returns worker
+// 0's result.
+func runCluster(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, mutate func(rank int, cfg *Config)) *Result[float64] {
+	t.Helper()
+	return runClusterAll(t, g, p, nodes, mutate)[0]
+}
+
+func testArith() *Program[float64] {
+	return &Program[float64]{
+		Name: "test-pr",
+		Agg:  Arith,
+		InitValue: func(g graph.View, v graph.VertexID) Value {
+			if d := g.OutDegree(v); d > 0 {
+				return 1.0 / float64(d)
+			}
+			return 1.0
+		},
+		Gather: func(acc, src Value, _ float32) Value { return acc + src },
+		Apply: func(g graph.View, v graph.VertexID, acc, _ Value) Value {
+			rank := 0.15 + 0.85*acc
+			if d := g.OutDegree(v); d > 0 {
+				return rank / float64(d)
+			}
+			return rank
+		},
+		MaxIters:  25,
+		StableEps: 1e-7,
+	}
+}
+
+func withGuidance(t *testing.T, g *graph.Graph, p *Program[float64]) func(int, *Config) {
+	t.Helper()
+	roots := p.Roots
+	if len(roots) == 0 {
+		roots = rrg.DefaultRoots(g)
+	}
+	gd := rrg.Generate(g, roots, ws.New(2, false))
+	return func(_ int, cfg *Config) {
+		cfg.RR = true
+		cfg.Guidance = gd
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	g := gen.Path(10)
 	part, _ := partition.NewChunked(g, 1)

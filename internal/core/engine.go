@@ -1,14 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 	"time"
 
-	"slfe/internal/balance"
 	"slfe/internal/bitset"
 	"slfe/internal/ckpt"
 	"slfe/internal/comm"
@@ -56,7 +52,7 @@ type Config struct {
 
 	// Ckpt enables Pregel-style superstep checkpointing: every
 	// Ckpt.Interval() supersteps each worker writes a shard of the vertex
-	// range it owns, tagged with the ownership ranges of that tick. The
+	// range it owns, tagged with Part's ranges (fixed for the run). The
 	// shard is encoded on the superstep path and written and fsynced in
 	// the background, so a tick is durable once the next tick starts or
 	// Run returns. The engine only writes through Ckpt; resuming is
@@ -76,17 +72,6 @@ type Config struct {
 	// worker runs in the process (Nodes=1, as apps.TestSteadyStateAllocBudget
 	// runs it); with in-process clusters they measure the whole cluster.
 	MeasureAllocs bool
-
-	// Rebalance enables dynamic inter-node boundary adjustment (the §5
-	// future-work item, implemented in internal/balance): every
-	// RebalanceEvery iterations workers exchange their window compute
-	// times and deterministically re-split the ownership boundaries. It
-	// composes with Ckpt and Restore.
-	Rebalance bool
-	// RebalanceEvery is the measurement window in iterations (default 4).
-	RebalanceEvery int
-	// RebalanceDamping in (0,1] scales each boundary move (default 0.5).
-	RebalanceDamping float64
 }
 
 // Result is returned by Run on every worker; Values are synchronised, so
@@ -117,12 +102,9 @@ type Engine[V comparable] struct {
 	// graph, per-thread block-decode scratch for a disk-backed one).
 	curs  []graph.Cursor
 	sched *ws.Scheduler
-	// part is the ownership map: Config.Part, a resumed shard's ranges or
-	// the latest rebalance plan (setPart); lo/hi cache this rank's range.
-	part *partition.Chunked
-	lo   graph.VertexID
-	hi   graph.VertexID
-	reb  *rebalancer // nil unless Config.Rebalance
+	// lo/hi cache this rank's range of Config.Part, fixed for the
+	// engine's lifetime.
+	lo, hi graph.VertexID
 
 	// dom and codec are resolved per Run from the program's domain (the
 	// codec width must match the domain width; an engine reused across
@@ -159,17 +141,6 @@ type bitsCollect struct {
 	lo    uint32 // start of the scanned range; chunk i begins at lo+i*ChunkSize
 	parts [][]uint32
 	body  func(clo, chi uint32, thread int)
-}
-
-// rebalancer accumulates the measurement window for dynamic boundary
-// adjustment. Every worker computes the next ownership map from the
-// AllGathered times with the same pure function (balance.Plan), so the
-// workers' maps stay in lockstep without a coordinator.
-type rebalancer struct {
-	window  time.Duration
-	iters   int
-	every   int
-	damping float64
 }
 
 // New validates the configuration and builds a worker engine over property
@@ -213,25 +184,8 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 	e.pushBufs = make([]pairBuf[V], e.sched.Threads())
 	e.bits.body = e.collectBitsChunk
 	e.outBody = e.outEdgesChunk
-	e.setPart(cfg.Part)
-	if cfg.Rebalance {
-		every := cfg.RebalanceEvery
-		if every <= 0 {
-			every = 4
-		}
-		damping := cfg.RebalanceDamping
-		if damping <= 0 || damping > 1 {
-			damping = 0.5
-		}
-		e.reb = &rebalancer{every: every, damping: damping}
-	}
+	e.lo, e.hi = cfg.Part.Range(cfg.Comm.Rank())
 	return e, nil
-}
-
-// setPart installs p as the ownership map and caches this rank's range.
-func (e *Engine[V]) setPart(p *partition.Chunked) {
-	e.part = p
-	e.lo, e.hi = p.Range(e.comm.Rank())
 }
 
 // bindDomain resolves the run's domain and codec and validates that their
@@ -254,46 +208,6 @@ func (e *Engine[V]) bindDomain(dom Domain[V]) error {
 		return fmt.Errorf("core: codec %s has wire width %d but domain %s needs %d (build the codec with a matching W field)",
 			e.codec.Name(), e.codec.Width(), dom.Name, dom.Width)
 	}
-	return nil
-}
-
-// maybeRebalance closes one iteration of the measurement window and, at
-// window boundaries, re-splits the ownership ranges from the AllGathered
-// per-worker compute times. No state has to move with a vertex: delta-sync
-// leaves every value and the whole frontier on every rank, "start late" is
-// a function of the Ruler and the guidance alone, and a "finish early"
-// streak simply restarts.
-func (e *Engine[V]) maybeRebalance(st *state[V], iterTime time.Duration) error {
-	e.reb.window += iterTime
-	e.reb.iters++
-	if e.reb.iters < e.reb.every {
-		return nil
-	}
-	var payload [8]byte
-	binary.LittleEndian.PutUint64(payload[:], math.Float64bits(e.reb.window.Seconds()))
-	blobs, err := e.comm.AllGather(payload[:])
-	if err != nil {
-		return err
-	}
-	times := make([]float64, len(blobs))
-	for rank, b := range blobs {
-		if len(b) != 8 {
-			return fmt.Errorf("core: rebalance payload from rank %d has %d bytes", rank, len(b))
-		}
-		times[rank] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	next, err := balance.Plan(e.part, times, e.reb.damping)
-	if err != nil {
-		return err
-	}
-	e.reb.window, e.reb.iters = 0, 0
-	if slices.Equal(next.Bounds(), e.part.Bounds()) {
-		return nil
-	}
-	if lo, hi := next.Range(e.comm.Rank()); lo != e.lo || hi != e.hi {
-		st.run.Rebalances++
-	}
-	e.setPart(next)
 	return nil
 }
 

@@ -12,7 +12,7 @@ import (
 
 // kernel is one aggregation mode's plug-in into the shared superstep
 // driver. The driver owns everything both loops used to duplicate —
-// checkpoint load/save, delta-sync, rebalance windows, metrics plumbing
+// checkpoint load/save, delta-sync, metrics plumbing
 // and the iteration loop itself — while the kernel supplies the
 // mode-specific compute: frontier-driven relaxation with "start late"
 // scheduling (minmaxKernel) or all-vertex gather/apply with "finish
@@ -59,7 +59,7 @@ type kernel[V comparable] interface {
 	// into stat.
 	commit(iter int, stat *metrics.IterStat) error
 	// stepEnd runs post-sync global coordination (e.g. convergence
-	// reductions). done ends the run after checkpoint/rebalance ticks.
+	// reductions). done ends the run after the checkpoint tick.
 	stepEnd(iter int, stat *metrics.IterStat) (done bool, err error)
 	// finish fills kernel-specific result fields.
 	finish(res *Result[V])
@@ -90,7 +90,7 @@ func foldCounters(cs []threadCounters, stat *metrics.IterStat) {
 // serving both aggregation modes. Each superstep runs
 //
 //	stepBegin -> compute -> commit -> delta-sync -> stepEnd
-//	          -> rebalance window -> checkpoint tick
+//	          -> checkpoint tick
 //
 // with per-phase timings recorded in the run metrics. Every return, errors
 // included, first drains the checkpoint writer, so the shards a returned
@@ -179,13 +179,6 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 			return nil, err
 		}
 
-		if e.reb != nil {
-			rebStart := time.Now()
-			if err := e.maybeRebalance(st, stat.Time); err != nil {
-				return nil, err
-			}
-			st.run.RebalanceTime += time.Since(rebStart)
-		}
 		if e.cfg.Ckpt != nil && e.cfg.Ckpt.ShouldSave(iter) {
 			ckptStart := time.Now()
 			if err := e.checkpoint(p, k, st, iter); err != nil {

@@ -67,9 +67,9 @@ func TestDriverCheckpointResumeBothKernels(t *testing.T) {
 	}
 }
 
-// Rebalancing through the unified driver with the parallel compute paths
-// (threads + stealing) must still be value-deterministic for both kernels.
-func TestDriverRebalanceParallelBothKernels(t *testing.T) {
+// The unified driver with the parallel compute paths (threads + stealing)
+// on several ranks must be value-deterministic for both kernels.
+func TestDriverParallelBothKernels(t *testing.T) {
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 8, 11)
 	for _, tc := range []struct {
 		name string
@@ -85,13 +85,10 @@ func TestDriverRebalanceParallelBothKernels(t *testing.T) {
 			got := runCluster(t, g, p, 3, func(rank int, cfg *Config) {
 				rr(rank, cfg)
 				cfg.Sched = testSched(t, 3)
-				cfg.Rebalance = true
-				cfg.RebalanceEvery = 2
-				cfg.RebalanceDamping = 1
 			})
 			for v := range want.Values {
 				if got.Values[v] != want.Values[v] {
-					t.Fatalf("vertex %d: rebalanced %v, static %v", v, got.Values[v], want.Values[v])
+					t.Fatalf("vertex %d: parallel %v, serial %v", v, got.Values[v], want.Values[v])
 				}
 			}
 		})

@@ -415,12 +415,6 @@ func weightFromOrderedBits(x uint32) float32 {
 	return math.Float32frombits(^x)
 }
 
-// Reverse returns the transpose graph (every edge flipped). It shares g's
-// storage, patches included.
-func (g *Graph) Reverse() *Graph {
-	return &Graph{n: g.n, m: g.m, out: g.in, in: g.out}
-}
-
 // Validate performs structural integrity checks and returns the first
 // violation found, if any. It is used by tests and by loaders after reading
 // untrusted input.

@@ -95,22 +95,6 @@ func TestSelfLoopsAndParallelEdges(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := paperGraph()
-	r := g.Reverse()
-	if r.NumEdges() != g.NumEdges() {
-		t.Fatalf("Reverse changed edge count")
-	}
-	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-		if g.OutDegree(v) != r.InDegree(v) || g.InDegree(v) != r.OutDegree(v) {
-			t.Fatalf("degree mismatch at %d", v)
-		}
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaxOutDegree(t *testing.T) {
 	g := MustBuild(4, []Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {1, 0, 1}})
 	if got := g.MaxOutDegree(); got != 3 {

@@ -7,7 +7,7 @@ import "sync"
 // program run over the same graph object shares one computation. A View
 // that holds a slot (*Graph and store.Graph expose theirs through a
 // Derived() method) must never change its topology: mutation builds a new
-// graph with an empty slot (WithEdges, WithoutEdges, Reverse). A Derived
+// graph with an empty slot (WithEdges, WithoutEdges). A Derived
 // must not be copied after first use.
 type Derived struct {
 	once sync.Once

@@ -66,8 +66,6 @@ type Run struct {
 	SyncTime    time.Duration // communication + barriers
 	Total       time.Duration
 	Steals      int64
-	// Rebalances counts dynamic boundary adjustments (internal/balance).
-	Rebalances int64
 
 	// OverlappedSyncs counts the supersteps whose exchange opened before
 	// compute and streamed while it ran: the pull supersteps of a
@@ -82,10 +80,9 @@ type Run struct {
 	// Per-phase breakdown of the unified superstep pipeline
 	// (internal/core/superstep.go). CommitTime is a sub-phase already
 	// counted inside ComputeTime; the other three are outside it.
-	FrontierTime  time.Duration // pre-compute coordination: frontier stats, mode switch, termination checks
-	CommitTime    time.Duration // committing staged updates / folding push proposals
-	CkptTime      time.Duration // checkpoint shard writes
-	RebalanceTime time.Duration // rebalance window exchanges and boundary moves
+	FrontierTime time.Duration // pre-compute coordination: frontier stats, mode switch, termination checks
+	CommitTime   time.Duration // committing staged updates / folding push proposals
+	CkptTime     time.Duration // checkpoint shard writes
 }
 
 // Add appends an iteration record and rolls it into the aggregates.
@@ -190,13 +187,7 @@ func Merge(runs []*Run) *Run {
 		if r.CkptTime > out.CkptTime {
 			out.CkptTime = r.CkptTime
 		}
-		if r.RebalanceTime > out.RebalanceTime {
-			out.RebalanceTime = r.RebalanceTime
-		}
 		out.Steals += r.Steals
-		if r.Rebalances > out.Rebalances {
-			out.Rebalances = r.Rebalances // all workers rebalance in lockstep
-		}
 		if r.OverlappedSyncs > out.OverlappedSyncs {
 			out.OverlappedSyncs = r.OverlappedSyncs // lockstep: identical on every worker
 		}

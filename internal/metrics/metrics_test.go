@@ -72,18 +72,6 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestMergeRebalancesTakesMax(t *testing.T) {
-	// Workers rebalance in lockstep, so the cluster-wide count is the
-	// maximum, not the sum.
-	a := &Run{Rebalances: 3}
-	b := &Run{Rebalances: 3}
-	c := &Run{Rebalances: 2} // joined later via checkpoint resume
-	out := Merge([]*Run{a, b, c})
-	if out.Rebalances != 3 {
-		t.Fatalf("merged rebalances = %d, want 3", out.Rebalances)
-	}
-}
-
 func TestComputationsUpdatesSuppressedSums(t *testing.T) {
 	r := &Run{}
 	r.Add(IterStat{Computations: 5, Updates: 2, Suppressed: 1})

@@ -3,7 +3,7 @@
 // contiguous vertex range, balanced by a hybrid cost of vertices and edges.
 // The engine uses ranges, not a hash, because ownership is then a binary
 // search over a few boundaries, and because one Chunked type serves the
-// static chunking, a rebalance plan and a checkpoint shard's ranges alike.
+// static chunking and a checkpoint shard's ranges alike.
 // It is not for the edge cut: on the Table 4 proxies at 2 nodes a modulo
 // hash cut fewer edges (0.37-0.38 against 0.47-0.50) but balanced owned
 // out-edges worse (max/mean 1.52 against 1.12-1.30).
@@ -18,9 +18,8 @@ import (
 )
 
 // Chunked is a contiguous-range partition. Boundaries[i] is the first vertex
-// of node i; Boundaries[len] == |V|. It is the engine's one ownership map:
-// the static chunking, a rebalance plan (internal/balance) and the ranges a
-// checkpoint shard records are all Chunked values.
+// of node i; Boundaries[len] == |V|. It is the engine's one ownership map,
+// fixed for a run: a checkpoint shard records its Bounds.
 type Chunked struct {
 	boundaries []graph.VertexID // length nodes+1
 }
@@ -65,24 +64,6 @@ func NewChunked(g graph.View, nodes int) (*Chunked, error) {
 	return &Chunked{boundaries: b}, nil
 }
 
-// FromBounds builds a contiguous partition from explicit boundaries:
-// bounds[0] must be 0 and the array non-decreasing; bounds[len-1] is the
-// vertex count. It installs the ranges balance.Plan produces.
-func FromBounds(bounds []uint32) (*Chunked, error) {
-	if len(bounds) < 2 {
-		return nil, errors.New("partition: need at least two boundaries")
-	}
-	if bounds[0] != 0 {
-		return nil, errors.New("partition: boundaries must start at 0")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			return nil, fmt.Errorf("partition: boundary %d decreases", i)
-		}
-	}
-	return &Chunked{boundaries: slices.Clone(bounds)}, nil
-}
-
 // NewChunkedUniform splits [0,n) into near-equal vertex-count ranges,
 // ignoring degrees. Used by tests and by the RMAT scale-out runs where the
 // generator already randomises degree placement.
@@ -107,22 +88,6 @@ func (c *Chunked) Range(node int) (lo, hi graph.VertexID) {
 
 // Bounds returns a copy of the boundary array (Nodes()+1 entries).
 func (c *Chunked) Bounds() []uint32 { return slices.Clone(c.boundaries) }
-
-// Owned iterates node's vertices in ascending order.
-func (c *Chunked) Owned(node int, fn func(v graph.VertexID) bool) {
-	lo, hi := c.Range(node)
-	for v := lo; v < hi; v++ {
-		if !fn(v) {
-			return
-		}
-	}
-}
-
-// Count returns the number of vertices owned by node.
-func (c *Chunked) Count(node int) int {
-	lo, hi := c.Range(node)
-	return int(hi - lo)
-}
 
 func (c *Chunked) String() string {
 	return fmt.Sprintf("chunked%v", c.boundaries)

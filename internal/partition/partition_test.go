@@ -22,13 +22,13 @@ func TestChunkedCoversDisjoint(t *testing.T) {
 		}
 		seen := make([]int, g.NumVertices())
 		for node := 0; node < nodes; node++ {
-			p.Owned(node, func(v graph.VertexID) bool {
+			lo, hi := p.Range(node)
+			if hi < lo || int(hi) > len(seen) {
+				t.Fatalf("node %d: range [%d,%d) outside [0,%d)", node, lo, hi, len(seen))
+			}
+			for v := lo; v < hi; v++ {
 				seen[v]++
-				if lo, hi := p.Range(node); v < lo || v >= hi {
-					t.Fatalf("node %d owns %d outside its range [%d,%d)", node, v, lo, hi)
-				}
-				return true
-			})
+			}
 		}
 		for v, c := range seen {
 			if c != 1 {
@@ -96,7 +96,8 @@ func TestChunkedMoreNodesThanVertices(t *testing.T) {
 	}
 	total := 0
 	for node := 0; node < 8; node++ {
-		total += p.Count(node)
+		lo, hi := p.Range(node)
+		total += int(hi - lo)
 	}
 	if total != 3 {
 		t.Fatalf("counts sum to %d, want 3", total)
@@ -127,8 +128,8 @@ func TestUniformRanges(t *testing.T) {
 	}
 }
 
-// Property: every partition covers all vertices exactly once, and every
-// vertex Owned yields lies in its node's Range, for random graphs and node counts.
+// Property: every partition's ranges are well formed and cover all vertices
+// exactly once, for random graphs and node counts.
 func TestQuickPartitionInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -141,17 +142,12 @@ func TestQuickPartitionInvariants(t *testing.T) {
 		} {
 			seen := make([]int, n)
 			for node := 0; node < p.Nodes(); node++ {
-				count := 0
-				p.Owned(node, func(v graph.VertexID) bool {
-					seen[v]++
-					count++
-					if lo, hi := p.Range(node); v < lo || v >= hi {
-						seen[v] = -1000
-					}
-					return true
-				})
-				if count != p.Count(node) {
+				lo, hi := p.Range(node)
+				if hi < lo || int(hi) > n {
 					return false
+				}
+				for v := lo; v < hi; v++ {
+					seen[v]++
 				}
 			}
 			for _, c := range seen {
@@ -167,26 +163,13 @@ func TestQuickPartitionInvariants(t *testing.T) {
 	}
 }
 
-func TestFromBoundsValidation(t *testing.T) {
-	for _, bounds := range [][]uint32{
-		nil,
-		{0},
-		{1, 5},    // must start at 0
-		{0, 5, 3}, // decreasing
-	} {
-		if _, err := FromBounds(bounds); err == nil {
-			t.Errorf("bounds %v accepted", bounds)
-		}
-	}
-	bounds := []uint32{0, 0, 5}
-	p, err := FromBounds(bounds)
-	if err != nil {
-		t.Fatalf("empty first range rejected: %v", err)
-	}
-	bounds[1] = 3
-	p.Bounds()[2] = 9
-	if got := p.Bounds(); !slices.Equal(got, []uint32{0, 0, 5}) {
-		t.Errorf("Bounds = %v, want [0 0 5]: the partition shares an array with its caller", got)
+// Bounds hands out a copy: a caller that edits it leaves the partition as
+// it was.
+func TestBoundsIsACopy(t *testing.T) {
+	p := mustUniform(5, 2)
+	p.Bounds()[1] = 4
+	if got := p.Bounds(); !slices.Equal(got, []uint32{0, 2, 5}) {
+		t.Errorf("Bounds = %v, want [0 2 5]: the partition shares an array with its caller", got)
 	}
 }
 

@@ -110,9 +110,6 @@ func New(threads int, stealing bool) *Scheduler {
 // Threads returns the configured worker-thread count.
 func (s *Scheduler) Threads() int { return s.threads }
 
-// Stealing reports whether stealing is enabled.
-func (s *Scheduler) Stealing() bool { return s.stealing }
-
 // Close parks the pool permanently: the pool goroutines exit and any later
 // phase panics. Closing a scheduler whose pool never started (or closing
 // twice) is a no-op. Close must not race a running phase.
