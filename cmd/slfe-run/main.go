@@ -53,7 +53,7 @@ func main() {
 	system := flag.String("system", "slfe", "engine: slfe | powergraph | powerlyra | graphchi | ligra (baselines run the f64 domain only and reject the flags marked (slfe))")
 	nodes := flag.Int("nodes", 1, "cluster size (slfe/powergraph/powerlyra)")
 	threads := flag.Int("threads", 0, "threads per node (0 = GOMAXPROCS)")
-	rr := flag.Bool("rr", true, "enable redundancy reduction (slfe)")
+	rr := flag.Bool("rr", true, "enable redundancy reduction: finish early for arith apps (slfe)")
 	stealing := flag.Bool("stealing", true, "enable work stealing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
 	iters := flag.Int("iters", 30, "iterations for arithmetic apps")
@@ -200,8 +200,8 @@ func main() {
 		len(run.Iters), run.Computations(), run.Updates(), run.Suppressed())
 	if *verbose {
 		for _, s := range run.Iters {
-			fmt.Printf("  iter=%-3d mode=%-4s active=%-8d comps=%-10d updates=%-8d suppressed=%-8d catchups=%d\n",
-				s.Iter, s.Mode, s.ActiveVerts, s.Computations, s.Updates, s.Suppressed, s.CatchUps)
+			fmt.Printf("  iter=%-3d mode=%-4s active=%-8d comps=%-10d updates=%-8d suppressed=%d\n",
+				s.Iter, s.Mode, s.ActiveVerts, s.Computations, s.Updates, s.Suppressed)
 		}
 		if disk != nil {
 			kept, blocks, bytes, limit := disk.InCache()

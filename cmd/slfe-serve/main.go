@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&c.iters, "iters", 10, "iterations for arithmetic programs")
 	flag.IntVar(&c.nodes, "nodes", 1, "resident cluster size")
 	flag.IntVar(&c.threads, "threads", 0, "threads per node (0 = GOMAXPROCS)")
-	flag.BoolVar(&c.rr, "rr", true, "enable redundancy reduction (incrementally maintained)")
+	flag.BoolVar(&c.rr, "rr", true, "enable redundancy reduction: finish early for arith apps (guidance incrementally maintained)")
 	flag.BoolVar(&c.stealing, "stealing", true, "enable work stealing")
 	flag.IntVar(&c.sessions, "sessions", 2, "session pool size (concurrent program executions)")
 	flag.IntVar(&c.cacheCapacity, "cache", 4096, "read-cache capacity in entries (negative disables)")

@@ -31,7 +31,7 @@ func main() {
 	}
 	// ExecuteOver runs one engine per transport and closes the mesh once
 	// every rank has finished.
-	res, err := cluster.ExecuteOver(g, apps.CC(g), cluster.Options{RR: true, Stealing: true}, transports)
+	res, err := cluster.ExecuteOver(g, apps.CC(g), cluster.Options{Stealing: true}, transports)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Roadtrip: shortest paths and widest (maximum-capacity) paths on a
 // weighted grid standing in for a road network — the min/max aggregation
-// class where SLFE "starts late".
+// class, where the paper's SLFE "starts late" (this engine does not: it
+// never paid here, see the README).
 //
 //	go run ./examples/roadtrip
 package main
@@ -30,8 +31,8 @@ func main() {
 	start := graph.VertexID(0)            // north-west corner
 	dest := graph.VertexID(rows*cols - 1) // south-east corner
 
-	// SSSP with redundancy reduction on 4 simulated nodes.
-	sssp, err := cluster.Execute(g, apps.SSSP(start), cluster.Options{Nodes: 4, RR: true, Stealing: true})
+	// SSSP on 4 simulated nodes.
+	sssp, err := cluster.Execute(g, apps.SSSP(start), cluster.Options{Nodes: 4, Stealing: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func main() {
 	// carries (distance, predecessor) in one 8-byte wire word, so the run
 	// returns an actual shortest-path tree — the turn-by-turn route, not
 	// just its length.
-	tree, err := cluster.Execute(g, apps.SSSPTree(start), cluster.Options{Nodes: 4, RR: true, Stealing: true})
+	tree, err := cluster.Execute(g, apps.SSSPTree(start), cluster.Options{Nodes: 4, Stealing: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 		float64(tree.Result.Values[dest].Dist) == sssp.Result.Values[dest])
 
 	// Widest path: the best bottleneck capacity from the same corner.
-	wp, err := cluster.Execute(g, apps.WP(start), cluster.Options{Nodes: 4, RR: true, Stealing: true})
+	wp, err := cluster.Execute(g, apps.WP(start), cluster.Options{Nodes: 4, Stealing: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,11 +75,4 @@ func main() {
 		}
 	}
 	fmt.Printf("unreachable intersections: %d\n", unreachable)
-
-	// The redundancy the guidance removed:
-	var suppressed int64
-	for _, w := range sssp.PerWorker {
-		suppressed += w.Suppressed()
-	}
-	fmt.Printf("vertex computations suppressed by start-late guidance: %d\n", suppressed)
 }

@@ -96,7 +96,7 @@ func TestF32FinishEarlyFiresWithoutStableEps(t *testing.T) {
 }
 
 // Unreached vertices must keep the NoParent sentinel even under full
-// in-edge relaxation sweeps (RR catch-up scans, closing pulls):
+// in-edge relaxation sweeps (every pull round relaxes all in-edges):
 // a proposal from an unreached source must never beat {+Inf, NoParent}
 // through the parent tie-break, or mutually-adjacent unreached vertices
 // would hand each other cyclic parents.

@@ -27,9 +27,8 @@ type Resume struct {
 //     added edges' sources with prior values as initial state — edge
 //     insertions can only improve values, so the wave converges to the
 //     same fixed point (bit-identical values) as a cold run on g, usually
-//     in a handful of supersteps. The wave runs without RR: "start late"
-//     levels are root-relative and do not describe a warm frontier. Its
-//     Outcome re-projects only the vertices the wave changed or appended.
+//     in a handful of supersteps. Its Outcome re-projects only the
+//     vertices the wave changed or appended.
 //   - Arith programs (fixed-iteration-count semantics: a warm start would
 //     change the answer) re-run cold, which still profits from the
 //     session's resident pools and, unless the program declares Roots,
@@ -144,12 +143,6 @@ func warmMinMax[V comparable](s *cluster.Session, g *graph.Graph, build func(*gr
 		return p.InitValue(gg, v)
 	}
 	warm.Roots = roots
-	// "Start late" levels are measured from the graph's roots; the warm
-	// frontier is the mutation's sources, so the levels do not describe
-	// this wave — run it unguided (the graph's shared guidance still serves
-	// full re-runs and arith re-executions).
-	opt.RR = false
-	opt.Guidance = nil
 	res, err := cluster.ExecuteSession(s, g, &warm, opt)
 	if err != nil {
 		return nil, nil, err

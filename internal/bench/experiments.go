@@ -214,8 +214,10 @@ func Table5(c Config) error {
 
 // Figure5 reproduces Figure 5: SLFE's runtime improvement over the Gemini
 // proxy (SLFE with RR disabled) per application and graph. The paper
-// reports 34-47% on its cluster; README's "Where start late pays and where
-// it does not" records what RR buys on this engine.
+// reports 34-47% on its cluster. Here RR is finish early only: the min/max
+// rows (SSSP, CC, WP) run the same supersteps either way, so their gap is
+// noise, and only the arith rows can show RR's gain (README, "Start
+// late").
 func Figure5(c Config) error {
 	c.defaults()
 	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)

@@ -246,16 +246,6 @@ func (b *Atomic) Get(i int) bool {
 	return b.words[i/wordBits].Load()&(1<<(uint(i)%wordBits)) != 0
 }
 
-// CountIn returns how many of the listed bits are set: one load, shift and
-// add per id, with no data-dependent branch.
-func (b *Atomic) CountIn(ids []uint32) int64 {
-	var n uint64
-	for _, i := range ids {
-		n += b.words[i/wordBits].Load() >> (i % wordBits) & 1
-	}
-	return int64(n)
-}
-
 // Reset clears every bit. Not safe concurrently with writers.
 func (b *Atomic) Reset() {
 	for i := range b.words {

@@ -519,18 +519,3 @@ func TestWordAccOneWord(t *testing.T) {
 		t.Fatalf("concurrent publishes to one word lost bits: %d of 64 set, %d in total", got, b.Count())
 	}
 }
-
-func TestAtomicCountIn(t *testing.T) {
-	b := NewAtomic(200)
-	for _, i := range []int{0, 63, 64, 130, 199} {
-		b.Set(i)
-	}
-	// Duplicates count once per listing (parallel edges), order is free.
-	ids := []uint32{199, 0, 1, 63, 64, 64, 65, 129, 130}
-	if got := b.CountIn(ids); got != 6 {
-		t.Fatalf("CountIn = %d, want 6", got)
-	}
-	if got := b.CountIn(nil); got != 0 {
-		t.Fatalf("CountIn(nil) = %d, want 0", got)
-	}
-}

@@ -75,9 +75,9 @@ type State struct {
 	// Sets holds the run's bitsets as sorted lists of global vertex ids,
 	// inside the owned range in a shard. The one live key is "frontier"
 	// (min/max: the next superstep's active vertices). Readers ignore keys
-	// they do not know, e.g. the "caughtup"/"debt" lists shards carried
-	// before "start late" became a scalar Ruler test, and the
-	// "sparsedirty" list of the retired sparse delta-sync.
+	// they do not know, e.g. the "caughtup"/"debt" lists of the retired
+	// per-vertex start-late debt, and the "sparsedirty" list of the
+	// retired sparse delta-sync.
 	Sets map[string][]uint32
 }
 

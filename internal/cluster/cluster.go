@@ -28,10 +28,12 @@ type Options struct {
 	Threads int
 	// Stealing enables the intra-node work-stealing scheduler.
 	Stealing bool
-	// RR enables redundancy reduction.
+	// RR enables redundancy reduction: finish early, for arith programs
+	// (a min/max run is the same with it on or off).
 	RR bool
-	// Guidance, when non-nil, is the guidance this run uses, skipping
-	// preprocessing. Nil lets runSession choose by its one rule.
+	// Guidance, when non-nil, is the guidance an arith RR run uses,
+	// skipping preprocessing. Nil lets runSession choose by its one rule.
+	// A min/max run ignores it.
 	Guidance *rrg.Guidance
 	// TrackLastChange records per-vertex last-update iterations.
 	TrackLastChange bool
@@ -60,15 +62,17 @@ type RunResult[V comparable] struct {
 	Result *core.Result[V]
 	// PerWorker holds each worker's metrics.
 	PerWorker []*metrics.Run
-	// Guidance is the RRG used (nil when RR is off). Except for an arith
-	// program with Roots it may be shared with other runs over the same
-	// graph: Clone it before Update.
+	// Guidance is the RRG finish early used: nil when RR is off and for
+	// every min/max program, which reads none. Except for an arith program
+	// with Roots it may be shared with other runs over the same graph:
+	// Clone it before Update.
 	Guidance *rrg.Guidance
-	// PreprocessTime is the RRG generation cost this run paid: zero when RR
-	// is off, when Options.Guidance was given, and when the graph's shared
-	// slot already held the guidance (generated by an earlier run, carried
-	// by rrg.Carry, or read from a .slfc file; Guidance.GenTime keeps the
-	// cost of a generation, and is 0 for a file's).
+	// PreprocessTime is the RRG generation cost this run paid: zero when
+	// Guidance is nil, when Options.Guidance was given, and when the
+	// graph's shared slot already held the guidance (generated by an
+	// earlier run, carried by rrg.Carry, or read from a .slfc file;
+	// Guidance.GenTime keeps the cost of a generation, and is 0 for a
+	// file's).
 	PreprocessTime time.Duration
 	// Comm aggregates message/byte counts over all workers.
 	Comm comm.Stats
@@ -76,7 +80,7 @@ type RunResult[V comparable] struct {
 	Elapsed time.Duration
 }
 
-// Execute partitions g, optionally generates RR guidance, and runs the
+// Execute partitions g, picks guidance for an arith RR run, and runs the
 // program on an in-process cluster: open a session of opt.Nodes ranks, run,
 // close.
 func Execute[V comparable](g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
@@ -108,13 +112,14 @@ func ExecuteOver[V comparable](g graph.View, p *core.Program[V], opt Options, tr
 // scheduler pools. The caller serialises runs on s. It also merges the
 // checkpoint a Ckpt.Resume run restarts from, once for all ranks.
 //
-// It is also the one place guidance is chosen, by one rule: opt.Guidance
-// when handed in; else, for an arith program that declares Roots, guidance
-// generated from those roots — its information originates only there, so
-// finish early needs levels measured from them; else the graph's shared
-// default-root guidance (rrg.Shared). Start late is sound under any
-// guidance, and PageRank-like programs are informative everywhere from
-// iteration 0, which the default roots describe.
+// It is also the one place guidance is chosen. Only an arith RR run (finish
+// early) reads guidance, by one rule: opt.Guidance when handed in; else,
+// for a program that declares Roots, guidance generated from those roots —
+// its information originates only there, so finish early needs levels
+// measured from them; else the graph's shared default-root guidance
+// (rrg.Shared): PageRank-like programs are informative everywhere from
+// iteration 0, which the default roots describe. A min/max run gets none
+// and runs with RR off in the engine.
 func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
 	nodes := s.Nodes()
 	part, err := partition.NewChunked(g, nodes)
@@ -129,12 +134,12 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 	}
 
 	out := &RunResult[V]{}
-	if opt.RR {
+	if opt.RR && p.Agg == core.Arith {
 		fresh := false
 		switch {
 		case opt.Guidance != nil:
 			out.Guidance = opt.Guidance
-		case p.Agg == core.Arith && len(p.Roots) > 0:
+		case len(p.Roots) > 0:
 			out.Guidance, fresh = rrg.Generate(g, p.Roots, s.scheds[0]), true
 		default:
 			out.Guidance, fresh = rrg.Shared(g, s.scheds[0])
@@ -162,7 +167,7 @@ func runSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt 
 				Graph:           g,
 				Comm:            s.comms[rank],
 				Part:            part,
-				RR:              opt.RR,
+				RR:              out.Guidance != nil,
 				Guidance:        out.Guidance,
 				Sched:           s.scheds[rank],
 				DenseDivisor:    opt.DenseDivisor,

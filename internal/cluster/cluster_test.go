@@ -38,14 +38,14 @@ func TestExecuteMultiWorkerEqualsSingle(t *testing.T) {
 
 func TestExecuteReusesGuidance(t *testing.T) {
 	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 4, 5)
-	first, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{Nodes: 2, RR: true})
+	first, err := cluster.Execute(g, apps.PageRank(5), cluster.Options{Nodes: 2, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Guidance == nil || first.PreprocessTime == 0 {
 		t.Fatal("guidance not generated")
 	}
-	second, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{Nodes: 2, RR: true, Guidance: first.Guidance})
+	second, err := cluster.Execute(g, apps.PageRank(5), cluster.Options{Nodes: 2, RR: true, Guidance: first.Guidance})
 	if err != nil {
 		t.Fatal(err)
 	}

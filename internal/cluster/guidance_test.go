@@ -32,12 +32,13 @@ func runGuidance[V comparable](t *testing.T, g graph.View, p *core.Program[V], o
 }
 
 // TestGuidanceSharedPerGraph pins one default-root guidance per graph
-// object: arith and min/max programs over the same graph all get the same
-// guidance. Over the heap graph the first RR run generates it and only that
-// run pays; a converted .slfc file, mmap'd or out of core, arrives with it,
-// so no run pays and it equals the heap graph's. An arith program with
-// Roots still generates a private guidance from them, RR-off runs get none,
-// and concurrent first runs over a file without the section generate once.
+// object: every arith RR run over the same graph gets the same guidance,
+// and a min/max RR run (SSSP, BFS, WP) gets none and pays nothing. Over the
+// heap graph the first arith run generates it and only that run pays; a
+// converted .slfc file, mmap'd or out of core, arrives with it, so no run
+// pays and it equals the heap graph's. An arith program with Roots still
+// generates a private guidance from them, RR-off runs get none, and
+// concurrent first runs over a file without the section generate once.
 func TestGuidanceSharedPerGraph(t *testing.T) {
 	heap := gen.RMAT(2048, 16384, gen.DefaultRMAT, 8, 3)
 	dir := t.TempDir()
@@ -62,14 +63,24 @@ func TestGuidanceSharedPerGraph(t *testing.T) {
 		name, g := v.name, v.g
 		runs := []guidanceRun{
 			runGuidance(t, g, apps.PageRank(5), opt),
-			runGuidance(t, g, apps.SSSP(0), opt),
-			runGuidance(t, g, apps.SSSP(7), opt),
-			runGuidance(t, g, apps.BFSU32(7), opt),
-			runGuidance(t, g, apps.WP(0), opt),
+			runGuidance(t, g, apps.PageRank(3), opt),
 		}
 		for i, r := range runs {
-			if r.gd != runs[0].gd || r.preprocess != (name == "heap" && i == 0) {
-				t.Errorf("%s run %d: guidance %p (first run's %p), paid preprocessing %v", name, i, r.gd, runs[0].gd, r.preprocess)
+			if r.gd == nil || r.gd != runs[0].gd || r.preprocess != (name == "heap" && i == 0) {
+				t.Errorf("%s PageRank run %d: guidance %p (first run's %p), paid preprocessing %v", name, i, r.gd, runs[0].gd, r.preprocess)
+			}
+		}
+		for _, mm := range []struct {
+			name string
+			r    guidanceRun
+		}{
+			{"sssp(0)", runGuidance(t, g, apps.SSSP(0), opt)},
+			{"sssp(7)", runGuidance(t, g, apps.SSSP(7), opt)},
+			{"bfs/u32(7)", runGuidance(t, g, apps.BFSU32(7), opt)},
+			{"wp(0)", runGuidance(t, g, apps.WP(0), opt)},
+		} {
+			if mm.r.gd != nil || mm.r.preprocess {
+				t.Errorf("%s %s: min/max RR run got guidance %p, paid preprocessing %v", name, mm.name, mm.r.gd, mm.r.preprocess)
 			}
 		}
 		if want, _ := rrg.Shared(heap, nil); !slices.Equal(runs[0].gd.LastIter, want.LastIter) ||
@@ -82,7 +93,7 @@ func TestGuidanceSharedPerGraph(t *testing.T) {
 		}
 		off := opt
 		off.RR = false
-		if r := runGuidance(t, g, apps.SSSP(7), off); r.gd != nil || r.preprocess {
+		if r := runGuidance(t, g, apps.PageRank(3), off); r.gd != nil || r.preprocess {
 			t.Errorf("%s: RR-off run reported guidance", name)
 		}
 	}
@@ -105,7 +116,7 @@ func TestGuidanceSharedPerGraph(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := cluster.Execute(fresh, apps.SSSP(graph.VertexID(i)), opt)
+			res, err := cluster.Execute(fresh, apps.PageRank(1+i%3), opt)
 			if err != nil {
 				t.Error(err)
 				return

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +11,6 @@ import (
 	"slfe/internal/graph"
 	"slfe/internal/metrics"
 	"slfe/internal/partition"
-	"slfe/internal/rrg"
 )
 
 // resumeFrom is the caller's half of Ckpt.Resume, which the engine does
@@ -182,89 +178,6 @@ func TestCheckpointRejectsWrongProgram(t *testing.T) {
 	_, errs := runWithCkpt(t, g, other, 2, m, -1, 0)
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("checkpoint for a different program accepted")
-	}
-}
-
-// A checkpoint taken after a pull round has suppressed its late starters
-// and before any pull has reached max(LastIter) carries only the frontier:
-// the resumed run cannot know who is owed, so its first superstep must be
-// one closing pull at max(LastIter), and the values must come out
-// bit-identical — on 1 and 2 ranks, under Generate's guidance and under a
-// random one whose pull rounds start vertices progressively, and also when
-// the shard still carries the "caughtup"/"debt" lists PR 16 wrote.
-func TestCheckpointResumeBeforeClosingPull(t *testing.T) {
-	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 8, 7)
-	p := testProgram()
-	rng := rand.New(rand.NewSource(3))
-	random := &rrg.Guidance{LastIter: make([]uint32, g.NumVertices()), Level: make([]uint32, g.NumVertices())}
-	for v := range random.LastIter {
-		random.LastIter[v] = uint32(rng.Intn(7))
-	}
-	for gname, gd := range map[string]*rrg.Guidance{
-		"generated": rrg.Generate(g, p.Roots, nil),
-		"random":    random,
-	} {
-		maxLI := int(slices.Max(gd.LastIter))
-		for _, nodes := range []int{1, 2} {
-			rr := func(_ int, cfg *Config) {
-				cfg.RR, cfg.Guidance = true, gd
-			}
-			want := runCluster(t, g, p, nodes, nil) // RR off
-			m := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
-			full := runCluster(t, g, p, nodes, func(rank int, cfg *Config) {
-				rr(rank, cfg)
-				cfg.Ckpt = m
-			})
-			// The first pull round that left somebody suppressed.
-			at := -1
-			for _, s := range full.Metrics.Iters {
-				if s.Mode == metrics.Pull && s.Iter < maxLI {
-					at = s.Iter
-					break
-				}
-			}
-			if at < 0 {
-				t.Fatalf("%s nodes=%d: no pull round below max(LastIter) %d to checkpoint after", gname, nodes, maxLI)
-			}
-			shards := make([]*ckpt.State, nodes)
-			for rank := range shards {
-				s, err := m.Load(at, rank)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for key := range s.Sets {
-					if key != "frontier" {
-						t.Errorf("%s nodes=%d: min/max shard carries set %q", gname, nodes, key)
-					}
-				}
-				shards[rank] = s
-			}
-			merged, err := ckpt.Merge(shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, legacy := range []bool{false, true} {
-				if legacy {
-					merged.Sets["caughtup"] = []uint32{0, 5, 9}
-					merged.Sets["debt"] = []uint32{1, 2, 3}
-				}
-				got := runCluster(t, g, p, nodes, func(rank int, cfg *Config) {
-					rr(rank, cfg)
-					cfg.Restore = merged
-				})
-				label := fmt.Sprintf("%s nodes=%d legacy=%v resumed after iteration %d", gname, nodes, legacy, at)
-				if !sameValues(got.Values, want.Values) {
-					t.Fatalf("%s: values differ from the RR-off run", label)
-				}
-				first := got.Metrics.Iters[0]
-				if first.Mode != metrics.Pull || first.Iter != max(at+1, maxLI) {
-					t.Errorf("%s: first superstep is %v at ruler %d, want the closing pull at %d", label, first.Mode, first.Iter, max(at+1, maxLI))
-				}
-				if got.Metrics.Suppressed() != 0 {
-					t.Errorf("%s: %d vertices suppressed after the closing pull", label, got.Metrics.Suppressed())
-				}
-			}
-		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"slfe/internal/compress"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
-	"slfe/internal/metrics"
 	"slfe/internal/partition"
 	"slfe/internal/rrg"
 	"slfe/internal/ws"
@@ -264,170 +263,6 @@ func TestCodecsProduceIdenticalResults(t *testing.T) {
 		if raw[v] != ad[v] {
 			t.Fatalf("vertex %d: raw %v, adaptive %v", v, raw[v], ad[v])
 		}
-	}
-}
-
-// suppressedByFirstPull counts the vertices the run's first pull round
-// suppressed: those whose LastIter lies beyond that round's ruler. Later
-// pull rounds run at larger rulers and suppress subsets of them, so this is
-// the number of distinct vertices "start late" ever held back.
-func suppressedByFirstPull(res *Result[float64], gd *rrg.Guidance) (held int64) {
-	for _, s := range res.Metrics.Iters {
-		if s.Mode != metrics.Pull {
-			continue
-		}
-		for _, li := range gd.LastIter {
-			if int(li) > s.Iter {
-				held++
-			}
-		}
-		break
-	}
-	return held
-}
-
-// checkRepaid asserts the start-late accounting: values equal the RR-off
-// run, and every vertex a pull round suppressed is repaid by exactly one
-// counted catch-up (a full in-degree scan at its first eligible pull).
-func checkRepaid(t *testing.T, base, rr *Result[float64], gd *rrg.Guidance) {
-	t.Helper()
-	for v := range base.Values {
-		if base.Values[v] != rr.Values[v] {
-			t.Fatalf("RR changed result at %d: %v vs %v", v, base.Values[v], rr.Values[v])
-		}
-	}
-	var catchups int64
-	for _, s := range rr.Metrics.Iters {
-		catchups += s.CatchUps
-	}
-	held := suppressedByFirstPull(rr, gd)
-	if held == 0 || rr.Metrics.Suppressed() < held {
-		t.Errorf("first pull round held back %d vertices, %d suppressions counted", held, rr.Metrics.Suppressed())
-	}
-	if catchups != held {
-		t.Errorf("catch-ups = %d, want one per held-back vertex = %d", catchups, held)
-	}
-}
-
-func TestRRSuppressesWork(t *testing.T) {
-	// Star + chain: the root eagerly gives every vertex an expensive direct
-	// distance (3v) that the chain later improves to 2v+1, one vertex per
-	// round for 800 rounds, all of them pull rounds here.
-	//
-	// What RR saves on this graph: nothing. LastIter is 1 for vertex 1 and 2
-	// for the rest (every in-neighbour sits at BFS level <= 1), so the pull
-	// at ruler 0 suppresses all 799 non-roots, nothing changes, and the Ruler
-	// jumps to 2 for the closing pull, which charges each of them its full
-	// in-degree (1597 in-edges where the baseline's first round counts the
-	// 799 whose source, the root, is active). From there the two runs are the
-	// same: RR-off 800 supersteps / 319600 computations, RR 801 / 320398.
-	const n = 800
-	var edges []graph.Edge
-	for v := 1; v < n; v++ {
-		edges = append(edges, graph.Edge{Src: 0, Dst: graph.VertexID(v), Weight: float32(3 * v)})
-		if v+1 < n {
-			edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(v + 1), Weight: 2})
-		}
-	}
-	g := graph.MustBuild(n, edges)
-	part, _ := partition.NewChunked(g, 1)
-	gd := rrg.Generate(g, []graph.VertexID{0}, nil)
-
-	run := func(rr bool) *Result[float64] {
-		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), RR: rr, Guidance: gd,
-			DenseDivisor: 1 << 20}) // force pull mode to exercise the RR path
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(testProgram())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(false)
-	rr := run(true)
-	checkRepaid(t, base, rr, gd)
-	if got := rr.Metrics.Suppressed(); got != n-1 {
-		t.Errorf("suppressed %d vertices, want every non-root once = %d", got, n-1)
-	}
-	if b, r := base.Metrics.Computations(), rr.Metrics.Computations(); b != 319600 || r != b+n-2 {
-		t.Errorf("computations: RR-off %d (want 319600), RR %d (want RR-off + %d: the closing pull's inactive chain in-edges)", b, r, n-2)
-	}
-	if rr.Iterations != base.Iterations+1 {
-		t.Errorf("supersteps: RR %d, RR-off %d, want exactly the suppressed first round more", rr.Iterations, base.Iterations)
-	}
-}
-
-func TestRRWidestPathReducesComputations(t *testing.T) {
-	// The paper's Figure 1 redundancy pattern, generalised: a hub whose
-	// value improves once per iteration (each chain vertex offers a wider
-	// bottleneck path), fanned out to many destinations. The baseline
-	// re-relaxes every hub out-edge after each improvement.
-	//
-	// What RR saves on this graph since PR 18: nothing, and the name is kept
-	// only so the history of this test stays findable. Through PR 16 the
-	// Ruler advanced to the nearest owed LastIter, the hub stayed suppressed
-	// until its final value (LastIter 60) and the fan-out was relaxed once:
-	// 2119 counted computations against the baseline's 120119. Now the pull
-	// at ruler 0 suppresses all 2060 non-roots, nothing changes, and the
-	// Ruler jumps to max(LastIter) = 60: the closing pull starts the hub
-	// together with everything else (2119 computations, every in-edge), after
-	// which the hub improves 59 more times exactly as in the baseline —
-	// 122236 = 120119 + 2117. The jump is what takes R-MAT from 7-8 dense
-	// pull rounds per SSSP root to 5 (CHANGES.md, PR 18); this is its price.
-	const k = 60   // chain length = number of hub improvements
-	const m = 2000 // fan-out destinations
-	const hub = k  // vertex ids: chain 0..k-1, hub k, fan-out k+1..k+m
-	var edges []graph.Edge
-	for i := 0; i+1 < k; i++ {
-		edges = append(edges, graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1), Weight: 1000})
-	}
-	for i := 0; i < k; i++ {
-		// Path via chain vertex i has bottleneck width i+1: the hub's
-		// widest path improves at every iteration.
-		edges = append(edges, graph.Edge{Src: graph.VertexID(i), Dst: hub, Weight: float32(i + 1)})
-	}
-	for j := 0; j < m; j++ {
-		edges = append(edges, graph.Edge{Src: hub, Dst: graph.VertexID(k + 1 + j), Weight: 1000})
-	}
-	g := graph.MustBuild(k+1+m, edges)
-	part, _ := partition.NewChunked(g, 1)
-	gd := rrg.Generate(g, []graph.VertexID{0}, nil)
-	prog := &Program[float64]{
-		Name: "wp",
-		Agg:  MinMax,
-		InitValue: func(_ graph.View, v graph.VertexID) Value {
-			if v == 0 {
-				return math.Inf(1)
-			}
-			return 0
-		},
-		Roots:  []graph.VertexID{0},
-		Relax:  func(src Value, w float32) Value { return math.Min(src, float64(w)) },
-		Better: func(a, b Value) bool { return a > b },
-	}
-	run := func(rr bool) *Result[float64] {
-		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sched: testSched(t, 0), RR: rr, Guidance: gd,
-			DenseDivisor: 1 << 20}) // force pull mode to exercise the RR path
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(false)
-	rr := run(true)
-	checkRepaid(t, base, rr, gd)
-	// The hub's final width is k (widest chain detour).
-	if base.Values[hub] != k {
-		t.Fatalf("hub width %v, want %d", base.Values[hub], k)
-	}
-	if b, r := base.Metrics.Computations(), rr.Metrics.Computations(); b != 120119 || r != 122236 {
-		t.Errorf("computations: RR-off %d (want 120119), RR %d (want 122236)", b, r)
 	}
 }
 

@@ -52,7 +52,7 @@ func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program
 			defer sched.Close()
 			eng, err := core.New[V](core.Config{
 				Graph: g, Comm: comm.NewComm(tr), Part: part, Sched: sched,
-				RR: true, Guidance: gd,
+				RR: gd != nil, Guidance: gd, // a min/max reference run reports none
 			})
 			if err != nil {
 				errs[rank] = err

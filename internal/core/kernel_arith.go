@@ -75,11 +75,11 @@ func (k *arithKernel[V]) snapshot(snap *ckpt.State) []V {
 	return k.stableVal[lo:hi]
 }
 
-func (k *arithKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) bool {
-	if *iter >= k.maxIters {
+func (k *arithKernel[V]) stepBegin(iter int, stat *metrics.IterStat) bool {
+	if iter >= k.maxIters {
 		return true
 	}
-	stat.Iter = *iter
+	stat.Iter = iter
 	stat.Mode = metrics.Pull
 	stat.ActiveVerts = int64(k.e.g.NumVertices())
 	clear(k.counters)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"slfe/internal/bitset"
@@ -10,13 +9,15 @@ import (
 	"slfe/internal/metrics"
 )
 
-// minmaxKernel is the frontier-driven comparison kernel with the "start
-// late" rule of Algorithm 2 (single Ruler), plugged into the shared
-// superstep driver. Every per-superstep working set (scratch values,
-// per-thread counters, push buffers) is allocated once — here, on the
-// engine, or on the first superstep that needs it — and reused; the
-// compute/commit bodies are pre-created closures so dispatching a steady
-// superstep performs no heap allocations.
+// minmaxKernel is the frontier-driven comparison kernel, plugged into the
+// shared superstep driver. Every superstep takes the push/pull switch's own
+// choice; the paper's "start late" Ruler is not applied (it never paid on
+// this engine, see CHANGES.md), so RR and guidance leave a min/max run
+// untouched. Every per-superstep working set (scratch values, per-thread
+// counters, push buffers) is allocated once — here, on the engine, or on
+// the first superstep that needs it — and reused; the compute/commit
+// bodies are pre-created closures so dispatching a steady superstep
+// performs no heap allocations.
 type minmaxKernel[V comparable] struct {
 	e  *Engine[V]
 	p  *Program[V]
@@ -31,23 +32,9 @@ type minmaxKernel[V comparable] struct {
 	changed *bitset.Atomic
 	scratch []V // pull staging, allocated on the first pull superstep
 
-	// "Start late" state (Algorithm 2, single Ruler). lastIter is the
-	// guidance array (nil with RR off) and maxLastIter its maximum, taken
-	// here so soundness never hangs on a caller-filled field. A pull round
-	// at ruler r suppresses exactly {v : lastIter[v] > r}, so what is still
-	// owed a full pull is the scalar owedAbove: MaxInt64 before the first
-	// pull round (nobody), r after a pull round at r, -1 after a checkpoint
-	// restore (everybody). Every rank derives the same value without
-	// communication.
-	lastIter    []uint32
-	maxLastIter uint32
-	owedAbove   int64
-
-	// Per-superstep mode decision, made in stepBegin and consumed by
-	// compute/commit.
+	// pullMode is the superstep's mode, decided in stepBegin and consumed
+	// by compute/commit.
 	pullMode bool
-	ruler    int64    // current iteration, read by pullBody
-	ruled    []uint32 // lastIter if the Ruler can suppress or owe a vertex this round, else nil
 
 	counters []threadCounters
 
@@ -69,13 +56,6 @@ func newMinMaxKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], ch
 		front:     bitset.NewAtomic(n),
 		changed:   changed,
 		counters:  make([]threadCounters, e.sched.Threads()),
-		owedAbove: math.MaxInt64,
-	}
-	if e.cfg.RR {
-		k.lastIter = e.cfg.Guidance.LastIter
-		for _, li := range k.lastIter {
-			k.maxLastIter = max(k.maxLastIter, li)
-		}
 	}
 	for _, r := range p.Roots {
 		if int(r) < n {
@@ -93,16 +73,11 @@ func (k *minmaxKernel[V]) kind() ckpt.Kind          { return ckpt.MinMax }
 func (k *minmaxKernel[V]) superstepCap() int        { return 4*k.e.g.NumVertices() + 16 }
 func (k *minmaxKernel[V]) frontier() *bitset.Atomic { return k.front }
 
-// restore rebuilds the frontier. Which vertices earlier pull rounds
-// suppressed is not part of a shard: everything is treated as owed, and the
-// first superstep after the resume is one closing pull at maxLastIter that
-// re-collects every in-edge (a parent-written shard's "caughtup"/"debt"
-// keys are ignored).
+// restore rebuilds the frontier, the only kernel state a shard carries (a
+// shard written by an older build may also list "caughtup" and "debt"
+// sets; they are ignored).
 func (k *minmaxKernel[V]) restore(snap *ckpt.State) error {
 	k.front.Reset()
-	if k.lastIter != nil {
-		k.owedAbove = -1
-	}
 	return restoreBits(k.front, snap.Sets["frontier"])
 }
 
@@ -115,54 +90,29 @@ func (k *minmaxKernel[V]) snapshot(snap *ckpt.State) []V {
 	return nil
 }
 
-func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) bool {
+func (k *minmaxKernel[V]) stepBegin(iter int, stat *metrics.IterStat) bool {
 	e := k.e
 	// The global active count drives termination and the mode switch, so
 	// every worker must agree on it: delta-sync gives every worker the
 	// whole frontier, so each counts it locally.
 	active := int64(k.front.Count())
-
-	// "Start late" debt: the latest pull round ran at ruler owedAbove and
-	// skipped every vertex whose LastIter lies beyond it; each of them
-	// relaxes all its in-edges at its first pull with ruler >= LastIter,
-	// which repays whatever it missed. Push delivers only along the
-	// frontier's out-edges and would lose those offers for good, so it is
-	// entered only once a pull round has reached maxLastIter (Algorithm 3's
-	// correctness rule, as one comparison instead of a reactivate-all).
-	debt := k.owedAbove < int64(k.maxLastIter)
-	if active == 0 && !debt {
-		return true // no active work and nothing owed: done
+	if active == 0 {
+		return true // no active work: done
 	}
-	if debt && (active == 0 || k.owedAbove < 0) && int(k.maxLastIter) > *iter {
-		// Nothing is in flight, or a resumed run cannot tell who is owed:
-		// jump the Ruler to maxLastIter, so one closing pull starts every
-		// vertex still waiting (moving the Ruler forward is always sound —
-		// the guidance only ever delays a vertex).
-		*iter = int(k.maxLastIter)
-	}
-	var total, owned int64
-	if !debt {
-		total, owned = e.frontierOutEdges(k.front)
-	}
-	// The push/pull switch (Gemini's heuristic); debt pins pull.
-	k.pullMode = debt || total > e.g.NumEdges()/e.cfg.DenseDivisor
-	// Outside debt nobody is owed, and with the Ruler at maxLastIter nobody
-	// is suppressed: every vertex computes, and Σ_v |in(v) ∩ F| =
-	// Σ_{u∈F} OutDegree(u). Each rank counts the frontier vertices it owns.
+	total, owned := e.frontierOutEdges(k.front)
+	// The push/pull switch (Gemini's heuristic).
+	k.pullMode = total > e.g.NumEdges()/e.cfg.DenseDivisor
+	// Every vertex computes, so in either mode Σ_v |in(v) ∩ F| =
+	// Σ_{u∈F} OutDegree(u): each rank counts the frontier vertices it owns.
 	clear(k.counters)
-	k.ruled = nil
-	if k.pullMode && (debt || *iter < int(k.maxLastIter)) {
-		k.ruled = k.lastIter
-	} else {
-		k.counters[0].comps = owned
-	}
+	k.counters[0].comps = owned
 	if k.pullMode && k.scratch == nil {
 		// A run that only pushes (a warm wave from a few sources) never
 		// stages a value, so it never pays for the array.
 		k.scratch = make([]V, e.g.NumVertices())
 	}
 
-	stat.Iter = *iter
+	stat.Iter = iter
 	stat.ActiveVerts = active
 	stat.Mode = metrics.Push
 	if k.pullMode {
@@ -180,7 +130,7 @@ func (k *minmaxKernel[V]) stagedCompute() ([]V, bool) {
 	return nil, false
 }
 
-func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
+func (k *minmaxKernel[V]) compute(int, *metrics.IterStat) error {
 	if !k.pullMode {
 		// Every rank holds the whole frontier: each relaxes it into the
 		// destinations it owns, and commit folds the proposals.
@@ -191,11 +141,7 @@ func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 		k.st.run.Steals += k.e.sched.Run(0, uint32(k.e.g.NumVertices()), k.pushBody).Steals
 		return nil
 	}
-	k.ruler = int64(iter)
 	k.st.run.Steals += k.e.computeOwned(k.pullBody).Steals
-	if k.lastIter != nil {
-		k.owedAbove = k.ruler
-	}
 	return nil
 }
 
@@ -209,47 +155,21 @@ func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 // for bit the one a frontier-filtered scan produces, without a
 // data-dependent branch per edge. Computations keeps Gemini's signal/slot
 // accounting, one per in-edge whose source is active (the relaxations of
-// §2.2): stepBegin counts an unruled round, so its loop walks each in-list
-// once; a ruled round (dead round, debt pull) counts per vertex.
+// §2.2), which stepBegin counts from the frontier's out-degrees, so this
+// loop walks each in-list once.
 func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	p, st := k.p, k.st
 	cur := k.e.curs[th]
-	lastIter, ruler, owedAbove := k.ruled, k.ruler, k.owedAbove
-	var comps, suppressed, catchups int64
 	changed := k.changed.Acc()
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
-		owed := false
-		if lastIter != nil {
-			// Algorithm 2, pullEdge_singleRuler: an O(1) Ruler test delays
-			// the vertex until iteration RRG[v].lastIter. Its first pull
-			// after a round that suppressed it collects the inputs of all
-			// in-edges (§3.2) and is charged as such: one catch-up.
-			li := int64(lastIter[v])
-			if ruler < li {
-				suppressed++
-				continue
-			}
-			owed = li > owedAbove
-		}
-		ins := cur.InNeighbors(vid)
-		if owed {
-			catchups++
-			comps += int64(len(ins))
-		} else if lastIter != nil {
-			comps += k.front.CountIn(ins)
-		}
-		best := k.relaxSpan(st.values[vid], st.values, ins, p.inWeights(cur, vid))
+		best := k.relaxSpan(st.values[vid], st.values, cur.InNeighbors(vid), p.inWeights(cur, vid))
 		if p.Better(best, st.values[vid]) {
 			k.scratch[v] = best
 			changed.Set(int(v))
 		}
 	}
 	changed.Flush() // before returning: the overlapped pipeline reads the bits at chunk completion
-	c := &k.counters[th]
-	c.comps += comps
-	c.suppressed += suppressed
-	c.catchups += catchups
 }
 
 // pairBuf is one thread's append buffer of push proposals. Length resets

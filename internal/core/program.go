@@ -1,17 +1,13 @@
 // Package core implements the SLFE execution engine (§3 of the paper): a
-// BSP, vertex-centric, dual-mode (push/pull) distributed runtime whose pull
-// path applies redundancy-reduction guidance — "start late" scheduling for
-// min/max aggregations (Algorithm 2, single Ruler), "finish early"
-// early-convergence detection for arithmetic aggregations (Algorithm 5,
-// per-vertex RulerS).
+// BSP, vertex-centric, dual-mode (push/pull) distributed runtime whose
+// arith path applies redundancy-reduction guidance: "finish early"
+// early-convergence detection (Algorithm 5, per-vertex RulerS). The paper's
+// "start late" scheduling for min/max aggregations (Algorithm 2) is not
+// applied: against the push/pull switch it cost more than it saved on every
+// input measured, so a min/max run reads no guidance.
 //
-// The min/max pull contract is the paper's pullEdge_singleRuler: a vertex
-// computes once Ruler >= LastIter[v] and then relaxes all its in-edges, so
-// a late starter repays what it skipped by construction. A pull round at
-// ruler r leaves exactly {v : LastIter[v] > r} owed, which makes
-// Algorithm 3's correctness rule (nothing suppressed may be lost to push)
-// one scalar test — push only after a pull round has reached
-// max(LastIter) — instead of per-vertex debt tracking or a reactivate-all.
+// The min/max pull contract: every vertex of a pull round relaxes all its
+// in-edges, whatever its sources did last round.
 //
 // Applications are expressed as a declarative Program: the engine owns the
 // edgeProc traversal (Table 3's APIs) and calls the program's relaxation /
@@ -41,7 +37,8 @@ type AggKind int
 // Aggregation classes.
 const (
 	// MinMax programs (SSSP, CC, WidestPath, BFS, ...) aggregate with a
-	// comparison; they are frontier-driven and use the "start late" rule.
+	// comparison; they are frontier-driven and switch between push and
+	// pull.
 	MinMax AggKind = iota
 	// Arith programs (PageRank, TunkRank, NumPaths, ...) aggregate with
 	// sum/product; they always pull (§3.3 footnote) and use "finish early".

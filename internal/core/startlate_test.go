@@ -1,7 +1,6 @@
 // Tests of the min/max pull contract: every pull relaxes all in-edges, the
 // count is one per edge whose source is active whichever rank takes it, and
-// "start late" is one Ruler comparison whose soundness does not depend on
-// where the guidance came from.
+// guidance, wherever it came from, leaves a min/max run untouched.
 package core_test
 
 import (
@@ -24,13 +23,13 @@ import (
 	"slfe/internal/ws"
 )
 
-// TestStartLateSoundForArbitraryGuidance runs SSSP and CC under LastIter
-// arrays no Generate produced — all-zero, all-equal, random, and random with
-// a maximum far beyond the run length — forcing all-pull, all-push and the
-// default switch, on 1 and 2 ranks, under every delta-sync strategy. Values
-// must equal the RR-off run bit for bit, and once a pull round has run no
-// push superstep may start before a pull round has reached max(LastIter):
-// the vertices a pull suppressed are owed offers a push would never deliver.
+// TestStartLateSoundForArbitraryGuidance hands the engine itself RR and
+// LastIter arrays no Generate produced — all-zero, all-equal, random, and
+// random with a maximum far beyond the run length — for SSSP, CC and WP,
+// forcing all-pull, all-push and the default switch, on 1 and 2 ranks. A
+// min/max run applies no start late, so on every rank the values and every
+// superstep's iteration, mode, active count, Computations, Updates and
+// Suppressed must equal the RR-off run's.
 func TestStartLateSoundForArbitraryGuidance(t *testing.T) {
 	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 8, 29)
 	sym := apps.Symmetrize(g)
@@ -49,7 +48,7 @@ func TestStartLateSoundForArbitraryGuidance(t *testing.T) {
 		"random": fill(func(int) uint32 { return uint32(rng.Intn(9)) }),
 		"far": fill(func(v int) uint32 {
 			if v%97 == 0 {
-				return 1 << 20 // no run gets near it: only the Ruler jump does
+				return 1 << 20 // far beyond any run's length
 			}
 			return uint32(rng.Intn(5))
 		}),
@@ -61,43 +60,73 @@ func TestStartLateSoundForArbitraryGuidance(t *testing.T) {
 	}{
 		"sssp": {g, apps.SSSP(0)},
 		"cc":   {sym, apps.CC(sym)},
+		"wp":   {g, apps.WP(0)},
 	}
 	for pname, pr := range progs {
-		want, err := cluster.Execute(pr.g, pr.p, cluster.Options{Nodes: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for gname, lastIter := range guidances {
-			gd := &rrg.Guidance{LastIter: lastIter, Level: make([]uint32, n)} // MaxLastIter left zero on purpose
-			var maxLI int
-			for _, li := range lastIter {
-				maxLI = max(maxLI, int(li))
-			}
-			for dname, dd := range divisors {
-				for _, nodes := range []int{1, 2} {
+		for dname, dd := range divisors {
+			for _, nodes := range []int{1, 2} {
+				wantVals, wantSteps, err := runEngines(pr.g, pr.p, nodes, dd, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for gname, lastIter := range guidances {
 					label := fmt.Sprintf("%s/%s/%s/nodes=%d", pname, gname, dname, nodes)
-					got, err := cluster.Execute(pr.g, pr.p, cluster.Options{
-						Nodes: nodes, Threads: 2, RR: true, Guidance: gd, DenseDivisor: dd,
-					})
+					gd := &rrg.Guidance{LastIter: lastIter, Level: make([]uint32, n)} // MaxLastIter left zero on purpose
+					vals, steps, err := runEngines(pr.g, pr.p, nodes, dd, gd)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if !bitIdentical(got.Result.Values, want.Result.Values) {
+					if !bitIdentical(vals, wantVals) {
 						t.Fatalf("%s: values differ from the RR-off run", label)
 					}
-					lastPull := -1
-					for _, s := range got.Result.Metrics.Iters {
-						if s.Mode == metrics.Pull {
-							lastPull = s.Iter
-						} else if lastPull >= 0 && lastPull < maxLI {
-							t.Fatalf("%s: push at iteration %d while the last pull ran at ruler %d < max(LastIter) %d",
-								label, s.Iter, lastPull, maxLI)
+					for rank := range steps {
+						if !slices.Equal(steps[rank], wantSteps[rank]) {
+							t.Fatalf("%s rank %d: supersteps differ from the RR-off run\n got  %v\n want %v", label, rank, steps[rank], wantSteps[rank])
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// stepStat is the deterministic part of one superstep's metrics.IterStat.
+type stepStat struct {
+	iter                               int
+	mode                               metrics.Mode
+	active, comps, updates, suppressed int64
+}
+
+// runEngines runs p on nodes in-process ranks of 2 threads each, built
+// straight from core.Config so that gd reaches the engine (RR on when gd
+// is non-nil), and returns rank 0's values and every rank's supersteps.
+func runEngines(g *graph.Graph, p *core.Program[float64], nodes int, dd int64, gd *rrg.Guidance) ([]float64, [][]stepStat, error) {
+	part, err := partition.NewChunked(g, nodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	results := make([]*core.Result[float64], nodes)
+	err = cluster.SPMD(nodes, func(rank int, cm *comm.Comm) error {
+		sched := ws.New(2, false)
+		defer sched.Close()
+		eng, err := core.New[float64](core.Config{Graph: g, Comm: cm, Part: part, Sched: sched,
+			RR: gd != nil, Guidance: gd, DenseDivisor: dd})
+		if err != nil {
+			return err
+		}
+		results[rank], err = eng.Run(p)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	steps := make([][]stepStat, nodes)
+	for rank, r := range results {
+		for _, s := range r.Metrics.Iters {
+			steps[rank] = append(steps[rank], stepStat{s.Iter, s.Mode, s.ActiveVerts, s.Computations, s.Updates, s.Suppressed})
+		}
+	}
+	return results[0].Values, steps, nil
 }
 
 // step is one superstep's mode and counted work.
@@ -254,10 +283,9 @@ func rrOffIters[V comparable](g graph.View, p *core.Program[V]) ([]metrics.IterS
 }
 
 // BenchmarkMinMaxPull runs SSSP with every superstep forced into pull mode
-// (guidance generated outside the timed loop) and reports the rate at which
-// pull rounds scan in-edges: a round scans the whole in-list of every vertex
-// it computes, whatever the frontier, so Medges/s is the cost of the
-// all-in-edge scan itself and rr vs norr shows what suppression skips.
+// and reports the rate at which pull rounds scan in-edges: a round scans
+// the whole in-list of every owned vertex, whatever the frontier, so
+// Medges/s is the cost of the all-in-edge scan itself.
 func BenchmarkMinMaxPull(b *testing.B) {
 	g := gen.RMAT(1<<14, 1<<18, gen.DefaultRMAT, 16, 5)
 	part, err := partition.NewChunked(g, 1)
@@ -265,41 +293,29 @@ func BenchmarkMinMaxPull(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := apps.SSSP(0)
-	gd := rrg.Generate(g, p.Roots, nil)
-	for _, rr := range []bool{true, false} {
-		name := map[bool]string{true: "rr", false: "norr"}[rr]
-		for _, threads := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
-				ts, err := comm.NewLocalGroup(1)
-				if err != nil {
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			ts, err := comm.NewLocalGroup(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ts[0].Close()
+			sched := ws.New(threads, true)
+			defer sched.Close()
+			eng, err := core.New[float64](core.Config{Graph: g, Comm: comm.NewComm(ts[0]), Part: part,
+				Sched: sched, DenseDivisor: 1 << 40})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res *core.Result[float64]
+			for b.Loop() {
+				if res, err = eng.Run(p); err != nil {
 					b.Fatal(err)
 				}
-				defer ts[0].Close()
-				sched := ws.New(threads, true)
-				defer sched.Close()
-				eng, err := core.New[float64](core.Config{Graph: g, Comm: comm.NewComm(ts[0]), Part: part,
-					Sched: sched, RR: rr, Guidance: gd, DenseDivisor: 1 << 40})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var res *core.Result[float64]
-				for b.Loop() {
-					if res, err = eng.Run(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				// Every run scans the same edges: each pull round, the
-				// in-lists of the vertices its Ruler lets compute.
-				var scanned int64
-				for _, s := range res.Metrics.Iters {
-					for v := range g.NumVertices() {
-						if !rr || int(gd.LastIter[v]) <= s.Iter {
-							scanned += g.InDegree(graph.VertexID(v))
-						}
-					}
-				}
-				b.ReportMetric(float64(scanned)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
-			})
-		}
+			}
+			// Every run scans the same edges: all of them, each pull round.
+			scanned := int64(len(res.Metrics.Iters)) * g.NumEdges()
+			b.ReportMetric(float64(scanned)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+		})
 	}
 }

@@ -14,9 +14,9 @@ import (
 // driver. The driver owns everything both loops used to duplicate —
 // checkpoint load/save, delta-sync, metrics plumbing
 // and the iteration loop itself — while the kernel supplies the
-// mode-specific compute: frontier-driven relaxation with "start late"
-// scheduling (minmaxKernel) or all-vertex gather/apply with "finish
-// early" detection (arithKernel).
+// mode-specific compute: frontier-driven relaxation with a push/pull
+// switch (minmaxKernel) or all-vertex gather/apply with "finish early"
+// detection (arithKernel).
 type kernel[V comparable] interface {
 	// kind tags checkpoint shards; a shard from one kernel must not
 	// resume the other.
@@ -35,10 +35,9 @@ type kernel[V comparable] interface {
 	// frontier returns the bitset the sync phase repopulates with the
 	// next frontier, or nil for kernels that activate every vertex.
 	frontier() *bitset.Atomic
-	// stepBegin runs pre-compute coordination: termination checks,
-	// Ruler advance (it may move iter forward) and push/pull mode
-	// selection. done ends the run before any compute.
-	stepBegin(iter *int, stat *metrics.IterStat) (done bool)
+	// stepBegin runs pre-compute coordination: termination checks and
+	// push/pull mode selection. done ends the run before any compute.
+	stepBegin(iter int, stat *metrics.IterStat) (done bool)
 	// stagedCompute reports whether this superstep's compute is pull-style
 	// — every owned vertex's new value is staged chunk-locally into the
 	// returned scratch array — so the overlapped pipeline may stream
@@ -70,10 +69,10 @@ type kernel[V comparable] interface {
 // a full cache line keeps one thread's fold from invalidating its
 // neighbour's line.
 type threadCounters struct {
-	comps, updates, suppressed, catchups int64
-	frozen                               int64   // arith: vertices early-converged after this superstep
-	maxDelta                             float64 // arith: largest |Δ| the thread staged
-	_                                    [16]byte
+	comps, updates, suppressed int64
+	frozen                     int64   // arith: vertices early-converged after this superstep
+	maxDelta                   float64 // arith: largest |Δ| the thread staged
+	_                          [24]byte
 }
 
 // foldCounters adds every thread's counts to stat.
@@ -82,7 +81,6 @@ func foldCounters(cs []threadCounters, stat *metrics.IterStat) {
 		stat.Computations += cs[i].comps
 		stat.Updates += cs[i].updates
 		stat.Suppressed += cs[i].suppressed
-		stat.CatchUps += cs[i].catchups
 	}
 }
 
@@ -133,7 +131,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 	for tick := 0; tick < k.superstepCap(); tick++ {
 		var stat metrics.IterStat
 		beginStart := time.Now()
-		done := k.stepBegin(&iter, &stat)
+		done := k.stepBegin(iter, &stat)
 		st.run.FrontierTime += time.Since(beginStart)
 		if done {
 			break

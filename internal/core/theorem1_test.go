@@ -17,10 +17,11 @@ import (
 	"slfe/internal/ws"
 )
 
-// This file checks Theorem 1 (§3.7) as an executable property: the delayed
-// ("start late") update procedure converges to the same fixed point as the
-// original procedure for monotone min/max programs, and the "finish early"
-// procedure only skips computations whose results would repeat.
+// This file checks Theorem 1 (§3.7) as an executable property: an RR run
+// of a monotone min/max program (which applies no "start late", so
+// guidance must leave it untouched) converges to the same fixed point as
+// the original procedure, and the "finish early" procedure only skips
+// computations whose results would repeat.
 
 func testWP(root graph.VertexID) *Program[float64] {
 	return &Program[float64]{

@@ -151,8 +151,8 @@ func Uniform(n int, m int64, maxWeight int, seed int64) *graph.Graph {
 
 // Grid generates a rows x cols 4-neighbour grid with bidirectional edges and
 // uniformly random weights in [1, maxWeight]. Grids model road networks:
-// large diameter, uniform low degree — the worst case for "start late"
-// guidance reuse and a good stress test.
+// large diameter, uniform low degree — hundreds of supersteps whose
+// frontiers never reach the pull threshold, and a good stress test.
 func Grid(rows, cols, maxWeight int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := rows * cols

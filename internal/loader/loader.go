@@ -214,7 +214,7 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 				return nil, fmt.Errorf("%w: (%d -> %d) with n=%d", graph.ErrVertexOutOfRange, e.Src, e.Dst, n)
 			}
 			if edges == nil {
-				edges = csr().Edges(make([]graph.Edge, 0, capHint))
+				edges = prefixEdges(off, last, ids, w, capHint)
 			}
 			edges = append(edges, e)
 		}
@@ -233,6 +233,23 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 }
 
 var le = binary.LittleEndian
+
+// prefixEdges lists, in file order, the records decodeCSR has put in the
+// out-arrays: source v's are ids[off[v]:off[v+1]] for v below last, and
+// last's run to the end.
+func prefixEdges(off []int64, last uint32, ids []graph.VertexID, w []float32, capHint uint64) []graph.Edge {
+	edges := make([]graph.Edge, 0, max(capHint, uint64(len(ids))))
+	for v := uint64(0); v <= uint64(last); v++ {
+		end := int64(len(ids))
+		if v < uint64(last) {
+			end = off[v+1]
+		}
+		for k := off[v]; k < end; k++ {
+			edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: ids[k], Weight: w[k]})
+		}
+	}
+	return edges
+}
 
 // decodeCSR appends records to a CSR's out-arrays while their sources
 // ascend from last and their endpoints are below n, setting off[v] once a

@@ -28,11 +28,10 @@ type IterStat struct {
 	Iter int
 	Mode Mode
 	// Computations counts per-edge computations. A min/max superstep counts at
-	// the source's owner, a pull round RR can suppress or owe in at the destination's.
+	// the source's owner.
 	Computations int64
 	Updates      int64 // vertex value changes
-	Suppressed   int64 // vertex computations skipped by RR
-	CatchUps     int64 // full-scan catch-up pulls (start-late repayments)
+	Suppressed   int64 // vertex computations skipped by RR's finish early (arith)
 	ActiveVerts  int64 // active vertices entering the superstep (global)
 	ECGlobal     int64 // early-converged vertices cluster-wide (arith + RR)
 	SyncBytes    int64 // bytes this worker sent during the delta-sync phase
@@ -134,12 +133,11 @@ func Merge(runs []*Run) *Run {
 				out.Iters = append(out.Iters, IterStat{})
 			}
 			o := &out.Iters[i]
-			o.Iter = s.Iter // the Ruler: workers agree, and it can jump past the index
+			o.Iter = s.Iter // workers agree
 			o.Mode = s.Mode
 			o.Computations += s.Computations
 			o.Updates += s.Updates
 			o.Suppressed += s.Suppressed
-			o.CatchUps += s.CatchUps
 			o.SyncBytes += s.SyncBytes
 			o.StreamedBytes += s.StreamedBytes
 			if s.ExposedComm > o.ExposedComm {

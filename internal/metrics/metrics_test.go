@@ -46,7 +46,8 @@ func TestMerge(t *testing.T) {
 	if m.Iters[1].Computations != 2 {
 		t.Fatalf("iter1 comps = %d", m.Iters[1].Computations)
 	}
-	// Iter is the workers' Ruler, which can jump past the superstep index.
+	// Iter is the workers' superstep number, which a resumed run starts
+	// past the index.
 	if m.Iters[0].Iter != 0 || m.Iters[1].Iter != 7 {
 		t.Fatalf("merged iters numbered %d, %d, want the workers' 0, 7", m.Iters[0].Iter, m.Iters[1].Iter)
 	}

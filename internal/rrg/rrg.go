@@ -1,12 +1,16 @@
 // Package rrg implements SLFE's preprocessing stage (Algorithm 1 of the
 // paper): a unit-weight label propagation that records, for every vertex,
 // the *last* iteration at which an active in-neighbour could deliver an
-// update. This "redundancy reduction guidance" (RRG) drives both
-// optimisations of the execution phase:
+// update. The paper drives two optimisations of the execution phase with
+// this "redundancy reduction guidance" (RRG):
 //
 //   - start late  — a min/max vertex need not compute before LastIter(v);
 //   - finish early — an arithmetic vertex whose value has been stable for
 //     LastIter(v) consecutive iterations is early-converged.
+//
+// The engine applies only finish early. Start late cost more than it saved
+// against the engine's own push/pull switch on every input measured, so a
+// min/max run reads no guidance (README, "Start late").
 //
 // With unit weights, Algorithm 1's "visited" rule means the first update
 // assigns the BFS distance; a vertex is active during iteration level(v)+1,
@@ -21,16 +25,14 @@
 // every later run, and Carry moves it across an insertion batch to the next
 // graph version. The service calls Carry only while an arith program is
 // registered: that program's re-execution is a cold RR run over the new
-// version, whereas a warm min/max wave runs with RR off and reads no
-// guidance, and any later cold run over a version nothing was carried to
-// generates through Shared. A converted .slfc file carries it (package
-// store writes it at conversion), so a graph opened from one arrives with
-// its slot already full and no job on it generates. Start late is sound
-// under any LastIter, so min/max programs share it too; per-root guidance
-// bought no measurable precision.
-// The one exception is an arithmetic program whose information starts at
-// its own roots (NumPaths, HeatSimulation, evidence-rooted BP): finish early
-// needs levels measured from those roots, so its run generates them.
+// version, and any later cold arith run over a version nothing was carried
+// to generates through Shared. A converted .slfc file still carries it
+// (package store writes it at conversion), so a graph opened from one
+// arrives with its slot already full and no finish-early run on it
+// generates. The one exception is an arithmetic program whose information
+// starts at its own roots (NumPaths, HeatSimulation, evidence-rooted BP):
+// finish early needs levels measured from those roots, so its run
+// generates them.
 package rrg
 
 import (

@@ -14,13 +14,14 @@ import (
 	"slfe/internal/service"
 )
 
-// Every graph version a service publishes holds one default-root guidance
-// in its shared slot, whatever the batch: carried across an insertion that
-// keeps the default root set, generated by the first run after one that
-// changes it, and after a deletion. Either way it must be exactly what a
-// cold generation on that version derives, for the base graph and its
-// symmetrised twin; PageRank pays preprocessing only when nothing was
-// carried.
+// Every base graph version a service publishes holds one default-root
+// guidance in its shared slot, whatever the batch: carried across an
+// insertion that keeps the default root set, generated by the first run
+// after one that changes it, and after a deletion. Either way it must be
+// exactly what a cold generation on that version derives, and PageRank pays
+// preprocessing only when nothing was carried. The symmetrised twin serves
+// only CC, a min/max program that reads no guidance, so its slot stays
+// empty.
 func TestEveryVersionSharesDefaultGuidance(t *testing.T) {
 	g0 := gen.Uniform(250, 1000, 4, 23)
 	svc, err := service.New(g0, service.Config{Nodes: 1, Threads: 1, Sessions: 1, RR: true})
@@ -68,20 +69,22 @@ func TestEveryVersionSharesDefaultGuidance(t *testing.T) {
 		if paid := snap.Programs[service.ProgramID("pr", "f64")].Outcome.Preprocess > 0; paid == step.carried {
 			t.Errorf("%s: PageRank paid preprocessing %v, want %v", step.name, paid, !step.carried)
 		}
-		for name, g := range map[string]*graph.Graph{"Graph": snap.Graph, "Sym": snap.Sym} {
-			gd, fresh := rrg.Shared(g, nil)
-			want := rrg.Generate(g, rrg.DefaultRoots(g), nil)
-			if fresh || !slices.Equal(gd.LastIter, want.LastIter) || !slices.Equal(gd.Level, want.Level) ||
-				gd.Rounds != want.Rounds || gd.MaxLastIter != want.MaxLastIter {
-				t.Errorf("%s: %s's shared guidance is missing (fresh %v) or differs from the default-root guidance", step.name, name, fresh)
-			}
+		g := snap.Graph
+		gd, fresh := rrg.Shared(g, nil)
+		want := rrg.Generate(g, rrg.DefaultRoots(g), nil)
+		if fresh || !slices.Equal(gd.LastIter, want.LastIter) || !slices.Equal(gd.Level, want.Level) ||
+			gd.Rounds != want.Rounds || gd.MaxLastIter != want.MaxLastIter {
+			t.Errorf("%s: the shared guidance is missing (fresh %v) or differs from the default-root guidance", step.name, fresh)
+		}
+		if _, fresh := rrg.Shared(snap.Sym, nil); !fresh {
+			t.Errorf("%s: the symmetrised graph's shared slot was filled, want it empty", step.name)
 		}
 	}
 }
 
-// A service whose programs are all min/max carries no guidance: its warm
-// waves run with RR off, so each insertion leaves the new version's shared
-// slot empty, for the base graph and its symmetrised twin. An arith program
+// A service whose programs are all min/max carries no guidance: a min/max
+// run reads none, so each insertion leaves the new version's shared slot
+// empty, for the base graph and its symmetrised twin. An arith program
 // registered later generates on the version it runs over and matches a cold
 // run bit for bit.
 func TestMinMaxOnlyServiceCarriesNoGuidance(t *testing.T) {

@@ -24,9 +24,9 @@ type Config struct {
 	Threads int
 	// Stealing enables the work-stealing scheduler.
 	Stealing bool
-	// RR enables redundancy reduction; while an arith program is
-	// registered, the graph's shared guidance is then carried across
-	// insert-only batches (rrg.Carry).
+	// RR enables redundancy reduction (finish early, for arith programs);
+	// while an arith program is registered, the graph's shared guidance is
+	// then carried across insert-only batches (rrg.Carry).
 	RR bool
 	// Sessions bounds how many programs execute concurrently: the resident
 	// session pool's size (default 1, the pre-pool serial behaviour).
@@ -287,8 +287,8 @@ func (s *Service) successor(cur *Snapshot) *Snapshot {
 // otherwise. Programs re-execute concurrently over the session pool (see
 // reexecuteAll); the snapshot swaps only after every program re-ran, so
 // readers never observe a version whose results lag its graph. Deletions
-// take the fallback path: cold re-runs, whose first RR run generates the
-// new version's guidance.
+// take the fallback path: cold re-runs, whose first arith RR run generates
+// the new version's guidance.
 func (s *Service) Apply(b *Batch) (*Snapshot, error) {
 	return s.ApplyCtx(context.Background(), b)
 }
@@ -357,16 +357,14 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 	} else {
 		next.Stats.Incremental++
 		if s.cfg.RR && cur.hasArith() {
-			// Only an arith re-execution reads guidance: warm min/max waves
-			// run with RR off, and a later cold run (a registration, a
-			// deletion fallback) generates through rrg.Shared. Carried
-			// before any program runs on the new versions, so every run over
-			// one shares a single Update.
+			// Only an arith re-execution reads guidance (a min/max run reads
+			// none, and the symmetrised graph serves only CC, so its guidance
+			// is never carried), and a later cold arith run (a registration,
+			// a deletion fallback) generates through rrg.Shared. Carried
+			// before any program runs on the new version, so every run over
+			// it shares a single Update.
 			sched := ws.New(s.cfg.Threads, s.cfg.Stealing)
 			rrg.Carry(cur.Graph, g2, b.Adds, sched)
-			if cur.Sym != nil {
-				rrg.Carry(cur.Sym, sym2, symAdds, sched)
-			}
 			sched.Close()
 		}
 	}
@@ -386,8 +384,8 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 
 // reexecute moves one program to the mutated graph on the given session.
 // Guidance is the cluster layer's choice either way: the new version's
-// shared slot holds what rrg.Carry moved there, or the first RR run over
-// the version generates it (warm min/max waves read none).
+// shared slot holds what rrg.Carry moved there, or the first arith RR run
+// over the version generates it (min/max runs read none).
 func (s *Service) reexecute(sess *cluster.Session, p *Program, g2, sym2 *graph.Graph, symAdds, adds []graph.Edge, full bool) (*Program, error) {
 	execG, execAdds := g2, adds
 	if p.NeedsSym {
