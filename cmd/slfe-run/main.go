@@ -204,8 +204,7 @@ func main() {
 				s.Iter, s.Mode, s.ActiveVerts, s.Computations, s.Updates, s.Suppressed)
 		}
 		if disk != nil {
-			kept, blocks, bytes, limit := disk.InCache()
-			fmt.Printf("slfc-cache: in-blocks=%d/%d cached=%.2fMiB cap=%.2fMiB\n", kept, blocks, float64(bytes)/(1<<20), float64(limit)/(1<<20))
+			fmt.Printf("slfc-cache: %v\n", disk.InCache())
 		}
 	}
 	printSample(appKey, g, values)

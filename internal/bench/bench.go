@@ -9,8 +9,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"slfe/internal/apps"
@@ -146,6 +148,24 @@ func (c *Config) RunSLFE(app, name string, nodes int, rr bool, opts ...func(*clu
 		fn(&opt)
 	}
 	return cluster.Execute(g, p, opt)
+}
+
+// medianPair runs app on graph name with RR off and on, alternately, three
+// times each, and returns each side's run of median elapsed time: one
+// timing per side of a comparison shows only run-to-run noise.
+func (c *Config) medianPair(app, name string) (base, rr *cluster.RunResult[float64], err error) {
+	var runs [2][3]*cluster.RunResult[float64]
+	for j := range 3 {
+		for i := range runs {
+			if runs[i][j], err = c.RunSLFE(app, name, c.Nodes, i == 1); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	for i := range runs {
+		slices.SortFunc(runs[i][:], func(a, b *cluster.RunResult[float64]) int { return cmp.Compare(a.Elapsed, b.Elapsed) })
+	}
+	return runs[0][1], runs[1][1], nil
 }
 
 // perIterSeconds normalises arith app runtimes the way Table 5 does

@@ -215,9 +215,9 @@ func Table5(c Config) error {
 // Figure5 reproduces Figure 5: SLFE's runtime improvement over the Gemini
 // proxy (SLFE with RR disabled) per application and graph. The paper
 // reports 34-47% on its cluster. Here RR is finish early only: the min/max
-// rows (SSSP, CC, WP) run the same supersteps either way, so their gap is
-// noise, and only the arith rows can show RR's gain (README, "Start
-// late").
+// rows (SSSP, CC, WP) run the same supersteps either way, so their expected
+// gap is 0, and only the arith rows can show RR's gain (README, "Start
+// late"). Each side is the median of three runs.
 func Figure5(c Config) error {
 	c.defaults()
 	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)
@@ -228,11 +228,7 @@ func Figure5(c Config) error {
 		var row []float64
 		var sum float64
 		for _, name := range order {
-			base, err := c.RunSLFE(app, name, c.Nodes, false)
-			if err != nil {
-				return err
-			}
-			rr, err := c.RunSLFE(app, name, c.Nodes, true)
+			base, rr, err := c.medianPair(app, name)
 			if err != nil {
 				return err
 			}

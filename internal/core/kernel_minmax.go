@@ -173,7 +173,8 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 }
 
 // pairBuf is one thread's append buffer of push proposals. Length resets
-// every push superstep; capacity is retained.
+// every push superstep; capacity is retained. Adjacent threads' buffers
+// share a cache line: a chunk appends to locals, stored back once.
 type pairBuf[V comparable] struct {
 	ids  []graph.VertexID
 	vals []V
@@ -187,6 +188,7 @@ type pairBuf[V comparable] struct {
 func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
 	cur, b := e.curs[th], &e.pushBufs[th]
+	ids, vals := b.ids, b.vals
 	lo, hi := e.lo, e.hi
 	weighted := !p.Unweighted
 	it := k.front.IterIn(int(clo), int(chi))
@@ -214,16 +216,17 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 			cand := k.relax(vid, srcVal, w)
 			// Parallel edges land adjacently in the ascending list:
 			// combine in place instead of appending a duplicate.
-			if n := len(b.ids); n > 0 && b.ids[n-1] == u {
-				if p.Better(cand, b.vals[n-1]) {
-					b.vals[n-1] = cand
+			if n := len(ids); n > 0 && ids[n-1] == u {
+				if p.Better(cand, vals[n-1]) {
+					vals[n-1] = cand
 				}
 			} else {
-				b.ids = append(b.ids, u)
-				b.vals = append(b.vals, cand)
+				ids = append(ids, u)
+				vals = append(vals, cand)
 			}
 		}
 	}
+	b.ids, b.vals = ids, vals
 }
 
 // foldPush applies every thread's push proposals to the owned values and

@@ -287,6 +287,26 @@ func rrOffIters[V comparable](g graph.View, p *core.Program[V]) ([]metrics.IterS
 // the whole in-list of every owned vertex, whatever the frontier, so
 // Medges/s is the cost of the all-in-edge scan itself.
 func BenchmarkMinMaxPull(b *testing.B) {
+	benchMinMax(b, 1<<40, func(b *testing.B, g *graph.Graph, res *core.Result[float64]) {
+		// Every run scans the same edges: all of them, each pull round.
+		scanned := int64(len(res.Metrics.Iters)) * g.NumEdges()
+		b.ReportMetric(float64(scanned)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+	})
+}
+
+// BenchmarkMinMaxPush runs SSSP with every superstep forced into push mode
+// (push whenever the frontier is non-empty) and reports the time per
+// relaxed out-edge: a push round walks the out-lists of the frontier only,
+// one computation per edge.
+func BenchmarkMinMaxPush(b *testing.B) {
+	benchMinMax(b, 1, func(b *testing.B, _ *graph.Graph, res *core.Result[float64]) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(res.Metrics.Computations()*int64(b.N)), "ns/edge")
+	})
+}
+
+// benchMinMax times one-rank SSSP runs under the given push/pull switch, on
+// 1 and 2 threads, and hands each sub-benchmark its last result to report.
+func benchMinMax(b *testing.B, denseDivisor int64, report func(*testing.B, *graph.Graph, *core.Result[float64])) {
 	g := gen.RMAT(1<<14, 1<<18, gen.DefaultRMAT, 16, 5)
 	part, err := partition.NewChunked(g, 1)
 	if err != nil {
@@ -303,7 +323,7 @@ func BenchmarkMinMaxPull(b *testing.B) {
 			sched := ws.New(threads, true)
 			defer sched.Close()
 			eng, err := core.New[float64](core.Config{Graph: g, Comm: comm.NewComm(ts[0]), Part: part,
-				Sched: sched, DenseDivisor: 1 << 40})
+				Sched: sched, DenseDivisor: denseDivisor})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -313,9 +333,7 @@ func BenchmarkMinMaxPull(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// Every run scans the same edges: all of them, each pull round.
-			scanned := int64(len(res.Metrics.Iters)) * g.NumEdges()
-			b.ReportMetric(float64(scanned)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+			report(b, g, res)
 		})
 	}
 }

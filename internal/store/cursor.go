@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"math"
-	"sync/atomic"
 
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
@@ -25,16 +24,17 @@ import (
 // turns each list's gaps into absolute ids, testing only a list's last sum
 // against n. Validate runs the same decoder.
 //
-// In-blocks decode once per open graph: a mapped or resident graph keeps the
-// ids of its in-blocks of most edges, up to the file's own size in ids (under
-// an OpenBudget budget, up to what the mapping leaves of it), and the first
-// cursor to decode a kept block publishes it for the others. Out of core
-// nothing is kept; out-blocks and weights decode per cursor.
+// Blocks decode once per open graph: a mapped or resident graph keeps the
+// ids and weights of every block a cursor decodes, in a fresh slice the
+// first cursor publishes for the others and none writes again: at most the
+// decoded adjacency the heap CSR+CSC of the same edges holds, and under an
+// OpenBudget budget what the mapping leaves of it (see cacheHot). Out of
+// core nothing is kept.
 //
 // The engine's chunk size (256 vertices) spans four 64-vertex blocks, so a
 // sequential chunk scan decodes each block at most once; steady state
 // performs zero allocations. Returned slices alias cursor scratch or kept
-// ids, are read-only, and are valid until the next call for that direction.
+// blocks, are read-only, and are valid until the next call for that direction.
 // Cursors are single-goroutine; take one per thread via (*Graph).Cursor.
 type Cursor struct {
 	g       *Graph
@@ -50,12 +50,13 @@ type dirCur struct {
 	// monotone into [0,len(ids)] so corrupt indexes degrade to empty/garbage
 	// adjacency rather than a panic (Open/Validate report corruption; the
 	// cursor only has to stay memory-safe).
-	rel []int
-	ids []graph.VertexID // the block's decoded neighbour ids: own, or the graph's shared copy
-	own []graph.VertexID // decode scratch for blocks the graph does not keep
-	ws  []float32        // weights parallel to ids when wblock == block
-	buf []byte           // pread scratch for adjacency bytes (reader mode)
-	wb  []byte           // pread scratch for weight bytes (reader mode)
+	rel  []int
+	ids  []graph.VertexID // the block's decoded neighbour ids: own, or the graph's kept copy
+	own  []graph.VertexID // decode scratch for blocks the graph does not keep
+	ws   []float32        // weights parallel to ids when wblock == block: ownW, or the graph's kept copy
+	ownW []float32        // weight decode scratch for blocks the graph does not keep
+	buf  []byte           // pread scratch for adjacency bytes (reader mode)
+	wb   []byte           // pread scratch for weight bytes (reader mode)
 
 	// Decode counters, read by the package's contract tests.
 	idBlocks, wBlocks int64
@@ -176,9 +177,8 @@ func (c *Cursor) load(d *dirRef, dc *dirCur, b int64) {
 	o0, o1 := g.blockOff(d, b), g.blockOff(d, b+1)
 	cnt := min(max(rel[nv], 0), int(o1-o0))
 
-	var slot *atomic.Pointer[[]graph.VertexID]
-	if d.hot != nil && cnt >= d.hotMin {
-		slot = &d.hot[b]
+	slot := d.ids.slot(b, cnt)
+	if slot != nil {
 		if p := slot.Load(); p != nil {
 			dc.ids = *p
 			clampRel(rel, cnt)
@@ -212,13 +212,33 @@ func clampRel(rel []int, cnt int) {
 	}
 }
 
-// loadWeights decodes the weights of dc's current id block.
+// loadWeights points dc at the weights of its current id block, kept or
+// decoded as load does ids.
 func (c *Cursor) loadWeights(d *dirRef, dc *dirCur) {
-	g := c.g
-	dc.wBlocks++
 	dc.wblock = dc.block
-	dc.ws = grow(dc.ws, len(dc.ids))
-	ws := dc.ws
+	slot := d.ws.slot(dc.block, len(dc.ids))
+	if slot != nil {
+		if p := slot.Load(); p != nil {
+			dc.ws = *p
+			return
+		}
+	}
+	dc.wBlocks++
+	ws := &dc.ownW
+	if slot != nil {
+		ws = new([]float32)
+	}
+	*ws = grow(*ws, len(dc.ids))
+	c.decodeWeights(d, dc, *ws)
+	if slot != nil && !slot.CompareAndSwap(nil, ws) {
+		ws = slot.Load()
+	}
+	dc.ws = *ws
+}
+
+// decodeWeights decodes the weights of dc's current id block into ws.
+func (c *Cursor) decodeWeights(d *dirRef, dc *dirCur, ws []float32) {
+	g := c.g
 	// As in load, a failed read leaves raw empty: every weight reads as 1.
 	if d.wmode == WRaw {
 		o0 := 4 * min(max(g.edgeOff(d, dc.start), 0), g.m) // a corrupt index must not slice past the section

@@ -133,10 +133,12 @@ func (s *cursorSpy) Cursor() graph.Cursor {
 // TestCursorDecodesOnlyWhatIsRead: a sequential scan decodes every id block
 // exactly once; readers that never ask for weights — an ids-only walk,
 // rrg.Generate — decode no weight block; a reader that does pays one weight
-// block per id block, and none at all when every weight is 1. On a mapped or
-// resident graph the in-blocks a cursor decoded are the graph's: every
-// in-block of these graphs fits the cache, so a second cursor decodes none
-// of them, while out-blocks decode per cursor. Out of core nothing is kept.
+// block per id block, and none at all when every weight is 1. A block the
+// graph keeps is decoded by the first cursor to read it and by no later one,
+// in any section: a mapped or resident graph keeps every block, so a second
+// walk decodes nothing; under a partial budget only the blocks left out
+// decode again; out of core nothing is kept, so every walk decodes every
+// block it reads.
 func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 	for mode, heap := range weightModeGraphs() {
 		for access, sg := range viewModes(t, heap) {
@@ -154,26 +156,43 @@ func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 				}
 				return cur
 			}
-			check := func(walk string, c *Cursor, wantIn, wantW int64) {
+			// check compares a walk's decodes: in- and out-id blocks, in-
+			// and out-weight blocks.
+			check := func(walk string, c *Cursor, want [4]int64) {
 				t.Helper()
-				if c.in.idBlocks != wantIn || c.out.idBlocks != nb || c.in.wBlocks != wantW || c.out.wBlocks != wantW {
-					t.Errorf("%s/%s: %s decoded %d in- and %d out-id blocks, %d in- and %d out-weight blocks; want %d, %d, %d, %d",
-						mode, access, walk, c.in.idBlocks, c.out.idBlocks, c.in.wBlocks, c.out.wBlocks, wantIn, nb, wantW, wantW)
+				if got := [4]int64{c.in.idBlocks, c.out.idBlocks, c.in.wBlocks, c.out.wBlocks}; got != want {
+					t.Errorf("%s/%s: %s decoded %v in-id, out-id, in-weight and out-weight blocks; want %v",
+						mode, access, walk, got, want)
 				}
 			}
-			check("first ids-only walk", scan(false), nb, 0)
-			wantIn, wantW := int64(0), nb
-			if sg.OutOfCore() {
-				wantIn = nb
-			}
+			left := func(s CacheStat) int64 { return int64(s.Blocks - s.Kept) }
+			wb := nb
 			if mode == "const1" {
-				wantW = 0
+				wb = 0
 			}
-			check("second ids+weights walk", scan(true), wantIn, wantW)
-			if kept, blocks, _, _ := sg.InCache(); sg.OutOfCore() != (kept == 0) || !sg.OutOfCore() && kept != blocks {
-				t.Errorf("%s/%s: %d of %d in-blocks cached", mode, access, kept, blocks)
+			check("first ids-only walk", scan(false), [4]int64{nb, nb, 0, 0})
+			c := sg.InCache()
+			check("second walk, weights too", scan(true), [4]int64{left(c.InIDs), left(c.OutIDs), wb, wb})
+			c = sg.InCache()
+			check("third walk", scan(true), [4]int64{left(c.InIDs), left(c.OutIDs), left(c.InWeights), left(c.OutWeights)})
+			for i, s := range []CacheStat{c.InIDs, c.InWeights, c.OutIDs, c.OutWeights} {
+				blocks, ok := int(nb), s.Kept == s.Blocks // mmap and bytes keep every block
+				if i%2 == 1 && mode == "const1" {
+					blocks = 0 // const-1 weights have no blocks
+				}
+				switch access {
+				case "ooc":
+					ok = s.Kept == 0
+				case "partial":
+					ok = i > 0 || s.Kept > 0 // the in-ids come first
+				}
+				if !ok || s.Blocks != blocks || s.Bytes > c.Cap {
+					t.Errorf("%s/%s: section %d keeps %v under a cap of %d", mode, access, i, s, c.Cap)
+				}
 			}
-
+		}
+		// rrg.Generate, on graphs no cursor has read yet.
+		for access, sg := range viewModes(t, heap) {
 			spy := &cursorSpy{Graph: sg}
 			sched := ws.New(2, true)
 			rrg.Generate(spy, rrg.DefaultRoots(spy), sched)
@@ -190,59 +209,91 @@ func TestCursorDecodesOnlyWhatIsRead(t *testing.T) {
 	}
 }
 
-// TestCursorPartialCache: when only the largest in-blocks fit the cache,
-// interleaved reads of both directions, ids and weights, through cursors
-// that find blocks cached or not, all return the heap graph's slices; the
-// blocks kept are exactly those of the most edges, and their ids fit the cap.
-func TestCursorPartialCache(t *testing.T) {
-	// A const-1 graph of small gaps: its decoded in-ids exceed its file.
-	heap := gen.RMAT(300, 20000, gen.DefaultRMAT, 1, 5)
-	if size := int64(len(imageOf(t, heap))); 4*heap.NumEdges() <= size {
-		t.Fatalf("decoded in-ids take %d bytes, the file %d: every block would be cached", 4*heap.NumEdges(), size)
+// keptBlock reports whether block b of section i (in-ids, in-weights,
+// out-ids, out-weights) is kept decoded.
+func keptBlock(g *Graph, i int, b int64) bool {
+	d := &g.in
+	if i >= 2 {
+		d = &g.out
 	}
-	views := viewModes(t, heap)
+	if i%2 == 0 {
+		return d.ids.slots != nil && d.ids.slots[b].Load() != nil
+	}
+	return d.ws.slots != nil && d.ws.slots[b].Load() != nil
+}
+
+// TestCursorPartialCache: under a budget that leaves room for the first k
+// sections (in-ids, in-weights, out-ids, out-weights) and half of section k,
+// interleaved reads of both directions, ids and weights, through cursors
+// that find blocks kept or not, all return the heap graph's slices. The
+// sections before k keep every block, section k some but not all — exactly
+// those of the most edges —, the sections after it none, and the kept bytes
+// never exceed the cap.
+func TestCursorPartialCache(t *testing.T) {
+	heap := gen.RMAT(2000, 30000, gen.DefaultRMAT, 64, 5)
+	img := imageOf(t, heap)
+	p := filepath.Join(t.TempDir(), "g.slfc")
+	if err := os.WriteFile(p, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sec := 4 * heap.NumEdges() // one section's decoded bytes
 	rng := rand.New(rand.NewSource(2))
 	var script []read
 	for i := 0; i < 20000; i++ {
-		script = append(script, read{rng.Intn(3) > 0, rng.Intn(2) == 0, rng.Intn(300)})
+		script = append(script, read{rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(heap.NumVertices())})
 	}
-	for access, sg := range views {
+	for k := 0; k < 4; k++ {
+		sg, err := OpenBudget(p, int64(len(img))+int64(k)*sec+sec/2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for pass := 0; pass < 2; pass++ {
 			cur := sg.Cursor()
 			for _, r := range script {
 				checkRead(t, heap, cur, r)
 			}
-		}
-		kept, blocks, bytes, limit := sg.InCache()
-		if sg.OutOfCore() {
-			if kept != 0 || limit != 0 {
-				t.Errorf("%s: out of core, %d blocks cached under a cap of %d", access, kept, limit)
+			for v := 0; v < heap.NumVertices(); v++ { // every block read at least once
+				for _, r := range []read{{true, false, v}, {true, true, v}, {false, false, v}, {false, true, v}} {
+					checkRead(t, heap, cur, r)
+				}
 			}
-			continue
 		}
-		if kept == 0 || kept == blocks || bytes > limit {
-			t.Errorf("%s: %d of %d in-blocks cached in %d bytes under a cap of %d; want some, not all, within the cap",
-				access, kept, blocks, bytes, limit)
+		c := sg.InCache()
+		total := int64(0)
+		for i, s := range []CacheStat{c.InIDs, c.InWeights, c.OutIDs, c.OutWeights} {
+			total += s.Bytes
+			if i < k && s.Kept != s.Blocks || i == k && (s.Kept == 0 || s.Kept == s.Blocks) || i > k && s.Kept != 0 {
+				t.Errorf("budget for %d.5 sections: section %d keeps %v", k, i, s)
+			}
+		}
+		if total > c.Cap || c.Cap != int64(k)*sec+sec/2 {
+			t.Errorf("budget for %d.5 sections: %d bytes kept under a cap of %d, want the cap %d", k, total, c.Cap, int64(k)*sec+sec/2)
+		}
+		d := &sg.in
+		if k >= 2 {
+			d = &sg.out
 		}
 		minKept, maxLeft := int64(math.MaxInt64), int64(-1)
 		for b := int64(0); b < sg.numBlocks(); b++ {
-			edges := sg.edgeOff(&sg.in, min((b+1)<<sg.shift, int64(sg.n))) - sg.edgeOff(&sg.in, b<<sg.shift)
-			if sg.in.hot[b].Load() != nil {
+			edges := sg.edgeOff(d, min((b+1)<<sg.shift, int64(sg.n))) - sg.edgeOff(d, b<<sg.shift)
+			if keptBlock(sg, k, b) {
 				minKept = min(minKept, edges)
 			} else {
 				maxLeft = max(maxLeft, edges)
 			}
 		}
 		if minKept <= maxLeft {
-			t.Errorf("%s: a kept block has %d edges, a block left out %d", access, minKept, maxLeft)
+			t.Errorf("budget for %d.5 sections: a kept block has %d edges, a block left out %d", k, minKept, maxLeft)
 		}
+		sg.Close()
 	}
 }
 
 // TestCursorCacheWithinBudget: a budget at or above the file's size maps the
-// file and keeps decoded in-ids only in what the mapping leaves of the
-// budget, so mapped pages plus kept ids never exceed it; reads still equal
-// the heap graph's.
+// file and keeps decoded blocks only in what the mapping leaves of the
+// budget, and never more than the graph's decoded adjacency, so mapped pages
+// plus kept blocks never exceed the budget; reads still equal the heap
+// graph's.
 func TestCursorCacheWithinBudget(t *testing.T) {
 	heap := gen.RMAT(2000, 30000, gen.DefaultRMAT, 1, 5)
 	p := filepath.Join(t.TempDir(), "g.slfc")
@@ -254,10 +305,12 @@ func TestCursorCacheWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := st.Size()
+	full := 8 * heap.NumEdges() // ids of both directions; the weights are const-1
 	for _, tc := range []struct {
-		budget   int64
-		wantKept bool
-	}{{size, false}, {size + 1, false}, {size + size/2, true}, {2 * size, true}} {
+		budget         int64
+		wantKept, full bool
+	}{{size, false, false}, {size + 1, false, false}, {size + size/2, true, false}, {2 * size, true, false},
+		{size + full, true, true}, {2*size + full, true, true}} {
 		g, err := OpenBudget(p, tc.budget)
 		if err != nil {
 			t.Fatalf("OpenBudget(%d): %v", tc.budget, err)
@@ -268,23 +321,26 @@ func TestCursorCacheWithinBudget(t *testing.T) {
 		cur := g.Cursor()
 		for v := 0; v < heap.NumVertices(); v++ {
 			checkRead(t, heap, cur, read{in: true, v: v})
+			checkRead(t, heap, cur, read{in: false, v: v})
 		}
-		kept, blocks, bytes, limit := g.InCache()
-		if limit != min(size, tc.budget-size) || bytes > limit || (kept > 0) != tc.wantKept {
-			t.Errorf("budget %d over a %d-byte file: %d of %d in-blocks kept in %d bytes under a cap of %d; want the cap %d, within it, kept=%v",
-				tc.budget, size, kept, blocks, bytes, limit, min(size, tc.budget-size), tc.wantKept)
+		c := g.InCache()
+		kept, bytes := c.InIDs.Kept+c.OutIDs.Kept, c.InIDs.Bytes+c.OutIDs.Bytes
+		if want := min(full, tc.budget-size); c.Cap != want || bytes > c.Cap || (kept > 0) != tc.wantKept ||
+			tc.full && kept != c.InIDs.Blocks+c.OutIDs.Blocks || c.InWeights.Blocks+c.OutWeights.Blocks != 0 {
+			t.Errorf("budget %d over a %d-byte file: %v; want the cap %d, within it, kept=%v, all=%v",
+				tc.budget, size, c, want, tc.wantKept, tc.full)
 		}
 		g.Close()
 	}
 }
 
 // TestCursorConcurrentFirstTouch: cursors of one graph racing to decode the
-// same in-blocks first, each scanning in its own order, all read the heap
-// graph's adjacency, and so does every block the graph kept.
+// same blocks first, of every section, each scanning in its own order, all
+// read the heap graph's adjacency, and so does every block the graph kept.
 func TestCursorConcurrentFirstTouch(t *testing.T) {
 	for mode, heap := range map[string]*graph.Graph{
-		"varint":  gen.RMAT(2000, 30000, gen.DefaultRMAT, 64, 21),
-		"partial": gen.RMAT(300, 20000, gen.DefaultRMAT, 1, 5),
+		"varint": gen.RMAT(2000, 30000, gen.DefaultRMAT, 64, 21),
+		"const1": gen.RMAT(300, 20000, gen.DefaultRMAT, 1, 5),
 	} {
 		for access, sg := range viewModes(t, heap) {
 			n := sg.NumVertices()
@@ -298,7 +354,8 @@ func TestCursorConcurrentFirstTouch(t *testing.T) {
 						id := graph.VertexID(v)
 						if !slices.Equal(cur.InNeighbors(id), heap.InNeighbors(id)) ||
 							!sameBits(cur.InWeights(id), heap.InWeights(id)) ||
-							!slices.Equal(cur.OutNeighbors(id), heap.OutNeighbors(id)) {
+							!slices.Equal(cur.OutNeighbors(id), heap.OutNeighbors(id)) ||
+							!sameBits(cur.OutWeights(id), heap.OutWeights(id)) {
 							t.Errorf("%s/%s: vertex %d differs from the heap graph", mode, access, v)
 							return
 						}
@@ -309,7 +366,9 @@ func TestCursorConcurrentFirstTouch(t *testing.T) {
 			// Every kept block is what a fresh decode gives.
 			cur := sg.Cursor()
 			for v := 0; v < n; v++ {
-				checkRead(t, heap, cur, read{in: true, v: v})
+				for _, r := range []read{{true, false, v}, {true, true, v}, {false, false, v}, {false, true, v}} {
+					checkRead(t, heap, cur, r)
+				}
 			}
 		}
 	}
@@ -469,9 +528,9 @@ func TestCorruptBlockStartOffsetRawWeights(t *testing.T) {
 		t.Fatal("Validate accepted a non-monotone index")
 	}
 	walkAll(t, g)
-	// The kept ids are sized by what a block decodes, not by what the
+	// The kept blocks are sized by what a block decodes, not by what the
 	// damaged index claims, so they stay under the cap.
-	if kept, _, bytes, limit := g.InCache(); kept == 0 || bytes > limit {
-		t.Fatalf("%d blocks keep %d bytes of ids under a cap of %d", kept, bytes, limit)
+	if c := g.InCache(); c.InIDs.Kept == 0 || c.InIDs.Bytes+c.InWeights.Bytes+c.OutIDs.Bytes+c.OutWeights.Bytes > c.Cap {
+		t.Fatalf("kept blocks exceed the cap: %v", c)
 	}
 }

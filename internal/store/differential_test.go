@@ -21,9 +21,11 @@ import (
 )
 
 // viewModes writes g to a temp SLFC file and opens it in every access mode:
-// "mmap" (default open; pread fallback off Linux), "bytes" (OpenBytes of
-// the file's image) and "ooc" (budget of one byte forces out-of-core block
-// streaming).
+// "mmap" (default open, which keeps every block it decodes; pread fallback
+// off Linux), "bytes" (OpenBytes of the file's image), "partial" (mapped
+// under a budget that keeps 3/8 of the decoded adjacency: the in-ids, in
+// whole or in part, perhaps part of the in-weights, and no out-block) and
+// "ooc" (budget of one byte forces out-of-core block streaming).
 func viewModes(t *testing.T, g *graph.Graph) map[string]*Graph {
 	t.Helper()
 	p := filepath.Join(t.TempDir(), "g.slfc")
@@ -49,8 +51,12 @@ func viewModes(t *testing.T, g *graph.Graph) map[string]*Graph {
 	if err != nil {
 		t.Fatalf("OpenBytes: %v", err)
 	}
-	t.Cleanup(func() { mm.Close(); oc.Close() })
-	return map[string]*Graph{"mmap": mm, "bytes": rb, "ooc": oc}
+	pt, err := OpenBudget(p, int64(len(img))+mm.InCache().Cap*3/8)
+	if err != nil {
+		t.Fatalf("OpenBudget: %v", err)
+	}
+	t.Cleanup(func() { mm.Close(); oc.Close(); pt.Close() })
+	return map[string]*Graph{"mmap": mm, "bytes": rb, "partial": pt, "ooc": oc}
 }
 
 // execOn runs one registered application over a view exactly as slfe-run
@@ -115,8 +121,8 @@ func patchedTwin(t *testing.T, g *graph.Graph) *graph.Graph {
 }
 
 // TestDifferentialStorageModes runs the full application × domain registry
-// against heap, mmap'd, out-of-core and patched-heap views of the same
-// graph. The patched view must also write the same SLFC bytes as the graph
+// against heap, mmap'd (every block kept, or 3/8 of the decoded adjacency),
+// out-of-core and patched-heap views of the same graph. The patched view must also write the same SLFC bytes as the graph
 // it equals.
 func TestDifferentialStorageModes(t *testing.T) {
 	heap := gen.RMAT(400, 3200, gen.DefaultRMAT, 8, 17) // varint weights

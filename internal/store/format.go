@@ -34,9 +34,10 @@
 //
 // Degrees come from the edge-offset index, so the adjacency stream needs
 // no per-vertex length prefixes; a block is the unit of decode (and of
-// pread in out-of-core mode). A mapped or resident graph also keeps decoded
-// in-blocks for every cursor, up to the file's own size and within a memory
-// budget (see Cursor).
+// pread in out-of-core mode). A mapped or resident graph also keeps every
+// decoded block, ids and weights of both directions, for every cursor: at
+// most the decoded adjacency the heap CSR+CSC of the same edges holds, and
+// under a memory budget what the mapping leaves of it (see Cursor).
 //
 // When flag bit 1 is set, one trailing section starts at the 8-aligned end
 // of the ten above and runs to the end of the file: the default-root
@@ -51,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sync/atomic"
@@ -137,12 +139,52 @@ type dirRef struct {
 
 	wmode byte
 
-	// hot holds each kept block's ids once a cursor has decoded them; blocks
-	// of hotMin edges or more are kept, their ids within hotCap bytes. Nil
-	// for out-blocks and out of core.
-	hot    []atomic.Pointer[[]graph.VertexID]
-	hotMin int
-	hotCap int64
+	// Kept decoded blocks (see cacheHot): none out of core or of const-1.
+	ids kept[graph.VertexID]
+	ws  kept[float32]
+}
+
+// kept holds one section's blocks of at least min values once decoded.
+type kept[T any] struct {
+	slots []atomic.Pointer[[]T]
+	min   int
+}
+
+// slot returns block b's slot if the section keeps a block of cnt values.
+func (k *kept[T]) slot(b int64, cnt int) *atomic.Pointer[[]T] {
+	if k.slots == nil || cnt < k.min {
+		return nil
+	}
+	return &k.slots[b]
+}
+
+// pick keeps the blocks of counts values (m at most), most first, while 4 B
+// per value fits limit, and returns what is left: negative once one did not
+// fit, so later sections keep nothing. Keeping the blocks longer than that
+// one stays within limit and needs only min.
+func (k *kept[T]) pick(counts []int, m, limit int64) int64 {
+	k.slots = make([]atomic.Pointer[[]T], len(counts))
+	if 4*m <= limit {
+		return limit - 4*m
+	}
+	for _, c := range slices.Backward(slices.Sorted(slices.Values(counts))) {
+		if limit -= 4 * int64(c); limit < 0 {
+			k.min = c + 1
+			return limit
+		}
+	}
+	return limit
+}
+
+// stat counts the section's kept blocks and the bytes of their values.
+func (k *kept[T]) stat(blocks int) CacheStat {
+	s := CacheStat{Blocks: blocks}
+	for i := range k.slots {
+		if p := k.slots[i].Load(); p != nil {
+			s.Kept, s.Bytes = s.Kept+1, s.Bytes+4*int64(len(*p))
+		}
+	}
+	return s
 }
 
 // Graph is a disk-backed graph satisfying graph.View. Index reads
@@ -165,6 +207,7 @@ type Graph struct {
 	ooc    bool // reader mode: adjacency is pread per block, not resident
 
 	out, in dirRef
+	hotCap  int64 // cap on the bytes of kept blocks
 
 	def *Cursor // serves the View's own adjacency methods
 
@@ -192,7 +235,7 @@ func Open(path string) (*Graph, error) {
 // block tables are heap-resident, and every adjacency block is pread into
 // cursor-owned scratch on demand, so supersteps stream the edge file
 // instead of faulting it wholesale into RAM. A positive budget at or above
-// the file size caps the decoded in-ids the graph keeps (see Cursor) at what
+// the file size caps the decoded blocks the graph keeps (see Cursor) at what
 // the mapping leaves of it.
 func OpenBudget(path string, budget int64) (*Graph, error) {
 	f, err := os.Open(path)
@@ -224,9 +267,9 @@ func OpenBudget(path string, budget int64) (*Graph, error) {
 		}
 		return g, nil
 	}
-	keep := size
+	keep := int64(math.MaxInt64)
 	if budget > 0 {
-		keep = min(size, budget-size)
+		keep = budget - size
 	}
 	g, err := parse(data, nil, size, keep)
 	if err != nil {
@@ -241,7 +284,7 @@ func OpenBudget(path string, budget int64) (*Graph, error) {
 
 // OpenBytes parses an in-memory SLFC image (fuzzing, tests, embedding).
 func OpenBytes(data []byte) (*Graph, error) {
-	return parse(data, nil, int64(len(data)), int64(len(data)))
+	return parse(data, nil, int64(len(data)), math.MaxInt64)
 }
 
 func openReader(f *os.File, size int64) (*Graph, error) {
@@ -257,7 +300,7 @@ func openReader(f *os.File, size int64) (*Graph, error) {
 // must not be used after Close.
 func (g *Graph) Close() error {
 	var err error
-	g.in.hot = nil
+	g.out.ids.slots, g.out.ws.slots, g.in.ids.slots, g.in.ws.slots = nil, nil, nil, nil
 	if g.mapped != nil {
 		err = munmapFile(g.mapped)
 		g.mapped = nil
@@ -278,7 +321,7 @@ func (g *Graph) OutOfCore() bool { return g.ooc }
 
 // parse validates structure and builds the Graph. Exactly one of data
 // (resident/mapped bytes) and r (pread source) is non-nil; keep caps the
-// bytes of decoded in-ids the graph keeps (0 with r: none).
+// bytes of decoded blocks the graph keeps (0 with r: none).
 func parse(data []byte, r io.ReaderAt, size, keep int64) (*Graph, error) {
 	var hdr [headerSize]byte
 	if size < headerSize {
@@ -487,7 +530,7 @@ func parse(data []byte, r io.ReaderAt, size, keep int64) (*Graph, error) {
 	}
 
 	if keep > 0 {
-		g.cacheHot(&g.in, keep)
+		g.cacheHot(keep)
 	}
 	if g.guided {
 		gd, err := g.readGuidance(gpos)
@@ -500,38 +543,64 @@ func parse(data []byte, r io.ReaderAt, size, keep int64) (*Graph, error) {
 	return g, nil
 }
 
-// cacheHot picks the blocks of d that keep their decoded ids, from the index
-// and block tables alone: longest decoded length (edges, at most one per
-// byte) first while 4 B per id fits in limit. Keeping every block longer than
-// the first that does not fit stays within limit and needs only hotMin.
-func (g *Graph) cacheHot(d *dirRef, limit int64) {
-	d.hot, d.hotMin, d.hotCap = make([]atomic.Pointer[[]graph.VertexID], g.numBlocks()), 1, limit
-	counts := make([]int, len(d.hot))
-	for b := range counts {
-		start := int64(b) << g.shift
-		edges := g.edgeOff(d, min(start+int64(1)<<g.shift, int64(g.n))) - g.edgeOff(d, start)
-		counts[b] = int(min(max(edges, 0), g.blockOff(d, int64(b)+1)-g.blockOff(d, int64(b))))
-	}
-	slices.Sort(counts)
-	for i := len(counts) - 1; i >= 0; i-- {
-		if limit -= 4 * int64(counts[i]); limit < 0 {
-			d.hotMin = counts[i] + 1
-			return
+// cacheHot picks, from the index and block tables alone, the blocks that keep
+// their decoded values within limit bytes: in-ids, in-weights, out-ids and
+// out-weights, each section's blocks of most values (edges, at most one per
+// byte) first.
+func (g *Graph) cacheHot(limit int64) {
+	counts := make([]int, g.numBlocks())
+	g.hotCap = limit
+	for _, d := range []*dirRef{&g.in, &g.out} {
+		for b := range counts {
+			start := int64(b) << g.shift
+			edges := g.edgeOff(d, min(start+int64(1)<<g.shift, int64(g.n))) - g.edgeOff(d, start)
+			counts[b] = int(min(max(edges, 0), g.blockOff(d, int64(b)+1)-g.blockOff(d, int64(b))))
 		}
+		limit = d.ids.pick(counts, g.m, limit)
+		if d.wmode != WConst1 {
+			limit = d.ws.pick(counts, g.m, limit)
+		}
+	}
+	if limit >= 0 { // every block fits: the cap is the decoded adjacency
+		g.hotCap -= limit
 	}
 }
 
-// InCache reports the in-blocks kept decoded so far, of all, the bytes of
-// their ids and the cap on those: the file's size, less under a budget, 0
-// out of core. Safe for concurrent use with cursors.
-func (g *Graph) InCache() (kept, blocks int, bytes, limit int64) {
-	limit = g.in.hotCap
-	for i := range g.in.hot {
-		if p := g.in.hot[i].Load(); p != nil {
-			kept, bytes = kept+1, bytes+4*int64(len(*p))
-		}
+// CacheStat counts one section's kept blocks, of all, and their bytes.
+type CacheStat struct {
+	Kept, Blocks int
+	Bytes        int64
+}
+
+func (s CacheStat) String() string {
+	return fmt.Sprintf("%d/%d:%.2fMiB", s.Kept, s.Blocks, float64(s.Bytes)/(1<<20))
+}
+
+// Cache reports a graph's kept blocks per direction and section, and the cap
+// on their bytes. A const-1 weight section has no blocks to keep.
+type Cache struct {
+	InIDs, InWeights, OutIDs, OutWeights CacheStat
+	Cap                                  int64
+}
+
+func (c Cache) String() string {
+	return fmt.Sprintf("in-ids=%v in-weights=%v out-ids=%v out-weights=%v cap=%.2fMiB",
+		c.InIDs, c.InWeights, c.OutIDs, c.OutWeights, float64(c.Cap)/(1<<20))
+}
+
+// InCache reports the blocks kept so far. The cap is the decoded adjacency
+// (4 B per id and per weight not const-1), less under a budget, 0 out of
+// core. Safe for concurrent use with cursors.
+func (g *Graph) InCache() Cache {
+	nb := int(g.numBlocks())
+	c := Cache{InIDs: g.in.ids.stat(nb), OutIDs: g.out.ids.stat(nb), Cap: g.hotCap}
+	if g.in.wmode != WConst1 {
+		c.InWeights = g.in.ws.stat(nb)
 	}
-	return kept, int(g.numBlocks()), bytes, limit
+	if g.out.wmode != WConst1 {
+		c.OutWeights = g.out.ws.stat(nb)
+	}
+	return c
 }
 
 // readGuidance decodes the guidance section at pos into the heap, so a
