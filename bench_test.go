@@ -87,7 +87,7 @@ func benchSSSP(b *testing.B, rr bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{Nodes: 2, RR: rr, Stealing: true}); err != nil {
+		if _, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{Nodes: 2, RR: rr}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func benchPR(b *testing.B, rr bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Execute(g, apps.PageRank(20), cluster.Options{Nodes: 2, RR: rr, Stealing: true}); err != nil {
+		if _, err := cluster.Execute(g, apps.PageRank(20), cluster.Options{Nodes: 2, RR: rr}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func BenchmarkCC8Nodes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Execute(g, apps.CC(g), cluster.Options{Nodes: 8, RR: true, Stealing: true}); err != nil {
+		if _, err := cluster.Execute(g, apps.CC(g), cluster.Options{Nodes: 8, RR: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkPush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := cluster.Execute(g, apps.SSSP(0), cluster.Options{
-			Nodes: 2, Threads: 2, Stealing: true, DenseDivisor: 1,
+			Nodes: 2, Threads: 2, DenseDivisor: 1,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -54,7 +54,6 @@ func main() {
 	nodes := flag.Int("nodes", 1, "cluster size (slfe/powergraph/powerlyra)")
 	threads := flag.Int("threads", 0, "threads per node (0 = GOMAXPROCS)")
 	rr := flag.Bool("rr", true, "enable redundancy reduction: finish early for arith apps (slfe)")
-	stealing := flag.Bool("stealing", true, "enable work stealing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
 	iters := flag.Int("iters", 30, "iterations for arithmetic apps")
 	verbose := flag.Bool("v", false, "print per-iteration statistics")
@@ -96,7 +95,7 @@ func main() {
 		fatal(err)
 	}
 
-	opt := cluster.Options{Nodes: *nodes, Threads: *threads, Stealing: *stealing, RR: *rr}
+	opt := cluster.Options{Nodes: *nodes, Threads: *threads, RR: *rr}
 	if *nodes > 1 {
 		opt.Codec = compress.Adaptive{W: width}
 	}
@@ -233,19 +232,14 @@ func usage() {
 	fmt.Fprintln(flag.CommandLine.Output(), "  plus whole-graph analytics: triangles | kcore | clique | mst | diameter (f64)")
 }
 
-// rejectIgnoredFlags refuses a run that names a flag nothing would read: a
-// flag only the SLFE engine reads on a baseline run, so -system ligra
-// -rr=false fails up front instead of silently running without it.
+// rejectIgnoredFlags refuses a run that names a flag nothing would read:
+// -rr, which only the SLFE engine reads, on a baseline run, so -system
+// ligra -rr=false fails up front instead of silently running without it.
 func rejectIgnoredFlags(system string) error {
-	var slfeOnly []string
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "rr", "stealing":
-			slfeOnly = append(slfeOnly, "-"+f.Name)
-		}
-	})
-	if len(slfeOnly) > 0 && !strings.EqualFold(system, "slfe") {
-		return fmt.Errorf("-system %s does not read %s (slfe engine only): remove or run -system slfe", system, strings.Join(slfeOnly, " "))
+	rr := false
+	flag.Visit(func(f *flag.Flag) { rr = rr || f.Name == "rr" })
+	if rr && !strings.EqualFold(system, "slfe") {
+		return fmt.Errorf("-system %s does not read -rr (slfe engine only): remove or run -system slfe", system)
 	}
 	return nil
 }

@@ -51,10 +51,9 @@ type serveConfig struct {
 	root    uint
 	iters   int
 
-	nodes    int
-	threads  int
-	rr       bool
-	stealing bool
+	nodes   int
+	threads int
+	rr      bool
 
 	sessions      int
 	cacheCapacity int
@@ -74,7 +73,6 @@ func main() {
 	flag.IntVar(&c.nodes, "nodes", 1, "resident cluster size")
 	flag.IntVar(&c.threads, "threads", 0, "threads per node (0 = GOMAXPROCS)")
 	flag.BoolVar(&c.rr, "rr", true, "enable redundancy reduction: finish early for arith apps (guidance incrementally maintained)")
-	flag.BoolVar(&c.stealing, "stealing", true, "enable work stealing")
 	flag.IntVar(&c.sessions, "sessions", 2, "session pool size (concurrent program executions)")
 	flag.IntVar(&c.cacheCapacity, "cache", 4096, "read-cache capacity in entries (negative disables)")
 	flag.IntVar(&c.mutationQueue, "mutation-queue", 4, "bounded mutation queue depth before 429")
@@ -116,7 +114,7 @@ func run(c serveConfig) error {
 	}
 
 	svc, err := service.New(g, service.Config{
-		Nodes: c.nodes, Threads: c.threads, Stealing: c.stealing, RR: c.rr,
+		Nodes: c.nodes, Threads: c.threads, RR: c.rr,
 		Sessions:      c.sessions,
 		CacheCapacity: c.cacheCapacity,
 		MutationQueue: c.mutationQueue,

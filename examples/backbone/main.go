@@ -31,7 +31,7 @@ func main() {
 	}
 	fmt.Printf("fabric: %v\n", g)
 
-	opt := cluster.Options{Nodes: 4, Threads: 2, Stealing: true}
+	opt := cluster.Options{Nodes: 4, Threads: 2}
 
 	// 1. Minimum spanning backbone: the cheapest link set that keeps every
 	// switch reachable.

@@ -60,7 +60,7 @@ func main() {
 	bp := apps.BeliefPropagation(prior, coupling, iters)
 	bp.Roots = evidence
 	for _, rr := range []bool{false, true} {
-		res, err := cluster.Execute(g, bp, cluster.Options{Nodes: 4, RR: rr, Stealing: true})
+		res, err := cluster.Execute(g, bp, cluster.Options{Nodes: 4, RR: rr})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func main() {
 
 	const iters = 50
 	for _, rr := range []bool{false, true} {
-		res, err := cluster.Execute(g, apps.PageRank(iters), cluster.Options{Nodes: 4, RR: rr, Stealing: true})
+		res, err := cluster.Execute(g, apps.PageRank(iters), cluster.Options{Nodes: 4, RR: rr})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func main() {
 
 	// TunkRank finds influencers: accounts whose followers are themselves
 	// influential.
-	res, err := cluster.Execute(g, apps.TunkRank(iters), cluster.Options{Nodes: 4, RR: true, Stealing: true})
+	res, err := cluster.Execute(g, apps.TunkRank(iters), cluster.Options{Nodes: 4, RR: true})
 	if err != nil {
 		log.Fatal(err)
 	}

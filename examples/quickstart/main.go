@@ -23,9 +23,8 @@ func main() {
 	// Run 30 PageRank iterations on 4 simulated nodes. RR: true enables
 	// SLFE's "finish early" optimisation for arithmetic programs.
 	res, err := cluster.Execute(g, apps.PageRank(30), cluster.Options{
-		Nodes:    4,
-		Stealing: true,
-		RR:       true,
+		Nodes: 4,
+		RR:    true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -32,7 +32,7 @@ func main() {
 	dest := graph.VertexID(rows*cols - 1) // south-east corner
 
 	// SSSP on 4 simulated nodes.
-	sssp, err := cluster.Execute(g, apps.SSSP(start), cluster.Options{Nodes: 4, Stealing: true})
+	sssp, err := cluster.Execute(g, apps.SSSP(start), cluster.Options{Nodes: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 	// carries (distance, predecessor) in one 8-byte wire word, so the run
 	// returns an actual shortest-path tree — the turn-by-turn route, not
 	// just its length.
-	tree, err := cluster.Execute(g, apps.SSSPTree(start), cluster.Options{Nodes: 4, Stealing: true})
+	tree, err := cluster.Execute(g, apps.SSSPTree(start), cluster.Options{Nodes: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func main() {
 		float64(tree.Result.Values[dest].Dist) == sssp.Result.Values[dest])
 
 	// Widest path: the best bottleneck capacity from the same corner.
-	wp, err := cluster.Execute(g, apps.WP(start), cluster.Options{Nodes: 4, Stealing: true})
+	wp, err := cluster.Execute(g, apps.WP(start), cluster.Options{Nodes: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

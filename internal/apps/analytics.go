@@ -169,7 +169,7 @@ func TriangleCount(g graph.View, opt cluster.Options) (*TriangleStats, error) {
 	stats := &TriangleStats{}
 	err = cluster.SPMD(opt.Nodes, func(rank int, cm *comm.Comm) error {
 		lo, hi := part.Range(rank)
-		sched := ws.New(opt.Threads, opt.Stealing)
+		sched := ws.New(opt.Threads, true)
 		defer sched.Close()
 		var local int64
 		sched.Run(lo, hi, func(chunkLo, chunkHi uint32, _ int) {
@@ -243,7 +243,7 @@ func KCore(g graph.View, opt cluster.Options) ([]uint32, error) {
 			cores[v] = uint32(off[v+1] - off[v])
 		}
 		lo, hi := part.Range(rank)
-		sched := ws.New(opt.Threads, opt.Stealing)
+		sched := ws.New(opt.Threads, true)
 		defer sched.Close()
 		type delta struct {
 			v graph.VertexID
@@ -360,7 +360,7 @@ func MaxCliqueApprox(g graph.View, seeds int, opt cluster.Options) (*Clique, err
 	if seeds <= 0 {
 		seeds = 32
 	}
-	cores, err := KCore(g, cluster.Options{Nodes: opt.Nodes, Threads: opt.Threads, Stealing: opt.Stealing})
+	cores, err := KCore(g, cluster.Options{Nodes: opt.Nodes, Threads: opt.Threads})
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func triangleFixture() *graph.Graph {
 func TestTriangleCountK4(t *testing.T) {
 	g := triangleFixture()
 	for _, nodes := range []int{1, 2, 4} {
-		st, err := TriangleCount(g, cluster.Options{Nodes: nodes, Threads: 2, Stealing: true})
+		st, err := TriangleCount(g, cluster.Options{Nodes: nodes, Threads: 2})
 		if err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
 		}
@@ -134,7 +134,7 @@ func TestKCoreMatchesPeeling(t *testing.T) {
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 1, 7)
 	want := RefKCore(g)
 	for _, nodes := range []int{1, 4} {
-		got, err := KCore(g, cluster.Options{Nodes: nodes, Threads: 2, Stealing: true})
+		got, err := KCore(g, cluster.Options{Nodes: nodes, Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestSSSPFigure1(t *testing.T) {
 	want := []core.Value{0, 1, 2, 2, 3, 4} // Figure 1b, final column
 	for _, rr := range []bool{false, true} {
 		for _, nodes := range []int{1, 2, 3} {
-			res, err := cluster.Execute(g, SSSP(0), cluster.Options{Nodes: nodes, RR: rr, Threads: 2, Stealing: true})
+			res, err := cluster.Execute(g, SSSP(0), cluster.Options{Nodes: nodes, RR: rr, Threads: 2})
 			if err != nil {
 				t.Fatalf("rr=%v nodes=%d: %v", rr, nodes, err)
 			}
@@ -248,14 +248,14 @@ func TestRegistryTable1(t *testing.T) {
 	if evaluated != 5 {
 		t.Errorf("%d evaluated applications, want 5", evaluated)
 	}
-	if e, ok := Lookup("PageRank"); !ok || e.Agg != core.Arith {
-		t.Error("PageRank lookup failed or misclassified")
+	agg := map[string]core.AggKind{}
+	for _, e := range Registry {
+		agg[e.Name] = e.Agg
 	}
-	if e, ok := Lookup("WidestPath"); !ok || e.Agg != core.MinMax {
-		t.Error("WidestPath lookup failed or misclassified")
-	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("Lookup accepted unknown app")
+	for name, want := range map[string]core.AggKind{"PageRank": core.Arith, "WidestPath": core.MinMax} {
+		if got, ok := agg[name]; !ok || got != want {
+			t.Errorf("%s: registered %v (%v), want %v", name, got, ok, want)
+		}
 	}
 }
 

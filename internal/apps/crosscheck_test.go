@@ -38,28 +38,24 @@ func TestBFSLevelsMatchGuidance(t *testing.T) {
 }
 
 // TestEngineDeterministic: two identical runs produce identical values and
-// identical iteration counts regardless of thread count and stealing.
+// identical iteration counts regardless of thread count.
 func TestEngineDeterministic(t *testing.T) {
 	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 16, 22)
-	run := func(threads int, stealing bool) []float64 {
+	run := func(threads int) []float64 {
 		res, err := cluster.Execute(g, SSSP(0), cluster.Options{
-			Nodes: 2, Threads: threads, Stealing: stealing, RR: true,
+			Nodes: 2, Threads: threads, RR: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Result.Values
 	}
-	a := run(1, false)
-	for _, cfg := range []struct {
-		threads  int
-		stealing bool
-	}{{1, true}, {4, false}, {4, true}, {8, true}} {
-		b := run(cfg.threads, cfg.stealing)
+	a := run(1)
+	for _, threads := range []int{1, 4, 8} {
+		b := run(threads)
 		for v := range a {
 			if a[v] != b[v] && !(math.IsInf(a[v], 1) && math.IsInf(b[v], 1)) {
-				t.Fatalf("threads=%d stealing=%v: vertex %d differs: %v vs %v",
-					cfg.threads, cfg.stealing, v, a[v], b[v])
+				t.Fatalf("threads=%d: vertex %d differs: %v vs %v", threads, v, a[v], b[v])
 			}
 		}
 	}
@@ -105,7 +101,7 @@ func TestRootedArithMatchesRROff(t *testing.T) {
 				var out [2]*Outcome
 				for i, rr := range []bool{false, true} {
 					var err error
-					if out[i], err = r.Execute(g, cluster.Options{Nodes: 1, Threads: 2, Stealing: true, RR: rr}); err != nil {
+					if out[i], err = r.Execute(g, cluster.Options{Nodes: 1, Threads: 2, RR: rr}); err != nil {
 						t.Fatal(err)
 					}
 				}

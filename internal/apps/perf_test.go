@@ -35,7 +35,7 @@ func TestTwoThreadsBeatOne(t *testing.T) {
 		var times [2][]time.Duration // [threads-1]
 		for i := 0; i < runs; i++ {
 			for th := 1; th <= 2; th++ {
-				res, err := cluster.Execute(g, PageRank(20), cluster.Options{Nodes: 1, Threads: th, Stealing: true, RR: true})
+				res, err := cluster.Execute(g, PageRank(20), cluster.Options{Nodes: 1, Threads: th, RR: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func TestTwoThreadsBeatOne(t *testing.T) {
 // engine's per-superstep cost alone. Three attempts, as above.
 func TestOneThreadNearSerialPageRank(t *testing.T) {
 	g := pkProxy(t, 40)
-	opt := cluster.Options{Nodes: 1, Threads: 1, Stealing: true, RR: true}
+	opt := cluster.Options{Nodes: 1, Threads: 1, RR: true}
 	if _, err := cluster.Execute(g, PageRank(20), opt); err != nil {
 		t.Fatal(err)
 	}

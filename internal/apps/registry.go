@@ -39,16 +39,6 @@ var Registry = []Entry{
 	{Name: "Clique", Agg: core.MinMax, Implemented: true},
 }
 
-// Lookup returns the registry entry for name.
-func Lookup(name string) (Entry, bool) {
-	for _, e := range Registry {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
 // Outcome is the domain-erased result of a registry execution: values are
 // projected to float64 through the program's domain, so callers (the CLI,
 // experiment tables) handle every domain uniformly.

@@ -76,7 +76,7 @@ func TestPinnedChecksums(t *testing.T) {
 			runG = Symmetrize(g)
 		}
 		for _, threads := range []int{1, 2, 4} {
-			out, err := entry.Build(1, 12).Execute(runG, cluster.Options{Nodes: 1, Threads: threads, Stealing: true, RR: true})
+			out, err := entry.Build(1, 12).Execute(runG, cluster.Options{Nodes: 1, Threads: threads, RR: true})
 			if err != nil {
 				t.Fatalf("%s threads=%d: %v", pin.key, threads, err)
 			}
@@ -280,7 +280,7 @@ func TestSpanHooksMatchLifted(t *testing.T) {
 			for _, threads := range []int{1, 2, 4} {
 				var off *Outcome
 				for _, rr := range []bool{false, true} {
-					opt := cluster.Options{Nodes: 1, Threads: threads, Stealing: true, RR: rr}
+					opt := cluster.Options{Nodes: 1, Threads: threads, RR: rr}
 					a, err := fast.Execute(g, opt)
 					if err != nil {
 						t.Fatal(err)
@@ -334,8 +334,8 @@ func TestUnweightedReadsNoWeights(t *testing.T) {
 		"bfs/f64": true, "bfs/f32": true, "bfs/u32": true, "cc/f64": true, "cc/f32": true, "cc/u32": true,
 	}
 	opts := map[string]cluster.Options{
-		"rr":        {Nodes: 1, Threads: 2, Stealing: true, RR: true},
-		"push-only": {Nodes: 1, Threads: 2, Stealing: true, DenseDivisor: 1},
+		"rr":        {Nodes: 1, Threads: 2, RR: true},
+		"push-only": {Nodes: 1, Threads: 2, DenseDivisor: 1},
 	}
 	for _, entry := range Runnables() {
 		name := entry.Key + "/" + entry.Domain

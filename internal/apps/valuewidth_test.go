@@ -20,7 +20,7 @@ func valuewidthRun(t *testing.T, g *graph.Graph, domain string) (*Outcome, int64
 		t.Fatalf("no registry entry for (pr, %s)", domain)
 	}
 	out, err := entry.Build(0, 30).Execute(g, cluster.Options{
-		Nodes: 3, Threads: 2, Stealing: true, RR: true,
+		Nodes: 3, Threads: 2, RR: true,
 		Codec: compress.Adaptive{W: domWidth(domain)},
 	})
 	if err != nil {

@@ -57,7 +57,7 @@ func TestWarmMatchesColdSSSP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", batchNo, err)
 		}
-		cold, err := cluster.Execute(g2, apps.SSSP(0), cluster.Options{Nodes: 2, Threads: 2, Stealing: true, RR: true})
+		cold, err := cluster.Execute(g2, apps.SSSP(0), cluster.Options{Nodes: 2, Threads: 2, RR: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestWarmArithRerunsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := cluster.Execute(g2, apps.PageRank(10), cluster.Options{Nodes: 2, Threads: 2, Stealing: true, RR: true})
+	cold, err := cluster.Execute(g2, apps.PageRank(10), cluster.Options{Nodes: 2, Threads: 2, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWarmArithRerunsCold(t *testing.T) {
 // are kept and appended vertices get cold initial state.
 func TestWarmVertexGrowthWithoutEdges(t *testing.T) {
 	g := gen.Uniform(200, 800, 4, 5)
-	s, err := cluster.NewSession(1, 1, false)
+	s, err := cluster.NewSession(1, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWarmVertexGrowthWithoutEdges(t *testing.T) {
 // shrinking the graph under a resume is an error, not silent corruption.
 func TestWarmRejectsShrunkGraph(t *testing.T) {
 	g := gen.Path(16)
-	s, err := cluster.NewSession(1, 1, false)
+	s, err := cluster.NewSession(1, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestWarmMatchesColdCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := entry.Build(0, 0).Execute(g2, cluster.Options{Nodes: 2, Threads: 2, Stealing: true, RR: true})
+	cold, err := entry.Build(0, 0).Execute(g2, cluster.Options{Nodes: 2, Threads: 2, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:   cfg,
 		g:     cfg.Graph,
 		comm:  cfg.Comm,
-		sched: ws.New(cfg.Threads, false),
+		sched: ws.New(cfg.Threads, true),
 	}, nil
 }
 

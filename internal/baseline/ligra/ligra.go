@@ -1,9 +1,8 @@
 // Package ligra implements a shared-memory frontier-based engine in the
 // style of Ligra (PPoPP'13), the paper's in-memory single-machine
-// comparison point (Figure 6). It provides Ligra's two primitives —
-// EdgeMap with automatic sparse (push) / dense (pull) direction selection
-// and VertexMap — and an Execute adapter running core.Program
-// specifications on top of them.
+// comparison point (Figure 6). It provides Ligra's EdgeMap with automatic
+// sparse (push) / dense (pull) direction selection, and an Execute adapter
+// running core.Program specifications on top of it.
 package ligra
 
 import (
@@ -41,7 +40,7 @@ func (f *Frontier) Size() int { return f.bits.Count() }
 // Empty reports whether the frontier is empty.
 func (f *Frontier) Empty() bool { return !f.bits.Any() }
 
-// Engine evaluates EdgeMap/VertexMap over one graph.
+// Engine evaluates EdgeMap over one graph.
 type Engine struct {
 	g     *graph.Graph
 	sched *ws.Scheduler
@@ -132,14 +131,6 @@ func (e *Engine) EdgeMap(f *Frontier, fns EdgeMapFuncs) *Frontier {
 	}
 	e.Comps += comps
 	return next
-}
-
-// VertexMap applies fn to every frontier vertex.
-func (e *Engine) VertexMap(f *Frontier, fn func(v graph.VertexID)) {
-	f.bits.Range(func(i int) bool {
-		fn(graph.VertexID(i))
-		return true
-	})
 }
 
 // Result mirrors core.Result for the Ligra engine.

@@ -109,19 +109,6 @@ func TestEdgeMapCond(t *testing.T) {
 	})
 }
 
-func TestVertexMap(t *testing.T) {
-	g := gen.Path(10)
-	e := New(g, 1)
-	f := NewFrontier(10)
-	f.Add(2)
-	f.Add(7)
-	var got []graph.VertexID
-	e.VertexMap(f, func(v graph.VertexID) { got = append(got, v) })
-	if len(got) != 2 || got[0] != 2 || got[1] != 7 {
-		t.Fatalf("VertexMap visited %v", got)
-	}
-}
-
 func TestCCViaExecute(t *testing.T) {
 	g := apps.Symmetrize(gen.Clustered(200, 3, 2, 9))
 	want := apps.RefCC(g)

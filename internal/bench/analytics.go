@@ -26,7 +26,7 @@ func Analytics(c Config) error {
 			return err
 		}
 		for _, nodes := range []int{1, c.Nodes} {
-			opt := cluster.Options{Nodes: nodes, Threads: c.Threads, Stealing: true}
+			opt := cluster.Options{Nodes: nodes, Threads: c.Threads}
 
 			tri, err := apps.TriangleCount(g, opt)
 			if err != nil {

@@ -143,7 +143,7 @@ func (c *Config) RunSLFE(app, name string, nodes int, rr bool, opts ...func(*clu
 	if err != nil {
 		return nil, err
 	}
-	opt := cluster.Options{Nodes: nodes, Threads: c.Threads, Stealing: true, RR: rr}
+	opt := cluster.Options{Nodes: nodes, Threads: c.Threads, RR: rr}
 	for _, fn := range opts {
 		fn(&opt)
 	}

@@ -1,7 +1,6 @@
-// Package bitset provides fixed-size bitsets used for vertex frontiers
-// ("active lists") and visited sets throughout the engine. The Atomic
-// variant supports concurrent Set/Clear from worker threads; the plain
-// variant is faster for single-threaded phases.
+// Package bitset provides the fixed-size atomic bitset used for vertex
+// frontiers ("active lists") and visited sets throughout the engine: worker
+// threads Set and TestAndSet bits concurrently.
 package bitset
 
 import (
@@ -11,145 +10,6 @@ import (
 )
 
 const wordBits = 64
-
-// Bits is a fixed-size, non-concurrent bitset.
-type Bits struct {
-	n     int
-	words []uint64
-}
-
-// New returns a bitset able to hold n bits, all clear.
-func New(n int) *Bits {
-	if n < 0 {
-		panic(fmt.Sprintf("bitset: negative size %d", n))
-	}
-	return &Bits{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
-}
-
-// Len returns the capacity in bits.
-func (b *Bits) Len() int { return b.n }
-
-// Set sets bit i.
-func (b *Bits) Set(i int) { b.words[i/wordBits] |= 1 << (uint(i) % wordBits) }
-
-// Clear clears bit i.
-func (b *Bits) Clear(i int) { b.words[i/wordBits] &^= 1 << (uint(i) % wordBits) }
-
-// Get reports whether bit i is set.
-func (b *Bits) Get(i int) bool {
-	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// Reset clears every bit.
-func (b *Bits) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Fill sets every bit in [0, Len).
-func (b *Bits) Fill() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.trim()
-}
-
-// trim clears the unused high bits of the last word so Count stays exact.
-func (b *Bits) trim() {
-	if rem := b.n % wordBits; rem != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// Count returns the number of set bits.
-func (b *Bits) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Any reports whether at least one bit is set.
-func (b *Bits) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Or sets b to b|other. Panics if sizes differ.
-func (b *Bits) Or(other *Bits) {
-	if b.n != other.n {
-		panic("bitset: size mismatch in Or")
-	}
-	for i, w := range other.words {
-		b.words[i] |= w
-	}
-}
-
-// And sets b to b&other. Panics if sizes differ.
-func (b *Bits) And(other *Bits) {
-	if b.n != other.n {
-		panic("bitset: size mismatch in And")
-	}
-	for i, w := range other.words {
-		b.words[i] &= w
-	}
-}
-
-// CopyFrom overwrites b with other's contents. Panics if sizes differ.
-func (b *Bits) CopyFrom(other *Bits) {
-	if b.n != other.n {
-		panic("bitset: size mismatch in CopyFrom")
-	}
-	copy(b.words, other.words)
-}
-
-// Clone returns an independent copy.
-func (b *Bits) Clone() *Bits {
-	c := New(b.n)
-	copy(c.words, b.words)
-	return c
-}
-
-// Range calls fn for every set bit in ascending order, stopping early if fn
-// returns false.
-func (b *Bits) Range(fn func(i int) bool) {
-	for wi, w := range b.words {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + tz) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1.
-func (b *Bits) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := b.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if b.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(b.words[wi])
-		}
-	}
-	return -1
-}
 
 // Atomic is a fixed-size bitset safe for concurrent Set/TestAndSet/Get.
 type Atomic struct {
@@ -229,18 +89,6 @@ func (b *Atomic) TestAndSet(i int) bool {
 	}
 }
 
-// Clear atomically clears bit i.
-func (b *Atomic) Clear(i int) {
-	mask := uint64(1) << (uint(i) % wordBits)
-	w := &b.words[i/wordBits]
-	for {
-		old := w.Load()
-		if old&mask == 0 || w.CompareAndSwap(old, old&^mask) {
-			return
-		}
-	}
-}
-
 // Get reports whether bit i is set.
 func (b *Atomic) Get(i int) bool {
 	return b.words[i/wordBits].Load()&(1<<(uint(i)%wordBits)) != 0
@@ -282,21 +130,16 @@ func (b *Atomic) Any() bool {
 	return false
 }
 
-// rangeWords calls fn with each word of [lo, hi) in ascending order, the
-// first and last words masked to the window, until fn returns false. It
-// owns the clamping and partial-word masking shared by CountRange and
-// RangeIn; each word is an independent atomic snapshot.
-func (b *Atomic) rangeWords(lo, hi int, fn func(wi int, w uint64) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
+// CountRange returns the number of set bits in [lo, hi), clamped to
+// [0, Len), counting whole words with popcount; each word is an
+// independent atomic snapshot.
+func (b *Atomic) CountRange(lo, hi int) int {
+	lo, hi = max(lo, 0), min(hi, b.n)
 	if lo >= hi {
-		return
+		return 0
 	}
 	loW, hiW := lo/wordBits, (hi+wordBits-1)/wordBits
+	c := 0
 	for wi := loW; wi < hiW; wi++ {
 		w := b.words[wi].Load()
 		if wi == loW {
@@ -307,20 +150,8 @@ func (b *Atomic) rangeWords(lo, hi int, fn func(wi int, w uint64) bool) {
 				w &= (1 << uint(rem)) - 1
 			}
 		}
-		if !fn(wi, w) {
-			return
-		}
-	}
-}
-
-// CountRange returns the number of set bits in [lo, hi), counting whole
-// words with popcount.
-func (b *Atomic) CountRange(lo, hi int) int {
-	c := 0
-	b.rangeWords(lo, hi, func(_ int, w uint64) bool {
 		c += bits.OnesCount64(w)
-		return true
-	})
+	}
 	return c
 }
 
@@ -339,28 +170,11 @@ func (b *Atomic) Range(fn func(i int) bool) {
 	}
 }
 
-// RangeIn calls fn for every set bit in [lo, hi) in ascending order,
-// stopping early if fn returns false. Like Range, the iteration is a
-// snapshot per word; disjoint ranges can be scanned concurrently.
-func (b *Atomic) RangeIn(lo, hi int, fn func(i int) bool) {
-	b.rangeWords(lo, hi, func(wi int, w uint64) bool {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + tz) {
-				return false
-			}
-			w &= w - 1
-		}
-		return true
-	})
-}
-
 // Iter walks the set bits of a window of an Atomic bitset without
-// callbacks. Unlike RangeIn, which takes a closure (and so makes the
-// caller's captured locals escape to the heap), an Iter is a plain value
-// that lives on the caller's stack — the engine's steady-state loops use it
-// to stay allocation-free. Each word is an independent atomic snapshot,
-// like Range/RangeIn.
+// callbacks. Unlike a closure walk (which makes the caller's captured
+// locals escape to the heap), an Iter is a plain value that lives on the
+// caller's stack — the engine's steady-state loops use it to stay
+// allocation-free. Each word is an independent atomic snapshot, like Range.
 type Iter struct {
 	b   *Atomic
 	w   uint64 // unconsumed bits of the current word
@@ -414,24 +228,5 @@ func (it *Iter) Next() int {
 			}
 		}
 		it.w = w
-	}
-}
-
-// Snapshot copies the current contents into a non-atomic bitset.
-func (b *Atomic) Snapshot() *Bits {
-	s := New(b.n)
-	for i := range b.words {
-		s.words[i] = b.words[i].Load()
-	}
-	return s
-}
-
-// CopyFromBits overwrites b with the contents of a plain bitset.
-func (b *Atomic) CopyFromBits(src *Bits) {
-	if b.n != src.n {
-		panic("bitset: size mismatch in CopyFromBits")
-	}
-	for i := range b.words {
-		b.words[i].Store(src.words[i])
 	}
 }

@@ -2,13 +2,14 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
 func TestSetGetClear(t *testing.T) {
-	b := New(130)
+	b := NewAtomic(130)
 	if b.Len() != 130 {
 		t.Fatalf("Len = %d, want 130", b.Len())
 	}
@@ -17,19 +18,19 @@ func TestSetGetClear(t *testing.T) {
 			t.Fatalf("bit %d set on fresh bitset", i)
 		}
 		b.Set(i)
-		if !b.Get(i) {
-			t.Fatalf("bit %d not set after Set", i)
+		if !b.Get(i) || b.Count() != 1 {
+			t.Fatalf("bit %d: Get = %v, Count = %d after Set", i, b.Get(i), b.Count())
 		}
-		b.Clear(i)
+		b.Reset()
 		if b.Get(i) {
-			t.Fatalf("bit %d still set after Clear", i)
+			t.Fatalf("bit %d still set after Reset", i)
 		}
 	}
 }
 
 func TestCountFillReset(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 100, 128, 1000} {
-		b := New(n)
+		b := NewAtomic(n)
 		if got := b.Count(); got != 0 {
 			t.Fatalf("n=%d: fresh Count = %d", n, got)
 		}
@@ -48,7 +49,7 @@ func TestCountFillReset(t *testing.T) {
 }
 
 func TestRangeOrder(t *testing.T) {
-	b := New(200)
+	b := NewAtomic(200)
 	want := []int{0, 3, 64, 65, 127, 199}
 	for _, i := range want {
 		b.Set(i)
@@ -71,8 +72,10 @@ func TestRangeOrder(t *testing.T) {
 	}
 }
 
+// TestNextSet: the first Next of IterIn(from, Len) is the first set bit at
+// or after from, or -1.
 func TestNextSet(t *testing.T) {
-	b := New(300)
+	b := NewAtomic(300)
 	b.Set(5)
 	b.Set(64)
 	b.Set(299)
@@ -80,54 +83,24 @@ func TestNextSet(t *testing.T) {
 		{0, 5}, {5, 5}, {6, 64}, {64, 64}, {65, 299}, {299, 299}, {300, -1}, {-3, 5},
 	}
 	for _, c := range cases {
-		if got := b.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
+		it := b.IterIn(c.from, b.Len())
+		if got := it.Next(); got != c.want {
+			t.Errorf("IterIn(%d, %d).Next() = %d, want %d", c.from, b.Len(), got, c.want)
 		}
 	}
-	if got := New(10).NextSet(0); got != -1 {
-		t.Errorf("NextSet on empty = %d, want -1", got)
+	empty := NewAtomic(10).IterIn(0, 10)
+	if got := empty.Next(); got != -1 {
+		t.Errorf("Next on empty = %d, want -1", got)
 	}
-}
-
-func TestOrAndClone(t *testing.T) {
-	a, b := New(100), New(100)
-	a.Set(1)
-	a.Set(70)
-	b.Set(70)
-	b.Set(99)
-	c := a.Clone()
-	c.Or(b)
-	for _, i := range []int{1, 70, 99} {
-		if !c.Get(i) {
-			t.Errorf("Or: bit %d missing", i)
-		}
-	}
-	d := a.Clone()
-	d.And(b)
-	if d.Count() != 1 || !d.Get(70) {
-		t.Errorf("And: got count %d", d.Count())
-	}
-	if a.Count() != 2 {
-		t.Errorf("Clone mutated the source")
-	}
-}
-
-func TestMismatchedSizesPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Or with mismatched sizes did not panic")
-		}
-	}()
-	New(10).Or(New(11))
 }
 
 func TestNegativeSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(-1) did not panic")
+			t.Fatal("NewAtomic(-1) did not panic")
 		}
 	}()
-	New(-1)
+	NewAtomic(-1)
 }
 
 func TestAtomicBasics(t *testing.T) {
@@ -142,12 +115,8 @@ func TestAtomicBasics(t *testing.T) {
 	if !b.TestAndSet(7) {
 		t.Fatal("TestAndSet on a clear bit returned false")
 	}
-	b.Clear(129)
-	if b.Get(129) {
-		t.Fatal("Get after Clear returned true")
-	}
-	if got := b.Count(); got != 1 {
-		t.Fatalf("Count = %d, want 1", got)
+	if got := b.Count(); got != 2 {
+		t.Fatalf("Count = %d, want 2", got)
 	}
 	b.Fill()
 	if got := b.Count(); got != 130 {
@@ -207,27 +176,12 @@ func TestAtomicTestAndSetExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndCopy(t *testing.T) {
-	a := NewAtomic(100)
-	a.Set(3)
-	a.Set(99)
-	s := a.Snapshot()
-	if s.Count() != 2 || !s.Get(3) || !s.Get(99) {
-		t.Fatalf("Snapshot mismatch: count=%d", s.Count())
-	}
-	b := NewAtomic(100)
-	b.CopyFromBits(s)
-	if b.Count() != 2 || !b.Get(99) {
-		t.Fatalf("CopyFromBits mismatch: count=%d", b.Count())
-	}
-}
-
 // Property: for any set of indices, Count equals the number of distinct
 // indices and Range visits exactly those indices.
 func TestQuickSetCountRange(t *testing.T) {
 	f := func(raw []uint16) bool {
 		const n = 1 << 16
-		b := New(n)
+		b := NewAtomic(n)
 		distinct := map[int]bool{}
 		for _, r := range raw {
 			i := int(r)
@@ -253,56 +207,33 @@ func TestQuickSetCountRange(t *testing.T) {
 	}
 }
 
-// Property: Or is union, And is intersection (cardinalities obey
-// inclusion-exclusion).
-func TestQuickOrAndInclusionExclusion(t *testing.T) {
-	f := func(xs, ys []uint16) bool {
-		const n = 1 << 16
-		a, b := New(n), New(n)
-		for _, x := range xs {
-			a.Set(int(x))
-		}
-		for _, y := range ys {
-			b.Set(int(y))
-		}
-		union := a.Clone()
-		union.Or(b)
-		inter := a.Clone()
-		inter.And(b)
-		return union.Count()+inter.Count() == a.Count()+b.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: atomic and plain bitsets agree under the same operations.
+// Property: an atomic bitset agrees with a plain []bool under the same
+// Sets and TestAndSets, and TestAndSet reports whether the bit was clear.
 func TestQuickAtomicMatchesPlain(t *testing.T) {
 	f := func(ops []uint16, seed int64) bool {
 		const n = 2048
-		p := New(n)
+		p := make([]bool, n)
 		a := NewAtomic(n)
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range ops {
 			i := int(op) % n
 			if rng.Intn(2) == 0 {
-				p.Set(i)
 				a.Set(i)
-			} else {
-				p.Clear(i)
-				a.Clear(i)
+			} else if a.TestAndSet(i) == p[i] {
+				return false
 			}
+			p[i] = true
 		}
-		snap := a.Snapshot()
-		if snap.Count() != p.Count() {
-			return false
-		}
+		count := 0
 		for i := 0; i < n; i++ {
-			if p.Get(i) != a.Get(i) {
+			if p[i] {
+				count++
+			}
+			if p[i] != a.Get(i) {
 				return false
 			}
 		}
-		return true
+		return a.Count() == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -318,7 +249,7 @@ func BenchmarkAtomicSet(b *testing.B) {
 }
 
 func BenchmarkRange(b *testing.B) {
-	s := New(1 << 20)
+	s := NewAtomic(1 << 20)
 	for i := 0; i < 1<<20; i += 3 {
 		s.Set(i)
 	}
@@ -329,9 +260,31 @@ func BenchmarkRange(b *testing.B) {
 	}
 }
 
-// Property: RangeIn over [lo, hi) visits exactly the set bits Range visits
-// restricted to the window, in the same ascending order, and CountRange
-// agrees with the visit count.
+// setIn lists the set bits of [lo, hi), clamped to [0, Len), one Get per
+// bit: the oracle the windowed walks are checked against.
+func setIn(b *Atomic, lo, hi int) []int {
+	var out []int
+	for i := max(lo, 0); i < min(hi, b.Len()); i++ {
+		if b.Get(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// iterIn collects what IterIn(lo, hi) visits.
+func iterIn(b *Atomic, lo, hi int) []int {
+	var out []int
+	it := b.IterIn(lo, hi)
+	for i := it.Next(); i >= 0; i = it.Next() {
+		out = append(out, i)
+	}
+	return out
+}
+
+// Property: a window walk over [lo, hi) visits exactly the set bits Range
+// visits restricted to the window, in the same ascending order, and
+// CountRange agrees with the visit count.
 func TestQuickRangeInMatchesRange(t *testing.T) {
 	f := func(raw []uint16, loRaw, hiRaw uint16) bool {
 		const n = 1<<16 + 13 // odd tail exercises the last-word mask
@@ -350,20 +303,7 @@ func TestQuickRangeInMatchesRange(t *testing.T) {
 			}
 			return true
 		})
-		var got []int
-		b.RangeIn(lo, hi, func(i int) bool {
-			got = append(got, i)
-			return true
-		})
-		if len(got) != len(want) || b.CountRange(lo, hi) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(iterIn(b, lo, hi), want) && b.CountRange(lo, hi) == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -374,34 +314,19 @@ func TestRangeInBoundsClamped(t *testing.T) {
 	b := NewAtomic(100)
 	b.Set(0)
 	b.Set(99)
-	var got []int
-	b.RangeIn(-5, 1000, func(i int) bool {
-		got = append(got, i)
-		return true
-	})
-	if len(got) != 2 || got[0] != 0 || got[1] != 99 {
-		t.Fatalf("clamped RangeIn visited %v", got)
+	if got := iterIn(b, -5, 1000); !slices.Equal(got, []int{0, 99}) {
+		t.Fatalf("clamped IterIn visited %v", got)
 	}
 	if b.CountRange(-5, 1000) != 2 {
 		t.Fatalf("clamped CountRange = %d", b.CountRange(-5, 1000))
 	}
-	b.RangeIn(50, 50, func(int) bool {
-		t.Fatal("empty window visited a bit")
-		return false
-	})
-	// Early stop.
-	calls := 0
-	b.RangeIn(0, 100, func(int) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Fatalf("early stop ignored: %d calls", calls)
+	if got := iterIn(b, 50, 50); got != nil || b.CountRange(50, 50) != 0 {
+		t.Fatalf("empty window visited %v, counted %d", got, b.CountRange(50, 50))
 	}
 }
 
-// Iter must visit exactly the bits RangeIn visits, for arbitrary windows,
-// and must not allocate.
+// Iter must visit exactly the set bits Get reports in the window, for
+// arbitrary windows, and must not allocate.
 func TestIterMatchesRangeIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -414,23 +339,8 @@ func TestIterMatchesRangeIn(t *testing.T) {
 		}
 		lo := rng.Intn(n+65) - 32
 		hi := lo + rng.Intn(n+65)
-		var want []int
-		b.RangeIn(lo, hi, func(i int) bool {
-			want = append(want, i)
-			return true
-		})
-		var got []int
-		it := b.IterIn(lo, hi)
-		for i := it.Next(); i >= 0; i = it.Next() {
-			got = append(got, i)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d [%d,%d): got %d bits, want %d", n, lo, hi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d [%d,%d): bit %d: got %d, want %d", n, lo, hi, i, got[i], want[i])
-			}
+		if got, want := iterIn(b, lo, hi), setIn(b, lo, hi); !slices.Equal(got, want) {
+			t.Fatalf("n=%d [%d,%d): got %v, want %v", n, lo, hi, got, want)
 		}
 	}
 }

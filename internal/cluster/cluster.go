@@ -26,7 +26,10 @@ type Options struct {
 	Nodes int
 	// Threads per node (<=0: GOMAXPROCS).
 	Threads int
-	// Stealing enables the intra-node work-stealing scheduler.
+	// Stealing chose whether each rank's scheduler steals work. Every
+	// scheduler steals now.
+	//
+	// Deprecated: has no effect.
 	Stealing bool
 	// RR enables redundancy reduction: finish early, for arith programs
 	// (a min/max run is the same with it on or off).
@@ -84,7 +87,7 @@ type RunResult[V comparable] struct {
 // program on an in-process cluster: open a session of opt.Nodes ranks, run,
 // close.
 func Execute[V comparable](g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
-	s, err := NewSession(opt.Nodes, opt.Threads, opt.Stealing)
+	s, err := NewSession(opt.Nodes, opt.Threads, true)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +102,7 @@ func Execute[V comparable](g graph.View, p *core.Program[V], opt Options) (*RunR
 // earlier: a premature close can reset connections still carrying a slower
 // peer's final collective results.
 func ExecuteOver[V comparable](g graph.View, p *core.Program[V], opt Options, transports []comm.Transport) (*RunResult[V], error) {
-	s, err := NewSessionOver(transports, opt.Threads, opt.Stealing)
+	s, err := NewSessionOver(transports, opt.Threads)
 	if err != nil {
 		return nil, err // no transports: nothing to close
 	}

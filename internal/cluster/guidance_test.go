@@ -54,7 +54,7 @@ func TestGuidanceSharedPerGraph(t *testing.T) {
 		t.Cleanup(func() { sg.Close() })
 		return sg
 	}
-	opt := cluster.Options{Nodes: 2, Threads: 2, Stealing: true, RR: true}
+	opt := cluster.Options{Nodes: 2, Threads: 2, RR: true}
 	// Heap first: its first run must be the one that fills its slot.
 	for _, v := range []struct {
 		name string

@@ -52,7 +52,7 @@ var entryPoints = []struct {
 		return res, err
 	}},
 	{"ExecuteSession", func(t *testing.T, g graph.View, opt Options, nodes int) (*RunResult[float64], error) {
-		s, err := NewSession(nodes, opt.Threads, opt.Stealing)
+		s, err := NewSession(nodes, opt.Threads, true)
 		if err != nil {
 			t.Fatal(err)
 		}

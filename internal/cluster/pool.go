@@ -33,10 +33,9 @@ type PoolStats struct {
 // first if the run poisoned it. Health is served from atomics so liveness
 // probes never queue behind an executing run.
 type SessionPool struct {
-	nodes    int
-	threads  int
-	stealing bool
-	size     int
+	nodes   int
+	threads int
+	size    int
 	// created counts slots actually put into circulation; it differs from
 	// size only when the constructor failed partway.
 	created int
@@ -54,18 +53,18 @@ type SessionPool struct {
 // NewSessionPool builds size sessions eagerly (size <= 0 means 1) with the
 // given per-session topology. Building is all-or-nothing: on error every
 // already-built session is closed.
-func NewSessionPool(size, nodes, threads int, stealing bool) (*SessionPool, error) {
+func NewSessionPool(size, nodes, threads int) (*SessionPool, error) {
 	if size <= 0 {
 		size = 1
 	}
 	p := &SessionPool{
-		nodes: nodes, threads: threads, stealing: stealing,
+		nodes: nodes, threads: threads,
 		size:  size,
 		slots: make(chan *Session, size),
 		done:  make(chan struct{}),
 	}
 	for i := 0; i < size; i++ {
-		s, err := NewSession(nodes, threads, stealing)
+		s, err := NewSession(nodes, threads, true)
 		if err != nil {
 			p.Close()
 			return nil, err
@@ -148,7 +147,7 @@ func (p *SessionPool) Release(s *Session) {
 // rebuild replaces one broken slot with a fresh session, keeping the slot
 // count invariant: on failure the broken slot goes back for a later retry.
 func (p *SessionPool) rebuild() (*Session, error) {
-	s, err := NewSession(p.nodes, p.threads, p.stealing)
+	s, err := NewSession(p.nodes, p.threads, true)
 	if err != nil {
 		p.rebuildFails.Add(1)
 		p.degraded.Store(true)

@@ -12,7 +12,7 @@ import (
 )
 
 func TestSessionPoolAcquireRelease(t *testing.T) {
-	p, err := cluster.NewSessionPool(2, 1, 1, false)
+	p, err := cluster.NewSessionPool(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSessionPoolAcquireRelease(t *testing.T) {
 }
 
 func TestSessionPoolAcquireCtxCancelled(t *testing.T) {
-	p, err := cluster.NewSessionPool(1, 1, 1, false)
+	p, err := cluster.NewSessionPool(1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSessionPoolAcquireCtxCancelled(t *testing.T) {
 }
 
 func TestSessionPoolHealsPoisonedSessions(t *testing.T) {
-	p, err := cluster.NewSessionPool(1, 1, 1, false)
+	p, err := cluster.NewSessionPool(1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSessionPoolHealsPoisonedSessions(t *testing.T) {
 }
 
 func TestSessionPoolClose(t *testing.T) {
-	p, err := cluster.NewSessionPool(2, 1, 1, false)
+	p, err := cluster.NewSessionPool(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

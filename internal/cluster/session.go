@@ -13,12 +13,12 @@ import (
 )
 
 // Session hosts every engine run: a transport group with one communicator
-// and one scheduler pool per rank. Execute and ExecuteOver open one for a
-// single run; a resident process keeps one open, so repeated ExecuteSession
-// calls pay none of the per-invocation setup (fresh transport group, fresh
-// worker pool spawn per rank). This is what lets slfe-serve re-execute
-// programs after every mutation batch without owning the whole process per
-// run.
+// and one work-stealing scheduler pool per rank. Execute and ExecuteOver
+// open one for a single run; a resident process keeps one open, so repeated
+// ExecuteSession calls pay none of the per-invocation setup (fresh
+// transport group, fresh worker pool spawn per rank). This is what lets
+// slfe-serve re-execute programs after every mutation batch without owning
+// the whole process per run.
 //
 // Runs on one session are serialised: the communicators' collective
 // sequence numbers and the scheduler pools are single-flight state. A
@@ -38,9 +38,10 @@ type Session struct {
 }
 
 // NewSession builds a session over a fresh in-process transport group of
-// the given size (nodes <= 0 means 1). Threads and stealing configure each
-// rank's persistent scheduler pool, like Options.Threads/Stealing.
-func NewSession(nodes, threads int, stealing bool) (*Session, error) {
+// the given size (nodes <= 0 means 1). Threads sizes each rank's persistent
+// work-stealing pool, like Options.Threads. Every pool steals: the bool is
+// ignored and kept only so existing callers compile.
+func NewSession(nodes, threads int, _ bool) (*Session, error) {
 	if nodes <= 0 {
 		nodes = 1
 	}
@@ -48,12 +49,12 @@ func NewSession(nodes, threads int, stealing bool) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewSessionOver(transports, threads, stealing)
+	return NewSessionOver(transports, threads)
 }
 
 // NewSessionOver builds a session over caller-provided transports (e.g. a
 // loopback TCP mesh). The session takes ownership: Close closes them.
-func NewSessionOver(transports []comm.Transport, threads int, stealing bool) (*Session, error) {
+func NewSessionOver(transports []comm.Transport, threads int) (*Session, error) {
 	if len(transports) == 0 {
 		return nil, errors.New("cluster: session needs at least one transport")
 	}
@@ -64,7 +65,7 @@ func NewSessionOver(transports []comm.Transport, threads int, stealing bool) (*S
 	}
 	for i, t := range transports {
 		s.comms[i] = comm.NewComm(t)
-		s.scheds[i] = ws.New(threads, stealing)
+		s.scheds[i] = ws.New(threads, true)
 	}
 	return s, nil
 }
@@ -101,7 +102,7 @@ func (s *Session) Close() error {
 
 // ExecuteSession runs the program on the session's resident cluster with
 // the same orchestration as Execute, reusing the open transports,
-// communicators and scheduler pools. Nodes/Threads/Stealing in opt are
+// communicators and scheduler pools. Nodes and Threads in opt are
 // overridden by the session's fixed topology.
 func ExecuteSession[V comparable](s *Session, g graph.View, p *core.Program[V], opt Options) (*RunResult[V], error) {
 	s.mu.Lock()

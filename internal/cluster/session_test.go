@@ -23,7 +23,7 @@ func TestSessionMatchesExecute(t *testing.T) {
 		t.Fatalf("nodes=%d healthy=%v", s.Nodes(), s.Healthy())
 	}
 
-	opt := cluster.Options{Nodes: 3, Threads: 2, Stealing: true, RR: true}
+	opt := cluster.Options{Nodes: 3, Threads: 2, RR: true}
 
 	// Interleave domains and aggregation kinds across one session.
 	for round := 0; round < 3; round++ {
@@ -75,7 +75,7 @@ func TestSessionMatchesExecute(t *testing.T) {
 }
 
 func TestSessionClosedRejectsRuns(t *testing.T) {
-	s, err := cluster.NewSession(2, 1, false)
+	s, err := cluster.NewSession(2, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSessionClosedRejectsRuns(t *testing.T) {
 }
 
 func TestSessionPoisonedAfterFailedRun(t *testing.T) {
-	s, err := cluster.NewSession(2, 1, false)
+	s, err := cluster.NewSession(2, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package comm
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -432,27 +431,23 @@ func TestAllReduceRejectsShortPayload(t *testing.T) {
 	}
 }
 
-// freeAddrs picks n distinct loopback addresses for a DialTCP to listen
-// on. A port is free only until its check closes, so the picks come from
-// below Linux's default ephemeral range (32768-60999), which the :0
-// listeners and outgoing connections of concurrently running tests draw
-// from; a random start keeps concurrent test processes apart.
-func freeAddrs(t *testing.T, n int) []string {
+// listenLoopback binds n loopback listeners on ports the kernel picks and
+// holds them, so the port a test hands a rank is still that rank's when
+// its formMesh accepts: no concurrent process can take it in between.
+// formMesh closes a listener once its mesh has formed; the cleanup closes
+// the rest.
+func listenLoopback(t *testing.T, n int) ([]net.Listener, []string) {
 	t.Helper()
-	const lo, span = 20000, 12000
-	addrs := make([]string, 0, n)
-	for i, start := 0, rand.Intn(span); len(addrs) < n; i++ {
-		if i == span {
-			t.Fatal("no free loopback port below the ephemeral range")
-		}
-		l, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", lo+(start+i)%span))
+	lns, addrs := make([]net.Listener, n), make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			continue
+			t.Fatal(err)
 		}
-		addrs = append(addrs, l.Addr().String())
-		l.Close()
+		t.Cleanup(func() { ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	return addrs
+	return lns, addrs
 }
 
 // dialMesh forms a size-rank loopback TCP mesh whose listeners are bound
@@ -571,8 +566,10 @@ func TestDialTCPValidation(t *testing.T) {
 }
 
 func TestDialTCPTimeout(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	// Only rank 1 dials; rank 0 never shows up, so rank 1 must time out.
+	// Only rank 1 dials; rank 0 listens but never answers, so rank 1 must
+	// time out. Rank 1 binds a port of the kernel's choosing.
+	_, addrs := listenLoopback(t, 1)
+	addrs = append(addrs, "127.0.0.1:0")
 	start := time.Now()
 	_, err := DialTCP(1, 2, addrs, 300*time.Millisecond)
 	if err == nil {

@@ -114,11 +114,11 @@ func TestCollectiveSendFailurePropagates(t *testing.T) {
 // a hello from a rank that must not dial it is closed unanswered without
 // waiting on the silent connection, and the real peer can still join.
 func TestTCPHalfOpenConnectionReaped(t *testing.T) {
-	addrs := freeAddrs(t, 2)
+	lns, addrs := listenLoopback(t, 2)
 	trCh := make(chan Transport, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		tr, err := DialTCP(0, 2, addrs, 3*handshakeTimeout+5*time.Second)
+		tr, err := formMesh(lns[0], 0, addrs, time.Now().Add(3*handshakeTimeout+5*time.Second))
 		if err != nil {
 			errCh <- err
 			return
@@ -145,7 +145,7 @@ func TestTCPHalfOpenConnectionReaped(t *testing.T) {
 	closedWithin(refused, handshakeTimeout/2, "hello from rank 0 to rank 0")
 	closedWithin(silent, handshakeTimeout+2*time.Second, "half-open connection")
 
-	tr1, err := DialTCP(1, 2, addrs, 5*time.Second)
+	tr1, err := formMesh(lns[1], 1, addrs, time.Now().Add(5*time.Second))
 	if err != nil {
 		t.Fatalf("rank 1 after the refused connections: %v", err)
 	}
@@ -161,10 +161,10 @@ func TestTCPHalfOpenConnectionReaped(t *testing.T) {
 // TestTCPRejectsBogusHandshake connects a raw socket claiming an invalid
 // rank: the mesh setup must fail rather than accept the impostor.
 func TestTCPRejectsBogusHandshake(t *testing.T) {
-	addrs := freeAddrs(t, 2)
+	lns, addrs := listenLoopback(t, 2)
 	done := make(chan error, 1)
 	go func() {
-		_, err := DialTCP(0, 2, addrs, 2*time.Second)
+		_, err := formMesh(lns[0], 0, addrs, time.Now().Add(2*time.Second))
 		done <- err
 	}()
 	// Impersonate rank 1 with a bogus rank id in the handshake.
@@ -182,11 +182,11 @@ func TestTCPRejectsBogusHandshake(t *testing.T) {
 // corrupt frame (wrong sender id): the reader must shut the inbox down, so
 // pending Recv calls fail instead of delivering garbage.
 func TestTCPGarbageStreamClosesInbox(t *testing.T) {
-	addrs := freeAddrs(t, 2)
+	lns, addrs := listenLoopback(t, 2)
 	trCh := make(chan Transport, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		tr, err := DialTCP(0, 2, addrs, 2*time.Second)
+		tr, err := formMesh(lns[0], 0, addrs, time.Now().Add(2*time.Second))
 		if err != nil {
 			errCh <- err
 			return

@@ -83,7 +83,7 @@ func withGuidance(t *testing.T, g *graph.Graph, p *Program[float64]) func(int, *
 	if len(roots) == 0 {
 		roots = rrg.DefaultRoots(g)
 	}
-	gd := rrg.Generate(g, roots, ws.New(2, false))
+	gd := rrg.Generate(g, roots, ws.New(2, true))
 	return func(_ int, cfg *Config) {
 		cfg.RR = true
 		cfg.Guidance = gd

@@ -107,7 +107,7 @@ func runEngines(g *graph.Graph, p *core.Program[float64], nodes int, dd int64, g
 	}
 	results := make([]*core.Result[float64], nodes)
 	err = cluster.SPMD(nodes, func(rank int, cm *comm.Comm) error {
-		sched := ws.New(2, false)
+		sched := ws.New(2, true)
 		defer sched.Close()
 		eng, err := core.New[float64](core.Config{Graph: g, Comm: cm, Part: part, Sched: sched,
 			RR: gd != nil, Guidance: gd, DenseDivisor: dd})
@@ -275,7 +275,7 @@ func summedSteps[V comparable](g graph.View, p *core.Program[V], nodes int, rr b
 }
 
 func rrOffIters[V comparable](g graph.View, p *core.Program[V]) ([]metrics.IterStat, error) {
-	res, err := cluster.Execute(g, p, cluster.Options{Nodes: 1, Threads: 2, Stealing: true})
+	res, err := cluster.Execute(g, p, cluster.Options{Nodes: 1, Threads: 2})
 	if err != nil {
 		return nil, err
 	}

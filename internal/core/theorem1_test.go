@@ -121,7 +121,7 @@ func TestFinishEarlyOnlySkipsRepeats(t *testing.T) {
 		want := runCluster(t, g, p, nodes, nil)
 		// Information originates at vertex 0, so the guidance is rooted
 		// there (the same rule BeliefPropagation documents).
-		gd := rrg.Generate(g, []graph.VertexID{0}, ws.New(2, false))
+		gd := rrg.Generate(g, []graph.VertexID{0}, ws.New(2, true))
 		got := runCluster(t, g, p, nodes, func(_ int, cfg *Config) {
 			cfg.RR = true
 			cfg.Guidance = gd

@@ -156,8 +156,10 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads the packed binary format written by WriteBinary. Bytes
-// after the m-th record are an error, not ignored.
+// ReadBinary reads the packed binary format written by WriteBinary. The
+// records must ascend by source, as WriteBinary writes them; a record
+// whose source falls is ErrBadFormat, and so are bytes after the m-th
+// record.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	size, sized := sizeOf(r)
 	br := bufio.NewReader(r)
@@ -183,18 +185,13 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if sized {
 		capHint = min(m, uint64(max(size-24, 0))/12)
 	}
-	// Records whose sources ascend (every file WriteBinary writes) are
-	// decoded straight into the CSR's out-arrays; from the first record
-	// whose source falls, the records go through an edge list and Build.
+	// Records must ascend by source (CSR order, which WriteBinary writes)
+	// and are decoded straight into the CSR's out-arrays. Those grow to
+	// capHint only once the first block has ascended, so a file that
+	// breaks at once never pays for them.
 	off, last := make([]int64, n+1), uint32(0)
-	ids, w := make([]graph.VertexID, 0, capHint), make([]float32, 0, capHint)
-	csr := func() *graph.Graph {
-		for v := uint64(last) + 1; v <= n; v++ {
-			off[v] = int64(len(ids))
-		}
-		return graph.FromCSR(int(n), off, ids, w)
-	}
-	var edges []graph.Edge
+	var ids []graph.VertexID
+	var w []float32
 	// Batched block reads: one ReadFull per 4096 records instead of one
 	// per edge, sized in records first so no edge count overflows it. A
 	// truncation is reported with the index of the first edge it corrupts.
@@ -204,19 +201,19 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated at edge %d: %v", ErrBadFormat, i+uint64(nr)/12, io.ErrUnexpectedEOF)
 		}
-		rest := buf[:nr]
-		if edges == nil {
-			rest, last, ids, w = decodeCSR(rest, n, last, off, ids, w)
+		var rest []byte
+		rest, last, ids, w = decodeCSR(buf[:nr], n, last, off, ids, w)
+		if len(rest) >= 12 {
+			src, dst := le.Uint32(rest), le.Uint32(rest[4:8])
+			if uint64(src) >= n || uint64(dst) >= n {
+				return nil, fmt.Errorf("%w: (%d -> %d) with n=%d", graph.ErrVertexOutOfRange, src, dst, n)
+			}
+			return nil, fmt.Errorf("%w: record %d has source %d after source %d: records must ascend by source",
+				ErrBadFormat, i+uint64(nr-len(rest))/12, src, last)
 		}
-		for ; len(rest) >= 12; rest = rest[12:] {
-			e := graph.Edge{Src: le.Uint32(rest), Dst: le.Uint32(rest[4:8]), Weight: math.Float32frombits(le.Uint32(rest[8:12]))}
-			if uint64(e.Src) >= n || uint64(e.Dst) >= n {
-				return nil, fmt.Errorf("%w: (%d -> %d) with n=%d", graph.ErrVertexOutOfRange, e.Src, e.Dst, n)
-			}
-			if edges == nil {
-				edges = prefixEdges(off, last, ids, w, capHint)
-			}
-			edges = append(edges, e)
+		if i == 0 {
+			grow := max(int(capHint)-len(ids), 0)
+			ids, w = slices.Grow(ids, grow), slices.Grow(w, grow)
 		}
 		i += uint64(nr) / 12
 	}
@@ -226,30 +223,13 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	case err != io.EOF:
 		return nil, fmt.Errorf("loader: %w", err)
 	}
-	if edges != nil {
-		return graph.Build(int(n), edges)
+	for v := uint64(last) + 1; v <= n; v++ {
+		off[v] = int64(len(ids))
 	}
-	return csr(), nil
+	return graph.FromCSR(int(n), off, ids, w), nil
 }
 
 var le = binary.LittleEndian
-
-// prefixEdges lists, in file order, the records decodeCSR has put in the
-// out-arrays: source v's are ids[off[v]:off[v+1]] for v below last, and
-// last's run to the end.
-func prefixEdges(off []int64, last uint32, ids []graph.VertexID, w []float32, capHint uint64) []graph.Edge {
-	edges := make([]graph.Edge, 0, max(capHint, uint64(len(ids))))
-	for v := uint64(0); v <= uint64(last); v++ {
-		end := int64(len(ids))
-		if v < uint64(last) {
-			end = off[v+1]
-		}
-		for k := off[v]; k < end; k++ {
-			edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: ids[k], Weight: w[k]})
-		}
-	}
-	return edges
-}
 
 // decodeCSR appends records to a CSR's out-arrays while their sources
 // ascend from last and their endpoints are below n, setting off[v] once a

@@ -97,7 +97,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(lying) // 2^32-1 edges declared, none present
 	shuffled := gen.RMAT(64, 256, gen.DefaultRMAT, 8, 3).Edges(nil)
 	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	f.Add(records(64, shuffled)) // records whose sources do not ascend
+	f.Add(records(64, shuffled)) // records whose sources do not ascend: refused
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -126,7 +126,8 @@ func FuzzReadBinary(f *testing.F) {
 }
 
 // referenceReadBinary decodes the SLFG layout one field at a time: magic,
-// version 1, n <= MaxVertices, m, then exactly m 12-byte records.
+// version 1, n <= MaxVertices, m, then exactly m 12-byte records whose
+// sources never fall.
 func referenceReadBinary(data []byte) (*graph.Graph, error) {
 	le := binary.LittleEndian
 	if len(data) < 24 || string(data[:4]) != Magic || le.Uint32(data[4:]) != 1 {
@@ -139,7 +140,11 @@ func referenceReadBinary(data []byte) (*graph.Graph, error) {
 	}
 	var edges []graph.Edge
 	for r := recs; len(r) > 0; r = r[12:] {
-		edges = append(edges, graph.Edge{Src: le.Uint32(r), Dst: le.Uint32(r[4:]), Weight: math.Float32frombits(le.Uint32(r[8:]))})
+		e := graph.Edge{Src: le.Uint32(r), Dst: le.Uint32(r[4:]), Weight: math.Float32frombits(le.Uint32(r[8:]))}
+		if len(edges) > 0 && e.Src < edges[len(edges)-1].Src {
+			return nil, errors.New("source falls")
+		}
+		edges = append(edges, e)
 	}
 	return graph.Build(int(n), edges)
 }

@@ -31,7 +31,7 @@ var concurrentMatrix = []struct {
 func newMatrixService(t *testing.T, g *graph.Graph, sessions int) *service.Service {
 	t.Helper()
 	svc, err := service.New(g, service.Config{
-		Nodes: 2, Threads: 2, Stealing: true, RR: true, Sessions: sessions,
+		Nodes: 2, Threads: 2, RR: true, Sessions: sessions,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 func TestConcurrentReadsDuringSnapshotSwaps(t *testing.T) {
 	g := gen.Uniform(150, 600, 4, 61)
 	svc, err := service.New(g, service.Config{
-		Nodes: 1, Threads: 2, Stealing: true, RR: true, Sessions: 2, CacheCapacity: 64,
+		Nodes: 1, Threads: 2, RR: true, Sessions: 2, CacheCapacity: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,11 @@ func TestConcurrentReadsDuringSnapshotSwaps(t *testing.T) {
 	h := service.Handler(svc)
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	// cycled counts the readers that have sent every path once. The cache
+	// check below waits on it, not on how the readers were scheduled
+	// against the batches: five batches can all apply before a reader
+	// reaches a cached endpoint.
+	var wg, cycled sync.WaitGroup
 	paths := []string{
 		"/healthz",
 		"/stats",
@@ -140,9 +144,15 @@ func TestConcurrentReadsDuringSnapshotSwaps(t *testing.T) {
 	}
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
+		cycled.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			cycle := sync.OnceFunc(cycled.Done)
+			defer cycle() // a reader that fails early must not block the wait
 			for i := 0; ; i++ {
+				if i == len(paths) {
+					cycle()
+				}
 				select {
 				case <-stop:
 					return
@@ -181,6 +191,7 @@ func TestConcurrentReadsDuringSnapshotSwaps(t *testing.T) {
 			}
 		}
 	}
+	cycled.Wait()
 	close(stop)
 	wg.Wait()
 

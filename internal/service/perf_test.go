@@ -27,7 +27,7 @@ import (
 func topkPhase(t *testing.T, g *graph.Graph, capacity int) (lat []time.Duration, hitRate float64, batches int) {
 	t.Helper()
 	svc, err := service.New(g, service.Config{
-		Nodes: 2, Threads: 2, Stealing: true, RR: true,
+		Nodes: 2, Threads: 2, RR: true,
 		Sessions: 2, CacheCapacity: capacity,
 	})
 	if err != nil {

@@ -22,8 +22,6 @@ type Config struct {
 	Nodes int
 	// Threads per node (<=0: GOMAXPROCS).
 	Threads int
-	// Stealing enables the work-stealing scheduler.
-	Stealing bool
 	// RR enables redundancy reduction (finish early, for arith programs);
 	// while an arith program is registered, the graph's shared guidance is
 	// then carried across insert-only batches (rrg.Carry).
@@ -145,7 +143,7 @@ func New(g *graph.Graph, cfg Config) (*Service, error) {
 		return nil, errors.New("service: nil graph")
 	}
 	cfg.defaults()
-	pool, err := cluster.NewSessionPool(cfg.Sessions, cfg.Nodes, cfg.Threads, cfg.Stealing)
+	pool, err := cluster.NewSessionPool(cfg.Sessions, cfg.Nodes, cfg.Threads)
 	if err != nil {
 		return nil, err
 	}
@@ -190,10 +188,9 @@ func (s *Service) Close() error {
 // runOptions is the per-run option base derived from the fixed config.
 func (s *Service) runOptions() cluster.Options {
 	return cluster.Options{
-		Nodes:    s.cfg.Nodes,
-		Threads:  s.cfg.Threads,
-		Stealing: s.cfg.Stealing,
-		RR:       s.cfg.RR,
+		Nodes:   s.cfg.Nodes,
+		Threads: s.cfg.Threads,
+		RR:      s.cfg.RR,
 	}
 }
 
@@ -363,7 +360,7 @@ func (s *Service) ApplyCtx(ctx context.Context, b *Batch) (*Snapshot, error) {
 			// a deletion fallback) generates through rrg.Shared. Carried
 			// before any program runs on the new version, so every run over
 			// it shares a single Update.
-			sched := ws.New(s.cfg.Threads, s.cfg.Stealing)
+			sched := ws.New(s.cfg.Threads, true)
 			rrg.Carry(cur.Graph, g2, b.Adds, sched)
 			sched.Close()
 		}

@@ -37,7 +37,7 @@ var registered = []struct {
 // every matrix program registered.
 func newTestService(t *testing.T, g *graph.Graph, nodes int) *service.Service {
 	t.Helper()
-	svc, err := service.New(g, service.Config{Nodes: nodes, Threads: 2, Stealing: true, RR: true})
+	svc, err := service.New(g, service.Config{Nodes: nodes, Threads: 2, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func coldOracle(t *testing.T, key, domain string, root graph.VertexID, iters int
 		runG = apps.Symmetrize(g)
 	}
 	out, err := entry.Build(root, iters).Execute(runG, cluster.Options{
-		Nodes: 2, Threads: 2, Stealing: true, RR: true,
+		Nodes: 2, Threads: 2, RR: true,
 	})
 	if err != nil {
 		t.Fatalf("cold %s:%s: %v", key, domain, err)
@@ -261,7 +261,7 @@ func TestDeletionFallbackMatchesCold(t *testing.T) {
 // graph, version monotonic from a reader's view).
 func TestSnapshotIsolationUnderMutation(t *testing.T) {
 	g0 := gen.Uniform(150, 600, 4, 29)
-	svc, err := service.New(g0, service.Config{Nodes: 1, Threads: 2, Stealing: true, RR: true})
+	svc, err := service.New(g0, service.Config{Nodes: 1, Threads: 2, RR: true})
 	if err != nil {
 		t.Fatal(err)
 	}

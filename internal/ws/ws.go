@@ -49,11 +49,10 @@ type paddedI64 struct {
 	_ [56]byte
 }
 
-// Scheduler executes chunked parallel loops with optional stealing over a
+// Scheduler executes chunked parallel loops with work stealing over a
 // persistent worker pool.
 type Scheduler struct {
-	threads  int
-	stealing bool
+	threads int
 
 	// Persistent pool: workers 1..threads-1 park on wake[t] between phases;
 	// the dispatching goroutine acts as worker 0. Spawned lazily so
@@ -96,12 +95,13 @@ type Scheduler struct {
 }
 
 // New returns a scheduler with the given thread count (<=0 means
-// GOMAXPROCS) and stealing policy.
-func New(threads int, stealing bool) *Scheduler {
+// GOMAXPROCS). Its threads always steal; the bool is ignored and kept
+// only so existing callers compile.
+func New(threads int, _ bool) *Scheduler {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{threads: threads, stealing: stealing}
+	s := &Scheduler{threads: threads}
 	s.runBody = s.runWorker
 	s.redWrap = s.reduceChunk
 	return s
@@ -232,42 +232,40 @@ func (s *Scheduler) runWorker(t int) {
 	// is drained until its cursor passes its end, and a pass that yields
 	// nothing — every claim lost against an already-drained victim — backs
 	// off with Gosched instead of immediately rescanning every span.
-	if s.stealing {
-		stolen := int64(0)
+	stolen := int64(0)
+	for {
+		victim := -1
+		var best int64
+		for v := range s.spans {
+			if v == t {
+				continue
+			}
+			if rem := s.spans[v].end - s.spans[v].next.Load(); rem > best {
+				best = rem
+				victim = v
+			}
+		}
+		if victim < 0 {
+			break // every span drained
+		}
+		vs := &s.spans[victim]
+		got := false
 		for {
-			victim := -1
-			var best int64
-			for v := range s.spans {
-				if v == t {
-					continue
-				}
-				if rem := s.spans[v].end - s.spans[v].next.Load(); rem > best {
-					best = rem
-					victim = v
-				}
+			c := vs.next.Add(1) - 1
+			if c >= vs.end {
+				break
 			}
-			if victim < 0 {
-				break // every span drained
-			}
-			vs := &s.spans[victim]
-			got := false
-			for {
-				c := vs.next.Add(1) - 1
-				if c >= vs.end {
-					break
-				}
-				s.exec(c, t)
-				count++
-				stolen++
-				got = true
-			}
-			if !got {
-				runtime.Gosched() // lost the race; yield before the next pass
-			}
+			s.exec(c, t)
+			count++
+			stolen++
+			got = true
 		}
-		if stolen > 0 {
-			s.steals.Add(stolen)
+		if !got {
+			runtime.Gosched() // lost the race; yield before the next pass
 		}
+	}
+	if stolen > 0 {
+		s.steals.Add(stolen)
 	}
 	s.perThread[t] = count
 }

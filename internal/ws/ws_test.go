@@ -30,24 +30,22 @@ func TestPerThreadStateStride(t *testing.T) {
 
 func TestCoversEveryVertexOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 7} {
-		for _, stealing := range []bool{false, true} {
-			const lo, hi = 13, 5000
-			seen := make([]int32, hi)
-			s := New(threads, stealing)
-			s.Run(lo, hi, func(clo, chi uint32, _ int) {
-				for v := clo; v < chi; v++ {
-					atomic.AddInt32(&seen[v], 1)
-				}
-			})
-			for v := 0; v < lo; v++ {
-				if seen[v] != 0 {
-					t.Fatalf("threads=%d steal=%v: vertex %d below range executed", threads, stealing, v)
-				}
+		const lo, hi = 13, 5000
+		seen := make([]int32, hi)
+		s := New(threads, true)
+		s.Run(lo, hi, func(clo, chi uint32, _ int) {
+			for v := clo; v < chi; v++ {
+				atomic.AddInt32(&seen[v], 1)
 			}
-			for v := lo; v < hi; v++ {
-				if seen[v] != 1 {
-					t.Fatalf("threads=%d steal=%v: vertex %d executed %d times", threads, stealing, v, seen[v])
-				}
+		})
+		for v := 0; v < lo; v++ {
+			if seen[v] != 0 {
+				t.Fatalf("threads=%d: vertex %d below range executed", threads, v)
+			}
+		}
+		for v := lo; v < hi; v++ {
+			if seen[v] != 1 {
+				t.Fatalf("threads=%d: vertex %d executed %d times", threads, v, seen[v])
 			}
 		}
 	}
@@ -93,64 +91,38 @@ func TestDefaultThreads(t *testing.T) {
 
 func TestStealingRebalancesSkewedWork(t *testing.T) {
 	// Thread 0's first chunk stays busy until the other threads have taken
-	// every other chunk of its span: with stealing they must, and no
-	// schedule lets thread 0 run more than that one chunk of its own span.
+	// every other chunk of its span: they must steal them, and no schedule
+	// lets thread 0 run more than that one chunk of its own span. New
+	// ignores its bool, so a scheduler built with false steals too.
 	const n, own = 64 * ChunkSize, 16 // thread 0 owns chunks [0, own)
-	s := New(4, true)
-	var stolen, ranOwn atomic.Int64
-	taken, giveUp := make(chan struct{}), make(chan struct{})
-	// The timeout only turns lost steals into a failure, not a hang.
-	defer time.AfterFunc(10*time.Second, func() { close(giveUp) }).Stop()
-	st := s.Run(0, n, func(lo, _ uint32, thread int) {
-		if lo >= own*ChunkSize {
-			return
-		}
-		if thread != 0 {
-			if stolen.Add(1) == own-1 {
-				close(taken)
+	for _, s := range []*Scheduler{New(4, true), New(4, false)} {
+		var stolen, ranOwn atomic.Int64
+		taken, giveUp := make(chan struct{}), make(chan struct{})
+		// The timeout only turns lost steals into a failure, not a hang.
+		timer := time.AfterFunc(10*time.Second, func() { close(giveUp) })
+		st := s.Run(0, n, func(lo, _ uint32, thread int) {
+			if lo >= own*ChunkSize {
+				return
 			}
-			return
-		}
-		ranOwn.Add(1)
-		select {
-		case <-taken:
-		case <-giveUp:
-		}
-	})
-	if ranOwn.Load() > 1 || stolen.Load() < own-1 {
-		t.Errorf("thread 0 ran %d of its %d chunks and thieves %d", ranOwn.Load(), own, stolen.Load())
-	}
-	if st.Steals < own-1 {
-		t.Errorf("Steals = %d, want at least %d", st.Steals, own-1)
-	}
-}
-
-func TestNoStealingKeepsOwnership(t *testing.T) {
-	const n = 16 * ChunkSize
-	s := New(4, false)
-	var mu sync.Mutex
-	owner := map[uint32]int{}
-	st := s.Run(0, n, func(lo, _ uint32, thread int) {
-		mu.Lock()
-		owner[lo] = thread
-		mu.Unlock()
-	})
-	if st.Steals != 0 {
-		t.Fatalf("Steals = %d without stealing", st.Steals)
-	}
-	// Static assignment: chunk c belongs to thread c*threads/nChunks.
-	for lo, th := range owner {
-		chunk := int64(lo) / ChunkSize
-		want := -1
-		for t2 := 0; t2 < 4; t2++ {
-			start := int64(t2) * 16 / 4
-			end := int64(t2+1) * 16 / 4
-			if chunk >= start && chunk < end {
-				want = t2
+			if thread != 0 {
+				if stolen.Add(1) == own-1 {
+					close(taken)
+				}
+				return
 			}
+			ranOwn.Add(1)
+			select {
+			case <-taken:
+			case <-giveUp:
+			}
+		})
+		timer.Stop()
+		s.Close()
+		if ranOwn.Load() > 1 || stolen.Load() < own-1 {
+			t.Errorf("thread 0 ran %d of its %d chunks and thieves %d", ranOwn.Load(), own, stolen.Load())
 		}
-		if th != want {
-			t.Fatalf("chunk %d executed by thread %d, want %d", chunk, th, want)
+		if st.Steals < own-1 {
+			t.Errorf("Steals = %d, want at least %d", st.Steals, own-1)
 		}
 	}
 }
@@ -175,16 +147,16 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 // Property: for any range and thread count, every vertex is visited exactly
-// once, with and without stealing.
+// once.
 func TestQuickExactCover(t *testing.T) {
-	f := func(loRaw, span uint16, threadsRaw uint8, stealing bool) bool {
+	f := func(loRaw, span uint16, threadsRaw uint8) bool {
 		lo := uint32(loRaw)
 		hi := lo + uint32(span)
 		threads := int(threadsRaw)%8 + 1
 		var visited sync.Map
 		ok := atomic.Bool{}
 		ok.Store(true)
-		New(threads, stealing).Run(lo, hi, func(clo, chi uint32, _ int) {
+		New(threads, true).Run(lo, hi, func(clo, chi uint32, _ int) {
 			for v := clo; v < chi; v++ {
 				if _, dup := visited.LoadOrStore(v, true); dup {
 					ok.Store(false)
@@ -205,29 +177,27 @@ func TestQuickExactCover(t *testing.T) {
 
 func TestReduceI64SumsChunkResults(t *testing.T) {
 	for _, threads := range []int{1, 3, 8} {
-		for _, stealing := range []bool{false, true} {
-			s := New(threads, stealing)
-			const lo, hi = 7, 40000
-			// Sum of v over [lo, hi) computed chunk-wise must equal the
-			// closed form regardless of scheduling.
-			got, stats := s.ReduceI64(lo, hi, func(clo, chi uint32, _ int) int64 {
-				var sum int64
-				for v := clo; v < chi; v++ {
-					sum += int64(v)
-				}
-				return sum
-			})
-			want := int64(hi-1)*int64(hi)/2 - int64(lo-1)*int64(lo)/2
-			if got != want {
-				t.Fatalf("threads=%d steal=%v: ReduceI64 = %d, want %d", threads, stealing, got, want)
+		s := New(threads, true)
+		const lo, hi = 7, 40000
+		// Sum of v over [lo, hi) computed chunk-wise must equal the
+		// closed form regardless of scheduling.
+		got, stats := s.ReduceI64(lo, hi, func(clo, chi uint32, _ int) int64 {
+			var sum int64
+			for v := clo; v < chi; v++ {
+				sum += int64(v)
 			}
-			var chunks int64
-			for _, c := range stats.ChunksPerThread {
-				chunks += c
-			}
-			if chunks != int64((hi-lo+ChunkSize-1)/ChunkSize) {
-				t.Fatalf("chunks = %d", chunks)
-			}
+			return sum
+		})
+		want := int64(hi-1)*int64(hi)/2 - int64(lo-1)*int64(lo)/2
+		if got != want {
+			t.Fatalf("threads=%d: ReduceI64 = %d, want %d", threads, got, want)
+		}
+		var chunks int64
+		for _, c := range stats.ChunksPerThread {
+			chunks += c
+		}
+		if chunks != int64((hi-lo+ChunkSize-1)/ChunkSize) {
+			t.Fatalf("chunks = %d", chunks)
 		}
 	}
 }
@@ -300,44 +270,42 @@ func TestPhasesDoNotAllocate(t *testing.T) {
 // strictly ascending order, and only after its compute finished.
 func TestRunOverlapDrainsEveryChunkInOrder(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 7} {
-		for _, stealing := range []bool{false, true} {
-			const lo, hi = 13, 5000
-			s := New(threads, stealing)
-			computed := make([]int32, hi)
-			drained := make([]int32, hi)
-			prev := int64(-1)
-			st := s.RunOverlap(lo, hi, func(clo, chi uint32, _ int) {
-				for v := clo; v < chi; v++ {
-					atomic.AddInt32(&computed[v], 1)
-				}
-			}, func(clo, chi uint32) {
-				c := int64(clo-lo) / ChunkSize
-				if c != prev+1 {
-					t.Fatalf("threads=%d steal=%v: drained chunk %d after %d", threads, stealing, c, prev)
-				}
-				prev = c
-				for v := clo; v < chi; v++ {
-					if atomic.LoadInt32(&computed[v]) != 1 {
-						t.Fatalf("threads=%d steal=%v: drained vertex %d before/without compute", threads, stealing, v)
-					}
-					drained[v]++
-				}
-			})
-			for v := lo; v < hi; v++ {
-				if computed[v] != 1 || drained[v] != 1 {
-					t.Fatalf("threads=%d steal=%v: vertex %d computed %d / drained %d times",
-						threads, stealing, v, computed[v], drained[v])
-				}
+		const lo, hi = 13, 5000
+		s := New(threads, true)
+		computed := make([]int32, hi)
+		drained := make([]int32, hi)
+		prev := int64(-1)
+		st := s.RunOverlap(lo, hi, func(clo, chi uint32, _ int) {
+			for v := clo; v < chi; v++ {
+				atomic.AddInt32(&computed[v], 1)
 			}
-			var total int64
-			for _, c := range st.ChunksPerThread {
-				total += c
+		}, func(clo, chi uint32) {
+			c := int64(clo-lo) / ChunkSize
+			if c != prev+1 {
+				t.Fatalf("threads=%d: drained chunk %d after %d", threads, c, prev)
 			}
-			if want := int64(hi-lo+ChunkSize-1) / ChunkSize; total != want {
-				t.Fatalf("threads=%d steal=%v: stats count %d chunks, want %d", threads, stealing, total, want)
+			prev = c
+			for v := clo; v < chi; v++ {
+				if atomic.LoadInt32(&computed[v]) != 1 {
+					t.Fatalf("threads=%d: drained vertex %d before/without compute", threads, v)
+				}
+				drained[v]++
 			}
-			s.Close()
+		})
+		for v := lo; v < hi; v++ {
+			if computed[v] != 1 || drained[v] != 1 {
+				t.Fatalf("threads=%d: vertex %d computed %d / drained %d times",
+					threads, v, computed[v], drained[v])
+			}
 		}
+		var total int64
+		for _, c := range st.ChunksPerThread {
+			total += c
+		}
+		if want := int64(hi-lo+ChunkSize-1) / ChunkSize; total != want {
+			t.Fatalf("threads=%d: stats count %d chunks, want %d", threads, total, want)
+		}
+		s.Close()
 	}
 }
 
